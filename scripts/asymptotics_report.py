@@ -25,6 +25,7 @@ from tailwalk.perturbation import (
     resonance_asymptote,
     resonant_sigma_limit,
 )
+from tailwalk.scattering import SigmaEvaluator
 
 
 def fmt_c(z: complex) -> str:
@@ -42,6 +43,7 @@ def main() -> int:
     ladder = sorted(_parse_eps(args.eps), reverse=True)
     im = build_E(tg, 0.0)
     sd0 = spectral_decompose(im.E0)
+    evaluators = {eps: SigmaEvaluator(im.at(eps)) for eps in ladder}
 
     print(f"{args.preset} + tails {args.tails}; eps ladder {ladder}")
     for cl in sorted(sd0.clusters, key=lambda c: np.angle(c.value)):
@@ -63,7 +65,7 @@ def main() -> int:
             if abs(b.mu1) < 1e-10 or key in seen:
                 continue
             seen.add(key)
-            lim = resonant_sigma_limit(im, led, b.mu1, ladder, sd0)
+            lim = resonant_sigma_limit(im, led, b.mu1, ladder, sd0, evaluators)
             v = lim.verdicts
             norms = "  ".join(f"{x:.5f}" for x in lim.norms)
             print(f"  family mu1 = {fmt_c(b.mu1)}: ||Sigma - I - Sigma01|| = {norms}")

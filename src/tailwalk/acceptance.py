@@ -450,6 +450,7 @@ def _c11(names, residual_tol=None):
     for name in eligible:
         im = build_E(make_fixture(name), 0.0)
         sd0 = spectral_decompose(im.E0)
+        evaluators = {e: SigmaEvaluator(im.at(e)) for e in eps_ladder}
         for cl in sd0.clusters:
             led = reduce_eigenvalue(im, cl.value, sd0)
             seen = set()
@@ -460,7 +461,7 @@ def _c11(names, residual_tol=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                rec = resonant_sigma_limit(im, led, b.mu1, eps_ladder, sd0)
+                rec = resonant_sigma_limit(im, led, b.mu1, eps_ladder, sd0, evaluators)
                 if not any(
                     bb.hosts_resonance
                     for bb in led.branches

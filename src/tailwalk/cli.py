@@ -40,7 +40,7 @@ from .perturbation import (
     resonance_asymptote,
     resonant_sigma_limit,
 )
-from .scattering import NoConvergence, transmission_curve
+from .scattering import NoConvergence, SigmaEvaluator, transmission_curve
 from .tailed_graph import (
     GraphError,
     TailSpec,
@@ -330,6 +330,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     ladder = sorted(cfg.eps_values, reverse=True)
+    evaluators = None  # built at the first family: one decomposition per eps
 
     ledger_entries = []
     asym_rows = []
@@ -359,7 +360,9 @@ def cmd_perturb(cfg: RunConfig) -> int:
             if key in seen:
                 continue
             seen.add(key)
-            rec = resonant_sigma_limit(im, led, b.mu1, ladder, sd0)
+            if evaluators is None:
+                evaluators = {eps: SigmaEvaluator(im.at(eps)) for eps in ladder}
+            rec = resonant_sigma_limit(im, led, b.mu1, ladder, sd0, evaluators)
             limit_records.append(
                 {
                     "mu": [rec.mu.real, rec.mu.imag],

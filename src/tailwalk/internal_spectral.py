@@ -12,8 +12,10 @@ compression of a unitary, so spec(E) lives in the closed unit disk; the
 eigenvalues strictly inside are the resonances.
 
 Spectral projections use the dense eigendecomposition only to *locate*
-clusters; the projector itself comes from a sorted complex Schur form plus
-a Sylvester solve, which is well-conditioned even for defective clusters.
+clusters.  The projectors come from one complex Schur form of E per
+decomposition: for each cluster LAPACK ``ztrsen`` reorders it so the
+cluster leads, and ``ztrsyl`` solves the triangular Sylvester equation
+that splits it off.  This is well-conditioned even for defective clusters.
 A contour-integral projector is provided as an independent test oracle and
 is not used in any production path.
 """
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .coin_evolution import CoinFamily, WalkOperator, kappa
 from .tailed_graph import TailedGraph
@@ -194,59 +197,56 @@ class SpectralData:
 
 
 def _greedy_clusters(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group eigenvalues by transitive tol-closeness (union-find)."""
-    n = len(vals)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    """Group eigenvalues by transitive tol-closeness (connected components)."""
+    close = np.abs(vals[:, None] - vals[None, :]) < tol
+    label = np.arange(len(vals))
+    while True:  # spread each component's smallest index through it
+        nxt = np.where(close, label, len(vals)).min(axis=1)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    out = [np.flatnonzero(label == g) for g in np.unique(label)]
     # deterministic order: by (real, imag) of the group mean
-    out = [np.array(ix, dtype=np.intp) for ix in groups.values()]
     out.sort(key=lambda ix: (np.mean(vals[ix]).real, np.mean(vals[ix]).imag))
     return out
 
 
-def _schur_projection(E: np.ndarray, members: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Spectral projector for the cluster via sorted Schur + Sylvester.
+def _schur_projection(
+    E: np.ndarray,
+    members: np.ndarray,
+    others: np.ndarray,
+    schur: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Spectral projector for the cluster from one complex Schur form of E.
 
-    The sort predicate classifies a Schur diagonal entry by its nearest
-    precomputed eigenvalue, so the leading block collects exactly the
-    cluster.  P = Z [[I, X], [0, 0]] Z* with T11 X - X T22 = T12.
+    ``schur`` is a precomputed ``(T0, Z0)`` with E = Z0 T0 Z0*, so a caller
+    projecting every cluster factors E once.  A diagonal entry of T0 is
+    selected when its nearest precomputed eigenvalue is a member; LAPACK
+    ``ztrsen`` moves the selected entries to the leading block (Bai &
+    Demmel), ``ztrsyl`` solves the triangular Sylvester equation
+    T11 X - X T22 = T12 (Bartels-Stewart), and P = Z1 (Z1* + X Z2*).
+    A selection of the wrong size, a rejected swap or near-common
+    eigenvalues of T11 and T22 raise :class:`ClusterAmbiguity`.
     """
-
-    def select(z):
-        dm = np.min(np.abs(z - members))
-        do = np.min(np.abs(z - others)) if len(others) else np.inf
-        return dm < do
-
-    T, Z, sdim = scipy.linalg.schur(E, output="complex", sort=select)
-    if sdim != len(members):
-        raise ClusterAmbiguity(
-            f"Schur sort selected {sdim} eigenvalues for a cluster of {len(members)}"
-        )
-    m = sdim
+    m = len(members)
     if m == E.shape[0]:
         return np.eye(m, dtype=complex)
-    T11 = T[:m, :m]
-    T12 = T[:m, m:]
-    T22 = T[m:, m:]
-    X = scipy.linalg.solve_sylvester(T11, -T22, T12)
-    top = np.hstack([np.eye(m, dtype=complex), X])
-    P = Z[:, :m] @ top @ Z.conj().T
-    return P
+    T0, Z0 = schur if schur is not None else scipy.linalg.schur(E, output="complex")
+    d = np.diag(T0)[:, None]
+    select = np.min(np.abs(d - members), axis=1) < np.min(np.abs(d - others), axis=1)
+    T, Z, _, sdim, _, _, info = ztrsen(select, T0, Z0, job="N")
+    if info or sdim != m:
+        raise ClusterAmbiguity(
+            f"ztrsen moved {sdim} eigenvalues for a cluster of {m} (info={info})"
+        )
+    X, scale, info = ztrsyl(T[:m, :m], T[m:, m:], T[:m, m:], isgn=-1)
+    if info:
+        raise ClusterAmbiguity(
+            f"ztrsyl: the cluster and the rest of the spectrum nearly share eigenvalues "
+            f"(info={info})"
+        )
+    Z1 = Z[:, :m]
+    return Z1 @ (Z1.conj().T + (X / scale) @ Z[:, m:].conj().T)
 
 
 def spectral_decompose(
@@ -264,21 +264,22 @@ def spectral_decompose(
     vals = np.linalg.eigvals(E)
     groups = _greedy_clusters(vals, cluster_tol)
 
-    reps = [complex(np.mean(vals[ix])) for ix in groups]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if abs(reps[i] - reps[j]) < 10 * cluster_tol:
-                raise ClusterAmbiguity(
-                    f"clusters at {reps[i]:.3e} and {reps[j]:.3e} are closer than "
-                    f"10*cluster_tol = {10 * cluster_tol:.1e}"
-                )
+    reps = np.array([np.mean(vals[ix]) for ix in groups])
+    near = np.argwhere(np.triu(np.abs(reps[:, None] - reps[None, :]) < 10 * cluster_tol, 1))
+    if len(near):
+        i, j = near[0]
+        raise ClusterAmbiguity(
+            f"clusters at {reps[i]:.3e} and {reps[j]:.3e} are closer than "
+            f"10*cluster_tol = {10 * cluster_tol:.1e}"
+        )
 
+    schur = scipy.linalg.schur(E, output="complex")
     clusters = []
     recon = np.zeros_like(E)
-    for ix, rep in zip(groups, reps):
+    for ix, rep in zip(groups, reps.tolist()):
         members = vals[ix]
         others = np.delete(vals, ix)
-        P = _schur_projection(E, members, others)
+        P = _schur_projection(E, members, others, schur)
         Dn = (E - rep * np.eye(E.shape[0])) @ P
         nn = float(np.linalg.norm(Dn))
         clusters.append(

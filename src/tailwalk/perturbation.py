@@ -24,16 +24,19 @@ the arc-space operators they are claimed to represent.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coin_evolution import kappa
 from .internal_spectral import (
     InternalMatrix,
     SpectralData,
     _schur_projection,
     spectral_decompose,
 )
+from .scattering import SigmaEvaluator
 from .smt_laplacian import (
     LaplacianT,
     build_operators,
@@ -113,8 +116,7 @@ def total_projection(
     """
     sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     base = sd0.cluster_near(mu0)
-    others = [c.value for c in sd0.clusters if c is not base]
-    r0 = 0.5 * min(abs(z - base.value) for z in others) if others else 0.5
+    r0 = _group_radius(sd0, mu0)
     E_eps = im.at(eps).E
     vals = np.linalg.eigvals(E_eps)
     for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
@@ -156,14 +158,8 @@ def projection_expansion(
         Spow[p] = Spow[p - 1] @ S
 
     def F(e: int) -> np.ndarray:
-        if e == -1:
-            return -P
-        return Spow[e + 1] if e + 1 in Spow else np.linalg.matrix_power(S, e + 1)
-
-    # precompute all powers that can occur: e <= order - 1 -> S^(order)
-    for p in range(order + 1):
-        if p not in Spow:
-            Spow[p] = np.linalg.matrix_power(S, p)
+        # slots run over e <= order - 1, so Spow[e + 1] always exists
+        return -P if e == -1 else Spow[e + 1]
 
     coeffs = [P]
     for k in range(1, order + 1):
@@ -472,15 +468,13 @@ def resonance_asymptote(
     sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     radius = _group_radius(sd0, mu)
-    from .coin_evolution import kappa as kap
-
     rows = []
     per_branch = {
         i: {"eps": [], "first_resid": [], "second_resid": [], "puiseux_resid": []}
         for i in range(len(ledger.branches))
     }
     for eps in eps_values:
-        k = kap(eps)
+        k = kappa(eps)
         vals = np.linalg.eigvals(im.at(eps).E)
         group = vals[np.abs(vals - mu) < radius]
         # nearest-neighbour matching on the first-order-corrected residual
@@ -616,9 +610,7 @@ def assumption_report(
     a2 = a2_resid < 1e-8
     details["a2_residual"] = a2_resid
 
-    from .coin_evolution import kappa as kap
-
-    k = kap(eps_min)
+    k = kappa(eps_min)
     w, V = np.linalg.eig(im.at(eps_min).E)
     a1 = True
     angles = []
@@ -661,6 +653,7 @@ def resonant_sigma_limit(
     mu1: complex,
     eps_values,
     sd0: SpectralData | None = None,
+    evaluators: Mapping[float, SigmaEvaluator] | None = None,
 ) -> ResonantLimitRecord:
     """Limit form of the scattering matrix along the resonant frequency path.
 
@@ -682,9 +675,11 @@ def resonant_sigma_limit(
     points inward and the branch is not persistent.  Computation always
     completes; hypothesis failures only set ``caveat`` (and the verdicts
     carry details), so callers can decide what to gate.
-    """
-    from .scattering import SigmaEvaluator
 
+    ``evaluators`` maps each eps of the ladder to a prebuilt
+    ``SigmaEvaluator(im.at(eps))``; callers running several families on one
+    ladder pass it so each E(eps) is decomposed once, not once per family.
+    """
     sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     fam, eta1, ge, Xs = _family(ledger, mu1)
@@ -704,7 +699,7 @@ def resonant_sigma_limit(
     norms = []
     for eps in eps_values:
         lam = float(-np.angle(mu) + np.pi * ge * eps)
-        ev = SigmaEvaluator(im.at(eps))
+        ev = evaluators[eps] if evaluators is not None else SigmaEvaluator(im.at(eps))
         s = ev.sigma(lam)
         lam_list.append(lam)
         norms.append(float(np.linalg.norm(s - np.eye(N) - sigma01, 2)))

@@ -28,6 +28,7 @@ from tailwalk.perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
+from tailwalk.scattering import SigmaEvaluator
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
 
@@ -312,6 +313,20 @@ class TestResonantLimit:
         )
         assert all(a > b for a, b in zip(rec.norms, rec.norms[1:]))
         assert rec.norms[-1] < 0.2 * rec.norms[0]
+
+    @pytest.mark.parametrize("im_name, sd_name, mu0", [
+        ("im_c4a", "sd_c4", 1 + 0j), ("im_k4a", "sd_k4", MU_K4),
+    ])
+    def test_prebuilt_evaluators_give_identical_norms(self, request, im_name, sd_name, mu0):
+        im, sd0 = request.getfixturevalue(im_name), request.getfixturevalue(sd_name)
+        led = reduce_eigenvalue(im, mu0, sd0=sd0)
+        ladder = (0.04, 0.02, 0.01)
+        evaluators = {e: SigmaEvaluator(im.at(e)) for e in ladder}
+        for mu1 in {b.mu1 for b in led.branches if abs(b.mu1) > 1e-10}:
+            fresh = resonant_sigma_limit(im, led, mu1, ladder, sd0)
+            reused = resonant_sigma_limit(im, led, mu1, ladder, sd0, evaluators)
+            assert reused.norms == fresh.norms
+            assert reused.lam_eps == fresh.lam_eps
 
     def test_unknown_family_is_an_error(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
