@@ -65,7 +65,7 @@ def main() -> int:
             if abs(b.mu1) < 1e-10 or key in seen:
                 continue
             seen.add(key)
-            lim = resonant_sigma_limit(im, led, b.mu1, ladder, sd0, evaluators)
+            lim = resonant_sigma_limit(im, led, b.mu1, evaluators, sd0)
             v = lim.verdicts
             norms = "  ".join(f"{x:.5f}" for x in lim.norms)
             print(f"  family mu1 = {fmt_c(b.mu1)}: ||Sigma - I - Sigma01|| = {norms}")

@@ -461,7 +461,7 @@ def _c11(names, residual_tol=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                rec = resonant_sigma_limit(im, led, b.mu1, eps_ladder, sd0, evaluators)
+                rec = resonant_sigma_limit(im, led, b.mu1, evaluators, sd0)
                 if not any(
                     bb.hosts_resonance
                     for bb in led.branches

@@ -89,7 +89,7 @@ class RunConfig:
                 raise ConfigError(f"eps values must lie in [0, 1], got {e}")
         if not self.eps_values:
             raise ConfigError("at least one eps value is required")
-        if self.tol_cluster <= 0 or self.tol_circle <= 0:
+        if not (self.tol_cluster > 0 and self.tol_circle > 0):  # also refuses NaN
             raise ConfigError("tolerances must be positive")
 
 
@@ -330,7 +330,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     ladder = sorted(cfg.eps_values, reverse=True)
-    evaluators = None  # built at the first family: one decomposition per eps
+    evaluators = {eps: SigmaEvaluator(im.at(eps)) for eps in ladder}  # shared by all families
 
     ledger_entries = []
     asym_rows = []
@@ -360,9 +360,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
             if key in seen:
                 continue
             seen.add(key)
-            if evaluators is None:
-                evaluators = {eps: SigmaEvaluator(im.at(eps)) for eps in ladder}
-            rec = resonant_sigma_limit(im, led, b.mu1, ladder, sd0, evaluators)
+            rec = resonant_sigma_limit(im, led, b.mu1, evaluators, sd0)
             limit_records.append(
                 {
                     "mu": [rec.mu.real, rec.mu.imag],

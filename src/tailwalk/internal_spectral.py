@@ -199,6 +199,7 @@ class SpectralData:
 def _greedy_clusters(vals: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group eigenvalues by transitive tol-closeness (connected components)."""
     close = np.abs(vals[:, None] - vals[None, :]) < tol
+    np.fill_diagonal(close, True)  # each eigenvalue joins its own group, even at tol = NaN
     label = np.arange(len(vals))
     while True:  # spread each component's smallest index through it
         nxt = np.where(close, label, len(vals)).min(axis=1)

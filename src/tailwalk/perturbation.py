@@ -651,9 +651,8 @@ def resonant_sigma_limit(
     im: InternalMatrix,
     ledger: ReductionLedger,
     mu1: complex,
-    eps_values,
+    evaluators: Mapping[float, SigmaEvaluator],
     sd0: SpectralData | None = None,
-    evaluators: Mapping[float, SigmaEvaluator] | None = None,
 ) -> ResonantLimitRecord:
     """Limit form of the scattering matrix along the resonant frequency path.
 
@@ -676,14 +675,14 @@ def resonant_sigma_limit(
     completes; hypothesis failures only set ``caveat`` (and the verdicts
     carry details), so callers can decide what to gate.
 
-    ``evaluators`` maps each eps of the ladder to a prebuilt
+    ``evaluators`` maps each eps of the ladder, in ladder order, to
     ``SigmaEvaluator(im.at(eps))``; callers running several families on one
-    ladder pass it so each E(eps) is decomposed once, not once per family.
+    ladder share it, so each E(eps) is decomposed once, not once per family.
     """
     sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     fam, eta1, ge, Xs = _family(ledger, mu1)
-    verdicts = assumption_report(im, ledger, mu1, float(min(eps_values)), sd0)
+    verdicts = assumption_report(im, ledger, mu1, float(min(evaluators)), sd0)
 
     N = im.tg.num_ports
     sigma01 = np.zeros((N, N), dtype=complex)
@@ -697,9 +696,8 @@ def resonant_sigma_limit(
 
     lam_list = []
     norms = []
-    for eps in eps_values:
+    for eps, ev in evaluators.items():
         lam = float(-np.angle(mu) + np.pi * ge * eps)
-        ev = evaluators[eps] if evaluators is not None else SigmaEvaluator(im.at(eps))
         s = ev.sigma(lam)
         lam_list.append(lam)
         norms.append(float(np.linalg.norm(s - np.eye(N) - sigma01, 2)))

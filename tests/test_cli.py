@@ -209,6 +209,9 @@ class TestGraphFiles:
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--grid", "4"),
         ("resonances", "--preset", "cycle:4"),  # no tails anywhere
         ("transmission",),  # neither preset nor graph
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "nan"),
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "nan"),
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "0"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv, capsys):

@@ -226,12 +226,13 @@ def _union_find_clusters(vals, tol):
 @given(
     st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=30),
     st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 0.03, 0.0, float("nan")]),
 )
-def test_greedy_clusters_match_union_find(points, seed):
+def test_greedy_clusters_match_union_find(points, seed, tol):
     # points on a coarse grid plus jitter below and near the tolerance, so
-    # chains, duplicates and near-misses all occur
+    # chains, duplicates and near-misses all occur; a zero or NaN tolerance
+    # must leave every eigenvalue in a group of its own
     rng = np.random.default_rng(seed)
-    tol = 0.1
     vals = np.array([complex(x, y) * 0.08 for x, y in points])
     vals = vals + rng.uniform(-0.02, 0.02, len(vals)) + 1j * rng.uniform(-0.02, 0.02, len(vals))
     got = [ix.tolist() for ix in _greedy_clusters(vals, tol)]

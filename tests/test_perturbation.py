@@ -290,7 +290,8 @@ class TestResonantLimit:
 
     def test_limit_c4_plus_one(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        rec = resonant_sigma_limit(im_c4a, led, -0.25, (0.02, 0.01, 0.005), sd0=sd_c4)
+        evaluators = {e: SigmaEvaluator(im_c4a.at(e)) for e in (0.02, 0.01, 0.005)}
+        rec = resonant_sigma_limit(im_c4a, led, -0.25, evaluators, sd0=sd_c4)
         assert not rec.caveat
         assert_allclose(rec.eta1, -0.25, atol=1e-10)
         # lambda path: -arg(mu) + pi gamma eta1 eps
@@ -304,9 +305,8 @@ class TestResonantLimit:
         a geometric rho-power factor would stall these norms near 0.35."""
         led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
         mu1 = [b.mu1 for b in led.branches if b.multiplicity == 2][0]
-        rec = resonant_sigma_limit(
-            im_k4a, led, mu1, (0.04, 0.02, 0.01, 0.005), sd0=sd_k4
-        )
+        evaluators = {e: SigmaEvaluator(im_k4a.at(e)) for e in (0.04, 0.02, 0.01, 0.005)}
+        rec = resonant_sigma_limit(im_k4a, led, mu1, evaluators, sd0=sd_k4)
         assert rec.verdicts.gate
         assert_allclose(
             rec.norms, [0.126898, 0.063146, 0.031495, 0.015728], atol=2e-4
@@ -317,18 +317,25 @@ class TestResonantLimit:
     @pytest.mark.parametrize("im_name, sd_name, mu0", [
         ("im_c4a", "sd_c4", 1 + 0j), ("im_k4a", "sd_k4", MU_K4),
     ])
-    def test_prebuilt_evaluators_give_identical_norms(self, request, im_name, sd_name, mu0):
+    def test_shared_evaluators_give_identical_norms(self, request, im_name, sd_name, mu0):
+        """One mapping shared by every family gives the same norms, bit for
+        bit, as a fresh mapping per family, in the mapping's eps order."""
         im, sd0 = request.getfixturevalue(im_name), request.getfixturevalue(sd_name)
         led = reduce_eigenvalue(im, mu0, sd0=sd0)
-        ladder = (0.04, 0.02, 0.01)
-        evaluators = {e: SigmaEvaluator(im.at(e)) for e in ladder}
+        ladder = (0.01, 0.04, 0.02)
+        shared = {e: SigmaEvaluator(im.at(e)) for e in ladder}
         for mu1 in {b.mu1 for b in led.branches if abs(b.mu1) > 1e-10}:
-            fresh = resonant_sigma_limit(im, led, mu1, ladder, sd0)
-            reused = resonant_sigma_limit(im, led, mu1, ladder, sd0, evaluators)
-            assert reused.norms == fresh.norms
-            assert reused.lam_eps == fresh.lam_eps
+            fresh = {e: SigmaEvaluator(im.at(e)) for e in ladder}
+            ref = resonant_sigma_limit(im, led, mu1, fresh, sd0)
+            rec = resonant_sigma_limit(im, led, mu1, shared, sd0)
+            assert rec.norms == ref.norms
+            assert rec.lam_eps == ref.lam_eps
+            ge = led.gamma * rec.eta1
+            assert_allclose(rec.lam_eps, [-np.angle(led.mu) + np.pi * ge * e for e in ladder],
+                            atol=1e-14)
 
     def test_unknown_family_is_an_error(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
         with pytest.raises(ValueError):
-            resonant_sigma_limit(im_c4a, led, 0.77, (0.02,), sd0=sd_c4)
+            resonant_sigma_limit(im_c4a, led, 0.77, {0.02: SigmaEvaluator(im_c4a.at(0.02))},
+                                 sd0=sd_c4)
