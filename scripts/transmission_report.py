@@ -20,7 +20,8 @@ import numpy as np
 
 from tailwalk import attach_tails, build_E, preset_graph
 from tailwalk.cli import _parse_eps, _parse_tails
-from tailwalk.scattering import closed_form_sigma, stationary_iterate, transmission_curve
+from tailwalk.internal_spectral import spectral_decompose
+from tailwalk.scattering import SigmaEvaluator, stationary_iterate, transmission_curve
 
 
 def main() -> int:
@@ -41,7 +42,8 @@ def main() -> int:
 
     for eps in _parse_eps(args.eps):
         im = im0.at(eps)
-        curve = transmission_curve(im, grid, inflow=args.inflow - 1)
+        sd = spectral_decompose(im.E)
+        curve = transmission_curve(im, grid, inflow=args.inflow - 1, sd=sd)
         name = f"transmission_eps{eps:g}.csv"
         with open(name, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -49,12 +51,13 @@ def main() -> int:
             for lam, t, r in zip(curve["lambda"], curve["tau_sq"], curve["reflection_sq"]):
                 w.writerow([f"{lam:.12f}", f"{t:.12f}", f"{r:.12f}"])
 
+        ev = SigmaEvaluator(im, sd)
         worst = 0.0
         for lam in rng.uniform(0, 2 * np.pi, args.spot_checks):
             alpha = np.zeros(tg.num_ports, dtype=complex)
             alpha[args.inflow - 1] = 1.0
             rec = stationary_iterate(im, lam, alpha)
-            direct = closed_form_sigma(im, lam) @ alpha
+            direct = ev.sigma(lam) @ alpha
             worst = max(worst, float(np.max(np.abs(rec.outgoing - direct))))
         peak = float(np.max(curve["tau_sq"]))
         lam_peak = float(grid[int(np.argmax(curve["tau_sq"]))])

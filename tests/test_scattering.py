@@ -36,8 +36,9 @@ def test_unitarity_on_a_grid(suite_graphs):
 def test_embedded_states_do_not_couple_to_ports(im_k4a):
     # the persistent eigenvalues at +-1 stay on the circle at eps = 0.25;
     # the closed form is only valid because their port coupling vanishes
-    ev = SigmaEvaluator(im_k4a.at(0.25))
-    on = [c for c in ev.sd.clusters if c.on_circle]
+    im = im_k4a.at(0.25)
+    ev = SigmaEvaluator(im)
+    on = [c for c in spectral_decompose(im.E).clusters if c.on_circle]
     assert len(on) == 2
     assert ev.skipped_coupling < 1e-12
 
@@ -74,6 +75,120 @@ def test_iteration_raises_when_budget_too_small(im_c4a):
     im = im_c4a.at(0.25)
     with pytest.raises(NoConvergence):
         stationary_iterate(im, 0.9, np.array([1.0, 0, 0]), max_steps=25)
+
+
+def _scalar_iterate(im, lam, alpha, max_steps=200_000, window=5, rtol=1e-12):
+    """Reference: w_{t+1} = e^{i lam} (E w_t + f0) one step at a time.
+
+    Same stopping rule as ``stationary_iterate``; returns the outgoing
+    amplitudes and the step count, or ``None`` and the budget.
+    """
+    f0 = im.B_in @ alpha
+    phase = np.exp(1j * lam)
+    w = np.zeros(im.E.shape[0], dtype=complex)
+    deltas = []
+    for steps in range(1, max_steps + 1):
+        w_next = phase * (im.E @ w + f0)
+        deltas.append(float(np.linalg.norm(w_next - w)))
+        w = w_next
+        scale = max(float(np.linalg.norm(w)), 1e-300)
+        if len(deltas) >= window and max(deltas[-window:]) <= rtol * scale:
+            return im.B_bb @ alpha + im.B_out @ w, steps
+    return None, max_steps
+
+
+def _inflows(rng):
+    port = np.array([0.0, 1.0, 0.0], dtype=complex)
+    vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return port, vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("window", [1, 5, 70])
+def test_blocked_iteration_matches_scalar_recurrence(im_c4a, im_k4a, window):
+    # window 70 is longer than one block of the blocked advance
+    rng = np.random.default_rng(7)
+    for im0 in (im_c4a, im_k4a):
+        im = im0.at(0.25)
+        for lam in (np.pi, 0.7, -2.3):
+            for alpha in _inflows(rng):
+                want, want_steps = _scalar_iterate(im, lam, alpha, window=window)
+                rec = stationary_iterate(im, lam, alpha, window=window)
+                assert want is not None
+                assert abs(rec.steps - want_steps) <= 3
+                assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 4, 5, 63, 64, 65, 129])
+def test_iteration_stops_at_the_budget(im_c4a, im_k4a, budget):
+    for im0 in (im_c4a, im_k4a):
+        im = im0.at(0.25)
+        alpha = np.array([1.0, 0.0, 0.0], dtype=complex)
+        assert _scalar_iterate(im, 0.9, alpha, max_steps=budget)[0] is None
+        with pytest.raises(NoConvergence, match=f"within {budget} iterations"):
+            stationary_iterate(im, 0.9, alpha, max_steps=budget)
+
+
+@pytest.mark.parametrize("rtol", np.logspace(-1, -12, 12))
+def test_iteration_honours_a_budget_at_its_stopping_step(im_c4a, im_k4a, rtol):
+    # the stopping steps of these tolerances fall inside and across blocks;
+    # a budget of exactly that step converges identically, one less does not
+    for im0 in (im_c4a, im_k4a):
+        im = im0.at(0.25)
+        alpha = np.array([0.0, 0.0, 1.0], dtype=complex)
+        rec = stationary_iterate(im, 1.3, alpha, rtol=rtol)
+        assert abs(rec.steps - _scalar_iterate(im, 1.3, alpha, rtol=rtol)[1]) <= 3
+        again = stationary_iterate(im, 1.3, alpha, rtol=rtol, max_steps=rec.steps)
+        assert again.steps == rec.steps
+        assert np.array_equal(again.outgoing, rec.outgoing)
+        if rec.steps > 1:
+            with pytest.raises(NoConvergence):
+                stationary_iterate(im, 1.3, alpha, rtol=rtol, max_steps=rec.steps - 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"window": 0},
+        {"window": -3},
+        {"max_steps": 0},
+        {"max_steps": -1},
+        {"rtol": 0.0},
+        {"rtol": -1e-12},
+        {"rtol": float("nan")},
+    ],
+    ids=["window0", "window-3", "max_steps0", "max_steps-1", "rtol0", "rtol-neg", "rtol-nan"],
+)
+def test_iteration_refuses_bad_arguments(im_c4a, bad):
+    with pytest.raises(ValueError):
+        stationary_iterate(im_c4a.at(0.25), 0.9, np.array([1.0, 0, 0]), **bad)
+
+
+def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
+    # route 1 must stay independent of the closed form's eigen-machinery
+    import scipy.linalg
+
+    import tailwalk.internal_spectral
+    import tailwalk.scattering
+
+    ims = [im_c4a.at(0.25), im_k4a.at(0.25)]
+    direct = [closed_form_sigma(im, np.pi)[:, 0] for im in ims]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral routine called by the time iteration")
+
+    for mod, name in [
+        (tailwalk.scattering, "spectral_decompose"),
+        (tailwalk.internal_spectral, "spectral_decompose"),
+        (scipy.linalg, "schur"),
+        (scipy.linalg, "eig"),
+        (scipy.linalg, "eigvals"),
+        (np.linalg, "eig"),
+        (np.linalg, "eigvals"),
+    ]:
+        monkeypatch.setattr(mod, name, refuse)
+    for im, want in zip(ims, direct):
+        rec = stationary_iterate(im, np.pi, np.array([1.0, 0, 0], dtype=complex))
+        assert_allclose(rec.outgoing, want, atol=1e-7)
 
 
 def test_outflow_norm_equals_inflow_norm(im_k4a):
@@ -117,6 +232,35 @@ class TestTransmissionCurve:
             transmission_curve(im, np.array([1.0]), inflow=[1.0, 0.0])
         with pytest.raises(ValueError):
             transmission_curve(im, np.array([1.0]), inflow=7)
+
+
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("inflow", [1, [1.0, 2.0 - 1.0j, 0.5j]], ids=["port", "vector"])
+    def test_grid_matches_per_lambda_sigma(self, suite_graphs, eps, inflow):
+        for name, tg in suite_graphs.items():
+            im = build_E(tg, eps)
+            sd = spectral_decompose(im.E)
+            ev = SigmaEvaluator(im, sd)
+            alpha = np.zeros(tg.num_ports, dtype=complex)
+            if np.isscalar(inflow):
+                alpha[inflow] = 1.0
+                arg = inflow
+            else:
+                alpha[:3] = inflow
+                alpha /= np.linalg.norm(alpha)
+                arg = 3.0 * alpha  # the curve normalises it again
+            for size in (0, 1, 257):
+                grid = np.linspace(-np.pi, np.pi, size, endpoint=False)
+                got = transmission_curve(im, grid, arg, sd)
+                want_tau, want_refl = [], []
+                for lam in grid:
+                    out = ev.sigma(lam) @ alpha
+                    r = abs(np.vdot(alpha, out)) ** 2
+                    want_refl.append(r)
+                    want_tau.append(np.linalg.norm(out) ** 2 - r)
+                assert got["tau_sq"].shape == got["reflection_sq"].shape == (size,)
+                assert_allclose(got["tau_sq"], want_tau, rtol=0, atol=1e-14, err_msg=name)
+                assert_allclose(got["reflection_sq"], want_refl, rtol=0, atol=1e-14, err_msg=name)
 
 
 @settings(max_examples=15, deadline=None)
