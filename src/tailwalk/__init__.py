@@ -14,7 +14,6 @@ from .tailed_graph import (
     TailSpec,
     TailedGraph,
     attach_tails,
-    boundary_arc_slots,
     build_internal,
     preset_graph,
 )
@@ -25,7 +24,6 @@ from .internal_spectral import (
     NotAResonance,
     SpectralData,
     build_E,
-    build_E_split,
     projection_contour_oracle,
     resonances,
     spectral_decompose,
@@ -35,7 +33,6 @@ from .scattering import (
     NoConvergence,
     ScatteringRecord,
     SigmaEvaluator,
-    closed_form_sigma,
     stationary_iterate,
     transmission_curve,
     unitarity_defect,
@@ -45,6 +42,7 @@ from .smt_laplacian import (
     LaplacianT,
     birth_basis,
     birth_multiplicities,
+    build_E_split,
     build_operators,
     classify,
     is_bipartite,

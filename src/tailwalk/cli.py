@@ -165,14 +165,19 @@ def _load_tailed_graph(cfg: RunConfig):
     return tg
 
 
-def _max_workers() -> int:
-    env = os.environ.get("QW_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"QW_THREADS must be an integer, got {env!r}")
-    return max(1, min(4, os.cpu_count() or 1))
+def _decompose_each(cfg: RunConfig, im0) -> list:
+    """Spectral data of E(eps) for each eps of the run, on a small thread pool.
+
+    LAPACK releases the GIL, so two workers tie with one at tens of arcs and
+    win at 128-240 arcs.
+    """
+    def work(eps: float):
+        return spectral_decompose(
+            im0.at(eps).E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle
+        )
+
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        return list(pool.map(work, cfg.eps_values))
 
 
 def _g17(x: float) -> str:
@@ -245,18 +250,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def work(eps: float):
-        sd = spectral_decompose(
-            im0.at(eps).E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle
-        )
-        return eps, sd
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(work, cfg.eps_values))
-
     rows = []
     decisions = {}
-    for eps, sd in results:
+    for eps, sd in zip(cfg.eps_values, _decompose_each(cfg, im0)):
         decisions[_g17(eps)] = _cluster_record(sd)
         for c in sd.clusters:
             rows.append(
@@ -274,21 +270,14 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
 
 def cmd_transmission(cfg: RunConfig) -> int:
+    stems = [f"transmission_eps{eps:g}" for eps in cfg.eps_values]
+    if len(set(stems)) < len(stems):
+        raise ConfigError("eps values must differ at 6 significant digits (file names)")
     tg = _load_tailed_graph(cfg)
     im0 = build_E(tg, 0.0)
     lam_grid = np.linspace(-np.pi, np.pi, cfg.grid, endpoint=False)
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def work(eps: float):
-        sd = spectral_decompose(
-            im0.at(eps).E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle
-        )
-        curve = transmission_curve(im0.at(eps), lam_grid, inflow=cfg.inflow - 1, sd=sd)
-        return eps, sd, curve
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(work, cfg.eps_values))
 
     header = [
         "lambda",
@@ -298,7 +287,8 @@ def cmd_transmission(cfg: RunConfig) -> int:
         "reflection_sq",
     ]
     written = []
-    for eps, sd, curve in results:
+    for eps, stem, sd in zip(cfg.eps_values, stems, _decompose_each(cfg, im0)):
+        curve = transmission_curve(im0.at(eps), lam_grid, inflow=cfg.inflow - 1, sd=sd)
         rows = [
             [
                 curve["lambda"][i],
@@ -309,7 +299,7 @@ def cmd_transmission(cfg: RunConfig) -> int:
             ]
             for i in range(len(lam_grid))
         ]
-        out = _write_table(outdir / f"transmission_eps{eps:g}", header, rows, cfg.fmt)
+        out = _write_table(outdir / stem, header, rows, cfg.fmt)
         _write_sidecar(
             out,
             cfg,
@@ -324,6 +314,8 @@ def cmd_transmission(cfg: RunConfig) -> int:
 def cmd_perturb(cfg: RunConfig) -> int:
     if len(cfg.eps_values) < 3:
         raise ConfigError("perturb needs an eps ladder with at least 3 points")
+    if 0.0 in cfg.eps_values or len(set(cfg.eps_values)) < len(cfg.eps_values):
+        raise ConfigError("perturb needs distinct nonzero eps values (log-log slope fits)")
     tg = _load_tailed_graph(cfg)
     im = build_E(tg, 0.0)
     sd0 = spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
@@ -404,6 +396,8 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig, fixture: str | None, residual_tol: float | None) -> int:
+    if residual_tol is not None and not residual_tol > 0:  # also refuses NaN
+        raise ConfigError(f"--residual-tol must be positive, got {residual_tol}")
     if fixture is not None and fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {fixture!r}; choose from {sorted(FIXTURES)}")
     results = run_all(fixture, residual_tol)

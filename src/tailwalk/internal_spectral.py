@@ -22,7 +22,7 @@ is not used in any production path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +38,6 @@ __all__ = [
     "SpectralCluster",
     "SpectralData",
     "build_E",
-    "build_E_split",
     "spectral_decompose",
     "projection_contour_oracle",
     "resonances",
@@ -140,30 +139,6 @@ def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
         B_out1=B_out1,
         B_bb1=B_bb1,
     )
-
-
-def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Independent assembly of (E0, E1) through the vertex operators.
-
-    E0 = S (2 d* d - I) and E1 = -S d* D d, where d averages arc amplitudes
-    into their terminal vertex with weight 1/n_i, d* copies a vertex value
-    onto its incoming arcs, S is the arc reversal, and D is the diagonal
-    boundary weight N_j(v) / n(v).  Cross-checked against :func:`build_E`
-    in the test suite; the two routes share no code.
-    """
-    M = tg.num_arcs
-    nv = tg.graph.num_vertices
-    d = np.zeros((nv, M))
-    dstar = np.zeros((M, nv))
-    for i, (_, t) in enumerate(tg.arcs):
-        d[t, i] = 1.0 / tg.deg_int[t]
-        dstar[i, t] = 1.0
-    S = np.zeros((M, M))
-    S[np.arange(M), tg.reversal] = 1.0
-    Dw = np.diag(tg.tails_at / tg.total_deg)
-    E0 = S @ (2.0 * dstar @ d - np.eye(M))
-    E1 = -S @ dstar @ Dw @ d
-    return E0.astype(complex), E1.astype(complex)
 
 
 @dataclass

@@ -37,7 +37,6 @@ __all__ = [
     "NoConvergence",
     "ScatteringRecord",
     "SigmaEvaluator",
-    "closed_form_sigma",
     "stationary_iterate",
     "transmission_curve",
     "unitarity_defect",
@@ -155,16 +154,6 @@ class SigmaEvaluator:
         for mu, s, K in self.terms:
             out = out + K / (z - mu) ** (s + 1)
         return out
-
-
-def closed_form_sigma(
-    im: InternalMatrix,
-    lam: float,
-    sd: SpectralData | None = None,
-    circle_tol: float = 1e-8,
-) -> np.ndarray:
-    """Scattering matrix at ``lam`` from the spectral closed form."""
-    return SigmaEvaluator(im, sd, circle_tol).sigma(lam)
 
 
 def unitarity_defect(sigma: np.ndarray) -> float:

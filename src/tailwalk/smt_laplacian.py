@@ -17,18 +17,19 @@ survive the coupling unchanged for every eps: the persistent eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .internal_spectral import InternalMatrix, build_E
+from .internal_spectral import build_E
 from .tailed_graph import TailedGraph
 
 __all__ = [
     "LaplacianT",
     "EigenClassification",
     "build_operators",
+    "build_E_split",
     "joukowsky_preimages",
     "joukowsky",
     "classify",
@@ -99,6 +100,19 @@ def build_operators(tg: TailedGraph) -> LaplacianT:
     T = d @ S @ dstar
     return LaplacianT(tg=tg, d=d, dstar=dstar, S=S, Dw=Dw, T=T,
                       weights=tg.deg_int.astype(float))
+
+
+def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Independent assembly of (E0, E1) through the vertex operators.
+
+    E0 = S (2 d* d - I) and E1 = -S d* D d, with D the diagonal boundary
+    weight N_j(v) / n(v).  Cross-checked against :func:`build_E` in the test
+    suite; the two routes share no code.
+    """
+    lt = build_operators(tg)
+    E0 = lt.S @ (2.0 * lt.dstar @ lt.d - np.eye(tg.num_arcs))
+    E1 = -lt.S @ lt.dstar @ lt.Dw @ lt.d
+    return E0.astype(complex), E1.astype(complex)
 
 
 def lift(lt: LaplacianT, lam: complex, f: np.ndarray) -> np.ndarray:

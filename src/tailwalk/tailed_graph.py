@@ -26,7 +26,6 @@ __all__ = [
     "TailedGraph",
     "build_internal",
     "attach_tails",
-    "boundary_arc_slots",
     "preset_graph",
 ]
 
@@ -48,9 +47,6 @@ class InternalGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == v or b == v)
 
 
 @dataclass(frozen=True)
@@ -207,18 +203,6 @@ def attach_tails(graph: InternalGraph, tails) -> TailedGraph:
             raise GraphError(f"tail count must be >= 1, got {spec.count}")
         norm.append(spec)
     return TailedGraph(graph, tuple(norm))
-
-
-def boundary_arc_slots(tg: TailedGraph, v: int) -> tuple[list[int], list[int]]:
-    """Coin slot layout at vertex ``v``: internal arc ids, then port ids.
-
-    The coin at ``v`` acts on n(v) amplitudes ordered internal-first: the
-    arcs flowing into ``v`` in canonical order, followed by the incoming
-    tail arcs in global-port order.
-    """
-    if not (0 <= v < tg.graph.num_vertices):
-        raise GraphError(f"vertex {v} out of range")
-    return tg.arcs_into(v), tg.ports_at(v)
 
 
 def preset_graph(name: str) -> InternalGraph:

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailwalk
 from tailwalk import cli
 from tailwalk.internal_spectral import ClusterAmbiguity
 
@@ -68,6 +73,14 @@ class TestResonances:
         assert (out_a / "resonances.csv").read_bytes() == (
             out_b / "resonances.csv"
         ).read_bytes()
+
+    def test_thread_environment_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QW_THREADS", "garbage")
+        code, _ = run(
+            tmp_path, "resonances", "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", "0.1,0.25",
+        )
+        assert code == 0
 
     def test_json_format(self, tmp_path):
         code, out = run(
@@ -212,6 +225,14 @@ class TestGraphFiles:
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "nan"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "nan"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "0"),
+        # eps values whose output files would share one name
+        ("transmission", "--preset", "cycle:4", "--tails", "0", "--eps", "0.1234561,0.1234562"),
+        ("transmission", "--preset", "cycle:4", "--tails", "0", "--eps", "0.25,0.25"),
+        # a log-log ladder needs distinct nonzero points
+        ("perturb", "--preset", "cycle:4", "--tails", "0", "--eps", "0.04,0.02,0"),
+        ("perturb", "--preset", "cycle:4", "--tails", "0", "--eps", "0.04,0.04,0.02"),
+        ("verify", "--residual-tol", "nan"),
+        ("verify", "--residual-tol", "0"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv, capsys):
@@ -230,3 +251,23 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch):
         "--eps", "0.25",
     )
     assert code == cli.EXIT_NUMERICAL
+
+
+def test_transmission_report_script(tmp_path):
+    # the script writes its CSV into the working directory and imports
+    # private CLI parsers, so run it as a user would
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [
+            sys.executable, str(root / "scripts" / "transmission_report.py"),
+            "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25",
+            "--grid", "16", "--spot-checks", "1",
+        ],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "transmission_eps0.25.csv").exists()
+    gap = re.search(r"closed form vs iteration: (\S+)", proc.stdout)
+    assert gap is not None, proc.stdout
+    assert float(gap.group(1)) < 1e-7

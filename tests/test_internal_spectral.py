@@ -16,13 +16,13 @@ from tailwalk.internal_spectral import (
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
-    build_E_split,
     projection_contour_oracle,
     resonances,
     spectral_decompose,
     verify_outgoing,
 )
 from tailwalk.perturbation import total_projection
+from tailwalk.smt_laplacian import build_E_split
 
 
 def test_zero_coupling_decouples(im_c4a):

@@ -11,7 +11,6 @@ from tailwalk.internal_spectral import spectral_decompose
 from tailwalk.scattering import (
     NoConvergence,
     SigmaEvaluator,
-    closed_form_sigma,
     stationary_iterate,
     transmission_curve,
     unitarity_defect,
@@ -53,7 +52,7 @@ def test_closed_form_against_time_iteration(im_c4a):
         alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         alpha /= np.linalg.norm(alpha)
         rec = stationary_iterate(im, lam, alpha)
-        direct = closed_form_sigma(im, lam, sd=sd) @ alpha
+        direct = SigmaEvaluator(im, sd).sigma(lam) @ alpha
         assert_allclose(rec.outgoing, direct, atol=1e-7)
         assert rec.method == "iteration"
         assert rec.steps > 0 and rec.window_delta >= 0.0
@@ -67,7 +66,7 @@ def test_iteration_on_the_embedded_value_k4(im_k4a):
     alpha = np.zeros(3, dtype=complex)
     alpha[0] = 1.0
     rec = stationary_iterate(im, lam, alpha)
-    direct = closed_form_sigma(im, lam) @ alpha
+    direct = SigmaEvaluator(im).sigma(lam) @ alpha
     assert_allclose(rec.outgoing, direct, atol=1e-7)
 
 
@@ -171,7 +170,7 @@ def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
     import tailwalk.scattering
 
     ims = [im_c4a.at(0.25), im_k4a.at(0.25)]
-    direct = [closed_form_sigma(im, np.pi)[:, 0] for im in ims]
+    direct = [SigmaEvaluator(im).sigma(np.pi)[:, 0] for im in ims]
 
     def refuse(*args, **kwargs):
         raise AssertionError("spectral routine called by the time iteration")
@@ -272,5 +271,5 @@ def test_unitarity_property(eps, lam):
     from tailwalk import attach_tails, preset_graph
 
     tg = attach_tails(preset_graph("cycle:4"), (0, 1, 3))
-    sigma = closed_form_sigma(build_E(tg, eps), lam)
+    sigma = SigmaEvaluator(build_E(tg, eps)).sigma(lam)
     assert unitarity_defect(sigma) < 1e-9

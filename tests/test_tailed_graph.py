@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
-from tailwalk import attach_tails, preset_graph
+from tailwalk import attach_tails, build_E, build_E_split, preset_graph
 from tailwalk.tailed_graph import (
     GraphError,
     TailSpec,
-    boundary_arc_slots,
     build_internal,
 )
 
@@ -57,13 +56,6 @@ def test_arcs_into_respects_canonical_order(c4a):
     for v in range(4):
         for i in c4a.arcs_into(v):
             assert c4a.arcs[i][1] == v
-
-
-def test_boundary_arc_slots(c4a):
-    ins, ports = boundary_arc_slots(c4a, 0)
-    assert ins == [0, 1] and ports == [0]
-    with pytest.raises(GraphError):
-        boundary_arc_slots(c4a, 9)
 
 
 def test_interior_arc_budget(suite_graphs):
@@ -135,3 +127,8 @@ def test_random_graph_index_invariants(g, data):
     assert keys == sorted(keys)
     assert tg.num_ports == len(tails)
     assert int(tg.total_deg.sum()) == tg.num_arcs + tg.num_ports
+    # per-vertex coin assembly vs the vertex-operator form of (E0, E1)
+    im = build_E(tg)
+    E0, E1 = build_E_split(tg)
+    assert_allclose(im.E0, E0, atol=1e-13)
+    assert_allclose(im.E1, E1, atol=1e-13)
