@@ -10,6 +10,10 @@ code, so agreement to ~1e-8 means both are right.
 Example:
     python3 scripts/transmission_report.py --preset cycle:4 --tails 0,1,2 \
         --eps 0.1,0.25,0.5 --grid 256
+
+Exit codes follow the ``tailwalk`` CLI: 2 for a configuration error (such
+as eps values whose CSV names collide), 3 for a numerical failure (such as
+a spot check's iteration not converging), each reported on stderr.
 """
 
 import argparse
@@ -18,8 +22,15 @@ import sys
 
 import numpy as np
 
-from tailwalk import attach_tails, build_E, preset_graph
-from tailwalk.cli import _parse_eps, _parse_tails
+from tailwalk import GraphError, attach_tails, build_E, preset_graph
+from tailwalk.cli import (
+    _NUMERICAL_ERRORS,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    ConfigError,
+    _parse_eps,
+    _parse_tails,
+)
 from tailwalk.internal_spectral import spectral_decompose
 from tailwalk.scattering import SigmaEvaluator, stationary_iterate, transmission_curve
 
@@ -34,17 +45,30 @@ def main() -> int:
     ap.add_argument("--spot-checks", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        return report(args)
+    except (ConfigError, GraphError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
+
+def report(args: argparse.Namespace) -> int:
+    eps_values = _parse_eps(args.eps)
+    names = [f"transmission_eps{eps:g}.csv" for eps in eps_values]
+    if len(set(names)) < len(names):
+        raise ConfigError("eps values must differ at 6 significant digits (file names)")
     tg = attach_tails(preset_graph(args.preset), _parse_tails(args.tails))
     im0 = build_E(tg, 0.0)
     grid = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
     rng = np.random.default_rng(args.seed)
 
-    for eps in _parse_eps(args.eps):
+    for eps, name in zip(eps_values, names):
         im = im0.at(eps)
         sd = spectral_decompose(im.E)
         curve = transmission_curve(im, grid, inflow=args.inflow - 1, sd=sd)
-        name = f"transmission_eps{eps:g}.csv"
         with open(name, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "tau_sq", "reflection_sq"])

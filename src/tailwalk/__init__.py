@@ -25,7 +25,6 @@ from .internal_spectral import (
     SpectralData,
     build_E,
     projection_contour_oracle,
-    resonances,
     spectral_decompose,
     verify_outgoing,
 )
@@ -55,8 +54,8 @@ from .smt_laplacian import (
 )
 from .perturbation import (
     AssumptionReport,
-    AssumptionViolated,
     Branch,
+    Coupling,
     FirstSecondOrderMatrices,
     GroupEscapedContour,
     ReductionLedger,

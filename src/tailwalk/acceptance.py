@@ -3,8 +3,9 @@
 Each criterion returns ``(status, detail)`` with status "pass", "fail", or
 "skip"; skips happen only when a fixture filter rules a check out or every
 eligible branch fails its hypothesis gate (the detail then carries the
-report).  Checks re-derive everything through the public API, so the suite
-doubles as executable documentation of the library contract.
+report).  Checks derive everything through the public API, so the suite
+doubles as executable documentation of the library contract; the criteria
+of one run share what they derive (see :class:`_Context`).
 
 Fixture ids follow <internal graph>-<k>tails[-variant]; the two 3-tail
 cycle layouts differ in which vertex is left bare (adjacent to one vs. two
@@ -14,6 +15,7 @@ the classification differently.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ import numpy as np
 from .coin_evolution import kappa
 from .internal_spectral import build_E, spectral_decompose, verify_outgoing
 from .perturbation import (
+    Coupling,
     assumption_report,
     build_M1,
     fit_loglog_slope,
@@ -31,7 +34,7 @@ from .perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
-from .scattering import SigmaEvaluator, stationary_iterate, unitarity_defect
+from .scattering import stationary_iterate, unitarity_defect
 from .smt_laplacian import (
     birth_basis,
     birth_multiplicities,
@@ -66,6 +69,31 @@ def make_fixture(name: str):
     return attach_tails(preset_graph(preset), list(tails))
 
 
+class _Context:
+    """What the criteria of one run share, each built on first use: E(0) per
+    fixture, a Coupling per (fixture, eps), a ledger per (fixture, cluster
+    value), and one decomposition per distinct matrix (fixtures on one
+    internal graph share E0)."""
+
+    def __init__(self, names: list[str]):
+        self.names = names
+        self._sd: dict = {}
+        self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
+        self.sd0 = lambda name: self.decompose(self.im0(name).E0)
+        self.coupling = functools.cache(
+            lambda name, eps: Coupling(im := self.im0(name).at(eps), self.decompose(im.E))
+        )
+        self.ledger = functools.cache(
+            lambda name, mu: reduce_eigenvalue(self.im0(name), mu, self.sd0(name))
+        )
+
+    def decompose(self, E: np.ndarray):
+        key = (E.shape, E.tobytes())
+        if key not in self._sd:
+            self._sd[key] = spectral_decompose(E)
+        return self._sd[key]
+
+
 @dataclass
 class CriterionResult:
     cid: int
@@ -73,10 +101,6 @@ class CriterionResult:
     status: str
     detail: str
     elapsed: float
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
     def line(self) -> str:
         return (
@@ -93,12 +117,12 @@ def _status(ok: bool) -> str:
 # 1. unperturbed cycle spectrum
 # --------------------------------------------------------------------------
 
-def _c1(names, residual_tol=None):
-    if set(names) != set(FIXTURES):
+def _c1(ctx, residual_tol=None):
+    if set(ctx.names) != set(FIXTURES):
         return "skip", "bare-cycle check runs only without a fixture filter"
     t0 = time.perf_counter()
     tg = attach_tails(preset_graph("cycle:4"), [])
-    sd = spectral_decompose(build_E(tg, 0.0).E0)
+    sd = ctx.decompose(build_E(tg, 0.0).E0)
     if len(sd.clusters) != 4:
         return "fail", f"{len(sd.clusters)} clusters, expected 4"
     worst_err = 0.0
@@ -122,21 +146,20 @@ def _c1(names, residual_tol=None):
 # 2. scattering unitarity
 # --------------------------------------------------------------------------
 
-def _c2(names, residual_tol=None):
+def _c2(ctx, residual_tol=None):
     t0 = time.perf_counter()
     lam_grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
     worst = 0.0
-    for name in names:
-        im0 = build_E(make_fixture(name), 0.0)
+    for name in ctx.names:
         for eps in (0.1, 0.25, 0.5):
-            ev = SigmaEvaluator(im0.at(eps))
+            ev = ctx.coupling(name, eps).sigma
             for lam in lam_grid:
                 worst = max(worst, unitarity_defect(ev.sigma(float(lam))))
     elapsed = time.perf_counter() - t0
     tol = 1e-9 if residual_tol is None else residual_tol
     ok = worst < tol and elapsed < 30.0
     return _status(ok), (
-        f"max ||S*S - I|| = {worst:.2e} over {len(names)} fixtures x 3 eps "
+        f"max ||S*S - I|| = {worst:.2e} over {len(ctx.names)} fixtures x 3 eps "
         f"x 256 lambdas, {elapsed:.1f} s"
     )
 
@@ -145,15 +168,14 @@ def _c2(names, residual_tol=None):
 # 3. stationary iteration vs closed form
 # --------------------------------------------------------------------------
 
-def _c3(names, residual_tol=None):
+def _c3(ctx, residual_tol=None):
     rng = np.random.default_rng(20250817)
     eps = 0.25
     worst = 0.0
     total = 0
-    for name in names:
-        tg = make_fixture(name)
-        im = build_E(tg, eps)
-        ev = SigmaEvaluator(im)
+    for name in ctx.names:
+        cpl = ctx.coupling(name, eps)
+        im, ev, tg = cpl.im, cpl.sigma, cpl.im.tg
         lams = [np.pi] + list(rng.uniform(-np.pi, np.pi, size=15))
         for lam in lams:
             alpha = rng.normal(size=tg.num_ports) + 1j * rng.normal(size=tg.num_ports)
@@ -174,17 +196,17 @@ def _c3(names, residual_tol=None):
 # 4. resonance confinement
 # --------------------------------------------------------------------------
 
-def _c4(names, residual_tol=None):
+def _c4(ctx, residual_tol=None):
     worst = 0.0
-    for name in names:
-        im0 = build_E(make_fixture(name), 0.0)
+    for name in ctx.names:
+        im0 = ctx.im0(name)
         for eps in np.linspace(0.0, 1.0, 11):
             vals = np.linalg.eigvals(im0.at(float(eps)).E)
             worst = max(worst, float(np.max(np.abs(vals))))
     tol = 1e-10 if residual_tol is None else residual_tol
     ok = worst <= 1.0 + tol
     return _status(ok), (
-        f"max |mu| = {worst:.12f} over {len(names)} fixtures x 11 eps values in [0, 1]"
+        f"max |mu| = {worst:.12f} over {len(ctx.names)} fixtures x 11 eps values in [0, 1]"
     )
 
 
@@ -192,14 +214,13 @@ def _c4(names, residual_tol=None):
 # 5. outgoing-solution residual
 # --------------------------------------------------------------------------
 
-def _c5(names, residual_tol=None):
+def _c5(ctx, residual_tol=None):
     worst = 0.0
     count = 0
-    for name in names:
-        tg = make_fixture(name)
+    for name in ctx.names:
+        tg = ctx.im0(name).tg
         for eps in (0.1, 0.25, 0.5):
-            E = build_E(tg, eps).E
-            w, V = np.linalg.eig(E)
+            w, V = ctx.coupling(name, eps).eig
             for i in range(len(w)):
                 if abs(w[i]) < 1.0 - 1e-6:
                     r = verify_outgoing(tg, eps, complex(w[i]), V[:, i], depth=20)
@@ -217,14 +238,14 @@ def _c5(names, residual_tol=None):
 # 6. spectral mapping and birth counts
 # --------------------------------------------------------------------------
 
-def _c6(names, residual_tol=None):
+def _c6(ctx, residual_tol=None):
     worst_map = 0.0
     problems = []
-    for name in names:
-        tg = make_fixture(name)
+    for name in ctx.names:
+        tg = ctx.im0(name).tg
         lt = build_operators(tg)
         tvals = lt.eigh()[0]
-        sd = spectral_decompose(build_E(tg, 0.0).E0)
+        sd = ctx.sd0(name)
         cvals = sd.values()
         preimages = [z for t in tvals for z in joukowsky_preimages(float(t))]
         for z in preimages:
@@ -256,13 +277,12 @@ def _c6(names, residual_tol=None):
 # 7. birth-state persistence
 # --------------------------------------------------------------------------
 
-def _c7(names, residual_tol=None):
+def _c7(ctx, residual_tol=None):
     worst = 0.0
     count = 0
-    for name in names:
-        tg = make_fixture(name)
-        lt = build_operators(tg)
-        im0 = build_E(tg, 0.0)
+    for name in ctx.names:
+        im0 = ctx.im0(name)
+        lt = build_operators(im0.tg)
         for lam in (1.0, -1.0):
             U = birth_basis(lt, lam)
             if U.shape[1] == 0:
@@ -286,8 +306,8 @@ def _mu1_key(mu1: complex) -> tuple[float, float]:
     return (round(mu1.real, 9), round(mu1.imag, 9))
 
 
-def _c8(names, residual_tol=None):
-    eligible = [n for n in names if n in PERTURB_FIXTURES]
+def _c8(ctx, residual_tol=None):
+    eligible = [n for n in ctx.names if n in PERTURB_FIXTURES]
     if not eligible:
         return "skip", "no eligible fixture in the active filter"
     eps_ladder = [0.02, 0.01, 0.005]
@@ -295,18 +315,18 @@ def _c8(names, residual_tol=None):
     n_first = 0
     n_second = 0
     for name in eligible:
-        im = build_E(make_fixture(name), 0.0)
-        sd0 = spectral_decompose(im.E0)
+        im, sd0 = ctx.im0(name), ctx.sd0(name)
+        ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         for cl in sd0.clusters:
-            led = reduce_eigenvalue(im, cl.value, sd0)
-            asym = resonance_asymptote(im, led, eps_ladder, sd0)
+            led = ctx.ledger(name, cl.value)
+            asym = resonance_asymptote(led, ladder, sd0)
             gates = {}
             for b in led.branches:
                 if abs(b.mu1) < 1e-10:
                     continue
                 key = _mu1_key(b.mu1)
                 if key not in gates:
-                    rep = assumption_report(im, led, b.mu1, eps_ladder[-1], sd0)
+                    rep = assumption_report(im, led, b.mu1, ladder[eps_ladder[-1]], sd0)
                     gates[key] = rep.gate
             for bi, b in enumerate(led.branches):
                 if abs(b.mu1) < 1e-10:
@@ -349,18 +369,17 @@ def _c8(names, residual_tol=None):
 # 9. projection expansion order
 # --------------------------------------------------------------------------
 
-def _c9(names, residual_tol=None):
-    if "c4-3tails-a" not in names:
+def _c9(ctx, residual_tol=None):
+    if "c4-3tails-a" not in ctx.names:
         return "skip", "runs on c4-3tails-a only"
-    im = build_E(make_fixture("c4-3tails-a"), 0.0)
-    sd0 = spectral_decompose(im.E0)
+    im, sd0 = ctx.im0("c4-3tails-a"), ctx.sd0("c4-3tails-a")
     worst_order = np.inf
     parts = []
     for cl in sd0.clusters:
         coeffs = projection_expansion(im, cl.value, order=3, sd0=sd0)
         errs = []
         for e in (0.02, 0.01):
-            P_eps = total_projection(im, e, cl.value, sd0)
+            P_eps = total_projection(ctx.coupling("c4-3tails-a", e), cl.value, sd0)
             k = kappa(e)
             approx = sum(k**j * coeffs[j] for j in range(4))
             errs.append(float(np.linalg.norm(P_eps - approx, 2)))
@@ -378,7 +397,7 @@ def _c9(names, residual_tol=None):
 # 10. non-resonant scattering order
 # --------------------------------------------------------------------------
 
-def _c10(names, residual_tol=None):
+def _c10(ctx, residual_tol=None):
     """Off resonance, Sigma_eps(lam) = B_bb(eps) + O(eps^2).
 
     The direct port block B_bb(eps) = I + kappa B_bb1 moves every port's
@@ -393,17 +412,16 @@ def _c10(names, residual_tol=None):
     slopes = []
     ratios = []
     flux_slopes = []
-    for name in names:
-        tg = make_fixture(name)
-        im0 = build_E(tg, 0.0)
-        muvals = spectral_decompose(im0.E0).values()
+    for name in ctx.names:
+        im0 = ctx.im0(name)
+        muvals = ctx.sd0(name).values()
         lams = []
         while len(lams) < 8:
             lam = float(rng.uniform(-np.pi, np.pi))
             if float(np.min(np.abs(np.exp(-1j * lam) - muvals))) > 0.35:
                 lams.append(lam)
-        evs = {e: SigmaEvaluator(im0.at(e)) for e in eps_ladder}
-        eye = np.eye(tg.num_ports)
+        evs = {e: ctx.coupling(name, e).sigma for e in eps_ladder}
+        eye = np.eye(im0.tg.num_ports)
         bb1_norm = float(np.linalg.norm(im0.B_bb1, 2))
         for lam in lams:
             raw = []
@@ -439,8 +457,8 @@ def _c10(names, residual_tol=None):
 # 11. resonant scattering limit
 # --------------------------------------------------------------------------
 
-def _c11(names, residual_tol=None):
-    eligible = [n for n in names if n in PERTURB_FIXTURES]
+def _c11(ctx, residual_tol=None):
+    eligible = [n for n in ctx.names if n in PERTURB_FIXTURES]
     if not eligible:
         return "skip", "no eligible fixture in the active filter"
     eps_ladder = (0.04, 0.02, 0.01)
@@ -448,11 +466,10 @@ def _c11(names, residual_tol=None):
     problems = []
     skipped = []
     for name in eligible:
-        im = build_E(make_fixture(name), 0.0)
-        sd0 = spectral_decompose(im.E0)
-        evaluators = {e: SigmaEvaluator(im.at(e)) for e in eps_ladder}
+        im, sd0 = ctx.im0(name), ctx.sd0(name)
+        ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         for cl in sd0.clusters:
-            led = reduce_eigenvalue(im, cl.value, sd0)
+            led = ctx.ledger(name, cl.value)
             seen = set()
             for b in led.branches:
                 if abs(b.mu1) < 1e-10:
@@ -461,7 +478,7 @@ def _c11(names, residual_tol=None):
                 if key in seen:
                     continue
                 seen.add(key)
-                rec = resonant_sigma_limit(im, led, b.mu1, evaluators, sd0)
+                rec = resonant_sigma_limit(im, led, b.mu1, ladder, sd0)
                 if not any(
                     bb.hosts_resonance
                     for bb in led.branches
@@ -502,7 +519,7 @@ def _c11(names, residual_tol=None):
 # 12. stage-one boundary scalar at +-1
 # --------------------------------------------------------------------------
 
-def _c12(names, residual_tol=None):
+def _c12(ctx, residual_tol=None):
     """The boundary scalar eta1 (eigenvalue of M1) is -1/4 at both +-1.
 
     Two routes give eta1: the arc-space reduction (Branch.eta1 =
@@ -510,23 +527,21 @@ def _c12(names, residual_tol=None):
     stage-one eigenvalue itself is mu1 = gamma mu eta1, so it carries the
     sign of mu; that rule is checked against the graph-side eta1.
     """
-    if "c4-3tails-a" not in names:
+    if "c4-3tails-a" not in ctx.names:
         return "skip", "runs on c4-3tails-a only"
-    tg = make_fixture("c4-3tails-a")
-    im = build_E(tg, 0.0)
-    sd0 = spectral_decompose(im.E0)
+    im, sd0 = ctx.im0("c4-3tails-a"), ctx.sd0("c4-3tails-a")
     ok = True
     parts = []
     for sgn in (1.0, -1.0):
         mu = complex(sgn)
-        led = reduce_eigenvalue(im, mu, sd0)
+        led = ctx.ledger("c4-3tails-a", sd0.cluster_near(mu).value)
         moving = [b for b in led.branches if abs(b.mu1) > 1e-12]
         if len(moving) != 1:
             return "fail", f"mu={sgn:+.0f}: expected one moving branch, got {len(moving)}"
         b = moving[0]
         if b.eta1 is None:
             return "fail", f"mu={sgn:+.0f}: mu1 = {b.mu1:.6f} has no real boundary scalar"
-        graph_eta = build_M1(tg, mu, im).eta1
+        graph_eta = build_M1(im, mu).eta1
         if graph_eta.size != 1:
             return "fail", f"mu={sgn:+.0f}: M1 has {graph_eta.size} eigenvalues, expected 1"
         eta_m1 = float(graph_eta[0])
@@ -567,23 +582,27 @@ def _active_names(fixture: str | None) -> list[str]:
     return [fixture]
 
 
-def run_criterion(
-    cid: int, fixture: str | None = None, residual_tol: float | None = None
-) -> CriterionResult:
-    names = _active_names(fixture)
+def _run(cid: int, ctx: _Context, residual_tol: float | None) -> CriterionResult:
     entry = next((e for e in _CRITERIA if e[0] == cid), None)
     if entry is None:
         raise KeyError(f"no criterion {cid}")
     _, name, fn = entry
     t0 = time.perf_counter()
     try:
-        status, detail = fn(names, residual_tol)
+        status, detail = fn(ctx, residual_tol)
     except Exception as exc:  # report, never crash the suite
         status, detail = "fail", f"exception {type(exc).__name__}: {exc}"
     return CriterionResult(cid, name, status, detail, time.perf_counter() - t0)
 
 
+def run_criterion(
+    cid: int, fixture: str | None = None, residual_tol: float | None = None
+) -> CriterionResult:
+    return _run(cid, _Context(_active_names(fixture)), residual_tol)
+
+
 def run_all(
     fixture: str | None = None, residual_tol: float | None = None
 ) -> list[CriterionResult]:
-    return [run_criterion(cid, fixture, residual_tol) for cid, _, _ in _CRITERIA]
+    ctx = _Context(_active_names(fixture))
+    return [_run(cid, ctx, residual_tol) for cid, _, _ in _CRITERIA]

@@ -33,6 +33,7 @@ from . import __version__
 from .acceptance import FIXTURES, run_all
 from .internal_spectral import ClusterAmbiguity, build_E, spectral_decompose
 from .perturbation import (
+    Coupling,
     GroupEscapedContour,
     Stage1NotSemisimple,
     fit_loglog_slope,
@@ -40,7 +41,7 @@ from .perturbation import (
     resonance_asymptote,
     resonant_sigma_limit,
 )
-from .scattering import NoConvergence, SigmaEvaluator, transmission_curve
+from .scattering import NoConvergence, transmission_curve
 from .tailed_graph import (
     GraphError,
     TailSpec,
@@ -165,16 +166,16 @@ def _load_tailed_graph(cfg: RunConfig):
     return tg
 
 
-def _decompose_each(cfg: RunConfig, im0) -> list:
-    """Spectral data of E(eps) for each eps of the run, on a small thread pool.
+def _decompose_each(cfg: RunConfig, im0) -> list[Coupling]:
+    """Each E(eps) of the run, factored at its tolerances on a small thread pool.
 
     LAPACK releases the GIL, so two workers tie with one at tens of arcs and
     win at 128-240 arcs.
     """
-    def work(eps: float):
-        return spectral_decompose(
-            im0.at(eps).E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle
-        )
+    def work(eps: float) -> Coupling:
+        im = im0.at(eps)
+        sd = spectral_decompose(im.E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
+        return Coupling(im, sd)
 
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         return list(pool.map(work, cfg.eps_values))
@@ -252,9 +253,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
     rows = []
     decisions = {}
-    for eps, sd in zip(cfg.eps_values, _decompose_each(cfg, im0)):
-        decisions[_g17(eps)] = _cluster_record(sd)
-        for c in sd.clusters:
+    for eps, cpl in zip(cfg.eps_values, _decompose_each(cfg, im0)):
+        decisions[_g17(eps)] = _cluster_record(cpl.sd)
+        for c in cpl.sd.clusters:
             rows.append(
                 [eps, c.value.real, c.value.imag, abs(c.value), c.mult, int(c.on_circle)]
             )
@@ -287,8 +288,8 @@ def cmd_transmission(cfg: RunConfig) -> int:
         "reflection_sq",
     ]
     written = []
-    for eps, stem, sd in zip(cfg.eps_values, stems, _decompose_each(cfg, im0)):
-        curve = transmission_curve(im0.at(eps), lam_grid, inflow=cfg.inflow - 1, sd=sd)
+    for eps, stem, cpl in zip(cfg.eps_values, stems, _decompose_each(cfg, im0)):
+        curve = transmission_curve(cpl.im, lam_grid, cfg.inflow - 1, cpl.sd)
         rows = [
             [
                 curve["lambda"][i],
@@ -304,7 +305,7 @@ def cmd_transmission(cfg: RunConfig) -> int:
             out,
             cfg,
             "transmission",
-            {"eps": eps, "cluster_decisions": _cluster_record(sd)},
+            {"eps": eps, "cluster_decisions": _cluster_record(cpl.sd)},
         )
         written.append(out)
     print("wrote " + ", ".join(str(w) for w in written))
@@ -321,15 +322,15 @@ def cmd_perturb(cfg: RunConfig) -> int:
     sd0 = spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ladder = sorted(cfg.eps_values, reverse=True)
-    evaluators = {eps: SigmaEvaluator(im.at(eps)) for eps in ladder}  # shared by all families
+    # the ladder, largest eps first, shared by every family
+    couplings = dict(sorted(zip(cfg.eps_values, _decompose_each(cfg, im)), key=lambda p: -p[0]))
 
     ledger_entries = []
     asym_rows = []
     limit_records = []
     for cl in sd0.clusters:
         led = reduce_eigenvalue(im, cl.value, sd0)
-        asym = resonance_asymptote(im, led, ladder, sd0)
+        asym = resonance_asymptote(led, couplings, sd0)
         entry = led.to_json_dict()
         for bi, b in enumerate(led.branches):
             rec = asym["per_branch"][bi]
@@ -352,7 +353,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
             if key in seen:
                 continue
             seen.add(key)
-            rec = resonant_sigma_limit(im, led, b.mu1, evaluators, sd0)
+            rec = resonant_sigma_limit(im, led, b.mu1, couplings, sd0)
             limit_records.append(
                 {
                     "mu": [rec.mu.real, rec.mu.imag],
@@ -385,11 +386,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
         asym_rows,
         cfg.fmt,
     )
-    _write_sidecar(asym_file, cfg, "perturb", {"eps_ladder": ladder})
+    _write_sidecar(asym_file, cfg, "perturb", {"eps_ladder": list(couplings)})
 
     limit_file = outdir / "sigma_limit.json"
     limit_file.write_text(json.dumps({"families": limit_records}, indent=1) + "\n")
-    _write_sidecar(limit_file, cfg, "perturb", {"eps_ladder": ladder})
+    _write_sidecar(limit_file, cfg, "perturb", {"eps_ladder": list(couplings)})
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
     return 0

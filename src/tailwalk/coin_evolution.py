@@ -187,14 +187,3 @@ class WalkOperator:
                     invalid[t.in_arc(k - 1)] = True  # reads the absent in_arc(depth)
         self.matrix = U
         self.invalid_rows = invalid
-
-    def apply(self, psi: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Evolve ``psi`` by ``steps`` walk steps (depth must cover steps+2)."""
-        if steps > self.depth - 2:
-            raise ValueError(
-                f"depth {self.depth} only supports {self.depth - 2} exact steps"
-            )
-        out = np.asarray(psi, dtype=complex)
-        for _ in range(steps):
-            out = self.matrix @ out
-        return out

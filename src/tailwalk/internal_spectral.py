@@ -40,7 +40,6 @@ __all__ = [
     "build_E",
     "spectral_decompose",
     "projection_contour_oracle",
-    "resonances",
     "verify_outgoing",
 ]
 
@@ -154,7 +153,11 @@ class SpectralCluster:
 
 @dataclass
 class SpectralData:
+    """Clusters of one matrix, with the ``eigvals`` array they were grouped
+    from (kept in LAPACK's order, so tables built from it are reproducible)."""
+
     matrix: np.ndarray
+    eigenvalues: np.ndarray
     clusters: list[SpectralCluster]
     reconstruction_residual: float
     cluster_tol: float
@@ -273,6 +276,7 @@ def spectral_decompose(
     resid = float(np.linalg.norm(recon - E) / max(np.linalg.norm(E), 1e-300))
     return SpectralData(
         matrix=E,
+        eigenvalues=vals,
         clusters=clusters,
         reconstruction_residual=resid,
         cluster_tol=cluster_tol,
@@ -299,11 +303,6 @@ def projection_contour_oracle(
         z = center + radius * np.exp(1j * th)
         acc += np.exp(1j * th) * np.linalg.inv(z * np.eye(n) - E)
     return (radius / nodes) * acc
-
-
-def resonances(sd: SpectralData, circle_tol: float = 1e-8) -> list[SpectralCluster]:
-    """Clusters strictly inside the unit disk (|value| < 1 - circle_tol)."""
-    return [c for c in sd.clusters if abs(c.value) < 1.0 - circle_tol]
 
 
 def verify_outgoing(

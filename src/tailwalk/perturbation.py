@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .tailed_graph import TailedGraph
 __all__ = [
     "GroupEscapedContour",
     "Stage1NotSemisimple",
-    "AssumptionViolated",
+    "Coupling",
     "Branch",
     "ReductionLedger",
     "FirstSecondOrderMatrices",
@@ -78,8 +79,23 @@ class Stage1NotSemisimple(RuntimeError):
     """First-stage reduced operator has a nontrivial nilpotent part."""
 
 
-class AssumptionViolated(RuntimeError):
-    """A hypothesis needed for the resonant-limit formula failed numerically."""
+@dataclass
+class Coupling:
+    """One E(eps), factored once at the run's tolerances and shared by every
+    consumer: ``sd`` is its spectral data, and the closed-form evaluator and
+    the eigenvectors hypothesis a1 compares against are built on first use.
+    """
+
+    im: InternalMatrix
+    sd: SpectralData
+
+    @cached_property
+    def sigma(self) -> SigmaEvaluator:
+        return SigmaEvaluator(self.im, self.sd)
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eig(self.im.E)
 
 
 def _onb_of_projection(P: np.ndarray) -> np.ndarray:
@@ -98,57 +114,44 @@ def _reduced_resolvent(sd0: SpectralData, mu: complex) -> np.ndarray:
     return S
 
 
-def total_projection(
-    im: InternalMatrix,
-    eps: float,
-    mu0: complex,
-    sd0: SpectralData | None = None,
-    return_members: bool = False,
-):
+def total_projection(cpl: Coupling, mu0: complex, sd0: SpectralData) -> np.ndarray:
     """Total projection of the eps-group of eigenvalues continuing mu0.
 
-    The group is delimited by an adaptive circle around mu0: starting from
-    half the distance to the nearest other unperturbed cluster, the radius
-    is shrunk until no eigenvalue of E(eps) falls in the guard annulus
+    ``cpl`` is E(eps) with its decomposition's eigenvalues.  The group is
+    delimited by an adaptive circle around mu0: starting from half the
+    distance to the nearest other unperturbed cluster, the radius is
+    shrunk until no eigenvalue of E(eps) falls in the guard annulus
     [0.8 r, 1.25 r].  If no radius isolates a group of the unperturbed
     multiplicity, the group has escaped (eps too large for perturbative
     tracking) and :class:`GroupEscapedContour` is raised.
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     base = sd0.cluster_near(mu0)
     r0 = _group_radius(sd0, mu0)
-    E_eps = im.at(eps).E
-    vals = np.linalg.eigvals(E_eps)
+    vals = cpl.sd.eigenvalues
     for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
         r = r0 * shrink
         dist = np.abs(vals - base.value)
         inside = dist < 0.8 * r
         guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
         if not np.any(guard) and int(np.sum(inside)) == base.mult:
-            members = vals[inside]
-            others_v = vals[~inside]
-            P = _schur_projection(E_eps, members, others_v)
-            if return_members:
-                return P, members
-            return P
+            return _schur_projection(cpl.im.E, vals[inside], vals[~inside])
     raise GroupEscapedContour(
         f"no contour around {mu0:.4f} isolates a group of multiplicity "
-        f"{base.mult} at eps={eps}"
+        f"{base.mult} at eps={cpl.im.eps}"
     )
 
 
 def projection_expansion(
     im: InternalMatrix,
     mu0: complex,
+    sd0: SpectralData,
     order: int = 3,
-    sd0: SpectralData | None = None,
 ) -> list[np.ndarray]:
     """Taylor coefficients [P, P^(1), .., P^(order)] of the total projection.
 
     Full slot enumeration over resolvent exponents; exact for semi-simple
     unperturbed eigenvalues (our E0 is unitary).
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     P = sd0.cluster_near(mu0).projection
     S = _reduced_resolvent(sd0, sd0.cluster_near(mu0).value)
     X = im.E1
@@ -219,7 +222,7 @@ def _gamma_scalar(mu: complex) -> float:
 def reduce_eigenvalue(
     im: InternalMatrix,
     mu0: complex,
-    sd0: SpectralData | None = None,
+    sd0: SpectralData,
     stage_tol: float = 1e-8,
     semisimple_tol: float = 1e-7,
 ) -> ReductionLedger:
@@ -230,7 +233,6 @@ def reduce_eigenvalue(
     Persistence is decided by range containment in the persistent subspace
     of mu0 (lifted boundary-vanishing states plus birth states).
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     cl = sd0.cluster_near(mu0)
     mu = cl.value
     P = cl.projection
@@ -330,20 +332,16 @@ def _lifted_eigendata(lt: LaplacianT, t: float) -> np.ndarray:
     return G
 
 
-def build_M1(tg: TailedGraph, mu0: complex, im: InternalMatrix | None = None) -> FirstSecondOrderMatrices:
-    lt = build_operators(tg)
+def build_M1(im: InternalMatrix, mu0: complex) -> FirstSecondOrderMatrices:
+    lt = build_operators(im.tg)
     mu = complex(mu0)
     t = joukowsky(mu).real
     G = _lifted_eigendata(lt, t)
     M1 = _boundary_gram(lt, G, G)
     M1 = (M1 + M1.conj().T) / 2.0
     U = np.stack([lift(lt, mu, G[:, j]) for j in range(G.shape[1])], axis=1) \
-        if G.shape[1] else np.zeros((tg.num_arcs, 0), dtype=complex)
+        if G.shape[1] else np.zeros((im.tg.num_arcs, 0), dtype=complex)
     gamma = _gamma_scalar(mu)
-    if im is None:
-        from .internal_spectral import build_E
-
-        im = build_E(tg, 0.0)
     if U.shape[1]:
         direct = U.conj().T @ im.E1 @ U
         resid = float(np.linalg.norm(direct - gamma * mu * M1))
@@ -379,9 +377,8 @@ def _omega(z: complex) -> float:
 
 def mu2_bound_check(
     im: InternalMatrix,
-    mu0: complex,
-    ledger: ReductionLedger | None = None,
-    sd0: SpectralData | None = None,
+    ledger: ReductionLedger,
+    sd0: SpectralData,
 ) -> dict:
     """Second-order magnitude bound plus the graph-side cross validation.
 
@@ -391,8 +388,6 @@ def mu2_bound_check(
     which ties the arc-space operators to the boundary Gram matrices.
     """
     tg = im.tg
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
-    ledger = ledger if ledger is not None else reduce_eigenvalue(im, mu0, sd0)
     mu = ledger.mu
     others = [c for c in sd0.clusters if abs(c.value - mu) > 1e-9]
     gap = min(abs(c.value - mu) for c in others)
@@ -401,7 +396,7 @@ def mu2_bound_check(
     bound = (1.0 / gap) * (len(sd0.clusters) - 1) * minn ** (-2)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
 
-    fo = build_M1(tg, mu, im)
+    fo = build_M1(im, mu)
     U = fo.lifted_basis
     X = im.E1
     cross = {}
@@ -452,20 +447,20 @@ def _group_radius(sd0: SpectralData, mu: complex) -> float:
 
 
 def resonance_asymptote(
-    im: InternalMatrix,
     ledger: ReductionLedger,
-    eps_values,
-    sd0: SpectralData | None = None,
+    ladder: Mapping[float, Coupling],
+    sd0: SpectralData,
 ) -> dict:
     """Predicted vs. true eigenvalue motion for every branch of one group.
 
-    True eigenvalues of E(eps) inside the group disk are matched to
+    ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
+    the true eigenvalues are that decomposition's ``eigvals`` array.
+    Those of E(eps) inside the group disk are matched to
     branches by nearest distance *after subtracting the first-order term*
     (branch capacity = multiplicity), which disambiguates branches that
     only separate at second order.  Returns CSV-ready rows plus per-branch
     residual ladders for slope fitting.
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     radius = _group_radius(sd0, mu)
     rows = []
@@ -473,9 +468,9 @@ def resonance_asymptote(
         i: {"eps": [], "first_resid": [], "second_resid": [], "puiseux_resid": []}
         for i in range(len(ledger.branches))
     }
-    for eps in eps_values:
+    for eps, cpl in ladder.items():
         k = kappa(eps)
-        vals = np.linalg.eigvals(im.at(eps).E)
+        vals = cpl.sd.eigenvalues
         group = vals[np.abs(vals - mu) < radius]
         # nearest-neighbour matching on the first-order-corrected residual
         pairs = []
@@ -547,10 +542,6 @@ class AssumptionReport:
     def gate(self) -> bool:
         return self.a1 and self.a2 and self.x_nonzero and self.mu1_nonzero
 
-    def require(self) -> None:
-        if not self.gate:
-            raise AssumptionViolated(f"resonant-limit hypotheses failed: {self.details}")
-
 
 @dataclass
 class ResonantLimitRecord:
@@ -582,18 +573,17 @@ def assumption_report(
     im: InternalMatrix,
     ledger: ReductionLedger,
     mu1: complex,
-    eps_min: float,
-    sd0: SpectralData | None = None,
+    probe: Coupling,
+    sd0: SpectralData,
 ) -> AssumptionReport:
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
 
-    a1 compares, at the probe value eps_min, the actual perturbed eigenvectors
+    a1 compares, at the probe coupling, the actual perturbed eigenvectors
     of each hosting branch against the range of its stage-2 projection; a2
     checks the stage-2 projections resolve the whole unperturbed eigenspace;
     a3 evaluates the global smallness inequality with the best constant the
     first-order matrix provides (reported, not gated on).
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     fam, _eta1, _ge, Xs = _family(ledger, mu1)
     hosts = [b for b in fam if b.hosts_resonance]
@@ -610,8 +600,8 @@ def assumption_report(
     a2 = a2_resid < 1e-8
     details["a2_residual"] = a2_resid
 
-    k = kappa(eps_min)
-    w, V = np.linalg.eig(im.at(eps_min).E)
+    k = kappa(probe.im.eps)
+    w, V = probe.eig
     a1 = True
     angles = []
     for b in hosts:
@@ -631,7 +621,7 @@ def assumption_report(
     nu_plus = max(int(im.tg.total_deg[v]) for v in bd)
     others = [c.value for c in sd0.clusters if abs(c.value - mu) > 1e-9]
     gap = min(abs(z - mu) for z in others)
-    fo = build_M1(im.tg, mu, im)
+    fo = build_M1(im, mu)
     lam_min = float(np.min(-fo.eta1)) if fo.eta1.size else 0.0
     c_surrogate = 1.0 / (nu_plus * lam_min) if lam_min > 0 else np.inf
     lhs = 2.0 * (1.0 / gap) * (len(sd0.clusters) - 1) * nu_minus ** (-2)
@@ -651,8 +641,8 @@ def resonant_sigma_limit(
     im: InternalMatrix,
     ledger: ReductionLedger,
     mu1: complex,
-    evaluators: Mapping[float, SigmaEvaluator],
-    sd0: SpectralData | None = None,
+    ladder: Mapping[float, Coupling],
+    sd0: SpectralData,
 ) -> ResonantLimitRecord:
     """Limit form of the scattering matrix along the resonant frequency path.
 
@@ -675,14 +665,13 @@ def resonant_sigma_limit(
     completes; hypothesis failures only set ``caveat`` (and the verdicts
     carry details), so callers can decide what to gate.
 
-    ``evaluators`` maps each eps of the ladder, in ladder order, to
-    ``SigmaEvaluator(im.at(eps))``; callers running several families on one
-    ladder share it, so each E(eps) is decomposed once, not once per family.
+    ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
+    the hypotheses are probed at the smallest eps.  Callers running several
+    families on one ladder share it, so each E(eps) is factored once.
     """
-    sd0 = sd0 if sd0 is not None else spectral_decompose(im.E0)
     mu = ledger.mu
     fam, eta1, ge, Xs = _family(ledger, mu1)
-    verdicts = assumption_report(im, ledger, mu1, float(min(evaluators)), sd0)
+    verdicts = assumption_report(im, ledger, mu1, ladder[min(ladder)], sd0)
 
     N = im.tg.num_ports
     sigma01 = np.zeros((N, N), dtype=complex)
@@ -696,9 +685,9 @@ def resonant_sigma_limit(
 
     lam_list = []
     norms = []
-    for eps, ev in evaluators.items():
+    for eps, cpl in ladder.items():
         lam = float(-np.angle(mu) + np.pi * ge * eps)
-        s = ev.sigma(lam)
+        s = cpl.sigma.sigma(lam)
         lam_list.append(lam)
         norms.append(float(np.linalg.norm(s - np.eye(N) - sigma01, 2)))
     return ResonantLimitRecord(

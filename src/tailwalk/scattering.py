@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .internal_spectral import InternalMatrix, SpectralData, spectral_decompose
+from .internal_spectral import InternalMatrix, SpectralData
 
 _BLOCK = 64  # iteration steps advanced per product with A^_BLOCK
 
@@ -121,14 +121,12 @@ class SigmaEvaluator:
 
     Reduces every off-circle cluster to the small port-space kernels
     K_{mu,s} = B_out P (E-mu)^s P B_in once; each evaluation is then a sum
-    of N x N terms with scalar resolvent weights.
+    of N x N terms with scalar resolvent weights.  ``sd`` is the spectral
+    data of ``im.E``; its ``on_circle`` flags decide which clusters drop out.
     """
 
-    def __init__(self, im: InternalMatrix, sd: SpectralData | None = None,
-                 circle_tol: float = 1e-8):
+    def __init__(self, im: InternalMatrix, sd: SpectralData):
         self.im = im
-        sd = sd if sd is not None else spectral_decompose(im.E, circle_tol=circle_tol)
-        self.circle_tol = circle_tol
         self.terms: list[tuple[complex, int, np.ndarray]] = []
         self.skipped_coupling = 0.0
         scale = max(float(np.linalg.norm(im.B_in)), 1e-300)
@@ -185,8 +183,8 @@ def _inflow_vector(num_ports: int, inflow) -> np.ndarray:
 def transmission_curve(
     im: InternalMatrix,
     lam_grid: np.ndarray,
-    inflow=0,
-    sd: SpectralData | None = None,
+    inflow,
+    sd: SpectralData,
 ) -> dict[str, np.ndarray]:
     """Total transmission and reflection along a lambda grid.
 
@@ -194,7 +192,7 @@ def transmission_curve(
     outgoing power on the other ports and ``reflection_sq`` the power
     returned into the inflow mode; they add to 1 by unitarity.  A general
     inflow vector is normalised and "reflection" means the power returned
-    into that incoming mode.
+    into that incoming mode.  ``sd`` is the spectral data of ``im.E``.
     """
     lam_grid = np.asarray(lam_grid, dtype=float)
     alpha = _inflow_vector(im.tg.num_ports, inflow)

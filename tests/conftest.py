@@ -5,8 +5,13 @@ shapes the suite does not cover (multiple tails on one vertex, a graph
 with no tails at all).  Session-scoped because TailedGraph is immutable.
 """
 
+import contextlib
+import hashlib
+
+import numpy as np
 import pytest
 
+from tailwalk import acceptance, cli, internal_spectral, perturbation
 from tailwalk import attach_tails, build_E, preset_graph
 from tailwalk.tailed_graph import TailSpec
 
@@ -66,3 +71,35 @@ def im_c4a(c4a):
 @pytest.fixture(scope="session")
 def im_k4a(k4a):
     return build_E(k4a)
+
+
+@pytest.fixture(scope="session")
+def count_factorisations():
+    """Context manager recording every ``spectral_decompose`` and
+    ``np.linalg.eig`` call made inside it as (hash of the input, its size)."""
+
+    def key(E):
+        E = np.ascontiguousarray(E, dtype=complex)
+        return hashlib.blake2b(repr(E.shape).encode() + E.tobytes()).hexdigest(), E.shape[0]
+
+    @contextlib.contextmanager
+    def counting():
+        seen = {"decompose": [], "eig": []}
+        real_sd, real_eig = internal_spectral.spectral_decompose, np.linalg.eig
+
+        def decompose(E, *args, **kwargs):
+            seen["decompose"].append(key(E))
+            return real_sd(E, *args, **kwargs)
+
+        def eig(a):
+            seen["eig"].append(key(a))
+            return real_eig(a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for mod in (internal_spectral, perturbation, acceptance, cli):
+                mp.setattr(mod, "spectral_decompose", decompose)
+            mp.setattr(np.linalg, "eig", eig)
+            yield seen
+
+    return counting
+

@@ -20,8 +20,15 @@ from tailwalk import acceptance
 
 
 @pytest.fixture(scope="module")
-def results():
-    return {r.cid: r for r in acceptance.run_all()}
+def run_all(count_factorisations):
+    with count_factorisations() as seen:
+        results = acceptance.run_all()
+    return {r.cid: r for r in results}, seen
+
+
+@pytest.fixture(scope="module")
+def results(run_all):
+    return run_all[0]
 
 
 @pytest.mark.parametrize(
@@ -40,6 +47,16 @@ def test_every_criterion_reports(results):
     for r in results.values():
         assert r.detail  # a bare pass/fail with no numbers is useless
         assert r.elapsed < 60.0
+
+
+def test_run_all_factors_each_matrix_once(run_all):
+    # criteria share each fixture's E(0), E(eps) and ledgers; arc-space
+    # matrices have 8 (cycle:4) or 12 (complete:4) rows, stage matrices <= 4
+    seen = run_all[1]
+    arc_space = [h for h, n in seen["decompose"] if n >= 8]
+    assert arc_space and len(arc_space) == len(set(arc_space))
+    eig = [h for h, _ in seen["eig"]]
+    assert eig and len(eig) == len(set(eig))
 
 
 def test_fixture_filter_restricts_scope():

@@ -146,6 +146,27 @@ class TestPerturb:
             assert fam["assumptions"]["gate"] is True
             assert len(fam["norms"]) == 3
 
+    def test_tolerances_reach_the_ladder(self, tmp_path):
+        # the ladder's closed-form evaluators use the run's --tol-circle
+        argv = ("perturb", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.04,0.02,0.01")
+        code_a, out_a = run(tmp_path / "a", *argv)
+        code_b, out_b = run(tmp_path / "b", *argv, "--tol-circle", "0.05")
+        assert code_a == code_b == 0
+        limits = [(out / "sigma_limit.json").read_bytes() for out in (out_a, out_b)]
+        assert limits[0] != limits[1]
+
+    def test_factors_each_matrix_once(self, tmp_path, count_factorisations):
+        with count_factorisations() as seen:
+            code, _ = run(
+                tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
+                "--eps", "0.04,0.02,0.01",
+            )
+        assert code == 0
+        arc_space = [h for h, n in seen["decompose"] if n == 8]
+        assert len(arc_space) == len(set(arc_space)) == 4  # E0 and the three E(eps)
+        eig = [h for h, _ in seen["eig"]]
+        assert len(eig) == len(set(eig)) == 1  # hypothesis a1 probes E(0.01) only
+
     def test_needs_three_eps_values(self, tmp_path):
         code, _ = run(
             tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
@@ -258,16 +279,30 @@ def test_transmission_report_script(tmp_path):
     # private CLI parsers, so run it as a user would
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [
-            sys.executable, str(root / "scripts" / "transmission_report.py"),
-            "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25",
-            "--grid", "16", "--spot-checks", "1",
-        ],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+
+    def report(cwd, *argv):
+        cwd.mkdir()
+        return subprocess.run(
+            [
+                sys.executable, str(root / "scripts" / "transmission_report.py"),
+                "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16", *argv,
+            ],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = report(tmp_path / "ok", "--eps", "0.25", "--spot-checks", "1")
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "transmission_eps0.25.csv").exists()
+    assert (tmp_path / "ok" / "transmission_eps0.25.csv").exists()
     gap = re.search(r"closed form vs iteration: (\S+)", proc.stdout)
     assert gap is not None, proc.stdout
     assert float(gap.group(1)) < 1e-7
+    # two eps values that would share one CSV name are refused up front
+    proc = report(tmp_path / "clash", "--eps", "0.1234561,0.1234562")
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "configuration error" in proc.stderr and not proc.stdout
+    assert not list((tmp_path / "clash").iterdir())
+    # a spot check whose iteration does not settle is a reported numerical failure
+    proc = report(tmp_path / "slow", "--eps", "0.02", "--spot-checks", "2")
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert "numerical failure (NoConvergence)" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -17,11 +17,10 @@ from tailwalk.internal_spectral import (
     NotAResonance,
     _greedy_clusters,
     projection_contour_oracle,
-    resonances,
     spectral_decompose,
     verify_outgoing,
 )
-from tailwalk.perturbation import total_projection
+from tailwalk.perturbation import Coupling, total_projection
 from tailwalk.smt_laplacian import build_E_split
 
 
@@ -110,7 +109,7 @@ def test_on_circle_split_at_working_coupling(im_c4a):
     sd = spectral_decompose(im_c4a.at(0.25).E)
     on = [c for c in sd.clusters if c.on_circle]
     assert sorted(np.round(c.value, 9) for c in on) == [-1.0, 1.0]
-    assert len(resonances(sd)) == len(sd.clusters) - 2
+    assert sum(not c.on_circle for c in sd.clusters) == len(sd.clusters) - 2
 
 
 def test_schur_projector_matches_contour_oracle(im_c4a, im_k4a):
@@ -188,8 +187,10 @@ def test_one_schur_form_per_decomposition(schur_calls, c4a):
 
 def test_one_schur_form_per_total_projection(schur_calls, im_c4a):
     sd0 = spectral_decompose(im_c4a.E0)
+    im = im_c4a.at(0.1)
+    cpl = Coupling(im, spectral_decompose(im.E))
     schur_calls.clear()
-    total_projection(im_c4a, 0.1, 1 + 0j, sd0)
+    total_projection(cpl, 1 + 0j, sd0)
     assert len(schur_calls) == 1
 
 

@@ -12,9 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tailwalk.coin_evolution import kappa
-from tailwalk.internal_spectral import projection_contour_oracle, spectral_decompose
+from tailwalk.internal_spectral import build_E, projection_contour_oracle, spectral_decompose
 from tailwalk.perturbation import (
-    AssumptionViolated,
+    Coupling,
     GroupEscapedContour,
     assumption_report,
     build_M1,
@@ -28,9 +28,18 @@ from tailwalk.perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
-from tailwalk.scattering import SigmaEvaluator
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
+
+
+def coupling(im, eps):
+    """E(eps) factored at the default tolerances."""
+    return Coupling(im.at(eps), spectral_decompose(im.at(eps).E))
+
+
+def couplings(im, eps_values):
+    """{eps: Coupling} in the given order."""
+    return {e: coupling(im, e) for e in eps_values}
 
 
 @pytest.fixture(scope="module")
@@ -45,23 +54,22 @@ def sd_k4(im_k4a):
 
 class TestTotalProjection:
     def test_matches_contour_oracle(self, im_c4a, sd_c4):
-        P, members = total_projection(im_c4a, 0.1, 1 + 0j, sd_c4, return_members=True)
-        assert members.shape == (2,)  # moving branch plus the persistent state
+        P = total_projection(coupling(im_c4a, 0.1), 1 + 0j, sd_c4)
         P_ref = projection_contour_oracle(im_c4a.at(0.1).E, 1.0, 0.4, nodes=96)
         assert np.linalg.norm(P - P_ref) < 1e-10
         assert_allclose(P @ P, P, atol=1e-12)
-        assert_allclose(np.trace(P), 2.0, atol=1e-12)
+        assert_allclose(np.trace(P), 2.0, atol=1e-12)  # moving branch + persistent state
 
     def test_continuity_towards_zero_coupling(self, im_c4a, sd_c4):
         P0 = sd_c4.cluster_near(1j).projection
         for eps in (0.02, 0.005):
-            P = total_projection(im_c4a, eps, 1j, sd_c4)
+            P = total_projection(coupling(im_c4a, eps), 1j, sd_c4)
             assert np.linalg.norm(P - P0) < 3.0 * abs(kappa(eps))
 
     def test_escape_is_reported_not_guessed(self, im_c4a, sd_c4):
         # at full coupling the group is gone; tracking it would be fiction
         with pytest.raises(GroupEscapedContour):
-            total_projection(im_c4a, 1.0, 1 + 0j, sd_c4)
+            total_projection(coupling(im_c4a, 1.0), 1 + 0j, sd_c4)
 
 
 class TestReduceEigenvalue:
@@ -164,8 +172,8 @@ class TestReduceEigenvalue:
 
 
 class TestGraphSideMatrices:
-    def test_m1_eigenvalues_c4_imaginary(self, c4a, im_c4a):
-        fo = build_M1(c4a, 1j, im_c4a)
+    def test_m1_eigenvalues_c4_imaginary(self, im_c4a):
+        fo = build_M1(im_c4a, 1j)
         assert fo.gamma == 0.5
         assert_allclose(np.sort(fo.eta1), [-1 / 3, -1 / 6], atol=1e-12)
         # arc-space route P X P and graph-side route gamma mu M1 agree
@@ -173,8 +181,8 @@ class TestGraphSideMatrices:
         assert_allclose(fo.M1, fo.M1.conj().T, atol=1e-14)
 
     @pytest.mark.parametrize("mu", [1 + 0j, -1 + 0j], ids=["plus1", "minus1"])
-    def test_m1_eigenvalue_c4_at_plus_minus_one(self, c4a, im_c4a, mu):
-        fo = build_M1(c4a, mu, im_c4a)
+    def test_m1_eigenvalue_c4_at_plus_minus_one(self, im_c4a, mu):
+        fo = build_M1(im_c4a, mu)
         assert fo.gamma == 1.0
         assert_allclose(fo.eta1, [-0.25], atol=1e-12)
         assert fo.direct_residual < 1e-12
@@ -183,7 +191,7 @@ class TestGraphSideMatrices:
         for name, tg in suite_graphs.items():
             lt_min = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
             for mu in (1 + 0j, 1j):
-                fo = build_M1(tg, mu)
+                fo = build_M1(build_E(tg), mu)
                 if fo.eta1.size == 0:
                     continue
                 assert np.all(fo.eta1 <= 1e-12), name
@@ -195,7 +203,7 @@ class TestGraphSideMatrices:
         assert_allclose(A, B.conj().T, atol=1e-14)
 
     def test_mu2_bound_and_product_identity(self, im_c4a, sd_c4):
-        out = mu2_bound_check(im_c4a, 1j, sd0=sd_c4)
+        out = mu2_bound_check(im_c4a, reduce_eigenvalue(im_c4a, 1j, sd_c4), sd_c4)
         assert out["bound_ok"]
         assert_allclose(out["max_mu2"], 1 / 72, atol=1e-10)
         assert out["bound"] > out["max_mu2"]
@@ -204,7 +212,7 @@ class TestGraphSideMatrices:
         assert all(v["norm_bound_ok"] for v in out["cross_checks"].values())
 
     def test_mu2_bound_on_k4(self, im_k4a, sd_k4):
-        out = mu2_bound_check(im_k4a, MU_K4, sd0=sd_k4)
+        out = mu2_bound_check(im_k4a, reduce_eigenvalue(im_k4a, MU_K4, sd_k4), sd_k4)
         assert out["bound_ok"]
         assert out["max_cross_residual"] < 1e-11
 
@@ -224,7 +232,7 @@ class TestProjectionExpansion:
             k = kappa(eps)
             approx = sum(k**j * coef[j] for j in range(4))
             errs.append(
-                np.linalg.norm(total_projection(im_c4a, eps, 1 + 0j, sd_c4) - approx)
+                np.linalg.norm(total_projection(coupling(im_c4a, eps), 1 + 0j, sd_c4) - approx)
             )
         order = np.log(errs[0] / errs[1]) / np.log(abs(kappa(0.02)) / abs(kappa(0.01)))
         assert order > 3.7
@@ -247,7 +255,7 @@ def test_fit_loglog_slope_recovers_power_law():
 class TestResonanceAsymptote:
     def test_slopes_c4_imaginary_group(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1j, sd0=sd_c4)
-        out = resonance_asymptote(im_c4a, led, (0.02, 0.01, 0.005), sd0=sd_c4)
+        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), sd_c4)
         assert len(out["rows"]) == 6  # 2 eigenvalues x 3 eps
         for rec in out["per_branch"].values():
             s1 = fit_loglog_slope(rec["eps"], rec["first_resid"])
@@ -261,7 +269,7 @@ class TestResonanceAsymptote:
         # the rank-2 branch only separates at second order; matching must
         # still assign two eigenvalues to it at every eps
         led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
-        out = resonance_asymptote(im_k4a, led, (0.02, 0.01), sd0=sd_k4)
+        out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)), sd_k4)
         assert len(out["rows"]) == 6  # 3 eigenvalues x 2 eps
         for bi, b in enumerate(led.branches):
             rec = out["per_branch"][bi]
@@ -273,25 +281,22 @@ class TestResonanceAsymptote:
 class TestResonantLimit:
     def test_assumption_gate_c4(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        rep = assumption_report(im_c4a, led, -0.25, 0.005, sd0=sd_c4)
+        rep = assumption_report(im_c4a, led, -0.25, coupling(im_c4a, 0.005), sd_c4)
         assert rep.a1 and rep.a2 and rep.x_nonzero and rep.mu1_nonzero
         assert rep.gate
         # the global smallness inequality is strictly stronger than needed
         # and fails on every small fixture; it is reported, not gated on
         assert not rep.a3
-        rep.require()  # must not raise
 
     def test_gate_fails_for_the_persistent_family(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        rep = assumption_report(im_c4a, led, 0.0, 0.005, sd0=sd_c4)
+        rep = assumption_report(im_c4a, led, 0.0, coupling(im_c4a, 0.005), sd_c4)
         assert not rep.mu1_nonzero and not rep.gate
-        with pytest.raises(AssumptionViolated):
-            rep.require()
 
     def test_limit_c4_plus_one(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        evaluators = {e: SigmaEvaluator(im_c4a.at(e)) for e in (0.02, 0.01, 0.005)}
-        rec = resonant_sigma_limit(im_c4a, led, -0.25, evaluators, sd0=sd_c4)
+        ladder = couplings(im_c4a, (0.02, 0.01, 0.005))
+        rec = resonant_sigma_limit(im_c4a, led, -0.25, ladder, sd_c4)
         assert not rec.caveat
         assert_allclose(rec.eta1, -0.25, atol=1e-10)
         # lambda path: -arg(mu) + pi gamma eta1 eps
@@ -305,8 +310,8 @@ class TestResonantLimit:
         a geometric rho-power factor would stall these norms near 0.35."""
         led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
         mu1 = [b.mu1 for b in led.branches if b.multiplicity == 2][0]
-        evaluators = {e: SigmaEvaluator(im_k4a.at(e)) for e in (0.04, 0.02, 0.01, 0.005)}
-        rec = resonant_sigma_limit(im_k4a, led, mu1, evaluators, sd0=sd_k4)
+        ladder = couplings(im_k4a, (0.04, 0.02, 0.01, 0.005))
+        rec = resonant_sigma_limit(im_k4a, led, mu1, ladder, sd_k4)
         assert rec.verdicts.gate
         assert_allclose(
             rec.norms, [0.126898, 0.063146, 0.031495, 0.015728], atol=2e-4
@@ -323,9 +328,9 @@ class TestResonantLimit:
         im, sd0 = request.getfixturevalue(im_name), request.getfixturevalue(sd_name)
         led = reduce_eigenvalue(im, mu0, sd0=sd0)
         ladder = (0.01, 0.04, 0.02)
-        shared = {e: SigmaEvaluator(im.at(e)) for e in ladder}
+        shared = couplings(im, ladder)
         for mu1 in {b.mu1 for b in led.branches if abs(b.mu1) > 1e-10}:
-            fresh = {e: SigmaEvaluator(im.at(e)) for e in ladder}
+            fresh = couplings(im, ladder)
             ref = resonant_sigma_limit(im, led, mu1, fresh, sd0)
             rec = resonant_sigma_limit(im, led, mu1, shared, sd0)
             assert rec.norms == ref.norms
@@ -337,5 +342,4 @@ class TestResonantLimit:
     def test_unknown_family_is_an_error(self, im_c4a, sd_c4):
         led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
         with pytest.raises(ValueError):
-            resonant_sigma_limit(im_c4a, led, 0.77, {0.02: SigmaEvaluator(im_c4a.at(0.02))},
-                                 sd0=sd_c4)
+            resonant_sigma_limit(im_c4a, led, 0.77, couplings(im_c4a, [0.02]), sd_c4)
