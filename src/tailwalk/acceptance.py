@@ -152,9 +152,8 @@ def _c2(ctx, residual_tol=None):
     worst = 0.0
     for name in ctx.names:
         for eps in (0.1, 0.25, 0.5):
-            ev = ctx.coupling(name, eps).sigma
-            for lam in lam_grid:
-                worst = max(worst, unitarity_defect(ev.sigma(float(lam))))
+            stack = ctx.coupling(name, eps).sigma.sigma(lam_grid)
+            worst = max(worst, unitarity_defect(stack))
     elapsed = time.perf_counter() - t0
     tol = 1e-9 if residual_tol is None else residual_tol
     ok = worst < tol and elapsed < 30.0

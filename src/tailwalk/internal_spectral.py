@@ -23,6 +23,7 @@ is not used in any production path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +31,8 @@ from scipy.linalg.lapack import ztrsen, ztrsyl
 
 from .coin_evolution import CoinFamily, WalkOperator, kappa
 from .tailed_graph import TailedGraph
+
+_BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
 
 __all__ = [
     "ClusterAmbiguity",
@@ -91,6 +94,14 @@ class InternalMatrix:
             B_out1=self.B_out1,
             B_bb1=self.B_bb1,
         )
+
+    @cached_property
+    def E_block(self) -> np.ndarray:
+        """E^_BLOCK, formed on first use and kept: the time iteration advances
+        _BLOCK steps per product with e^{_BLOCK i lam} E^_BLOCK, and E^_BLOCK
+        does not depend on lam.  ``at`` returns a new object, so the power
+        of one coupling never serves another."""
+        return np.linalg.matrix_power(self.E, _BLOCK)
 
 
 def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:

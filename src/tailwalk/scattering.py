@@ -6,7 +6,10 @@ sequence w_t = e^{i lam t} u_t converges (rate = largest off-circle |mu|)
 to w = (z I - E)^{-1} f0 with z = e^{-i lam}, and the outgoing amplitudes
 are alpha_out = B_bb alpha + B_out w.  Its increments d_t = w_t - w_{t-1}
 = A^{t-1} g, with A = e^{i lam} E and g = e^{i lam} f0, are advanced a block
-of 64 steps per matrix product with A^64; w_t is their running sum.
+of 64 steps per matrix product with A^64 = e^{64 i lam} E^64, where E^64 is
+formed once per InternalMatrix and only rescaled per lambda; w_t is their
+running sum.  A block whose smallest increment is already too large for any
+of its steps to pass the stopping rule skips the per-step check.
 
 Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
@@ -29,9 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .internal_spectral import InternalMatrix, SpectralData
-
-_BLOCK = 64  # iteration steps advanced per product with A^_BLOCK
+from .internal_spectral import _BLOCK, InternalMatrix, SpectralData
 
 __all__ = [
     "NoConvergence",
@@ -73,9 +74,15 @@ def stationary_iterate(
 
     The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} E``, ``g = e^{i lam}
     f0``) come ``_BLOCK`` at a time: the first block by matvecs, each later
-    one as ``A^_BLOCK`` times the block before.  The rule is still applied
-    at every step, with windows reaching back across block edges, and the
-    first passing step within ``max_steps`` ends the run.
+    one as ``A^_BLOCK = e^{_BLOCK i lam} im.E_block`` times the block before,
+    so ``E^_BLOCK`` is formed once per ``im`` whatever the number of calls.
+    The rule is still applied at every step, with windows reaching back
+    across block edges, and the first passing step within ``max_steps`` ends
+    the run.  A block is screened first: every step's window holds its own
+    increment and ``||w_t|| <= ||w|| + sum ||d_j||``, so when the block's
+    smallest increment exceeds ``rtol`` times that bound no step in it can
+    pass, and only the running sum and the window's norms are carried on.
+    NaN or inf fails the screen, so such blocks get the per-step check.
     """
     if not window >= 1 or not max_steps >= 1 or not rtol > 0:
         raise ValueError(f"need window >= 1, max_steps >= 1 and rtol > 0, "
@@ -87,15 +94,21 @@ def stationary_iterate(
     D[:, 0] = phase * (im.B_in @ alpha)
     for j in range(1, _BLOCK):
         D[:, j] = A @ D[:, j - 1]
-    A_block = np.linalg.matrix_power(A, _BLOCK)
+    A_block = phase**_BLOCK * im.E_block
     w = np.zeros(A.shape[0], dtype=complex)
     recent = np.full(window - 1, np.inf)  # increment norms before the block
     for done in range(0, max_steps, _BLOCK):
         if done:
             D = A_block @ D
         m = min(_BLOCK, max_steps - done)
+        inc = np.linalg.norm(D[:, :m], axis=0)
+        norms = np.concatenate([recent, inc])
+        # the 1e-9 margin covers rounding in the norms the exact rule compares
+        bound = (np.linalg.norm(w) + inc.sum()) * (1.0 + 1e-9)
+        if inc.min() > rtol * np.maximum(bound, 1e-300):
+            w, recent = w + D[:, :m].sum(axis=1), norms[m:]
+            continue
         W = w[:, None] + np.cumsum(D[:, :m], axis=1)
-        norms = np.concatenate([recent, np.linalg.norm(D[:, :m], axis=0)])
         worst = sliding_window_view(norms, window).max(axis=1)
         ok = worst <= rtol * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
         if ok.any():
@@ -146,17 +159,21 @@ class SigmaEvaluator:
                 if np.linalg.norm(acc) < 1e-16 * scale:
                     break
 
-    def sigma(self, lam: float) -> np.ndarray:
-        z = np.exp(-1j * lam)
-        out = self.im.B_bb.copy()
+    def sigma(self, lam) -> np.ndarray:
+        """Sigma(lam) as an N x N matrix, or an (L, N, N) stack when ``lam``
+        is an array of L lambdas (same operations per lambda either way)."""
+        z = np.exp(-1j * np.asarray(lam, dtype=float))[..., None, None]
+        out = np.broadcast_to(self.im.B_bb, z.shape[:-2] + self.im.B_bb.shape).copy()
         for mu, s, K in self.terms:
             out = out + K / (z - mu) ** (s + 1)
         return out
 
 
 def unitarity_defect(sigma: np.ndarray) -> float:
-    n = sigma.shape[0]
-    return float(np.linalg.norm(sigma.conj().T @ sigma - np.eye(n), 2))
+    """||Sigma* Sigma - I||_2, the largest over a stack of matrices."""
+    n = sigma.shape[-1]
+    gram = np.swapaxes(sigma.conj(), -1, -2) @ sigma - np.eye(n)
+    return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
 
 
 def _inflow_vector(num_ports: int, inflow) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Scattering matrix: closed form, time iteration, unitarity, transmission."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_tailed_graph import connected_graphs
 
-from tailwalk import build_E
+from tailwalk import attach_tails, build_E, preset_graph
 from tailwalk.internal_spectral import spectral_decompose
 from tailwalk.scattering import (
     NoConvergence,
@@ -33,6 +36,17 @@ def test_unitarity_on_a_grid(suite_graphs):
         for lam in np.linspace(0.0, 2 * np.pi, 37):
             d = unitarity_defect(ev.sigma(lam))
             assert d < 1e-9, f"{name}: defect {d:.2e} at lam={lam:.3f}"
+
+
+def test_sigma_stacks_over_a_lambda_array(suite_graphs):
+    grid = np.linspace(-np.pi, np.pi, 33)
+    for tg in suite_graphs.values():
+        ev = evaluator(build_E(tg, 0.25))
+        stack = ev.sigma(grid)
+        singles = [ev.sigma(lam) for lam in grid]
+        assert stack.shape == (33, tg.num_ports, tg.num_ports)
+        assert np.array_equal(stack, singles)
+        assert unitarity_defect(stack) == max(map(unitarity_defect, singles))
 
 
 def test_embedded_states_do_not_couple_to_ports(im_k4a):
@@ -166,6 +180,78 @@ def test_iteration_refuses_bad_arguments(im_c4a, bad):
         stationary_iterate(im_c4a.at(0.25), 0.9, np.array([1.0, 0, 0]), **bad)
 
 
+def test_block_power_formed_once_per_matrix(c4_full, monkeypatch):
+    calls = []
+    real = np.linalg.matrix_power
+
+    def counting(M, n):
+        calls.append(n)
+        return real(M, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    im0 = build_E(c4_full)
+    im = im0.at(0.25)
+    for lam in (0.3, 1.1, -2.0, np.pi):
+        for port in range(4):
+            alpha = np.zeros(4, dtype=complex)
+            alpha[port] = 1.0
+            rec = stationary_iterate(im, lam, alpha)
+            assert rec.steps > 64  # every call advances past its first block
+    assert calls == [64]
+    again = im0.at(0.25)
+    stationary_iterate(again, 0.3, np.array([1.0, 0, 0, 0], dtype=complex))
+    assert calls == [64, 64]
+    assert again.E_block is not im.E_block
+
+
+@pytest.fixture(scope="module")
+def im_c16():
+    return build_E(attach_tails(preset_graph("cycle:16"), (0, 1, 2, 3)), 0.25)
+
+
+def test_screened_blocks_keep_the_stopping_step(im_c16, monkeypatch):
+    # most blocks of these runs are screened out before the per-step check,
+    # whose running sums are the only cumsum calls
+    real, exact = np.cumsum, []
+
+    def cumsum(*args, **kwargs):
+        exact.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", cumsum)
+    rng = np.random.default_rng(11)
+    for lam in (0.4, np.pi):
+        alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        alpha /= np.linalg.norm(alpha)
+        want, want_steps = _scalar_iterate(im_c16, lam, alpha)
+        exact.clear()
+        rec = stationary_iterate(im_c16, lam, alpha)
+        assert want is not None
+        assert abs(rec.steps - want_steps) <= 3
+        assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
+        assert 0 < len(exact) < rec.steps / 64 / 2
+
+
+def test_loose_tolerance_stops_in_the_first_block(im_c16):
+    alpha = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    want, want_steps = _scalar_iterate(im_c16, 0.4, alpha, rtol=1e-1)
+    rec = stationary_iterate(im_c16, 0.4, alpha, rtol=1e-1)
+    assert rec.steps < 64
+    assert abs(rec.steps - want_steps) <= 3
+    assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
+
+
+def test_nan_in_E_never_converges(im_c4a):
+    # NaN fails the screen's comparison, so its blocks get the exact check
+    im = im_c4a.at(0.25)
+    E = im.E.copy()
+    E[3, 5] = np.nan
+    bad = dataclasses.replace(im, E=E)
+    for budget in (5, 64, 200):
+        with pytest.raises(NoConvergence):
+            stationary_iterate(bad, 0.9, np.array([1.0, 0, 0]), max_steps=budget)
+
+
 def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
     # route 1 must stay independent of the closed form's eigen-machinery
     import scipy.linalg
@@ -278,3 +364,23 @@ def test_unitarity_property(eps, lam):
     tg = attach_tails(preset_graph("cycle:4"), (0, 1, 3))
     sigma = evaluator(build_E(tg, eps)).sigma(lam)
     assert unitarity_defect(sigma) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.data())
+def test_routes_agree_on_random_graphs(g, data):
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=g.num_vertices)
+    )
+    eps = data.draw(st.floats(min_value=0.3, max_value=0.9))
+    lams = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2))
+    im = build_E(attach_tails(g, tails), eps)
+    sd = spectral_decompose(im.E)
+    # the slowest decay rate must let the iteration settle within its budget
+    assume(max((abs(c.value) for c in sd.clusters if not c.on_circle), default=0.0) <= 0.995)
+    ev = SigmaEvaluator(im, sd)
+    for lam in lams:
+        closed = ev.sigma(lam)
+        for p in range(im.tg.num_ports):
+            rec = stationary_iterate(im, lam, np.eye(im.tg.num_ports)[p])
+            assert_allclose(rec.outgoing, closed[:, p], rtol=0, atol=1e-7)
