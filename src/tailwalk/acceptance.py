@@ -35,13 +35,7 @@ from .perturbation import (
     total_projection,
 )
 from .scattering import stationary_iterate, unitarity_defect
-from .smt_laplacian import (
-    birth_basis,
-    birth_multiplicities,
-    build_operators,
-    classify,
-    joukowsky_preimages,
-)
+from .smt_laplacian import birth_basis, birth_multiplicities, classify, joukowsky_preimages
 from .tailed_graph import attach_tails, preset_graph
 
 __all__ = ["FIXTURES", "make_fixture", "CriterionResult", "run_all", "run_criterion"]
@@ -71,21 +65,22 @@ def make_fixture(name: str):
 
 class _Context:
     """What the criteria of one run share, each built on first use: E(0) per
-    fixture, a Coupling per (fixture, eps), a ledger per (fixture, cluster
-    value), and one decomposition per distinct matrix (fixtures on one
-    internal graph share E0)."""
+    fixture, its unperturbed problem ``base`` (E0's decomposition and the
+    graph's T-eigenspaces), a Coupling per (fixture, eps), a ledger per
+    (fixture, cluster value), and one decomposition per distinct matrix
+    (fixtures on one internal graph share E0)."""
 
     def __init__(self, names: list[str]):
         self.names = names
         self._sd: dict = {}
         self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
-        self.sd0 = lambda name: self.decompose(self.im0(name).E0)
+        self.base = functools.cache(
+            lambda name: Coupling(im := self.im0(name), self.decompose(im.E0))
+        )
         self.coupling = functools.cache(
             lambda name, eps: Coupling(im := self.im0(name).at(eps), self.decompose(im.E))
         )
-        self.ledger = functools.cache(
-            lambda name, mu: reduce_eigenvalue(self.im0(name), mu, self.sd0(name))
-        )
+        self.ledger = functools.cache(lambda name, mu: reduce_eigenvalue(self.base(name), mu))
 
     def decompose(self, E: np.ndarray):
         key = (E.shape, E.tobytes())
@@ -217,12 +212,12 @@ def _c5(ctx, residual_tol=None):
     worst = 0.0
     count = 0
     for name in ctx.names:
-        tg = ctx.im0(name).tg
         for eps in (0.1, 0.25, 0.5):
-            w, V = ctx.coupling(name, eps).eig
+            cpl = ctx.coupling(name, eps)
+            w, V = cpl.eig
             for i in range(len(w)):
                 if abs(w[i]) < 1.0 - 1e-6:
-                    r = verify_outgoing(tg, eps, complex(w[i]), V[:, i], depth=20)
+                    r = verify_outgoing(cpl.im, complex(w[i]), V[:, i], depth=20)
                     worst = max(worst, r)
                     count += 1
     tol = 1e-8 if residual_tol is None else residual_tol
@@ -241,10 +236,9 @@ def _c6(ctx, residual_tol=None):
     worst_map = 0.0
     problems = []
     for name in ctx.names:
-        tg = ctx.im0(name).tg
-        lt = build_operators(tg)
-        tvals = lt.eigh()[0]
-        sd = ctx.sd0(name)
+        base = ctx.base(name)
+        tg, lt, sd = base.im.tg, base.lt, base.sd
+        tvals = lt.spectrum[0]
         cvals = sd.values()
         preimages = [z for t in tvals for z in joukowsky_preimages(float(t))]
         for z in preimages:
@@ -254,7 +248,7 @@ def _c6(ctx, residual_tol=None):
             worst_map = max(worst_map, float(np.min(np.abs(pool - cv))))
         m1, mm1 = birth_multiplicities(tg)
         want = BIRTH_COUNTS[FIXTURES[name][0]]
-        cls = classify(tg)
+        cls = classify(lt)
         got = (
             next((c.birth_mult for c in cls if abs(c.value - 1.0) < 1e-9), 0),
             next((c.birth_mult for c in cls if abs(c.value + 1.0) < 1e-9), 0),
@@ -280,8 +274,7 @@ def _c7(ctx, residual_tol=None):
     worst = 0.0
     count = 0
     for name in ctx.names:
-        im0 = ctx.im0(name)
-        lt = build_operators(im0.tg)
+        im0, lt = ctx.im0(name), ctx.base(name).lt
         for lam in (1.0, -1.0):
             U = birth_basis(lt, lam)
             if U.shape[1] == 0:
@@ -301,10 +294,6 @@ def _c7(ctx, residual_tol=None):
 # 8. eigenvalue motion asymptotics
 # --------------------------------------------------------------------------
 
-def _mu1_key(mu1: complex) -> tuple[float, float]:
-    return (round(mu1.real, 9), round(mu1.imag, 9))
-
-
 def _c8(ctx, residual_tol=None):
     eligible = [n for n in ctx.names if n in PERTURB_FIXTURES]
     if not eligible:
@@ -314,19 +303,17 @@ def _c8(ctx, residual_tol=None):
     n_first = 0
     n_second = 0
     for name in eligible:
-        im, sd0 = ctx.im0(name), ctx.sd0(name)
+        base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
-        for cl in sd0.clusters:
+        for cl in base.sd.clusters:
             led = ctx.ledger(name, cl.value)
-            asym = resonance_asymptote(led, ladder, sd0)
-            gates = {}
-            for b in led.branches:
-                if abs(b.mu1) < 1e-10:
-                    continue
-                key = _mu1_key(b.mu1)
-                if key not in gates:
-                    rep = assumption_report(im, led, b.mu1, ladder[eps_ladder[-1]], sd0)
-                    gates[key] = rep.gate
+            asym = resonance_asymptote(led, ladder, base)
+            gated = {
+                b
+                for mu1 in led.families()
+                if assumption_report(base, led, mu1, ladder[eps_ladder[-1]]).gate
+                for b in led.family(mu1)
+            }
             for bi, b in enumerate(led.branches):
                 if abs(b.mu1) < 1e-10:
                     continue
@@ -343,7 +330,7 @@ def _c8(ctx, residual_tol=None):
                     problems.append(
                         f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: first-order slope {s1:.2f}"
                     )
-                if gates[_mu1_key(b.mu1)]:
+                if b in gated:
                     n_second += 1
                     s2 = (
                         np.inf
@@ -371,14 +358,14 @@ def _c8(ctx, residual_tol=None):
 def _c9(ctx, residual_tol=None):
     if "c4-3tails-a" not in ctx.names:
         return "skip", "runs on c4-3tails-a only"
-    im, sd0 = ctx.im0("c4-3tails-a"), ctx.sd0("c4-3tails-a")
+    base = ctx.base("c4-3tails-a")
     worst_order = np.inf
     parts = []
-    for cl in sd0.clusters:
-        coeffs = projection_expansion(im, cl.value, order=3, sd0=sd0)
+    for cl in base.sd.clusters:
+        coeffs = projection_expansion(base, cl.value, order=3)
         errs = []
         for e in (0.02, 0.01):
-            P_eps = total_projection(ctx.coupling("c4-3tails-a", e), cl.value, sd0)
+            P_eps = total_projection(ctx.coupling("c4-3tails-a", e), cl.value, base)
             k = kappa(e)
             approx = sum(k**j * coeffs[j] for j in range(4))
             errs.append(float(np.linalg.norm(P_eps - approx, 2)))
@@ -413,7 +400,7 @@ def _c10(ctx, residual_tol=None):
     flux_slopes = []
     for name in ctx.names:
         im0 = ctx.im0(name)
-        muvals = ctx.sd0(name).values()
+        muvals = ctx.base(name).sd.values()
         lams = []
         while len(lams) < 8:
             lam = float(rng.uniform(-np.pi, np.pi))
@@ -465,28 +452,17 @@ def _c11(ctx, residual_tol=None):
     problems = []
     skipped = []
     for name in eligible:
-        im, sd0 = ctx.im0(name), ctx.sd0(name)
+        base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
-        for cl in sd0.clusters:
+        for cl in base.sd.clusters:
             led = ctx.ledger(name, cl.value)
-            seen = set()
-            for b in led.branches:
-                if abs(b.mu1) < 1e-10:
-                    continue
-                key = _mu1_key(b.mu1)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rec = resonant_sigma_limit(im, led, b.mu1, ladder, sd0)
-                if not any(
-                    bb.hosts_resonance
-                    for bb in led.branches
-                    if abs(bb.mu1 - b.mu1) < 1e-8
-                ):
+            for mu1 in led.families():
+                rec = resonant_sigma_limit(base, led, mu1, ladder)
+                if not any(b.hosts_resonance for b in led.family(mu1)):
                     continue
                 if rec.caveat:
                     skipped.append(
-                        f"{name} mu={led.mu:.2f} mu1={b.mu1:.3f}: "
+                        f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: "
                         f"a1={rec.verdicts.a1} a2={rec.verdicts.a2} "
                         f"x_nonzero={rec.verdicts.x_nonzero}"
                     )
@@ -497,7 +473,7 @@ def _c11(ctx, residual_tol=None):
                 )
                 if not (decreasing and rec.norms[-1] < 0.5 * rec.norms[0]):
                     problems.append(
-                        f"{name} mu={led.mu:.2f} mu1={b.mu1:.3f}: norms "
+                        f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: norms "
                         + " -> ".join(f"{v:.3e}" for v in rec.norms)
                     )
     if ran == 0:
@@ -528,19 +504,19 @@ def _c12(ctx, residual_tol=None):
     """
     if "c4-3tails-a" not in ctx.names:
         return "skip", "runs on c4-3tails-a only"
-    im, sd0 = ctx.im0("c4-3tails-a"), ctx.sd0("c4-3tails-a")
+    base = ctx.base("c4-3tails-a")
     ok = True
     parts = []
     for sgn in (1.0, -1.0):
         mu = complex(sgn)
-        led = ctx.ledger("c4-3tails-a", sd0.cluster_near(mu).value)
+        led = ctx.ledger("c4-3tails-a", base.sd.cluster_near(mu).value)
         moving = [b for b in led.branches if abs(b.mu1) > 1e-12]
         if len(moving) != 1:
             return "fail", f"mu={sgn:+.0f}: expected one moving branch, got {len(moving)}"
         b = moving[0]
         if b.eta1 is None:
             return "fail", f"mu={sgn:+.0f}: mu1 = {b.mu1:.6f} has no real boundary scalar"
-        graph_eta = build_M1(im, mu).eta1
+        graph_eta = build_M1(base, mu).eta1
         if graph_eta.size != 1:
             return "fail", f"mu={sgn:+.0f}: M1 has {graph_eta.size} eigenvalues, expected 1"
         eta_m1 = float(graph_eta[0])

@@ -319,7 +319,10 @@ def cmd_perturb(cfg: RunConfig) -> int:
         raise ConfigError("perturb needs distinct nonzero eps values (log-log slope fits)")
     tg = _load_tailed_graph(cfg)
     im = build_E(tg, 0.0)
-    sd0 = spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
+    # the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
+    base = Coupling(
+        im, spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
+    )
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     # the ladder, largest eps first, shared by every family
@@ -328,9 +331,9 @@ def cmd_perturb(cfg: RunConfig) -> int:
     ledger_entries = []
     asym_rows = []
     limit_records = []
-    for cl in sd0.clusters:
-        led = reduce_eigenvalue(im, cl.value, sd0)
-        asym = resonance_asymptote(led, couplings, sd0)
+    for cl in base.sd.clusters:
+        led = reduce_eigenvalue(base, cl.value)
+        asym = resonance_asymptote(led, couplings, base)
         entry = led.to_json_dict()
         for bi, b in enumerate(led.branches):
             rec = asym["per_branch"][bi]
@@ -345,15 +348,8 @@ def cmd_perturb(cfg: RunConfig) -> int:
             [r["epsilon"], r["re_true"], r["im_true"], r["re_pred"], r["im_pred"], r["abs_err"]]
             for r in asym["rows"]
         )
-        seen = set()
-        for b in led.branches:
-            if abs(b.mu1) < 1e-10:
-                continue
-            key = (round(b.mu1.real, 9), round(b.mu1.imag, 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            rec = resonant_sigma_limit(im, led, b.mu1, couplings, sd0)
+        for mu1 in led.families():
+            rec = resonant_sigma_limit(base, led, mu1, couplings)
             limit_records.append(
                 {
                     "mu": [rec.mu.real, rec.mu.imag],
@@ -378,7 +374,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
     ledger_file = outdir / "ledger.json"
     ledger_file.write_text(json.dumps({"eigenvalues": ledger_entries}, indent=1) + "\n")
-    _write_sidecar(ledger_file, cfg, "perturb", {"cluster_decisions": _cluster_record(sd0)})
+    _write_sidecar(ledger_file, cfg, "perturb", {"cluster_decisions": _cluster_record(base.sd)})
 
     asym_file = _write_table(
         outdir / "asymptote",

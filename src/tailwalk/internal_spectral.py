@@ -316,16 +316,10 @@ def projection_contour_oracle(
     return (radius / nodes) * acc
 
 
-def verify_outgoing(
-    tg: TailedGraph,
-    eps: float,
-    mu: complex,
-    vec: np.ndarray,
-    depth: int = 20,
-) -> float:
+def verify_outgoing(im: InternalMatrix, mu: complex, vec: np.ndarray, depth: int = 20) -> float:
     """Sup-norm residual of the outgoing extension on a truncated system.
 
-    Extends an internal eigenvector (E v = mu v) to a generalized
+    Extends an internal eigenvector (E v = mu v) of ``im.E`` to a generalized
     eigenfunction of the full walk: zero on incoming tail arcs, geometric
     profile psi(out port j, distance l) = mu^{-(l-1)} psi(out, 1) with
     psi(out, 1) = (B_out v)_j / mu.  Returns max |(U - mu) psi| over the
@@ -335,11 +329,10 @@ def verify_outgoing(
     """
     if abs(mu) >= 1.0:
         raise NotAResonance(f"|mu| = {abs(mu):.6f} is not strictly inside the disk")
-    im = build_E(tg, eps)
     v = np.asarray(vec, dtype=complex)
-    walk = WalkOperator(tg, eps, depth + 2)
+    walk = WalkOperator(im.tg, im.eps, depth + 2)
     psi = np.zeros(walk.dim, dtype=complex)
-    psi[: tg.num_arcs] = v
+    psi[: im.tg.num_arcs] = v
     first_out = im.B_out @ v / mu
     for j, t in enumerate(walk.tails):
         for l in range(1, depth + 3):

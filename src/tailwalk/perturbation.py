@@ -16,9 +16,14 @@ displays drop symmetric terms that matter beyond second order):
   P^(k) = (-1)^(k+1) * sum over (e_0..e_k), e_i >= -1, sum e_i = -1 of
           F(e_0) X F(e_1) X ... X F(e_k),   F(-1) = -P, F(n>=0) = S_mu^(n+1).
 
-The graph-side expressions of the first/second order matrices (boundary
-Gram matrices of T-eigenvectors) live here as well, cross-validated against
-the arc-space operators they are claimed to represent.
+Everything here works on one unperturbed problem, ``base``: the
+:class:`Coupling` at eps = 0.  On the arc side it holds E0's decomposition
+(P, S_mu); on the graph side, through ``base.lt``, the T-eigenspaces that
+the Joukowsky map lifts to E0's (persistent and moving parts, the
+first/second-order boundary Gram matrices M1, M2).  Each side is factored
+once per run and every function below reads it from ``base``.  The
+graph-side matrices are cross-validated against the arc-space operators
+they are claimed to represent.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .smt_laplacian import (
     persistent_basis,
     t_eigenbasis_split,
 )
-from .tailed_graph import TailedGraph
 
 __all__ = [
     "GroupEscapedContour",
@@ -84,10 +88,18 @@ class Coupling:
     """One E(eps), factored once at the run's tolerances and shared by every
     consumer: ``sd`` is its spectral data, and the closed-form evaluator and
     the eigenvectors hypothesis a1 compares against are built on first use.
+
+    At eps = 0 it is the unperturbed problem, ``base``: E0 with its
+    decomposition, and through ``lt`` the graph's T-eigenspaces, which the
+    reduction and the graph-side matrices read.
     """
 
     im: InternalMatrix
     sd: SpectralData
+
+    @cached_property
+    def lt(self) -> LaplacianT:
+        return build_operators(self.im.tg)
 
     @cached_property
     def sigma(self) -> SigmaEvaluator:
@@ -105,56 +117,53 @@ def _onb_of_projection(P: np.ndarray) -> np.ndarray:
     return U[:, :rank]
 
 
-def _reduced_resolvent(sd0: SpectralData, mu: complex) -> np.ndarray:
-    S = np.zeros_like(sd0.matrix)
-    for c in sd0.clusters:
+def _reduced_resolvent(sd: SpectralData, mu: complex) -> np.ndarray:
+    S = np.zeros_like(sd.matrix)
+    for c in sd.clusters:
         if abs(c.value - mu) < 1e-9:
             continue
         S = S + c.projection / (c.value - mu)
     return S
 
 
-def total_projection(cpl: Coupling, mu0: complex, sd0: SpectralData) -> np.ndarray:
+def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
     """Total projection of the eps-group of eigenvalues continuing mu0.
 
-    ``cpl`` is E(eps) with its decomposition's eigenvalues.  The group is
-    delimited by an adaptive circle around mu0: starting from half the
-    distance to the nearest other unperturbed cluster, the radius is
-    shrunk until no eigenvalue of E(eps) falls in the guard annulus
-    [0.8 r, 1.25 r].  If no radius isolates a group of the unperturbed
-    multiplicity, the group has escaped (eps too large for perturbative
-    tracking) and :class:`GroupEscapedContour` is raised.
+    ``cpl`` is E(eps) with its decomposition's eigenvalues, ``base`` the
+    unperturbed problem.  The group is delimited by an adaptive circle
+    around mu0: starting from half the distance to the nearest other
+    cluster of ``base``, the radius is shrunk until no eigenvalue of E(eps)
+    falls in the guard annulus [0.8 r, 1.25 r].  If no radius isolates a
+    group of the unperturbed multiplicity, the group has escaped (eps too
+    large for perturbative tracking) and :class:`GroupEscapedContour` is
+    raised.
     """
-    base = sd0.cluster_near(mu0)
-    r0 = _group_radius(sd0, mu0)
+    cl = base.sd.cluster_near(mu0)
+    r0 = _group_radius(base.sd, mu0)
     vals = cpl.sd.eigenvalues
     for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
         r = r0 * shrink
-        dist = np.abs(vals - base.value)
+        dist = np.abs(vals - cl.value)
         inside = dist < 0.8 * r
         guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
-        if not np.any(guard) and int(np.sum(inside)) == base.mult:
+        if not np.any(guard) and int(np.sum(inside)) == cl.mult:
             return _schur_projection(cpl.im.E, vals[inside], vals[~inside])
     raise GroupEscapedContour(
         f"no contour around {mu0:.4f} isolates a group of multiplicity "
-        f"{base.mult} at eps={cpl.im.eps}"
+        f"{cl.mult} at eps={cpl.im.eps}"
     )
 
 
-def projection_expansion(
-    im: InternalMatrix,
-    mu0: complex,
-    sd0: SpectralData,
-    order: int = 3,
-) -> list[np.ndarray]:
+def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[np.ndarray]:
     """Taylor coefficients [P, P^(1), .., P^(order)] of the total projection.
 
     Full slot enumeration over resolvent exponents; exact for semi-simple
     unperturbed eigenvalues (our E0 is unitary).
     """
-    P = sd0.cluster_near(mu0).projection
-    S = _reduced_resolvent(sd0, sd0.cluster_near(mu0).value)
-    X = im.E1
+    cl = base.sd.cluster_near(mu0)
+    P = cl.projection
+    S = _reduced_resolvent(base.sd, cl.value)
+    X = base.im.E1
     n = P.shape[0]
     Spow = {0: np.eye(n, dtype=complex)}
     for p in range(1, order + 1):
@@ -178,7 +187,7 @@ def projection_expansion(
     return coeffs
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, so families can be sets of branches
 class Branch:
     mu1: complex
     mu2: complex
@@ -197,6 +206,19 @@ class ReductionLedger:
     branches: list[Branch]
     P: np.ndarray
     stage1_values: list[complex]
+
+    def families(self) -> list[complex]:
+        """The distinct moving stage-one values, in branch order: one per
+        (mu, mu1) family, equal to 9 decimals counting as one."""
+        keys: dict[tuple[float, float], complex] = {}
+        for b in self.branches:
+            if abs(b.mu1) >= 1e-10:
+                keys.setdefault((round(b.mu1.real, 9), round(b.mu1.imag, 9)), b.mu1)
+        return list(keys.values())
+
+    def family(self, mu1: complex) -> list[Branch]:
+        """The branches of the (mu, mu1) family: stage-one value within 1e-8."""
+        return [b for b in self.branches if abs(b.mu1 - mu1) < 1e-8]
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,9 +242,8 @@ def _gamma_scalar(mu: complex) -> float:
 
 
 def reduce_eigenvalue(
-    im: InternalMatrix,
+    base: Coupling,
     mu0: complex,
-    sd0: SpectralData,
     stage_tol: float = 1e-8,
     semisimple_tol: float = 1e-7,
 ) -> ReductionLedger:
@@ -233,11 +254,11 @@ def reduce_eigenvalue(
     Persistence is decided by range containment in the persistent subspace
     of mu0 (lifted boundary-vanishing states plus birth states).
     """
-    cl = sd0.cluster_near(mu0)
+    cl = base.sd.cluster_near(mu0)
     mu = cl.value
     P = cl.projection
     Q = _onb_of_projection(P)
-    X = im.E1
+    X = base.im.E1
     A1 = Q.conj().T @ X @ Q
     # floor the scale: a purely persistent group has A1 = 0 to rounding, and
     # its ~1e-32 nilpotent noise must not read as a genuine Jordan block
@@ -250,8 +271,8 @@ def reduce_eigenvalue(
                 f"mu1={c1.value:.4e}"
             )
 
-    Sred = _reduced_resolvent(sd0, mu)
-    per = persistent_basis(im.tg, mu)
+    Sred = _reduced_resolvent(base.sd, mu)
+    per = persistent_basis(base.lt, mu)
     gamma = _gamma_scalar(mu)
 
     branches: list[Branch] = []
@@ -332,18 +353,18 @@ def _lifted_eigendata(lt: LaplacianT, t: float) -> np.ndarray:
     return G
 
 
-def build_M1(im: InternalMatrix, mu0: complex) -> FirstSecondOrderMatrices:
-    lt = build_operators(im.tg)
+def build_M1(base: Coupling, mu0: complex) -> FirstSecondOrderMatrices:
+    lt = base.lt
     mu = complex(mu0)
     t = joukowsky(mu).real
     G = _lifted_eigendata(lt, t)
     M1 = _boundary_gram(lt, G, G)
     M1 = (M1 + M1.conj().T) / 2.0
     U = np.stack([lift(lt, mu, G[:, j]) for j in range(G.shape[1])], axis=1) \
-        if G.shape[1] else np.zeros((im.tg.num_arcs, 0), dtype=complex)
+        if G.shape[1] else np.zeros((lt.tg.num_arcs, 0), dtype=complex)
     gamma = _gamma_scalar(mu)
     if U.shape[1]:
-        direct = U.conj().T @ im.E1 @ U
+        direct = U.conj().T @ base.im.E1 @ U
         resid = float(np.linalg.norm(direct - gamma * mu * M1))
     else:
         direct = np.zeros((0, 0), dtype=complex)
@@ -355,13 +376,12 @@ def build_M1(im: InternalMatrix, mu0: complex) -> FirstSecondOrderMatrices:
     )
 
 
-def build_M2(tg: TailedGraph, mu0: complex, zeta: complex) -> np.ndarray:
+def build_M2(lt: LaplacianT, mu0: complex, zeta: complex) -> np.ndarray:
     """Second-order boundary Gram matrix between the mu and zeta eigendata.
 
     Shape (s(zeta), s(mu)); adjoint symmetry build_M2(mu, zeta) =
     build_M2(zeta, mu)^* holds by construction of the weighted Gram form.
     """
-    lt = build_operators(tg)
     Gm = _lifted_eigendata(lt, joukowsky(complex(mu0)).real)
     Gz = _lifted_eigendata(lt, joukowsky(complex(zeta)).real)
     return _boundary_gram(lt, Gz, Gm)
@@ -375,11 +395,7 @@ def _omega(z: complex) -> float:
     return float(np.sign(np.sin(np.angle(z)))) / np.sqrt(2.0)
 
 
-def mu2_bound_check(
-    im: InternalMatrix,
-    ledger: ReductionLedger,
-    sd0: SpectralData,
-) -> dict:
+def mu2_bound_check(base: Coupling, ledger: ReductionLedger) -> dict:
     """Second-order magnitude bound plus the graph-side cross validation.
 
     Checks |mu2| <= gap^{-1} (#sigma_p - 1) (min_boundary n)^{-2} for every
@@ -387,23 +403,23 @@ def mu2_bound_check(
     identity  [P X P_zeta X P]_lifted = mu zeta w_mu^2 w_zeta^2 M2* M2,
     which ties the arc-space operators to the boundary Gram matrices.
     """
-    tg = im.tg
+    tg = base.im.tg
     mu = ledger.mu
-    others = [c for c in sd0.clusters if abs(c.value - mu) > 1e-9]
+    others = [c for c in base.sd.clusters if abs(c.value - mu) > 1e-9]
     gap = min(abs(c.value - mu) for c in others)
     bd = list(tg.boundary_vertices)
     minn = min(int(tg.total_deg[v]) for v in bd)
-    bound = (1.0 / gap) * (len(sd0.clusters) - 1) * minn ** (-2)
+    bound = (1.0 / gap) * (len(base.sd.clusters) - 1) * minn ** (-2)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
 
-    fo = build_M1(im, mu)
+    fo = build_M1(base, mu)
     U = fo.lifted_basis
-    X = im.E1
+    X = base.im.E1
     cross = {}
     for c in others:
         zeta = c.value
         arc_side = U.conj().T @ X @ c.projection @ X @ U if U.shape[1] else np.zeros((0, 0))
-        M2 = build_M2(tg, mu, zeta)
+        M2 = build_M2(base.lt, mu, zeta)
         graph_side = mu * zeta * _omega(mu) ** 2 * _omega(zeta) ** 2 * (M2.conj().T @ M2)
         resid = float(np.linalg.norm(arc_side - graph_side))
         norm_ok = float(np.linalg.norm(M2.conj().T @ M2, 2)) <= minn ** (-2) + 1e-12
@@ -440,16 +456,16 @@ def fit_loglog_slope(eps_values, residuals) -> float:
     return float(slope)
 
 
-def _group_radius(sd0: SpectralData, mu: complex) -> float:
-    base = sd0.cluster_near(mu)
-    others = [c.value for c in sd0.clusters if c is not base]
-    return 0.5 * min(abs(z - base.value) for z in others) if others else 0.5
+def _group_radius(sd: SpectralData, mu: complex) -> float:
+    cl = sd.cluster_near(mu)
+    others = [c.value for c in sd.clusters if c is not cl]
+    return 0.5 * min(abs(z - cl.value) for z in others) if others else 0.5
 
 
 def resonance_asymptote(
     ledger: ReductionLedger,
     ladder: Mapping[float, Coupling],
-    sd0: SpectralData,
+    base: Coupling,
 ) -> dict:
     """Predicted vs. true eigenvalue motion for every branch of one group.
 
@@ -462,7 +478,7 @@ def resonance_asymptote(
     residual ladders for slope fitting.
     """
     mu = ledger.mu
-    radius = _group_radius(sd0, mu)
+    radius = _group_radius(base.sd, mu)
     rows = []
     per_branch = {
         i: {"eps": [], "first_resid": [], "second_resid": [], "puiseux_resid": []}
@@ -557,7 +573,7 @@ class ResonantLimitRecord:
 
 
 def _family(ledger: ReductionLedger, mu1: complex) -> tuple[list[Branch], float, float, complex]:
-    fam = [b for b in ledger.branches if abs(b.mu1 - mu1) < 1e-8]
+    fam = ledger.family(mu1)
     if not fam:
         raise ValueError(f"no branch with mu1 = {mu1} at mu = {ledger.mu}")
     eta1 = fam[0].eta1 if fam[0].eta1 is not None else 0.0
@@ -570,11 +586,10 @@ def _family(ledger: ReductionLedger, mu1: complex) -> tuple[list[Branch], float,
 
 
 def assumption_report(
-    im: InternalMatrix,
+    base: Coupling,
     ledger: ReductionLedger,
     mu1: complex,
     probe: Coupling,
-    sd0: SpectralData,
 ) -> AssumptionReport:
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
 
@@ -616,15 +631,16 @@ def assumption_report(
             a1 = False
     details["a1_max_sine"] = max(angles) if angles else 0.0
 
-    bd = list(im.tg.boundary_vertices)
-    nu_minus = min(int(im.tg.total_deg[v]) for v in bd)
-    nu_plus = max(int(im.tg.total_deg[v]) for v in bd)
-    others = [c.value for c in sd0.clusters if abs(c.value - mu) > 1e-9]
+    tg = base.im.tg
+    bd = list(tg.boundary_vertices)
+    nu_minus = min(int(tg.total_deg[v]) for v in bd)
+    nu_plus = max(int(tg.total_deg[v]) for v in bd)
+    others = [c.value for c in base.sd.clusters if abs(c.value - mu) > 1e-9]
     gap = min(abs(z - mu) for z in others)
-    fo = build_M1(im, mu)
+    fo = build_M1(base, mu)
     lam_min = float(np.min(-fo.eta1)) if fo.eta1.size else 0.0
     c_surrogate = 1.0 / (nu_plus * lam_min) if lam_min > 0 else np.inf
-    lhs = 2.0 * (1.0 / gap) * (len(sd0.clusters) - 1) * nu_minus ** (-2)
+    lhs = 2.0 * (1.0 / gap) * (len(base.sd.clusters) - 1) * nu_minus ** (-2)
     rhs = (1.0 / (2.0 * c_surrogate)) * (1.0 / nu_plus) * (1.0 - 1.0 / nu_minus) \
         if np.isfinite(c_surrogate) else 0.0
     a3 = bool(nu_minus >= 3 and lhs < rhs)
@@ -638,11 +654,10 @@ def assumption_report(
 
 
 def resonant_sigma_limit(
-    im: InternalMatrix,
+    base: Coupling,
     ledger: ReductionLedger,
     mu1: complex,
     ladder: Mapping[float, Coupling],
-    sd0: SpectralData,
 ) -> ResonantLimitRecord:
     """Limit form of the scattering matrix along the resonant frequency path.
 
@@ -671,8 +686,9 @@ def resonant_sigma_limit(
     """
     mu = ledger.mu
     fam, eta1, ge, Xs = _family(ledger, mu1)
-    verdicts = assumption_report(im, ledger, mu1, ladder[min(ladder)], sd0)
+    verdicts = assumption_report(base, ledger, mu1, ladder[min(ladder)])
 
+    im = base.im
     N = im.tg.num_ports
     sigma01 = np.zeros((N, N), dtype=complex)
     for b in fam:

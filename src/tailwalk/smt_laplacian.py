@@ -18,6 +18,7 @@ survive the coupling unchanged for every eps: the persistent eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +63,10 @@ def joukowsky_preimages(t: float, tol: float = 1e-12) -> tuple[complex, ...]:
 
 @dataclass
 class LaplacianT:
+    """The graph's vertex operators.  T's spectrum and its grouped,
+    boundary-split eigenspaces are computed once, on first use, so every
+    consumer of one graph shares a single diagonalisation."""
+
     tg: TailedGraph
     d: np.ndarray
     dstar: np.ndarray
@@ -74,7 +79,8 @@ class LaplacianT:
         """Weighted vertex inner product <f, g> = sum n_i(v) f(v) conj(g(v))."""
         return complex(np.sum(self.weights * f * np.conj(g)))
 
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and W-orthonormal eigenvectors of T (ascending).
 
         T is self-adjoint only in the weighted inner product, so diagonalise
@@ -84,6 +90,39 @@ class LaplacianT:
         A = (rw[:, None] * self.T) / rw[None, :]
         vals, vecs = np.linalg.eigh((A + A.T) / 2.0)
         return vals, vecs / rw[:, None]
+
+    @cached_property
+    def eigenspaces(self) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+        """(t, F, per, rest) per eigenvalue t of T, grouped to 1e-9.
+
+        F is a W-orthonormal basis of Ker(T - t); per spans its
+        boundary-vanishing (persistent) directions and rest their complement
+        in Ker(T - t).  Both are F times orthonormal coefficients, so both
+        are W-orthonormal and W-orthogonal to each other.
+        """
+        vals, vecs = self.spectrum
+        groups: list[tuple[float, np.ndarray]] = []
+        i = 0
+        while i < len(vals):
+            j = i
+            while j + 1 < len(vals) and vals[j + 1] - vals[i] < 1e-9:
+                j += 1
+            groups.append((float(np.mean(vals[i : j + 1])), vecs[:, i : j + 1]))
+            i = j + 1
+        bd = list(self.tg.boundary_vertices)
+        out = []
+        for t, F in groups:
+            ker = scipy.linalg.null_space(F[bd, :], rcond=1e-9) if bd else np.eye(F.shape[1])
+            per = F @ ker
+            if ker.shape[1] < F.shape[1]:
+                # complement of ker inside the group, in coefficient space
+                proj = np.eye(F.shape[1]) - ker @ ker.conj().T
+                comp = scipy.linalg.orth(proj) if ker.shape[1] else np.eye(F.shape[1])
+                rest = F @ comp
+            else:
+                rest = np.zeros((F.shape[0], 0))
+            out.append((t, F, per, rest))
+        return out
 
 
 def build_operators(tg: TailedGraph) -> LaplacianT:
@@ -197,73 +236,25 @@ class EigenClassification:
         return self.inherited_mult + self.birth_mult
 
 
-def _grouped_T_eigendata(lt: LaplacianT, tol: float = 1e-9):
-    """T eigenvalues grouped to tolerance, each with a W-orthonormal basis,
-    split into boundary-vanishing (persistent) and complement parts."""
-    vals, vecs = lt.eigh()
-    groups: list[tuple[float, np.ndarray]] = []
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[i] < tol:
-            j += 1
-        groups.append((float(np.mean(vals[i : j + 1])), vecs[:, i : j + 1]))
-        i = j + 1
-    bd = list(lt.tg.boundary_vertices)
-    out = []
-    for t, F in groups:
-        if bd:
-            Fb = F[bd, :]
-            ker = scipy.linalg.null_space(Fb, rcond=1e-9)
-        else:
-            ker = np.eye(F.shape[1])
-        per = F @ ker  # persistent directions (vanish on the boundary)
-        if ker.shape[1] < F.shape[1]:
-            # complement of ker inside the group, in coefficient space
-            proj = np.eye(F.shape[1]) - ker @ ker.conj().T
-            comp = scipy.linalg.orth(proj) if ker.shape[1] else np.eye(F.shape[1])
-            rest = F @ comp
-        else:
-            rest = np.zeros((F.shape[0], 0))
-        out.append((t, F, per, rest))
-    return out
-
-
-def _w_orthonormalize(lt: LaplacianT, G: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt in the weighted vertex inner product."""
-    cols = []
-    for j in range(G.shape[1]):
-        g = G[:, j].astype(complex)
-        for c in cols:
-            g = g - lt.w_inner(g, c) * c
-        nrm = np.sqrt(lt.w_inner(g, g).real)
-        if nrm > 1e-12:
-            cols.append(g / nrm)
-    if not cols:
-        return np.zeros((G.shape[0], 0), dtype=complex)
-    return np.stack(cols, axis=1)
-
-
-def t_eigenbasis_split(lt: LaplacianT, t: float, tol: float = 1e-9):
+def t_eigenbasis_split(lt: LaplacianT, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(persistent, complement) W-orthonormal bases of Ker(T - t)."""
-    for tv, F, per, rest in _grouped_T_eigendata(lt, tol):
-        if abs(tv - t) < max(tol * 10, 1e-8):
-            return _w_orthonormalize(lt, per), _w_orthonormalize(lt, rest)
+    for tv, _, per, rest in lt.eigenspaces:
+        if abs(tv - t) < 1e-8:
+            return per, rest
     raise KeyError(f"{t} is not an eigenvalue of T")
 
 
-def classify(tg: TailedGraph, tol: float = 1e-9) -> list[EigenClassification]:
+def classify(lt: LaplacianT) -> list[EigenClassification]:
     """Classification of sigma_p(E0) into inherited/birth/persistent parts."""
-    lt = build_operators(tg)
-    m1, m_minus = birth_multiplicities(tg)
+    m1, m_minus = birth_multiplicities(lt.tg)
     entries: dict[complex, EigenClassification] = {}
 
     def key(z: complex) -> complex:
         return complex(round(z.real, 9), round(z.imag, 9))
 
-    for t, F, per, rest in _grouped_T_eigendata(lt, tol):
+    for t, F, per, _ in lt.eigenspaces:
         s = F.shape[1]
-        p = per.shape[1] if per.size else 0
+        p = per.shape[1]
         for lam in joukowsky_preimages(min(1.0, max(-1.0, t))):
             entries[key(lam)] = EigenClassification(
                 value=lam,
@@ -295,15 +286,14 @@ def classify(tg: TailedGraph, tol: float = 1e-9) -> list[EigenClassification]:
     return out
 
 
-def persistent_basis(tg: TailedGraph, lam: complex, tol: float = 1e-9) -> np.ndarray:
+def persistent_basis(lt: LaplacianT, lam: complex) -> np.ndarray:
     """Orthonormal arc-space basis of the persistent eigenspace at lam."""
-    lt = build_operators(tg)
     cols = []
     t = joukowsky(complex(lam)).real
     try:
-        per, _ = t_eigenbasis_split(lt, t, tol)
+        per, _ = t_eigenbasis_split(lt, t)
     except KeyError:
-        per = np.zeros((tg.graph.num_vertices, 0))
+        per = np.zeros((lt.tg.graph.num_vertices, 0))
     for j in range(per.shape[1]):
         cols.append(lift(lt, lam, per[:, j]))
     if abs(abs(lam) - 1) < 1e-9 and (abs(lam - 1) < 1e-9 or abs(lam + 1) < 1e-9):
@@ -311,13 +301,12 @@ def persistent_basis(tg: TailedGraph, lam: complex, tol: float = 1e-9) -> np.nda
         for j in range(B.shape[1]):
             cols.append(B[:, j].astype(complex))
     if not cols:
-        return np.zeros((tg.num_arcs, 0), dtype=complex)
-    Q = scipy.linalg.orth(np.stack(cols, axis=1))
-    return Q
+        return np.zeros((lt.tg.num_arcs, 0), dtype=complex)
+    return scipy.linalg.orth(np.stack(cols, axis=1))
 
 
 def persistent_eigenvalues(
-    tg: TailedGraph,
+    lt: LaplacianT,
     eps_values=(0.1, 0.5),
     tol: float = 1e-9,
 ) -> list[dict]:
@@ -328,14 +317,14 @@ def persistent_eigenvalues(
     requested eps.  Returns one report dict per eigenvalue.
     """
     reports = []
-    base = build_E(tg, 0.0)
-    for entry in classify(tg, tol):
+    im0 = build_E(lt.tg, 0.0)
+    for entry in classify(lt):
         if entry.persistent_mult == 0:
             continue
-        B = persistent_basis(tg, entry.value, tol)
+        B = persistent_basis(lt, entry.value)
         worst = 0.0
         for eps in eps_values:
-            im = base.at(eps)
+            im = im0.at(eps)
             R = im.E @ B - entry.value * B
             if R.size:
                 worst = max(worst, float(np.max(np.linalg.norm(R, axis=0))))

@@ -73,14 +73,16 @@ def im_k4a(k4a):
     return build_E(k4a)
 
 
+def _matrix_key(E):
+    """(hash of a matrix, its size): equal for equal matrices."""
+    E = np.ascontiguousarray(E, dtype=complex)
+    return hashlib.blake2b(repr(E.shape).encode() + E.tobytes()).hexdigest(), E.shape[0]
+
+
 @pytest.fixture(scope="session")
 def count_factorisations():
     """Context manager recording every ``spectral_decompose`` and
     ``np.linalg.eig`` call made inside it as (hash of the input, its size)."""
-
-    def key(E):
-        E = np.ascontiguousarray(E, dtype=complex)
-        return hashlib.blake2b(repr(E.shape).encode() + E.tobytes()).hexdigest(), E.shape[0]
 
     @contextlib.contextmanager
     def counting():
@@ -88,11 +90,11 @@ def count_factorisations():
         real_sd, real_eig = internal_spectral.spectral_decompose, np.linalg.eig
 
         def decompose(E, *args, **kwargs):
-            seen["decompose"].append(key(E))
+            seen["decompose"].append(_matrix_key(E))
             return real_sd(E, *args, **kwargs)
 
         def eig(a):
-            seen["eig"].append(key(a))
+            seen["eig"].append(_matrix_key(a))
             return real_eig(a)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -103,3 +105,24 @@ def count_factorisations():
 
     return counting
 
+
+@pytest.fixture(scope="session")
+def count_t_diagonalisations():
+    """Context manager recording every ``np.linalg.eigh`` call made inside it
+    as (hash of the input, its size): the package diagonalises nothing but
+    a graph's T with it, so each entry is one T diagonalisation."""
+
+    @contextlib.contextmanager
+    def counting():
+        seen = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            seen.append(_matrix_key(a))
+            return real_eigh(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", eigh)
+            yield seen
+
+    return counting

@@ -20,10 +20,10 @@ from tailwalk import acceptance
 
 
 @pytest.fixture(scope="module")
-def run_all(count_factorisations):
-    with count_factorisations() as seen:
+def run_all(count_factorisations, count_t_diagonalisations):
+    with count_factorisations() as seen, count_t_diagonalisations() as t_diag:
         results = acceptance.run_all()
-    return {r.cid: r for r in results}, seen
+    return {r.cid: r for r in results}, seen, t_diag
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,13 @@ def test_run_all_factors_each_matrix_once(run_all):
     assert arc_space and len(arc_space) == len(set(arc_space))
     eig = [h for h, _ in seen["eig"]]
     assert eig and len(eig) == len(set(eig))
+
+
+def test_run_all_diagonalises_each_graph_once(run_all):
+    # every criterion reads a fixture's T-eigenspaces from its one shared
+    # LaplacianT, so T is diagonalised at most once per fixture graph
+    t_diag = run_all[2]
+    assert 0 < len(t_diag) <= len(acceptance.FIXTURES)
 
 
 def test_fixture_filter_restricts_scope():

@@ -167,6 +167,16 @@ class TestPerturb:
         eig = [h for h, _ in seen["eig"]]
         assert len(eig) == len(set(eig)) == 1  # hypothesis a1 probes E(0.01) only
 
+    def test_diagonalises_T_once(self, tmp_path, count_t_diagonalisations):
+        # every family of every cluster reads the graph's one LaplacianT
+        with count_t_diagonalisations() as seen:
+            code, _ = run(
+                tmp_path, "perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+                "--eps", "0.04,0.02,0.01",
+            )
+        assert code == 0
+        assert seen and len(seen) == 1
+
     def test_needs_three_eps_values(self, tmp_path):
         code, _ = run(
             tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
@@ -306,3 +316,43 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_NUMERICAL
     assert "numerical failure (NoConvergence)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_TRACED_RUN = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from spans import Tracer, install
+from tailwalk import cli, perturbation
+
+tracer = Tracer()
+install(tracer)
+planned = sorted(
+    "perturbation." + name for name, fn in vars(perturbation).items()
+    if hasattr(fn, "__wrapped__") and fn.__module__ == perturbation.__name__
+)
+with tempfile.TemporaryDirectory() as out:
+    codes = [
+        cli.main(["perturb", "--preset", "cycle:4", "--tails", "0,1,2",
+                  "--eps", "0.04,0.02,0.01", "--out", out]),
+        cli.main(["verify", "--fixture", "c4-3tails-a", "--out", out]),
+    ]
+print(json.dumps({"codes": codes, "planned": planned,
+                  "traced": sorted({s[3] for s in tracer.spans})}))
+"""
+
+
+def test_traced_run_reaches_every_perturbation_span(tmp_path):
+    """The benchmark's tracer wraps layer functions by name; a rename or a
+    rebinding that bypasses a wrapper must fail here, not in a benchmark run.
+    ``perturb`` reaches the reduction, asymptote and limit functions, and the
+    verify criterion on c4-3tails-a the projection ones."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root / "perfbench")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["planned"] and set(got["planned"]) <= set(got["traced"]), got

@@ -186,11 +186,11 @@ def test_one_schur_form_per_decomposition(schur_calls, c4a):
 
 
 def test_one_schur_form_per_total_projection(schur_calls, im_c4a):
-    sd0 = spectral_decompose(im_c4a.E0)
+    base = Coupling(im_c4a, spectral_decompose(im_c4a.E0))
     im = im_c4a.at(0.1)
     cpl = Coupling(im, spectral_decompose(im.E))
     schur_calls.clear()
-    total_projection(cpl, 1 + 0j, sd0)
+    total_projection(cpl, 1 + 0j, base)
     assert len(schur_calls) == 1
 
 
@@ -254,19 +254,19 @@ def test_cluster_ambiguity_is_raised_not_papered_over(im_c4a):
 
 def test_outgoing_extension_of_a_resonance(c4a):
     eps = 0.25
-    E = build_E(c4a, eps).E
-    vals, vecs = np.linalg.eig(E)
+    im = build_E(c4a, eps)
+    vals, vecs = np.linalg.eig(im.E)
     inside = np.where(np.abs(vals) < 1 - 1e-6)[0]
     assert inside.size > 0
     k = inside[np.argmin(np.abs(vals[inside]))]
-    res = verify_outgoing(c4a, eps, vals[k], vecs[:, k], depth=20)
+    res = verify_outgoing(im, vals[k], vecs[:, k], depth=20)
     assert res < 1e-8
 
 
 def test_outgoing_extension_rejects_circle_points(c4a):
     v = np.ones(c4a.num_arcs, dtype=complex)
     with pytest.raises(NotAResonance):
-        verify_outgoing(c4a, 0.25, 1.0 + 0j, v)
+        verify_outgoing(build_E(c4a, 0.25), 1.0 + 0j, v)
 
 
 @settings(max_examples=20, deadline=None)

@@ -28,6 +28,7 @@ from tailwalk.perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
+from tailwalk.smt_laplacian import build_operators
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
 
@@ -52,31 +53,42 @@ def sd_k4(im_k4a):
     return spectral_decompose(im_k4a.E0)
 
 
+@pytest.fixture(scope="module")
+def base_c4(im_c4a, sd_c4):
+    """The unperturbed problem of c4-3tails-a: E0 decomposed, T's eigenspaces."""
+    return Coupling(im_c4a, sd_c4)
+
+
+@pytest.fixture(scope="module")
+def base_k4(im_k4a, sd_k4):
+    return Coupling(im_k4a, sd_k4)
+
+
 class TestTotalProjection:
-    def test_matches_contour_oracle(self, im_c4a, sd_c4):
-        P = total_projection(coupling(im_c4a, 0.1), 1 + 0j, sd_c4)
+    def test_matches_contour_oracle(self, im_c4a, base_c4):
+        P = total_projection(coupling(im_c4a, 0.1), 1 + 0j, base_c4)
         P_ref = projection_contour_oracle(im_c4a.at(0.1).E, 1.0, 0.4, nodes=96)
         assert np.linalg.norm(P - P_ref) < 1e-10
         assert_allclose(P @ P, P, atol=1e-12)
         assert_allclose(np.trace(P), 2.0, atol=1e-12)  # moving branch + persistent state
 
-    def test_continuity_towards_zero_coupling(self, im_c4a, sd_c4):
-        P0 = sd_c4.cluster_near(1j).projection
+    def test_continuity_towards_zero_coupling(self, im_c4a, base_c4):
+        P0 = base_c4.sd.cluster_near(1j).projection
         for eps in (0.02, 0.005):
-            P = total_projection(coupling(im_c4a, eps), 1j, sd_c4)
+            P = total_projection(coupling(im_c4a, eps), 1j, base_c4)
             assert np.linalg.norm(P - P0) < 3.0 * abs(kappa(eps))
 
-    def test_escape_is_reported_not_guessed(self, im_c4a, sd_c4):
+    def test_escape_is_reported_not_guessed(self, im_c4a, base_c4):
         # at full coupling the group is gone; tracking it would be fiction
         with pytest.raises(GroupEscapedContour):
-            total_projection(coupling(im_c4a, 1.0), 1 + 0j, sd_c4)
+            total_projection(coupling(im_c4a, 1.0), 1 + 0j, base_c4)
 
 
 class TestReduceEigenvalue:
     """Frozen branch tables for the two reference graphs."""
 
-    def test_c4_plus_one(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
+    def test_c4_plus_one(self, base_c4):
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
         assert (led.m, led.gamma) == (2, 1.0)
         moving = [b for b in led.branches if not b.persistent]
         frozen = [b for b in led.branches if b.persistent]
@@ -88,8 +100,8 @@ class TestReduceEigenvalue:
         assert_allclose(frozen[0].mu1, 0, atol=1e-10)
         assert_allclose(frozen[0].mu2, 0, atol=1e-10)
 
-    def test_c4_minus_one_mirrors_plus_one(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, -1 + 0j, sd0=sd_c4)
+    def test_c4_minus_one_mirrors_plus_one(self, base_c4):
+        led = reduce_eigenvalue(base_c4, -1 + 0j)
         assert led.gamma == 1.0
         moving = [b for b in led.branches if not b.persistent]
         assert_allclose(moving[0].mu1, 0.25, atol=1e-10)
@@ -99,8 +111,8 @@ class TestReduceEigenvalue:
         assert moving[0].eta1 is not None
         assert_allclose(moving[0].eta1, -0.25, atol=1e-10)
 
-    def test_c4_imaginary_pair(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1j, sd0=sd_c4)
+    def test_c4_imaginary_pair(self, base_c4):
+        led = reduce_eigenvalue(base_c4, 1j)
         assert led.gamma == 0.5
         assert not any(b.persistent for b in led.branches)
         got = sorted(
@@ -115,8 +127,8 @@ class TestReduceEigenvalue:
             sorted(b.eta1 for b in led.branches), [-1 / 3, -1 / 6], atol=1e-10
         )
 
-    def test_k4_plus_one(self, im_k4a, sd_k4):
-        led = reduce_eigenvalue(im_k4a, 1 + 0j, sd0=sd_k4)
+    def test_k4_plus_one(self, base_k4):
+        led = reduce_eigenvalue(base_k4, 1 + 0j)
         assert led.m == 4
         moving = [b for b in led.branches if not b.persistent]
         frozen = [b for b in led.branches if b.persistent]
@@ -125,17 +137,17 @@ class TestReduceEigenvalue:
         assert_allclose(moving[0].mu1, -3 / 16, atol=1e-10)
         assert_allclose(moving[0].mu2, -3 / 512, atol=1e-10)
 
-    def test_k4_purely_persistent_group(self, im_k4a, sd_k4):
+    def test_k4_purely_persistent_group(self, base_k4):
         # A1 = 0 to rounding here; the stage-1 semisimplicity check must not
         # mistake its floating-point noise for a Jordan block
-        led = reduce_eigenvalue(im_k4a, -1 + 0j, sd0=sd_k4)
+        led = reduce_eigenvalue(base_k4, -1 + 0j)
         assert len(led.branches) == 1
         b = led.branches[0]
         assert b.persistent and b.multiplicity == 2
         assert abs(b.mu1) < 1e-12 and abs(b.mu2) < 1e-12
 
-    def test_k4_complex_group_splits_one_plus_two(self, im_k4a, sd_k4):
-        led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
+    def test_k4_complex_group_splits_one_plus_two(self, base_k4):
+        led = reduce_eigenvalue(base_k4, MU_K4)
         assert led.m == 3 and led.gamma == 0.5
         by_mult = {b.multiplicity: b for b in led.branches}
         assert set(by_mult) == {1, 2}
@@ -146,13 +158,13 @@ class TestReduceEigenvalue:
         assert_allclose(by_mult[1].eta1, -1 / 16, atol=1e-10)
         assert_allclose(by_mult[2].eta1, -1 / 4, atol=1e-10)
         # the conjugate group carries the conjugate data
-        led_c = reduce_eigenvalue(im_k4a, np.conj(MU_K4), sd0=sd_k4)
+        led_c = reduce_eigenvalue(base_k4, np.conj(MU_K4))
         got = sorted((b.mu1 for b in led_c.branches), key=abs)
         assert_allclose(got[0], np.conj(by_mult[1].mu1), atol=1e-10)
         assert_allclose(got[1], np.conj(by_mult[2].mu1), atol=1e-10)
 
-    def test_branch_projections_resolve_the_group(self, im_k4a, sd_k4):
-        led = reduce_eigenvalue(im_k4a, 1 + 0j, sd0=sd_k4)
+    def test_branch_projections_resolve_the_group(self, im_k4a, base_k4):
+        led = reduce_eigenvalue(base_k4, 1 + 0j)
         n = im_k4a.E0.shape[0]
         total = sum(b.P2 for b in led.branches)
         assert np.linalg.norm(total - led.P) < 1e-9
@@ -164,16 +176,16 @@ class TestReduceEigenvalue:
                 np.linalg.norm(b.P2 @ im_k4a.E1 @ b.P2 - b.mu1 * b.P2) < 1e-8
             )
 
-    def test_json_round_trip(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1j, sd0=sd_c4)
+    def test_json_round_trip(self, base_c4):
+        led = reduce_eigenvalue(base_c4, 1j)
         d = json.loads(json.dumps(led.to_json_dict()))
         assert d["m"] == 2
         assert len(d["branches"]) == 2
 
 
 class TestGraphSideMatrices:
-    def test_m1_eigenvalues_c4_imaginary(self, im_c4a):
-        fo = build_M1(im_c4a, 1j)
+    def test_m1_eigenvalues_c4_imaginary(self, base_c4):
+        fo = build_M1(base_c4, 1j)
         assert fo.gamma == 0.5
         assert_allclose(np.sort(fo.eta1), [-1 / 3, -1 / 6], atol=1e-12)
         # arc-space route P X P and graph-side route gamma mu M1 agree
@@ -181,8 +193,8 @@ class TestGraphSideMatrices:
         assert_allclose(fo.M1, fo.M1.conj().T, atol=1e-14)
 
     @pytest.mark.parametrize("mu", [1 + 0j, -1 + 0j], ids=["plus1", "minus1"])
-    def test_m1_eigenvalue_c4_at_plus_minus_one(self, im_c4a, mu):
-        fo = build_M1(im_c4a, mu)
+    def test_m1_eigenvalue_c4_at_plus_minus_one(self, base_c4, mu):
+        fo = build_M1(base_c4, mu)
         assert fo.gamma == 1.0
         assert_allclose(fo.eta1, [-0.25], atol=1e-12)
         assert fo.direct_residual < 1e-12
@@ -191,19 +203,20 @@ class TestGraphSideMatrices:
         for name, tg in suite_graphs.items():
             lt_min = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
             for mu in (1 + 0j, 1j):
-                fo = build_M1(build_E(tg), mu)
+                fo = build_M1(Coupling(im := build_E(tg), spectral_decompose(im.E0)), mu)
                 if fo.eta1.size == 0:
                     continue
                 assert np.all(fo.eta1 <= 1e-12), name
                 assert np.all(fo.eta1 >= -1.0 / lt_min - 1e-12), name
 
     def test_m2_adjoint_symmetry(self, k4a):
-        A = build_M2(k4a, 1 + 0j, MU_K4)
-        B = build_M2(k4a, MU_K4, 1 + 0j)
+        lt = build_operators(k4a)
+        A = build_M2(lt, 1 + 0j, MU_K4)
+        B = build_M2(lt, MU_K4, 1 + 0j)
         assert_allclose(A, B.conj().T, atol=1e-14)
 
-    def test_mu2_bound_and_product_identity(self, im_c4a, sd_c4):
-        out = mu2_bound_check(im_c4a, reduce_eigenvalue(im_c4a, 1j, sd_c4), sd_c4)
+    def test_mu2_bound_and_product_identity(self, base_c4):
+        out = mu2_bound_check(base_c4, reduce_eigenvalue(base_c4, 1j))
         assert out["bound_ok"]
         assert_allclose(out["max_mu2"], 1 / 72, atol=1e-10)
         assert out["bound"] > out["max_mu2"]
@@ -211,28 +224,28 @@ class TestGraphSideMatrices:
         assert out["max_cross_residual"] < 1e-12
         assert all(v["norm_bound_ok"] for v in out["cross_checks"].values())
 
-    def test_mu2_bound_on_k4(self, im_k4a, sd_k4):
-        out = mu2_bound_check(im_k4a, reduce_eigenvalue(im_k4a, MU_K4, sd_k4), sd_k4)
+    def test_mu2_bound_on_k4(self, base_k4):
+        out = mu2_bound_check(base_k4, reduce_eigenvalue(base_k4, MU_K4))
         assert out["bound_ok"]
         assert out["max_cross_residual"] < 1e-11
 
 
 class TestProjectionExpansion:
-    def test_leading_coefficients(self, im_c4a, sd_c4):
-        coef = projection_expansion(im_c4a, 1 + 0j, order=2, sd0=sd_c4)
-        P = sd_c4.cluster_near(1 + 0j).projection
+    def test_leading_coefficients(self, base_c4):
+        coef = projection_expansion(base_c4, 1 + 0j, order=2)
+        P = base_c4.sd.cluster_near(1 + 0j).projection
         assert_allclose(coef[0], P, atol=1e-12)
         # P^(1) = -(P X S + S X P) is off-diagonal w.r.t. P: P P1 P = 0
         assert np.linalg.norm(P @ coef[1] @ P) < 1e-12
 
-    def test_remainder_order(self, im_c4a, sd_c4):
-        coef = projection_expansion(im_c4a, 1 + 0j, order=3, sd0=sd_c4)
+    def test_remainder_order(self, im_c4a, base_c4):
+        coef = projection_expansion(base_c4, 1 + 0j, order=3)
         errs = []
         for eps in (0.02, 0.01):
             k = kappa(eps)
             approx = sum(k**j * coef[j] for j in range(4))
             errs.append(
-                np.linalg.norm(total_projection(coupling(im_c4a, eps), 1 + 0j, sd_c4) - approx)
+                np.linalg.norm(total_projection(coupling(im_c4a, eps), 1 + 0j, base_c4) - approx)
             )
         order = np.log(errs[0] / errs[1]) / np.log(abs(kappa(0.02)) / abs(kappa(0.01)))
         assert order > 3.7
@@ -253,9 +266,9 @@ def test_fit_loglog_slope_recovers_power_law():
 
 
 class TestResonanceAsymptote:
-    def test_slopes_c4_imaginary_group(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1j, sd0=sd_c4)
-        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), sd_c4)
+    def test_slopes_c4_imaginary_group(self, im_c4a, base_c4):
+        led = reduce_eigenvalue(base_c4, 1j)
+        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), base_c4)
         assert len(out["rows"]) == 6  # 2 eigenvalues x 3 eps
         for rec in out["per_branch"].values():
             s1 = fit_loglog_slope(rec["eps"], rec["first_resid"])
@@ -265,11 +278,11 @@ class TestResonanceAsymptote:
         for row in out["rows"]:
             assert row["abs_err"] < 5e-4
 
-    def test_degenerate_branch_matching_k4(self, im_k4a, sd_k4):
+    def test_degenerate_branch_matching_k4(self, im_k4a, base_k4):
         # the rank-2 branch only separates at second order; matching must
         # still assign two eigenvalues to it at every eps
-        led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
-        out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)), sd_k4)
+        led = reduce_eigenvalue(base_k4, MU_K4)
+        out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)), base_k4)
         assert len(out["rows"]) == 6  # 3 eigenvalues x 2 eps
         for bi, b in enumerate(led.branches):
             rec = out["per_branch"][bi]
@@ -279,24 +292,24 @@ class TestResonanceAsymptote:
 
 
 class TestResonantLimit:
-    def test_assumption_gate_c4(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        rep = assumption_report(im_c4a, led, -0.25, coupling(im_c4a, 0.005), sd_c4)
+    def test_assumption_gate_c4(self, im_c4a, base_c4):
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
+        rep = assumption_report(base_c4, led, -0.25, coupling(im_c4a, 0.005))
         assert rep.a1 and rep.a2 and rep.x_nonzero and rep.mu1_nonzero
         assert rep.gate
         # the global smallness inequality is strictly stronger than needed
         # and fails on every small fixture; it is reported, not gated on
         assert not rep.a3
 
-    def test_gate_fails_for_the_persistent_family(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
-        rep = assumption_report(im_c4a, led, 0.0, coupling(im_c4a, 0.005), sd_c4)
+    def test_gate_fails_for_the_persistent_family(self, im_c4a, base_c4):
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
+        rep = assumption_report(base_c4, led, 0.0, coupling(im_c4a, 0.005))
         assert not rep.mu1_nonzero and not rep.gate
 
-    def test_limit_c4_plus_one(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
+    def test_limit_c4_plus_one(self, im_c4a, base_c4):
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
         ladder = couplings(im_c4a, (0.02, 0.01, 0.005))
-        rec = resonant_sigma_limit(im_c4a, led, -0.25, ladder, sd_c4)
+        rec = resonant_sigma_limit(base_c4, led, -0.25, ladder)
         assert not rec.caveat
         assert_allclose(rec.eta1, -0.25, atol=1e-10)
         # lambda path: -arg(mu) + pi gamma eta1 eps
@@ -305,13 +318,13 @@ class TestResonantLimit:
         assert rec.norms[-1] < 0.3 * rec.norms[0]
         assert_allclose(np.linalg.norm(rec.sigma01, 2), 2.0, atol=1e-9)
 
-    def test_limit_k4_rank_two_branch(self, im_k4a, sd_k4):
+    def test_limit_k4_rank_two_branch(self, im_k4a, base_k4):
         """The coefficient 2/(Xs - 2 mu2) must hold for a degenerate branch;
         a geometric rho-power factor would stall these norms near 0.35."""
-        led = reduce_eigenvalue(im_k4a, MU_K4, sd0=sd_k4)
+        led = reduce_eigenvalue(base_k4, MU_K4)
         mu1 = [b.mu1 for b in led.branches if b.multiplicity == 2][0]
         ladder = couplings(im_k4a, (0.04, 0.02, 0.01, 0.005))
-        rec = resonant_sigma_limit(im_k4a, led, mu1, ladder, sd_k4)
+        rec = resonant_sigma_limit(base_k4, led, mu1, ladder)
         assert rec.verdicts.gate
         assert_allclose(
             rec.norms, [0.126898, 0.063146, 0.031495, 0.015728], atol=2e-4
@@ -325,21 +338,22 @@ class TestResonantLimit:
     def test_shared_evaluators_give_identical_norms(self, request, im_name, sd_name, mu0):
         """One mapping shared by every family gives the same norms, bit for
         bit, as a fresh mapping per family, in the mapping's eps order."""
-        im, sd0 = request.getfixturevalue(im_name), request.getfixturevalue(sd_name)
-        led = reduce_eigenvalue(im, mu0, sd0=sd0)
+        im = request.getfixturevalue(im_name)
+        base = Coupling(im, request.getfixturevalue(sd_name))
+        led = reduce_eigenvalue(base, mu0)
         ladder = (0.01, 0.04, 0.02)
         shared = couplings(im, ladder)
         for mu1 in {b.mu1 for b in led.branches if abs(b.mu1) > 1e-10}:
             fresh = couplings(im, ladder)
-            ref = resonant_sigma_limit(im, led, mu1, fresh, sd0)
-            rec = resonant_sigma_limit(im, led, mu1, shared, sd0)
+            ref = resonant_sigma_limit(base, led, mu1, fresh)
+            rec = resonant_sigma_limit(base, led, mu1, shared)
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
             ge = led.gamma * rec.eta1
             assert_allclose(rec.lam_eps, [-np.angle(led.mu) + np.pi * ge * e for e in ladder],
                             atol=1e-14)
 
-    def test_unknown_family_is_an_error(self, im_c4a, sd_c4):
-        led = reduce_eigenvalue(im_c4a, 1 + 0j, sd0=sd_c4)
+    def test_unknown_family_is_an_error(self, im_c4a, base_c4):
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
         with pytest.raises(ValueError):
-            resonant_sigma_limit(im_c4a, led, 0.77, couplings(im_c4a, [0.02]), sd_c4)
+            resonant_sigma_limit(base_c4, led, 0.77, couplings(im_c4a, [0.02]))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_tailed_graph import connected_graphs
 
-from tailwalk import build_E
+from tailwalk import attach_tails, build_E
 from tailwalk.smt_laplacian import (
     birth_basis,
     birth_multiplicities,
@@ -32,7 +35,7 @@ def test_T_is_selfadjoint_in_the_weighted_inner_product(k4a):
     f = rng.standard_normal(4)
     g = rng.standard_normal(4)
     assert_allclose(lt.w_inner(lt.T @ f, g), lt.w_inner(f, lt.T @ g), atol=1e-13)
-    vals, vecs = lt.eigh()
+    vals, vecs = lt.spectrum
     assert np.all(vals >= -1 - 1e-12) and np.all(vals <= 1 + 1e-12)
     # W-orthonormality of the returned basis
     G = np.array([[lt.w_inner(vecs[:, i], vecs[:, j]) for j in range(4)] for i in range(4)])
@@ -40,9 +43,9 @@ def test_T_is_selfadjoint_in_the_weighted_inner_product(k4a):
 
 
 def test_c4_and_k4_discriminant_spectra(c4a, k4a):
-    vals_c4, _ = build_operators(c4a).eigh()
+    vals_c4, _ = build_operators(c4a).spectrum
     assert_allclose(np.sort(vals_c4), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
-    vals_k4, _ = build_operators(k4a).eigh()
+    vals_k4, _ = build_operators(k4a).spectrum
     assert_allclose(np.sort(vals_k4), [-1 / 3, -1 / 3, -1 / 3, 1.0], atol=1e-12)
 
 
@@ -62,7 +65,7 @@ def test_lift_produces_unit_eigenvectors(c4a, k4a):
     for tg in (c4a, k4a):
         lt = build_operators(tg)
         im = build_E(tg)
-        vals, vecs = lt.eigh()
+        vals, vecs = lt.spectrum
         for t, f in zip(vals, vecs.T):
             for lam in joukowsky_preimages(float(np.clip(t, -1, 1))):
                 u = lift(lt, lam, f)
@@ -98,7 +101,7 @@ class TestClassify:
     def test_c4_table(self, c4a):
         rows = {
             complex(round(e.value.real, 6), round(e.value.imag, 6)): e
-            for e in classify(c4a)
+            for e in classify(build_operators(c4a))
         }
         assert set(rows) == {1 + 0j, -1 + 0j, 1j, -1j}
         for lam in (1 + 0j, -1 + 0j):
@@ -110,7 +113,7 @@ class TestClassify:
             assert (e.inherited_mult, e.birth_mult, e.persistent_mult) == (2, 0, 0)
 
     def test_k4_table(self, k4a):
-        rows = sorted(classify(k4a), key=lambda e: np.angle(e.value))
+        rows = sorted(classify(build_operators(k4a)), key=lambda e: np.angle(e.value))
         mults = {
             complex(round(e.value.real, 6), round(e.value.imag, 6)): (
                 e.inherited_mult,
@@ -128,13 +131,13 @@ class TestClassify:
 
     def test_total_multiplicity_accounts_for_every_arc(self, suite_graphs):
         for name, tg in suite_graphs.items():
-            total = sum(e.total_mult for e in classify(tg))
+            total = sum(e.total_mult for e in classify(build_operators(tg)))
             assert total == tg.num_arcs, name
 
     def test_agreement_with_direct_spectrum(self, c4b):
         # the mapped spectrum must equal the numerically computed one
         vals = np.linalg.eigvals(build_E(c4b).E0)
-        for e in classify(c4b):
+        for e in classify(build_operators(c4b)):
             n_close = int(np.sum(np.abs(vals - e.value) < 1e-9))
             assert n_close == e.total_mult
 
@@ -151,7 +154,7 @@ def test_t_eigenbasis_split_vanishing_condition(k4_full):
 
 def test_persistent_basis_survives_the_coupling(c4a, k4a):
     for tg, lam, dim in ((c4a, 1.0, 1), (c4a, -1.0, 1), (k4a, 1.0, 3), (k4a, -1.0, 2)):
-        U = persistent_basis(tg, lam)
+        U = persistent_basis(build_operators(tg), lam)
         assert U.shape[1] == dim
         for eps in (0.1, 0.5):
             im = build_E(tg, eps)
@@ -160,7 +163,34 @@ def test_persistent_basis_survives_the_coupling(c4a, k4a):
 
 
 def test_persistent_eigenvalue_report(c4a):
-    rows = persistent_eigenvalues(c4a)
+    rows = persistent_eigenvalues(build_operators(c4a))
     assert len(rows) > 0
     for r in rows:
         assert r["ok"], r
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.data())
+def test_t_eigenspaces_split_on_random_graphs(g, data):
+    """Each T-eigenspace splits into a boundary-vanishing part and its
+    complement, both W-orthonormal as computed (no second orthonormalisation),
+    and the persistent eigenvectors lifted from them ignore the coupling."""
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
+    )
+    eps_values = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+    tg = attach_tails(g, tails)
+    lt = build_operators(tg)
+    bd = list(tg.boundary_vertices)
+    for _, F, per, rest in lt.eigenspaces:
+        assert per.shape[1] + rest.shape[1] == F.shape[1]
+        both = np.hstack([per, rest])
+        gram = both.conj().T @ (lt.weights[:, None] * both)
+        assert_allclose(gram, np.eye(F.shape[1]), atol=1e-12)
+        assert_allclose(per[bd], 0, atol=1e-9)
+    im0 = build_E(tg)
+    for entry in classify(lt):
+        U = persistent_basis(lt, entry.value)
+        assert U.shape[1] == entry.persistent_mult
+        for eps in eps_values:
+            assert np.linalg.norm(im0.at(eps).E @ U - entry.value * U) <= 1e-9
