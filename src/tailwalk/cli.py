@@ -8,9 +8,11 @@ perturb       reduction ledger, asymptote-vs-truth table, resonant-limit report
 verify        run the acceptance suite on built-in fixtures
 
 Every emitted file gets a ``<name>.meta.json`` sidecar recording tolerances,
-cluster decisions and the package version, so a table can always be traced
-back to the run that produced it.  Floats are written with %.17g so repeated
-runs are byte-identical.
+cluster decisions, the numerical health of each decomposition behind it
+(``health``: reconstruction residual and block condition per eps) and the
+package version, so a table can always be traced back to the run that
+produced it.  Floats are written with %.17g so repeated runs are
+byte-identical.
 
 Exit codes: 0 ok, 1 verify failures, 2 configuration problems, 3 numerical
 failures (with a report on stderr).
@@ -229,6 +231,18 @@ def _write_sidecar(out_file: Path, cfg: RunConfig, command: str, extra: dict) ->
     Path(str(out_file) + ".meta.json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
+def _health(pairs) -> dict:
+    """Numerical health of each (eps, Coupling) decomposition, keyed by eps
+    like the cluster decisions."""
+    return {
+        _g17(eps): {
+            "reconstruction_residual": cpl.sd.reconstruction_residual,
+            "block_condition": cpl.sd.block_condition,
+        }
+        for eps, cpl in pairs
+    }
+
+
 def _cluster_record(sd) -> list[dict]:
     return [
         {
@@ -253,7 +267,8 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
     rows = []
     decisions = {}
-    for eps, cpl in zip(cfg.eps_values, _decompose_each(cfg, im0)):
+    couplings = list(zip(cfg.eps_values, _decompose_each(cfg, im0)))
+    for eps, cpl in couplings:
         decisions[_g17(eps)] = _cluster_record(cpl.sd)
         for c in cpl.sd.clusters:
             rows.append(
@@ -265,7 +280,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
         rows,
         cfg.fmt,
     )
-    _write_sidecar(out, cfg, "resonances", {"cluster_decisions": decisions})
+    _write_sidecar(
+        out, cfg, "resonances", {"cluster_decisions": decisions, "health": _health(couplings)}
+    )
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -305,7 +322,11 @@ def cmd_transmission(cfg: RunConfig) -> int:
             out,
             cfg,
             "transmission",
-            {"eps": eps, "cluster_decisions": _cluster_record(cpl.sd)},
+            {
+                "eps": eps,
+                "cluster_decisions": _cluster_record(cpl.sd),
+                "health": _health([(eps, cpl)]),
+            },
         )
         written.append(out)
     print("wrote " + ", ".join(str(w) for w in written))
@@ -372,9 +393,13 @@ def cmd_perturb(cfg: RunConfig) -> int:
                 }
             )
 
+    health = _health([(0.0, base), *couplings.items()])
     ledger_file = outdir / "ledger.json"
     ledger_file.write_text(json.dumps({"eigenvalues": ledger_entries}, indent=1) + "\n")
-    _write_sidecar(ledger_file, cfg, "perturb", {"cluster_decisions": _cluster_record(base.sd)})
+    _write_sidecar(
+        ledger_file, cfg, "perturb",
+        {"cluster_decisions": _cluster_record(base.sd), "health": health},
+    )
 
     asym_file = _write_table(
         outdir / "asymptote",
@@ -382,11 +407,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
         asym_rows,
         cfg.fmt,
     )
-    _write_sidecar(asym_file, cfg, "perturb", {"eps_ladder": list(couplings)})
+    _write_sidecar(asym_file, cfg, "perturb", {"eps_ladder": list(couplings), "health": health})
 
     limit_file = outdir / "sigma_limit.json"
     limit_file.write_text(json.dumps({"families": limit_records}, indent=1) + "\n")
-    _write_sidecar(limit_file, cfg, "perturb", {"eps_ladder": list(couplings)})
+    _write_sidecar(limit_file, cfg, "perturb", {"eps_ladder": list(couplings), "health": health})
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
     return 0

@@ -12,10 +12,15 @@ compression of a unitary, so spec(E) lives in the closed unit disk; the
 eigenvalues strictly inside are the resonances.
 
 Spectral projections use the dense eigendecomposition only to *locate*
-clusters.  The projectors come from one complex Schur form of E per
-decomposition: for each cluster LAPACK ``ztrsen`` reorders it so the
-cluster leads, and ``ztrsyl`` solves the triangular Sylvester equation
-that splits it off.  This is well-conditioned even for defective clusters.
+clusters.  The projectors come from one complex Schur form E = Z T Z* per
+decomposition, block-diagonalised (Bavely & Stewart 1979): one ``ztrsen``
+reorder per cluster that is not already contiguous on the diagonal (none
+for a simple spectrum), then triangular Sylvester solves (``ztrsyl``) that
+give a unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).  Each
+cluster is kept as factors, R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and the
+m x m N = T_JJ - mu, so P = R L and (E - mu) P = R N L cost O(n m) memory
+per cluster instead of O(n^2).  This is well-conditioned even for
+defective clusters, and a basis too ill-conditioned to trust is refused.
 A contour-integral projector is provided as an independent test oracle and
 is not used in any production path.
 """
@@ -27,12 +32,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import ztrsen, ztrsyl
+from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 
 from .coin_evolution import CoinFamily, WalkOperator, kappa
 from .tailed_graph import TailedGraph
 
 _BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
+# ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
+_MAX_BLOCK_CONDITION = 1e8
 
 __all__ = [
     "ClusterAmbiguity",
@@ -153,24 +160,52 @@ def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
 
 @dataclass
 class SpectralCluster:
+    """One eigenvalue cluster, held as factors of its spectral projector.
+
+    ``P = R L`` and ``(E - value) P = R N L``: ``R`` (n x m) and ``L``
+    (m x n) are views into the ``R`` and ``L`` of :class:`SpectralData`
+    (columns and rows ``span``), and ``N`` is the cluster's m x m diagonal
+    block of the Schur form minus ``value``.  The n x n ``projection`` and
+    ``nilpotent`` are formed on first use only.
+    """
+
     value: complex
     mult: int
-    projection: np.ndarray
-    nilpotent: np.ndarray
+    R: np.ndarray
+    L: np.ndarray
+    N: np.ndarray
+    span: slice
     nilpotent_norm: float
     on_circle: bool
     members: np.ndarray
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        return self.R @ self.L
+
+    @cached_property
+    def nilpotent(self) -> np.ndarray:
+        return self.R @ self.N @ self.L
 
 
 @dataclass
 class SpectralData:
     """Clusters of one matrix, with the ``eigvals`` array they were grouped
-    from (kept in LAPACK's order, so tables built from it are reproducible)."""
+    from (kept in LAPACK's order, so tables built from it are reproducible).
+
+    ``R = Z Y`` and ``L = Y^-1 Z*`` block-diagonalise the matrix,
+    ``E = R blockdiag(T_jj) L``; each cluster owns a contiguous block of
+    their columns and rows.  ``block_condition = ||R||_1 ||L||_1`` bounds
+    how much of the working precision the projectors lost.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     clusters: list[SpectralCluster]
+    R: np.ndarray
+    L: np.ndarray
     reconstruction_residual: float
+    block_condition: float
     cluster_tol: float
     circle_tol: float
 
@@ -209,14 +244,15 @@ def _schur_projection(
 ) -> np.ndarray:
     """Spectral projector for the cluster from one complex Schur form of E.
 
-    ``schur`` is a precomputed ``(T0, Z0)`` with E = Z0 T0 Z0*, so a caller
-    projecting every cluster factors E once.  A diagonal entry of T0 is
-    selected when its nearest precomputed eigenvalue is a member; LAPACK
-    ``ztrsen`` moves the selected entries to the leading block (Bai &
-    Demmel), ``ztrsyl`` solves the triangular Sylvester equation
-    T11 X - X T22 = T12 (Bartels-Stewart), and P = Z1 (Z1* + X Z2*).
-    A selection of the wrong size, a rejected swap or near-common
-    eigenvalues of T11 and T22 raise :class:`ClusterAmbiguity`.
+    ``schur`` is a precomputed ``(T0, Z0)`` with E = Z0 T0 Z0*.  A diagonal
+    entry of T0 is selected when its nearest precomputed eigenvalue is a
+    member; LAPACK ``ztrsen`` moves the selected entries to the leading
+    block (Bai & Demmel), ``ztrsyl`` solves the triangular Sylvester
+    equation T11 X - X T22 = T12 (Bartels-Stewart), and
+    P = Z1 (Z1* + X Z2*).  A selection of the wrong size, a rejected swap
+    or near-common eigenvalues of T11 and T22 raise
+    :class:`ClusterAmbiguity`.  :func:`spectral_decompose` splits every
+    cluster off at once and is checked against this one-cluster route.
     """
     m = len(members)
     if m == E.shape[0]:
@@ -239,16 +275,94 @@ def _schur_projection(
     return Z1 @ (Z1.conj().T + (X / scale) @ Z[:, m:].conj().T)
 
 
+def _contiguous_schur(
+    E: np.ndarray, vals: np.ndarray, groups: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complex Schur form E = Z T Z* with every cluster on consecutive
+    diagonal entries, and the first diagonal index of each group.
+
+    A diagonal entry belongs to the cluster of its nearest eigenvalue.
+    Clusters are laid out in the order their first entries appear; one
+    that is not yet contiguous is gathered by ``ztrsen``, selecting it
+    together with the clusters already placed, which sit in front and so
+    do not move.  A spectrum of simple eigenvalues needs no reorder.
+    """
+    T, Z = scipy.linalg.schur(E, output="complex")
+    n = len(vals)
+    owner = np.empty(n, dtype=int)
+    for g, ix in enumerate(groups):
+        owner[ix] = g
+    label = owner[np.argmin(np.abs(np.diag(T)[:, None] - vals[None, :]), axis=1)]
+    mults = np.array([len(ix) for ix in groups])
+    counts = np.bincount(label, minlength=len(groups))
+    if not np.array_equal(counts, mults):
+        g = int(np.flatnonzero(counts != mults)[0])
+        raise ClusterAmbiguity(
+            f"the Schur diagonal holds {counts[g]} eigenvalues of a cluster of {mults[g]}"
+        )
+    start = np.empty(len(groups), dtype=int)
+    p = 0
+    while p < n:
+        g = label[p]
+        m = mults[g]
+        if np.any(label[p : p + m] != g):
+            select = np.arange(n) < p
+            select[p:] = label[p:] == g
+            T, Z, _, sdim, _, _, info = ztrsen(select, T, Z, job="N")
+            if info or sdim != p + m:
+                raise ClusterAmbiguity(
+                    f"ztrsen moved {sdim - p} eigenvalues for a cluster of {m} (info={info})"
+                )
+            rest = label[p:]
+            label[p:] = np.concatenate([rest[rest == g], rest[rest != g]])
+        start[g] = p
+        p += m
+    return T, Z, start
+
+
+def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
+    """Unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).
+
+    T is upper triangular, its diagonal blocks end at ``cuts``.  Split at
+    the cut nearest the middle, T = [[Ta, Tab], [0, Tb]]: the Sylvester
+    equation Ta X - X Tb = -Tab (``ztrsyl``) decouples the halves, and with
+    Ya, Yb for the halves, Y = [[Ya, X Yb], [0, Yb]].  Y is unique, so this
+    is the matrix that one solve per block row, bottom-up, also gives, in
+    the same number of solves but with no trailing block copied per row.
+    """
+    Y = np.eye(T.shape[0], dtype=complex)
+
+    def split(lo: int, hi: int, inner: list[int]) -> None:
+        if not inner:
+            return
+        i = int(np.argmin([abs(2 * c - lo - hi) for c in inner]))
+        h = inner[i]
+        split(lo, h, inner[:i])
+        split(h, hi, inner[i + 1 :])
+        X, scale, info = ztrsyl(T[lo:h, lo:h], T[h:hi, h:hi], T[lo:h, h:hi], isgn=-1)
+        if info:
+            raise ClusterAmbiguity(
+                f"ztrsyl: two clusters nearly share eigenvalues (info={info})"
+            )
+        Y[lo:h, h:hi] = (X / -scale) @ Y[h:hi, h:hi]
+
+    split(0, T.shape[0], cuts[:-1])
+    return Y
+
+
 def spectral_decompose(
     E: np.ndarray,
     cluster_tol: float = 1e-7,
     circle_tol: float = 1e-8,
 ) -> SpectralData:
-    """Eigenvalue clusters of E with spectral projectors and nilpotents.
+    """Eigenvalue clusters of E with factored spectral projectors.
 
     Raises :class:`ClusterAmbiguity` when two distinct clusters sit closer
     than 10x the clustering tolerance — separating them would be numerically
-    meaningless, so the caller must choose a coarser tolerance.
+    meaningless, so the caller must choose a coarser tolerance — and when
+    the block-diagonalising basis is so ill-conditioned
+    (``block_condition`` above ``_MAX_BLOCK_CONDITION``) that the
+    projectors would have lost half the working digits.
     """
     E = np.asarray(E, dtype=complex)
     vals = np.linalg.eigvals(E)
@@ -263,33 +377,48 @@ def spectral_decompose(
             f"10*cluster_tol = {10 * cluster_tol:.1e}"
         )
 
-    schur = scipy.linalg.schur(E, output="complex")
+    T, Z, start = _contiguous_schur(E, vals, groups)
+    spans = [slice(s, s + len(ix)) for s, ix in zip(start.tolist(), groups)]
+    Y = _block_diagonaliser(T, sorted(sp.stop for sp in spans))
+    R = Z @ Y
+    L, _ = ztrtrs(Y, Z.conj().T, unitdiag=1)  # unit diagonal: never singular
+    cond = float(np.linalg.norm(R, 1) * np.linalg.norm(L, 1))
+    if not cond <= _MAX_BLOCK_CONDITION:
+        raise ClusterAmbiguity(
+            f"block-diagonalising basis has condition {cond:.1e} > {_MAX_BLOCK_CONDITION:.0e}: "
+            f"eigenvectors of distinct clusters are nearly parallel"
+        )
+
     clusters = []
-    recon = np.zeros_like(E)
-    for ix, rep in zip(groups, reps.tolist()):
-        members = vals[ix]
-        others = np.delete(vals, ix)
-        P = _schur_projection(E, members, others, schur)
-        Dn = (E - rep * np.eye(E.shape[0])) @ P
-        nn = float(np.linalg.norm(Dn))
+    RD = np.empty_like(R)
+    for ix, rep, sp in zip(groups, reps.tolist(), spans):
+        Rj, Lj = R[:, sp], L[sp]
+        RD[:, sp] = Rj @ T[sp, sp]
+        N = T[sp, sp] - rep * np.eye(len(ix))
+        # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
+        nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
         clusters.append(
             SpectralCluster(
                 value=rep,
                 mult=len(ix),
-                projection=P,
-                nilpotent=Dn,
-                nilpotent_norm=nn,
+                R=Rj,
+                L=Lj,
+                N=N,
+                span=sp,
+                nilpotent_norm=float(np.sqrt(max(nn2, 0.0))),
                 on_circle=bool(abs(rep) >= 1.0 - circle_tol),
-                members=members,
+                members=vals[ix],
             )
         )
-        recon = recon + rep * P + Dn
-    resid = float(np.linalg.norm(recon - E) / max(np.linalg.norm(E), 1e-300))
+    resid = float(np.linalg.norm(RD @ L - E) / max(np.linalg.norm(E), 1e-300))
     return SpectralData(
         matrix=E,
         eigenvalues=vals,
         clusters=clusters,
+        R=R,
+        L=L,
         reconstruction_residual=resid,
+        block_condition=cond,
         cluster_tol=cluster_tol,
         circle_tol=circle_tol,
     )

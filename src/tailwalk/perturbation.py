@@ -110,20 +110,13 @@ class Coupling:
         return np.linalg.eig(self.im.E)
 
 
-def _onb_of_projection(P: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of a (numerical) projection matrix."""
-    U, s, _ = np.linalg.svd(P)
-    rank = int(np.sum(s > 0.5))
-    return U[:, :rank]
-
-
 def _reduced_resolvent(sd: SpectralData, mu: complex) -> np.ndarray:
-    S = np.zeros_like(sd.matrix)
+    """sum over clusters zeta != mu of P_zeta / (zeta - mu), as R diag(w) L."""
+    w = np.zeros(sd.R.shape[1], dtype=complex)
     for c in sd.clusters:
-        if abs(c.value - mu) < 1e-9:
-            continue
-        S = S + c.projection / (c.value - mu)
-    return S
+        if abs(c.value - mu) >= 1e-9:
+            w[c.span] = 1.0 / (c.value - mu)
+    return sd.R @ (w[:, None] * sd.L)
 
 
 def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
@@ -194,6 +187,7 @@ class Branch:
     multiplicity: int
     persistent: bool
     P2: np.ndarray
+    basis: np.ndarray
     eta1: float | None = None
     hosts_resonance: bool | None = None
 
@@ -250,14 +244,17 @@ def reduce_eigenvalue(
     """Two-stage reduction at the unperturbed eigenvalue mu0.
 
     Branches are labelled by (mu1, mu2); each carries the full-space
-    projection P2 onto its second-stage eigenspace and its multiplicity.
-    Persistence is decided by range containment in the persistent subspace
-    of mu0 (lifted boundary-vanishing states plus birth states).
+    projection P2 onto its second-stage eigenspace, an orthonormal basis
+    of that eigenspace and its multiplicity.  The bases are QR factors of
+    the clusters' ``R``, nested stage by stage: Q spans Ran(P), Q1 = Q Q'
+    a stage-one eigenspace, Q1 Q'' a stage-two one.  Persistence is
+    decided by range containment in the persistent subspace of mu0
+    (lifted boundary-vanishing states plus birth states).
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
     P = cl.projection
-    Q = _onb_of_projection(P)
+    Q = np.linalg.qr(cl.R)[0]
     X = base.im.E1
     A1 = Q.conj().T @ X @ Q
     # floor the scale: a purely persistent group has A1 = 0 to rounding, and
@@ -280,8 +277,7 @@ def reduce_eigenvalue(
     for c1 in sd1.clusters:
         mu1 = c1.value
         stage1_values.append(mu1)
-        P1_full = Q @ c1.projection @ Q.conj().T
-        Q1 = _onb_of_projection(P1_full)
+        Q1 = Q @ np.linalg.qr(c1.R)[0]
         E2 = -(Q1.conj().T @ X @ Sred @ X @ Q1)
         sd2 = spectral_decompose(E2, cluster_tol=stage_tol)
         for c2 in sd2.clusters:
@@ -305,6 +301,7 @@ def reduce_eigenvalue(
                     multiplicity=c2.mult,
                     persistent=is_per,
                     P2=P2_full,
+                    basis=Q1 @ np.linalg.qr(c2.R)[0],
                     eta1=eta1,
                 )
             )
@@ -418,7 +415,7 @@ def mu2_bound_check(base: Coupling, ledger: ReductionLedger) -> dict:
     cross = {}
     for c in others:
         zeta = c.value
-        arc_side = U.conj().T @ X @ c.projection @ X @ U if U.shape[1] else np.zeros((0, 0))
+        arc_side = (U.conj().T @ X @ c.R) @ (c.L @ X @ U) if U.shape[1] else np.zeros((0, 0))
         M2 = build_M2(base.lt, mu, zeta)
         graph_side = mu * zeta * _omega(mu) ** 2 * _omega(zeta) ** 2 * (M2.conj().T @ M2)
         resid = float(np.linalg.norm(arc_side - graph_side))
@@ -623,11 +620,10 @@ def assumption_report(
         pred = mu + k * b.mu1 + k**2 * b.mu2
         idx = np.argsort(np.abs(w - pred))[: b.multiplicity]
         Vb = np.linalg.qr(V[:, idx])[0]
-        P2o = _onb_of_projection(b.P2)
-        sines = np.linalg.svd(Vb - P2o @ (P2o.conj().T @ Vb), compute_uv=False)
+        sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
         ang = float(np.max(sines)) if sines.size else 0.0
         angles.append(ang)
-        if ang > 0.2 or P2o.shape[1] != b.multiplicity:
+        if ang > 0.2:
             a1 = False
     details["a1_max_sine"] = max(angles) if angles else 0.0
 

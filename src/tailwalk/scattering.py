@@ -133,9 +133,10 @@ class SigmaEvaluator:
     """Precomputed closed-form scattering matrix, cheap per lambda.
 
     Reduces every off-circle cluster to the small port-space kernels
-    K_{mu,s} = B_out P (E-mu)^s P B_in once; each evaluation is then a sum
-    of N x N terms with scalar resolvent weights.  ``sd`` is the spectral
-    data of ``im.E``; its ``on_circle`` flags decide which clusters drop out.
+    K_{mu,s} = B_out P (E-mu)^s P B_in = (B_out R) N^s (L B_in) once, from
+    the cluster's factors; each evaluation is then a sum of N x N terms
+    with scalar resolvent weights.  ``sd`` is the spectral data of
+    ``im.E``; its ``on_circle`` flags decide which clusters drop out.
     """
 
     def __init__(self, im: InternalMatrix, sd: SpectralData):
@@ -144,19 +145,21 @@ class SigmaEvaluator:
         self.skipped_coupling = 0.0
         scale = max(float(np.linalg.norm(im.B_in)), 1e-300)
         for c in sd.clusters:
+            LB = c.L @ im.B_in
             if c.on_circle:
                 # embedded states must not couple to the ports; record the
                 # measured coupling so tests can assert it vanishes
-                cpl = float(np.linalg.norm(c.projection @ im.B_in)) / scale
+                cpl = float(np.linalg.norm(c.R @ LB)) / scale
                 self.skipped_coupling = max(self.skipped_coupling, cpl)
                 continue
-            acc = c.projection @ im.B_in
+            BR = im.B_out @ c.R
+            acc = LB  # (E - mu)^s P B_in = R acc
             for s in range(c.mult):
-                K = im.B_out @ acc
+                K = BR @ acc
                 if np.linalg.norm(K) > 1e-14 * max(np.linalg.norm(im.B_out), 1e-300) * scale or s == 0:
                     self.terms.append((c.value, s, K))
-                acc = (self.im.E - c.value * np.eye(self.im.E.shape[0])) @ acc
-                if np.linalg.norm(acc) < 1e-16 * scale:
+                acc = c.N @ acc
+                if np.linalg.norm(c.R @ acc) < 1e-16 * scale:
                     break
 
     def sigma(self, lam) -> np.ndarray:

@@ -185,6 +185,36 @@ class TestPerturb:
         assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, eps",
+    [("resonances", ["0.1", "0.25"]), ("transmission", ["0.1", "0.25"]),
+     ("perturb", ["0", "0.04", "0.02", "0.01"])],
+)
+def test_sidecars_record_health_and_tables_repeat(tmp_path, command, eps):
+    # perturb's sidecars also cover its unperturbed decomposition at eps = 0
+    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16",
+            "--eps", ",".join(e for e in eps if e != "0"))
+    (code_a, out_a), (code_b, out_b) = run(tmp_path / "a", *argv), run(tmp_path / "b", *argv)
+    assert code_a == code_b == 0
+    metas = sorted(out_a.glob("*.meta.json"))
+    assert metas
+    for meta in metas:
+        health = json.loads(meta.read_text())["health"]
+        if command == "transmission":  # one eps per file
+            stem = meta.name.removeprefix("transmission_eps").removesuffix(".csv.meta.json")
+            assert [float(e) for e in health] == [float(stem)]
+        else:
+            assert sorted(float(e) for e in health) == sorted(float(e) for e in eps)
+        for h in health.values():
+            assert set(h) == {"reconstruction_residual", "block_condition"}
+            assert all(np.isfinite(v) for v in h.values())
+            assert h["reconstruction_residual"] < 1e-12 and h["block_condition"] >= 1
+    tables = sorted(p.name for p in out_a.iterdir() if not p.name.endswith(".meta.json"))
+    assert tables
+    for name in tables:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
 class TestVerify:
     def test_fixture_filtered_run(self, tmp_path, capsys):
         code, out = run(tmp_path, "verify", "--fixture", "c4-3tails-b")

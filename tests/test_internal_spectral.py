@@ -1,5 +1,6 @@
 """Boundary matrix assembly and its spectral bookkeeping."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_tailed_graph import connected_graphs
 
 import tailwalk
 from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
@@ -16,6 +18,7 @@ from tailwalk.internal_spectral import (
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
+    _schur_projection,
     projection_contour_oracle,
     spectral_decompose,
     verify_outgoing,
@@ -152,15 +155,96 @@ def test_defective_cluster_recovers_the_jordan_block():
 
 @pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
 def test_lapack_failure_is_a_cluster_ambiguity(monkeypatch, im_c4a, routine):
+    # E0 has double eigenvalues, so its clusters need a reorder as well as
+    # the Sylvester solves; a simple spectrum would never reach ztrsen
     real = getattr(internal_spectral, routine)
+    calls = []
 
     def failing(*args, **kwargs):
+        calls.append(routine)
         *out, _ = real(*args, **kwargs)
         return (*out, 1)
 
     monkeypatch.setattr(internal_spectral, routine, failing)
     with pytest.raises(ClusterAmbiguity, match=routine):
-        spectral_decompose(im_c4a.at(0.25).E)
+        spectral_decompose(im_c4a.E0)
+    assert calls
+
+
+def test_simple_spectrum_needs_no_reorder(monkeypatch, im_c4a):
+    calls = []
+    real = internal_spectral.ztrsen
+    monkeypatch.setattr(
+        internal_spectral, "ztrsen", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    sd = spectral_decompose(im_c4a.at(0.25).E)
+    assert all(c.mult == 1 for c in sd.clusters) and not calls
+    spectral_decompose(im_c4a.E0)
+    assert calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.data())
+def test_factored_projectors_on_random_graphs(g, data):
+    # every cluster split off at once agrees with splitting it off alone
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=g.num_vertices)
+    )
+    eps = data.draw(st.floats(min_value=0.01, max_value=1.0))
+    E = build_E(attach_tails(g, tails), eps).E
+    n = E.shape[0]
+    try:
+        sd = spectral_decompose(E)
+    except ClusterAmbiguity:
+        # near eps = 1 a tree's E can be (nearly) nilpotent: a refusal must
+        # come with nearly equal eigenvalues or nearly dependent eigenvectors
+        w, V = np.linalg.eig(E)
+        gaps = np.abs(w[:, None] - w[None, :])[np.triu_indices(n, 1)]
+        assert gaps.min() < 1e-5 or np.linalg.cond(V) > 1e6
+        return
+    assert np.isfinite(sd.block_condition)
+    # near eps = 1 the basis' condition reaches ~1e6 and clusters come within
+    # ~1e-5 of each other; rounding errors grow with both
+    vals = sd.values()
+    gap = min((abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]), default=1.0)
+    slack = n * np.finfo(float).eps * (sd.block_condition + 1.0 / gap)
+    assert sd.reconstruction_residual <= 1e-13 + slack
+    schur = scipy.linalg.schur(E, output="complex")
+    Ps = [c.projection for c in sd.clusters]
+    for c, P in zip(sd.clusters, Ps):
+        ix = np.isin(sd.eigenvalues, c.members)
+        P_ref = _schur_projection(E, sd.eigenvalues[ix], sd.eigenvalues[~ix], schur)
+        assert np.linalg.norm(P - P_ref) <= (1e-12 + slack) * np.linalg.norm(P_ref)
+    assert np.linalg.norm(sum(Ps) - np.eye(n)) <= 1e-12 + slack
+    for i, P in enumerate(Ps):
+        for Q in Ps[i + 1 :]:
+            scale = np.linalg.norm(P) * np.linalg.norm(Q)
+            assert max(np.linalg.norm(P @ Q), np.linalg.norm(Q @ P)) <= 1e-12 * scale
+
+
+def test_nearly_parallel_eigenvectors_are_a_cluster_ambiguity():
+    # eigenvalues 0.5 and -0.5 are well apart, but their eigenvectors meet at
+    # an angle of about 1e-5: the projectors have norm ~1e5, and the
+    # block-diagonalising basis a condition of ~1e10
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    T = np.diag([0.5, -0.5, 0.1j, -0.2 + 0j])
+    T[0, 1] = 1e5
+    with pytest.raises(ClusterAmbiguity, match="condition"):
+        spectral_decompose(Q @ T @ Q.conj().T)
+
+
+def test_decomposition_memory_is_linear_in_clusters():
+    # 128 arcs, 128 clusters: two dense n x n matrices per cluster trace 65 MiB
+    E = build_E(attach_tails(preset_graph("cycle:64"), (0, 1, 2, 3)), 0.25).E
+    tracemalloc.start()
+    try:
+        sd = spectral_decompose(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sd.clusters) == 128
+    assert peak <= 8 * 2**20
 
 
 @pytest.fixture
