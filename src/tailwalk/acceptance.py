@@ -456,8 +456,8 @@ def _c11(ctx, residual_tol=None):
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         for cl in base.sd.clusters:
             led = ctx.ledger(name, cl.value)
-            for mu1 in led.families():
-                rec = resonant_sigma_limit(base, led, mu1, ladder)
+            families = led.families()
+            for mu1, rec in zip(families, resonant_sigma_limit(base, led, families, ladder)):
                 if not any(b.hosts_resonance for b in led.family(mu1)):
                     continue
                 if rec.caveat:

@@ -369,8 +369,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
             [r["epsilon"], r["re_true"], r["im_true"], r["re_pred"], r["im_pred"], r["abs_err"]]
             for r in asym["rows"]
         )
-        for mu1 in led.families():
-            rec = resonant_sigma_limit(base, led, mu1, couplings)
+        for rec in resonant_sigma_limit(base, led, led.families(), couplings):
             limit_records.append(
                 {
                     "mu": [rec.mu.real, rec.mu.imag],

@@ -29,7 +29,7 @@ they are claimed to represent.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -652,9 +652,9 @@ def assumption_report(
 def resonant_sigma_limit(
     base: Coupling,
     ledger: ReductionLedger,
-    mu1: complex,
+    mu1: complex | Sequence[complex],
     ladder: Mapping[float, Coupling],
-) -> ResonantLimitRecord:
+) -> ResonantLimitRecord | list[ResonantLimitRecord]:
     """Limit form of the scattering matrix along the resonant frequency path.
 
     At lam(eps) with e^{-i lam} = mu e^{-i pi gamma eta1 eps}, the
@@ -676,34 +676,42 @@ def resonant_sigma_limit(
     completes; hypothesis failures only set ``caveat`` (and the verdicts
     carry details), so callers can decide what to gate.
 
-    ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
-    the hypotheses are probed at the smallest eps.  Callers running several
-    families on one ladder share it, so each E(eps) is factored once.
+    ``mu1`` is one family's stage-one value, or a sequence of them (all of
+    a ledger's: ``ledger.families()``), which gives a list of records in
+    the same order; each eps then evaluates Sigma once, at every family's
+    lambda together.  ``ladder`` maps each eps, in ladder order, to its
+    :class:`Coupling`; the hypotheses are probed at the smallest eps.
+    Callers running several ledgers on one ladder share it, so each E(eps)
+    is factored once.
     """
-    mu = ledger.mu
-    fam, eta1, ge, Xs = _family(ledger, mu1)
-    verdicts = assumption_report(base, ledger, mu1, ladder[min(ladder)])
-
+    single = np.isscalar(mu1)
+    mu1s = [mu1] if single else list(mu1)
     im = base.im
     N = im.tg.num_ports
-    sigma01 = np.zeros((N, N), dtype=complex)
-    for b in fam:
-        if not b.hosts_resonance:
-            continue
-        denom = Xs - 2.0 * b.mu2
-        if abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
-            continue
-        sigma01 = sigma01 + (2.0 / denom) * (im.B_out1 @ b.P2 @ im.B_in1)
+    records, ges = [], []
+    for m1 in mu1s:
+        fam, eta1, ge, Xs = _family(ledger, m1)
+        ges.append(ge)
+        verdicts = assumption_report(base, ledger, m1, ladder[min(ladder)])
+        sigma01 = np.zeros((N, N), dtype=complex)
+        for b in fam:
+            if not b.hosts_resonance:
+                continue
+            denom = Xs - 2.0 * b.mu2
+            if abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
+                continue
+            sigma01 = sigma01 + (2.0 / denom) * (im.B_out1 @ b.P2 @ im.B_in1)
+        records.append(ResonantLimitRecord(
+            mu=ledger.mu, mu1=complex(m1), gamma=ledger.gamma, eta1=float(eta1),
+            lam_eps=[], norms=[], sigma01=sigma01,
+            verdicts=verdicts, caveat=not verdicts.gate,
+        ))
 
-    lam_list = []
-    norms = []
+    if not records:  # a ledger with no moving family evaluates nothing
+        return records
     for eps, cpl in ladder.items():
-        lam = float(-np.angle(mu) + np.pi * ge * eps)
-        s = cpl.sigma.sigma(lam)
-        lam_list.append(lam)
-        norms.append(float(np.linalg.norm(s - np.eye(N) - sigma01, 2)))
-    return ResonantLimitRecord(
-        mu=mu, mu1=complex(mu1), gamma=ledger.gamma, eta1=float(eta1),
-        lam_eps=lam_list, norms=norms, sigma01=sigma01,
-        verdicts=verdicts, caveat=not verdicts.gate,
-    )
+        lams = [float(-np.angle(ledger.mu) + np.pi * ge * eps) for ge in ges]
+        for r, lam, s in zip(records, lams, cpl.sigma.sigma(np.array(lams))):
+            r.lam_eps.append(lam)
+            r.norms.append(float(np.linalg.norm(s - np.eye(N) - r.sigma01, 2)))
+    return records[0] if single else records

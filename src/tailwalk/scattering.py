@@ -9,7 +9,16 @@ are alpha_out = B_bb alpha + B_out w.  Its increments d_t = w_t - w_{t-1}
 of 64 steps per matrix product with A^64 = e^{64 i lam} E^64, where E^64 is
 formed once per InternalMatrix and only rescaled per lambda; w_t is their
 running sum.  A block whose smallest increment is already too large for any
-of its steps to pass the stopping rule skips the per-step check.
+of its steps to pass the stopping rule skips the per-step check.  From the
+first such block on, the iteration runs in two phases.  While it is certain
+that no step can stop, only an n x (1 + max(window-1, 1)) state goes from
+block to block -- the block's sum and its last increments, n x window rather
+than n x 64 -- advanced by the same A^64.  The certificate is ||E||_2 <= 1
+(E is a compression of the unitary walk operator), so increments never
+grow: none in a block is smaller than its last, and their sum is at most 64
+times the last increment of the block before.  When that no longer rules
+out a stop, the block is rebuilt step by step and the per-step phase takes
+over with full n x 64 blocks.
 
 Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
@@ -27,6 +36,7 @@ test suite, including at z = -1 on fixtures where -1 is embedded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +68,21 @@ class ScatteringRecord:
     window_delta: float
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 of a vector, without np.linalg.norm's per-call overhead,
+    which exceeds a small matrix's whole skipped block."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _walk(A: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The _BLOCK increments d, A d, ..., A^(_BLOCK-1) d as columns."""
+    D = np.empty((A.shape[0], _BLOCK), dtype=complex)
+    D[:, 0] = d
+    for j in range(1, _BLOCK):
+        D[:, j] = A @ D[:, j - 1]
+    return D
+
+
 def stationary_iterate(
     im: InternalMatrix,
     lam: float,
@@ -83,6 +108,23 @@ def stationary_iterate(
     smallest increment exceeds ``rtol`` times that bound no step in it can
     pass, and only the running sum and the window's norms are carried on.
     NaN or inf fails the screen, so such blocks get the per-step check.
+
+    The first block to pass the screen starts the skip phase, which
+    carries only the block's sum and its last ``max(window - 1, 1)``
+    increments (n x window columns, not n x ``_BLOCK``) and advances them
+    with ``A^_BLOCK``, adding each sum to ``w``.  ``E`` is a compression of
+    a unitary, so ``||A||_2 <= 1`` and the increments never grow: no
+    increment of a block is smaller than its last, and none is larger than
+    the previous block's last, ``p``.  A block is therefore skipped while
+    its last increment exceeds ``rtol (||w|| + _BLOCK p)``, with the same
+    1e-9 margin, which also covers ``||E||_2`` exceeding 1 by rounding (by
+    at most 1.8e-15 measured on 8- to 240-arc graphs, eps in [0, 1]).  A
+    block the budget ends inside is skipped like a full one, since no step
+    of the full block can stop.  The phase ends, for good, at the first
+    block that fails this test, and is never entered when ``window - 1 >
+    _BLOCK``.  That block is rebuilt step by step from ``p``'s increment,
+    the window's norms are taken from the carried tail, and the screened
+    per-step check resumes on full blocks.
     """
     if not window >= 1 or not max_steps >= 1 or not rtol > 0:
         raise ValueError(f"need window >= 1, max_steps >= 1 and rtol > 0, "
@@ -90,15 +132,28 @@ def stationary_iterate(
     alpha = np.asarray(alpha, dtype=complex)
     phase = np.exp(1j * lam)
     A = phase * im.E
-    D = np.empty((A.shape[0], _BLOCK), dtype=complex)
-    D[:, 0] = phase * (im.B_in @ alpha)
-    for j in range(1, _BLOCK):
-        D[:, j] = A @ D[:, j - 1]
+    D = _walk(A, phase * (im.B_in @ alpha))
     A_block = phase**_BLOCK * im.E_block
     w = np.zeros(A.shape[0], dtype=complex)
     recent = np.full(window - 1, np.inf)  # increment norms before the block
+    tail = max(window - 1, 1)
+    S = None  # skip phase: the last block's sum, then its last ``tail`` increments
+    may_skip = window - 1 <= _BLOCK
     for done in range(0, max_steps, _BLOCK):
-        if done:
+        if S is not None:
+            S_next = A_block @ S
+            # ||d|| falls along the run: each increment of this block is at
+            # least ``last`` and at most ``prev``, the last one before
+            last = _norm(S_next[:, -1])
+            bound = (_norm(w) + _BLOCK * prev) * (1.0 + 1e-9)
+            if last > rtol * max(bound, 1e-300):
+                w, S, prev = w + S_next[:, 0], S_next, last
+                continue
+            # the test is looser than the screen only by _BLOCK p against
+            # ||w||, so the run is near its stop: the phase is not entered again
+            recent = np.linalg.norm(S[:, 1:], axis=0)[tail - (window - 1):]
+            D, S = _walk(A, A @ S[:, -1]), None
+        elif done:
             D = A_block @ D
         m = min(_BLOCK, max_steps - done)
         inc = np.linalg.norm(D[:, :m], axis=0)
@@ -106,7 +161,10 @@ def stationary_iterate(
         # the 1e-9 margin covers rounding in the norms the exact rule compares
         bound = (np.linalg.norm(w) + inc.sum()) * (1.0 + 1e-9)
         if inc.min() > rtol * np.maximum(bound, 1e-300):
-            w, recent = w + D[:, :m].sum(axis=1), norms[m:]
+            s = D[:, :m].sum(axis=1)
+            w, recent = w + s, norms[m:]
+            if may_skip:
+                S, prev, may_skip = np.column_stack([s, D[:, _BLOCK - tail:]]), inc[-1], False
             continue
         W = w[:, None] + np.cumsum(D[:, :m], axis=1)
         worst = sliding_window_view(norms, window).max(axis=1)

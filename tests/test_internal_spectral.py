@@ -362,3 +362,15 @@ def test_confinement_property(eps):
     tg = attach_tails(preset_graph("complete:4"), (0, 1, 2))
     vals = np.linalg.eigvals(build_E(tg, eps).E)
     assert np.max(np.abs(vals)) <= 1.0 + 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(), st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_contraction_property(g, eps, data):
+    # E compresses a unitary, so ||E||_2 <= 1 (hence confinement |mu| <= 1);
+    # the time iteration's skip certificate rests on this
+    vertex = st.integers(min_value=0, max_value=g.num_vertices - 1)
+    tails = data.draw(st.lists(vertex, min_size=1, max_size=5))
+    tails += [tails[0]] * data.draw(st.integers(min_value=0, max_value=2))
+    E = build_E(attach_tails(g, tails), eps).E
+    assert np.linalg.norm(E, 2) <= 1.0 + 1e-12

@@ -353,6 +353,27 @@ class TestResonantLimit:
             assert_allclose(rec.lam_eps, [-np.angle(led.mu) + np.pi * ge * e for e in ladder],
                             atol=1e-14)
 
+    @pytest.mark.parametrize("im_name, sd_name, mu0", [
+        ("im_c4a", "sd_c4", 1 + 0j), ("im_k4a", "sd_k4", MU_K4),
+    ])
+    def test_all_families_in_one_call(self, request, im_name, sd_name, mu0):
+        """A ledger's families in one call, one Sigma evaluation per eps,
+        give each family's record bit for bit, in ``families()`` order."""
+        im = request.getfixturevalue(im_name)
+        base = Coupling(im, request.getfixturevalue(sd_name))
+        led = reduce_eigenvalue(base, mu0)
+        ladder = couplings(im, (0.04, 0.02, 0.01))
+        families = led.families()
+        recs = resonant_sigma_limit(base, led, families, ladder)
+        assert [r.mu1 for r in recs] == [complex(m) for m in families]
+        for mu1, rec in zip(families, recs):
+            ref = resonant_sigma_limit(base, led, mu1, ladder)
+            assert rec.norms == ref.norms
+            assert rec.lam_eps == ref.lam_eps
+            assert np.array_equal(rec.sigma01, ref.sigma01)
+            assert rec.caveat == ref.caveat
+        assert resonant_sigma_limit(base, led, [], ladder) == []
+
     def test_unknown_family_is_an_error(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Scattering matrix: closed form, time iteration, unitarity, transmission."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -230,6 +231,59 @@ def test_screened_blocks_keep_the_stopping_step(im_c16, monkeypatch):
         assert abs(rec.steps - want_steps) <= 3
         assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
         assert 0 < len(exact) < rec.steps / 64 / 2
+
+
+def test_long_run_carries_only_the_window_between_blocks(im_c16):
+    # thousands of steps, yet only the blocks near the stop are advanced as
+    # n x 64 products; the others carry the block sum and the window's tail
+    widths = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            widths.append(other.shape[-1])
+            return np.asarray(self) @ other
+
+    im = dataclasses.replace(im_c16)
+    im.__dict__["E_block"] = im_c16.E_block.view(Counted)
+    alpha = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    want, want_steps = _scalar_iterate(im_c16, 0.4, alpha)
+    rec = stationary_iterate(im, 0.4, alpha)
+    assert want_steps > 5000
+    assert abs(rec.steps - want_steps) <= 3
+    assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
+    assert widths.count(64) <= 3
+    assert widths.count(5) >= rec.steps // 64 - 4
+
+
+def test_budget_inside_the_skip_phase(im_c16):
+    # budgets ending on, just past and inside a block, early in the skip
+    # phase and in the blocks before and after the stop
+    alpha = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    want_steps = _scalar_iterate(im_c16, 0.4, alpha)[1]
+    full = stationary_iterate(im_c16, 0.4, alpha)
+    assert abs(full.steps - want_steps) <= 3
+    last = want_steps // 64
+    for j, r in itertools.product((1, 2, last - 1, last + 1), (0, 1, 17)):
+        budget = 64 * j + r
+        if budget < want_steps:
+            with pytest.raises(NoConvergence, match=f"within {budget} iterations"):
+                stationary_iterate(im_c16, 0.4, alpha, max_steps=budget)
+        else:
+            rec = stationary_iterate(im_c16, 0.4, alpha, max_steps=budget)
+            assert rec.steps == full.steps
+            assert np.array_equal(rec.outgoing, full.outgoing)
+
+
+@pytest.mark.parametrize("window", [64, 65, 66])
+def test_window_as_wide_as_a_block(im_c16, window):
+    # at window 65 the carried tail is a whole block; at 66 it would not
+    # fit, so that run never enters the skip phase
+    alpha = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    want, want_steps = _scalar_iterate(im_c16, np.pi, alpha, window=window)
+    rec = stationary_iterate(im_c16, np.pi, alpha, window=window)
+    assert want is not None
+    assert abs(rec.steps - want_steps) <= 3
+    assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
 
 
 def test_loose_tolerance_stops_in_the_first_block(im_c16):
