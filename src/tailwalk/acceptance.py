@@ -454,28 +454,30 @@ def _c11(ctx, residual_tol=None):
     for name in eligible:
         base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
-        for cl in base.sd.clusters:
-            led = ctx.ledger(name, cl.value)
-            families = led.families()
-            for mu1, rec in zip(families, resonant_sigma_limit(base, led, families, ladder)):
-                if not any(b.hosts_resonance for b in led.family(mu1)):
-                    continue
-                if rec.caveat:
-                    skipped.append(
-                        f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: "
-                        f"a1={rec.verdicts.a1} a2={rec.verdicts.a2} "
-                        f"x_nonzero={rec.verdicts.x_nonzero}"
-                    )
-                    continue
-                ran += 1
-                decreasing = all(
-                    rec.norms[i + 1] < rec.norms[i] for i in range(len(rec.norms) - 1)
+        ledgers = [ctx.ledger(name, cl.value) for cl in base.sd.clusters]
+        families = [(led, mu1) for led in ledgers for mu1 in led.families()]
+        recs = resonant_sigma_limit(
+            base, [led for led, _ in families], [mu1 for _, mu1 in families], ladder
+        )
+        for (led, mu1), rec in zip(families, recs):
+            if not any(b.hosts_resonance for b in led.family(mu1)):
+                continue
+            if rec.caveat:
+                skipped.append(
+                    f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: "
+                    f"a1={rec.verdicts.a1} a2={rec.verdicts.a2} "
+                    f"x_nonzero={rec.verdicts.x_nonzero}"
                 )
-                if not (decreasing and rec.norms[-1] < 0.5 * rec.norms[0]):
-                    problems.append(
-                        f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: norms "
-                        + " -> ".join(f"{v:.3e}" for v in rec.norms)
-                    )
+                continue
+            ran += 1
+            decreasing = all(
+                rec.norms[i + 1] < rec.norms[i] for i in range(len(rec.norms) - 1)
+            )
+            if not (decreasing and rec.norms[-1] < 0.5 * rec.norms[0]):
+                problems.append(
+                    f"{name} mu={led.mu:.2f} mu1={mu1:.3f}: norms "
+                    + " -> ".join(f"{v:.3e}" for v in rec.norms)
+                )
     if ran == 0:
         return "skip", "all hosting branches failed the hypothesis gate: " + "; ".join(skipped)
     ok = not problems

@@ -351,7 +351,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
     ledger_entries = []
     asym_rows = []
-    limit_records = []
+    families = []
     for cl in base.sd.clusters:
         led = reduce_eigenvalue(base, cl.value)
         asym = resonance_asymptote(led, couplings, base)
@@ -369,28 +369,31 @@ def cmd_perturb(cfg: RunConfig) -> int:
             [r["epsilon"], r["re_true"], r["im_true"], r["re_pred"], r["im_pred"], r["abs_err"]]
             for r in asym["rows"]
         )
-        for rec in resonant_sigma_limit(base, led, led.families(), couplings):
-            limit_records.append(
-                {
-                    "mu": [rec.mu.real, rec.mu.imag],
-                    "mu1": [rec.mu1.real, rec.mu1.imag],
-                    "eta1": rec.eta1,
-                    "lam_eps": rec.lam_eps,
-                    "norms": rec.norms,
-                    "sigma01": [
-                        [[z.real, z.imag] for z in row] for row in rec.sigma01
-                    ],
-                    "assumptions": {
-                        "a1": rec.verdicts.a1,
-                        "a2": rec.verdicts.a2,
-                        "a3": rec.verdicts.a3,
-                        "x_nonzero": rec.verdicts.x_nonzero,
-                        "mu1_nonzero": rec.verdicts.mu1_nonzero,
-                        "gate": rec.verdicts.gate,
-                    },
-                    "caveat": rec.caveat,
-                }
-            )
+        families += [(led, mu1) for mu1 in led.families()]
+
+    # every ledger's families at once: one Sigma evaluation per eps
+    limit_records = [
+        {
+            "mu": [rec.mu.real, rec.mu.imag],
+            "mu1": [rec.mu1.real, rec.mu1.imag],
+            "eta1": rec.eta1,
+            "lam_eps": rec.lam_eps,
+            "norms": rec.norms,
+            "sigma01": [[[z.real, z.imag] for z in row] for row in rec.sigma01],
+            "assumptions": {
+                "a1": rec.verdicts.a1,
+                "a2": rec.verdicts.a2,
+                "a3": rec.verdicts.a3,
+                "x_nonzero": rec.verdicts.x_nonzero,
+                "mu1_nonzero": rec.verdicts.mu1_nonzero,
+                "gate": rec.verdicts.gate,
+            },
+            "caveat": rec.caveat,
+        }
+        for rec in resonant_sigma_limit(
+            base, [led for led, _ in families], [mu1 for _, mu1 in families], couplings
+        )
+    ]
 
     health = _health([(0.0, base), *couplings.items()])
     ledger_file = outdir / "ledger.json"

@@ -110,6 +110,38 @@ class InternalMatrix:
         of one coupling never serves another."""
         return np.linalg.matrix_power(self.E, _BLOCK)
 
+    @cached_property
+    def E_ladder(self) -> tuple[np.ndarray, ...]:
+        """The levels E^(_BLOCK 2^i) built so far, from level 0 = E_block;
+        ``E_power`` extends it."""
+        return (self.E_block,)
+
+    def E_power(self, level: int) -> np.ndarray:
+        """E^(_BLOCK 2^level), each level the square of the one before.
+
+        Levels are built in order and kept, for the time iteration's jumps
+        of 2^level blocks.  A longer tuple is published by one assignment,
+        and every level is the same product whoever forms it, so a value
+        never depends on which call built it; two threads racing here only
+        repeat a squaring.
+        """
+        ladder = self.E_ladder
+        while len(ladder) <= level:
+            ladder = ladder + (ladder[-1] @ ladder[-1],)
+            self.E_ladder = ladder
+        return ladder[level]
+
+    @cached_property
+    def port_krylov(self) -> np.ndarray:
+        """The n x _BLOCK x N block K[:, j] = E^j B_in, formed on first use
+        and kept: a time iteration's first block is (K alpha) times the
+        phases e^{i lam (j+1)}, one product instead of _BLOCK - 1 matvecs."""
+        K = np.empty((self.E.shape[0], _BLOCK, self.B_in.shape[1]), dtype=complex)
+        K[:, 0] = self.B_in
+        for j in range(1, _BLOCK):
+            K[:, j] = self.E @ K[:, j - 1]
+        return K
+
 
 def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
     """Assemble E and the port blocks from the per-vertex coins."""

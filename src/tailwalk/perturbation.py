@@ -651,7 +651,7 @@ def assumption_report(
 
 def resonant_sigma_limit(
     base: Coupling,
-    ledger: ReductionLedger,
+    ledger: ReductionLedger | Sequence[ReductionLedger],
     mu1: complex | Sequence[complex],
     ladder: Mapping[float, Coupling],
 ) -> ResonantLimitRecord | list[ResonantLimitRecord]:
@@ -679,17 +679,22 @@ def resonant_sigma_limit(
     ``mu1`` is one family's stage-one value, or a sequence of them (all of
     a ledger's: ``ledger.families()``), which gives a list of records in
     the same order; each eps then evaluates Sigma once, at every family's
-    lambda together.  ``ladder`` maps each eps, in ladder order, to its
-    :class:`Coupling`; the hypotheses are probed at the smallest eps.
+    lambda together.  With a sequence, ``ledger`` may also be a sequence of
+    the same length, one ledger per family, so families of every ledger
+    share that evaluation.  ``ladder`` maps each eps, in ladder order, to
+    its :class:`Coupling`; the hypotheses are probed at the smallest eps.
     Callers running several ledgers on one ladder share it, so each E(eps)
     is factored once.
     """
     single = np.isscalar(mu1)
     mu1s = [mu1] if single else list(mu1)
+    ledgers = list(ledger) if isinstance(ledger, Sequence) else [ledger] * len(mu1s)
+    if len(ledgers) != len(mu1s):
+        raise ValueError(f"{len(ledgers)} ledgers for {len(mu1s)} families")
     im = base.im
     N = im.tg.num_ports
     records, ges = [], []
-    for m1 in mu1s:
+    for ledger, m1 in zip(ledgers, mu1s):
         fam, eta1, ge, Xs = _family(ledger, m1)
         ges.append(ge)
         verdicts = assumption_report(base, ledger, m1, ladder[min(ladder)])
@@ -707,10 +712,10 @@ def resonant_sigma_limit(
             verdicts=verdicts, caveat=not verdicts.gate,
         ))
 
-    if not records:  # a ledger with no moving family evaluates nothing
+    if not records:  # no moving family: nothing to evaluate
         return records
     for eps, cpl in ladder.items():
-        lams = [float(-np.angle(ledger.mu) + np.pi * ge * eps) for ge in ges]
+        lams = [float(-np.angle(r.mu) + np.pi * ge * eps) for r, ge in zip(records, ges)]
         for r, lam, s in zip(records, lams, cpl.sigma.sigma(np.array(lams))):
             r.lam_eps.append(lam)
             r.norms.append(float(np.linalg.norm(s - np.eye(N) - r.sigma01, 2)))

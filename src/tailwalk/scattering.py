@@ -6,19 +6,24 @@ sequence w_t = e^{i lam t} u_t converges (rate = largest off-circle |mu|)
 to w = (z I - E)^{-1} f0 with z = e^{-i lam}, and the outgoing amplitudes
 are alpha_out = B_bb alpha + B_out w.  Its increments d_t = w_t - w_{t-1}
 = A^{t-1} g, with A = e^{i lam} E and g = e^{i lam} f0, are advanced a block
-of 64 steps per matrix product with A^64 = e^{64 i lam} E^64, where E^64 is
-formed once per InternalMatrix and only rescaled per lambda; w_t is their
-running sum.  A block whose smallest increment is already too large for any
-of its steps to pass the stopping rule skips the per-step check.  From the
-first such block on, the iteration runs in two phases.  While it is certain
-that no step can stop, only an n x (1 + max(window-1, 1)) state goes from
-block to block -- the block's sum and its last increments, n x window rather
-than n x 64 -- advanced by the same A^64.  The certificate is ||E||_2 <= 1
-(E is a compression of the unitary walk operator), so increments never
-grow: none in a block is smaller than its last, and their sum is at most 64
-times the last increment of the block before.  When that no longer rules
-out a stop, the block is rebuilt step by step and the per-step phase takes
-over with full n x 64 blocks.
+of 64 steps per matrix product with A^64 = e^{64 i lam} E^64; the first
+block comes from the port Krylov block E^j B_in, and both are formed once
+per InternalMatrix and only rescaled per lambda; w_t is their running sum.
+A block whose smallest increment is already too large for any of its steps
+to pass the stopping rule skips the per-step check.  From the first such
+block on, the iteration runs in two phases.  While it is certain that no
+step can stop, it gallops: one product with a level E^(64 2^i) of a ladder
+of squares, kept on the InternalMatrix, jumps 2^i blocks, carrying only the
+jump's block sum, the last block's sum and its last window-1 increments.
+The certificate is ||E||_2 <= 1 (E is a compression of the unitary walk
+operator), so increments never grow: none in a jump is smaller than its
+last, and their sum is at most 64 * 2^i times the last increment before
+it.  Jumps double while the call's own products have paid for the next
+level (doubling the block sum and the carried state in the same product,
+as in R. A. Smith's squaring method for geometric matrix sums, SIAM J.
+Appl. Math. 16, 1968), and a failed jump is retried from one block.  When
+one block can no longer be ruled out, it is rebuilt step by step and the
+per-step phase takes over with full n x 64 blocks.
 
 Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
@@ -43,6 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .internal_spectral import _BLOCK, InternalMatrix, SpectralData
+
+_SLICE_BYTES = 1 << 20  # transmission_curve's weights per slice of lambdas
+_MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 1.8e-15)^(_BLOCK 2^11) < 1 + 1e-9
 
 __all__ = [
     "NoConvergence",
@@ -74,13 +82,53 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _walk(A: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The _BLOCK increments d, A d, ..., A^(_BLOCK-1) d as columns."""
-    D = np.empty((A.shape[0], _BLOCK), dtype=complex)
+def _walk(E: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The _BLOCK vectors d, E d, ..., E^(_BLOCK-1) d as columns."""
+    D = np.empty((E.shape[0], _BLOCK), dtype=complex)
     D[:, 0] = d
     for j in range(1, _BLOCK):
-        D[:, j] = A @ D[:, j - 1]
+        D[:, j] = E @ D[:, j - 1]
     return D
+
+
+def _skip(
+    im: InternalMatrix, q: complex, w: np.ndarray, X: np.ndarray, p: float, rtol: float, budget: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The skip phase of :func:`stationary_iterate`: jump over blocks that
+    cannot stop, ``2^i`` blocks per product with ``im.E_power(i)``.
+
+    ``X`` holds the last block's sum and its last increments, ``p`` the
+    norm of its last increment and ``q = e^{_BLOCK i lam}``.  ``U`` is the
+    sum of the last ``m = 2^i`` blocks, so ``q^m E^(_BLOCK m) [U | X]``
+    gives the next jump's sum and its end state; after a certified jump,
+    ``U`` plus that sum is the sum of the last 2m blocks, which lets the
+    next jump double.  At one block ``U`` is ``X``'s first column, so level
+    0 multiplies ``X`` alone.  Returns the new ``w`` and ``X`` and the steps
+    skipped: at least ``budget`` when every step before it is certified not
+    to stop, else the first block that may stop starts after them.
+    """
+    n = X.shape[0]
+    Y = X  # [U | X] above level 0
+    level, qs, cols, steps = 0, [q], 0, 0
+    while steps < budget:
+        m = 1 << level
+        Z = qs[level] * (im.E_power(level) @ Y)
+        cols += Z.shape[1]
+        last = _norm(Z[:, -1])
+        if not last > rtol * max((_norm(w) + _BLOCK * m * p) * (1.0 + 1e-9), 1e-300):
+            if not level:
+                break
+            Y, level = Y[:, 1:], 0  # retry from one block
+            continue
+        w, p, steps = w + Z[:, 0], last, steps + _BLOCK * m
+        if level < _MAX_LEVEL and cols >= (level + 1) * n:
+            # the last 2m blocks' sum, then the state at the end of the jump
+            Z = np.column_stack([Y[:, 0] + Z[:, 0], Z[:, 1:] if level else Z])
+            level += 1
+            if len(qs) == level:
+                qs.append(qs[-1] * qs[-1])
+        Y = Z
+    return w, (Y[:, 1:] if level else Y), steps
 
 
 def stationary_iterate(
@@ -98,63 +146,71 @@ def stationary_iterate(
     horizon would be wrong because the contraction rate varies with eps.
 
     The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} E``, ``g = e^{i lam}
-    f0``) come ``_BLOCK`` at a time: the first block by matvecs, each later
-    one as ``A^_BLOCK = e^{_BLOCK i lam} im.E_block`` times the block before,
-    so ``E^_BLOCK`` is formed once per ``im`` whatever the number of calls.
-    The rule is still applied at every step, with windows reaching back
-    across block edges, and the first passing step within ``max_steps`` ends
-    the run.  A block is screened first: every step's window holds its own
-    increment and ``||w_t|| <= ||w|| + sum ||d_j||``, so when the block's
-    smallest increment exceeds ``rtol`` times that bound no step in it can
-    pass, and only the running sum and the window's norms are carried on.
-    NaN or inf fails the screen, so such blocks get the per-step check.
+    f0``) come ``_BLOCK`` at a time.  The first block is ``(K alpha)``
+    times the phases ``e^{i lam j}``, from the port Krylov block
+    ``im.port_krylov``; each later one is ``e^{_BLOCK i lam} im.E_block``
+    times the block before.  Both are formed once per ``im`` and lambda
+    enters only as scalars.  The rule is applied at every step, with
+    windows reaching back across block edges, and the first passing step
+    within ``max_steps`` ends the run.  A block is screened first: every
+    step's window holds its own increment and ``||w_t|| <= ||w|| + sum
+    ||d_j||``, so when the block's smallest increment exceeds ``rtol``
+    times that bound no step in it can pass, and only the running sum and
+    the window's norms are carried on.  NaN or inf fails the screen, so
+    such blocks get the per-step check.
 
     The first block to pass the screen starts the skip phase, which
-    carries only the block's sum and its last ``max(window - 1, 1)``
-    increments (n x window columns, not n x ``_BLOCK``) and advances them
-    with ``A^_BLOCK``, adding each sum to ``w``.  ``E`` is a compression of
-    a unitary, so ``||A||_2 <= 1`` and the increments never grow: no
-    increment of a block is smaller than its last, and none is larger than
-    the previous block's last, ``p``.  A block is therefore skipped while
-    its last increment exceeds ``rtol (||w|| + _BLOCK p)``, with the same
-    1e-9 margin, which also covers ``||E||_2`` exceeding 1 by rounding (by
-    at most 1.8e-15 measured on 8- to 240-arc graphs, eps in [0, 1]).  A
-    block the budget ends inside is skipped like a full one, since no step
-    of the full block can stop.  The phase ends, for good, at the first
-    block that fails this test, and is never entered when ``window - 1 >
-    _BLOCK``.  That block is rebuilt step by step from ``p``'s increment,
-    the window's norms are taken from the carried tail, and the screened
-    per-step check resumes on full blocks.
+    carries only the last block's sum and its last ``max(window - 1, 1)``
+    increments, ``X``, plus ``U``, the sum of the last ``m`` blocks.  It
+    jumps ``m = 2^i`` blocks per product with ``e^{_BLOCK m i lam}`` times
+    ``im.E_power(i) = E^(_BLOCK m)``, a ladder of squares kept on ``im``;
+    the product maps ``[U | X]`` to the jump's sum and its end state.
+    ``E`` is a compression of a unitary, so ``||A||_2 <= 1`` and the
+    increments never grow: none inside the jump is smaller than its last,
+    and none is larger than ``p``, the last one before it.  A jump is
+    therefore certified while its last increment exceeds ``rtol (||w|| +
+    _BLOCK m p)``, with a 1e-9 margin that also covers ``||E||_2``
+    exceeding 1 by rounding (by at most 1.8e-15 measured on 8- to 240-arc
+    graphs, eps in [0, 1]); jumps are capped at ``2^_MAX_LEVEL`` blocks so
+    that ``(1 + 1.8e-15)^(_BLOCK m)`` stays inside it.  After a certified
+    jump the next one doubles, if the call's own skip products so far have
+    at least ``(i + 1) n`` columns, so level ``i`` is formed (one n x n
+    squaring) only after work that costs about as much; whether it was
+    built already by an earlier call changes nothing in the result.  A jump
+    that fails the test is retried from one block, and the phase ends, for
+    good, when one block fails it (for ``m = 1`` it is the screen with
+    ``_BLOCK p`` for the block's increments).  The budget never truncates a
+    jump: one the budget ends inside is certified like any other, and
+    ``NoConvergence`` follows, so every budget at or past the stop gives the
+    same result.  The phase is never entered when ``window - 1 > _BLOCK``.
+    On leaving it, the next block is rebuilt step by step from the last
+    carried increment, the window's norms are taken from the carried
+    tail, and the screened per-step check resumes on full blocks.
     """
     if not window >= 1 or not max_steps >= 1 or not rtol > 0:
         raise ValueError(f"need window >= 1, max_steps >= 1 and rtol > 0, "
                          f"got {window}, {max_steps}, {rtol}")
     alpha = np.asarray(alpha, dtype=complex)
-    phase = np.exp(1j * lam)
-    A = phase * im.E
-    D = _walk(A, phase * (im.B_in @ alpha))
-    A_block = phase**_BLOCK * im.E_block
-    w = np.zeros(A.shape[0], dtype=complex)
+    phases = np.cumprod(np.full(_BLOCK, np.exp(1j * lam)))  # e^{i lam j}, j = 1.._BLOCK
+    q = phases[-1]
+    K = im.port_krylov
+    D = (K.reshape(-1, K.shape[2]) @ alpha).reshape(K.shape[:2]) * phases
+    w = np.zeros(len(D), dtype=complex)
     recent = np.full(window - 1, np.inf)  # increment norms before the block
     tail = max(window - 1, 1)
-    S = None  # skip phase: the last block's sum, then its last ``tail`` increments
+    X = None  # skip phase: the last block's sum, then its last ``tail`` increments
     may_skip = window - 1 <= _BLOCK
-    for done in range(0, max_steps, _BLOCK):
-        if S is not None:
-            S_next = A_block @ S
-            # ||d|| falls along the run: each increment of this block is at
-            # least ``last`` and at most ``prev``, the last one before
-            last = _norm(S_next[:, -1])
-            bound = (_norm(w) + _BLOCK * prev) * (1.0 + 1e-9)
-            if last > rtol * max(bound, 1e-300):
-                w, S, prev = w + S_next[:, 0], S_next, last
-                continue
-            # the test is looser than the screen only by _BLOCK p against
-            # ||w||, so the run is near its stop: the phase is not entered again
-            recent = np.linalg.norm(S[:, 1:], axis=0)[tail - (window - 1):]
-            D, S = _walk(A, A @ S[:, -1]), None
+    done = 0
+    while done < max_steps:
+        if X is not None:
+            w, X, steps = _skip(im, q, w, X, p, rtol, max_steps - done)
+            done += steps
+            if done >= max_steps:
+                break
+            recent = np.linalg.norm(X[:, 1:], axis=0)[tail - (window - 1):]
+            D, X = _walk(im.E, im.E @ X[:, -1]) * phases, None
         elif done:
-            D = A_block @ D
+            D = q * (im.E_block @ D)
         m = min(_BLOCK, max_steps - done)
         inc = np.linalg.norm(D[:, :m], axis=0)
         norms = np.concatenate([recent, inc])
@@ -162,9 +218,9 @@ def stationary_iterate(
         bound = (np.linalg.norm(w) + inc.sum()) * (1.0 + 1e-9)
         if inc.min() > rtol * np.maximum(bound, 1e-300):
             s = D[:, :m].sum(axis=1)
-            w, recent = w + s, norms[m:]
+            w, recent, done = w + s, norms[m:], done + _BLOCK
             if may_skip:
-                S, prev, may_skip = np.column_stack([s, D[:, _BLOCK - tail:]]), inc[-1], False
+                X, p, may_skip = np.column_stack([s, D[:, _BLOCK - tail:]]), inc[-1], False
             continue
         W = w[:, None] + np.cumsum(D[:, :m], axis=1)
         worst = sliding_window_view(norms, window).max(axis=1)
@@ -180,7 +236,7 @@ def stationary_iterate(
                 steps=done + j + 1,
                 window_delta=float(worst[j]),
             )
-        w, recent = W[:, -1], norms[m:]
+        w, recent, done = W[:, -1], norms[m:], done + _BLOCK
     raise NoConvergence(
         f"no Cauchy window of {window} steps below rtol={rtol} "
         f"within {max_steps} iterations at lam={lam}"
@@ -276,10 +332,21 @@ def transmission_curve(
     alpha = _inflow_vector(im.tg.num_ports, inflow)
     ev = SigmaEvaluator(im, sd)
     z = np.exp(-1j * lam_grid)
-    # a row per lambda; contracting K with alpha first keeps temporaries L x N
-    out = np.tile(im.B_bb @ alpha, (len(lam_grid), 1))
-    for mu, s, K in ev.terms:
-        out += (K @ alpha) / ((z - mu) ** (s + 1))[:, None]
+    mus = np.array([mu for mu, _, _ in ev.terms], dtype=complex)
+    orders = np.array([s + 1 for _, s, _ in ev.terms], dtype=int)
+    Ka = np.array([K @ alpha for _, _, K in ev.terms], dtype=complex).reshape(len(mus), len(alpha))
+    # a row per lambda: Sigma alpha = B_bb alpha + W (K alpha) with the
+    # weights W = (z - mu)^-(s+1), taken in slices of about _SLICE_BYTES in
+    # one reused buffer
+    out = np.empty((len(z), len(alpha)), dtype=complex)
+    rows = max(_SLICE_BYTES // (16 * max(len(mus), 1)), 1)
+    buf = np.empty((min(rows, len(z)), len(mus)), dtype=complex)
+    high = orders > 1
+    for lo in range(0, len(z), rows):
+        W = buf[: min(rows, len(z) - lo)]
+        np.reciprocal(np.subtract(z[lo:lo + len(W), None], mus, out=W), out=W)
+        W[:, high] **= orders[high]
+        out[lo:lo + len(W)] = im.B_bb @ alpha + W @ Ka
     refl = np.abs(out @ alpha.conj()) ** 2
     tau = np.linalg.norm(out, axis=1) ** 2 - refl
     return {

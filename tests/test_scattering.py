@@ -13,6 +13,7 @@ from test_tailed_graph import connected_graphs
 from tailwalk import attach_tails, build_E, preset_graph
 from tailwalk.internal_spectral import spectral_decompose
 from tailwalk.scattering import (
+    _MAX_LEVEL,
     NoConvergence,
     SigmaEvaluator,
     stationary_iterate,
@@ -154,7 +155,9 @@ def test_iteration_honours_a_budget_at_its_stopping_step(im_c4a, im_k4a, rtol):
         im = im0.at(0.25)
         alpha = np.array([0.0, 0.0, 1.0], dtype=complex)
         rec = stationary_iterate(im, 1.3, alpha, rtol=rtol)
-        assert abs(rec.steps - _scalar_iterate(im, 1.3, alpha, rtol=rtol)[1]) <= 3
+        want, want_steps = _scalar_iterate(im, 1.3, alpha, rtol=rtol)
+        assert abs(rec.steps - want_steps) <= 3
+        assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
         again = stationary_iterate(im, 1.3, alpha, rtol=rtol, max_steps=rec.steps)
         assert again.steps == rec.steps
         assert np.array_equal(again.outgoing, rec.outgoing)
@@ -234,36 +237,114 @@ def test_screened_blocks_keep_the_stopping_step(im_c16, monkeypatch):
 
 
 def test_long_run_carries_only_the_window_between_blocks(im_c16):
-    # thousands of steps, yet only the blocks near the stop are advanced as
-    # n x 64 products; the others carry the block sum and the window's tail
-    widths = []
+    # thousands of steps, yet the skip phase takes O(log2 blocks) ladder
+    # products, each carrying only [U | block sum | window tail] (U is the
+    # block sum itself at one block, so level 0 leaves it out): the jumps
+    # double once the call's own products have n more columns, about six
+    # products per level here, and restart from one block near the stop
+    products = []  # (level, width) of every product with a ladder level
 
     class Counted(np.ndarray):
         def __matmul__(self, other):
-            widths.append(other.shape[-1])
+            products.append((self.level, other.shape[-1]))
             return np.asarray(self) @ other
 
+    grown = dataclasses.replace(im_c16)
+    grown.E_power(_MAX_LEVEL)
+    ladder = []
+    for level, L in enumerate(grown.E_ladder):
+        ladder.append(L.view(Counted))
+        ladder[-1].level = level
     im = dataclasses.replace(im_c16)
+    im.E_ladder = tuple(ladder)
     im.__dict__["E_block"] = im_c16.E_block.view(Counted)
+    im.E_block.level = "block"
     alpha = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     want, want_steps = _scalar_iterate(im_c16, 0.4, alpha)
     rec = stationary_iterate(im, 0.4, alpha)
     assert want_steps > 5000
     assert abs(rec.steps - want_steps) <= 3
     assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
-    assert widths.count(64) <= 3
-    assert widths.count(5) >= rec.steps // 64 - 4
+    # only the blocks near the stop are advanced as n x 64 products
+    assert [width for level, width in products if level == "block"].count(64) <= 3
+    jumps = [(level, width) for level, width in products if level != "block"]
+    assert all(width == (6 if level else 5) for level, width in jumps)
+    assert len(jumps) <= 6 * np.log2(rec.steps / 64)
+    # level i only after the call's own skip products reach i n columns
+    n, cols = im.E.shape[0], 0
+    for level, width in jumps:
+        assert cols >= level * n
+        cols += width
+    assert max(level for level, _ in jumps) >= 3
+
+
+def test_result_does_not_depend_on_the_ladder_built_before(im_c16):
+    alpha = np.array([0.0, 1.0, 1.0j, 0.0], dtype=complex) / np.sqrt(2)
+    fresh = dataclasses.replace(im_c16)
+    rec = stationary_iterate(fresh, 0.4, alpha)
+    grown = dataclasses.replace(im_c16)
+    # no window ever passes rtol = 1e-300, so this call jumps to its budget
+    with pytest.raises(NoConvergence):
+        stationary_iterate(grown, 0.4, alpha, rtol=1e-300, max_steps=10**7)
+    assert len(grown.E_ladder) == _MAX_LEVEL + 1 > len(fresh.E_ladder)
+    again = stationary_iterate(grown, 0.4, alpha)
+    assert again.steps == rec.steps
+    assert np.array_equal(again.outgoing, rec.outgoing)
+    assert again.window_delta == rec.window_delta
+
+
+@pytest.mark.parametrize("r, rtol", [(1 - 1e-5, 1e-4), (1 - 1e-6, 1e-5), (1 - 1e-7, 1e-6)])
+def test_jumps_stop_short_of_an_aligned_slow_stop(im_c4a, r, rtol):
+    # E = diag(r, 1/2) at lam = 0: the increments r^(t-1) all point one way,
+    # so ||w_t|| grows through a jump; only the _BLOCK m p term of the
+    # certificate keeps long jumps from passing the stop, which the scalar
+    # recurrence gives in closed form
+    im = dataclasses.replace(
+        im_c4a,
+        E=np.diag([r, 0.5]).astype(complex),
+        B_in=np.ones((2, 1), dtype=complex),
+        B_out=np.array([[1.0, 0.0]], dtype=complex),
+        B_bb=np.zeros((1, 1), dtype=complex),
+    )
+    t = np.arange(1.0, 4e6)
+    w = (1 - r**t) / (1 - r)
+    want = int(np.argmax((t >= 5) & (r ** (t - 5) <= rtol * w))) + 1
+    rec = stationary_iterate(im, 0.0, np.array([1.0], dtype=complex), max_steps=10**7, rtol=rtol)
+    assert abs(rec.steps - want) <= 3
+    assert_allclose(rec.outgoing, [w[rec.steps - 1]], rtol=1e-10)
+
+
+def test_small_coupling_still_exhausts_the_budget():
+    # the slowest resonance of cycle:12 at eps 0.04 needs more than the
+    # default 200,000 steps; jumping over them changes neither the outcome
+    # nor the message
+    im = build_E(attach_tails(preset_graph("cycle:12"), (0, 1, 2)), 0.04)
+    msg = r"^no Cauchy window of 5 steps below rtol=1e-12 within 200000 iterations at lam=0\.7$"
+    with pytest.raises(NoConvergence, match=msg):
+        stationary_iterate(im, 0.7, np.array([1.0, 0.0, 0.0], dtype=complex))
+
+
+def test_short_runs_build_no_ladder_level():
+    # runs of about 20 blocks on 240 arcs never pay for a squaring, so the
+    # ladder keeps E^64 alone: 16 calls must not leave 240 x 240 levels behind
+    im = build_E(attach_tails(preset_graph("complete:16"), (0, 0, 1, 2)), 0.6)
+    for lam in (-2.5, -0.9, 0.8, 2.4):
+        for port in range(4):
+            rec = stationary_iterate(im, lam, np.eye(4, dtype=complex)[port])
+            assert rec.steps > 10 * 64
+    assert "E_ladder" in im.__dict__  # the skip phase ran
+    assert len(im.E_ladder) == 1 and im.E_ladder[0] is im.E_block
 
 
 def test_budget_inside_the_skip_phase(im_c16):
     # budgets ending on, just past and inside a block, early in the skip
-    # phase and in the blocks before and after the stop
+    # phase, inside a long jump and in the blocks before and after the stop
     alpha = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
     want_steps = _scalar_iterate(im_c16, 0.4, alpha)[1]
     full = stationary_iterate(im_c16, 0.4, alpha)
     assert abs(full.steps - want_steps) <= 3
     last = want_steps // 64
-    for j, r in itertools.product((1, 2, last - 1, last + 1), (0, 1, 17)):
+    for j, r in itertools.product((1, 2, last // 2, last - 1, last + 1), (0, 1, 17)):
         budget = 64 * j + r
         if budget < want_steps:
             with pytest.raises(NoConvergence, match=f"within {budget} iterations"):
@@ -405,6 +486,34 @@ class TestTransmissionCurve:
                 assert got["tau_sq"].shape == got["reflection_sq"].shape == (size,)
                 assert_allclose(got["tau_sq"], want_tau, rtol=0, atol=1e-14, err_msg=name)
                 assert_allclose(got["reflection_sq"], want_refl, rtol=0, atol=1e-14, err_msg=name)
+
+
+def test_second_order_pole_against_a_direct_solve(im_c4a):
+    # no graph tried gives a defective resonance, so E is replaced by one
+    # with a 2 x 2 Jordan block inside the disk: a term with s = 1
+    im = im_c4a.at(0.25)
+    n = im.E.shape[0]
+    rng = np.random.default_rng(8)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    vals = 0.8 * np.linspace(0.2, 1.0, n) * np.exp(2j * np.pi * np.arange(n) / n)
+    vals[1] = vals[0]
+    T = np.diag(vals)
+    T[0, 1] = 0.7
+    jordan = dataclasses.replace(im, E=Q @ T @ Q.conj().T)
+    sd = spectral_decompose(jordan.E, cluster_tol=1e-6)
+    ev = SigmaEvaluator(jordan, sd)
+    assert sorted(s for _, s, _ in ev.terms).count(1) == 1
+    grid = np.linspace(-np.pi, np.pi, 41)
+    curve = transmission_curve(jordan, grid, 1, sd)
+    alpha = np.array([0.0, 1.0, 0.0], dtype=complex)
+    for lam, tau, refl in zip(grid, curve["tau_sq"], curve["reflection_sq"]):
+        z = np.exp(-1j * lam)
+        want = jordan.B_bb @ alpha + jordan.B_out @ np.linalg.solve(
+            z * np.eye(n) - jordan.E, jordan.B_in @ alpha
+        )
+        assert_allclose(ev.sigma(lam) @ alpha, want, rtol=0, atol=1e-12)
+        assert_allclose(refl, abs(want[1]) ** 2, rtol=0, atol=1e-12)
+        assert_allclose(tau, np.linalg.norm(want) ** 2 - abs(want[1]) ** 2, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
