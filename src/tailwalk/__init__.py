@@ -49,13 +49,13 @@ from .smt_laplacian import (
     joukowsky_preimages,
     lift,
     persistent_basis,
-    persistent_eigenvalues,
     t_eigenbasis_split,
 )
 from .perturbation import (
     AssumptionReport,
     Branch,
     Coupling,
+    Family,
     FirstSecondOrderMatrices,
     GroupEscapedContour,
     ReductionLedger,

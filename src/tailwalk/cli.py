@@ -36,7 +36,6 @@ from .acceptance import FIXTURES, run_all
 from .internal_spectral import ClusterAmbiguity, build_E, spectral_decompose
 from .perturbation import (
     Coupling,
-    GroupEscapedContour,
     Stage1NotSemisimple,
     fit_loglog_slope,
     reduce_eigenvalue,
@@ -59,7 +58,6 @@ EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (
     ClusterAmbiguity,
     NoConvergence,
-    GroupEscapedContour,
     Stage1NotSemisimple,
     np.linalg.LinAlgError,
 )
@@ -351,7 +349,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
 
     ledger_entries = []
     asym_rows = []
-    families = []
+    ledgers = []
     for cl in base.sd.clusters:
         led = reduce_eigenvalue(base, cl.value)
         asym = resonance_asymptote(led, couplings, base)
@@ -369,14 +367,14 @@ def cmd_perturb(cfg: RunConfig) -> int:
             [r["epsilon"], r["re_true"], r["im_true"], r["re_pred"], r["im_pred"], r["abs_err"]]
             for r in asym["rows"]
         )
-        families += [(led, mu1) for mu1 in led.families()]
+        ledgers.append(led)
 
     # every ledger's families at once: one Sigma evaluation per eps
     limit_records = [
         {
             "mu": [rec.mu.real, rec.mu.imag],
-            "mu1": [rec.mu1.real, rec.mu1.imag],
-            "eta1": rec.eta1,
+            "mu1": [rec.family.mu1.real, rec.family.mu1.imag],
+            "eta1": rec.family.eta1,
             "lam_eps": rec.lam_eps,
             "norms": rec.norms,
             "sigma01": [[[z.real, z.imag] for z in row] for row in rec.sigma01],
@@ -390,9 +388,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
             },
             "caveat": rec.caveat,
         }
-        for rec in resonant_sigma_limit(
-            base, [led for led, _ in families], [mu1 for _, mu1 in families], couplings
-        )
+        for rec in resonant_sigma_limit(base, ledgers, couplings)
     ]
 
     health = _health([(0.0, base), *couplings.items()])

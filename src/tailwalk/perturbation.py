@@ -30,18 +30,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .coin_evolution import kappa
-from .internal_spectral import (
-    InternalMatrix,
-    SpectralData,
-    _schur_projection,
-    spectral_decompose,
-)
+from .internal_spectral import InternalMatrix, SpectralData, spectral_decompose
 from .scattering import SigmaEvaluator
 from .smt_laplacian import (
     LaplacianT,
@@ -57,6 +52,7 @@ __all__ = [
     "Stage1NotSemisimple",
     "Coupling",
     "Branch",
+    "Family",
     "ReductionLedger",
     "FirstSecondOrderMatrices",
     "AssumptionReport",
@@ -122,14 +118,15 @@ def _reduced_resolvent(sd: SpectralData, mu: complex) -> np.ndarray:
 def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
     """Total projection of the eps-group of eigenvalues continuing mu0.
 
-    ``cpl`` is E(eps) with its decomposition's eigenvalues, ``base`` the
-    unperturbed problem.  The group is delimited by an adaptive circle
-    around mu0: starting from half the distance to the nearest other
-    cluster of ``base``, the radius is shrunk until no eigenvalue of E(eps)
-    falls in the guard annulus [0.8 r, 1.25 r].  If no radius isolates a
-    group of the unperturbed multiplicity, the group has escaped (eps too
-    large for perturbative tracking) and :class:`GroupEscapedContour` is
-    raised.
+    ``cpl`` is E(eps) with its decomposition, ``base`` the unperturbed
+    problem.  The group is delimited by an adaptive circle around mu0:
+    starting from half the distance to the nearest other cluster of
+    ``base``, the radius is shrunk until no eigenvalue of E(eps) falls in
+    the guard annulus [0.8 r, 1.25 r].  The projection is then the sum of
+    the factored R_J L_J over the clusters of ``cpl`` inside the circle.
+    If no radius isolates a group of the unperturbed multiplicity, the
+    group has escaped (eps too large for perturbative tracking) and
+    :class:`GroupEscapedContour` is raised.
     """
     cl = base.sd.cluster_near(mu0)
     r0 = _group_radius(base.sd, mu0)
@@ -140,7 +137,11 @@ def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
         inside = dist < 0.8 * r
         guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
         if not np.any(guard) and int(np.sum(inside)) == cl.mult:
-            return _schur_projection(cpl.im.E, vals[inside], vals[~inside])
+            cols = np.concatenate([
+                np.arange(c.span.start, c.span.stop)
+                for c in cpl.sd.clusters if abs(c.value - cl.value) < 0.8 * r
+            ])
+            return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
     raise GroupEscapedContour(
         f"no contour around {mu0:.4f} isolates a group of multiplicity "
         f"{cl.mult} at eps={cpl.im.eps}"
@@ -189,7 +190,21 @@ class Branch:
     P2: np.ndarray
     basis: np.ndarray
     eta1: float | None = None
-    hosts_resonance: bool | None = None
+    hosts_resonance: bool = False
+
+
+@dataclass
+class Family:
+    """One moving stage-one eigenspace of a ledger: the (mu, mu1) family.
+
+    ``eta1`` is the boundary scalar mu1 / (gamma mu), 0.0 when that is not
+    real; ``branches`` are the second-stage branches the eigenspace splits
+    into, in ledger order.
+    """
+
+    mu1: complex
+    eta1: float
+    branches: list[Branch]
 
 
 @dataclass
@@ -199,20 +214,7 @@ class ReductionLedger:
     gamma: float
     branches: list[Branch]
     P: np.ndarray
-    stage1_values: list[complex]
-
-    def families(self) -> list[complex]:
-        """The distinct moving stage-one values, in branch order: one per
-        (mu, mu1) family, equal to 9 decimals counting as one."""
-        keys: dict[tuple[float, float], complex] = {}
-        for b in self.branches:
-            if abs(b.mu1) >= 1e-10:
-                keys.setdefault((round(b.mu1.real, 9), round(b.mu1.imag, 9)), b.mu1)
-        return list(keys.values())
-
-    def family(self, mu1: complex) -> list[Branch]:
-        """The branches of the (mu, mu1) family: stage-one value within 1e-8."""
-        return [b for b in self.branches if abs(b.mu1 - mu1) < 1e-8]
+    families: list[Family]
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,6 +252,11 @@ def reduce_eigenvalue(
     a stage-one eigenspace, Q1 Q'' a stage-two one.  Persistence is
     decided by range containment in the persistent subspace of mu0
     (lifted boundary-vanishing states plus birth states).
+
+    Each stage-one cluster with |mu1| >= 1e-10 is one :class:`Family`.  A
+    branch of it hosts resonances when it is not persistent and its
+    predicted second-order radial motion, Re(ge^2 + ge - 2 mu2 / mu) with
+    ge = gamma eta1, points inward.
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
@@ -273,10 +280,17 @@ def reduce_eigenvalue(
     gamma = _gamma_scalar(mu)
 
     branches: list[Branch] = []
-    stage1_values: list[complex] = []
+    families: list[Family] = []
     for c1 in sd1.clusters:
         mu1 = c1.value
-        stage1_values.append(mu1)
+        moving = abs(mu1) >= 1e-10
+        eta1 = None
+        if abs(mu1) > 1e-12:
+            e = mu1 / (gamma * mu)
+            if abs(e.imag) < 1e-7 * max(1.0, abs(e.real)):
+                eta1 = float(e.real)
+        fam = Family(mu1, 0.0 if eta1 is None else eta1, [])
+        ge = gamma * fam.eta1
         Q1 = Q @ np.linalg.qr(c1.R)[0]
         E2 = -(Q1.conj().T @ X @ Sred @ X @ Q1)
         sd2 = spectral_decompose(E2, cluster_tol=stage_tol)
@@ -289,12 +303,8 @@ def reduce_eigenvalue(
                 is_per = leak < 1e-6
             else:
                 is_per = False
-            eta1 = None
-            if abs(mu1) > 1e-12:
-                e = mu1 / (gamma * mu)
-                if abs(e.imag) < 1e-7 * max(1.0, abs(e.real)):
-                    eta1 = float(e.real)
-            branches.append(
+            radial = (ge**2 + ge - 2.0 * (c2.value / mu)).real
+            fam.branches.append(
                 Branch(
                     mu1=mu1,
                     mu2=c2.value,
@@ -303,11 +313,14 @@ def reduce_eigenvalue(
                     P2=P2_full,
                     basis=Q1 @ np.linalg.qr(c2.R)[0],
                     eta1=eta1,
+                    hosts_resonance=bool(moving and radial < -1e-12 and not is_per),
                 )
             )
+        branches += fam.branches
+        if moving:
+            families.append(fam)
     return ReductionLedger(
-        mu=mu, m=cl.mult, gamma=gamma, branches=branches, P=P,
-        stage1_values=stage1_values,
+        mu=mu, m=cl.mult, gamma=gamma, branches=branches, P=P, families=families
     )
 
 
@@ -328,7 +341,6 @@ class FirstSecondOrderMatrices:
     M1: np.ndarray
     eta1: np.ndarray
     lifted_basis: np.ndarray
-    direct_matrix: np.ndarray
     direct_residual: float
 
 
@@ -360,16 +372,11 @@ def build_M1(base: Coupling, mu0: complex) -> FirstSecondOrderMatrices:
     U = np.stack([lift(lt, mu, G[:, j]) for j in range(G.shape[1])], axis=1) \
         if G.shape[1] else np.zeros((lt.tg.num_arcs, 0), dtype=complex)
     gamma = _gamma_scalar(mu)
-    if U.shape[1]:
-        direct = U.conj().T @ base.im.E1 @ U
-        resid = float(np.linalg.norm(direct - gamma * mu * M1))
-    else:
-        direct = np.zeros((0, 0), dtype=complex)
-        resid = 0.0
+    resid = float(np.linalg.norm(U.conj().T @ base.im.E1 @ U - gamma * mu * M1)) \
+        if U.shape[1] else 0.0
     eta = np.linalg.eigvalsh(M1) if M1.size else np.zeros(0)
     return FirstSecondOrderMatrices(
-        mu=mu, gamma=gamma, M1=M1, eta1=eta, lifted_basis=U,
-        direct_matrix=direct, direct_residual=resid,
+        mu=mu, gamma=gamma, M1=M1, eta1=eta, lifted_basis=U, direct_residual=resid,
     )
 
 
@@ -549,7 +556,6 @@ class AssumptionReport:
     a3: bool
     x_nonzero: bool
     mu1_nonzero: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def gate(self) -> bool:
@@ -559,9 +565,8 @@ class AssumptionReport:
 @dataclass
 class ResonantLimitRecord:
     mu: complex
-    mu1: complex
     gamma: float
-    eta1: float
+    family: Family
     lam_eps: list[float]
     norms: list[float]
     sigma01: np.ndarray
@@ -569,23 +574,16 @@ class ResonantLimitRecord:
     caveat: bool
 
 
-def _family(ledger: ReductionLedger, mu1: complex) -> tuple[list[Branch], float, float, complex]:
-    fam = ledger.family(mu1)
-    if not fam:
-        raise ValueError(f"no branch with mu1 = {mu1} at mu = {ledger.mu}")
-    eta1 = fam[0].eta1 if fam[0].eta1 is not None else 0.0
-    ge = ledger.gamma * eta1
-    Xs = ledger.mu * ge * (ge + 1.0)
-    for b in fam:
-        radial = (ge**2 + ge - 2.0 * (b.mu2 / ledger.mu)).real
-        b.hosts_resonance = bool(radial < -1e-12 and not b.persistent)
-    return fam, eta1, ge, Xs
+def _x_scalar(ledger: ReductionLedger, fam: Family) -> complex:
+    """Xs = mu ge (ge + 1), ge = gamma eta1, of one family."""
+    ge = ledger.gamma * fam.eta1
+    return ledger.mu * ge * (ge + 1.0)
 
 
 def assumption_report(
     base: Coupling,
     ledger: ReductionLedger,
-    mu1: complex,
+    fam: Family,
     probe: Coupling,
 ) -> AssumptionReport:
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
@@ -597,35 +595,28 @@ def assumption_report(
     first-order matrix provides (reported, not gated on).
     """
     mu = ledger.mu
-    fam, _eta1, _ge, Xs = _family(ledger, mu1)
-    hosts = [b for b in fam if b.hosts_resonance]
-    details: dict = {}
+    Xs = _x_scalar(ledger, fam)
+    hosts = [b for b in fam.branches if b.hosts_resonance]
 
     x_ok = abs(Xs) > 1e-12
     for b in hosts:
         if abs(Xs - 2.0 * b.mu2) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
             x_ok = False
-    details["x_scalar"] = complex(Xs)
 
     Psum = sum((b.P2 for b in ledger.branches), np.zeros_like(ledger.P))
     a2_resid = float(np.linalg.norm(Psum - ledger.P)) / max(1.0, float(np.linalg.norm(ledger.P)))
     a2 = a2_resid < 1e-8
-    details["a2_residual"] = a2_resid
 
     k = kappa(probe.im.eps)
     w, V = probe.eig
     a1 = True
-    angles = []
     for b in hosts:
         pred = mu + k * b.mu1 + k**2 * b.mu2
         idx = np.argsort(np.abs(w - pred))[: b.multiplicity]
         Vb = np.linalg.qr(V[:, idx])[0]
         sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
-        ang = float(np.max(sines)) if sines.size else 0.0
-        angles.append(ang)
-        if ang > 0.2:
+        if sines.size and float(np.max(sines)) > 0.2:
             a1 = False
-    details["a1_max_sine"] = max(angles) if angles else 0.0
 
     tg = base.im.tg
     bd = list(tg.boundary_vertices)
@@ -640,22 +631,18 @@ def assumption_report(
     rhs = (1.0 / (2.0 * c_surrogate)) * (1.0 / nu_plus) * (1.0 - 1.0 / nu_minus) \
         if np.isfinite(c_surrogate) else 0.0
     a3 = bool(nu_minus >= 3 and lhs < rhs)
-    details.update({"a3_lhs": lhs, "a3_rhs": rhs, "a3_nu": (nu_minus, nu_plus),
-                    "a3_c_surrogate": c_surrogate})
 
     return AssumptionReport(
-        a1=a1, a2=a2, a3=a3, x_nonzero=x_ok,
-        mu1_nonzero=abs(mu1) > 1e-9, details=details,
+        a1=a1, a2=a2, a3=a3, x_nonzero=x_ok, mu1_nonzero=abs(fam.mu1) > 1e-9,
     )
 
 
 def resonant_sigma_limit(
     base: Coupling,
-    ledger: ReductionLedger | Sequence[ReductionLedger],
-    mu1: complex | Sequence[complex],
+    ledgers: Sequence[ReductionLedger],
     ladder: Mapping[float, Coupling],
-) -> ResonantLimitRecord | list[ResonantLimitRecord]:
-    """Limit form of the scattering matrix along the resonant frequency path.
+) -> list[ResonantLimitRecord]:
+    """Limit form of the scattering matrix along each family's resonant path.
 
     At lam(eps) with e^{-i lam} = mu e^{-i pi gamma eta1 eps}, the
     scattering matrix converges to I + Sigma01 where Sigma01 sums, over the
@@ -671,52 +658,44 @@ def resonant_sigma_limit(
     as 2(1 - rho)/Xs is the same thing; geometric rho-series factors are
     not, and fail numerically for rank-2 branches).
 
-    Branches host resonances when the predicted second-order radial motion
-    points inward and the branch is not persistent.  Computation always
-    completes; hypothesis failures only set ``caveat`` (and the verdicts
-    carry details), so callers can decide what to gate.
+    Computation always completes; hypothesis failures only set ``caveat``
+    (and the verdicts say which), so callers can decide what to gate.
 
-    ``mu1`` is one family's stage-one value, or a sequence of them (all of
-    a ledger's: ``ledger.families()``), which gives a list of records in
-    the same order; each eps then evaluates Sigma once, at every family's
-    lambda together.  With a sequence, ``ledger`` may also be a sequence of
-    the same length, one ledger per family, so families of every ledger
-    share that evaluation.  ``ladder`` maps each eps, in ladder order, to
-    its :class:`Coupling`; the hypotheses are probed at the smallest eps.
-    Callers running several ledgers on one ladder share it, so each E(eps)
-    is factored once.
+    Returns one record per family of each ledger, in order; each eps
+    evaluates Sigma once, at every family's lambda together.  ``ladder``
+    maps each eps, in ladder order, to its :class:`Coupling`; the
+    hypotheses are probed at the smallest eps.  Callers running several
+    ledgers on one ladder share it, so each E(eps) is factored once.
     """
-    single = np.isscalar(mu1)
-    mu1s = [mu1] if single else list(mu1)
-    ledgers = list(ledger) if isinstance(ledger, Sequence) else [ledger] * len(mu1s)
-    if len(ledgers) != len(mu1s):
-        raise ValueError(f"{len(ledgers)} ledgers for {len(mu1s)} families")
     im = base.im
     N = im.tg.num_ports
-    records, ges = [], []
-    for ledger, m1 in zip(ledgers, mu1s):
-        fam, eta1, ge, Xs = _family(ledger, m1)
-        ges.append(ge)
-        verdicts = assumption_report(base, ledger, m1, ladder[min(ladder)])
-        sigma01 = np.zeros((N, N), dtype=complex)
-        for b in fam:
-            if not b.hosts_resonance:
-                continue
-            denom = Xs - 2.0 * b.mu2
-            if abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
-                continue
-            sigma01 = sigma01 + (2.0 / denom) * (im.B_out1 @ b.P2 @ im.B_in1)
-        records.append(ResonantLimitRecord(
-            mu=ledger.mu, mu1=complex(m1), gamma=ledger.gamma, eta1=float(eta1),
-            lam_eps=[], norms=[], sigma01=sigma01,
-            verdicts=verdicts, caveat=not verdicts.gate,
-        ))
+    probe = ladder[min(ladder)]
+    records = []
+    for ledger in ledgers:
+        for fam in ledger.families:
+            Xs = _x_scalar(ledger, fam)
+            sigma01 = np.zeros((N, N), dtype=complex)
+            for b in fam.branches:
+                if not b.hosts_resonance:
+                    continue
+                denom = Xs - 2.0 * b.mu2
+                if abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
+                    continue
+                sigma01 = sigma01 + (2.0 / denom) * (im.B_out1 @ b.P2 @ im.B_in1)
+            verdicts = assumption_report(base, ledger, fam, probe)
+            records.append(ResonantLimitRecord(
+                mu=ledger.mu, gamma=ledger.gamma, family=fam,
+                lam_eps=[], norms=[], sigma01=sigma01,
+                verdicts=verdicts, caveat=not verdicts.gate,
+            ))
 
     if not records:  # no moving family: nothing to evaluate
         return records
     for eps, cpl in ladder.items():
-        lams = [float(-np.angle(r.mu) + np.pi * ge * eps) for r, ge in zip(records, ges)]
+        lams = [
+            float(-np.angle(r.mu) + np.pi * (r.gamma * r.family.eta1) * eps) for r in records
+        ]
         for r, lam, s in zip(records, lams, cpl.sigma.sigma(np.array(lams))):
             r.lam_eps.append(lam)
             r.norms.append(float(np.linalg.norm(s - np.eye(N) - r.sigma01, 2)))
-    return records[0] if single else records
+    return records

@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .internal_spectral import build_E
 from .tailed_graph import TailedGraph
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "joukowsky_preimages",
     "joukowsky",
     "classify",
-    "persistent_eigenvalues",
     "lift",
     "is_bipartite",
     "birth_basis",
@@ -303,39 +301,3 @@ def persistent_basis(lt: LaplacianT, lam: complex) -> np.ndarray:
     if not cols:
         return np.zeros((lt.tg.num_arcs, 0), dtype=complex)
     return scipy.linalg.orth(np.stack(cols, axis=1))
-
-
-def persistent_eigenvalues(
-    lt: LaplacianT,
-    eps_values=(0.1, 0.5),
-    tol: float = 1e-9,
-) -> list[dict]:
-    """Validate that classified persistent eigenspaces survive the coupling.
-
-    For each classified eigenvalue with persistent multiplicity > 0,
-    checks ||(E_eps - lam) u|| <= tol for an orthonormal basis u at every
-    requested eps.  Returns one report dict per eigenvalue.
-    """
-    reports = []
-    im0 = build_E(lt.tg, 0.0)
-    for entry in classify(lt):
-        if entry.persistent_mult == 0:
-            continue
-        B = persistent_basis(lt, entry.value)
-        worst = 0.0
-        for eps in eps_values:
-            im = im0.at(eps)
-            R = im.E @ B - entry.value * B
-            if R.size:
-                worst = max(worst, float(np.max(np.linalg.norm(R, axis=0))))
-        reports.append(
-            {
-                "value": entry.value,
-                "dim": B.shape[1],
-                "expected_dim": entry.persistent_mult,
-                "max_residual": worst,
-                "eps_values": tuple(float(e) for e in eps_values),
-                "ok": bool(B.shape[1] == entry.persistent_mult and worst <= tol),
-            }
-        )
-    return reports

@@ -49,6 +49,12 @@ def test_every_criterion_reports(results):
         assert r.elapsed < 60.0
 
 
+def test_details_repeat_across_runs(results):
+    # no wall time or other run-dependent value enters a criterion's detail
+    again = [(r.cid, r.status, r.detail) for r in acceptance.run_all()]
+    assert again == [(r.cid, r.status, r.detail) for r in results.values()]
+
+
 def test_run_all_factors_each_matrix_once(run_all):
     # criteria share each fixture's E(0), E(eps) and ledgers; arc-space
     # matrices have 8 (cycle:4) or 12 (complete:4) rows, stage matrices <= 4

@@ -270,17 +270,28 @@ def test_one_schur_form_per_decomposition(schur_calls, c4a):
 
 
 def test_one_schur_form_per_total_projection(schur_calls, im_c4a):
+    # the total projection sums the factors of E(eps)'s own decomposition
     base = Coupling(im_c4a, spectral_decompose(im_c4a.E0))
     im = im_c4a.at(0.1)
     cpl = Coupling(im, spectral_decompose(im.E))
     schur_calls.clear()
     total_projection(cpl, 1 + 0j, base)
-    assert len(schur_calls) == 1
+    assert schur_calls == []
 
 
 def test_no_sylvester_solver_left_in_the_package():
     src = Path(tailwalk.__file__).parent
     assert not [p.name for p in src.rglob("*.py") if "solve_sylvester" in p.read_text()]
+
+
+def test_only_internal_spectral_takes_schur_forms():
+    src = Path(tailwalk.__file__).parent
+    assert not [
+        p.name
+        for p in src.rglob("*.py")
+        if p.name != "internal_spectral.py"
+        and any(s in p.read_text() for s in ("scipy.linalg.schur", "_schur_projection"))
+    ]
 
 
 def _union_find_clusters(vals, tol):

@@ -6,6 +6,7 @@ they are inputs to the tests, not snapshots of their output.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tailwalk.coin_evolution import kappa
 from tailwalk.internal_spectral import build_E, projection_contour_oracle, spectral_decompose
 from tailwalk.perturbation import (
     Coupling,
+    Family,
     GroupEscapedContour,
     assumption_report,
     build_M1,
@@ -176,6 +178,16 @@ class TestReduceEigenvalue:
                 np.linalg.norm(b.P2 @ im_k4a.E1 @ b.P2 - b.mu1 * b.P2) < 1e-8
             )
 
+    def test_families_partition_the_moving_branches(self, suite_graphs):
+        for name, tg in suite_graphs.items():
+            base = Coupling(im := build_E(tg), spectral_decompose(im.E0))
+            for cl in base.sd.clusters:
+                led = reduce_eigenvalue(base, cl.value)
+                moving = [b for b in led.branches if abs(b.mu1) >= 1e-10]
+                assert [b for f in led.families for b in f.branches] == moving, name
+                for f in led.families:
+                    assert all(b.mu1 == f.mu1 for b in f.branches), name
+
     def test_json_round_trip(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
         d = json.loads(json.dumps(led.to_json_dict()))
@@ -294,24 +306,31 @@ class TestResonanceAsymptote:
 class TestResonantLimit:
     def test_assumption_gate_c4(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
-        rep = assumption_report(base_c4, led, -0.25, coupling(im_c4a, 0.005))
+        [fam] = led.families
+        assert_allclose(fam.mu1, -0.25, atol=1e-10)
+        rep = assumption_report(base_c4, led, fam, coupling(im_c4a, 0.005))
         assert rep.a1 and rep.a2 and rep.x_nonzero and rep.mu1_nonzero
         assert rep.gate
         # the global smallness inequality is strictly stronger than needed
         # and fails on every small fixture; it is reported, not gated on
         assert not rep.a3
 
-    def test_gate_fails_for_the_persistent_family(self, im_c4a, base_c4):
+    def test_gate_fails_for_the_persistent_eigenspace(self, im_c4a, base_c4):
+        # the persistent stage-one eigenspace (mu1 = 0) is no ledger family;
+        # its record, built by hand, fails the gate on mu1 alone
         led = reduce_eigenvalue(base_c4, 1 + 0j)
-        rep = assumption_report(base_c4, led, 0.0, coupling(im_c4a, 0.005))
+        [b] = [b for b in led.branches if b.persistent]
+        assert not b.hosts_resonance
+        rep = assumption_report(base_c4, led, Family(b.mu1, 0.0, [b]), coupling(im_c4a, 0.005))
         assert not rep.mu1_nonzero and not rep.gate
 
     def test_limit_c4_plus_one(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         ladder = couplings(im_c4a, (0.02, 0.01, 0.005))
-        rec = resonant_sigma_limit(base_c4, led, -0.25, ladder)
+        [rec] = resonant_sigma_limit(base_c4, [led], ladder)
+        assert rec.family is led.families[0]
         assert not rec.caveat
-        assert_allclose(rec.eta1, -0.25, atol=1e-10)
+        assert_allclose(rec.family.eta1, -0.25, atol=1e-10)
         # lambda path: -arg(mu) + pi gamma eta1 eps
         assert_allclose(rec.lam_eps[0], np.pi * 1.0 * (-0.25) * 0.02, atol=1e-12)
         assert_allclose(rec.norms, [0.041888, 0.020944, 0.010472], atol=2e-5)
@@ -322,9 +341,11 @@ class TestResonantLimit:
         """The coefficient 2/(Xs - 2 mu2) must hold for a degenerate branch;
         a geometric rho-power factor would stall these norms near 0.35."""
         led = reduce_eigenvalue(base_k4, MU_K4)
-        mu1 = [b.mu1 for b in led.branches if b.multiplicity == 2][0]
         ladder = couplings(im_k4a, (0.04, 0.02, 0.01, 0.005))
-        rec = resonant_sigma_limit(base_k4, led, mu1, ladder)
+        [rec] = [
+            r for r in resonant_sigma_limit(base_k4, [led], ladder)
+            if [b.multiplicity for b in r.family.branches] == [2]
+        ]
         assert rec.verdicts.gate
         assert_allclose(
             rec.norms, [0.126898, 0.063146, 0.031495, 0.015728], atol=2e-4
@@ -343,13 +364,13 @@ class TestResonantLimit:
         led = reduce_eigenvalue(base, mu0)
         ladder = (0.01, 0.04, 0.02)
         shared = couplings(im, ladder)
-        for mu1 in {b.mu1 for b in led.branches if abs(b.mu1) > 1e-10}:
-            fresh = couplings(im, ladder)
-            ref = resonant_sigma_limit(base, led, mu1, fresh)
-            rec = resonant_sigma_limit(base, led, mu1, shared)
+        for fam in led.families:
+            sole = replace(led, families=[fam])
+            [ref] = resonant_sigma_limit(base, [sole], couplings(im, ladder))
+            [rec] = resonant_sigma_limit(base, [sole], shared)
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
-            ge = led.gamma * rec.eta1
+            ge = led.gamma * fam.eta1
             assert_allclose(rec.lam_eps, [-np.angle(led.mu) + np.pi * ge * e for e in ladder],
                             atol=1e-14)
 
@@ -357,24 +378,22 @@ class TestResonantLimit:
         ("im_c4a", "sd_c4", 1 + 0j), ("im_k4a", "sd_k4", MU_K4),
     ])
     def test_all_families_in_one_call(self, request, im_name, sd_name, mu0):
-        """A ledger's families in one call, one Sigma evaluation per eps,
-        give each family's record bit for bit, in ``families()`` order."""
+        """Every ledger's families in one call, one Sigma evaluation per
+        eps, give each family's record bit for bit, in ledger and family
+        order, as a call per family."""
         im = request.getfixturevalue(im_name)
         base = Coupling(im, request.getfixturevalue(sd_name))
-        led = reduce_eigenvalue(base, mu0)
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
         ladder = couplings(im, (0.04, 0.02, 0.01))
-        families = led.families()
-        recs = resonant_sigma_limit(base, led, families, ladder)
-        assert [r.mu1 for r in recs] == [complex(m) for m in families]
-        for mu1, rec in zip(families, recs):
-            ref = resonant_sigma_limit(base, led, mu1, ladder)
+        recs = resonant_sigma_limit(base, ledgers, ladder)
+        assert [r.family for r in recs] == [f for led in ledgers for f in led.families]
+        led = reduce_eigenvalue(base, mu0)
+        for fam in led.families:
+            sole = replace(led, families=[fam])
+            [ref] = resonant_sigma_limit(base, [sole], ladder)
+            [rec] = [r for r in recs if r.mu == led.mu and r.family.mu1 == fam.mu1]
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
             assert np.array_equal(rec.sigma01, ref.sigma01)
             assert rec.caveat == ref.caveat
-        assert resonant_sigma_limit(base, led, [], ladder) == []
-
-    def test_unknown_family_is_an_error(self, im_c4a, base_c4):
-        led = reduce_eigenvalue(base_c4, 1 + 0j)
-        with pytest.raises(ValueError):
-            resonant_sigma_limit(base_c4, led, 0.77, couplings(im_c4a, [0.02]))
+        assert resonant_sigma_limit(base, [], ladder) == []

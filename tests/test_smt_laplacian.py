@@ -18,7 +18,6 @@ from tailwalk.smt_laplacian import (
     joukowsky_preimages,
     lift,
     persistent_basis,
-    persistent_eigenvalues,
     t_eigenbasis_split,
 )
 
@@ -160,13 +159,6 @@ def test_persistent_basis_survives_the_coupling(c4a, k4a):
             im = build_E(tg, eps)
             assert np.linalg.norm(im.E @ U - lam * U) < 1e-9
             assert np.linalg.norm(im.B_out @ U) < 1e-9
-
-
-def test_persistent_eigenvalue_report(c4a):
-    rows = persistent_eigenvalues(build_operators(c4a))
-    assert len(rows) > 0
-    for r in rows:
-        assert r["ok"], r
 
 
 @settings(max_examples=25, deadline=None)
