@@ -11,15 +11,15 @@ first outgoing tail arc, and B_bb is the direct port-to-port block.  E is a
 compression of a unitary, so spec(E) lives in the closed unit disk; the
 eigenvalues strictly inside are the resonances.
 
-Spectral projections use the dense eigendecomposition only to *locate*
-clusters.  The projectors come from one complex Schur form E = Z T Z* per
-decomposition, block-diagonalised (Bavely & Stewart 1979): one ``ztrsen``
-reorder per cluster that is not already contiguous on the diagonal (none
-for a simple spectrum), then triangular Sylvester solves (``ztrsyl``) that
-give a unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).  Each
-cluster is kept as factors, R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and the
-m x m N = T_JJ - mu, so P = R L and (E - mu) P = R N L cost O(n m) memory
-per cluster instead of O(n^2).  This is well-conditioned even for
+One complex Schur form E = Z T Z* per decomposition is the only dense
+eigensolver: its diagonal, copied before any reorder, gives the eigenvalues
+that are clustered and reported.  The form is block-diagonalised (Bavely &
+Stewart 1979): one ``ztrsen`` reorder per cluster not already contiguous on
+the diagonal (none for a simple spectrum), then ``ztrsyl`` Sylvester solves
+that give a unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).
+Each cluster is kept as factors, R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and
+the m x m N = T_JJ - mu, so P = R L and (E - mu) P = R N L cost O(n m)
+memory per cluster instead of O(n^2).  This is well-conditioned even for
 defective clusters, and a basis too ill-conditioned to trust is refused.
 A contour-integral projector is provided as an independent test oracle and
 is not used in any production path.
@@ -222,8 +222,8 @@ class SpectralCluster:
 
 @dataclass
 class SpectralData:
-    """Clusters of one matrix, with the ``eigvals`` array they were grouped
-    from (kept in LAPACK's order, so tables built from it are reproducible).
+    """Clusters of one matrix, with the eigenvalues they were grouped from:
+    its complex Schur diagonal before any reorder, in ``zgees``'s order.
 
     ``R = Z Y`` and ``L = Y^-1 Z*`` block-diagonalise the matrix,
     ``E = R blockdiag(T_jj) L``; each cluster owns a contiguous block of
@@ -308,30 +308,21 @@ def _schur_projection(
 
 
 def _contiguous_schur(
-    E: np.ndarray, vals: np.ndarray, groups: list[np.ndarray]
+    T: np.ndarray, Z: np.ndarray, groups: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complex Schur form E = Z T Z* with every cluster on consecutive
-    diagonal entries, and the first diagonal index of each group.
+    """The Schur form E = Z T Z* reordered so that each cluster (``groups``
+    index T's diagonal) is contiguous, and each group's first index.
 
-    A diagonal entry belongs to the cluster of its nearest eigenvalue.
     Clusters are laid out in the order their first entries appear; one
     that is not yet contiguous is gathered by ``ztrsen``, selecting it
     together with the clusters already placed, which sit in front and so
     do not move.  A spectrum of simple eigenvalues needs no reorder.
     """
-    T, Z = scipy.linalg.schur(E, output="complex")
-    n = len(vals)
-    owner = np.empty(n, dtype=int)
+    n = T.shape[0]
+    label = np.empty(n, dtype=int)
     for g, ix in enumerate(groups):
-        owner[ix] = g
-    label = owner[np.argmin(np.abs(np.diag(T)[:, None] - vals[None, :]), axis=1)]
+        label[ix] = g
     mults = np.array([len(ix) for ix in groups])
-    counts = np.bincount(label, minlength=len(groups))
-    if not np.array_equal(counts, mults):
-        g = int(np.flatnonzero(counts != mults)[0])
-        raise ClusterAmbiguity(
-            f"the Schur diagonal holds {counts[g]} eigenvalues of a cluster of {mults[g]}"
-        )
     start = np.empty(len(groups), dtype=int)
     p = 0
     while p < n:
@@ -397,7 +388,8 @@ def spectral_decompose(
     projectors would have lost half the working digits.
     """
     E = np.asarray(E, dtype=complex)
-    vals = np.linalg.eigvals(E)
+    T, Z = scipy.linalg.schur(E, output="complex")
+    vals = np.diag(T).copy()
     groups = _greedy_clusters(vals, cluster_tol)
 
     reps = np.array([np.mean(vals[ix]) for ix in groups])
@@ -409,7 +401,7 @@ def spectral_decompose(
             f"10*cluster_tol = {10 * cluster_tol:.1e}"
         )
 
-    T, Z, start = _contiguous_schur(E, vals, groups)
+    T, Z, start = _contiguous_schur(T, Z, groups)
     spans = [slice(s, s + len(ix)) for s, ix in zip(start.tolist(), groups)]
     Y = _block_diagonaliser(T, sorted(sp.stop for sp in spans))
     R = Z @ Y

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .coin_evolution import kappa
-from .internal_spectral import InternalMatrix, SpectralData, spectral_decompose
+from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
 from .scattering import SigmaEvaluator
 from .smt_laplacian import (
     LaplacianT,
@@ -106,13 +106,23 @@ class Coupling:
         return np.linalg.eig(self.im.E)
 
 
-def _reduced_resolvent(sd: SpectralData, mu: complex) -> np.ndarray:
-    """sum over clusters zeta != mu of P_zeta / (zeta - mu), as R diag(w) L."""
+def _reduced_resolvent(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
+    """sum over the clusters zeta other than cl of P_zeta / (zeta - cl.value), as R diag(w) L."""
     w = np.zeros(sd.R.shape[1], dtype=complex)
     for c in sd.clusters:
-        if abs(c.value - mu) >= 1e-9:
-            w[c.span] = 1.0 / (c.value - mu)
+        if c is not cl:
+            w[c.span] = 1.0 / (c.value - cl.value)
     return sd.R @ (w[:, None] * sd.L)
+
+
+def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
+    """Distance from cl to the nearest other cluster of sd, 1.0 for a lone one."""
+    return min((abs(c.value - cl.value) for c in sd.clusters if c is not cl), default=1.0)
+
+
+def _mu2_bound(sd: SpectralData, cl: SpectralCluster, minn: int) -> float:
+    """gap^-1 (#sigma_p - 1) minn^-2, minn the smallest boundary degree."""
+    return (1.0 / _gap(sd, cl)) * (len(sd.clusters) - 1) * minn ** (-2)
 
 
 def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
@@ -129,7 +139,7 @@ def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
     :class:`GroupEscapedContour` is raised.
     """
     cl = base.sd.cluster_near(mu0)
-    r0 = _group_radius(base.sd, mu0)
+    r0 = 0.5 * _gap(base.sd, cl)
     vals = cpl.sd.eigenvalues
     for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
         r = r0 * shrink
@@ -156,7 +166,7 @@ def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[n
     """
     cl = base.sd.cluster_near(mu0)
     P = cl.projection
-    S = _reduced_resolvent(base.sd, cl.value)
+    S = _reduced_resolvent(base.sd, cl)
     X = base.im.E1
     n = P.shape[0]
     Spow = {0: np.eye(n, dtype=complex)}
@@ -275,7 +285,7 @@ def reduce_eigenvalue(
                 f"mu1={c1.value:.4e}"
             )
 
-    Sred = _reduced_resolvent(base.sd, mu)
+    Sred = _reduced_resolvent(base.sd, cl)
     per = persistent_basis(base.lt, mu)
     gamma = _gamma_scalar(mu)
 
@@ -409,11 +419,10 @@ def mu2_bound_check(base: Coupling, ledger: ReductionLedger) -> dict:
     """
     tg = base.im.tg
     mu = ledger.mu
-    others = [c for c in base.sd.clusters if abs(c.value - mu) > 1e-9]
-    gap = min(abs(c.value - mu) for c in others)
-    bd = list(tg.boundary_vertices)
-    minn = min(int(tg.total_deg[v]) for v in bd)
-    bound = (1.0 / gap) * (len(base.sd.clusters) - 1) * minn ** (-2)
+    cl = base.sd.cluster_near(mu)
+    others = [c for c in base.sd.clusters if c is not cl]
+    minn = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
+    bound = _mu2_bound(base.sd, cl, minn)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
 
     fo = build_M1(base, mu)
@@ -460,12 +469,6 @@ def fit_loglog_slope(eps_values, residuals) -> float:
     return float(slope)
 
 
-def _group_radius(sd: SpectralData, mu: complex) -> float:
-    cl = sd.cluster_near(mu)
-    others = [c.value for c in sd.clusters if c is not cl]
-    return 0.5 * min(abs(z - cl.value) for z in others) if others else 0.5
-
-
 def resonance_asymptote(
     ledger: ReductionLedger,
     ladder: Mapping[float, Coupling],
@@ -474,15 +477,15 @@ def resonance_asymptote(
     """Predicted vs. true eigenvalue motion for every branch of one group.
 
     ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
-    the true eigenvalues are that decomposition's ``eigvals`` array.
-    Those of E(eps) inside the group disk are matched to
+    the true eigenvalues are that decomposition's ``eigenvalues``, the
+    diagonal of its Schur form.  Those inside the group disk are matched to
     branches by nearest distance *after subtracting the first-order term*
     (branch capacity = multiplicity), which disambiguates branches that
     only separate at second order.  Returns CSV-ready rows plus per-branch
     residual ladders for slope fitting.
     """
     mu = ledger.mu
-    radius = _group_radius(base.sd, mu)
+    radius = 0.5 * _gap(base.sd, base.sd.cluster_near(mu))
     rows = []
     per_branch = {
         i: {"eps": [], "first_resid": [], "second_resid": [], "puiseux_resid": []}
@@ -519,23 +522,21 @@ def resonance_asymptote(
                     "abs_err": abs(z - pred),
                 }
             )
+            pp = (pred if b.eta1 is None
+                  else puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps))
+            resid = {
+                "first_resid": abs(z - (mu + k * b.mu1)),
+                "second_resid": abs(z - pred),
+                "puiseux_resid": abs(z - pp),
+            }
             rec = per_branch[bi]
             if rec["eps"] and rec["eps"][-1] == float(eps):
                 # keep the worst representative per eps for multiplicity > 1
-                rec["first_resid"][-1] = max(rec["first_resid"][-1], abs(z - (mu + k * b.mu1)))
-                rec["second_resid"][-1] = max(rec["second_resid"][-1], abs(z - pred))
-                if b.eta1 is not None:
-                    pp = puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps)
-                    rec["puiseux_resid"][-1] = max(rec["puiseux_resid"][-1], abs(z - pp))
+                resid = {key: max(rec[key].pop(), r) for key, r in resid.items()}
             else:
                 rec["eps"].append(float(eps))
-                rec["first_resid"].append(abs(z - (mu + k * b.mu1)))
-                rec["second_resid"].append(abs(z - pred))
-                if b.eta1 is not None:
-                    pp = puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps)
-                    rec["puiseux_resid"].append(abs(z - pp))
-                else:
-                    rec["puiseux_resid"].append(abs(z - pred))
+            for key, r in resid.items():
+                rec[key].append(r)
     return {"rows": rows, "per_branch": per_branch}
 
 
@@ -622,12 +623,10 @@ def assumption_report(
     bd = list(tg.boundary_vertices)
     nu_minus = min(int(tg.total_deg[v]) for v in bd)
     nu_plus = max(int(tg.total_deg[v]) for v in bd)
-    others = [c.value for c in base.sd.clusters if abs(c.value - mu) > 1e-9]
-    gap = min(abs(z - mu) for z in others)
     fo = build_M1(base, mu)
     lam_min = float(np.min(-fo.eta1)) if fo.eta1.size else 0.0
     c_surrogate = 1.0 / (nu_plus * lam_min) if lam_min > 0 else np.inf
-    lhs = 2.0 * (1.0 / gap) * (len(base.sd.clusters) - 1) * nu_minus ** (-2)
+    lhs = 2.0 * _mu2_bound(base.sd, base.sd.cluster_near(mu), nu_minus)
     rhs = (1.0 / (2.0 * c_surrogate)) * (1.0 / nu_plus) * (1.0 - 1.0 / nu_minus) \
         if np.isfinite(c_surrogate) else 0.0
     a3 = bool(nu_minus >= 3 and lhs < rhs)

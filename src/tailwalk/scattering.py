@@ -33,7 +33,9 @@ eigenvalue clusters of E *strictly inside* the unit disk,
 
 On-circle clusters drop out because embedded eigenstates do not couple to
 the ports (P_mu B_in = 0, B_out P_mu = 0); that is what keeps the formula
-finite when z itself hits an embedded eigenvalue.
+finite when z itself hits an embedded eigenvalue.  An on-circle cluster
+that does couple is a resonance within ``circle_tol`` of the circle, and
+is refused (:class:`ClusterAmbiguity`) rather than dropped.
 
 The two routes share no linear algebra and are cross-checked to 1e-7 in the
 test suite, including at z = -1 on fixtures where -1 is embedded.
@@ -47,10 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .internal_spectral import _BLOCK, InternalMatrix, SpectralData
+from .internal_spectral import _BLOCK, ClusterAmbiguity, InternalMatrix, SpectralData
 
 _SLICE_BYTES = 1 << 20  # transmission_curve's weights per slice of lambdas
 _MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 1.8e-15)^(_BLOCK 2^11) < 1 + 1e-9
+# ||R L B_in|| / ||B_in|| above this refuses an on-circle cluster: embedded states
+# measure <= 5.2e-12 (3.9e-11 on cycle:4 to eps 1e-5), misfiled resonances >= 0.015
+_MAX_EMBEDDED_COUPLING = 1e-8
 
 __all__ = [
     "NoConvergence",
@@ -250,21 +255,24 @@ class SigmaEvaluator:
     K_{mu,s} = B_out P (E-mu)^s P B_in = (B_out R) N^s (L B_in) once, from
     the cluster's factors; each evaluation is then a sum of N x N terms
     with scalar resolvent weights.  ``sd`` is the spectral data of
-    ``im.E``; its ``on_circle`` flags decide which clusters drop out.
+    ``im.E``; its ``on_circle`` flags decide which clusters drop out, and
+    one that couples to the ports is refused (:class:`ClusterAmbiguity`).
     """
 
     def __init__(self, im: InternalMatrix, sd: SpectralData):
         self.im = im
         self.terms: list[tuple[complex, int, np.ndarray]] = []
-        self.skipped_coupling = 0.0
         scale = max(float(np.linalg.norm(im.B_in)), 1e-300)
         for c in sd.clusters:
             LB = c.L @ im.B_in
             if c.on_circle:
-                # embedded states must not couple to the ports; record the
-                # measured coupling so tests can assert it vanishes
                 cpl = float(np.linalg.norm(c.R @ LB)) / scale
-                self.skipped_coupling = max(self.skipped_coupling, cpl)
+                if not cpl <= _MAX_EMBEDDED_COUPLING:
+                    raise ClusterAmbiguity(
+                        f"on-circle cluster at {c.value:.6f} (1 - |mu| = "
+                        f"{1 - abs(c.value):.1e}) couples to the ports at {cpl:.1e}: "
+                        f"a resonance cannot be dropped"
+                    )
                 continue
             BR = im.B_out @ c.R
             acc = LB  # (E - mu)^s P B_in = R acc

@@ -147,13 +147,25 @@ class TestPerturb:
             assert len(fam["norms"]) == 3
 
     def test_tolerances_reach_the_ladder(self, tmp_path):
-        # the ladder's closed-form evaluators use the run's --tol-circle
+        # the ladder's closed-form evaluators use the run's --tol-circle: at
+        # 0.05 resonances are flagged on-circle, and their coupling is refused
         argv = ("perturb", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.04,0.02,0.01")
-        code_a, out_a = run(tmp_path / "a", *argv)
-        code_b, out_b = run(tmp_path / "b", *argv, "--tol-circle", "0.05")
-        assert code_a == code_b == 0
-        limits = [(out / "sigma_limit.json").read_bytes() for out in (out_a, out_b)]
-        assert limits[0] != limits[1]
+        code_a, _ = run(tmp_path / "a", *argv)
+        code_b, _ = run(tmp_path / "b", *argv, "--tol-circle", "0.05")
+        assert (code_a, code_b) == (0, cli.EXIT_NUMERICAL)
+
+    @pytest.mark.parametrize("eps", ["4e-4,2e-4,1e-4", "4e-5,2e-5,1e-5"])
+    def test_coupled_on_circle_cluster_is_refused(self, tmp_path, capsys, eps):
+        # below eps ~ 1e-4 cycle:4's resonances lie within circle_tol of the
+        # circle; dropped from the closed form, they would give norm 2.0
+        code, _ = run(
+            tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", eps,
+        )
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        m = re.search(r"\(ClusterAmbiguity\): on-circle cluster at (\S+) .* couples to the", err)
+        assert m, err
+        assert abs(abs(complex(m.group(1))) - 1) < 1e-6
 
     def test_factors_each_matrix_once(self, tmp_path, count_factorisations):
         with count_factorisations() as seen:
