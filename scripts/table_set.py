@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Write the reference set of CLI tables into one directory.
+
+Runs ``tailwalk.cli.main`` in-process: ``resonances``, ``transmission`` and
+``perturb`` on every graph of ``GRAPHS``, then ``verify``.  Each run writes
+into ``OUT/<command>/<graph>/`` (``OUT/verify/`` for ``verify``), and every
+exit code goes to ``OUT/exit_codes.txt``, one ``<command> <graph> <code>``
+line per run.
+
+Example, comparing two checkouts (tables are byte-identical only at a fixed
+BLAS thread count):
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/table_set.py /tmp/a
+    ... same in the other checkout into /tmp/b ...
+    diff -r /tmp/a /tmp/b
+
+Only ``elapsed_s`` in ``verify_summary.json`` and ``reconstruction_residual``
+in the ``.meta.json`` sidecars are expected to differ between two builds
+that keep the numerics.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+from tailwalk.cli import main as cli_main
+
+GRAPHS = [
+    ("cycle:4", "0,1,2"),
+    ("cycle:4", "0,1,3"),
+    ("cycle:4", "0,1,2,3"),
+    ("complete:4", "0,1,2"),
+    ("complete:4", "0,1,2,3"),
+    ("cycle:8", "0,2,4"),
+    ("cycle:12", "0,1,2"),
+    ("cycle:48", "0,1,2"),
+    ("complete:16", "0,0,1,2"),
+]
+COMMANDS = [
+    ("resonances", "0,0.001,0.04,0.25,0.6"),
+    ("transmission", "0.25,0.6"),
+    ("perturb", "0.04,0.02,0.01"),
+]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="output directory (created)")
+    out = Path(ap.parse_args().out)
+    out.mkdir(parents=True, exist_ok=True)
+    codes = []
+    for command, eps in COMMANDS:
+        for preset, tails in GRAPHS:
+            label = f"{preset.replace(':', '_')}-t{tails.replace(',', '_')}"
+            argv = [command, "--preset", preset, "--tails", tails, "--eps", eps,
+                    "--out", str(out / command / label)]
+            codes.append(f"{command} {label} {cli_main(argv)}")
+    codes.append(f"verify all {cli_main(['verify', '--out', str(out / 'verify')])}")
+    (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

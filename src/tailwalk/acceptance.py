@@ -214,11 +214,10 @@ def _c5(ctx, residual_tol=None):
         for eps in (0.1, 0.25, 0.5):
             cpl = ctx.coupling(name, eps)
             w, V = cpl.eig
-            for i in range(len(w)):
-                if abs(w[i]) < 1.0 - 1e-6:
-                    r = verify_outgoing(cpl.im, complex(w[i]), V[:, i], depth=20)
-                    worst = max(worst, r)
-                    count += 1
+            inside = [i for i in range(len(w)) if abs(w[i]) < 1.0 - 1e-6]
+            for r in verify_outgoing(cpl.im, w[inside], V[:, inside], depth=20):
+                worst = max(worst, r)
+            count += len(inside)
     tol = 1e-8 if residual_tol is None else residual_tol
     ok = worst < tol and count > 0
     return _status(ok), (

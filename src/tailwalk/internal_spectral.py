@@ -27,6 +27,7 @@ is not used in any production path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -252,20 +253,35 @@ class SpectralData:
         return self.clusters[i]
 
 
-def _greedy_clusters(vals: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group eigenvalues by transitive tol-closeness (connected components)."""
-    close = np.abs(vals[:, None] - vals[None, :]) < tol
-    np.fill_diagonal(close, True)  # each eigenvalue joins its own group, even at tol = NaN
-    label = np.arange(len(vals))
+def _greedy_clusters(vals: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Group eigenvalues by transitive tol-closeness (connected components).
+
+    Returns the groups, each an ascending index array into ``vals``, and
+    their representatives, the means of their members, sorted by the
+    (real, imag) of the representative.
+    """
+    n = len(vals)
+    close = np.abs(vals[:, None] - vals) < tol
+    close.flat[:: n + 1] = True  # each eigenvalue joins its own group, even at tol = NaN
+    index = np.arange(n)
+    label = index
     while True:  # spread each component's smallest index through it
-        nxt = np.where(close, label, len(vals)).min(axis=1)
-        if np.array_equal(nxt, label):
+        nxt = np.where(close, label, n).min(axis=1)
+        if (nxt == label).all():
             break
         label = nxt
-    out = [np.flatnonzero(label == g) for g in np.unique(label)]
-    # deterministic order: by (real, imag) of the group mean
-    out.sort(key=lambda ix: (np.mean(vals[ix]).real, np.mean(vals[ix]).imag))
-    return out
+    (heads,) = (label == index).nonzero()  # each group's smallest index, ascending
+    sizes = np.bincount(label)[heads]
+    # the mean of a one-member group, bit for bit: np.mean sums from +0, so a
+    # -0.0 part becomes +0.0, and its division by 1 changes nothing else
+    reps = vals[heads] + 0.0
+    for g in (sizes > 1).nonzero()[0].tolist():
+        reps[g] = vals[label == heads[g]].mean()
+    key = reps.argsort(kind="stable")  # numpy orders complex numbers by (real, imag)
+    order = label.argsort(kind="stable")
+    ends = sizes.cumsum()
+    groups = [order[a:b] for a, b in zip((ends - sizes)[key].tolist(), ends[key].tolist())]
+    return groups, reps[key]
 
 
 def _schur_projection(
@@ -316,28 +332,31 @@ def _contiguous_schur(
     Clusters are laid out in the order their first entries appear; one
     that is not yet contiguous is gathered by ``ztrsen``, selecting it
     together with the clusters already placed, which sit in front and so
-    do not move.  A spectrum of simple eigenvalues needs no reorder.
+    do not move.  When every cluster is contiguous already (always so for
+    a spectrum of simple eigenvalues) nothing is reordered.
     """
+    if all(ix[-1] - ix[0] < len(ix) for ix in groups):
+        return T, Z, np.array([ix[0] for ix in groups])
     n = T.shape[0]
+    mults = [len(ix) for ix in groups]
     label = np.empty(n, dtype=int)
-    for g, ix in enumerate(groups):
-        label[ix] = g
-    mults = np.array([len(ix) for ix in groups])
+    label[np.concatenate(groups)] = np.arange(len(groups)).repeat(mults)
+    label = label.tolist()
     start = np.empty(len(groups), dtype=int)
     p = 0
     while p < n:
         g = label[p]
         m = mults[g]
-        if np.any(label[p : p + m] != g):
-            select = np.arange(n) < p
-            select[p:] = label[p:] == g
+        if label[p : p + m].count(g) < m:
+            select = np.equal(label, g)
+            select[:p] = True
             T, Z, _, sdim, _, _, info = ztrsen(select, T, Z, job="N")
             if info or sdim != p + m:
                 raise ClusterAmbiguity(
                     f"ztrsen moved {sdim - p} eigenvalues for a cluster of {m} (info={info})"
                 )
             rest = label[p:]
-            label[p:] = np.concatenate([rest[rest == g], rest[rest != g]])
+            label[p:] = [x for x in rest if x == g] + [x for x in rest if x != g]
         start[g] = p
         p += m
     return T, Z, start
@@ -346,22 +365,26 @@ def _contiguous_schur(
 def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
     """Unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).
 
-    T is upper triangular, its diagonal blocks end at ``cuts``.  Split at
-    the cut nearest the middle, T = [[Ta, Tab], [0, Tb]]: the Sylvester
-    equation Ta X - X Tb = -Tab (``ztrsyl``) decouples the halves, and with
-    Ya, Yb for the halves, Y = [[Ya, X Yb], [0, Yb]].  Y is unique, so this
-    is the matrix that one solve per block row, bottom-up, also gives, in
-    the same number of solves but with no trailing block copied per row.
+    T is upper triangular, its diagonal blocks end at the ascending
+    ``cuts``.  Split at the cut nearest the middle (the lower one of two
+    as near), T = [[Ta, Tab], [0, Tb]]: the Sylvester equation
+    Ta X - X Tb = -Tab (``ztrsyl``) decouples the halves, and with Ya, Yb
+    for the halves, Y = [[Ya, X Yb], [0, Yb]].  Y is unique, so this is the
+    matrix that one solve per block row, bottom-up, also gives, in the same
+    number of solves but with no trailing block copied per row.
     """
     Y = np.eye(T.shape[0], dtype=complex)
 
-    def split(lo: int, hi: int, inner: list[int]) -> None:
-        if not inner:
+    def split(lo: int, hi: int, a: int, b: int) -> None:
+        # the cuts strictly inside (lo, hi) are cuts[a:b]
+        if a == b:
             return
-        i = int(np.argmin([abs(2 * c - lo - hi) for c in inner]))
-        h = inner[i]
-        split(lo, h, inner[:i])
-        split(h, hi, inner[i + 1 :])
+        i = bisect_left(cuts, (lo + hi) / 2, a, b)
+        if i == b or (i > a and lo + hi - 2 * cuts[i - 1] <= 2 * cuts[i] - lo - hi):
+            i -= 1
+        h = cuts[i]
+        split(lo, h, a, i)
+        split(h, hi, i + 1, b)
         X, scale, info = ztrsyl(T[lo:h, lo:h], T[h:hi, h:hi], T[lo:h, h:hi], isgn=-1)
         if info:
             raise ClusterAmbiguity(
@@ -369,7 +392,7 @@ def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
             )
         Y[lo:h, h:hi] = (X / -scale) @ Y[h:hi, h:hi]
 
-    split(0, T.shape[0], cuts[:-1])
+    split(0, T.shape[0], 0, len(cuts) - 1)
     return Y
 
 
@@ -389,52 +412,59 @@ def spectral_decompose(
     """
     E = np.asarray(E, dtype=complex)
     T, Z = scipy.linalg.schur(E, output="complex")
-    vals = np.diag(T).copy()
-    groups = _greedy_clusters(vals, cluster_tol)
-
-    reps = np.array([np.mean(vals[ix]) for ix in groups])
-    near = np.argwhere(np.triu(np.abs(reps[:, None] - reps[None, :]) < 10 * cluster_tol, 1))
+    vals = T.diagonal().copy()
+    groups, reps = _greedy_clusters(vals, cluster_tol)
+    i, j = (np.abs(reps[:, None] - reps) < 10 * cluster_tol).nonzero()
+    (near,) = (i < j).nonzero()
     if len(near):
-        i, j = near[0]
+        i, j = i[near[0]], j[near[0]]
         raise ClusterAmbiguity(
             f"clusters at {reps[i]:.3e} and {reps[j]:.3e} are closer than "
             f"10*cluster_tol = {10 * cluster_tol:.1e}"
         )
 
     T, Z, start = _contiguous_schur(T, Z, groups)
-    spans = [slice(s, s + len(ix)) for s, ix in zip(start.tolist(), groups)]
-    Y = _block_diagonaliser(T, sorted(sp.stop for sp in spans))
+    mults = [len(ix) for ix in groups]
+    Y = _block_diagonaliser(T, sorted(s + m for s, m in zip(start.tolist(), mults)))
     R = Z @ Y
     L, _ = ztrtrs(Y, Z.conj().T, unitdiag=1)  # unit diagonal: never singular
-    cond = float(np.linalg.norm(R, 1) * np.linalg.norm(L, 1))
+    cond = float(np.abs(R).sum(axis=0).max() * np.abs(L).sum(axis=0).max())  # ||R||_1 ||L||_1
     if not cond <= _MAX_BLOCK_CONDITION:
         raise ClusterAmbiguity(
             f"block-diagonalising basis has condition {cond:.1e} > {_MAX_BLOCK_CONDITION:.0e}: "
             f"eigenvectors of distinct clusters are nearly parallel"
         )
 
+    # R blockdiag(T_jj) is a column scaling but for the blocks with m > 1,
+    # and N = T_jj - value I is exactly 0 when m = 1
+    RD = R * T.diagonal()
+    N1 = (T.diagonal()[start] - reps)[:, None, None]
     clusters = []
-    RD = np.empty_like(R)
-    for ix, rep, sp in zip(groups, reps.tolist(), spans):
+    for ix, rep, s, m, N in zip(groups, reps.tolist(), start.tolist(), mults, N1):
+        sp = slice(s, s + m)
         Rj, Lj = R[:, sp], L[sp]
-        RD[:, sp] = Rj @ T[sp, sp]
-        N = T[sp, sp] - rep * np.eye(len(ix))
-        # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
-        nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
+        nn = 0.0
+        if m > 1:
+            RD[:, sp] = Rj @ T[sp, sp]
+            N = T[sp, sp] - rep * np.eye(m)
+            # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
+            nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
+            nn = float(np.sqrt(max(nn2, 0.0)))
         clusters.append(
             SpectralCluster(
                 value=rep,
-                mult=len(ix),
+                mult=m,
                 R=Rj,
                 L=Lj,
                 N=N,
                 span=sp,
-                nilpotent_norm=float(np.sqrt(max(nn2, 0.0))),
+                nilpotent_norm=nn,
                 on_circle=bool(abs(rep) >= 1.0 - circle_tol),
                 members=vals[ix],
             )
         )
-    resid = float(np.linalg.norm(RD @ L - E) / max(np.linalg.norm(E), 1e-300))
+    D = RD @ L - E  # relative Frobenius norm of the reconstruction error
+    resid = float(np.sqrt(np.vdot(D, D).real) / max(np.sqrt(np.vdot(E, E).real), 1e-300))
     return SpectralData(
         matrix=E,
         eigenvalues=vals,
@@ -469,7 +499,9 @@ def projection_contour_oracle(
     return (radius / nodes) * acc
 
 
-def verify_outgoing(im: InternalMatrix, mu: complex, vec: np.ndarray, depth: int = 20) -> float:
+def verify_outgoing(
+    im: InternalMatrix, mu, vec: np.ndarray, depth: int = 20
+) -> float | np.ndarray:
     """Sup-norm residual of the outgoing extension on a truncated system.
 
     Extends an internal eigenvector (E v = mu v) of ``im.E`` to a generalized
@@ -479,23 +511,33 @@ def verify_outgoing(im: InternalMatrix, mu: complex, vec: np.ndarray, depth: int
     truncation after normalising psi to unit sup norm.  Raises
     :class:`NotAResonance` for |mu| >= 1 (the extension grows along the
     tails only for genuine resonances, where it is the outgoing state).
+
+    ``mu`` may be an array of k eigenvalues, with their eigenvectors as the
+    columns of ``vec``: the truncated walk is then built once, and the k
+    residuals come back as an array, each as the one-state call gives it.
     """
-    if abs(mu) >= 1.0:
-        raise NotAResonance(f"|mu| = {abs(mu):.6f} is not strictly inside the disk")
-    v = np.asarray(vec, dtype=complex)
+    mus = np.asarray(mu, dtype=complex).ravel().tolist()
+    for m in mus:
+        if abs(m) >= 1.0:
+            raise NotAResonance(f"|mu| = {abs(m):.6f} is not strictly inside the disk")
+    V = np.asarray(vec, dtype=complex).reshape(im.tg.num_arcs, len(mus))
     walk = WalkOperator(im.tg, im.eps, depth + 2)
-    psi = np.zeros(walk.dim, dtype=complex)
-    psi[: im.tg.num_arcs] = v
-    first_out = im.B_out @ v / mu
-    for j, t in enumerate(walk.tails):
-        for l in range(1, depth + 3):
-            psi[t.out_arc(l)] = mu ** (-(l - 1)) * first_out[j]
-    scale = np.max(np.abs(psi))
-    if scale == 0.0:
-        raise ValueError("zero vector cannot be verified")
-    psi /= scale
-    r = walk.matrix @ psi - mu * psi
     ok = ~walk.invalid_rows
     # rows whose stencil reads the out-arc beyond the truncation don't exist;
     # every existing row is exact because incoming arcs vanish identically.
-    return float(np.max(np.abs(r[ok])))
+    out_arcs = [[t.out_arc(l) for l in range(1, depth + 3)] for t in walk.tails]
+    res = []
+    for m, v in zip(mus, V.T):
+        psi = np.zeros(walk.dim, dtype=complex)
+        psi[: im.tg.num_arcs] = v
+        first_out = im.B_out @ v / m
+        profile = [m ** (-(l - 1)) for l in range(1, depth + 3)]
+        for arcs, f in zip(out_arcs, first_out):
+            psi[arcs] = [p * f for p in profile]
+        scale = np.max(np.abs(psi))
+        if scale == 0.0:
+            raise ValueError("zero vector cannot be verified")
+        psi /= scale
+        r = walk.matrix @ psi - m * psi
+        res.append(float(np.max(np.abs(r[ok]))))
+    return res[0] if np.ndim(mu) == 0 else np.array(res)

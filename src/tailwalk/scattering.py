@@ -263,6 +263,8 @@ class SigmaEvaluator:
         self.im = im
         self.terms: list[tuple[complex, int, np.ndarray]] = []
         scale = max(float(np.linalg.norm(im.B_in)), 1e-300)
+        # a kernel of norm below this, past s = 0, is dropped
+        tiny = 1e-14 * max(np.linalg.norm(im.B_out), 1e-300) * scale
         for c in sd.clusters:
             LB = c.L @ im.B_in
             if c.on_circle:
@@ -277,12 +279,13 @@ class SigmaEvaluator:
             BR = im.B_out @ c.R
             acc = LB  # (E - mu)^s P B_in = R acc
             for s in range(c.mult):
+                if s:
+                    acc = c.N @ acc
+                    if np.linalg.norm(c.R @ acc) < 1e-16 * scale:
+                        break
                 K = BR @ acc
-                if np.linalg.norm(K) > 1e-14 * max(np.linalg.norm(im.B_out), 1e-300) * scale or s == 0:
+                if s == 0 or np.linalg.norm(K) > tiny:
                     self.terms.append((c.value, s, K))
-                acc = c.N @ acc
-                if np.linalg.norm(c.R @ acc) < 1e-16 * scale:
-                    break
 
     def sigma(self, lam) -> np.ndarray:
         """Sigma(lam) as an N x N matrix, or an (L, N, N) stack when ``lam``

@@ -179,6 +179,8 @@ def test_simple_spectrum_needs_no_reorder(monkeypatch, im_c4a):
     )
     sd = spectral_decompose(im_c4a.at(0.25).E)
     assert all(c.mult == 1 for c in sd.clusters) and not calls
+    assert all(c.N.shape == (1, 1) and not c.N.any() for c in sd.clusters)
+    assert all(c.nilpotent_norm == 0.0 for c in sd.clusters)
     spectral_decompose(im_c4a.E0)
     assert calls
 
@@ -339,8 +341,13 @@ def test_greedy_clusters_match_union_find(points, seed, tol):
     rng = np.random.default_rng(seed)
     vals = np.array([complex(x, y) * 0.08 for x, y in points])
     vals = vals + rng.uniform(-0.02, 0.02, len(vals)) + 1j * rng.uniform(-0.02, 0.02, len(vals))
-    got = [ix.tolist() for ix in _greedy_clusters(vals, tol)]
-    assert got == _union_find_clusters(vals, tol)
+    groups, _ = _greedy_clusters(vals, tol)
+    assert [ix.tolist() for ix in groups] == _union_find_clusters(vals, tol)
+    # each representative is its group's np.mean bit for bit, also where that
+    # mean turns a -0.0 part into +0.0
+    vals.real[::3], vals.imag[1::3] = -0.0, -0.0
+    groups, reps = _greedy_clusters(vals, tol)
+    assert reps.tobytes() == np.array([np.mean(vals[ix]) for ix in groups]).tobytes()
 
 
 def test_contour_oracle_rejects_coarse_quadrature(im_c4a):
@@ -364,6 +371,19 @@ def test_outgoing_extension_of_a_resonance(c4a):
     k = inside[np.argmin(np.abs(vals[inside]))]
     res = verify_outgoing(im, vals[k], vecs[:, k], depth=20)
     assert res < 1e-8
+
+
+def test_outgoing_extension_of_several_states(c4a):
+    # one call for all the resonances of E gives each one-state call's bits
+    im = build_E(c4a, 0.25)
+    vals, vecs = np.linalg.eig(im.E)
+    inside = np.flatnonzero(np.abs(vals) < 1 - 1e-6)
+    assert inside.size > 1
+    got = verify_outgoing(im, vals[inside], vecs[:, inside], depth=20)
+    one = [verify_outgoing(im, complex(vals[k]), vecs[:, k], depth=20) for k in inside]
+    assert got.tobytes() == np.array(one).tobytes()
+    with pytest.raises(NotAResonance):  # one state on the circle refuses them all
+        verify_outgoing(im, np.append(vals[inside], 1.0), vecs[:, [*inside, inside[0]]])
 
 
 def test_outgoing_extension_rejects_circle_points(c4a):
