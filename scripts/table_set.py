@@ -5,7 +5,8 @@ Runs ``tailwalk.cli.main`` in-process: ``resonances``, ``transmission`` and
 ``perturb`` on every graph of ``GRAPHS``, then ``verify``.  Each run writes
 into ``OUT/<command>/<graph>/`` (``OUT/verify/`` for ``verify``), and every
 exit code goes to ``OUT/exit_codes.txt``, one ``<command> <graph> <code>``
-line per run.
+line per run, followed by the first line the run wrote to stderr (a
+refusal's message) when it wrote one.
 
 Example, comparing two checkouts (tables are byte-identical only at a fixed
 BLAS thread count):
@@ -19,6 +20,8 @@ that keep the numerics.
 """
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -48,13 +51,19 @@ def main() -> int:
     out = Path(ap.parse_args().out)
     out.mkdir(parents=True, exist_ok=True)
     codes = []
+
+    def record(command: str, label: str, argv: list[str]) -> None:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        codes.append(" ".join([command, label, str(code), *err.getvalue().splitlines()[:1]]))
+
     for command, eps in COMMANDS:
         for preset, tails in GRAPHS:
             label = f"{preset.replace(':', '_')}-t{tails.replace(',', '_')}"
-            argv = [command, "--preset", preset, "--tails", tails, "--eps", eps,
-                    "--out", str(out / command / label)]
-            codes.append(f"{command} {label} {cli_main(argv)}")
-    codes.append(f"verify all {cli_main(['verify', '--out', str(out / 'verify')])}")
+            record(command, label, [command, "--preset", preset, "--tails", tails,
+                                    "--eps", eps, "--out", str(out / command / label)])
+    record("verify", "all", ["verify", "--out", str(out / "verify")])
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,20 +67,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    preset: str | None = None
-    graph_file: str | None = None
-    tails: list | None = None
-    eps_values: list[float] = field(default_factory=lambda: [0.25])
-    grid: int = 256
-    inflow: int = 1  # 1-based port index
-    out_dir: str = "qw-out"
-    fmt: str = "csv"
-    tol_cluster: float = 1e-7
-    tol_circle: float = 1e-8
+    """A run command's flags; their defaults live in the parser."""
+
+    preset: str | None
+    graph_file: str | None
+    tails: list | None
+    eps_values: list[float]
+    grid: int
+    inflow: int  # 1-based port index
+    out_dir: str
+    fmt: str
+    tol_cluster: float
+    tol_circle: float
 
     def validate(self) -> None:
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"--format must be csv or json, got {self.fmt!r}")
         if self.grid < 8:
             raise ConfigError(f"--grid must be >= 8, got {self.grid}")
         for e in self.eps_values:
@@ -167,18 +165,12 @@ def _load_tailed_graph(cfg: RunConfig):
 
 
 def _decompose_each(cfg: RunConfig, im0) -> list[Coupling]:
-    """Each E(eps) of the run, factored at its tolerances on a small thread pool.
-
-    LAPACK releases the GIL, so two workers tie with one at tens of arcs and
-    win at 128-240 arcs.
-    """
-    def work(eps: float) -> Coupling:
-        im = im0.at(eps)
-        sd = spectral_decompose(im.E, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
-        return Coupling(im, sd)
-
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        return list(pool.map(work, cfg.eps_values))
+    """Each E(eps) of the run, in order, factored once at the run's tolerances."""
+    return [
+        Coupling(im, spectral_decompose(im.E, cluster_tol=cfg.tol_cluster,
+                                        circle_tol=cfg.tol_circle))
+        for im in map(im0.at, cfg.eps_values)
+    ]
 
 
 def _g17(x: float) -> str:
@@ -415,7 +407,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, fixture: str | None, residual_tol: float | None) -> int:
+def cmd_verify(out_dir: str, fixture: str | None, residual_tol: float | None) -> int:
     if residual_tol is not None and not residual_tol > 0:  # also refuses NaN
         raise ConfigError(f"--residual-tol must be positive, got {residual_tol}")
     if fixture is not None and fixture not in FIXTURES:
@@ -423,7 +415,7 @@ def cmd_verify(cfg: RunConfig, fixture: str | None, residual_tol: float | None) 
     results = run_all(fixture, residual_tol)
     for r in results:
         print(r.line())
-    outdir = Path(cfg.out_dir)
+    outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = outdir / "verify_summary.json"
     summary.write_text(
@@ -461,20 +453,21 @@ def cmd_verify(cfg: RunConfig, fixture: str | None, residual_tol: float | None) 
 # --------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", help="built-in graph, e.g. cycle:4 or complete:4")
-    common.add_argument("--graph", help="JSON graph file {vertices, edges, tails?}")
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="qw-out", help="output directory")
+    run = argparse.ArgumentParser(add_help=False, parents=[out])
+    run.add_argument("--preset", help="built-in graph, e.g. cycle:4 or complete:4")
+    run.add_argument("--graph", help="JSON graph file {vertices, edges, tails?}")
+    run.add_argument(
         "--tails",
         help="comma list of tailed vertices, 'v0,v1,v2' or '0,1,2'; repeats allowed",
     )
-    common.add_argument("--eps", help="eps values: comma list or a:b:n range", default="0.25")
-    common.add_argument("--grid", type=int, default=256, help="lambda grid size (>= 8)")
-    common.add_argument("--inflow", type=int, default=1, help="inflow port, 1-based")
-    common.add_argument("--out", default="qw-out", help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol-cluster", type=float, default=1e-7)
-    common.add_argument("--tol-circle", type=float, default=1e-8)
+    run.add_argument("--eps", help="eps values: comma list or a:b:n range", default="0.25")
+    run.add_argument("--grid", type=int, default=256, help="lambda grid size (>= 8)")
+    run.add_argument("--inflow", type=int, default=1, help="inflow port, 1-based")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    run.add_argument("--tol-cluster", type=float, default=1e-7)
+    run.add_argument("--tol-circle", type=float, default=1e-8)
 
     p = argparse.ArgumentParser(
         prog="tailwalk",
@@ -482,10 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("resonances", parents=[common], help="per-eps eigenvalue tables")
-    sub.add_parser("transmission", parents=[common], help="lambda-grid scattering curves")
-    sub.add_parser("perturb", parents=[common], help="reduction ledger and asymptotics")
-    v = sub.add_parser("verify", parents=[common], help="run the acceptance suite")
+    sub.add_parser("resonances", parents=[run], help="per-eps eigenvalue tables")
+    sub.add_parser("transmission", parents=[run], help="lambda-grid scattering curves")
+    sub.add_parser("perturb", parents=[run], help="reduction ledger and asymptotics")
+    v = sub.add_parser("verify", parents=[out], help="run the acceptance suite")
     v.add_argument("--fixture", help="restrict the suite to one built-in fixture")
     v.add_argument(
         "--residual-tol",
@@ -515,16 +508,14 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "verify":
+            return cmd_verify(args.out, args.fixture, args.residual_tol)
         cfg = _config_from(args)
         if args.command == "resonances":
             return cmd_resonances(cfg)
         if args.command == "transmission":
             return cmd_transmission(cfg)
-        if args.command == "perturb":
-            return cmd_perturb(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.fixture, args.residual_tol)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_perturb(cfg)
     except (ConfigError, GraphError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -175,20 +175,10 @@ def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
             for s, pj in enumerate(pids):
                 B_bb1[pi, pj] = c1[n_i + r, n_i + s]
 
-    k = kappa(eps)
-    return InternalMatrix(
-        tg=tg,
-        eps=float(eps),
-        E=E0 + k * E1,
-        B_in=k * B_in1,
-        B_out=k * B_out1,
-        B_bb=np.eye(N, dtype=complex) + k * B_bb1,
-        E0=E0,
-        E1=E1,
-        B_in1=B_in1,
-        B_out1=B_out1,
-        B_bb1=B_bb1,
-    )
+    # the exact eps = 0 blocks (B_in0 = B_out0 = 0, B_bb0 = I); ``at`` forms E(eps)
+    zeroth = InternalMatrix(tg, 0.0, E0, np.zeros_like(B_in1), np.zeros_like(B_out1),
+                            np.eye(N, dtype=complex), E0, E1, B_in1, B_out1, B_bb1)
+    return zeroth.at(eps)
 
 
 @dataclass
@@ -239,8 +229,6 @@ class SpectralData:
     L: np.ndarray
     reconstruction_residual: float
     block_condition: float
-    cluster_tol: float
-    circle_tol: float
 
     def values(self) -> np.ndarray:
         return np.array([c.value for c in self.clusters])
@@ -473,8 +461,6 @@ def spectral_decompose(
         L=L,
         reconstruction_residual=resid,
         block_condition=cond,
-        cluster_tol=cluster_tol,
-        circle_tol=circle_tol,
     )
 
 

@@ -45,6 +45,7 @@ from .smt_laplacian import (
     lift,
     persistent_basis,
     t_eigenbasis_split,
+    unit_sign,
 )
 
 __all__ = [
@@ -244,7 +245,7 @@ class ReductionLedger:
 
 def _gamma_scalar(mu: complex) -> float:
     """gamma in A1 = gamma mu M1: 1 at mu = +-1, 1/2 at every other mu."""
-    return 1.0 if min(abs(mu - 1.0), abs(mu + 1.0)) < 1e-9 else 0.5
+    return 1.0 if unit_sign(mu) else 0.5
 
 
 def reduce_eigenvalue(
@@ -402,10 +403,9 @@ def build_M2(lt: LaplacianT, mu0: complex, zeta: complex) -> np.ndarray:
 
 
 def _omega(z: complex) -> float:
-    if abs(z - 1.0) < 1e-9:
-        return -1.0
-    if abs(z + 1.0) < 1e-9:
-        return 1.0
+    sign = unit_sign(z)
+    if sign:
+        return float(-sign)
     return float(np.sign(np.sin(np.angle(z)))) / np.sqrt(2.0)
 
 

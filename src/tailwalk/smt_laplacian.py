@@ -34,6 +34,7 @@ __all__ = [
     "joukowsky",
     "classify",
     "lift",
+    "unit_sign",
     "is_bipartite",
     "birth_basis",
 ]
@@ -41,6 +42,19 @@ __all__ = [
 
 def joukowsky(z: complex) -> complex:
     return (z + 1.0 / z) / 2.0
+
+
+def unit_sign(z: complex) -> int:
+    """Which of +-1 z sits at, to 1e-9: 1 or -1, and 0 anywhere else.
+
+    These are the two points where the Joukowsky pair collapses, the lift
+    is a plain copy and birth states live.
+    """
+    if abs(z - 1.0) < 1e-9:
+        return 1
+    if abs(z + 1.0) < 1e-9:
+        return -1
+    return 0
 
 
 def joukowsky_preimages(t: float, tol: float = 1e-12) -> tuple[complex, ...]:
@@ -161,7 +175,7 @@ def lift(lt: LaplacianT, lam: complex, f: np.ndarray) -> np.ndarray:
     """
     lam = complex(lam)
     df = lt.dstar @ f
-    if abs(lam - 1.0) < 1e-12 or abs(lam + 1.0) < 1e-12:
+    if unit_sign(lam):
         return df
     u = df - lam * (lt.S @ df)
     return u / (np.sqrt(2.0) * abs(np.sin(np.angle(lam))))
@@ -294,8 +308,9 @@ def persistent_basis(lt: LaplacianT, lam: complex) -> np.ndarray:
         per = np.zeros((lt.tg.graph.num_vertices, 0))
     for j in range(per.shape[1]):
         cols.append(lift(lt, lam, per[:, j]))
-    if abs(abs(lam) - 1) < 1e-9 and (abs(lam - 1) < 1e-9 or abs(lam + 1) < 1e-9):
-        B = birth_basis(lt, int(np.sign(lam.real)))
+    sign = unit_sign(lam)
+    if sign:
+        B = birth_basis(lt, sign)
         for j in range(B.shape[1]):
             cols.append(B[:, j].astype(complex))
     if not cols:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,19 @@ def test_parse_eps_forms():
     np.testing.assert_allclose(got, [0.1, 0.2, 0.3])
     with pytest.raises(cli.ConfigError):
         cli._parse_eps("0.1:0.3")
+
+
+def test_runs_start_no_thread(tmp_path, monkeypatch):
+    # each E(eps) is factored in order on the calling thread
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for command, eps in (("resonances", "0.25"), ("transmission", "0.25"),
+                         ("perturb", "0.04,0.02,0.01")):
+        code, _ = run(tmp_path / command, command, "--preset", "cycle:4", "--tails", "0,1,2",
+                      "--eps", eps, "--grid", "16")
+        assert code == 0, command
 
 
 class TestResonances:
@@ -245,6 +259,21 @@ class TestVerify:
             "--residual-tol", "1e-30",
         )
         assert code == cli.EXIT_VERIFY
+
+    @pytest.mark.parametrize(
+        "flag",
+        [("--eps", "0.1"), ("--tol-cluster", "1e-3"), ("--preset", "cycle:4"),
+         ("--format", "json")],
+    )
+    def test_refuses_run_flags(self, tmp_path, monkeypatch, flag):
+        # verify reads --out, --fixture and --residual-tol and nothing else
+        def criteria(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli, "run_all", criteria)
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "verify", *flag)
+        assert exc.value.code == cli.EXIT_CONFIG
 
 
 class TestGraphFiles:

@@ -19,6 +19,7 @@ from tailwalk.smt_laplacian import (
     lift,
     persistent_basis,
     t_eigenbasis_split,
+    unit_sign,
 )
 
 
@@ -58,6 +59,13 @@ def test_joukowsky_preimages_roundtrip():
         assert abs(pre[0] - np.conj(pre[1])) < 1e-12
     assert joukowsky_preimages(1.0) == (1.0 + 0j,)
     assert joukowsky_preimages(-1.0) == (-1.0 + 0j,)
+
+
+def test_unit_sign_names_the_point_of_plus_or_minus_one():
+    assert unit_sign(1.0) == 1 and unit_sign(-1.0 + 0j) == -1
+    assert unit_sign(1 - 5e-10j) == 1 and unit_sign(-1 + 5e-10) == -1
+    for z in (1 + 2e-9, -1 - 2e-9j, 1j, -1j, 0.0, np.exp(0.3j)):
+        assert unit_sign(z) == 0
 
 
 def test_lift_produces_unit_eigenvectors(c4a, k4a):
