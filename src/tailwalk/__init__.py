@@ -63,9 +63,7 @@ from .perturbation import (
     Stage1NotSemisimple,
     assumption_report,
     build_M1,
-    build_M2,
     fit_loglog_slope,
-    mu2_bound_check,
     projection_expansion,
     puiseux_prediction,
     reduce_eigenvalue,

@@ -215,7 +215,7 @@ def _c5(ctx, residual_tol=None):
             cpl = ctx.coupling(name, eps)
             w, V = cpl.eig
             inside = [i for i in range(len(w)) if abs(w[i]) < 1.0 - 1e-6]
-            for r in verify_outgoing(cpl.im, w[inside], V[:, inside], depth=20):
+            for r in verify_outgoing(cpl.im, w[inside], V[:, inside]):
                 worst = max(worst, r)
             count += len(inside)
     tol = 1e-8 if residual_tol is None else residual_tol
@@ -306,39 +306,34 @@ def _c8(ctx, residual_tol=None):
         for cl in base.sd.clusters:
             led = ctx.ledger(name, cl.value)
             asym = resonance_asymptote(led, ladder, base)
-            gated = {
-                b
-                for fam in led.families
-                if assumption_report(base, led, fam, ladder[eps_ladder[-1]]).gate
-                for b in fam.branches
-            }
-            for bi, b in enumerate(led.branches):
-                if abs(b.mu1) < 1e-10:
-                    continue
-                rec = asym["per_branch"][bi]
-                if not rec["eps"]:
-                    continue
-                n_first += 1
-                s1 = (
-                    np.inf
-                    if max(rec["first_resid"]) < 1e-11
-                    else fit_loglog_slope(rec["eps"], rec["first_resid"])
-                )
-                if not s1 >= 1.8:
-                    problems.append(
-                        f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: first-order slope {s1:.2f}"
-                    )
-                if b in gated:
-                    n_second += 1
-                    s2 = (
+            for fam in led.families:
+                gated = assumption_report(base, led, fam, ladder[eps_ladder[-1]]).gate
+                for b in fam.branches:
+                    rec = asym["per_branch"][led.branches.index(b)]
+                    if not rec["eps"]:
+                        continue
+                    n_first += 1
+                    s1 = (
                         np.inf
-                        if max(rec["puiseux_resid"]) < 1e-11
-                        else fit_loglog_slope(rec["eps"], rec["puiseux_resid"])
+                        if max(rec["first_resid"]) < 1e-11
+                        else fit_loglog_slope(rec["eps"], rec["first_resid"])
                     )
-                    if not s2 >= 1.8:
+                    if not s1 >= 1.8:
                         problems.append(
-                            f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: second-order slope {s2:.2f}"
+                            f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: first-order slope {s1:.2f}"
                         )
+                    if gated:
+                        n_second += 1
+                        s2 = (
+                            np.inf
+                            if max(rec["puiseux_resid"]) < 1e-11
+                            else fit_loglog_slope(rec["eps"], rec["puiseux_resid"])
+                        )
+                        if not s2 >= 1.8:
+                            problems.append(
+                                f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: "
+                                f"second-order slope {s2:.2f}"
+                            )
     ok = not problems and n_first > 0
     detail = (
         f"all log-log slopes >= 1.8 over eps {eps_ladder}: {n_first} moving branches "
@@ -506,7 +501,7 @@ def _c12(ctx, residual_tol=None):
     for sgn in (1.0, -1.0):
         mu = complex(sgn)
         led = ctx.ledger("c4-3tails-a", base.sd.cluster_near(mu).value)
-        moving = [b for b in led.branches if abs(b.mu1) > 1e-12]
+        moving = [b for fam in led.families for b in fam.branches]
         if len(moving) != 1:
             return "fail", f"mu={sgn:+.0f}: expected one moving branch, got {len(moving)}"
         b = moving[0]

@@ -43,6 +43,7 @@ from .perturbation import (
 from .scattering import NoConvergence, transmission_curve
 from .tailed_graph import (
     GraphError,
+    TailedGraph,
     TailSpec,
     attach_tails,
     build_internal,
@@ -142,15 +143,15 @@ def _load_tailed_graph(cfg: RunConfig):
         try:
             data = json.loads(path.read_text())
             g = build_internal(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+            if tails is None and "tails" in data:
+                tails = [
+                    TailSpec(int(t["vertex"]), int(t.get("count", 1)))
+                    if isinstance(t, dict)
+                    else int(t)
+                    for t in data["tails"]
+                ]
         except (KeyError, TypeError, ValueError, GraphError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}") from exc
-        if tails is None and "tails" in data:
-            tails = [
-                TailSpec(int(t["vertex"]), int(t.get("count", 1)))
-                if isinstance(t, dict)
-                else int(t)
-                for t in data["tails"]
-            ]
     try:
         tg = attach_tails(g, tails if tails is not None else [])
     except GraphError as exc:
@@ -199,7 +200,11 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> P
     return out
 
 
-def _write_sidecar(out_file: Path, cfg: RunConfig, command: str, extra: dict) -> None:
+def _write_sidecar(
+    out_file: Path, cfg: RunConfig, tg: TailedGraph, command: str, extra: dict
+) -> None:
+    """``tails`` records the run's tails: the ``--tails`` vertices as given,
+    else the graph file's as [vertex, count]."""
     meta = {
         "version": __version__,
         "command": command,
@@ -207,10 +212,7 @@ def _write_sidecar(out_file: Path, cfg: RunConfig, command: str, extra: dict) ->
         "config": {
             "preset": cfg.preset,
             "graph_file": cfg.graph_file,
-            "tails": [
-                [t.vertex, t.count] if isinstance(t, TailSpec) else t
-                for t in (cfg.tails or [])
-            ],
+            "tails": cfg.tails or [[t.vertex, t.count] for t in tg.tails],
             "eps": cfg.eps_values,
             "grid": cfg.grid,
             "inflow": cfg.inflow,
@@ -271,7 +273,7 @@ def cmd_resonances(cfg: RunConfig) -> int:
         cfg.fmt,
     )
     _write_sidecar(
-        out, cfg, "resonances", {"cluster_decisions": decisions, "health": _health(couplings)}
+        out, cfg, tg, "resonances", {"cluster_decisions": decisions, "health": _health(couplings)}
     )
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
@@ -311,6 +313,7 @@ def cmd_transmission(cfg: RunConfig) -> int:
         _write_sidecar(
             out,
             cfg,
+            tg,
             "transmission",
             {
                 "eps": eps,
@@ -384,10 +387,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
     ]
 
     health = _health([(0.0, base), *couplings.items()])
+    ladder_meta = {"eps_ladder": list(couplings), "health": health}
     ledger_file = outdir / "ledger.json"
     ledger_file.write_text(json.dumps({"eigenvalues": ledger_entries}, indent=1) + "\n")
     _write_sidecar(
-        ledger_file, cfg, "perturb",
+        ledger_file, cfg, tg, "perturb",
         {"cluster_decisions": _cluster_record(base.sd), "health": health},
     )
 
@@ -397,11 +401,11 @@ def cmd_perturb(cfg: RunConfig) -> int:
         asym_rows,
         cfg.fmt,
     )
-    _write_sidecar(asym_file, cfg, "perturb", {"eps_ladder": list(couplings), "health": health})
+    _write_sidecar(asym_file, cfg, tg, "perturb", ladder_meta)
 
     limit_file = outdir / "sigma_limit.json"
     limit_file.write_text(json.dumps({"families": limit_records}, indent=1) + "\n")
-    _write_sidecar(limit_file, cfg, "perturb", {"eps_ladder": list(couplings), "health": health})
+    _write_sidecar(limit_file, cfg, tg, "perturb", ladder_meta)
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
     return 0

@@ -146,13 +146,13 @@ class WalkOperator:
     depth >= T + 2 so the light cone never touches garbage.
     """
 
-    def __init__(self, tg: TailedGraph, eps: float, depth: int, coins: CoinFamily | None = None):
+    def __init__(self, tg: TailedGraph, eps: float, depth: int):
         if depth < 2:
             raise ValueError("depth must be at least 2")
         self.tg = tg
         self.eps = float(eps)
         self.depth = int(depth)
-        coins = coins or CoinFamily(tg)
+        coins = CoinFamily(tg)
 
         M = tg.num_arcs
         N = tg.num_ports

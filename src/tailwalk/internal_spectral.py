@@ -39,6 +39,7 @@ from .coin_evolution import CoinFamily, WalkOperator, kappa
 from .tailed_graph import TailedGraph
 
 _BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
+_OUTGOING_DEPTH = 20  # verify_outgoing's truncated walk keeps this many tail arcs plus two
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
 
@@ -112,24 +113,18 @@ class InternalMatrix:
         return np.linalg.matrix_power(self.E, _BLOCK)
 
     @cached_property
-    def E_ladder(self) -> tuple[np.ndarray, ...]:
+    def E_ladder(self) -> list[np.ndarray]:
         """The levels E^(_BLOCK 2^i) built so far, from level 0 = E_block;
         ``E_power`` extends it."""
-        return (self.E_block,)
+        return [self.E_block]
 
     def E_power(self, level: int) -> np.ndarray:
-        """E^(_BLOCK 2^level), each level the square of the one before.
-
-        Levels are built in order and kept, for the time iteration's jumps
-        of 2^level blocks.  A longer tuple is published by one assignment,
-        and every level is the same product whoever forms it, so a value
-        never depends on which call built it; two threads racing here only
-        repeat a squaring.
-        """
+        """E^(_BLOCK 2^level), each level the square of the one before,
+        built in order and kept for the time iteration's jumps of 2^level
+        blocks."""
         ladder = self.E_ladder
         while len(ladder) <= level:
-            ladder = ladder + (ladder[-1] @ ladder[-1],)
-            self.E_ladder = ladder
+            ladder.append(ladder[-1] @ ladder[-1])
         return ladder[level]
 
     @cached_property
@@ -188,8 +183,8 @@ class SpectralCluster:
     ``P = R L`` and ``(E - value) P = R N L``: ``R`` (n x m) and ``L``
     (m x n) are views into the ``R`` and ``L`` of :class:`SpectralData`
     (columns and rows ``span``), and ``N`` is the cluster's m x m diagonal
-    block of the Schur form minus ``value``.  The n x n ``projection`` and
-    ``nilpotent`` are formed on first use only.
+    block of the Schur form minus ``value``.  The n x n ``projection`` is
+    formed on first use only.
     """
 
     value: complex
@@ -205,10 +200,6 @@ class SpectralCluster:
     @cached_property
     def projection(self) -> np.ndarray:
         return self.R @ self.L
-
-    @cached_property
-    def nilpotent(self) -> np.ndarray:
-        return self.R @ self.N @ self.L
 
 
 @dataclass
@@ -270,45 +261,6 @@ def _greedy_clusters(vals: np.ndarray, tol: float) -> tuple[list[np.ndarray], np
     ends = sizes.cumsum()
     groups = [order[a:b] for a, b in zip((ends - sizes)[key].tolist(), ends[key].tolist())]
     return groups, reps[key]
-
-
-def _schur_projection(
-    E: np.ndarray,
-    members: np.ndarray,
-    others: np.ndarray,
-    schur: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Spectral projector for the cluster from one complex Schur form of E.
-
-    ``schur`` is a precomputed ``(T0, Z0)`` with E = Z0 T0 Z0*.  A diagonal
-    entry of T0 is selected when its nearest precomputed eigenvalue is a
-    member; LAPACK ``ztrsen`` moves the selected entries to the leading
-    block (Bai & Demmel), ``ztrsyl`` solves the triangular Sylvester
-    equation T11 X - X T22 = T12 (Bartels-Stewart), and
-    P = Z1 (Z1* + X Z2*).  A selection of the wrong size, a rejected swap
-    or near-common eigenvalues of T11 and T22 raise
-    :class:`ClusterAmbiguity`.  :func:`spectral_decompose` splits every
-    cluster off at once and is checked against this one-cluster route.
-    """
-    m = len(members)
-    if m == E.shape[0]:
-        return np.eye(m, dtype=complex)
-    T0, Z0 = schur if schur is not None else scipy.linalg.schur(E, output="complex")
-    d = np.diag(T0)[:, None]
-    select = np.min(np.abs(d - members), axis=1) < np.min(np.abs(d - others), axis=1)
-    T, Z, _, sdim, _, _, info = ztrsen(select, T0, Z0, job="N")
-    if info or sdim != m:
-        raise ClusterAmbiguity(
-            f"ztrsen moved {sdim} eigenvalues for a cluster of {m} (info={info})"
-        )
-    X, scale, info = ztrsyl(T[:m, :m], T[m:, m:], T[:m, m:], isgn=-1)
-    if info:
-        raise ClusterAmbiguity(
-            f"ztrsyl: the cluster and the rest of the spectrum nearly share eigenvalues "
-            f"(info={info})"
-        )
-    Z1 = Z[:, :m]
-    return Z1 @ (Z1.conj().T + (X / scale) @ Z[:, m:].conj().T)
 
 
 def _contiguous_schur(
@@ -485,16 +437,15 @@ def projection_contour_oracle(
     return (radius / nodes) * acc
 
 
-def verify_outgoing(
-    im: InternalMatrix, mu, vec: np.ndarray, depth: int = 20
-) -> float | np.ndarray:
+def verify_outgoing(im: InternalMatrix, mu, vec: np.ndarray) -> float | np.ndarray:
     """Sup-norm residual of the outgoing extension on a truncated system.
 
     Extends an internal eigenvector (E v = mu v) of ``im.E`` to a generalized
     eigenfunction of the full walk: zero on incoming tail arcs, geometric
     profile psi(out port j, distance l) = mu^{-(l-1)} psi(out, 1) with
     psi(out, 1) = (B_out v)_j / mu.  Returns max |(U - mu) psi| over the
-    truncation after normalising psi to unit sup norm.  Raises
+    truncation at ``_OUTGOING_DEPTH + 2`` arcs per tail after normalising
+    psi to unit sup norm.  Raises
     :class:`NotAResonance` for |mu| >= 1 (the extension grows along the
     tails only for genuine resonances, where it is the outgoing state).
 
@@ -507,17 +458,17 @@ def verify_outgoing(
         if abs(m) >= 1.0:
             raise NotAResonance(f"|mu| = {abs(m):.6f} is not strictly inside the disk")
     V = np.asarray(vec, dtype=complex).reshape(im.tg.num_arcs, len(mus))
-    walk = WalkOperator(im.tg, im.eps, depth + 2)
+    walk = WalkOperator(im.tg, im.eps, _OUTGOING_DEPTH + 2)
     ok = ~walk.invalid_rows
     # rows whose stencil reads the out-arc beyond the truncation don't exist;
     # every existing row is exact because incoming arcs vanish identically.
-    out_arcs = [[t.out_arc(l) for l in range(1, depth + 3)] for t in walk.tails]
+    out_arcs = [[t.out_arc(l) for l in range(1, _OUTGOING_DEPTH + 3)] for t in walk.tails]
     res = []
     for m, v in zip(mus, V.T):
         psi = np.zeros(walk.dim, dtype=complex)
         psi[: im.tg.num_arcs] = v
         first_out = im.B_out @ v / m
-        profile = [m ** (-(l - 1)) for l in range(1, depth + 3)]
+        profile = [m ** (-(l - 1)) for l in range(1, _OUTGOING_DEPTH + 3)]
         for arcs, f in zip(out_arcs, first_out):
             psi[arcs] = [p * f for p in profile]
         scale = np.max(np.abs(psi))

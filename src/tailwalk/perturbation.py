@@ -20,10 +20,8 @@ Everything here works on one unperturbed problem, ``base``: the
 :class:`Coupling` at eps = 0.  On the arc side it holds E0's decomposition
 (P, S_mu); on the graph side, through ``base.lt``, the T-eigenspaces that
 the Joukowsky map lifts to E0's (persistent and moving parts, the
-first/second-order boundary Gram matrices M1, M2).  Each side is factored
-once per run and every function below reads it from ``base``.  The
-graph-side matrices are cross-validated against the arc-space operators
-they are claimed to represent.
+first-order boundary Gram matrix M1).  Each side is factored once per run
+and every function below reads it from ``base``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .smt_laplacian import (
     LaplacianT,
     build_operators,
     joukowsky,
-    lift,
     persistent_basis,
     t_eigenbasis_split,
     unit_sign,
@@ -63,8 +60,6 @@ __all__ = [
     "projection_expansion",
     "reduce_eigenvalue",
     "build_M1",
-    "build_M2",
-    "mu2_bound_check",
     "puiseux_prediction",
     "resonance_asymptote",
     "resonant_sigma_limit",
@@ -105,6 +100,9 @@ class Coupling:
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eig(self.im.E)
+
+
+_STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
 
 
 def _reduced_resolvent(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
@@ -248,12 +246,7 @@ def _gamma_scalar(mu: complex) -> float:
     return 1.0 if unit_sign(mu) else 0.5
 
 
-def reduce_eigenvalue(
-    base: Coupling,
-    mu0: complex,
-    stage_tol: float = 1e-8,
-    semisimple_tol: float = 1e-7,
-) -> ReductionLedger:
+def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     """Two-stage reduction at the unperturbed eigenvalue mu0.
 
     Branches are labelled by (mu1, mu2); each carries the full-space
@@ -262,7 +255,9 @@ def reduce_eigenvalue(
     the clusters' ``R``, nested stage by stage: Q spans Ran(P), Q1 = Q Q'
     a stage-one eigenspace, Q1 Q'' a stage-two one.  Persistence is
     decided by range containment in the persistent subspace of mu0
-    (lifted boundary-vanishing states plus birth states).
+    (lifted boundary-vanishing states plus birth states).  Both stages
+    cluster at ``_STAGE_TOL``, and a stage-one nilpotent part above 1e-7
+    times ||A1|| raises :class:`Stage1NotSemisimple`.
 
     Each stage-one cluster with |mu1| >= 1e-10 is one :class:`Family`.  A
     branch of it hosts resonances when it is not persistent and its
@@ -278,9 +273,9 @@ def reduce_eigenvalue(
     # floor the scale: a purely persistent group has A1 = 0 to rounding, and
     # its ~1e-32 nilpotent noise must not read as a genuine Jordan block
     scale1 = max(float(np.linalg.norm(A1)), 1e-12)
-    sd1 = spectral_decompose(A1, cluster_tol=stage_tol)
+    sd1 = spectral_decompose(A1, cluster_tol=_STAGE_TOL)
     for c1 in sd1.clusters:
-        if c1.nilpotent_norm > semisimple_tol * scale1:
+        if c1.nilpotent_norm > 1e-7 * scale1:
             raise Stage1NotSemisimple(
                 f"stage-1 nilpotent norm {c1.nilpotent_norm:.2e} at mu={mu:.4f}, "
                 f"mu1={c1.value:.4e}"
@@ -304,7 +299,7 @@ def reduce_eigenvalue(
         ge = gamma * fam.eta1
         Q1 = Q @ np.linalg.qr(c1.R)[0]
         E2 = -(Q1.conj().T @ X @ Sred @ X @ Q1)
-        sd2 = spectral_decompose(E2, cluster_tol=stage_tol)
+        sd2 = spectral_decompose(E2, cluster_tol=_STAGE_TOL)
         for c2 in sd2.clusters:
             P2_full = Q1 @ c2.projection @ Q1.conj().T
             if per.shape[1]:
@@ -337,12 +332,12 @@ def reduce_eigenvalue(
 
 @dataclass
 class FirstSecondOrderMatrices:
-    """Graph-side first/second-order matrices at one unperturbed eigenvalue.
+    """Graph-side first-order matrix M1 at one unperturbed eigenvalue.
 
     M1[j,k] = -<D g_j, g_k>_W on the W-orthonormal basis {g_j} of
     Ker(T - phi(mu)) complementary to the boundary-vanishing part; its
-    eigenvalues eta are real, negative, and >= -1/min n(v).  The lifted
-    basis realises Ran(P_mu | lifted, non-persistent) in arc space, and the
+    eigenvalues eta are real, negative, and >= -1/min n(v).  Lifted to arc
+    space, the basis spans Ran(P_mu | lifted, non-persistent), and the
     matrix of P X P there equals A1 = gamma mu M1 with gamma from
     :func:`_gamma_scalar`, so each stage-one eigenvalue is mu1 = gamma mu eta.
     """
@@ -351,8 +346,6 @@ class FirstSecondOrderMatrices:
     gamma: float
     M1: np.ndarray
     eta1: np.ndarray
-    lifted_basis: np.ndarray
-    direct_residual: float
 
 
 def _boundary_gram(lt: LaplacianT, G_row: np.ndarray, G_col: np.ndarray) -> np.ndarray:
@@ -380,70 +373,8 @@ def build_M1(base: Coupling, mu0: complex) -> FirstSecondOrderMatrices:
     G = _lifted_eigendata(lt, t)
     M1 = _boundary_gram(lt, G, G)
     M1 = (M1 + M1.conj().T) / 2.0
-    U = np.stack([lift(lt, mu, G[:, j]) for j in range(G.shape[1])], axis=1) \
-        if G.shape[1] else np.zeros((lt.tg.num_arcs, 0), dtype=complex)
-    gamma = _gamma_scalar(mu)
-    resid = float(np.linalg.norm(U.conj().T @ base.im.E1 @ U - gamma * mu * M1)) \
-        if U.shape[1] else 0.0
     eta = np.linalg.eigvalsh(M1) if M1.size else np.zeros(0)
-    return FirstSecondOrderMatrices(
-        mu=mu, gamma=gamma, M1=M1, eta1=eta, lifted_basis=U, direct_residual=resid,
-    )
-
-
-def build_M2(lt: LaplacianT, mu0: complex, zeta: complex) -> np.ndarray:
-    """Second-order boundary Gram matrix between the mu and zeta eigendata.
-
-    Shape (s(zeta), s(mu)); adjoint symmetry build_M2(mu, zeta) =
-    build_M2(zeta, mu)^* holds by construction of the weighted Gram form.
-    """
-    Gm = _lifted_eigendata(lt, joukowsky(complex(mu0)).real)
-    Gz = _lifted_eigendata(lt, joukowsky(complex(zeta)).real)
-    return _boundary_gram(lt, Gz, Gm)
-
-
-def _omega(z: complex) -> float:
-    sign = unit_sign(z)
-    if sign:
-        return float(-sign)
-    return float(np.sign(np.sin(np.angle(z)))) / np.sqrt(2.0)
-
-
-def mu2_bound_check(base: Coupling, ledger: ReductionLedger) -> dict:
-    """Second-order magnitude bound plus the graph-side cross validation.
-
-    Checks |mu2| <= gap^{-1} (#sigma_p - 1) (min_boundary n)^{-2} for every
-    branch, and validates, for every other eigenvalue zeta, the product
-    identity  [P X P_zeta X P]_lifted = mu zeta w_mu^2 w_zeta^2 M2* M2,
-    which ties the arc-space operators to the boundary Gram matrices.
-    """
-    tg = base.im.tg
-    mu = ledger.mu
-    cl = base.sd.cluster_near(mu)
-    others = [c for c in base.sd.clusters if c is not cl]
-    minn = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
-    bound = _mu2_bound(base.sd, cl, minn)
-    max_mu2 = max(abs(b.mu2) for b in ledger.branches)
-
-    fo = build_M1(base, mu)
-    U = fo.lifted_basis
-    X = base.im.E1
-    cross = {}
-    for c in others:
-        zeta = c.value
-        arc_side = (U.conj().T @ X @ c.R) @ (c.L @ X @ U) if U.shape[1] else np.zeros((0, 0))
-        M2 = build_M2(base.lt, mu, zeta)
-        graph_side = mu * zeta * _omega(mu) ** 2 * _omega(zeta) ** 2 * (M2.conj().T @ M2)
-        resid = float(np.linalg.norm(arc_side - graph_side))
-        norm_ok = float(np.linalg.norm(M2.conj().T @ M2, 2)) <= minn ** (-2) + 1e-12
-        cross[complex(zeta)] = {"residual": resid, "norm_bound_ok": norm_ok}
-    return {
-        "bound": bound,
-        "max_mu2": max_mu2,
-        "bound_ok": bool(max_mu2 <= bound + 1e-12),
-        "cross_checks": cross,
-        "max_cross_residual": max(v["residual"] for v in cross.values()) if cross else 0.0,
-    }
+    return FirstSecondOrderMatrices(mu=mu, gamma=_gamma_scalar(mu), M1=M1, eta1=eta)
 
 
 def puiseux_prediction(

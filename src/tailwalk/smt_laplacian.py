@@ -57,17 +57,18 @@ def unit_sign(z: complex) -> int:
     return 0
 
 
-def joukowsky_preimages(t: float, tol: float = 1e-12) -> tuple[complex, ...]:
+def joukowsky_preimages(t: float) -> tuple[complex, ...]:
     """Unit-circle preimages of t under phi(z) = (z + 1/z)/2.
 
-    Requires t in [-1, 1]; the pair collapses to a single point at t = +-1.
+    Requires t in [-1, 1], to 1e-12; the pair collapses to a single point
+    within 1e-12 of t = +-1.
     """
-    if abs(t) > 1.0 + tol:
+    if abs(t) > 1.0 + 1e-12:
         raise ValueError(f"{t} is outside [-1, 1]; no unit-circle preimage")
     t = min(1.0, max(-1.0, float(t)))
-    if abs(t - 1.0) < tol:
+    if abs(t - 1.0) < 1e-12:
         return (1.0 + 0.0j,)
-    if abs(t + 1.0) < tol:
+    if abs(t + 1.0) < 1e-12:
         return (-1.0 + 0.0j,)
     s = np.sqrt(1.0 - t * t)
     return (complex(t, s), complex(t, -s))
@@ -86,10 +87,6 @@ class LaplacianT:
     Dw: np.ndarray  # vertex-diagonal boundary weight N_j(v)/n(v)
     T: np.ndarray
     weights: np.ndarray  # n_i(v), the vertex inner-product weights
-
-    def w_inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Weighted vertex inner product <f, g> = sum n_i(v) f(v) conj(g(v))."""
-        return complex(np.sum(self.weights * f * np.conj(g)))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +212,7 @@ def birth_multiplicities(tg: TailedGraph) -> tuple[int, int]:
     return m1, m_minus
 
 
-def birth_basis(lt: LaplacianT, lam: float, rcond: float = 1e-9) -> np.ndarray:
+def birth_basis(lt: LaplacianT, lam: float) -> np.ndarray:
     """Orthonormal basis of the birth eigenspace at lam = +-1.
 
     Birth states satisfy d u = 0 together with S u = -lam u, so they are
@@ -224,7 +221,7 @@ def birth_basis(lt: LaplacianT, lam: float, rcond: float = 1e-9) -> np.ndarray:
     if lam not in (1, -1, 1.0, -1.0):
         raise ValueError("birth eigenvalues exist only at +-1")
     stack = np.vstack([lt.d, lt.S + lam * np.eye(lt.S.shape[0])])
-    return scipy.linalg.null_space(stack, rcond=rcond)
+    return scipy.linalg.null_space(stack, rcond=1e-9)
 
 
 @dataclass

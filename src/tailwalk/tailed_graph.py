@@ -1,8 +1,9 @@
 """Finite graphs with semi-infinite tails: arc bookkeeping and degree tables.
 
-The internal graph is a finite, simple, connected, undirected graph.  Every
-edge {u, v} contributes two arcs (u, v) and (v, u); an arc a = (o, t) has
-origin o(a) and terminal t(a), and its reversal is written rev(a) = (t, o).
+The internal graph is a finite, simple, connected, undirected graph with at
+least one edge.  Every edge {u, v} contributes two arcs (u, v) and (v, u);
+an arc a = (o, t) has origin o(a) and terminal t(a), and its reversal is
+written rev(a) = (t, o).
 Tails are semi-infinite paths glued to *boundary vertices*; a vertex may
 carry several tails.  Only the internal arcs are materialised here — tail
 arcs are handled analytically (scattering, outgoing extensions) or through
@@ -59,8 +60,6 @@ class TailSpec:
 
 def build_internal(num_vertices: int, edges) -> InternalGraph:
     """Validate and normalise an edge list into an :class:`InternalGraph`."""
-    if num_vertices < 1:
-        raise GraphError(f"need at least one vertex, got {num_vertices}")
     norm = []
     seen = set()
     for e in edges:
@@ -74,25 +73,26 @@ def build_internal(num_vertices: int, edges) -> InternalGraph:
             raise GraphError(f"parallel edge ({key[0]}, {key[1]})")
         seen.add(key)
         norm.append(key)
+    if not norm:  # no arc, so no coin and no boundary matrix
+        raise GraphError(f"graph on {num_vertices} vertices has no edges")
     norm.sort()
 
     # connectivity (BFS); isolated vertices would get degree-0 coins
-    if num_vertices > 1:
-        adj: list[list[int]] = [[] for _ in range(num_vertices)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen_v = {0}
-        stack = [0]
-        while stack:
-            w = stack.pop()
-            for x in adj[w]:
-                if x not in seen_v:
-                    seen_v.add(x)
-                    stack.append(x)
-        if len(seen_v) != num_vertices:
-            missing = sorted(set(range(num_vertices)) - seen_v)
-            raise GraphError(f"graph is not connected; unreachable vertices {missing}")
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen_v = {0}
+    stack = [0]
+    while stack:
+        w = stack.pop()
+        for x in adj[w]:
+            if x not in seen_v:
+                seen_v.add(x)
+                stack.append(x)
+    if len(seen_v) != num_vertices:
+        missing = sorted(set(range(num_vertices)) - seen_v)
+        raise GraphError(f"graph is not connected; unreachable vertices {missing}")
 
     return InternalGraph(num_vertices, tuple(norm))
 

@@ -17,6 +17,9 @@ from tailwalk import cli
 from tailwalk.internal_spectral import ClusterAmbiguity
 
 
+C4_EDGES = [[0, 1], [1, 2], [2, 3], [0, 3]]
+
+
 def run(tmp_path, *argv):
     return cli.main([*argv, "--out", str(tmp_path / "out")]), tmp_path / "out"
 
@@ -294,6 +297,8 @@ class TestGraphFiles:
         assert code == 0
         _, rows = read_csv(out / "resonances.csv")
         assert len(rows) == 8
+        meta = json.loads((out / "resonances.csv.meta.json").read_text())
+        assert meta["config"]["tails"] == [[0, 2], [1, 1]]
 
     def test_tails_flag_overrides_file(self, tmp_path):
         gf = tmp_path / "g.json"
@@ -313,6 +318,49 @@ class TestGraphFiles:
         )
         code, _ = run(tmp_path, "resonances", "--graph", str(gf))
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"vertices": 4, "edges": C4_EDGES, "tails": [{"count": 2}]},
+            {"vertices": 4, "edges": C4_EDGES, "tails": 5},
+            {"vertices": 4, "edges": C4_EDGES, "tails": [[0, 1]]},
+            {"vertices": 1, "edges": [], "tails": [0]},
+        ],
+        ids=["tail-without-vertex", "tails-not-a-list", "tail-as-pair", "no-edges"],
+    )
+    @pytest.mark.parametrize("command", ["resonances", "transmission", "perturb"])
+    def test_malformed_graph_file_is_a_config_error(self, tmp_path, capsys, graph, command):
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps(graph))
+        code, _ = run(tmp_path, command, "--graph", str(gf), "--eps", "0.04,0.02,0.01")
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error: bad graph file" in capsys.readouterr().err
+
+    def test_sidecars_record_the_file_tails(self, tmp_path):
+        # a graph file's tails go to every sidecar as [vertex, count]; the
+        # tables are the preset run's, whose --tails stay plain ints
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps(
+            {"vertices": 4, "edges": C4_EDGES, "tails": [{"vertex": 0}, 1, {"vertex": 2}]}
+        ))
+        for command, eps in (("resonances", "0.25"), ("transmission", "0.25"),
+                             ("perturb", "0.04,0.02,0.01")):
+            outs = {}
+            for how, args in (("file", ("--graph", str(gf))),
+                              ("preset", ("--preset", "cycle:4", "--tails", "0,1,2"))):
+                code, outs[how] = run(tmp_path / how / command, command, *args, "--eps", eps)
+                assert code == 0, (command, how)
+            metas = sorted(outs["file"].glob("*.meta.json"))
+            assert metas, command
+            for meta in metas:
+                tails = json.loads(meta.read_text())["config"]["tails"]
+                assert tails == [[0, 1], [1, 1], [2, 1]], (command, meta.name)
+                preset = json.loads((outs["preset"] / meta.name).read_text())
+                assert preset["config"]["tails"] == [0, 1, 2], (command, meta.name)
+            for table in outs["file"].iterdir():
+                if not table.name.endswith(".meta.json"):
+                    assert table.read_bytes() == (outs["preset"] / table.name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -387,6 +435,34 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_NUMERICAL
     assert "numerical failure (NoConvergence)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_table_set_script(tmp_path):
+    # the reference table set behind byte-identity checks: every run exits 0
+    # or refuses with 3, and every run that exits 0 wrote its tables
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
+    out = tmp_path / "tables"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "table_set.py"), str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "exit_codes.txt").read_text().splitlines()
+    assert len(lines) == 28
+    wants = {
+        "resonances": ["resonances.csv"],
+        "transmission": ["transmission_eps0.25.csv", "transmission_eps0.6.csv"],
+        "perturb": ["ledger.json", "asymptote.csv", "sigma_limit.json"],
+        "verify": ["verify_summary.json"],
+    }
+    for line in lines:
+        command, label, code = line.split()[:3]
+        assert code in ("0", "3"), line
+        if code == "0":
+            where = out / "verify" if command == "verify" else out / command / label
+            for name in wants[command]:
+                assert (where / name).is_file(), line
 
 
 _TRACED_RUN = """

@@ -256,7 +256,7 @@ def test_long_run_carries_only_the_window_between_blocks(im_c16):
         ladder.append(L.view(Counted))
         ladder[-1].level = level
     im = dataclasses.replace(im_c16)
-    im.E_ladder = tuple(ladder)
+    im.E_ladder = ladder
     im.__dict__["E_block"] = im_c16.E_block.view(Counted)
     im.E_block.level = "block"
     alpha = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)

@@ -34,11 +34,15 @@ def test_T_is_selfadjoint_in_the_weighted_inner_product(k4a):
     rng = np.random.default_rng(5)
     f = rng.standard_normal(4)
     g = rng.standard_normal(4)
-    assert_allclose(lt.w_inner(lt.T @ f, g), lt.w_inner(f, lt.T @ g), atol=1e-13)
+
+    def w_inner(f, g):  # <f, g>_W = sum n_i(v) f(v) conj(g(v))
+        return complex(np.sum(lt.weights * f * np.conj(g)))
+
+    assert_allclose(w_inner(lt.T @ f, g), w_inner(f, lt.T @ g), atol=1e-13)
     vals, vecs = lt.spectrum
     assert np.all(vals >= -1 - 1e-12) and np.all(vals <= 1 + 1e-12)
     # W-orthonormality of the returned basis
-    G = np.array([[lt.w_inner(vecs[:, i], vecs[:, j]) for j in range(4)] for i in range(4)])
+    G = np.array([[w_inner(vecs[:, i], vecs[:, j]) for j in range(4)] for i in range(4)])
     assert_allclose(G, np.eye(4), atol=1e-12)
 
 

@@ -81,6 +81,8 @@ def test_build_internal_normalises_and_validates():
         build_internal(3, [(0, 1), (0, 1)])
     with pytest.raises(GraphError):
         build_internal(4, [(0, 1), (2, 3)])  # disconnected
+    with pytest.raises(GraphError, match="no edges"):
+        build_internal(1, [])  # no arc, so no boundary matrix
 
 
 def test_presets():
