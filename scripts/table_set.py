@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Write the reference set of CLI tables into one directory.
 
-Runs ``tailwalk.cli.main`` in-process: ``resonances``, ``transmission`` and
-``perturb`` on every graph of ``GRAPHS``, then ``verify``.  Each run writes
-into ``OUT/<command>/<graph>/`` (``OUT/verify/`` for ``verify``), and every
-exit code goes to ``OUT/exit_codes.txt``, one ``<command> <graph> <code>``
-line per run, followed by the first line the run wrote to stderr (a
-refusal's message) when it wrote one.
+Runs ``tailwalk.cli.main`` in-process, in ``OUT``: ``resonances``,
+``transmission`` and ``perturb`` on every graph of ``GRAPHS`` and on the
+graph file ``OUT/graph.json`` (``GRAPH_FILE``, read through ``--graph``),
+then ``verify``.  Each run writes into ``OUT/<command>/<graph>/``
+(``OUT/verify/`` for ``verify``), and every exit code goes to
+``OUT/exit_codes.txt``, one ``<command> <graph> <code>`` line per run,
+followed by the first line the run wrote to stderr (a refusal's message)
+when it wrote one.
 
 Example, comparing two checkouts (tables are byte-identical only at a fixed
 BLAS thread count):
@@ -22,6 +24,8 @@ that keep the numerics.
 import argparse
 import contextlib
 import io
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +42,12 @@ GRAPHS = [
     ("cycle:48", "0,1,2"),
     ("complete:16", "0,0,1,2"),
 ]
+# a 4-cycle with two tails on vertex 0 and one on vertex 1
+GRAPH_FILE = {
+    "vertices": 4,
+    "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+    "tails": [{"vertex": 0, "count": 2}, 1],
+}
 COMMANDS = [
     ("resonances", "0,0.001,0.04,0.25,0.6"),
     ("transmission", "0.25,0.6"),
@@ -50,6 +60,8 @@ def main() -> int:
     ap.add_argument("out", help="output directory (created)")
     out = Path(ap.parse_args().out)
     out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)  # every path below, and so every sidecar, is relative to OUT
+    Path("graph.json").write_text(json.dumps(GRAPH_FILE) + "\n")
     codes = []
 
     def record(command: str, label: str, argv: list[str]) -> None:
@@ -62,9 +74,11 @@ def main() -> int:
         for preset, tails in GRAPHS:
             label = f"{preset.replace(':', '_')}-t{tails.replace(',', '_')}"
             record(command, label, [command, "--preset", preset, "--tails", tails,
-                                    "--eps", eps, "--out", str(out / command / label)])
-    record("verify", "all", ["verify", "--out", str(out / "verify")])
-    (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+                                    "--eps", eps, "--out", f"{command}/{label}"])
+        record(command, "graph_file", [command, "--graph", "graph.json",
+                                       "--eps", eps, "--out", f"{command}/graph_file"])
+    record("verify", "all", ["verify", "--out", "verify"])
+    Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0
 
 

@@ -17,7 +17,7 @@ from .tailed_graph import (
     build_internal,
     preset_graph,
 )
-from .coin_evolution import CoinFamily, WalkOperator, boundary_coin, grover, tunable_block
+from .coin_evolution import WalkOperator, boundary_coin, grover, tunable_block
 from .internal_spectral import (
     ClusterAmbiguity,
     InternalMatrix,
@@ -53,10 +53,10 @@ from .smt_laplacian import (
 )
 from .perturbation import (
     AssumptionReport,
+    BoundaryGram,
     Branch,
     Coupling,
     Family,
-    FirstSecondOrderMatrices,
     GroupEscapedContour,
     ReductionLedger,
     ResonantLimitRecord,

@@ -127,6 +127,29 @@ def _parse_eps(text: str) -> list[float]:
         raise ConfigError(f"cannot parse --eps value {text!r}: {exc}") from exc
 
 
+def _file_int(x):
+    """An integer field of a graph file, refused when it is anything else:
+    a bool, a float or a string would otherwise be coerced."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _file_edge(e):
+    if not isinstance(e, list) or len(e) != 2:
+        raise ValueError(f"edge {e!r} is not two vertex ids")
+    return tuple(map(_file_int, e))
+
+
+def _file_tail(t):
+    """A vertex id, or a {"vertex", "count"} record (count 1 if left out)."""
+    if not isinstance(t, dict):
+        return _file_int(t)
+    if not set(t) <= {"vertex", "count"}:
+        raise ValueError(f"tail {t!r} has keys other than vertex and count")
+    return TailSpec(_file_int(t["vertex"]), _file_int(t.get("count", 1)))
+
+
 def _load_tailed_graph(cfg: RunConfig):
     if (cfg.preset is None) == (cfg.graph_file is None):
         raise ConfigError("give exactly one of --preset or --graph")
@@ -142,14 +165,9 @@ def _load_tailed_graph(cfg: RunConfig):
             raise ConfigError(f"graph file {path} does not exist")
         try:
             data = json.loads(path.read_text())
-            g = build_internal(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+            g = build_internal(_file_int(data["vertices"]), [_file_edge(e) for e in data["edges"]])
             if tails is None and "tails" in data:
-                tails = [
-                    TailSpec(int(t["vertex"]), int(t.get("count", 1)))
-                    if isinstance(t, dict)
-                    else int(t)
-                    for t in data["tails"]
-                ]
+                tails = [_file_tail(t) for t in data["tails"]]
         except (KeyError, TypeError, ValueError, GraphError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}") from exc
     try:

@@ -1,4 +1,4 @@
-"""Coin families and the (truncated) one-step evolution operator.
+"""Coins and the (truncated) one-step evolution operator.
 
 Interior internal vertices carry the Grover coin of their degree and never
 depend on the coupling parameter.  A boundary vertex with n_i internal and
@@ -10,7 +10,8 @@ where G(n, eps) = J/n - exp(-i*pi*eps)*(I - J/n).  At eps = 0 the tails
 decouple (g_0 = blockdiag(grover(n_i), I_N)); at eps = 1 the coin is the
 full Grover coin of size n.  Writing kappa = 1 - exp(i*pi*eps), every block
 of g_eps is *exactly* linear in kappa; :func:`linearize` returns the two
-coefficient matrices, which is what all perturbative machinery consumes.
+coefficient matrices, from which :func:`~tailwalk.internal_spectral.build_E`
+assembles E and the port blocks; all other machinery reads those.
 
 Tail vertices (degree 2) carry grover(2) = [[0, 1], [1, 0]], i.e. free
 shift dynamics along the tail.
@@ -22,15 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tailed_graph import TailedGraph
-
 __all__ = [
     "grover",
     "tunable_block",
     "boundary_coin",
     "linearize",
     "kappa",
-    "CoinFamily",
     "WalkOperator",
 ]
 
@@ -94,29 +92,6 @@ def linearize(n: int, n_i: int) -> tuple[np.ndarray, np.ndarray]:
     return C0, C1
 
 
-class CoinFamily:
-    """Per-vertex coins of a tailed graph, with their exact kappa splitting."""
-
-    def __init__(self, tg: TailedGraph):
-        self.tg = tg
-        self._split = {}
-        for v in range(tg.graph.num_vertices):
-            n = int(tg.total_deg[v])
-            n_i = int(tg.deg_int[v])
-            self._split[v] = linearize(n, n_i)
-
-    def coin(self, v: int, eps: float) -> np.ndarray:
-        """Coin at vertex v (internal slots first, then tail slots)."""
-        C0, C1 = self._split[v]
-        return C0 + kappa(eps) * C1
-
-    def coin0(self, v: int) -> np.ndarray:
-        return self._split[v][0]
-
-    def coin1(self, v: int) -> np.ndarray:
-        return self._split[v][1]
-
-
 @dataclass
 class _TailIndex:
     """Arc numbering of one truncated tail (port j, depth D).
@@ -140,40 +115,31 @@ class _TailIndex:
 class WalkOperator:
     """One walk step on the internal graph plus depth-truncated tails.
 
-    The matrix is exact away from the truncation edge: rows whose coin
-    stencil pokes outside the truncation are recorded in ``invalid_rows``
-    (their entries read absent arcs as zero).  For a T-step evolution use
-    depth >= T + 2 so the light cone never touches garbage.
+    The full step [[E, B_in], [B_out, B_bb]] of ``im``, an
+    :class:`~tailwalk.internal_spectral.InternalMatrix`, acts on the
+    internal arcs and the first arcs of the tails; beyond them the tail
+    vertices' swap coin shifts each tail arc one step.  The matrix is exact
+    away from the truncation edge: rows whose coin stencil pokes outside
+    the truncation are recorded in ``invalid_rows`` (their entries read
+    absent arcs as zero).  For a T-step evolution use depth >= T + 2 so
+    the light cone never touches garbage.
     """
 
-    def __init__(self, tg: TailedGraph, eps: float, depth: int):
+    def __init__(self, im, depth: int):
         if depth < 2:
             raise ValueError("depth must be at least 2")
-        self.tg = tg
-        self.eps = float(eps)
-        self.depth = int(depth)
-        coins = CoinFamily(tg)
+        M = im.E.shape[0]
+        self.tails = [_TailIndex(M + j * 2 * depth, depth) for j in range(im.B_bb.shape[0])]
+        self.dim = M + 2 * depth * len(self.tails)
+        U = np.zeros((self.dim, self.dim), dtype=complex)
+        invalid = np.zeros(self.dim, dtype=bool)
 
-        M = tg.num_arcs
-        N = tg.num_ports
-        self.num_internal = M
-        self.tails = [_TailIndex(M + j * 2 * depth, depth) for j in range(N)]
-        dim = M + 2 * depth * N
-        self.dim = dim
-        U = np.zeros((dim, dim), dtype=complex)
-        invalid = np.zeros(dim, dtype=bool)
-
-        # internal vertices: coin inputs are internal arcs then tail ports
-        for v in range(tg.graph.num_vertices):
-            ins = tg.arcs_into(v)
-            in_ids = list(ins) + [self.tails[j].in_arc(0) for j in tg.ports_at(v)]
-            out_ids = [tg.reversal[a] for a in ins] + [
-                self.tails[j].out_arc(1) for j in tg.ports_at(v)
-            ]
-            c = coins.coin(v, eps)
-            for r, row_arc in enumerate(out_ids):
-                for s, col_arc in enumerate(in_ids):
-                    U[row_arc, col_arc] = c[r, s]
+        first_in = [t.in_arc(0) for t in self.tails]
+        first_out = [t.out_arc(1) for t in self.tails]
+        U[:M, :M] = im.E
+        U[:M, first_in] = im.B_in
+        U[first_out, :M] = im.B_out
+        U[np.ix_(first_out, first_in)] = im.B_bb
 
         # tail vertices carry the swap coin: outgoing moves out, incoming in
         for t in self.tails:

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 
-from .coin_evolution import CoinFamily, WalkOperator, kappa
+from .coin_evolution import WalkOperator, kappa, linearize
 from .tailed_graph import TailedGraph
 
 _BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
@@ -140,10 +140,10 @@ class InternalMatrix:
 
 
 def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
-    """Assemble E and the port blocks from the per-vertex coins."""
+    """Assemble E and the port blocks from the per-vertex coins: the one
+    per-vertex assembly of the walk step, which every other consumer reads."""
     M = tg.num_arcs
     N = tg.num_ports
-    coins = CoinFamily(tg)
 
     E0 = np.zeros((M, M), dtype=complex)
     E1 = np.zeros((M, M), dtype=complex)
@@ -152,23 +152,15 @@ def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
     B_bb1 = np.zeros((N, N), dtype=complex)
 
     for v in range(tg.graph.num_vertices):
-        ins = tg.arcs_into(v)
-        pids = tg.ports_at(v)
+        ins, pids = tg.arcs_into(v), tg.ports_at(v)
         n_i = len(ins)
-        c0 = coins.coin0(v)
-        c1 = coins.coin1(v)
-        rows_int = [int(tg.reversal[a]) for a in ins]
-        for r, row_arc in enumerate(rows_int):
-            for s, col_arc in enumerate(ins):
-                E0[row_arc, col_arc] = c0[r, s]
-                E1[row_arc, col_arc] = c1[r, s]
-            for s, pj in enumerate(pids):
-                B_in1[row_arc, pj] = c1[r, n_i + s]
-        for r, pi in enumerate(pids):
-            for s, col_arc in enumerate(ins):
-                B_out1[pi, col_arc] = c1[n_i + r, s]
-            for s, pj in enumerate(pids):
-                B_bb1[pi, pj] = c1[n_i + r, n_i + s]
+        c0, c1 = linearize(int(tg.total_deg[v]), n_i)
+        rows = tg.reversal[ins]  # the arcs leaving v, in the order of those entering
+        E0[np.ix_(rows, ins)] = c0[:n_i, :n_i]
+        E1[np.ix_(rows, ins)] = c1[:n_i, :n_i]
+        B_in1[np.ix_(rows, pids)] = c1[:n_i, n_i:]
+        B_out1[np.ix_(pids, ins)] = c1[n_i:, :n_i]
+        B_bb1[np.ix_(pids, pids)] = c1[n_i:, n_i:]
 
     # the exact eps = 0 blocks (B_in0 = B_out0 = 0, B_bb0 = I); ``at`` forms E(eps)
     zeroth = InternalMatrix(tg, 0.0, E0, np.zeros_like(B_in1), np.zeros_like(B_out1),
@@ -458,7 +450,7 @@ def verify_outgoing(im: InternalMatrix, mu, vec: np.ndarray) -> float | np.ndarr
         if abs(m) >= 1.0:
             raise NotAResonance(f"|mu| = {abs(m):.6f} is not strictly inside the disk")
     V = np.asarray(vec, dtype=complex).reshape(im.tg.num_arcs, len(mus))
-    walk = WalkOperator(im.tg, im.eps, _OUTGOING_DEPTH + 2)
+    walk = WalkOperator(im, _OUTGOING_DEPTH + 2)
     ok = ~walk.invalid_rows
     # rows whose stencil reads the out-arc beyond the truncation don't exist;
     # every existing row is exact because incoming arcs vanish identically.

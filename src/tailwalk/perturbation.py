@@ -52,7 +52,7 @@ __all__ = [
     "Branch",
     "Family",
     "ReductionLedger",
-    "FirstSecondOrderMatrices",
+    "BoundaryGram",
     "AssumptionReport",
     "ResonantLimitRecord",
     "assumption_report",
@@ -78,8 +78,8 @@ class Stage1NotSemisimple(RuntimeError):
 @dataclass
 class Coupling:
     """One E(eps), factored once at the run's tolerances and shared by every
-    consumer: ``sd`` is its spectral data, and the closed-form evaluator and
-    the eigenvectors hypothesis a1 compares against are built on first use.
+    consumer: ``sd`` is its spectral data, and the closed-form evaluator is
+    built on first use.
 
     At eps = 0 it is the unperturbed problem, ``base``: E0 with its
     decomposition, and through ``lt`` the graph's T-eigenspaces, which the
@@ -96,10 +96,6 @@ class Coupling:
     @cached_property
     def sigma(self) -> SigmaEvaluator:
         return SigmaEvaluator(self.im, self.sd)
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eig(self.im.E)
 
 
 _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
@@ -331,8 +327,9 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
 
 
 @dataclass
-class FirstSecondOrderMatrices:
-    """Graph-side first-order matrix M1 at one unperturbed eigenvalue.
+class BoundaryGram:
+    """Graph-side first-order boundary Gram matrix M1 at one unperturbed
+    eigenvalue, with its eigenvalues eta1 and the scalar gamma.
 
     M1[j,k] = -<D g_j, g_k>_W on the W-orthonormal basis {g_j} of
     Ker(T - phi(mu)) complementary to the boundary-vanishing part; its
@@ -342,7 +339,6 @@ class FirstSecondOrderMatrices:
     :func:`_gamma_scalar`, so each stage-one eigenvalue is mu1 = gamma mu eta.
     """
 
-    mu: complex
     gamma: float
     M1: np.ndarray
     eta1: np.ndarray
@@ -366,7 +362,7 @@ def _lifted_eigendata(lt: LaplacianT, t: float) -> np.ndarray:
     return G
 
 
-def build_M1(base: Coupling, mu0: complex) -> FirstSecondOrderMatrices:
+def build_M1(base: Coupling, mu0: complex) -> BoundaryGram:
     lt = base.lt
     mu = complex(mu0)
     t = joukowsky(mu).real
@@ -374,7 +370,7 @@ def build_M1(base: Coupling, mu0: complex) -> FirstSecondOrderMatrices:
     M1 = _boundary_gram(lt, G, G)
     M1 = (M1 + M1.conj().T) / 2.0
     eta = np.linalg.eigvalsh(M1) if M1.size else np.zeros(0)
-    return FirstSecondOrderMatrices(mu=mu, gamma=_gamma_scalar(mu), M1=M1, eta1=eta)
+    return BoundaryGram(gamma=_gamma_scalar(mu), M1=M1, eta1=eta)
 
 
 def puiseux_prediction(
@@ -520,11 +516,13 @@ def assumption_report(
 ) -> AssumptionReport:
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
 
-    a1 compares, at the probe coupling, the actual perturbed eigenvectors
-    of each hosting branch against the range of its stage-2 projection; a2
-    checks the stage-2 projections resolve the whole unperturbed eigenspace;
-    a3 evaluates the global smallness inequality with the best constant the
-    first-order matrix provides (reported, not gated on).
+    a1 compares, at the probe coupling, the perturbed eigenvectors of each
+    hosting branch (the ``R`` columns of the probe's clusters nearest its
+    prediction, orthonormalised) against the range of its stage-2
+    projection; a2 checks the stage-2 projections resolve the whole
+    unperturbed eigenspace; a3 evaluates the global smallness inequality
+    with the best constant the first-order matrix provides (reported, not
+    gated on).
     """
     mu = ledger.mu
     Xs = _x_scalar(ledger, fam)
@@ -540,12 +538,14 @@ def assumption_report(
     a2 = a2_resid < 1e-8
 
     k = kappa(probe.im.eps)
-    w, V = probe.eig
+    w = np.empty(probe.sd.R.shape[1], dtype=complex)  # each R column's cluster value
+    for c in probe.sd.clusters:
+        w[c.span] = c.value
     a1 = True
     for b in hosts:
         pred = mu + k * b.mu1 + k**2 * b.mu2
-        idx = np.argsort(np.abs(w - pred))[: b.multiplicity]
-        Vb = np.linalg.qr(V[:, idx])[0]
+        idx = np.argsort(np.abs(w - pred), kind="stable")[: b.multiplicity]
+        Vb = np.linalg.qr(probe.sd.R[:, idx])[0]
         sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
         if sines.size and float(np.max(sines)) > 0.2:
             a1 = False

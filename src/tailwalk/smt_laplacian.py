@@ -150,17 +150,32 @@ def build_operators(tg: TailedGraph) -> LaplacianT:
                       weights=tg.deg_int.astype(float))
 
 
-def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Independent assembly of (E0, E1) through the vertex operators.
+def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, ...]:
+    """Independent assembly of the kappa-linear parts (E0, E1, B_in1,
+    B_out1, B_bb1) of E and the port blocks through the vertex operators.
 
-    E0 = S (2 d* d - I) and E1 = -S d* D d, with D the diagonal boundary
-    weight N_j(v) / n(v).  Cross-checked against :func:`build_E` in the test
-    suite; the two routes share no code.
+    With D the diagonal boundary weight N_j(v) / n(v), n the total degrees
+    and Pi the vertex-port incidence:
+
+        E0 = S (2 d* d - I),       E1 = -S d* D d,
+        B_in1 = S d* n^-1 Pi,      B_out1 = Pi^T n^-1 d*^T,
+        B_bb1 = Pi^T n^-1 Pi - I.
+
+    Cross-checked against :func:`build_E` in the test suite; the two
+    routes share no code.
     """
     lt = build_operators(tg)
-    E0 = lt.S @ (2.0 * lt.dstar @ lt.d - np.eye(tg.num_arcs))
-    E1 = -lt.S @ lt.dstar @ lt.Dw @ lt.d
-    return E0.astype(complex), E1.astype(complex)
+    Pi = np.zeros((tg.graph.num_vertices, tg.num_ports))
+    Pi[[v for v, _ in tg.ports], np.arange(tg.num_ports)] = 1.0
+    nPi = Pi / tg.total_deg[:, None]
+    blocks = (
+        lt.S @ (2.0 * lt.dstar @ lt.d - np.eye(tg.num_arcs)),
+        -lt.S @ lt.dstar @ lt.Dw @ lt.d,
+        lt.S @ lt.dstar @ nPi,
+        nPi.T @ lt.dstar.T,
+        Pi.T @ nPi - np.eye(tg.num_ports),
+    )
+    return tuple(X.astype(complex) for X in blocks)
 
 
 def lift(lt: LaplacianT, lam: complex, f: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ misread:
   sign of mu, so it is +1/4 at mu = -1; that rule is checked as well.
 """
 
+import numpy as np
 import pytest
 
 from tailwalk import acceptance
@@ -82,3 +83,19 @@ def test_residual_tol_is_honoured():
     # knob reaches the check rather than decorating it
     r = acceptance.run_criterion(5, residual_tol=1e-30)
     assert r.status == "fail"
+
+
+def test_criterion_6_measures_the_births(monkeypatch):
+    # the measured birth counts come from the birth null space, not from the
+    # formula they are compared with: one spurious birth state fails the check
+    real = acceptance.birth_basis
+
+    def one_too_many(lt, lam):
+        B = real(lt, lam)
+        return np.hstack([B, B[:, :1]])
+
+    assert acceptance.run_criterion(6).status == "pass"
+    monkeypatch.setattr(acceptance, "birth_basis", one_too_many)
+    r = acceptance.run_criterion(6)
+    assert r.status == "fail"
+    assert "measured (2, 2), expected (1, 1)" in r.detail

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tailwalk import build_E
+from tailwalk import build_E, build_E_split
 from tailwalk.coin_evolution import (
-    CoinFamily,
     WalkOperator,
     boundary_coin,
     grover,
@@ -95,26 +94,19 @@ def test_boundary_coin_tail_block_moves_at_first_order(n, n_i):
         assert_allclose(np.diag(tail), 1 + kappa(e) * (1 / n - 1), atol=1e-14)
 
 
-def test_coin_family_interior_vertex_is_eps_independent(c4a):
-    fam = CoinFamily(c4a)
-    # vertex 3 has no tail: plain degree-2 Grover coin, i.e. the swap
+def test_interior_coin_is_eps_independent():
+    # a vertex without tails (here of degree 2) keeps its plain Grover coin,
+    # the swap, for every eps: its C1 vanishes
     for e in (0.0, 0.25, 1.0):
-        assert_allclose(fam.coin(3, e), [[0, 1], [1, 0]], atol=1e-15)
-    assert_allclose(fam.coin1(3), 0, atol=1e-16)
-
-
-def test_coin_family_split_consistency(k4a):
-    fam = CoinFamily(k4a)
-    for v in range(4):
-        for e in (0.1, 0.6):
-            assert_allclose(
-                fam.coin(v, e), fam.coin0(v) + kappa(e) * fam.coin1(v), atol=1e-15
-            )
+        assert_allclose(boundary_coin(2, 2, e), [[0, 1], [1, 0]], atol=1e-15)
+    C0, C1 = linearize(2, 2)
+    assert_allclose(C0, [[0, 1], [1, 0]], atol=1e-16)
+    assert_allclose(C1, 0, atol=1e-16)
 
 
 class TestWalkOperator:
     def test_shape_and_invalid_rows(self, c4a):
-        w = WalkOperator(c4a, 0.25, depth=6)
+        w = WalkOperator(build_E(c4a, 0.25), depth=6)
         assert w.dim == c4a.num_arcs + 2 * 6 * 3
         # exactly one garbage row per truncated tail
         assert int(w.invalid_rows.sum()) == c4a.num_ports
@@ -122,7 +114,7 @@ class TestWalkOperator:
     def test_norm_preserved_inside_light_cone(self, k4a):
         rng = np.random.default_rng(7)
         depth = 9
-        w = WalkOperator(k4a, 0.25, depth=depth)
+        w = WalkOperator(build_E(k4a, 0.25), depth=depth)
         psi = np.zeros(w.dim, dtype=complex)
         psi[: k4a.num_arcs] = rng.standard_normal(k4a.num_arcs) + 1j * rng.standard_normal(
             k4a.num_arcs
@@ -134,19 +126,24 @@ class TestWalkOperator:
 
     def test_apply_matches_matrix_power_and_guards_depth(self, c4a):
         with pytest.raises(ValueError):
-            WalkOperator(c4a, 0.4, depth=1)
+            WalkOperator(build_E(c4a, 0.4), depth=1)
 
     @pytest.mark.parametrize("eps", [0.1, 0.25])
-    def test_restriction_reproduces_port_blocks(self, k4a, eps):
+    def test_restriction_reproduces_port_blocks(self, k4a, k4_multi, eps):
         """The boundary matrix and port blocks read off the truncated walk
-        must coincide with the directly assembled ones."""
-        im = build_E(k4a, eps)
-        w = WalkOperator(k4a, eps, depth=5)
-        M = k4a.num_arcs
-        internal = np.arange(M)
-        first_in = [t.in_arc(0) for t in w.tails]
-        first_out = [t.out_arc(1) for t in w.tails]
-        assert_allclose(w.matrix[np.ix_(internal, internal)], im.E, atol=1e-15)
-        assert_allclose(w.matrix[np.ix_(internal, first_in)], im.B_in, atol=1e-15)
-        assert_allclose(w.matrix[np.ix_(first_out, internal)], im.B_out, atol=1e-15)
-        assert_allclose(w.matrix[np.ix_(first_out, first_in)], im.B_bb, atol=1e-15)
+        must coincide with the vertex-operator ones, which share no code
+        with build_E."""
+        k = kappa(eps)
+        for tg in (k4a, k4_multi):
+            E0, E1, B_in1, B_out1, B_bb1 = build_E_split(tg)
+            w = WalkOperator(build_E(tg, eps), depth=5)
+            M = tg.num_arcs
+            internal = np.arange(M)
+            first_in = [t.in_arc(0) for t in w.tails]
+            first_out = [t.out_arc(1) for t in w.tails]
+            U = w.matrix
+            assert_allclose(U[np.ix_(internal, internal)], E0 + k * E1, atol=1e-15)
+            assert_allclose(U[np.ix_(internal, first_in)], k * B_in1, atol=1e-15)
+            assert_allclose(U[np.ix_(first_out, internal)], k * B_out1, atol=1e-15)
+            assert_allclose(U[np.ix_(first_out, first_in)], np.eye(tg.num_ports) + k * B_bb1,
+                            atol=1e-15)

@@ -94,13 +94,12 @@ def test_direct_port_block_is_the_coin_tail_block(suite_graphs, k4_multi):
         assert_allclose(B_bb1, expect, atol=1e-15, err_msg=name)
 
 
-def test_split_assembly_agrees_with_coin_assembly(suite_graphs):
-    # two routes to (E0, E1) that share no code
-    for name, tg in suite_graphs.items():
+def test_split_assembly_agrees_with_coin_assembly(suite_graphs, k4_multi):
+    # two routes to the kappa-linear parts of the walk step that share no code
+    for name, tg in {**suite_graphs, "k4-multi": k4_multi}.items():
         im = build_E(tg)
-        E0, E1 = build_E_split(tg)
-        assert_allclose(im.E0, E0, atol=1e-13, err_msg=name)
-        assert_allclose(im.E1, E1, atol=1e-13, err_msg=name)
+        for block, X in zip(("E0", "E1", "B_in1", "B_out1", "B_bb1"), build_E_split(tg)):
+            assert_allclose(getattr(im, block), X, atol=1e-13, err_msg=f"{name} {block}")
 
 
 def test_boundary_matrix_is_a_contraction(suite_graphs):

@@ -32,6 +32,7 @@ from tailwalk.perturbation import (
     total_projection,
 )
 from tailwalk.smt_laplacian import build_operators, joukowsky, lift, unit_sign
+from tailwalk.tailed_graph import attach_tails, preset_graph
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
 
@@ -391,6 +392,28 @@ class TestResonantLimit:
         # the global smallness inequality is strictly stronger than needed
         # and fails on every small fixture; it is reported, not gated on
         assert not rep.a3
+
+    @pytest.mark.parametrize(
+        "preset, tails, eps, want",
+        [
+            ("cycle:4", (0, 1, 2), 0.9, "FFFFFF"),
+            ("cycle:4", (0, 1, 2), 0.005, "TTTTTT"),
+            ("cycle:8", (0, 2, 4), 0.6, "FTTTTFFTTTTF"),
+        ],
+    )
+    def test_a1_verdict_of_every_hosting_family(self, preset, tails, eps, want):
+        # far from the unperturbed problem the perturbed eigenvectors leave
+        # the stage-2 ranges: a1 turns false, and on cycle:8 for some
+        # families only
+        im = build_E(attach_tails(preset_graph(preset), tails))
+        base, probe = coupling(im, 0.0), coupling(im, eps)
+        got = ""
+        for cl in base.sd.clusters:
+            led = reduce_eigenvalue(base, cl.value)
+            for fam in led.families:
+                if any(b.hosts_resonance for b in fam.branches):
+                    got += "T" if assumption_report(base, led, fam, probe).a1 else "F"
+        assert got == want
 
     def test_gate_fails_for_the_persistent_eigenspace(self, im_c4a, base_c4):
         # the persistent stage-one eigenspace (mu1 = 0) is no ledger family;

@@ -129,8 +129,7 @@ def test_random_graph_index_invariants(g, data):
     assert keys == sorted(keys)
     assert tg.num_ports == len(tails)
     assert int(tg.total_deg.sum()) == tg.num_arcs + tg.num_ports
-    # per-vertex coin assembly vs the vertex-operator form of (E0, E1)
+    # per-vertex coin assembly vs the vertex-operator form of the walk step
     im = build_E(tg)
-    E0, E1 = build_E_split(tg)
-    assert_allclose(im.E0, E0, atol=1e-13)
-    assert_allclose(im.E1, E1, atol=1e-13)
+    for block, X in zip(("E0", "E1", "B_in1", "B_out1", "B_bb1"), build_E_split(tg)):
+        assert_allclose(getattr(im, block), X, atol=1e-13, err_msg=block)
