@@ -49,7 +49,6 @@ from .smt_laplacian import (
     joukowsky_preimages,
     lift,
     persistent_basis,
-    t_eigenbasis_split,
 )
 from .perturbation import (
     AssumptionReport,

@@ -161,14 +161,12 @@ def _load_tailed_graph(cfg: RunConfig):
             raise ConfigError(str(exc)) from exc
     else:
         path = Path(cfg.graph_file)
-        if not path.exists():
-            raise ConfigError(f"graph file {path} does not exist")
         try:
             data = json.loads(path.read_text())
             g = build_internal(_file_int(data["vertices"]), [_file_edge(e) for e in data["edges"]])
             if tails is None and "tails" in data:
                 tails = [_file_tail(t) for t in data["tails"]]
-        except (KeyError, TypeError, ValueError, GraphError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, GraphError) as exc:
             raise ConfigError(f"bad graph file {path}: {exc}") from exc
     try:
         tg = attach_tails(g, tails if tails is not None else [])
@@ -181,6 +179,17 @@ def _load_tailed_graph(cfg: RunConfig):
             f"--inflow must be in 1..{tg.num_ports} (1-based port index), got {cfg.inflow}"
         )
     return tg
+
+
+def _out_dir(path: str) -> Path:
+    """The output directory, made before any work: a path that cannot be
+    one is a configuration error, not a traceback after the run."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to --out {out}: {exc}") from exc
+    return out
 
 
 def _decompose_each(cfg: RunConfig, im0) -> list[Coupling]:
@@ -271,9 +280,8 @@ def _cluster_record(sd) -> list[dict]:
 
 def cmd_resonances(cfg: RunConfig) -> int:
     tg = _load_tailed_graph(cfg)
+    outdir = _out_dir(cfg.out_dir)
     im0 = build_E(tg, 0.0)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     decisions = {}
@@ -302,10 +310,9 @@ def cmd_transmission(cfg: RunConfig) -> int:
     if len(set(stems)) < len(stems):
         raise ConfigError("eps values must differ at 6 significant digits (file names)")
     tg = _load_tailed_graph(cfg)
+    outdir = _out_dir(cfg.out_dir)
     im0 = build_E(tg, 0.0)
     lam_grid = np.linspace(-np.pi, np.pi, cfg.grid, endpoint=False)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     header = [
         "lambda",
@@ -350,13 +357,12 @@ def cmd_perturb(cfg: RunConfig) -> int:
     if 0.0 in cfg.eps_values or len(set(cfg.eps_values)) < len(cfg.eps_values):
         raise ConfigError("perturb needs distinct nonzero eps values (log-log slope fits)")
     tg = _load_tailed_graph(cfg)
+    outdir = _out_dir(cfg.out_dir)
     im = build_E(tg, 0.0)
     # the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
     base = Coupling(
         im, spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
     )
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     # the ladder, largest eps first, shared by every family
     couplings = dict(sorted(zip(cfg.eps_values, _decompose_each(cfg, im)), key=lambda p: -p[0]))
 
@@ -434,12 +440,10 @@ def cmd_verify(out_dir: str, fixture: str | None, residual_tol: float | None) ->
         raise ConfigError(f"--residual-tol must be positive, got {residual_tol}")
     if fixture is not None and fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {fixture!r}; choose from {sorted(FIXTURES)}")
+    summary = _out_dir(out_dir) / "verify_summary.json"
     results = run_all(fixture, residual_tol)
     for r in results:
         print(r.line())
-    outdir = Path(out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary = outdir / "verify_summary.json"
     summary.write_text(
         json.dumps(
             {
@@ -452,7 +456,6 @@ def cmd_verify(out_dir: str, fixture: str | None, residual_tol: float | None) ->
                         "name": r.name,
                         "status": r.status,
                         "detail": r.detail,
-                        "elapsed_s": r.elapsed,
                     }
                     for r in results
                 ],

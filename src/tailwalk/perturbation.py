@@ -41,7 +41,6 @@ from .smt_laplacian import (
     build_operators,
     joukowsky,
     persistent_basis,
-    t_eigenbasis_split,
     unit_sign,
 )
 
@@ -298,13 +297,11 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         sd2 = spectral_decompose(E2, cluster_tol=_STAGE_TOL)
         for c2 in sd2.clusters:
             P2_full = Q1 @ c2.projection @ Q1.conj().T
-            if per.shape[1]:
-                leak = float(
-                    np.linalg.norm(P2_full - per @ (per.conj().T @ P2_full))
-                ) / max(float(np.linalg.norm(P2_full)), 1e-30)
-                is_per = leak < 1e-6
-            else:
-                is_per = False
+            # an empty persistent basis leaks everything: not persistent
+            leak = float(
+                np.linalg.norm(P2_full - per @ (per.conj().T @ P2_full))
+            ) / max(float(np.linalg.norm(P2_full)), 1e-30)
+            is_per = leak < 1e-6
             radial = (ge**2 + ge - 2.0 * (c2.value / mu)).real
             fam.branches.append(
                 Branch(
@@ -346,31 +343,18 @@ class BoundaryGram:
 
 def _boundary_gram(lt: LaplacianT, G_row: np.ndarray, G_col: np.ndarray) -> np.ndarray:
     """-<D g_col_j, g_row_k>_W as a matrix (rows k, cols j)."""
-    wD = lt.weights * np.diag(lt.Dw)
+    wD = lt.weights * lt.Dw
     return -(G_row.conj().T * wD[None, :]) @ G_col
 
 
-def _lifted_eigendata(lt: LaplacianT, t: float) -> np.ndarray:
-    """Non-persistent T-eigenbasis at t, empty when the eigenvalue at
-    phi^{-1}(t) has no lifted part (birth-only, e.g. -1 on a non-bipartite
-    graph) — then every Gram matrix built from it is a 0-column factor and
-    the product identities degenerate to 0 = 0 instead of failing."""
-    try:
-        _, G = t_eigenbasis_split(lt, t)
-    except KeyError:
-        G = np.zeros((lt.T.shape[0], 0))
-    return G
-
-
 def build_M1(base: Coupling, mu0: complex) -> BoundaryGram:
-    lt = base.lt
+    """M1 on the non-persistent T-eigenbasis at phi(mu0); 0 x 0 where mu0 has
+    no lifted part (birth-only, e.g. -1 on a non-bipartite graph)."""
     mu = complex(mu0)
-    t = joukowsky(mu).real
-    G = _lifted_eigendata(lt, t)
-    M1 = _boundary_gram(lt, G, G)
+    G = base.lt.eigenspace(joukowsky(mu).real)[1]
+    M1 = _boundary_gram(base.lt, G, G)
     M1 = (M1 + M1.conj().T) / 2.0
-    eta = np.linalg.eigvalsh(M1) if M1.size else np.zeros(0)
-    return BoundaryGram(gamma=_gamma_scalar(mu), M1=M1, eta1=eta)
+    return BoundaryGram(gamma=_gamma_scalar(mu), M1=M1, eta1=np.linalg.eigvalsh(M1))
 
 
 def puiseux_prediction(

@@ -73,10 +73,7 @@ class NoConvergence(RuntimeError):
 
 @dataclass
 class ScatteringRecord:
-    lam: float
-    z: complex
     outgoing: np.ndarray
-    method: str
     steps: int
     window_delta: float
 
@@ -234,12 +231,7 @@ def stationary_iterate(
             j = int(np.argmax(ok))
             out = im.B_bb @ alpha + im.B_out @ W[:, j]
             return ScatteringRecord(
-                lam=float(lam),
-                z=complex(np.exp(-1j * lam)),
-                outgoing=out,
-                method="iteration",
-                steps=done + j + 1,
-                window_delta=float(worst[j]),
+                outgoing=out, steps=done + j + 1, window_delta=float(worst[j])
             )
         w, recent, done = W[:, -1], norms[m:], done + _BLOCK
     raise NoConvergence(

@@ -84,7 +84,7 @@ class LaplacianT:
     d: np.ndarray
     dstar: np.ndarray
     S: np.ndarray
-    Dw: np.ndarray  # vertex-diagonal boundary weight N_j(v)/n(v)
+    Dw: np.ndarray  # boundary weight N_j(v)/n(v) per vertex
     T: np.ndarray
     weights: np.ndarray  # n_i(v), the vertex inner-product weights
 
@@ -133,6 +133,15 @@ class LaplacianT:
             out.append((t, F, per, rest))
         return out
 
+    def eigenspace(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(per, rest) of Ker(T - t), t matched to 1e-8.  Both have no
+        columns when t is not an eigenvalue of T."""
+        for tv, _, per, rest in self.eigenspaces:
+            if abs(tv - t) < 1e-8:
+                return per, rest
+        empty = np.zeros((self.T.shape[0], 0))
+        return empty, empty
+
 
 def build_operators(tg: TailedGraph) -> LaplacianT:
     M = tg.num_arcs
@@ -144,7 +153,7 @@ def build_operators(tg: TailedGraph) -> LaplacianT:
         dstar[i, t] = 1.0
     S = np.zeros((M, M))
     S[np.arange(M), tg.reversal] = 1.0
-    Dw = np.diag(tg.tails_at / tg.total_deg)
+    Dw = tg.tails_at / tg.total_deg
     T = d @ S @ dstar
     return LaplacianT(tg=tg, d=d, dstar=dstar, S=S, Dw=Dw, T=T,
                       weights=tg.deg_int.astype(float))
@@ -170,7 +179,7 @@ def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, ...]:
     nPi = Pi / tg.total_deg[:, None]
     blocks = (
         lt.S @ (2.0 * lt.dstar @ lt.d - np.eye(tg.num_arcs)),
-        -lt.S @ lt.dstar @ lt.Dw @ lt.d,
+        -(lt.S @ lt.dstar * lt.Dw) @ lt.d,
         lt.S @ lt.dstar @ nPi,
         nPi.T @ lt.dstar.T,
         Pi.T @ nPi - np.eye(tg.num_ports),
@@ -179,7 +188,9 @@ def build_E_split(tg: TailedGraph) -> tuple[np.ndarray, ...]:
 
 
 def lift(lt: LaplacianT, lam: complex, f: np.ndarray) -> np.ndarray:
-    """Isometric lift of a T-eigenfunction to an E0-eigenvector at lam.
+    """Isometric lift of a T-eigenfunction, or a basis of them as columns,
+    to E0-eigenvectors at lam (d* and S have one nonzero per row, so a
+    basis lifts to the bits of its columns lifted one at a time).
 
     For lam not at +-1 this is (1 - lam S) d* f normalised by
     sqrt(2)|sin(arg lam)|; at +-1 the plain copy d* f is already isometric
@@ -243,88 +254,50 @@ def birth_basis(lt: LaplacianT, lam: float) -> np.ndarray:
 class EigenClassification:
     """One point of sigma_p(E0) with its provenance.
 
-    ``T_eigenvalue`` is the Joukowsky preimage datum (None for pure birth
-    points), ``inherited_mult`` the dimension lifted from T,
-    ``birth_mult`` the non-lifted dimension (only at +-1), and
-    ``persistent_mult`` the dimension surviving every coupling value.
+    ``inherited_mult`` is the dimension lifted from T, ``birth_mult`` the
+    non-lifted dimension (only at +-1), and ``persistent_mult`` the
+    dimension surviving every coupling value.
     """
 
     value: complex
     inherited_mult: int
     birth_mult: int
     persistent_mult: int
-    T_eigenvalue: float | None
 
     @property
     def total_mult(self) -> int:
         return self.inherited_mult + self.birth_mult
 
 
-def t_eigenbasis_split(lt: LaplacianT, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(persistent, complement) W-orthonormal bases of Ker(T - t)."""
-    for tv, _, per, rest in lt.eigenspaces:
-        if abs(tv - t) < 1e-8:
-            return per, rest
-    raise KeyError(f"{t} is not an eigenvalue of T")
-
-
 def classify(lt: LaplacianT) -> list[EigenClassification]:
-    """Classification of sigma_p(E0) into inherited/birth/persistent parts."""
-    m1, m_minus = birth_multiplicities(lt.tg)
-    entries: dict[complex, EigenClassification] = {}
-
-    def key(z: complex) -> complex:
-        return complex(round(z.real, 9), round(z.imag, 9))
-
-    for t, F, per, _ in lt.eigenspaces:
-        s = F.shape[1]
-        p = per.shape[1]
-        for lam in joukowsky_preimages(min(1.0, max(-1.0, t))):
-            entries[key(lam)] = EigenClassification(
-                value=lam,
-                inherited_mult=s,
-                birth_mult=0,
-                persistent_mult=p,
-                T_eigenvalue=t,
-            )
-    for lam, m in ((1.0 + 0j, m1), (-1.0 + 0j, m_minus)):
+    """Classification of sigma_p(E0) into inherited/birth/persistent parts:
+    one entry per T-eigenspace and Joukowsky preimage; the birth states at
+    +-1 join the entry there, or stand alone where T lifts to none."""
+    out = [
+        EigenClassification(lam, F.shape[1], 0, per.shape[1])
+        for t, F, per, _ in lt.eigenspaces
+        for lam in joukowsky_preimages(t)
+    ]
+    for sign, m in zip((1, -1), birth_multiplicities(lt.tg)):
         if m == 0:
             continue
-        k = key(lam)
-        if k in entries:
-            e = entries[k]
-            entries[k] = EigenClassification(
-                value=e.value,
-                inherited_mult=e.inherited_mult,
-                birth_mult=m,
-                persistent_mult=e.persistent_mult + m,  # birth states persist
-                T_eigenvalue=e.T_eigenvalue,
-            )
+        e = next((x for x in out if unit_sign(x.value) == sign), None)
+        if e is None:
+            out.append(EigenClassification(complex(sign), 0, m, m))
         else:
-            entries[k] = EigenClassification(
-                value=lam, inherited_mult=0, birth_mult=m,
-                persistent_mult=m, T_eigenvalue=None,
-            )
-    out = list(entries.values())
+            e.birth_mult = m
+            e.persistent_mult += m  # birth states persist
     out.sort(key=lambda e: (np.angle(e.value), abs(e.value)))
     return out
 
 
 def persistent_basis(lt: LaplacianT, lam: complex) -> np.ndarray:
-    """Orthonormal arc-space basis of the persistent eigenspace at lam."""
-    cols = []
-    t = joukowsky(complex(lam)).real
-    try:
-        per, _ = t_eigenbasis_split(lt, t)
-    except KeyError:
-        per = np.zeros((lt.tg.graph.num_vertices, 0))
-    for j in range(per.shape[1]):
-        cols.append(lift(lt, lam, per[:, j]))
+    """Orthonormal arc-space basis of the persistent eigenspace at lam:
+    the lifted boundary-vanishing T-eigenvectors plus, at +-1, the birth
+    states."""
+    per, _ = lt.eigenspace(joukowsky(complex(lam)).real)
+    cols = [lift(lt, lam, per)]
     sign = unit_sign(lam)
     if sign:
-        B = birth_basis(lt, sign)
-        for j in range(B.shape[1]):
-            cols.append(B[:, j].astype(complex))
-    if not cols:
-        return np.zeros((lt.tg.num_arcs, 0), dtype=complex)
-    return scipy.linalg.orth(np.stack(cols, axis=1))
+        cols.append(birth_basis(lt, sign))
+    return scipy.linalg.orth(np.hstack(cols).astype(complex))

@@ -75,6 +75,13 @@ def build_internal(num_vertices: int, edges) -> InternalGraph:
         norm.append(key)
     if not norm:  # no arc, so no coin and no boundary matrix
         raise GraphError(f"graph on {num_vertices} vertices has no edges")
+    # refused before any per-vertex table: the vertex count alone must not
+    # size an allocation
+    if len(norm) < num_vertices - 1:
+        raise GraphError(
+            f"graph on {num_vertices} vertices has {len(norm)} edges; "
+            f"connected needs at least {num_vertices - 1}"
+        )
     norm.sort()
 
     # connectivity (BFS); isolated vertices would get degree-0 coins
@@ -91,8 +98,11 @@ def build_internal(num_vertices: int, edges) -> InternalGraph:
                 seen_v.add(x)
                 stack.append(x)
     if len(seen_v) != num_vertices:
-        missing = sorted(set(range(num_vertices)) - seen_v)
-        raise GraphError(f"graph is not connected; unreachable vertices {missing}")
+        missing = [v for v in range(num_vertices) if v not in seen_v]
+        raise GraphError(
+            f"graph is not connected; {len(missing)} unreachable vertices, "
+            f"first {missing[:5]}"
+        )
 
     return InternalGraph(num_vertices, tuple(norm))
 

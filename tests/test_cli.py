@@ -255,6 +255,15 @@ class TestVerify:
         assert st[1] == "skip"  # bare-cycle check needs the full suite
         assert st[12] == "skip"  # runs on c4-3tails-a only
 
+    def test_summaries_repeat_across_runs(self, tmp_path):
+        # no wall time enters the summary, so two runs write the same bytes
+        summaries = []
+        for name in ("a", "b"):
+            code, out = run(tmp_path / name, "verify", "--fixture", "c4-3tails-a")
+            assert code == 0
+            summaries.append((out / "verify_summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_residual_tol_forces_failures(self, tmp_path):
         code, _ = run(
             tmp_path, "verify", "--fixture", "c4-3tails-a",
@@ -350,6 +359,23 @@ class TestGraphFiles:
         assert code == cli.EXIT_CONFIG
         assert "configuration error: bad graph file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resonances", "transmission", "perturb"])
+    def test_unreadable_graph_path_is_a_config_error(self, tmp_path, capsys, command):
+        for path in (tmp_path, tmp_path / "missing.json"):  # a directory, no file
+            code, _ = run(tmp_path, command, "--graph", str(path), "--eps", "0.04,0.02,0.01")
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "configuration error: bad graph file" in err and "Traceback" not in err
+
+    def test_vertex_count_alone_is_refused_briefly(self, tmp_path, capsys):
+        # one edge cannot connect a million vertices: refused up front, briefly
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps({"vertices": 10**6, "edges": [[0, 1]], "tails": [0]}))
+        code, _ = run(tmp_path, "resonances", "--graph", str(gf))
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and len(err.encode()) < 1024
+
     def test_sidecars_record_the_file_tails(self, tmp_path):
         # a graph file's tails go to every sidecar as [vertex, count]; the
         # tables are the preset run's, whose --tails stay plain ints
@@ -402,6 +428,20 @@ def test_config_errors_exit_2(tmp_path, argv, capsys):
     code, _ = run(tmp_path, *argv)
     assert code == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resonances", "transmission", "perturb", "verify"])
+def test_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+    # refused before any work: verify runs no criterion
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    args = [] if command == "verify" else [
+        "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.04,0.02,0.01"]
+    code = cli.main([command, *args, "--out", str(blocker)])
+    assert code == cli.EXIT_CONFIG
+    got = capsys.readouterr()
+    assert "configuration error" in got.err and "Traceback" not in got.err
+    assert "[criterion" not in got.out
 
 
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from tailwalk.perturbation import (
     Family,
     GroupEscapedContour,
     _boundary_gram,
-    _lifted_eigendata,
     _mu2_bound,
     assumption_report,
     build_M1,
@@ -45,10 +44,7 @@ def lifted_basis(base, mu):
     """build_M1's basis lifted to arc space: it spans Ran(P_mu | lifted,
     non-persistent), where the matrix of P X P is gamma mu M1."""
     lt = base.lt
-    G = _lifted_eigendata(lt, joukowsky(mu).real)
-    if not G.shape[1]:
-        return np.zeros((lt.tg.num_arcs, 0), dtype=complex)
-    return np.stack([lift(lt, mu, G[:, j]) for j in range(G.shape[1])], axis=1)
+    return lift(lt, mu, lt.eigenspace(joukowsky(mu).real)[1])
 
 
 def direct_residual(base, mu):
@@ -65,8 +61,8 @@ def build_M2(lt, mu, zeta):
     Shape (s(zeta), s(mu)); adjoint symmetry build_M2(mu, zeta) =
     build_M2(zeta, mu)^* holds by construction of the weighted Gram form.
     """
-    Gm = _lifted_eigendata(lt, joukowsky(mu).real)
-    Gz = _lifted_eigendata(lt, joukowsky(zeta).real)
+    Gm = lt.eigenspace(joukowsky(mu).real)[1]
+    Gz = lt.eigenspace(joukowsky(zeta).real)[1]
     return _boundary_gram(lt, Gz, Gm)
 
 

@@ -18,7 +18,6 @@ from tailwalk.smt_laplacian import (
     joukowsky_preimages,
     lift,
     persistent_basis,
-    t_eigenbasis_split,
     unit_sign,
 )
 
@@ -155,12 +154,13 @@ class TestClassify:
 
 def test_t_eigenbasis_split_vanishing_condition(k4_full):
     lt = build_operators(k4_full)
-    per, rest = t_eigenbasis_split(lt, -1 / 3)
+    per, rest = lt.eigenspace(-1 / 3)
     # every internal vertex of k4-4tails carries a tail: nothing can vanish
     # on the whole boundary, so the persistent part is empty
     assert per.shape[1] == 0 and rest.shape[1] == 3
-    with pytest.raises(KeyError):
-        t_eigenbasis_split(lt, 0.123)
+    # a value T does not have is an empty eigenspace
+    per, rest = lt.eigenspace(0.123)
+    assert per.shape == (4, 0) and rest.shape == (4, 0)
 
 
 def test_persistent_basis_survives_the_coupling(c4a, k4a):
@@ -198,3 +198,22 @@ def test_t_eigenspaces_split_on_random_graphs(g, data):
         assert U.shape[1] == entry.persistent_mult
         for eps in eps_values:
             assert np.linalg.norm(im0.at(eps).E @ U - entry.value * U) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_classify_matches_the_direct_spectrum_on_random_graphs(g, data):
+    """Every arc is classified once, each entry's multiplicity is E0's at its
+    value, and T lifts to -1 (once) exactly on a bipartite graph."""
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
+    )
+    tg = attach_tails(g, tails)
+    entries = classify(build_operators(tg))
+    assert sum(e.total_mult for e in entries) == tg.num_arcs
+    vals = np.linalg.eigvals(build_E(tg).E0)
+    for e in entries:
+        assert int(np.sum(np.abs(vals - e.value) < 1e-9)) == e.total_mult
+    inherited = [e.inherited_mult for e in entries if unit_sign(e.value) == -1]
+    assert len(inherited) <= 1
+    assert (inherited == [1]) == is_bipartite(tg)

@@ -83,6 +83,16 @@ def test_build_internal_normalises_and_validates():
         build_internal(4, [(0, 1), (2, 3)])  # disconnected
     with pytest.raises(GraphError, match="no edges"):
         build_internal(1, [])  # no arc, so no boundary matrix
+    # too few edges to connect the vertices: refused before any per-vertex table
+    with pytest.raises(GraphError, match="has 1 edges; connected needs at least 999999"):
+        build_internal(10**6, [(0, 1)])
+    # enough edges, a triangle and a 38-cycle: the message names a few vertices and the count
+    edges = [(0, 1), (1, 2), (0, 2)] + [(u, u + 1) for u in range(3, 40)] + [(3, 40)]
+    with pytest.raises(GraphError) as exc:
+        build_internal(41, edges)
+    assert str(exc.value) == (
+        "graph is not connected; 38 unreachable vertices, first [3, 4, 5, 6, 7]"
+    )
 
 
 def test_presets():
