@@ -3,10 +3,11 @@
 
 Runs ``tailwalk.cli.main`` in-process, in ``OUT``: ``resonances``,
 ``transmission`` and ``perturb`` on every graph of ``GRAPHS`` and on the
-graph file ``OUT/graph.json`` (``GRAPH_FILE``, read through ``--graph``),
-then ``verify``.  Each run writes into ``OUT/<command>/<graph>/``
-(``OUT/verify/`` for ``verify``), and every exit code goes to
-``OUT/exit_codes.txt``, one ``<command> <graph> <code>`` line per run,
+graph file ``OUT/graph.json`` (``GRAPH_FILE``, read through ``--graph``,
+once as CSV and once as ``--format json``), then ``verify``.  Each run
+writes into ``OUT/<command>/<graph>/`` (``OUT/<command>/graph_file-json/``
+for the JSON tables, ``OUT/verify/`` for ``verify``), and every exit code
+goes to ``OUT/exit_codes.txt``, one ``<command> <graph> <code>`` line per run,
 followed by the first line the run wrote to stderr (a refusal's message)
 when it wrote one.
 
@@ -75,8 +76,9 @@ def main() -> int:
             label = f"{preset.replace(':', '_')}-t{tails.replace(',', '_')}"
             record(command, label, [command, "--preset", preset, "--tails", tails,
                                     "--eps", eps, "--out", f"{command}/{label}"])
-        record(command, "graph_file", [command, "--graph", "graph.json",
-                                       "--eps", eps, "--out", f"{command}/graph_file"])
+        for label, fmt in (("graph_file", "csv"), ("graph_file-json", "json")):
+            record(command, label, [command, "--graph", "graph.json", "--eps", eps,
+                                    "--format", fmt, "--out", f"{command}/{label}"])
     record("verify", "all", ["verify", "--out", "verify"])
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0

@@ -2,18 +2,23 @@
 """Transmission/reflection curves, with the closed form spot-checked
 against the raw time iteration.
 
-For each requested coupling value this writes a lambda-grid CSV and
-reports the largest deviation between the spectral closed form and the
-dynamical iteration at a few random frequencies - the two routes share no
-code, so agreement to ~1e-8 means both are right.
+For each requested coupling value this writes a lambda-grid CSV into the
+working directory and reports the largest deviation between the spectral
+closed form and the dynamical iteration at a few random frequencies - the
+two routes share no code, so agreement to ~1e-8 means both are right.
 
 Example:
     python3 scripts/transmission_report.py --preset cycle:4 --tails 0,1,2 \
         --eps 0.1,0.25,0.5 --grid 256
 
-Exit codes follow the ``tailwalk`` CLI: 2 for a configuration error (such
-as eps values whose CSV names collide), 3 for a numerical failure (such as
-a spot check's iteration not converging), each reported on stderr.
+``--preset``, ``--tails``, ``--eps``, ``--grid`` and ``--inflow`` go through
+the ``tailwalk transmission`` parser and its checks, so the script refuses
+what the CLI refuses, and ``--grid`` and ``--inflow`` default as there.
+Exit codes follow the CLI: 2 for a configuration error (an eps outside
+[0, 1], eps values whose CSV names collide, a ``--grid`` below 8, an
+``--inflow`` that names no port, ...), before any file is written, and 3
+for a numerical failure (such as a spot check's iteration not converging),
+each reported on stderr.
 """
 
 import argparse
@@ -22,17 +27,20 @@ import sys
 
 import numpy as np
 
-from tailwalk import GraphError, attach_tails, build_E, preset_graph
+from tailwalk import GraphError
 from tailwalk.cli import (
     _NUMERICAL_ERRORS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     ConfigError,
-    _parse_eps,
-    _parse_tails,
+    _build_parser,
+    _prologue,
+    _run_config,
+    _transmission_stems,
 )
-from tailwalk.internal_spectral import spectral_decompose
-from tailwalk.scattering import SigmaEvaluator, stationary_iterate, transmission_curve
+from tailwalk.scattering import stationary_iterate, transmission_curve
+
+RUN_FLAGS = ("preset", "tails", "eps", "grid", "inflow")
 
 
 def main() -> int:
@@ -40,13 +48,15 @@ def main() -> int:
     ap.add_argument("--preset", default="cycle:4")
     ap.add_argument("--tails", default="0,1,2")
     ap.add_argument("--eps", default="0.1,0.25,0.5")
-    ap.add_argument("--grid", type=int, default=256)
-    ap.add_argument("--inflow", type=int, default=1, help="1-based port index")
+    ap.add_argument("--grid", type=int, help="lambda grid size, >= 8 (default: the CLI's)")
+    ap.add_argument("--inflow", type=int, help="1-based port index (default: the CLI's)")
     ap.add_argument("--spot-checks", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    run_argv = [f"--{k}={getattr(args, k)}" for k in RUN_FLAGS if getattr(args, k) is not None]
     try:
-        return report(args)
+        cfg = _run_config(_build_parser().parse_args(["transmission", *run_argv, "--out=."]))
+        return report(cfg, args.spot_checks, args.seed)
     except (ConfigError, GraphError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -55,33 +65,26 @@ def main() -> int:
         return EXIT_NUMERICAL
 
 
-def report(args: argparse.Namespace) -> int:
-    eps_values = _parse_eps(args.eps)
-    names = [f"transmission_eps{eps:g}.csv" for eps in eps_values]
-    if len(set(names)) < len(names):
-        raise ConfigError("eps values must differ at 6 significant digits (file names)")
-    tg = attach_tails(preset_graph(args.preset), _parse_tails(args.tails))
-    im0 = build_E(tg, 0.0)
-    grid = np.linspace(0.0, 2 * np.pi, args.grid, endpoint=False)
-    rng = np.random.default_rng(args.seed)
+def report(cfg: argparse.Namespace, spot_checks: int, seed: int) -> int:
+    names = [stem + ".csv" for stem in _transmission_stems(cfg.eps)]
+    tg, _, ladder = _prologue(cfg)
+    grid = np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)
+    rng = np.random.default_rng(seed)
 
-    for eps, name in zip(eps_values, names):
-        im = im0.at(eps)
-        sd = spectral_decompose(im.E)
-        curve = transmission_curve(im, grid, inflow=args.inflow - 1, sd=sd)
+    for eps, name, cpl in zip(cfg.eps, names, ladder):
+        curve = transmission_curve(cpl.im, grid, inflow=cfg.inflow - 1, sd=cpl.sd)
         with open(name, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "tau_sq", "reflection_sq"])
             for lam, t, r in zip(curve["lambda"], curve["tau_sq"], curve["reflection_sq"]):
                 w.writerow([f"{lam:.12f}", f"{t:.12f}", f"{r:.12f}"])
 
-        ev = SigmaEvaluator(im, sd)
         worst = 0.0
-        for lam in rng.uniform(0, 2 * np.pi, args.spot_checks):
+        for lam in rng.uniform(0, 2 * np.pi, spot_checks):
             alpha = np.zeros(tg.num_ports, dtype=complex)
-            alpha[args.inflow - 1] = 1.0
-            rec = stationary_iterate(im, lam, alpha)
-            direct = ev.sigma(lam) @ alpha
+            alpha[cfg.inflow - 1] = 1.0
+            rec = stationary_iterate(cpl.im, lam, alpha)
+            direct = cpl.sigma.sigma(lam) @ alpha
             worst = max(worst, float(np.max(np.abs(rec.outgoing - direct))))
         peak = float(np.max(curve["tau_sq"]))
         lam_peak = float(grid[int(np.argmax(curve["tau_sq"]))])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .perturbation import (
     total_projection,
 )
 from .scattering import stationary_iterate, unitarity_defect
-from .smt_laplacian import birth_basis, birth_multiplicities, classify, joukowsky_preimages
+from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, classify,
+                            joukowsky_preimages)
 from .tailed_graph import attach_tails, preset_graph
 
 __all__ = ["FIXTURES", "make_fixture", "CriterionResult", "run_all", "run_criterion"]
@@ -65,8 +66,9 @@ def make_fixture(name: str):
 
 class _Context:
     """What the criteria of one run share, each built on first use: E(0) per
-    fixture, its unperturbed problem ``base`` (E0's decomposition and the
-    graph's T-eigenspaces), a Coupling per (fixture, eps), a ledger per
+    fixture and its blocks from the vertex-operator assembly (``im0_split``),
+    its unperturbed problem ``base`` (E0's decomposition and the graph's
+    T-eigenspaces), a Coupling per (fixture, eps), a ledger per
     (fixture, cluster value), and one decomposition per distinct matrix
     (fixtures on one internal graph share E0)."""
 
@@ -74,6 +76,10 @@ class _Context:
         self.names = names
         self._sd: dict = {}
         self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
+        self.im0_split = functools.cache(lambda name: replace(
+            im := self.im0(name),
+            **dict(zip(("E0", "E1", "B_in1", "B_out1", "B_bb1"), build_E_split(im.tg))),
+        ))
         self.base = functools.cache(
             lambda name: Coupling(im := self.im0(name), self.decompose(im.E0))
         )
@@ -215,7 +221,9 @@ def _c5(ctx, residual_tol=None):
             cpl = ctx.coupling(name, eps)
             w, V = np.linalg.eig(cpl.im.E)  # eigenvectors independent of the Schur factors
             inside = [i for i in range(len(w)) if abs(w[i]) < 1.0 - 1e-6]
-            for r in verify_outgoing(cpl.im, w[inside], V[:, inside]):
+            # the walk comes from the vertex-operator assembly, the states from
+            # the per-vertex one: the residual compares the two assemblies
+            for r in verify_outgoing(ctx.im0_split(name).at(eps), w[inside], V[:, inside]):
                 worst = max(worst, r)
             count += len(inside)
     tol = 1e-8 if residual_tol is None else residual_tol

@@ -24,7 +24,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,33 +66,6 @@ class ConfigError(ValueError):
     """Invalid run configuration (bad flag value, missing graph, ...)."""
 
 
-@dataclass
-class RunConfig:
-    """A run command's flags; their defaults live in the parser."""
-
-    preset: str | None
-    graph_file: str | None
-    tails: list | None
-    eps_values: list[float]
-    grid: int
-    inflow: int  # 1-based port index
-    out_dir: str
-    fmt: str
-    tol_cluster: float
-    tol_circle: float
-
-    def validate(self) -> None:
-        if self.grid < 8:
-            raise ConfigError(f"--grid must be >= 8, got {self.grid}")
-        for e in self.eps_values:
-            if not 0.0 <= e <= 1.0:
-                raise ConfigError(f"eps values must lie in [0, 1], got {e}")
-        if not self.eps_values:
-            raise ConfigError("at least one eps value is required")
-        if not (self.tol_cluster > 0 and self.tol_circle > 0):  # also refuses NaN
-            raise ConfigError("tolerances must be positive")
-
-
 def _parse_tails(text: str) -> list[int]:
     """Accept both "v0,v1,v2" and "0,1,2"; repeats mean several tails."""
     out = []
@@ -121,10 +94,26 @@ def _parse_eps(text: str) -> list[float]:
                 raise ValueError("n < 1")
             return [float(x) for x in np.linspace(float(a), float(b), n)]
         return [float(x) for x in text.split(",") if x.strip()]
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse --eps value {text!r}: {exc}") from exc
+
+
+def _run_config(args: argparse.Namespace) -> argparse.Namespace:
+    """A run command's parsed flags, checked once: ``tails`` and ``eps``
+    become lists, and the namespace is the run's configuration (its
+    defaults live in the parser)."""
+    args.tails = _parse_tails(args.tails) if args.tails else None
+    args.eps = _parse_eps(args.eps)
+    if args.grid < 8:
+        raise ConfigError(f"--grid must be >= 8, got {args.grid}")
+    for e in args.eps:
+        if not 0.0 <= e <= 1.0:
+            raise ConfigError(f"eps values must lie in [0, 1], got {e}")
+    if not args.eps:
+        raise ConfigError("at least one eps value is required")
+    if not (args.tol_cluster > 0 and args.tol_circle > 0):  # also refuses NaN
+        raise ConfigError("tolerances must be positive")
+    return args
 
 
 def _file_int(x):
@@ -150,8 +139,8 @@ def _file_tail(t):
     return TailSpec(_file_int(t["vertex"]), _file_int(t.get("count", 1)))
 
 
-def _load_tailed_graph(cfg: RunConfig):
-    if (cfg.preset is None) == (cfg.graph_file is None):
+def _load_tailed_graph(cfg: argparse.Namespace) -> TailedGraph:
+    if (cfg.preset is None) == (cfg.graph is None):
         raise ConfigError("give exactly one of --preset or --graph")
     tails = cfg.tails
     if cfg.preset is not None:
@@ -160,7 +149,7 @@ def _load_tailed_graph(cfg: RunConfig):
         except GraphError as exc:
             raise ConfigError(str(exc)) from exc
     else:
-        path = Path(cfg.graph_file)
+        path = Path(cfg.graph)
         try:
             data = json.loads(path.read_text())
             g = build_internal(_file_int(data["vertices"]), [_file_edge(e) for e in data["edges"]])
@@ -192,20 +181,41 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _decompose_each(cfg: RunConfig, im0) -> list[Coupling]:
-    """Each E(eps) of the run, in order, factored once at the run's tolerances."""
-    return [
-        Coupling(im, spectral_decompose(im.E, cluster_tol=cfg.tol_cluster,
+def _transmission_stems(eps_values: list[float]) -> list[str]:
+    """One file stem per eps, refused when two would name the same file."""
+    stems = [f"transmission_eps{eps:g}" for eps in eps_values]
+    if len(set(stems)) < len(stems):
+        raise ConfigError("eps values must differ at 6 significant digits (file names)")
+    return stems
+
+
+def _prologue(
+    cfg: argparse.Namespace, base: bool = False
+) -> tuple[TailedGraph, Path, list[Coupling]]:
+    """The run's graph, its output directory and each E(eps) factored once at
+    the run's tolerances, in that order (so are the errors).  With ``base``
+    the list starts with the unperturbed problem: E(0) with E0 factored."""
+    tg = _load_tailed_graph(cfg)
+    outdir = _out_dir(cfg.out)
+    im0 = build_E(tg, 0.0)
+    pairs = [(im0, im0.E0)] if base else []
+    pairs += [(im, im.E) for im in map(im0.at, cfg.eps)]
+    return tg, outdir, [
+        Coupling(im, spectral_decompose(E, cluster_tol=cfg.tol_cluster,
                                         circle_tol=cfg.tol_circle))
-        for im in map(im0.at, cfg.eps_values)
+        for im, E in pairs
     ]
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=1) + "\n")
 
 
 def _g17(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
+def _write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
     """Rows of numbers (ints kept as ints), CSV or JSON, deterministic text.
 
     The extension is appended, not substituted: stem names like
@@ -217,18 +227,15 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> P
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:
-                w.writerow(
-                    [x if isinstance(x, int) else _g17(x) for x in row]
-                )
+                w.writerow([x if isinstance(x, int) else _g17(x) for x in row])
     else:
         out = Path(str(path) + ".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write_text(json.dumps(payload, indent=1) + "\n")
+        _write_json(out, [dict(zip(header, row)) for row in rows])
     return out
 
 
 def _write_sidecar(
-    out_file: Path, cfg: RunConfig, tg: TailedGraph, command: str, extra: dict
+    out_file: Path, cfg: argparse.Namespace, tg: TailedGraph, command: str, extra: dict
 ) -> None:
     """``tails`` records the run's tails: the ``--tails`` vertices as given,
     else the graph file's as [vertex, count]."""
@@ -238,16 +245,15 @@ def _write_sidecar(
         "tolerances": {"cluster": cfg.tol_cluster, "circle": cfg.tol_circle},
         "config": {
             "preset": cfg.preset,
-            "graph_file": cfg.graph_file,
+            "graph_file": cfg.graph,
             "tails": cfg.tails or [[t.vertex, t.count] for t in tg.tails],
-            "eps": cfg.eps_values,
+            "eps": cfg.eps,
             "grid": cfg.grid,
             "inflow": cfg.inflow,
-            "format": cfg.fmt,
+            "format": cfg.format,
         },
     }
-    meta.update(extra)
-    Path(str(out_file) + ".meta.json").write_text(json.dumps(meta, indent=1) + "\n")
+    _write_json(Path(str(out_file) + ".meta.json"), meta | extra)
 
 
 def _health(pairs) -> dict:
@@ -278,26 +284,17 @@ def _cluster_record(sd) -> list[dict]:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_resonances(cfg: RunConfig) -> int:
-    tg = _load_tailed_graph(cfg)
-    outdir = _out_dir(cfg.out_dir)
-    im0 = build_E(tg, 0.0)
-
-    rows = []
-    decisions = {}
-    couplings = list(zip(cfg.eps_values, _decompose_each(cfg, im0)))
-    for eps, cpl in couplings:
-        decisions[_g17(eps)] = _cluster_record(cpl.sd)
-        for c in cpl.sd.clusters:
-            rows.append(
-                [eps, c.value.real, c.value.imag, abs(c.value), c.mult, int(c.on_circle)]
-            )
-    out = _write_table(
-        outdir / "resonances",
-        ["epsilon", "re_mu", "im_mu", "abs_mu", "multiplicity", "on_circle"],
-        rows,
-        cfg.fmt,
-    )
+def cmd_resonances(cfg: argparse.Namespace) -> int:
+    tg, outdir, ladder = _prologue(cfg)
+    couplings = list(zip(cfg.eps, ladder))
+    rows = [
+        [eps, c.value.real, c.value.imag, abs(c.value), c.mult, int(c.on_circle)]
+        for eps, cpl in couplings
+        for c in cpl.sd.clusters
+    ]
+    decisions = {_g17(eps): _cluster_record(cpl.sd) for eps, cpl in couplings}
+    header = ["epsilon", "re_mu", "im_mu", "abs_mu", "multiplicity", "on_circle"]
+    out = _write_table(outdir / "resonances", header, rows, cfg.format)
     _write_sidecar(
         out, cfg, tg, "resonances", {"cluster_decisions": decisions, "health": _health(couplings)}
     )
@@ -305,67 +302,37 @@ def cmd_resonances(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_transmission(cfg: RunConfig) -> int:
-    stems = [f"transmission_eps{eps:g}" for eps in cfg.eps_values]
-    if len(set(stems)) < len(stems):
-        raise ConfigError("eps values must differ at 6 significant digits (file names)")
-    tg = _load_tailed_graph(cfg)
-    outdir = _out_dir(cfg.out_dir)
-    im0 = build_E(tg, 0.0)
+def cmd_transmission(cfg: argparse.Namespace) -> int:
+    stems = _transmission_stems(cfg.eps)
+    tg, outdir, ladder = _prologue(cfg)
     lam_grid = np.linspace(-np.pi, np.pi, cfg.grid, endpoint=False)
 
-    header = [
-        "lambda",
-        "re_exp_minus_i_lambda",
-        "im_exp_minus_i_lambda",
-        "tau_sq",
-        "reflection_sq",
-    ]
+    header = ["lambda", "re_exp_minus_i_lambda", "im_exp_minus_i_lambda", "tau_sq",
+              "reflection_sq"]
     written = []
-    for eps, stem, cpl in zip(cfg.eps_values, stems, _decompose_each(cfg, im0)):
+    for eps, stem, cpl in zip(cfg.eps, stems, ladder):
         curve = transmission_curve(cpl.im, lam_grid, cfg.inflow - 1, cpl.sd)
-        rows = [
-            [
-                curve["lambda"][i],
-                curve["re_exp_minus_i_lambda"][i],
-                curve["im_exp_minus_i_lambda"][i],
-                curve["tau_sq"][i],
-                curve["reflection_sq"][i],
-            ]
-            for i in range(len(lam_grid))
-        ]
-        out = _write_table(outdir / stem, header, rows, cfg.fmt)
-        _write_sidecar(
-            out,
-            cfg,
-            tg,
-            "transmission",
-            {
-                "eps": eps,
-                "cluster_decisions": _cluster_record(cpl.sd),
-                "health": _health([(eps, cpl)]),
-            },
-        )
+        out = _write_table(outdir / stem, header, zip(*(curve[h] for h in header)), cfg.format)
+        _write_sidecar(out, cfg, tg, "transmission", {
+            "eps": eps, "cluster_decisions": _cluster_record(cpl.sd),
+            "health": _health([(eps, cpl)]),
+        })
         written.append(out)
     print("wrote " + ", ".join(str(w) for w in written))
     return 0
 
 
-def cmd_perturb(cfg: RunConfig) -> int:
-    if len(cfg.eps_values) < 3:
+def cmd_perturb(cfg: argparse.Namespace) -> int:
+    if len(cfg.eps) < 3:
         raise ConfigError("perturb needs an eps ladder with at least 3 points")
-    if 0.0 in cfg.eps_values or len(set(cfg.eps_values)) < len(cfg.eps_values):
+    if 0.0 in cfg.eps or len(set(cfg.eps)) < len(cfg.eps):
         raise ConfigError("perturb needs distinct nonzero eps values (log-log slope fits)")
-    tg = _load_tailed_graph(cfg)
-    outdir = _out_dir(cfg.out_dir)
-    im = build_E(tg, 0.0)
-    # the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
-    base = Coupling(
-        im, spectral_decompose(im.E0, cluster_tol=cfg.tol_cluster, circle_tol=cfg.tol_circle)
-    )
+    # base, the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
+    tg, outdir, (base, *ladder) = _prologue(cfg, base=True)
     # the ladder, largest eps first, shared by every family
-    couplings = dict(sorted(zip(cfg.eps_values, _decompose_each(cfg, im)), key=lambda p: -p[0]))
+    couplings = dict(sorted(zip(cfg.eps, ladder), key=lambda p: -p[0]))
 
+    header = ["epsilon", "re_true", "im_true", "re_pred", "im_pred", "abs_err"]
     ledger_entries = []
     asym_rows = []
     ledgers = []
@@ -373,19 +340,15 @@ def cmd_perturb(cfg: RunConfig) -> int:
         led = reduce_eigenvalue(base, cl.value)
         asym = resonance_asymptote(led, couplings, base)
         entry = led.to_json_dict()
-        for bi, b in enumerate(led.branches):
-            rec = asym["per_branch"][bi]
+        for branch, rec in zip(entry["branches"], asym["per_branch"].values()):
             slopes = {}
             if rec["eps"] and max(rec["first_resid"]) > 1e-13:
                 slopes["first_order"] = fit_loglog_slope(rec["eps"], rec["first_resid"])
             if rec["eps"] and max(rec["second_resid"]) > 1e-13:
                 slopes["second_order"] = fit_loglog_slope(rec["eps"], rec["second_resid"])
-            entry["branches"][bi]["slopes"] = slopes
+            branch["slopes"] = slopes
         ledger_entries.append(entry)
-        asym_rows.extend(
-            [r["epsilon"], r["re_true"], r["im_true"], r["re_pred"], r["im_pred"], r["abs_err"]]
-            for r in asym["rows"]
-        )
+        asym_rows.extend([r[h] for h in header] for r in asym["rows"])
         ledgers.append(led)
 
     # every ledger's families at once: one Sigma evaluation per eps
@@ -397,14 +360,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
             "lam_eps": rec.lam_eps,
             "norms": rec.norms,
             "sigma01": [[[z.real, z.imag] for z in row] for row in rec.sigma01],
-            "assumptions": {
-                "a1": rec.verdicts.a1,
-                "a2": rec.verdicts.a2,
-                "a3": rec.verdicts.a3,
-                "x_nonzero": rec.verdicts.x_nonzero,
-                "mu1_nonzero": rec.verdicts.mu1_nonzero,
-                "gate": rec.verdicts.gate,
-            },
+            "assumptions": asdict(rec.verdicts) | {"gate": rec.verdicts.gate},
             "caveat": rec.caveat,
         }
         for rec in resonant_sigma_limit(base, ledgers, couplings)
@@ -413,22 +369,17 @@ def cmd_perturb(cfg: RunConfig) -> int:
     health = _health([(0.0, base), *couplings.items()])
     ladder_meta = {"eps_ladder": list(couplings), "health": health}
     ledger_file = outdir / "ledger.json"
-    ledger_file.write_text(json.dumps({"eigenvalues": ledger_entries}, indent=1) + "\n")
+    _write_json(ledger_file, {"eigenvalues": ledger_entries})
     _write_sidecar(
         ledger_file, cfg, tg, "perturb",
         {"cluster_decisions": _cluster_record(base.sd), "health": health},
     )
 
-    asym_file = _write_table(
-        outdir / "asymptote",
-        ["epsilon", "re_true", "im_true", "re_pred", "im_pred", "abs_err"],
-        asym_rows,
-        cfg.fmt,
-    )
+    asym_file = _write_table(outdir / "asymptote", header, asym_rows, cfg.format)
     _write_sidecar(asym_file, cfg, tg, "perturb", ladder_meta)
 
     limit_file = outdir / "sigma_limit.json"
-    limit_file.write_text(json.dumps({"families": limit_records}, indent=1) + "\n")
+    _write_json(limit_file, {"families": limit_records})
     _write_sidecar(limit_file, cfg, tg, "perturb", ladder_meta)
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
@@ -444,26 +395,15 @@ def cmd_verify(out_dir: str, fixture: str | None, residual_tol: float | None) ->
     results = run_all(fixture, residual_tol)
     for r in results:
         print(r.line())
-    summary.write_text(
-        json.dumps(
-            {
-                "version": __version__,
-                "fixture_filter": fixture,
-                "residual_tol_override": residual_tol,
-                "results": [
-                    {
-                        "criterion": r.cid,
-                        "name": r.name,
-                        "status": r.status,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-            },
-            indent=1,
-        )
-        + "\n"
-    )
+    _write_json(summary, {
+        "version": __version__,
+        "fixture_filter": fixture,
+        "residual_tol_override": residual_tol,
+        "results": [
+            {"criterion": r.cid, "name": r.name, "status": r.status, "detail": r.detail}
+            for r in results
+        ],
+    })
     n_fail = sum(1 for r in results if r.status == "fail")
     n_skip = sum(1 for r in results if r.status == "skip")
     print(
@@ -513,29 +453,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        preset=args.preset,
-        graph_file=args.graph,
-        tails=_parse_tails(args.tails) if args.tails else None,
-        eps_values=_parse_eps(args.eps),
-        grid=args.grid,
-        inflow=args.inflow,
-        out_dir=args.out,
-        fmt=args.format,
-        tol_cluster=args.tol_cluster,
-        tol_circle=args.tol_circle,
-    )
-    cfg.validate()
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.out, args.fixture, args.residual_tol)
-        cfg = _config_from(args)
+        cfg = _run_config(args)
         if args.command == "resonances":
             return cmd_resonances(cfg)
         if args.command == "transmission":

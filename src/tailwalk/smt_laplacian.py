@@ -126,7 +126,9 @@ class LaplacianT:
             if ker.shape[1] < F.shape[1]:
                 # complement of ker inside the group, in coefficient space
                 proj = np.eye(F.shape[1]) - ker @ ker.conj().T
-                comp = scipy.linalg.orth(proj) if ker.shape[1] else np.eye(F.shape[1])
+                # a projector's singular values are 0 or 1: cut between them
+                comp = (scipy.linalg.orth(proj, rcond=0.5) if ker.shape[1]
+                        else np.eye(F.shape[1]))
                 rest = F @ comp
             else:
                 rest = np.zeros((F.shape[0], 0))

@@ -99,3 +99,17 @@ def test_criterion_6_measures_the_births(monkeypatch):
     r = acceptance.run_criterion(6)
     assert r.status == "fail"
     assert "measured (2, 2), expected (1, 1)" in r.detail
+
+
+def test_criterion_5_compares_the_two_assemblies(monkeypatch):
+    # the truncated walk comes from build_E_split and the states from
+    # build_E: a perturbed vertex-operator assembly fails the check
+    real = acceptance.build_E_split
+
+    def shifted(tg):
+        E0, E1, *ports = real(tg)
+        return (E0, E1 + 1e-6, *ports)
+
+    monkeypatch.setattr(acceptance, "build_E_split", shifted)
+    r = acceptance.run_criterion(5)
+    assert r.status == "fail", r.detail

@@ -243,6 +243,54 @@ def test_sidecars_record_health_and_tables_repeat(tmp_path, command, eps):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, eps, tables",
+    [("resonances", "0.1,0.25", ["resonances"]),
+     ("transmission", "0.25,0.5", ["transmission_eps0.25", "transmission_eps0.5"]),
+     ("perturb", "0.04,0.02,0.01", ["asymptote"])],
+)
+def test_json_tables_hold_the_csv_numbers(tmp_path, command, eps, tables):
+    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16", "--eps", eps)
+    code_csv, out_csv = run(tmp_path / "csv", *argv)
+    code_json, out_json = run(tmp_path / "json", *argv, "--format", "json")
+    assert code_csv == code_json == 0
+    for stem in tables:
+        header, rows = read_csv(out_csv / f"{stem}.csv")
+        records = json.loads((out_json / f"{stem}.json").read_text())
+        assert rows and len(records) == len(rows), stem
+        for rec, row in zip(records, rows):
+            assert list(rec) == header, stem
+            # %.17g round-trips, so the two formats carry the same doubles
+            assert [float(x) for x in row] == [float(rec[h]) for h in header], stem
+
+
+def test_sidecar_config_is_pinned(tmp_path):
+    # the sidecar keys are the run's flags under their recorded names
+    code, out = run(tmp_path / "preset", "resonances", "--preset", "cycle:4",
+                    "--tails", "v0,1,2", "--eps", "0.1,0.25")
+    assert code == 0
+    meta = json.loads((out / "resonances.csv.meta.json").read_text())
+    assert meta["config"] == {
+        "preset": "cycle:4", "graph_file": None, "tails": [0, 1, 2], "eps": [0.1, 0.25],
+        "grid": 256, "inflow": 1, "format": "csv",
+    }
+    assert list(meta["config"]) == [
+        "preset", "graph_file", "tails", "eps", "grid", "inflow", "format"]
+    gf = tmp_path / "g.json"
+    gf.write_text(json.dumps(
+        {"vertices": 4, "edges": C4_EDGES, "tails": [{"vertex": 0, "count": 2}, 1]}
+    ))
+    code, out = run(tmp_path / "file", "transmission", "--graph", str(gf), "--eps", "0:0.5:3",
+                    "--grid", "16", "--inflow", "2", "--format", "json")
+    assert code == 0
+    for name in ("transmission_eps0", "transmission_eps0.25", "transmission_eps0.5"):
+        meta = json.loads((out / f"{name}.json.meta.json").read_text())
+        assert meta["config"] == {
+            "preset": None, "graph_file": str(gf), "tails": [[0, 2], [1, 1]],
+            "eps": [0.0, 0.25, 0.5], "grid": 16, "inflow": 2, "format": "json",
+        }, name
+
+
 class TestVerify:
     def test_fixture_filtered_run(self, tmp_path, capsys):
         code, out = run(tmp_path, "verify", "--fixture", "c4-3tails-b")
@@ -457,8 +505,8 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch):
 
 
 def test_transmission_report_script(tmp_path):
-    # the script writes its CSV into the working directory and imports
-    # private CLI parsers, so run it as a user would
+    # the script writes its CSV into the working directory and checks its
+    # flags through the private CLI parser, so run it as a user would
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
 
@@ -483,6 +531,13 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG
     assert "configuration error" in proc.stderr and not proc.stdout
     assert not list((tmp_path / "clash").iterdir())
+    # flags the CLI refuses are refused the same way, before any file is written
+    for label, flags in (("inflow0", ("--inflow", "0")), ("inflow9", ("--inflow", "9")),
+                         ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2"))):
+        proc = report(tmp_path / label, "--spot-checks", "1", *flags)
+        assert proc.returncode == cli.EXIT_CONFIG, (label, proc.stderr)
+        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr, label
+        assert not list((tmp_path / label).iterdir()), label
     # a spot check whose iteration does not settle is a reported numerical failure
     proc = report(tmp_path / "slow", "--eps", "0.02", "--spot-checks", "2")
     assert proc.returncode == cli.EXIT_NUMERICAL
@@ -492,7 +547,8 @@ def test_transmission_report_script(tmp_path):
 
 def test_table_set_script(tmp_path):
     # the reference table set behind byte-identity checks: every run exits 0
-    # or refuses with 3, and every run that exits 0 wrote its tables
+    # or refuses with 3, and every run that exits 0 wrote its tables, in CSV
+    # or, for the graph file's second run of each command, in JSON
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
     out = tmp_path / "tables"
@@ -502,7 +558,7 @@ def test_table_set_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = (out / "exit_codes.txt").read_text().splitlines()
-    assert len(lines) == 31
+    assert len(lines) == 34
     wants = {
         "resonances": ["resonances.csv"],
         "transmission": ["transmission_eps0.25.csv", "transmission_eps0.6.csv"],
@@ -515,6 +571,8 @@ def test_table_set_script(tmp_path):
         if code == "0":
             where = out / "verify" if command == "verify" else out / command / label
             for name in wants[command]:
+                if label.endswith("-json"):  # the graph file's --format json tables
+                    name = name.replace(".csv", ".json")
                 assert (where / name).is_file(), line
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_tailed_graph import connected_graphs
 
-from tailwalk import attach_tails, build_E
+from tailwalk import attach_tails, build_E, build_internal
 from tailwalk.smt_laplacian import (
     birth_basis,
     birth_multiplicities,
@@ -161,6 +161,18 @@ def test_t_eigenbasis_split_vanishing_condition(k4_full):
     # a value T does not have is an empty eigenspace
     per, rest = lt.eigenspace(0.123)
     assert per.shape == (4, 0) and rest.shape == (4, 0)
+
+
+def test_eigenspace_parts_span_exactly_the_eigenspace():
+    # on this tree Ker(T) is 4-dimensional and the projector onto the
+    # complement of its persistent part has a ~1e-15 singular value, which
+    # must not count as a fifth direction
+    g = build_internal(8, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (2, 4), (2, 6)])
+    lt = build_operators(attach_tails(g, [0, 2, 4, 7]))
+    per, rest = lt.eigenspace(0.0)
+    assert (per.shape[1], rest.shape[1]) == (2, 2)
+    for _, F, per, rest in lt.eigenspaces:
+        assert per.shape[1] + rest.shape[1] == F.shape[1]
 
 
 def test_persistent_basis_survives_the_coupling(c4a, k4a):
