@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Time each layer of tailwalk on a fixed graph ladder; write the medians.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_ladder.py OUT.json
+
+The graphs are ``cycle:64`` and ``cycle:128`` with tails 0-3, and
+``complete:8``, ``complete:16`` and ``complete:24`` with tails 0,0,1,2,
+all at eps 0.6.  For each graph, one process measures once, in
+:func:`measure`, the seconds spent in:
+
+- ``build_E``
+- ``spectral_decompose`` of ``E(eps)``
+- ``SigmaEvaluator`` construction
+- a 256-point ``transmission_curve``
+- the time iteration's basis (``InternalMatrix.iteration_basis``; null
+  for a tailwalk that has none)
+- one ``stationary_iterate`` call on a fresh ``InternalMatrix``
+- 16 calls (4 lambdas x 4 ports) on another fresh one
+
+and how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
+budget runs out on ``cycle:128``; such a call is timed all the same).
+
+Every measurement runs in a fresh process with one BLAS thread. A round
+measures each graph once, so the graphs alternate, and ``ROUNDS`` rounds
+run.  ``OUT.json`` holds each layer's median over the rounds and the runs
+themselves.  It imports the ``tailwalk`` on ``PYTHONPATH``, so running it
+once per checkout, alternating, compares two versions;
+``BENCH_<pr>.json`` holds such a pair side by side.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+GRAPHS = [
+    ("cycle:64", "0,1,2,3"),
+    ("cycle:128", "0,1,2,3"),
+    ("complete:8", "0,0,1,2"),
+    ("complete:16", "0,0,1,2"),
+    ("complete:24", "0,0,1,2"),
+]
+EPS = 0.6
+LAMBDAS = (-2.5, -0.9, 0.8, 2.4)
+ROUNDS = 5
+ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def measure(preset: str, tails: str) -> dict:
+    """One measurement of every layer on one graph, in this process."""
+    from tailwalk import attach_tails, build_E, preset_graph
+    from tailwalk.internal_spectral import spectral_decompose
+    from tailwalk.scattering import (
+        NoConvergence,
+        SigmaEvaluator,
+        stationary_iterate,
+        transmission_curve,
+    )
+
+    tg = attach_tails(preset_graph(preset), [int(t) for t in tails.split(",")])
+    build_E(attach_tails(preset_graph("cycle:4"), (0,)), EPS)  # numpy's first-call set-up
+    im, build_s = _timed(lambda: build_E(tg, EPS))
+    sd, decompose_s = _timed(lambda: spectral_decompose(im.E))
+    _, evaluator_s = _timed(lambda: SigmaEvaluator(im, sd))
+    grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    _, curve_s = _timed(lambda: transmission_curve(im, grid, 0, sd))
+    fresh = im.at(EPS)
+    basis_s = dim = None
+    if hasattr(type(fresh), "iteration_basis"):
+        ib, basis_s = _timed(lambda: fresh.iteration_basis)
+        dim = None if ib.V is None else ib.V.shape[1]
+    ports = np.eye(tg.num_ports, dtype=complex)
+    failed = 0
+
+    def iterate(im, lam, alpha):
+        # a run that exhausts its budget costs as much as one that stops there
+        nonlocal failed
+        try:
+            stationary_iterate(im, lam, alpha)
+        except NoConvergence:
+            failed += 1
+
+    fresh = im.at(EPS)
+    _, single_s = _timed(lambda: iterate(fresh, LAMBDAS[2], ports[0]))
+    fresh = im.at(EPS)
+    _, calls_s = _timed(lambda: [iterate(fresh, lam, a) for lam in LAMBDAS for a in ports[:4]])
+    return {
+        "arcs": tg.num_arcs,
+        "basis_dim": dim,
+        "build_E_s": build_s,
+        "spectral_decompose_s": decompose_s,
+        "sigma_evaluator_s": evaluator_s,
+        "transmission_256_s": curve_s,
+        "iteration_basis_s": basis_s,
+        "iterate_single_s": single_s,
+        "iterate_16_s": calls_s,
+        "iterate_no_convergence": failed,
+    }
+
+
+def _measure_fresh(preset: str, tails: str) -> dict:
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"from bench_ladder import measure; print(json.dumps(measure({preset!r}, {tails!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], env=os.environ | ONE_THREAD,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    runs = {f"{p} tails {t}": [] for p, t in GRAPHS}
+    for _ in range(ROUNDS):
+        for (preset, tails), label in zip(GRAPHS, runs):
+            runs[label].append(_measure_fresh(preset, tails))
+    graphs = {}
+    for label, rows in runs.items():
+        graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence")}
+        for key in rows[0]:
+            if key.endswith("_s"):
+                vals = [r[key] for r in rows]
+                med = None if None in vals else statistics.median(vals)
+                graphs[label][key] = {"median": med, "runs": vals}
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
+           "eps": EPS, "rounds": ROUNDS}
+    Path(argv[0]).write_text(json.dumps({"env": env, "graphs": graphs}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

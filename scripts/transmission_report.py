@@ -16,7 +16,8 @@ the ``tailwalk transmission`` parser and its checks, so the script refuses
 what the CLI refuses, and ``--grid`` and ``--inflow`` default as there.
 Exit codes follow the CLI: 2 for a configuration error (an eps outside
 [0, 1], eps values whose CSV names collide, a ``--grid`` below 8, an
-``--inflow`` that names no port, ...), before any file is written, and 3
+``--inflow`` that names no port, a negative ``--spot-checks``, ...), before
+any file is written, and 3
 for a numerical failure (such as a spot check's iteration not converging),
 each reported on stderr.
 """
@@ -56,6 +57,8 @@ def main() -> int:
     run_argv = [f"--{k}={getattr(args, k)}" for k in RUN_FLAGS if getattr(args, k) is not None]
     try:
         cfg = _run_config(_build_parser().parse_args(["transmission", *run_argv, "--out=."]))
+        if args.spot_checks < 0:
+            raise ConfigError(f"--spot-checks must be >= 0, got {args.spot_checks}")
         return report(cfg, args.spot_checks, args.seed)
     except (ConfigError, GraphError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

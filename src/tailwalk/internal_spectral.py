@@ -39,6 +39,9 @@ from .coin_evolution import WalkOperator, kappa, linearize
 from .tailed_graph import TailedGraph
 
 _BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
+# the port Krylov basis keeps singular values above this: measured, every kept
+# one is >= 0.59 and every dropped one <= 1e-14
+_KRYLOV_TOL = 1e-12
 _OUTGOING_DEPTH = 20  # verify_outgoing's truncated walk keeps this many tail arcs plus two
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
@@ -47,6 +50,7 @@ __all__ = [
     "ClusterAmbiguity",
     "NotAResonance",
     "InternalMatrix",
+    "IterationBasis",
     "SpectralCluster",
     "SpectralData",
     "build_E",
@@ -105,23 +109,34 @@ class InternalMatrix:
         )
 
     @cached_property
+    def iteration_basis(self) -> "IterationBasis":
+        """The coordinates the time iteration runs in, chosen on first use
+        and kept (see :class:`IterationBasis`)."""
+        V = _port_krylov_basis(self.E, self.B_in)
+        if V is None:
+            return IterationBasis(None, self.E, self.B_in, self.B_out)
+        Vh = V.conj().T
+        return IterationBasis(V, Vh @ (self.E @ V), Vh @ self.B_in, self.B_out @ V)
+
+    @cached_property
     def E_block(self) -> np.ndarray:
-        """E^_BLOCK, formed on first use and kept: the time iteration advances
-        _BLOCK steps per product with e^{_BLOCK i lam} E^_BLOCK, and E^_BLOCK
-        does not depend on lam.  ``at`` returns a new object, so the power
-        of one coupling never serves another."""
-        return np.linalg.matrix_power(self.E, _BLOCK)
+        """``iteration_basis.H`` to the power _BLOCK, formed on first use and
+        kept: the time iteration advances _BLOCK steps per product with
+        e^{_BLOCK i lam} times it, and it does not depend on lam.  ``at``
+        returns a new object, so the power of one coupling never serves
+        another."""
+        return np.linalg.matrix_power(self.iteration_basis.H, _BLOCK)
 
     @cached_property
     def E_ladder(self) -> list[np.ndarray]:
-        """The levels E^(_BLOCK 2^i) built so far, from level 0 = E_block;
-        ``E_power`` extends it."""
+        """The levels H^(_BLOCK 2^i) built so far (see ``iteration_basis``),
+        from level 0 = E_block; ``E_power`` extends it."""
         return [self.E_block]
 
     def E_power(self, level: int) -> np.ndarray:
-        """E^(_BLOCK 2^level), each level the square of the one before,
-        built in order and kept for the time iteration's jumps of 2^level
-        blocks."""
+        """H^(_BLOCK 2^level) (see ``iteration_basis``), each level the square
+        of the one before, built in order and kept for the time iteration's
+        jumps of 2^level blocks."""
         ladder = self.E_ladder
         while len(ladder) <= level:
             ladder.append(ladder[-1] @ ladder[-1])
@@ -129,14 +144,69 @@ class InternalMatrix:
 
     @cached_property
     def port_krylov(self) -> np.ndarray:
-        """The n x _BLOCK x N block K[:, j] = E^j B_in, formed on first use
-        and kept: a time iteration's first block is (K alpha) times the
-        phases e^{i lam (j+1)}, one product instead of _BLOCK - 1 matvecs."""
-        K = np.empty((self.E.shape[0], _BLOCK, self.B_in.shape[1]), dtype=complex)
-        K[:, 0] = self.B_in
+        """The d x _BLOCK x N block K[:, j] = H^j V* B_in (see
+        ``iteration_basis``), formed on first use and kept: a time iteration's first block
+        is (K alpha) times the phases e^{i lam (j+1)}, one product instead
+        of _BLOCK - 1 matvecs."""
+        ib = self.iteration_basis
+        K = np.empty((ib.H.shape[0], _BLOCK, ib.B_in.shape[1]), dtype=complex)
+        K[:, 0] = ib.B_in
         for j in range(1, _BLOCK):
-            K[:, j] = self.E @ K[:, j - 1]
+            K[:, j] = ib.H @ K[:, j - 1]
         return K
+
+
+@dataclass
+class IterationBasis:
+    """The blocks the time iteration steps, in the basis it runs in.
+
+    ``V`` (n x d) is an orthonormal basis of the port Krylov subspace, the
+    smallest E-invariant subspace containing Ran B_in, which the inflow's
+    orbit E^j B_in alpha never leaves.  The iteration steps ``H = V* E V``
+    (d x d) from ``B_in = V* B_in`` and reads out through ``B_out =
+    B_out V``.  H compresses E to an invariant subspace, so
+    ||H||_2 <= ||E||_2 <= 1.  ``V`` is None when the subspace has more than
+    n/2 dimensions, or E or B_in is not finite: ``H``, ``B_in`` and
+    ``B_out`` are then the InternalMatrix's own E, B_in and B_out, in arc
+    coordinates.
+    """
+
+    V: np.ndarray | None
+    H: np.ndarray
+    B_in: np.ndarray
+    B_out: np.ndarray
+
+
+def _port_krylov_basis(E: np.ndarray, B_in: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the smallest E-invariant subspace containing
+    Ran B_in, by block Arnoldi, or None once it would have more than n/2
+    columns.
+
+    Each new block is E times the last one, orthogonalised against every
+    column kept by two Gram-Schmidt passes; the left singular vectors of
+    what is left, for singular values above _KRYLOV_TOL, are the next block
+    (the first is B_in's own, above _KRYLOV_TOL times its largest).  The
+    subspace is complete when a block adds no column.  No eigensolver runs.
+    """
+    n = E.shape[0]
+    if not (np.isfinite(E).all() and np.isfinite(B_in).all()):
+        return None
+    U, s, _ = np.linalg.svd(B_in, full_matrices=False)
+    keep = s > _KRYLOV_TOL * s.max(initial=0.0)
+    # columns are contiguous, so each block and each prefix is a BLAS operand
+    V = np.empty((n, n // 2), dtype=complex, order="F")
+    lo, d = 0, int(keep.sum())
+    while 2 * d <= n:
+        V[:, lo:d] = U[:, keep]
+        if lo == d:
+            return V[:, :d].copy()
+        W = E @ V[:, lo:d]
+        for _ in range(2):  # V* W as conj(V^T conj(W)): no conjugate copy of V
+            W -= V[:, :d] @ (V[:, :d].T @ W.conj()).conj()
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        keep = s > _KRYLOV_TOL
+        lo, d = d, d + int(keep.sum())
+    return None
 
 
 def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:

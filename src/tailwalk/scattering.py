@@ -4,26 +4,31 @@ Route 1 (time domain): drive the interior with a monochromatic inflow,
 u_{t+1} = E u_t + e^{-i lam t} f0, u_0 = 0, f0 = B_in alpha.  The rescaled
 sequence w_t = e^{i lam t} u_t converges (rate = largest off-circle |mu|)
 to w = (z I - E)^{-1} f0 with z = e^{-i lam}, and the outgoing amplitudes
-are alpha_out = B_bb alpha + B_out w.  Its increments d_t = w_t - w_{t-1}
-= A^{t-1} g, with A = e^{i lam} E and g = e^{i lam} f0, are advanced a block
-of 64 steps per matrix product with A^64 = e^{64 i lam} E^64; the first
-block comes from the port Krylov block E^j B_in, and both are formed once
-per InternalMatrix and only rescaled per lambda; w_t is their running sum.
+are alpha_out = B_bb alpha + B_out w.  The orbit never leaves the port
+Krylov subspace, the smallest E-invariant subspace containing Ran B_in, so
+the iteration runs on an orthonormal basis V of it (n x d): it steps
+H = V* E V from V* f0 and reads out B_bb alpha + (B_out V) w.  When d would
+exceed n/2 (a cycle has d = n - 2) the same code runs on the arcs, with
+V = I and H = E.  Its increments d_t = w_t - w_{t-1} = A^{t-1} g, with
+A = e^{i lam} H and g = e^{i lam} V* f0, are advanced a block of 64 steps
+per matrix product with A^64 = e^{64 i lam} H^64; the first block comes
+from the port Krylov block H^j V* B_in, and both are formed once per
+InternalMatrix and only rescaled per lambda; w_t is their running sum.
 A block whose smallest increment is already too large for any of its steps
 to pass the stopping rule skips the per-step check.  From the first such
 block on, the iteration runs in two phases.  While it is certain that no
-step can stop, it gallops: one product with a level E^(64 2^i) of a ladder
+step can stop, it gallops: one product with a level H^(64 2^i) of a ladder
 of squares, kept on the InternalMatrix, jumps 2^i blocks, carrying only the
 jump's block sum, the last block's sum and its last window-1 increments.
-The certificate is ||E||_2 <= 1 (E is a compression of the unitary walk
-operator), so increments never grow: none in a jump is smaller than its
-last, and their sum is at most 64 * 2^i times the last increment before
-it.  Jumps double while the call's own products have paid for the next
-level (doubling the block sum and the carried state in the same product,
-as in R. A. Smith's squaring method for geometric matrix sums, SIAM J.
-Appl. Math. 16, 1968), and a failed jump is retried from one block.  When
-one block can no longer be ruled out, it is rebuilt step by step and the
-per-step phase takes over with full n x 64 blocks.
+The certificate is ||H||_2 <= 1 (H compresses E, itself a compression of
+the unitary walk operator), so increments never grow: none in a jump is
+smaller than its last, and their sum is at most 64 * 2^i times the last
+increment before it.  Jumps double while the call's own products have paid
+for the next level (doubling the block sum and the carried state in the
+same product, as in R. A. Smith's squaring method for geometric matrix
+sums, SIAM J. Appl. Math. 16, 1968), and a failed jump is retried from one
+block.  When one block can no longer be ruled out, it is rebuilt step by
+step and the per-step phase takes over with full d x 64 blocks.
 
 Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
@@ -52,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .internal_spectral import _BLOCK, ClusterAmbiguity, InternalMatrix, SpectralData
 
 _SLICE_BYTES = 1 << 20  # transmission_curve's weights per slice of lambdas
-_MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 1.8e-15)^(_BLOCK 2^11) < 1 + 1e-9
+_MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 7.6e-15)^(_BLOCK 2^11) < 1 + 1e-9
 # ||R L B_in|| / ||B_in|| above this refuses an on-circle cluster: embedded states
 # measure <= 5.2e-12 (3.9e-11 on cycle:4 to eps 1e-5), misfiled resonances >= 0.015
 _MAX_EMBEDDED_COUPLING = 1e-8
@@ -147,8 +152,13 @@ def stationary_iterate(
     the rescaled interior state are below ``rtol`` times its norm — a fixed
     horizon would be wrong because the contraction rate varies with eps.
 
-    The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} E``, ``g = e^{i lam}
-    f0``) come ``_BLOCK`` at a time.  The first block is ``(K alpha)``
+    The iteration runs in the coordinates of ``im.iteration_basis``: on
+    an orthonormal basis ``V`` (n x d) of the port Krylov subspace, where
+    it steps ``H = V* E V`` and returns ``B_bb alpha + (B_out V) w``, or on
+    the arcs (``V = I``, ``H = E``) when that subspace has more than n/2
+    dimensions or ``E`` is not finite; the code is the same either way.
+    The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} H``, ``g = e^{i
+    lam} V* f0``) come ``_BLOCK`` at a time.  The first block is ``(K alpha)``
     times the phases ``e^{i lam j}``, from the port Krylov block
     ``im.port_krylov``; each later one is ``e^{_BLOCK i lam} im.E_block``
     times the block before.  Both are formed once per ``im`` and lambda
@@ -165,18 +175,19 @@ def stationary_iterate(
     carries only the last block's sum and its last ``max(window - 1, 1)``
     increments, ``X``, plus ``U``, the sum of the last ``m`` blocks.  It
     jumps ``m = 2^i`` blocks per product with ``e^{_BLOCK m i lam}`` times
-    ``im.E_power(i) = E^(_BLOCK m)``, a ladder of squares kept on ``im``;
+    ``im.E_power(i) = H^(_BLOCK m)``, a ladder of squares kept on ``im``;
     the product maps ``[U | X]`` to the jump's sum and its end state.
-    ``E`` is a compression of a unitary, so ``||A||_2 <= 1`` and the
+    ``H`` is a compression of a unitary, so ``||A||_2 <= 1`` and the
     increments never grow: none inside the jump is smaller than its last,
     and none is larger than ``p``, the last one before it.  A jump is
     therefore certified while its last increment exceeds ``rtol (||w|| +
-    _BLOCK m p)``, with a 1e-9 margin that also covers ``||E||_2``
-    exceeding 1 by rounding (by at most 1.8e-15 measured on 8- to 240-arc
-    graphs, eps in [0, 1]); jumps are capped at ``2^_MAX_LEVEL`` blocks so
-    that ``(1 + 1.8e-15)^(_BLOCK m)`` stays inside it.  After a certified
-    jump the next one doubles, if the call's own skip products so far have
-    at least ``(i + 1) n`` columns, so level ``i`` is formed (one n x n
+    _BLOCK m p)``, with a 1e-9 margin that also covers ``||H||_2``
+    exceeding 1 by rounding (by at most 6.2e-15 measured on ``complete:8``
+    to ``complete:32``, eps in [0.01, 1], and by 3.1e-15 for ``E`` itself
+    up to 992 arcs); jumps are capped at ``2^_MAX_LEVEL`` blocks so that
+    ``(1 + 7.6e-15)^(_BLOCK m)`` stays inside it.  After a certified jump
+    the next one doubles, if the call's own skip products so far have at
+    least ``(i + 1) d`` columns, so level ``i`` is formed (one d x d
     squaring) only after work that costs about as much; whether it was
     built already by an earlier call changes nothing in the result.  A jump
     that fails the test is retried from one block, and the phase ends, for
@@ -195,6 +206,7 @@ def stationary_iterate(
     alpha = np.asarray(alpha, dtype=complex)
     phases = np.cumprod(np.full(_BLOCK, np.exp(1j * lam)))  # e^{i lam j}, j = 1.._BLOCK
     q = phases[-1]
+    ib = im.iteration_basis
     K = im.port_krylov
     D = (K.reshape(-1, K.shape[2]) @ alpha).reshape(K.shape[:2]) * phases
     w = np.zeros(len(D), dtype=complex)
@@ -210,7 +222,7 @@ def stationary_iterate(
             if done >= max_steps:
                 break
             recent = np.linalg.norm(X[:, 1:], axis=0)[tail - (window - 1):]
-            D, X = _walk(im.E, im.E @ X[:, -1]) * phases, None
+            D, X = _walk(ib.H, ib.H @ X[:, -1]) * phases, None
         elif done:
             D = q * (im.E_block @ D)
         m = min(_BLOCK, max_steps - done)
@@ -229,7 +241,7 @@ def stationary_iterate(
         ok = worst <= rtol * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
         if ok.any():
             j = int(np.argmax(ok))
-            out = im.B_bb @ alpha + im.B_out @ W[:, j]
+            out = im.B_bb @ alpha + ib.B_out @ W[:, j]
             return ScatteringRecord(
                 outgoing=out, steps=done + j + 1, window_delta=float(worst[j])
             )

@@ -531,9 +531,11 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG
     assert "configuration error" in proc.stderr and not proc.stdout
     assert not list((tmp_path / "clash").iterdir())
-    # flags the CLI refuses are refused the same way, before any file is written
+    # flags the CLI refuses, and a negative --spot-checks, are refused the same
+    # way, before any file is written
     for label, flags in (("inflow0", ("--inflow", "0")), ("inflow9", ("--inflow", "9")),
-                         ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2"))):
+                         ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2")),
+                         ("spot-1", ("--spot-checks", "-1"))):
         proc = report(tmp_path / label, "--spot-checks", "1", *flags)
         assert proc.returncode == cli.EXIT_CONFIG, (label, proc.stderr)
         assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr, label
@@ -543,6 +545,18 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_NUMERICAL
     assert "numerical failure (NoConvergence)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bench_ladder_measures_each_layer(monkeypatch):
+    # the ladder script's per-graph measurement, in this process, on a small
+    # cycle (a cycle's iteration runs on its arcs)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import bench_ladder
+
+    row = bench_ladder.measure("cycle:8", "0,1,2,3")
+    assert (row["arcs"], row["basis_dim"], row["iterate_no_convergence"]) == (16, None, 0)
+    times = {k: v for k, v in row.items() if k.endswith("_s")}
+    assert len(times) == 7 and all(v > 0 for v in times.values())
 
 
 def test_table_set_script(tmp_path):

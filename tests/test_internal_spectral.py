@@ -1,5 +1,6 @@
 """Boundary matrix assembly and its spectral bookkeeping."""
 
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import tailwalk
 from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
 from tailwalk.coin_evolution import linearize
 from tailwalk.internal_spectral import (
+    _BLOCK,
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
@@ -24,6 +26,7 @@ from tailwalk.internal_spectral import (
     verify_outgoing,
 )
 from tailwalk.perturbation import Coupling, total_projection
+from tailwalk.scattering import _MAX_LEVEL
 from tailwalk.smt_laplacian import build_E_split
 
 
@@ -444,3 +447,55 @@ def test_contraction_property(g, eps, data):
     tails += [tails[0]] * data.draw(st.integers(min_value=0, max_value=2))
     E = build_E(attach_tails(g, tails), eps).E
     assert np.linalg.norm(E, 2) <= 1.0 + 1e-12
+
+
+# the skip phase's jumps of up to _BLOCK 2^_MAX_LEVEL steps stay inside its 1e-9
+# margin while the matrix H the iteration steps has ||H||_2 <= 1 + this
+_CERTIFIED_EXCESS = 7.6e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.floats(min_value=0.05, max_value=1.0), st.data())
+def test_iteration_basis_spans_the_port_krylov_subspace(g, eps, data):
+    # the inflow's orbit lives where E has its eigenvalues inside the disk:
+    # the iteration reduces exactly when there are at most n/2 of them, onto
+    # an orthonormal E-invariant basis that keeps the skip certificate
+    vertex = st.integers(min_value=0, max_value=g.num_vertices - 1)
+    tails = data.draw(st.lists(vertex, min_size=1, max_size=g.num_vertices))
+    im = build_E(attach_tails(g, tails), eps)
+    n = im.E.shape[0]
+    inside = int((np.abs(np.linalg.eigvals(im.E)) < 1 - 1e-8).sum())
+    ib = im.iteration_basis
+    if 2 * inside > n:
+        assert ib.V is None and ib.H is im.E and ib.B_in is im.B_in and ib.B_out is im.B_out
+        return
+    V = ib.V
+    assert V.shape == (n, inside)
+    assert np.abs(V.conj().T @ V - np.eye(inside)).max() <= 1e-13
+    assert np.linalg.norm(im.E @ V - V @ ib.H, 2) <= 1e-13
+    assert_allclose(V @ ib.B_in, im.B_in, rtol=0, atol=1e-13)
+    assert_allclose(ib.B_out, im.B_out @ V, rtol=0, atol=0)
+    assert np.linalg.norm(ib.H, 2) <= 1 + _CERTIFIED_EXCESS
+
+
+def test_iteration_basis_keeps_the_skip_certificate():
+    assert (1 + _CERTIFIED_EXCESS) ** (_BLOCK * 2**_MAX_LEVEL) < 1 + 1e-9
+    for name in ("complete:8", "complete:16", "complete:24"):
+        im0 = build_E(attach_tails(preset_graph(name), (0, 0, 1, 2)))
+        for eps in np.linspace(0.01, 1.0, 34):
+            ib = im0.at(eps).iteration_basis
+            assert ib.V.shape[1] == 7
+            assert np.linalg.norm(ib.H, 2) <= 1 + _CERTIFIED_EXCESS, (name, eps)
+
+
+def test_iteration_basis_stops_at_half_the_arcs(c4_full):
+    # a cycle's inflow reaches all but two arcs, so the iteration keeps the
+    # arc coordinates, as it does for a matrix that is not finite
+    im = build_E(attach_tails(preset_graph("cycle:16"), (0, 1, 2, 3)), 0.25)
+    assert im.iteration_basis.V is None
+    assert im.port_krylov.shape == (32, _BLOCK, 4)
+    im = build_E(c4_full, 0.25)
+    E = im.E.copy()
+    E[0, 0] = np.nan
+    bad = dataclasses.replace(im, E=E)
+    assert bad.iteration_basis.V is None and bad.iteration_basis.H is E

@@ -323,16 +323,26 @@ def test_small_coupling_still_exhausts_the_budget():
         stationary_iterate(im, 0.7, np.array([1.0, 0.0, 0.0], dtype=complex))
 
 
-def test_short_runs_build_no_ladder_level():
-    # runs of about 20 blocks on 240 arcs never pay for a squaring, so the
-    # ladder keeps E^64 alone: 16 calls must not leave 240 x 240 levels behind
+def test_short_runs_form_no_arc_sized_power(monkeypatch):
+    # the inflow's orbit on these 240 arcs spans 7 dimensions, so 16 runs of
+    # about 20 blocks form E^64 once, as a 7 x 7 power, and every ladder
+    # level they keep is 7 x 7: no 240 x 240 power is ever formed
+    shapes, real = [], np.linalg.matrix_power
+
+    def counting(M, n):
+        shapes.append(M.shape)
+        return real(M, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
     im = build_E(attach_tails(preset_graph("complete:16"), (0, 0, 1, 2)), 0.6)
     for lam in (-2.5, -0.9, 0.8, 2.4):
         for port in range(4):
             rec = stationary_iterate(im, lam, np.eye(4, dtype=complex)[port])
             assert rec.steps > 10 * 64
+    assert shapes == [(7, 7)]
     assert "E_ladder" in im.__dict__  # the skip phase ran
-    assert len(im.E_ladder) == 1 and im.E_ladder[0] is im.E_block
+    assert all(level.shape == (7, 7) for level in im.E_ladder)
+    assert im.port_krylov.shape == (7, 64, 4)
 
 
 def test_budget_inside_the_skip_phase(im_c16):
@@ -375,6 +385,26 @@ def test_loose_tolerance_stops_in_the_first_block(im_c16):
     assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("graph, eps", [("complete:16", 0.6), ("k4_multi", 0.25)])
+def test_reduced_iteration_matches_scalar_recurrence(k4_multi, graph, eps):
+    # the iteration runs on the port Krylov basis of these graphs, yet stops
+    # where the arc-by-arc recurrence does, with the same amplitudes
+    if graph == "k4_multi":
+        im = build_E(k4_multi, eps)
+    else:
+        im = build_E(attach_tails(preset_graph(graph), (0, 0, 1, 2)), eps)
+    assert 2 * im.iteration_basis.V.shape[1] <= im.E.shape[0]
+    rng, N = np.random.default_rng(5), im.tg.num_ports
+    for lam in (0.4, np.pi, -2.2):
+        alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        alpha /= np.linalg.norm(alpha)
+        want, want_steps = _scalar_iterate(im, lam, alpha)
+        rec = stationary_iterate(im, lam, alpha)
+        assert want is not None
+        assert abs(rec.steps - want_steps) <= 3
+        assert_allclose(rec.outgoing, want, rtol=0, atol=1e-12)
+
+
 def test_nan_in_E_never_converges(im_c4a):
     # NaN fails the screen's comparison, so its blocks get the exact check
     im = im_c4a.at(0.25)
@@ -393,7 +423,9 @@ def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
     import tailwalk.internal_spectral
     import tailwalk.scattering
 
-    ims = [im_c4a.at(0.25), im_k4a.at(0.25)]
+    # complete:8 runs on its port Krylov basis, the fixtures on their arcs
+    reduced = build_E(attach_tails(preset_graph("complete:8"), (0, 1, 2)), 0.25)
+    ims = [im_c4a.at(0.25), im_k4a.at(0.25), reduced]
     direct = [evaluator(im).sigma(np.pi)[:, 0] for im in ims]
 
     def refuse(*args, **kwargs):
@@ -412,6 +444,7 @@ def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
     for im, want in zip(ims, direct):
         rec = stationary_iterate(im, np.pi, np.array([1.0, 0, 0], dtype=complex))
         assert_allclose(rec.outgoing, want, atol=1e-7)
+    assert reduced.iteration_basis.V.shape == (56, 7)
 
 
 def test_outflow_norm_equals_inflow_norm(im_k4a):
