@@ -39,7 +39,7 @@ from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, cl
                             joukowsky_preimages)
 from .tailed_graph import attach_tails, preset_graph
 
-__all__ = ["FIXTURES", "make_fixture", "CriterionResult", "run_all", "run_criterion"]
+__all__ = ["FIXTURES", "make_fixture", "CriterionResult", "run_all"]
 
 FIXTURES = {
     "c4-3tails-a": ("cycle:4", (0, 1, 2)),
@@ -564,12 +564,6 @@ def _run(cid: int, ctx: _Context, residual_tol: float | None) -> CriterionResult
     except Exception as exc:  # report, never crash the suite
         status, detail = "fail", f"exception {type(exc).__name__}: {exc}"
     return CriterionResult(cid, name, status, detail, time.perf_counter() - t0)
-
-
-def run_criterion(
-    cid: int, fixture: str | None = None, residual_tol: float | None = None
-) -> CriterionResult:
-    return _run(cid, _Context(_active_names(fixture)), residual_tol)
 
 
 def run_all(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import FIXTURES, run_all
-from .internal_spectral import ClusterAmbiguity, build_E, spectral_decompose
+from .internal_spectral import CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
 from .perturbation import (
     Coupling,
     Stage1NotSemisimple,
@@ -111,8 +112,8 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"eps values must lie in [0, 1], got {e}")
     if not args.eps:
         raise ConfigError("at least one eps value is required")
-    if not (args.tol_cluster > 0 and args.tol_circle > 0):  # also refuses NaN
-        raise ConfigError("tolerances must be positive")
+    if not all(0 < t < math.inf for t in (args.tol_cluster, args.tol_circle)):  # and NaN
+        raise ConfigError("tolerances must be positive and finite")
     return args
 
 
@@ -431,8 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", type=int, default=256, help="lambda grid size (>= 8)")
     run.add_argument("--inflow", type=int, default=1, help="inflow port, 1-based")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--tol-cluster", type=float, default=1e-7)
-    run.add_argument("--tol-circle", type=float, default=1e-8)
+    run.add_argument("--tol-cluster", type=float, default=CLUSTER_TOL)
+    run.add_argument("--tol-circle", type=float, default=CIRCLE_TOL)
 
     p = argparse.ArgumentParser(
         prog="tailwalk",

@@ -28,7 +28,7 @@ is not used in any production path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,13 +38,22 @@ from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 from .coin_evolution import WalkOperator, kappa, linearize
 from .tailed_graph import TailedGraph
 
-_BLOCK = 64  # time-iteration steps advanced per product with E^_BLOCK
+# spectral_decompose's default tolerances, which the CLI's flags also default to:
+# eigenvalues closer than CLUSTER_TOL form one cluster, and one within CIRCLE_TOL
+# of the unit circle is on it
+CLUSTER_TOL = 1e-7
+CIRCLE_TOL = 1e-8
+_BLOCK = 64  # time-iteration steps advanced per product with H^_BLOCK
 # the port Krylov basis keeps singular values above this: measured, every kept
 # one is >= 0.59 and every dropped one <= 1e-14
 _KRYLOV_TOL = 1e-12
 _OUTGOING_DEPTH = 20  # verify_outgoing's truncated walk keeps this many tail arcs plus two
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
+# ||N^m||_F above this: a cluster of m > 1 is not one eigenvalue, and the closed
+# form's Laurent series would drop that term.  Measured <= 4.9e-16 at the default
+# tolerances; a merged pair of simple eigenvalues d apart gives about 0.35 d^2
+_MAX_NILPOTENT_POWER = 1e-10
 
 __all__ = [
     "ClusterAmbiguity",
@@ -118,43 +127,6 @@ class InternalMatrix:
         Vh = V.conj().T
         return IterationBasis(V, Vh @ (self.E @ V), Vh @ self.B_in, self.B_out @ V)
 
-    @cached_property
-    def E_block(self) -> np.ndarray:
-        """``iteration_basis.H`` to the power _BLOCK, formed on first use and
-        kept: the time iteration advances _BLOCK steps per product with
-        e^{_BLOCK i lam} times it, and it does not depend on lam.  ``at``
-        returns a new object, so the power of one coupling never serves
-        another."""
-        return np.linalg.matrix_power(self.iteration_basis.H, _BLOCK)
-
-    @cached_property
-    def E_ladder(self) -> list[np.ndarray]:
-        """The levels H^(_BLOCK 2^i) built so far (see ``iteration_basis``),
-        from level 0 = E_block; ``E_power`` extends it."""
-        return [self.E_block]
-
-    def E_power(self, level: int) -> np.ndarray:
-        """H^(_BLOCK 2^level) (see ``iteration_basis``), each level the square
-        of the one before, built in order and kept for the time iteration's
-        jumps of 2^level blocks."""
-        ladder = self.E_ladder
-        while len(ladder) <= level:
-            ladder.append(ladder[-1] @ ladder[-1])
-        return ladder[level]
-
-    @cached_property
-    def port_krylov(self) -> np.ndarray:
-        """The d x _BLOCK x N block K[:, j] = H^j V* B_in (see
-        ``iteration_basis``), formed on first use and kept: a time iteration's first block
-        is (K alpha) times the phases e^{i lam (j+1)}, one product instead
-        of _BLOCK - 1 matvecs."""
-        ib = self.iteration_basis
-        K = np.empty((ib.H.shape[0], _BLOCK, ib.B_in.shape[1]), dtype=complex)
-        K[:, 0] = ib.B_in
-        for j in range(1, _BLOCK):
-            K[:, j] = ib.H @ K[:, j - 1]
-        return K
-
 
 @dataclass
 class IterationBasis:
@@ -169,12 +141,40 @@ class IterationBasis:
     n/2 dimensions, or E or B_in is not finite: ``H``, ``B_in`` and
     ``B_out`` are then the InternalMatrix's own E, B_in and B_out, in arc
     coordinates.
+
+    What the iteration derives from these blocks is formed on first use and
+    kept, since it does not depend on lambda: ``krylov`` and the powers of
+    ``H`` that ``power`` returns.  ``InternalMatrix.at`` returns a new
+    object, so nothing of one coupling serves another.
     """
 
     V: np.ndarray | None
     H: np.ndarray
     B_in: np.ndarray
     B_out: np.ndarray
+    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+
+    @cached_property
+    def krylov(self) -> np.ndarray:
+        """The d x _BLOCK x N block K[:, j] = H^j B_in: a time iteration's
+        first block is (K alpha) times the phases e^{i lam (j+1)}, one
+        product instead of _BLOCK - 1 matvecs."""
+        K = np.empty((self.H.shape[0], _BLOCK, self.B_in.shape[1]), dtype=complex)
+        K[:, 0] = self.B_in
+        for j in range(1, _BLOCK):
+            K[:, j] = self.H @ K[:, j - 1]
+        return K
+
+    def power(self, level: int) -> np.ndarray:
+        """H^(_BLOCK 2^level): level 0 advances the time iteration _BLOCK
+        steps per product, and each later level, the square of the one
+        before, jumps 2^level blocks.  Levels are built in order."""
+        powers = self._powers
+        if not powers:
+            powers.append(np.linalg.matrix_power(self.H, _BLOCK))
+        while len(powers) <= level:
+            powers.append(powers[-1] @ powers[-1])
+        return powers[level]
 
 
 def _port_krylov_basis(E: np.ndarray, B_in: np.ndarray) -> np.ndarray | None:
@@ -257,7 +257,6 @@ class SpectralCluster:
     span: slice
     nilpotent_norm: float
     on_circle: bool
-    members: np.ndarray
 
     @cached_property
     def projection(self) -> np.ndarray:
@@ -275,7 +274,6 @@ class SpectralData:
     how much of the working precision the projectors lost.
     """
 
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     clusters: list[SpectralCluster]
     R: np.ndarray
@@ -400,17 +398,19 @@ def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
 
 def spectral_decompose(
     E: np.ndarray,
-    cluster_tol: float = 1e-7,
-    circle_tol: float = 1e-8,
+    cluster_tol: float = CLUSTER_TOL,
+    circle_tol: float = CIRCLE_TOL,
 ) -> SpectralData:
     """Eigenvalue clusters of E with factored spectral projectors.
 
     Raises :class:`ClusterAmbiguity` when two distinct clusters sit closer
     than 10x the clustering tolerance — separating them would be numerically
-    meaningless, so the caller must choose a coarser tolerance — and when
+    meaningless, so the caller must choose a coarser tolerance — when
     the block-diagonalising basis is so ill-conditioned
     (``block_condition`` above ``_MAX_BLOCK_CONDITION``) that the
-    projectors would have lost half the working digits.
+    projectors would have lost half the working digits, and when a
+    cluster of m > 1 eigenvalues is not one eigenvalue (``||N^m||_F`` above
+    ``_MAX_NILPOTENT_POWER``), as a coarse tolerance can make it.
     """
     E = np.asarray(E, dtype=complex)
     T, Z = scipy.linalg.schur(E, output="complex")
@@ -442,13 +442,21 @@ def spectral_decompose(
     RD = R * T.diagonal()
     N1 = (T.diagonal()[start] - reps)[:, None, None]
     clusters = []
-    for ix, rep, s, m, N in zip(groups, reps.tolist(), start.tolist(), mults, N1):
+    for rep, s, m, N in zip(reps.tolist(), start.tolist(), mults, N1):
         sp = slice(s, s + m)
         Rj, Lj = R[:, sp], L[sp]
         nn = 0.0
         if m > 1:
             RD[:, sp] = Rj @ T[sp, sp]
             N = T[sp, sp] - rep * np.eye(m)
+            if np.linalg.norm(N) > _MAX_NILPOTENT_POWER ** (1.0 / m):  # ||N^m|| <= ||N||^m
+                npow = float(np.linalg.norm(np.linalg.matrix_power(N, m)))
+                if not npow <= _MAX_NILPOTENT_POWER:
+                    raise ClusterAmbiguity(
+                        f"cluster at {rep:.3e} of multiplicity {m} is not one eigenvalue: "
+                        f"||N^{m}||_F = {npow:.2e} > {_MAX_NILPOTENT_POWER:.0e}, so "
+                        f"cluster_tol = {cluster_tol:.1e} merged distinct eigenvalues"
+                    )
             # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
             nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
             nn = float(np.sqrt(max(nn2, 0.0)))
@@ -462,13 +470,11 @@ def spectral_decompose(
                 span=sp,
                 nilpotent_norm=nn,
                 on_circle=bool(abs(rep) >= 1.0 - circle_tol),
-                members=vals[ix],
             )
         )
     D = RD @ L - E  # relative Frobenius norm of the reconstruction error
     resid = float(np.sqrt(np.vdot(D, D).real) / max(np.sqrt(np.vdot(E, E).real), 1e-300))
     return SpectralData(
-        matrix=E,
         eigenvalues=vals,
         clusters=clusters,
         R=R,

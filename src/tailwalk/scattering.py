@@ -1,34 +1,13 @@
 """Scattering matrix on the tail ports, by two independent routes.
 
-Route 1 (time domain): drive the interior with a monochromatic inflow,
-u_{t+1} = E u_t + e^{-i lam t} f0, u_0 = 0, f0 = B_in alpha.  The rescaled
-sequence w_t = e^{i lam t} u_t converges (rate = largest off-circle |mu|)
-to w = (z I - E)^{-1} f0 with z = e^{-i lam}, and the outgoing amplitudes
-are alpha_out = B_bb alpha + B_out w.  The orbit never leaves the port
-Krylov subspace, the smallest E-invariant subspace containing Ran B_in, so
-the iteration runs on an orthonormal basis V of it (n x d): it steps
-H = V* E V from V* f0 and reads out B_bb alpha + (B_out V) w.  When d would
-exceed n/2 (a cycle has d = n - 2) the same code runs on the arcs, with
-V = I and H = E.  Its increments d_t = w_t - w_{t-1} = A^{t-1} g, with
-A = e^{i lam} H and g = e^{i lam} V* f0, are advanced a block of 64 steps
-per matrix product with A^64 = e^{64 i lam} H^64; the first block comes
-from the port Krylov block H^j V* B_in, and both are formed once per
-InternalMatrix and only rescaled per lambda; w_t is their running sum.
-A block whose smallest increment is already too large for any of its steps
-to pass the stopping rule skips the per-step check.  From the first such
-block on, the iteration runs in two phases.  While it is certain that no
-step can stop, it gallops: one product with a level H^(64 2^i) of a ladder
-of squares, kept on the InternalMatrix, jumps 2^i blocks, carrying only the
-jump's block sum, the last block's sum and its last window-1 increments.
-The certificate is ||H||_2 <= 1 (H compresses E, itself a compression of
-the unitary walk operator), so increments never grow: none in a jump is
-smaller than its last, and their sum is at most 64 * 2^i times the last
-increment before it.  Jumps double while the call's own products have paid
-for the next level (doubling the block sum and the carried state in the
-same product, as in R. A. Smith's squaring method for geometric matrix
-sums, SIAM J. Appl. Math. 16, 1968), and a failed jump is retried from one
-block.  When one block can no longer be ruled out, it is rebuilt step by
-step and the per-step phase takes over with full d x 64 blocks.
+Route 1 (time domain, :func:`stationary_iterate`): drive the interior
+with a monochromatic inflow, u_{t+1} = E u_t + e^{-i lam t} f0, u_0 = 0,
+f0 = B_in alpha.  The rescaled sequence w_t = e^{i lam t} u_t converges
+(rate = largest off-circle |mu|) to w = (z I - E)^{-1} f0 with
+z = e^{-i lam}, and the outgoing amplitudes are B_bb alpha + B_out w.  The
+iteration runs on the port Krylov subspace
+(``InternalMatrix.iteration_basis``), decides for itself when to stop, and
+calls no eigensolver.
 
 Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
@@ -54,8 +33,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .internal_spectral import _BLOCK, ClusterAmbiguity, InternalMatrix, SpectralData
+from .internal_spectral import (
+    _BLOCK,
+    ClusterAmbiguity,
+    InternalMatrix,
+    IterationBasis,
+    SpectralData,
+)
 
+# stationary_iterate stops once _WINDOW increments in a row are at most _RTOL
+# times the norm of the state
+_WINDOW = 5
+_RTOL = 1e-12
 _SLICE_BYTES = 1 << 20  # transmission_curve's weights per slice of lambdas
 _MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 7.6e-15)^(_BLOCK 2^11) < 1 + 1e-9
 # ||R L B_in|| / ||B_in|| above this refuses an on-circle cluster: embedded states
@@ -80,7 +69,6 @@ class NoConvergence(RuntimeError):
 class ScatteringRecord:
     outgoing: np.ndarray
     steps: int
-    window_delta: float
 
 
 def _norm(x: np.ndarray) -> float:
@@ -99,14 +87,14 @@ def _walk(E: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _skip(
-    im: InternalMatrix, q: complex, w: np.ndarray, X: np.ndarray, p: float, rtol: float, budget: int
+    ib: IterationBasis, q: complex, w: np.ndarray, X: np.ndarray, p: float, budget: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The skip phase of :func:`stationary_iterate`: jump over blocks that
-    cannot stop, ``2^i`` blocks per product with ``im.E_power(i)``.
+    cannot stop, ``2^i`` blocks per product with ``ib.power(i)``.
 
     ``X`` holds the last block's sum and its last increments, ``p`` the
     norm of its last increment and ``q = e^{_BLOCK i lam}``.  ``U`` is the
-    sum of the last ``m = 2^i`` blocks, so ``q^m E^(_BLOCK m) [U | X]``
+    sum of the last ``m = 2^i`` blocks, so ``q^m H^(_BLOCK m) [U | X]``
     gives the next jump's sum and its end state; after a certified jump,
     ``U`` plus that sum is the sum of the last 2m blocks, which lets the
     next jump double.  At one block ``U`` is ``X``'s first column, so level
@@ -119,10 +107,10 @@ def _skip(
     level, qs, cols, steps = 0, [q], 0, 0
     while steps < budget:
         m = 1 << level
-        Z = qs[level] * (im.E_power(level) @ Y)
+        Z = qs[level] * (ib.power(level) @ Y)
         cols += Z.shape[1]
         last = _norm(Z[:, -1])
-        if not last > rtol * max((_norm(w) + _BLOCK * m * p) * (1.0 + 1e-9), 1e-300):
+        if not last > _RTOL * max((_norm(w) + _BLOCK * m * p) * (1.0 + 1e-9), 1e-300):
             if not level:
                 break
             Y, level = Y[:, 1:], 0  # retry from one block
@@ -139,55 +127,53 @@ def _skip(
 
 
 def stationary_iterate(
-    im: InternalMatrix,
-    lam: float,
-    alpha: np.ndarray,
-    max_steps: int = 200_000,
-    window: int = 5,
-    rtol: float = 1e-12,
+    im: InternalMatrix, lam: float, alpha: np.ndarray, max_steps: int = 200_000
 ) -> ScatteringRecord:
     """Outgoing port amplitudes for inflow ``alpha`` by time iteration.
 
-    Convergence is declared when all of the last ``window`` increments of
-    the rescaled interior state are below ``rtol`` times its norm — a fixed
-    horizon would be wrong because the contraction rate varies with eps.
+    Convergence is declared when all of the last ``_WINDOW`` (5) increments
+    of the rescaled interior state are below ``_RTOL`` (1e-12) times its
+    norm — a fixed horizon would be wrong because the contraction rate
+    varies with eps.
 
-    The iteration runs in the coordinates of ``im.iteration_basis``: on
-    an orthonormal basis ``V`` (n x d) of the port Krylov subspace, where
+    The iteration runs in the coordinates of ``ib = im.iteration_basis``:
+    on an orthonormal basis ``V`` (n x d) of the port Krylov subspace, where
     it steps ``H = V* E V`` and returns ``B_bb alpha + (B_out V) w``, or on
     the arcs (``V = I``, ``H = E``) when that subspace has more than n/2
     dimensions or ``E`` is not finite; the code is the same either way.
     The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} H``, ``g = e^{i
     lam} V* f0``) come ``_BLOCK`` at a time.  The first block is ``(K alpha)``
     times the phases ``e^{i lam j}``, from the port Krylov block
-    ``im.port_krylov``; each later one is ``e^{_BLOCK i lam} im.E_block``
-    times the block before.  Both are formed once per ``im`` and lambda
+    ``ib.krylov``; each later one is ``e^{_BLOCK i lam} ib.power(0)``
+    times the block before.  Both are formed once per basis and lambda
     enters only as scalars.  The rule is applied at every step, with
     windows reaching back across block edges, and the first passing step
     within ``max_steps`` ends the run.  A block is screened first: every
     step's window holds its own increment and ``||w_t|| <= ||w|| + sum
-    ||d_j||``, so when the block's smallest increment exceeds ``rtol``
+    ||d_j||``, so when the block's smallest increment exceeds ``_RTOL``
     times that bound no step in it can pass, and only the running sum and
     the window's norms are carried on.  NaN or inf fails the screen, so
     such blocks get the per-step check.
 
     The first block to pass the screen starts the skip phase, which
-    carries only the last block's sum and its last ``max(window - 1, 1)``
+    carries only the last block's sum and its last ``_WINDOW - 1``
     increments, ``X``, plus ``U``, the sum of the last ``m`` blocks.  It
     jumps ``m = 2^i`` blocks per product with ``e^{_BLOCK m i lam}`` times
-    ``im.E_power(i) = H^(_BLOCK m)``, a ladder of squares kept on ``im``;
+    ``ib.power(i) = H^(_BLOCK m)``, a ladder of squares kept on ``ib``;
     the product maps ``[U | X]`` to the jump's sum and its end state.
     ``H`` is a compression of a unitary, so ``||A||_2 <= 1`` and the
     increments never grow: none inside the jump is smaller than its last,
     and none is larger than ``p``, the last one before it.  A jump is
-    therefore certified while its last increment exceeds ``rtol (||w|| +
+    therefore certified while its last increment exceeds ``_RTOL (||w|| +
     _BLOCK m p)``, with a 1e-9 margin that also covers ``||H||_2``
     exceeding 1 by rounding (by at most 6.2e-15 measured on ``complete:8``
     to ``complete:32``, eps in [0.01, 1], and by 3.1e-15 for ``E`` itself
     up to 992 arcs); jumps are capped at ``2^_MAX_LEVEL`` blocks so that
     ``(1 + 7.6e-15)^(_BLOCK m)`` stays inside it.  After a certified jump
-    the next one doubles, if the call's own skip products so far have at
-    least ``(i + 1) d`` columns, so level ``i`` is formed (one d x d
+    the next one doubles, with the jump's sum and the carried state in one
+    product as in R. A. Smith's squaring method for geometric matrix sums
+    (SIAM J. Appl. Math. 16, 1968), if the call's own skip products so far
+    have at least ``(i + 1) d`` columns, so level ``i`` is formed (one d x d
     squaring) only after work that costs about as much; whether it was
     built already by an earlier call changes nothing in the result.  A jump
     that fails the test is retried from one block, and the phase ends, for
@@ -195,59 +181,55 @@ def stationary_iterate(
     ``_BLOCK p`` for the block's increments).  The budget never truncates a
     jump: one the budget ends inside is certified like any other, and
     ``NoConvergence`` follows, so every budget at or past the stop gives the
-    same result.  The phase is never entered when ``window - 1 > _BLOCK``.
-    On leaving it, the next block is rebuilt step by step from the last
-    carried increment, the window's norms are taken from the carried
-    tail, and the screened per-step check resumes on full blocks.
+    same result.  On leaving the phase, the next block is rebuilt step by
+    step from the last carried increment, the window's norms are taken from
+    the carried increments, and the screened per-step check resumes on full
+    blocks.
     """
-    if not window >= 1 or not max_steps >= 1 or not rtol > 0:
-        raise ValueError(f"need window >= 1, max_steps >= 1 and rtol > 0, "
-                         f"got {window}, {max_steps}, {rtol}")
+    if not max_steps >= 1:
+        raise ValueError(f"need max_steps >= 1, got {max_steps}")
     alpha = np.asarray(alpha, dtype=complex)
     phases = np.cumprod(np.full(_BLOCK, np.exp(1j * lam)))  # e^{i lam j}, j = 1.._BLOCK
     q = phases[-1]
     ib = im.iteration_basis
-    K = im.port_krylov
+    K = ib.krylov
     D = (K.reshape(-1, K.shape[2]) @ alpha).reshape(K.shape[:2]) * phases
     w = np.zeros(len(D), dtype=complex)
-    recent = np.full(window - 1, np.inf)  # increment norms before the block
-    tail = max(window - 1, 1)
-    X = None  # skip phase: the last block's sum, then its last ``tail`` increments
-    may_skip = window - 1 <= _BLOCK
+    recent = np.full(_WINDOW - 1, np.inf)  # increment norms before the block
+    X = None  # skip phase: the last block's sum, then its last _WINDOW - 1 increments
+    may_skip = True
     done = 0
     while done < max_steps:
         if X is not None:
-            w, X, steps = _skip(im, q, w, X, p, rtol, max_steps - done)
+            w, X, steps = _skip(ib, q, w, X, p, max_steps - done)
             done += steps
             if done >= max_steps:
                 break
-            recent = np.linalg.norm(X[:, 1:], axis=0)[tail - (window - 1):]
+            recent = np.linalg.norm(X[:, 1:], axis=0)
             D, X = _walk(ib.H, ib.H @ X[:, -1]) * phases, None
         elif done:
-            D = q * (im.E_block @ D)
+            D = q * (ib.power(0) @ D)
         m = min(_BLOCK, max_steps - done)
         inc = np.linalg.norm(D[:, :m], axis=0)
         norms = np.concatenate([recent, inc])
         # the 1e-9 margin covers rounding in the norms the exact rule compares
         bound = (np.linalg.norm(w) + inc.sum()) * (1.0 + 1e-9)
-        if inc.min() > rtol * np.maximum(bound, 1e-300):
+        if inc.min() > _RTOL * np.maximum(bound, 1e-300):
             s = D[:, :m].sum(axis=1)
             w, recent, done = w + s, norms[m:], done + _BLOCK
             if may_skip:
-                X, p, may_skip = np.column_stack([s, D[:, _BLOCK - tail:]]), inc[-1], False
+                X, p, may_skip = np.column_stack([s, D[:, 1 - _WINDOW:]]), inc[-1], False
             continue
         W = w[:, None] + np.cumsum(D[:, :m], axis=1)
-        worst = sliding_window_view(norms, window).max(axis=1)
-        ok = worst <= rtol * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
+        worst = sliding_window_view(norms, _WINDOW).max(axis=1)
+        ok = worst <= _RTOL * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
         if ok.any():
             j = int(np.argmax(ok))
             out = im.B_bb @ alpha + ib.B_out @ W[:, j]
-            return ScatteringRecord(
-                outgoing=out, steps=done + j + 1, window_delta=float(worst[j])
-            )
+            return ScatteringRecord(outgoing=out, steps=done + j + 1)
         w, recent, done = W[:, -1], norms[m:], done + _BLOCK
     raise NoConvergence(
-        f"no Cauchy window of {window} steps below rtol={rtol} "
+        f"no Cauchy window of {_WINDOW} steps below rtol={_RTOL} "
         f"within {max_steps} iterations at lam={lam}"
     )
 
@@ -308,43 +290,24 @@ def unitarity_defect(sigma: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
 
 
-def _inflow_vector(num_ports: int, inflow) -> np.ndarray:
-    """Inflow as a normalised port-amplitude vector.
-
-    ``inflow`` is a 0-based port index or an explicit amplitude sequence.
-    """
-    if np.isscalar(inflow):
-        p = int(inflow)
-        if not (0 <= p < num_ports):
-            raise ValueError(f"inflow port {p} out of range for {num_ports} ports")
-        a = np.zeros(num_ports, dtype=complex)
-        a[p] = 1.0
-        return a
-    a = np.asarray(inflow, dtype=complex)
-    if a.shape != (num_ports,):
-        raise ValueError(f"inflow vector must have length {num_ports}")
-    nrm = np.linalg.norm(a)
-    if nrm == 0:
-        raise ValueError("inflow vector must be nonzero")
-    return a / nrm
-
-
 def transmission_curve(
     im: InternalMatrix,
     lam_grid: np.ndarray,
-    inflow,
+    inflow: int,
     sd: SpectralData,
 ) -> dict[str, np.ndarray]:
     """Total transmission and reflection along a lambda grid.
 
-    For unit inflow concentrated on one port, ``tau_sq`` is the summed
-    outgoing power on the other ports and ``reflection_sq`` the power
-    returned into the inflow mode; they add to 1 by unitarity.  A general
-    inflow vector is normalised and "reflection" means the power returned
-    into that incoming mode.  ``sd`` is the spectral data of ``im.E``.
+    For unit inflow on the 0-based port ``inflow``, ``tau_sq`` is the
+    summed outgoing power on the other ports and ``reflection_sq`` the
+    power returned into the inflow port; they add to 1 by unitarity.
+    ``sd`` is the spectral data of ``im.E``.
     """
+    if not 0 <= inflow < im.tg.num_ports:
+        raise ValueError(f"inflow port {inflow} out of range for {im.tg.num_ports} ports")
     lam_grid = np.asarray(lam_grid, dtype=float)
-    alpha = _inflow_vector(im.tg.num_ports, inflow)
+    alpha = np.zeros(im.tg.num_ports, dtype=complex)
+    alpha[inflow] = 1.0
     ev = SigmaEvaluator(im, sd)
     z = np.exp(-1j * lam_grid)
     mus = np.array([mu for mu, _, _ in ev.terms], dtype=complex)

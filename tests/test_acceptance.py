@@ -20,6 +20,12 @@ import pytest
 from tailwalk import acceptance
 
 
+def run_criterion(cid, fixture=None, residual_tol=None):
+    """One criterion on its own context, as ``run_all`` runs each."""
+    ctx = acceptance._Context(acceptance._active_names(fixture))
+    return acceptance._run(cid, ctx, residual_tol)
+
+
 @pytest.fixture(scope="module")
 def run_all(count_factorisations, count_t_diagonalisations):
     with count_factorisations() as seen, count_t_diagonalisations() as t_diag:
@@ -74,14 +80,14 @@ def test_run_all_diagonalises_each_graph_once(run_all):
 
 
 def test_fixture_filter_restricts_scope():
-    r = acceptance.run_criterion(1, fixture="k4-3tails")
+    r = run_criterion(1, fixture="k4-3tails")
     assert r.status == "skip"
 
 
 def test_residual_tol_is_honoured():
     # an absurdly tight tolerance must flip criterion 5 to fail, proving the
     # knob reaches the check rather than decorating it
-    r = acceptance.run_criterion(5, residual_tol=1e-30)
+    r = run_criterion(5, residual_tol=1e-30)
     assert r.status == "fail"
 
 
@@ -94,9 +100,9 @@ def test_criterion_6_measures_the_births(monkeypatch):
         B = real(lt, lam)
         return np.hstack([B, B[:, :1]])
 
-    assert acceptance.run_criterion(6).status == "pass"
+    assert run_criterion(6).status == "pass"
     monkeypatch.setattr(acceptance, "birth_basis", one_too_many)
-    r = acceptance.run_criterion(6)
+    r = run_criterion(6)
     assert r.status == "fail"
     assert "measured (2, 2), expected (1, 1)" in r.detail
 
@@ -111,5 +117,5 @@ def test_criterion_5_compares_the_two_assemblies(monkeypatch):
         return (E0, E1 + 1e-6, *ports)
 
     monkeypatch.setattr(acceptance, "build_E_split", shifted)
-    r = acceptance.run_criterion(5)
+    r = run_criterion(5)
     assert r.status == "fail", r.detail

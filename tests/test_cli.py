@@ -470,6 +470,8 @@ class TestGraphFiles:
         ("perturb", "--preset", "cycle:4", "--tails", "0", "--eps", "0.04,0.04,0.02"),
         ("verify", "--residual-tol", "nan"),
         ("verify", "--residual-tol", "0"),
+        ("transmission", "--preset", "cycle:12", "--tails", "0,1,2", "--tol-cluster", "inf"),
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "inf"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv, capsys):
@@ -502,6 +504,22 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch):
         "--eps", "0.25",
     )
     assert code == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command", ["transmission", "resonances"])
+def test_cluster_that_is_not_one_eigenvalue_is_refused(tmp_path, capsys, command):
+    # at --tol-cluster 0.5 all 24 resonances of cycle:12 merge into one
+    # "eigenvalue" near 0, whose closed form would miss |tau_sq +
+    # reflection_sq - 1| by 0.59: the run names the cluster and stops
+    code, out = run(
+        tmp_path, command, "--preset", "cycle:12", "--tails", "0,1,2", "--eps", "0.3",
+        "--tol-cluster", "0.5",
+    )
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.search(r"\(ClusterAmbiguity\): cluster at \S+ of multiplicity 24 is not one "
+                     r"eigenvalue: \|\|N\^24\|\|_F = 3\.73e\+00", err), err
+    assert not list(out.glob("*.csv"))
 
 
 def test_transmission_report_script(tmp_path):
@@ -628,3 +646,17 @@ def test_traced_run_reaches_every_perturbation_span(tmp_path):
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["codes"] == [0, 0]
     assert got["planned"] and set(got["planned"]) <= set(got["traced"]), got
+
+
+def test_traced_benchmark_hooks_resolve():
+    # perfbench/spans.py wraps layer functions and methods by name, and its
+    # install raises AttributeError once one is gone: run it as the traced
+    # benchmark does, from the repository root, importing tailwalk from src/
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']; "
+            "from spans import Tracer, install; install(Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

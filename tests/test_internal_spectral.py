@@ -18,6 +18,7 @@ from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
 from tailwalk.coin_evolution import linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
+    CLUSTER_TOL,
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
@@ -119,7 +120,7 @@ def sd(im_k4a):
 
 class TestSpectralDecompose:
     def test_projections_resolve_identity(self, sd):
-        n = sd.matrix.shape[0]
+        n = len(sd.eigenvalues)
         total = sum(c.projection for c in sd.clusters)
         assert_allclose(total, np.eye(n), atol=1e-11)
         for c in sd.clusters:
@@ -129,7 +130,7 @@ class TestSpectralDecompose:
                 assert np.linalg.norm(a.projection @ b.projection) < 1e-11
 
     def test_multiplicities_and_reconstruction(self, sd):
-        assert sum(c.mult for c in sd.clusters) == sd.matrix.shape[0]
+        assert sum(c.mult for c in sd.clusters) == len(sd.eigenvalues)
         assert sd.reconstruction_residual < 1e-11
         for c in sd.clusters:
             assert c.nilpotent_norm < 1e-10
@@ -247,8 +248,9 @@ def test_factored_projectors_on_random_graphs(g, data):
     assert sd.reconstruction_residual <= 1e-13 + slack
     schur = scipy.linalg.schur(E, output="complex")
     Ps = [c.projection for c in sd.clusters]
-    for c, P in zip(sd.clusters, Ps):
-        ix = np.isin(sd.eigenvalues, c.members)
+    groups, _ = _greedy_clusters(sd.eigenvalues, CLUSTER_TOL)
+    for c, P, g in zip(sd.clusters, Ps, groups):
+        ix = np.isin(np.arange(n), g)
         P_ref = _schur_projection(E, sd.eigenvalues[ix], sd.eigenvalues[~ix], schur)
         assert np.linalg.norm(P - P_ref) <= (1e-12 + slack) * np.linalg.norm(P_ref)
     assert np.linalg.norm(sum(Ps) - np.eye(n)) <= 1e-12 + slack
@@ -396,6 +398,30 @@ def test_cluster_ambiguity_is_raised_not_papered_over(im_c4a):
         spectral_decompose(im_c4a.E0, cluster_tol=0.2)
 
 
+def test_cluster_that_is_not_one_eigenvalue_is_refused():
+    # a tolerance of 0.5 merges cycle:12's 24 resonances at eps 0.3 into one
+    # cluster whose N is far from nilpotent; the closed form would be wrong
+    E = build_E(attach_tails(preset_graph("cycle:12"), (0, 1, 2)), 0.3).E
+    with pytest.raises(ClusterAmbiguity, match=r"multiplicity 24 is not one eigenvalue"):
+        spectral_decompose(E, cluster_tol=0.5)
+    assert all(c.mult == 1 for c in spectral_decompose(E).clusters)
+
+
+def test_exact_multiplicities_take_no_matrix_power(monkeypatch):
+    # complete:16's persistent eigenvalues form clusters of 105 and more
+    # whose ||N||_F^m underflows the bound, so ||N^m||_F is never formed
+    powers, real = [], np.linalg.matrix_power
+
+    def counting(M, n):
+        powers.append(n)
+        return real(M, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    E = build_E(attach_tails(preset_graph("complete:16"), (0, 0, 1, 2)), 0.6).E
+    assert max(c.mult for c in spectral_decompose(E).clusters) >= 105
+    assert powers == []
+
+
 def test_outgoing_extension_of_a_resonance(c4a):
     eps = 0.25
     im = build_E(c4a, eps)
@@ -449,6 +475,19 @@ def test_contraction_property(g, eps, data):
     assert np.linalg.norm(E, 2) <= 1.0 + 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(), st.floats(min_value=0.0, max_value=1.0), st.data())
+def test_full_step_is_unitary(g, eps, data):
+    # the walk step on internal arcs plus ports, [[E, B_in], [B_out, B_bb]],
+    # is unitary at every coupling, with several tails on one vertex too
+    vertex = st.integers(min_value=0, max_value=g.num_vertices - 1)
+    tails = data.draw(st.lists(vertex, min_size=1, max_size=5))
+    tails += [tails[0]] * data.draw(st.integers(min_value=0, max_value=2))
+    im = build_E(attach_tails(g, tails), eps)
+    U = np.block([[im.E, im.B_in], [im.B_out, im.B_bb]])
+    assert np.linalg.norm(U.conj().T @ U - np.eye(len(U)), 2) <= 1e-13
+
+
 # the skip phase's jumps of up to _BLOCK 2^_MAX_LEVEL steps stay inside its 1e-9
 # margin while the matrix H the iteration steps has ||H||_2 <= 1 + this
 _CERTIFIED_EXCESS = 7.6e-15
@@ -493,7 +532,7 @@ def test_iteration_basis_stops_at_half_the_arcs(c4_full):
     # arc coordinates, as it does for a matrix that is not finite
     im = build_E(attach_tails(preset_graph("cycle:16"), (0, 1, 2, 3)), 0.25)
     assert im.iteration_basis.V is None
-    assert im.port_krylov.shape == (32, _BLOCK, 4)
+    assert im.iteration_basis.krylov.shape == (32, _BLOCK, 4)
     im = build_E(c4_full, 0.25)
     E = im.E.copy()
     E[0, 0] = np.nan
