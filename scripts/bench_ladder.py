@@ -16,16 +16,20 @@ all at eps 0.6.  For each graph, one process measures once, in
   for a tailwalk that has none)
 - one ``stationary_iterate`` call on a fresh ``InternalMatrix``
 - 16 calls (4 lambdas x 4 ports) on another fresh one
+- ``reduce_eigenvalue`` at every cluster of ``E0`` (after E0's own
+  decomposition, which is not timed), as ``perturb`` runs it
 
 and how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
-budget runs out on ``cycle:128``; such a call is timed all the same).
+budget runs out on ``cycle:128``; such a call is timed all the same).  Each
+round also times one ``acceptance.run_all()``, the ``verify`` suite, in
+:func:`measure_verify`.
 
 Every measurement runs in a fresh process with one BLAS thread. A round
-measures each graph once, so the graphs alternate, and ``ROUNDS`` rounds
-run.  ``OUT.json`` holds each layer's median over the rounds and the runs
-themselves.  It imports the ``tailwalk`` on ``PYTHONPATH``, so running it
-once per checkout, alternating, compares two versions;
-``BENCH_<pr>.json`` holds such a pair side by side.
+measures each graph once, so the graphs alternate, then runs ``verify``,
+and ``ROUNDS`` rounds run.  ``OUT.json`` holds each layer's median over the
+rounds and the runs themselves.  It imports the ``tailwalk`` on
+``PYTHONPATH``, so running it once per checkout, alternating, compares two
+versions; ``BENCH_<pr>.json`` holds such a pair side by side.
 """
 
 import json
@@ -63,6 +67,7 @@ def measure(preset: str, tails: str) -> dict:
     """One measurement of every layer on one graph, in this process."""
     from tailwalk import attach_tails, build_E, preset_graph
     from tailwalk.internal_spectral import spectral_decompose
+    from tailwalk.perturbation import Coupling, reduce_eigenvalue
     from tailwalk.scattering import (
         NoConvergence,
         SigmaEvaluator,
@@ -97,6 +102,9 @@ def measure(preset: str, tails: str) -> dict:
     _, single_s = _timed(lambda: iterate(fresh, LAMBDAS[2], ports[0]))
     fresh = im.at(EPS)
     _, calls_s = _timed(lambda: [iterate(fresh, lam, a) for lam in LAMBDAS for a in ports[:4]])
+    im0 = im.at(0.0)
+    base = Coupling(im0, spectral_decompose(im0.E0))
+    _, reduce_s = _timed(lambda: [reduce_eigenvalue(base, c.value) for c in base.sd.clusters])
     return {
         "arcs": tg.num_arcs,
         "basis_dim": dim,
@@ -108,12 +116,21 @@ def measure(preset: str, tails: str) -> dict:
         "iterate_single_s": single_s,
         "iterate_16_s": calls_s,
         "iterate_no_convergence": failed,
+        "reduce_all_s": reduce_s,
     }
 
 
-def _measure_fresh(preset: str, tails: str) -> dict:
+def measure_verify() -> dict:
+    """One run of the acceptance suite, in this process."""
+    from tailwalk.acceptance import run_all
+
+    results, verify_s = _timed(run_all)
+    return {"verify_s": verify_s, "failed": sum(r.status == "fail" for r in results)}
+
+
+def _fresh(call: str) -> dict:
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"from bench_ladder import measure; print(json.dumps(measure({preset!r}, {tails!r})))")
+            f"import bench_ladder; print(json.dumps(bench_ladder.{call}))")
     proc = subprocess.run([sys.executable, "-c", code], env=os.environ | ONE_THREAD,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -124,9 +141,11 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     runs = {f"{p} tails {t}": [] for p, t in GRAPHS}
+    verify = []
     for _ in range(ROUNDS):
         for (preset, tails), label in zip(GRAPHS, runs):
-            runs[label].append(_measure_fresh(preset, tails))
+            runs[label].append(_fresh(f"measure({preset!r}, {tails!r})"))
+        verify.append(_fresh("measure_verify()"))
     graphs = {}
     for label, rows in runs.items():
         graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence")}
@@ -138,7 +157,12 @@ def main(argv: list[str]) -> int:
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
            "eps": EPS, "rounds": ROUNDS}
-    Path(argv[0]).write_text(json.dumps({"env": env, "graphs": graphs}, indent=1) + "\n")
+    verify_s = [v["verify_s"] for v in verify]
+    verify_rec = {"failed": [v["failed"] for v in verify],
+                  "verify_s": {"median": statistics.median(verify_s), "runs": verify_s}}
+    Path(argv[0]).write_text(
+        json.dumps({"env": env, "graphs": graphs, "verify": verify_rec}, indent=1) + "\n"
+    )
     return 0
 
 

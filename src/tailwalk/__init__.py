@@ -44,7 +44,6 @@ from .smt_laplacian import (
     build_E_split,
     build_operators,
     classify,
-    is_bipartite,
     joukowsky,
     joukowsky_preimages,
     lift,

@@ -553,11 +553,9 @@ def _active_names(fixture: str | None) -> list[str]:
     return [fixture]
 
 
-def _run(cid: int, ctx: _Context, residual_tol: float | None) -> CriterionResult:
-    entry = next((e for e in _CRITERIA if e[0] == cid), None)
-    if entry is None:
-        raise KeyError(f"no criterion {cid}")
-    _, name, fn = entry
+def _run(entry, ctx: _Context, residual_tol: float | None) -> CriterionResult:
+    """One ``_CRITERIA`` entry (cid, name, check) run on ``ctx``."""
+    cid, name, fn = entry
     t0 = time.perf_counter()
     try:
         status, detail = fn(ctx, residual_tol)
@@ -570,4 +568,4 @@ def run_all(
     fixture: str | None = None, residual_tol: float | None = None
 ) -> list[CriterionResult]:
     ctx = _Context(_active_names(fixture))
-    return [_run(cid, ctx, residual_tol) for cid, _, _ in _CRITERIA]
+    return [_run(entry, ctx, residual_tol) for entry in _CRITERIA]

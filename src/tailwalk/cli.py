@@ -112,8 +112,12 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"eps values must lie in [0, 1], got {e}")
     if not args.eps:
         raise ConfigError("at least one eps value is required")
+    if len(set(args.eps)) < len(args.eps):
+        raise ConfigError("eps values must be distinct")
     if not all(0 < t < math.inf for t in (args.tol_cluster, args.tol_circle)):  # and NaN
         raise ConfigError("tolerances must be positive and finite")
+    if args.tol_circle >= 1:  # |mu| >= 1 - tol would put every eigenvalue on the circle
+        raise ConfigError(f"--tol-circle must be below 1, got {args.tol_circle}")
     return args
 
 
@@ -326,8 +330,8 @@ def cmd_transmission(cfg: argparse.Namespace) -> int:
 def cmd_perturb(cfg: argparse.Namespace) -> int:
     if len(cfg.eps) < 3:
         raise ConfigError("perturb needs an eps ladder with at least 3 points")
-    if 0.0 in cfg.eps or len(set(cfg.eps)) < len(cfg.eps):
-        raise ConfigError("perturb needs distinct nonzero eps values (log-log slope fits)")
+    if 0.0 in cfg.eps:
+        raise ConfigError("perturb needs nonzero eps values (log-log slope fits)")
     # base, the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
     tg, outdir, (base, *ladder) = _prologue(cfg, base=True)
     # the ladder, largest eps first, shared by every family

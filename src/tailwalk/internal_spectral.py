@@ -28,7 +28,7 @@ is not used in any production path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,19 +102,13 @@ class InternalMatrix:
     def at(self, eps: float) -> "InternalMatrix":
         """Same graph, different coupling (cheap: blocks are kappa-linear)."""
         k = kappa(eps)
-        N = self.tg.num_ports
-        return InternalMatrix(
-            tg=self.tg,
+        return replace(
+            self,
             eps=float(eps),
             E=self.E0 + k * self.E1,
             B_in=k * self.B_in1,
             B_out=k * self.B_out1,
-            B_bb=np.eye(N, dtype=complex) + k * self.B_bb1,
-            E0=self.E0,
-            E1=self.E1,
-            B_in1=self.B_in1,
-            B_out1=self.B_out1,
-            B_bb1=self.B_bb1,
+            B_bb=np.eye(self.tg.num_ports, dtype=complex) + k * self.B_bb1,
         )
 
     @cached_property

@@ -98,6 +98,7 @@ class Coupling:
 
 
 _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
+_MU1_ZERO = 1e-9  # |mu1| at or below this is mu1 = 0: the eigenspace does not move
 
 
 def _reduced_resolvent(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
@@ -217,7 +218,6 @@ class ReductionLedger:
     m: int
     gamma: float
     branches: list[Branch]
-    P: np.ndarray
     families: list[Family]
 
     def to_json_dict(self) -> dict:
@@ -254,14 +254,14 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     cluster at ``_STAGE_TOL``, and a stage-one nilpotent part above 1e-7
     times ||A1|| raises :class:`Stage1NotSemisimple`.
 
-    Each stage-one cluster with |mu1| >= 1e-10 is one :class:`Family`.  A
-    branch of it hosts resonances when it is not persistent and its
+    Each stage-one cluster with |mu1| > ``_MU1_ZERO`` is one
+    :class:`Family`, and only a family has a boundary scalar.  A branch of
+    it hosts resonances when it is not persistent and its
     predicted second-order radial motion, Re(ge^2 + ge - 2 mu2 / mu) with
     ge = gamma eta1, points inward.
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
-    P = cl.projection
     Q = np.linalg.qr(cl.R)[0]
     X = base.im.E1
     A1 = Q.conj().T @ X @ Q
@@ -284,9 +284,9 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     families: list[Family] = []
     for c1 in sd1.clusters:
         mu1 = c1.value
-        moving = abs(mu1) >= 1e-10
+        moving = abs(mu1) > _MU1_ZERO
         eta1 = None
-        if abs(mu1) > 1e-12:
+        if moving:
             e = mu1 / (gamma * mu)
             if abs(e.imag) < 1e-7 * max(1.0, abs(e.real)):
                 eta1 = float(e.real)
@@ -318,9 +318,7 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         branches += fam.branches
         if moving:
             families.append(fam)
-    return ReductionLedger(
-        mu=mu, m=cl.mult, gamma=gamma, branches=branches, P=P, families=families
-    )
+    return ReductionLedger(mu=mu, m=cl.mult, gamma=gamma, branches=branches, families=families)
 
 
 @dataclass
@@ -483,13 +481,28 @@ class ResonantLimitRecord:
     norms: list[float]
     sigma01: np.ndarray
     verdicts: AssumptionReport
-    caveat: bool
+
+    @property
+    def caveat(self) -> bool:
+        """A hypothesis of the limit failed: the verdicts say which."""
+        return not self.verdicts.gate
 
 
-def _x_scalar(ledger: ReductionLedger, fam: Family) -> complex:
-    """Xs = mu ge (ge + 1), ge = gamma eta1, of one family."""
+def _pole_weights(
+    ledger: ReductionLedger, fam: Family
+) -> tuple[complex, dict[Branch, complex | None]]:
+    """Xs = mu ge (ge + 1), ge = gamma eta1, of one family, and the weight
+    2 / (Xs - 2 mu2) of each of its hosting branches in Sigma01: None where
+    the pole is degenerate, |Xs - 2 mu2| < 1e-10 max(|Xs|, |mu2|)."""
     ge = ledger.gamma * fam.eta1
-    return ledger.mu * ge * (ge + 1.0)
+    Xs = ledger.mu * ge * (ge + 1.0)
+    weights: dict[Branch, complex | None] = {}
+    for b in fam.branches:
+        if b.hosts_resonance:
+            denom = Xs - 2.0 * b.mu2
+            degenerate = abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30)
+            weights[b] = None if degenerate else 2.0 / denom
+    return Xs, weights
 
 
 def assumption_report(
@@ -509,16 +522,14 @@ def assumption_report(
     gated on).
     """
     mu = ledger.mu
-    Xs = _x_scalar(ledger, fam)
-    hosts = [b for b in fam.branches if b.hosts_resonance]
+    cl = base.sd.cluster_near(mu)
+    Xs, weights = _pole_weights(ledger, fam)
+    hosts = list(weights)
+    x_ok = abs(Xs) > 1e-12 and None not in weights.values()
 
-    x_ok = abs(Xs) > 1e-12
-    for b in hosts:
-        if abs(Xs - 2.0 * b.mu2) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
-            x_ok = False
-
-    Psum = sum((b.P2 for b in ledger.branches), np.zeros_like(ledger.P))
-    a2_resid = float(np.linalg.norm(Psum - ledger.P)) / max(1.0, float(np.linalg.norm(ledger.P)))
+    P = cl.projection
+    Psum = sum((b.P2 for b in ledger.branches), np.zeros_like(P))
+    a2_resid = float(np.linalg.norm(Psum - P)) / max(1.0, float(np.linalg.norm(P)))
     a2 = a2_resid < 1e-8
 
     k = kappa(probe.im.eps)
@@ -541,13 +552,13 @@ def assumption_report(
     fo = build_M1(base, mu)
     lam_min = float(np.min(-fo.eta1)) if fo.eta1.size else 0.0
     c_surrogate = 1.0 / (nu_plus * lam_min) if lam_min > 0 else np.inf
-    lhs = 2.0 * _mu2_bound(base.sd, base.sd.cluster_near(mu), nu_minus)
+    lhs = 2.0 * _mu2_bound(base.sd, cl, nu_minus)
     rhs = (1.0 / (2.0 * c_surrogate)) * (1.0 / nu_plus) * (1.0 - 1.0 / nu_minus) \
         if np.isfinite(c_surrogate) else 0.0
     a3 = bool(nu_minus >= 3 and lhs < rhs)
 
     return AssumptionReport(
-        a1=a1, a2=a2, a3=a3, x_nonzero=x_ok, mu1_nonzero=abs(fam.mu1) > 1e-9,
+        a1=a1, a2=a2, a3=a3, x_nonzero=x_ok, mu1_nonzero=abs(fam.mu1) > _MU1_ZERO,
     )
 
 
@@ -572,8 +583,9 @@ def resonant_sigma_limit(
     as 2(1 - rho)/Xs is the same thing; geometric rho-series factors are
     not, and fail numerically for rank-2 branches).
 
-    Computation always completes; hypothesis failures only set ``caveat``
-    (and the verdicts say which), so callers can decide what to gate.
+    Computation always completes; hypothesis failures only show in the
+    record's ``verdicts`` (and so ``caveat``), so callers can decide what to
+    gate.
 
     Returns one record per family of each ledger, in order; each eps
     evaluates Sigma once, at every family's lambda together.  ``ladder``
@@ -587,20 +599,14 @@ def resonant_sigma_limit(
     records = []
     for ledger in ledgers:
         for fam in ledger.families:
-            Xs = _x_scalar(ledger, fam)
             sigma01 = np.zeros((N, N), dtype=complex)
-            for b in fam.branches:
-                if not b.hosts_resonance:
-                    continue
-                denom = Xs - 2.0 * b.mu2
-                if abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30):
-                    continue
-                sigma01 = sigma01 + (2.0 / denom) * (im.B_out1 @ b.P2 @ im.B_in1)
-            verdicts = assumption_report(base, ledger, fam, probe)
+            for b, w in _pole_weights(ledger, fam)[1].items():
+                if w is not None:
+                    sigma01 = sigma01 + w * (im.B_out1 @ b.P2 @ im.B_in1)
             records.append(ResonantLimitRecord(
                 mu=ledger.mu, gamma=ledger.gamma, family=fam,
                 lam_eps=[], norms=[], sigma01=sigma01,
-                verdicts=verdicts, caveat=not verdicts.gate,
+                verdicts=assumption_report(base, ledger, fam, probe),
             ))
 
     if not records:  # no moving family: nothing to evaluate

@@ -35,7 +35,6 @@ __all__ = [
     "classify",
     "lift",
     "unit_sign",
-    "is_bipartite",
     "birth_basis",
 ]
 
@@ -206,27 +205,6 @@ def lift(lt: LaplacianT, lam: complex, f: np.ndarray) -> np.ndarray:
     return u / (np.sqrt(2.0) * abs(np.sin(np.angle(lam))))
 
 
-def is_bipartite(tg: TailedGraph) -> bool:
-    """BFS 2-colouring of the internal graph."""
-    nv = tg.graph.num_vertices
-    color = np.full(nv, -1, dtype=int)
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for u, v in tg.graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color[0] = 0
-    queue = [0]
-    while queue:
-        w = queue.pop()
-        for x in adj[w]:
-            if color[x] == -1:
-                color[x] = 1 - color[w]
-                queue.append(x)
-            elif color[x] == color[w]:
-                return False
-    return True
-
-
 def birth_multiplicities(tg: TailedGraph) -> tuple[int, int]:
     """(M_+1, M_-1): eigenvalue multiplicities of E0 on the non-lifted part.
 
@@ -236,7 +214,7 @@ def birth_multiplicities(tg: TailedGraph) -> tuple[int, int]:
     half_arcs = tg.num_arcs // 2
     nv = tg.graph.num_vertices
     m1 = max(0, half_arcs - nv + 1)
-    m_minus = max(0, half_arcs - nv + (1 if is_bipartite(tg) else 0))
+    m_minus = max(0, half_arcs - nv + (1 if tg.graph.bipartite else 0))
     return m1, m_minus
 
 

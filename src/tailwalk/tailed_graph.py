@@ -40,10 +40,12 @@ class InternalGraph:
     """Simple connected undirected graph on vertices 0..num_vertices-1.
 
     ``edges`` is stored normalised: each edge as (min, max), sorted.
+    ``bipartite`` says whether the vertices 2-colour.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    bipartite: bool
 
     @property
     def num_edges(self) -> int:
@@ -84,27 +86,33 @@ def build_internal(num_vertices: int, edges) -> InternalGraph:
         )
     norm.sort()
 
-    # connectivity (BFS); isolated vertices would get degree-0 coins
+    # one walk checks connectivity (isolated vertices would get degree-0
+    # coins) and 2-colours the graph: an edge within one colour class means
+    # it is not bipartite
     adj: list[list[int]] = [[] for _ in range(num_vertices)]
     for u, v in norm:
         adj[u].append(v)
         adj[v].append(u)
-    seen_v = {0}
+    colour = [-1] * num_vertices
+    colour[0] = 0
     stack = [0]
+    bipartite = True
     while stack:
         w = stack.pop()
         for x in adj[w]:
-            if x not in seen_v:
-                seen_v.add(x)
+            if colour[x] < 0:
+                colour[x] = 1 - colour[w]
                 stack.append(x)
-    if len(seen_v) != num_vertices:
-        missing = [v for v in range(num_vertices) if v not in seen_v]
+            elif colour[x] == colour[w]:
+                bipartite = False
+    missing = [v for v in range(num_vertices) if colour[v] < 0]
+    if missing:
         raise GraphError(
             f"graph is not connected; {len(missing)} unreachable vertices, "
             f"first {missing[:5]}"
         )
 
-    return InternalGraph(num_vertices, tuple(norm))
+    return InternalGraph(num_vertices, tuple(norm), bipartite)
 
 
 class TailedGraph:

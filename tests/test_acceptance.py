@@ -23,7 +23,8 @@ from tailwalk import acceptance
 def run_criterion(cid, fixture=None, residual_tol=None):
     """One criterion on its own context, as ``run_all`` runs each."""
     ctx = acceptance._Context(acceptance._active_names(fixture))
-    return acceptance._run(cid, ctx, residual_tol)
+    (entry,) = (e for e in acceptance._CRITERIA if e[0] == cid)
+    return acceptance._run(entry, ctx, residual_tol)
 
 
 @pytest.fixture(scope="module")

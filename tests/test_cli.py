@@ -472,6 +472,10 @@ class TestGraphFiles:
         ("verify", "--residual-tol", "0"),
         ("transmission", "--preset", "cycle:12", "--tails", "0,1,2", "--tol-cluster", "inf"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "inf"),
+        # a circle tolerance of 1 or more puts every eigenvalue on the circle
+        ("resonances", "--preset", "cycle:4", "--tails", "0,1,2", "--tol-circle", "5"),
+        # a repeated eps would list every cluster twice
+        ("resonances", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25,0.25"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv, capsys):
@@ -574,7 +578,9 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     row = bench_ladder.measure("cycle:8", "0,1,2,3")
     assert (row["arcs"], row["basis_dim"], row["iterate_no_convergence"]) == (16, None, 0)
     times = {k: v for k, v in row.items() if k.endswith("_s")}
-    assert len(times) == 7 and all(v > 0 for v in times.values())
+    assert len(times) == 8 and all(v > 0 for v in times.values())
+    verify = bench_ladder.measure_verify()
+    assert verify["failed"] == 0 and verify["verify_s"] > 0
 
 
 def test_table_set_script(tmp_path):

@@ -13,7 +13,6 @@ from tailwalk.smt_laplacian import (
     birth_multiplicities,
     build_operators,
     classify,
-    is_bipartite,
     joukowsky,
     joukowsky_preimages,
     lift,
@@ -84,11 +83,11 @@ def test_lift_produces_unit_eigenvectors(c4a, k4a):
 
 
 def test_bipartiteness():
-    from tailwalk import attach_tails, preset_graph
+    from tailwalk import preset_graph
 
-    assert is_bipartite(attach_tails(preset_graph("cycle:4"), (0,)))
-    assert not is_bipartite(attach_tails(preset_graph("cycle:5"), (0,)))
-    assert not is_bipartite(attach_tails(preset_graph("complete:4"), (0,)))
+    assert preset_graph("cycle:4").bipartite
+    assert not preset_graph("cycle:5").bipartite
+    assert not preset_graph("complete:4").bipartite
 
 
 def test_birth_multiplicities(c4a, k4a):
@@ -216,16 +215,20 @@ def test_t_eigenspaces_split_on_random_graphs(g, data):
 @given(connected_graphs(), st.data())
 def test_classify_matches_the_direct_spectrum_on_random_graphs(g, data):
     """Every arc is classified once, each entry's multiplicity is E0's at its
-    value, and T lifts to -1 (once) exactly on a bipartite graph."""
+    value, T lifts to -1 (once) exactly on a bipartite graph, and the birth
+    counts are the dimensions of the birth eigenspaces."""
     tails = data.draw(
         st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
     )
     tg = attach_tails(g, tails)
-    entries = classify(build_operators(tg))
+    lt = build_operators(tg)
+    entries = classify(lt)
     assert sum(e.total_mult for e in entries) == tg.num_arcs
     vals = np.linalg.eigvals(build_E(tg).E0)
     for e in entries:
         assert int(np.sum(np.abs(vals - e.value) < 1e-9)) == e.total_mult
     inherited = [e.inherited_mult for e in entries if unit_sign(e.value) == -1]
     assert len(inherited) <= 1
-    assert (inherited == [1]) == is_bipartite(tg)
+    assert (inherited == [1]) == g.bipartite
+    measured = (birth_basis(lt, 1).shape[1], birth_basis(lt, -1).shape[1])
+    assert birth_multiplicities(tg) == measured
