@@ -16,10 +16,9 @@ the ``tailwalk transmission`` parser and its checks, so the script refuses
 what the CLI refuses, and ``--grid`` and ``--inflow`` default as there.
 Exit codes follow the CLI: 2 for a configuration error (an eps outside
 [0, 1], eps values whose CSV names collide, a ``--grid`` below 8, an
-``--inflow`` that names no port, a negative ``--spot-checks``, ...), before
-any file is written, and 3
-for a numerical failure (such as a spot check's iteration not converging),
-each reported on stderr.
+``--inflow`` that names no port, a negative ``--spot-checks`` or ``--seed``,
+...), before any file is written, and 3 for a numerical failure (such as a
+spot check's iteration not converging), each reported on stderr.
 """
 
 import argparse
@@ -59,6 +58,8 @@ def main() -> int:
         cfg = _run_config(_build_parser().parse_args(["transmission", *run_argv, "--out=."]))
         if args.spot_checks < 0:
             raise ConfigError(f"--spot-checks must be >= 0, got {args.spot_checks}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return report(cfg, args.spot_checks, args.seed)
     except (ConfigError, GraphError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

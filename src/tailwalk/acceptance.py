@@ -1,11 +1,11 @@
 """Built-in acceptance suite: twelve numbered checks over desk fixtures.
 
 Each criterion returns ``(status, detail)`` with status "pass", "fail", or
-"skip"; skips happen only when a fixture filter rules a check out or every
-eligible branch fails its hypothesis gate (the detail then carries the
-report).  Checks derive everything through the public API, so the suite
-doubles as executable documentation of the library contract; the criteria
-of one run share what they derive (see :class:`_Context`).
+"skip"; a skip comes only from criterion 11's hypothesis gate, when every
+resonant family fails it (the detail then carries the report).  Checks
+derive everything through the public API, so the suite doubles as
+executable documentation of the library contract; the criteria of one run
+share what they derive (see :class:`_Context`).
 
 Fixture ids follow <internal graph>-<k>tails[-variant]; the two 3-tail
 cycle layouts differ in which vertex is left bare (adjacent to one vs. two
@@ -72,8 +72,7 @@ class _Context:
     (fixture, cluster value), and one decomposition per distinct matrix
     (fixtures on one internal graph share E0)."""
 
-    def __init__(self, names: list[str]):
-        self.names = names
+    def __init__(self):
         self._sd: dict = {}
         self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
         self.im0_split = functools.cache(lambda name: replace(
@@ -118,9 +117,7 @@ def _status(ok: bool) -> str:
 # 1. unperturbed cycle spectrum
 # --------------------------------------------------------------------------
 
-def _c1(ctx, residual_tol=None):
-    if set(ctx.names) != set(FIXTURES):
-        return "skip", "bare-cycle check runs only without a fixture filter"
+def _c1(ctx):
     t0 = time.perf_counter()
     tg = attach_tails(preset_graph("cycle:4"), [])
     sd = ctx.decompose(build_E(tg, 0.0).E0)
@@ -135,8 +132,7 @@ def _c1(ctx, residual_tol=None):
         worst_err = max(worst_err, abs(c.value - want))
         worst_nil = max(worst_nil, c.nilpotent_norm)
     elapsed = time.perf_counter() - t0
-    tol = 1e-10 if residual_tol is None else residual_tol
-    ok = worst_err < tol and worst_nil < tol and elapsed < 1.0
+    ok = worst_err < 1e-10 and worst_nil < 1e-10 and elapsed < 1.0
     return _status(ok), (
         f"spectrum {{1, -1, i, -i}} x2: max eigenvalue error {worst_err:.1e}, "
         f"max nilpotent norm {worst_nil:.1e}"
@@ -147,19 +143,18 @@ def _c1(ctx, residual_tol=None):
 # 2. scattering unitarity
 # --------------------------------------------------------------------------
 
-def _c2(ctx, residual_tol=None):
+def _c2(ctx):
     t0 = time.perf_counter()
     lam_grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
     worst = 0.0
-    for name in ctx.names:
+    for name in FIXTURES:
         for eps in (0.1, 0.25, 0.5):
             stack = ctx.coupling(name, eps).sigma.sigma(lam_grid)
             worst = max(worst, unitarity_defect(stack))
     elapsed = time.perf_counter() - t0
-    tol = 1e-9 if residual_tol is None else residual_tol
-    ok = worst < tol and elapsed < 30.0
+    ok = worst < 1e-9 and elapsed < 30.0
     return _status(ok), (
-        f"max ||S*S - I|| = {worst:.2e} over {len(ctx.names)} fixtures x 3 eps x 256 lambdas"
+        f"max ||S*S - I|| = {worst:.2e} over {len(FIXTURES)} fixtures x 3 eps x 256 lambdas"
     ) + ("" if elapsed < 30.0 else f"; took {elapsed:.1f} s, limit 30 s")
 
 
@@ -167,12 +162,12 @@ def _c2(ctx, residual_tol=None):
 # 3. stationary iteration vs closed form
 # --------------------------------------------------------------------------
 
-def _c3(ctx, residual_tol=None):
+def _c3(ctx):
     rng = np.random.default_rng(20250817)
     eps = 0.25
     worst = 0.0
     total = 0
-    for name in ctx.names:
+    for name in FIXTURES:
         cpl = ctx.coupling(name, eps)
         im, ev, tg = cpl.im, cpl.sigma, cpl.im.tg
         lams = [np.pi] + list(rng.uniform(-np.pi, np.pi, size=15))
@@ -183,8 +178,7 @@ def _c3(ctx, residual_tol=None):
             diff = np.max(np.abs(rec.outgoing - ev.sigma(float(lam)) @ alpha))
             worst = max(worst, float(diff))
             total += 1
-    tol = 1e-7 if residual_tol is None else residual_tol
-    ok = worst < tol
+    ok = worst < 1e-7
     return _status(ok), (
         f"max |iteration - closed form| = {worst:.2e} over {total} random "
         f"(lambda, inflow) pairs incl. exp(-i lam) = -1, eps = {eps}"
@@ -195,17 +189,16 @@ def _c3(ctx, residual_tol=None):
 # 4. resonance confinement
 # --------------------------------------------------------------------------
 
-def _c4(ctx, residual_tol=None):
+def _c4(ctx):
     worst = 0.0
-    for name in ctx.names:
+    for name in FIXTURES:
         im0 = ctx.im0(name)
         for eps in np.linspace(0.0, 1.0, 11):
             vals = np.linalg.eigvals(im0.at(float(eps)).E)
             worst = max(worst, float(np.max(np.abs(vals))))
-    tol = 1e-10 if residual_tol is None else residual_tol
-    ok = worst <= 1.0 + tol
+    ok = worst <= 1.0 + 1e-10
     return _status(ok), (
-        f"max |mu| = {worst:.12f} over {len(ctx.names)} fixtures x 11 eps values in [0, 1]"
+        f"max |mu| = {worst:.12f} over {len(FIXTURES)} fixtures x 11 eps values in [0, 1]"
     )
 
 
@@ -213,10 +206,10 @@ def _c4(ctx, residual_tol=None):
 # 5. outgoing-solution residual
 # --------------------------------------------------------------------------
 
-def _c5(ctx, residual_tol=None):
+def _c5(ctx):
     worst = 0.0
     count = 0
-    for name in ctx.names:
+    for name in FIXTURES:
         for eps in (0.1, 0.25, 0.5):
             cpl = ctx.coupling(name, eps)
             w, V = np.linalg.eig(cpl.im.E)  # eigenvectors independent of the Schur factors
@@ -226,8 +219,7 @@ def _c5(ctx, residual_tol=None):
             for r in verify_outgoing(ctx.im0_split(name).at(eps), w[inside], V[:, inside]):
                 worst = max(worst, r)
             count += len(inside)
-    tol = 1e-8 if residual_tol is None else residual_tol
-    ok = worst < tol and count > 0
+    ok = worst < 1e-8 and count > 0
     return _status(ok), (
         f"max sup-norm walk residual {worst:.2e} over {count} outgoing states "
         f"(depth-20 truncation)"
@@ -238,10 +230,10 @@ def _c5(ctx, residual_tol=None):
 # 6. spectral mapping and birth counts
 # --------------------------------------------------------------------------
 
-def _c6(ctx, residual_tol=None):
+def _c6(ctx):
     worst_map = 0.0
     problems = []
-    for name in ctx.names:
+    for name in FIXTURES:
         base = ctx.base(name)
         tg, lt, sd = base.im.tg, base.lt, base.sd
         tvals = lt.spectrum[0]
@@ -261,8 +253,7 @@ def _c6(ctx, residual_tol=None):
         for c in classify(lt):
             if sd.cluster_near(c.value).mult != c.total_mult:
                 problems.append(f"{name}: multiplicity mismatch at {c.value:.3f}")
-    tol = 1e-9 if residual_tol is None else residual_tol
-    ok = worst_map < tol and not problems
+    ok = worst_map < 1e-9 and not problems
     detail = f"max preimage/cluster distance {worst_map:.1e}; births exact on all fixtures"
     if problems:
         detail = "; ".join(problems)
@@ -273,10 +264,10 @@ def _c6(ctx, residual_tol=None):
 # 7. birth-state persistence
 # --------------------------------------------------------------------------
 
-def _c7(ctx, residual_tol=None):
+def _c7(ctx):
     worst = 0.0
     count = 0
-    for name in ctx.names:
+    for name in FIXTURES:
         im0, lt = ctx.im0(name), ctx.base(name).lt
         for lam in (1.0, -1.0):
             U = birth_basis(lt, lam)
@@ -286,8 +277,7 @@ def _c7(ctx, residual_tol=None):
                 E = im0.at(eps).E
                 worst = max(worst, float(np.linalg.norm(E @ U - lam * U, 2)))
             count += U.shape[1]
-    tol = 1e-9 if residual_tol is None else residual_tol
-    ok = worst < tol and count > 0
+    ok = worst < 1e-9 and count > 0
     return _status(ok), (
         f"max ||(E_eps -+ 1) u|| = {worst:.2e} over {count} birth states, eps in {{0.1, 0.5}}"
     )
@@ -297,15 +287,12 @@ def _c7(ctx, residual_tol=None):
 # 8. eigenvalue motion asymptotics
 # --------------------------------------------------------------------------
 
-def _c8(ctx, residual_tol=None):
-    eligible = [n for n in ctx.names if n in PERTURB_FIXTURES]
-    if not eligible:
-        return "skip", "no eligible fixture in the active filter"
+def _c8(ctx):
     eps_ladder = [0.02, 0.01, 0.005]
     problems = []
     n_first = 0
     n_second = 0
-    for name in eligible:
+    for name in PERTURB_FIXTURES:
         base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         for cl in base.sd.clusters:
@@ -315,8 +302,6 @@ def _c8(ctx, residual_tol=None):
                 gated = assumption_report(base, led, fam, ladder[eps_ladder[-1]]).gate
                 for b in fam.branches:
                     rec = asym["per_branch"][led.branches.index(b)]
-                    if not rec["eps"]:
-                        continue
                     n_first += 1
                     s1 = (
                         np.inf
@@ -353,9 +338,7 @@ def _c8(ctx, residual_tol=None):
 # 9. projection expansion order
 # --------------------------------------------------------------------------
 
-def _c9(ctx, residual_tol=None):
-    if "c4-3tails-a" not in ctx.names:
-        return "skip", "runs on c4-3tails-a only"
+def _c9(ctx):
     base = ctx.base("c4-3tails-a")
     worst_order = np.inf
     parts = []
@@ -381,7 +364,7 @@ def _c9(ctx, residual_tol=None):
 # 10. non-resonant scattering order
 # --------------------------------------------------------------------------
 
-def _c10(ctx, residual_tol=None):
+def _c10(ctx):
     """Off resonance, Sigma_eps(lam) = B_bb(eps) + O(eps^2).
 
     The direct port block B_bb(eps) = I + kappa B_bb1 moves every port's
@@ -396,7 +379,7 @@ def _c10(ctx, residual_tol=None):
     slopes = []
     ratios = []
     flux_slopes = []
-    for name in ctx.names:
+    for name in FIXTURES:
         im0 = ctx.im0(name)
         muvals = ctx.base(name).sd.values()
         lams = []
@@ -441,15 +424,12 @@ def _c10(ctx, residual_tol=None):
 # 11. resonant scattering limit
 # --------------------------------------------------------------------------
 
-def _c11(ctx, residual_tol=None):
-    eligible = [n for n in ctx.names if n in PERTURB_FIXTURES]
-    if not eligible:
-        return "skip", "no eligible fixture in the active filter"
+def _c11(ctx):
     eps_ladder = (0.04, 0.02, 0.01)
     ran = 0
     problems = []
     skipped = []
-    for name in eligible:
+    for name in PERTURB_FIXTURES:
         base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         ledgers = [ctx.ledger(name, cl.value) for cl in base.sd.clusters]
@@ -490,7 +470,7 @@ def _c11(ctx, residual_tol=None):
 # 12. stage-one boundary scalar at +-1
 # --------------------------------------------------------------------------
 
-def _c12(ctx, residual_tol=None):
+def _c12(ctx):
     """The boundary scalar eta1 (eigenvalue of M1) is -1/4 at both +-1.
 
     Two routes give eta1: the arc-space reduction (Branch.eta1 =
@@ -498,8 +478,6 @@ def _c12(ctx, residual_tol=None):
     stage-one eigenvalue itself is mu1 = gamma mu eta1, so it carries the
     sign of mu; that rule is checked against the graph-side eta1.
     """
-    if "c4-3tails-a" not in ctx.names:
-        return "skip", "runs on c4-3tails-a only"
     base = ctx.base("c4-3tails-a")
     ok = True
     parts = []
@@ -545,27 +523,17 @@ _CRITERIA = [
 ]
 
 
-def _active_names(fixture: str | None) -> list[str]:
-    if fixture is None:
-        return list(FIXTURES)
-    if fixture not in FIXTURES:
-        raise KeyError(f"unknown fixture {fixture!r}; choose from {sorted(FIXTURES)}")
-    return [fixture]
-
-
-def _run(entry, ctx: _Context, residual_tol: float | None) -> CriterionResult:
+def _run(entry, ctx: _Context) -> CriterionResult:
     """One ``_CRITERIA`` entry (cid, name, check) run on ``ctx``."""
     cid, name, fn = entry
     t0 = time.perf_counter()
     try:
-        status, detail = fn(ctx, residual_tol)
+        status, detail = fn(ctx)
     except Exception as exc:  # report, never crash the suite
         status, detail = "fail", f"exception {type(exc).__name__}: {exc}"
     return CriterionResult(cid, name, status, detail, time.perf_counter() - t0)
 
 
-def run_all(
-    fixture: str | None = None, residual_tol: float | None = None
-) -> list[CriterionResult]:
-    ctx = _Context(_active_names(fixture))
-    return [_run(entry, ctx, residual_tol) for entry in _CRITERIA]
+def run_all() -> list[CriterionResult]:
+    ctx = _Context()
+    return [_run(entry, ctx) for entry in _CRITERIA]

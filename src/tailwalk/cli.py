@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import FIXTURES, run_all
+from .acceptance import run_all
 from .internal_spectral import CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
 from .perturbation import (
     Coupling,
+    GroupEscapedContour,
     Stage1NotSemisimple,
     fit_loglog_slope,
     reduce_eigenvalue,
@@ -57,6 +58,7 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (
     ClusterAmbiguity,
+    GroupEscapedContour,
     NoConvergence,
     Stage1NotSemisimple,
     np.linalg.LinAlgError,
@@ -347,9 +349,9 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         entry = led.to_json_dict()
         for branch, rec in zip(entry["branches"], asym["per_branch"].values()):
             slopes = {}
-            if rec["eps"] and max(rec["first_resid"]) > 1e-13:
+            if max(rec["first_resid"]) > 1e-13:
                 slopes["first_order"] = fit_loglog_slope(rec["eps"], rec["first_resid"])
-            if rec["eps"] and max(rec["second_resid"]) > 1e-13:
+            if max(rec["second_resid"]) > 1e-13:
                 slopes["second_order"] = fit_loglog_slope(rec["eps"], rec["second_resid"])
             branch["slopes"] = slopes
         ledger_entries.append(entry)
@@ -391,19 +393,13 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(out_dir: str, fixture: str | None, residual_tol: float | None) -> int:
-    if residual_tol is not None and not residual_tol > 0:  # also refuses NaN
-        raise ConfigError(f"--residual-tol must be positive, got {residual_tol}")
-    if fixture is not None and fixture not in FIXTURES:
-        raise ConfigError(f"unknown fixture {fixture!r}; choose from {sorted(FIXTURES)}")
+def cmd_verify(out_dir: str) -> int:
     summary = _out_dir(out_dir) / "verify_summary.json"
-    results = run_all(fixture, residual_tol)
+    results = run_all()
     for r in results:
         print(r.line())
     _write_json(summary, {
         "version": __version__,
-        "fixture_filter": fixture,
-        "residual_tol_override": residual_tol,
         "results": [
             {"criterion": r.cid, "name": r.name, "status": r.status, "detail": r.detail}
             for r in results
@@ -448,13 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("resonances", parents=[run], help="per-eps eigenvalue tables")
     sub.add_parser("transmission", parents=[run], help="lambda-grid scattering curves")
     sub.add_parser("perturb", parents=[run], help="reduction ledger and asymptotics")
-    v = sub.add_parser("verify", parents=[out], help="run the acceptance suite")
-    v.add_argument("--fixture", help="restrict the suite to one built-in fixture")
-    v.add_argument(
-        "--residual-tol",
-        type=float,
-        help="override residual thresholds (tight values force reported failures)",
-    )
+    sub.add_parser("verify", parents=[out], help="run the acceptance suite")
     return p
 
 
@@ -462,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.out, args.fixture, args.residual_tol)
+            return cmd_verify(args.out)
         cfg = _run_config(args)
         if args.command == "resonances":
             return cmd_resonances(cfg)

@@ -387,11 +387,14 @@ def resonance_asymptote(
 
     ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
     the true eigenvalues are that decomposition's ``eigenvalues``, the
-    diagonal of its Schur form.  Those inside the group disk are matched to
-    branches by nearest distance *after subtracting the first-order term*
-    (branch capacity = multiplicity), which disambiguates branches that
-    only separate at second order.  Returns CSV-ready rows plus per-branch
-    residual ladders for slope fitting.
+    diagonal of its Schur form.  Those inside the group disk (radius half
+    the gap to the nearest other cluster of E0) are matched to branches by
+    nearest distance *after subtracting the first-order term* (branch
+    capacity = multiplicity), which disambiguates branches that only
+    separate at second order.  A disk that holds other than ``ledger.m``
+    eigenvalues at some eps (groups exchanging eigenvalues, eps too large
+    for the gap) raises :class:`GroupEscapedContour`.  Returns CSV-ready
+    rows plus per-branch residual ladders for slope fitting.
     """
     mu = ledger.mu
     radius = 0.5 * _gap(base.sd, base.sd.cluster_near(mu))
@@ -404,6 +407,11 @@ def resonance_asymptote(
         k = kappa(eps)
         vals = cpl.sd.eigenvalues
         group = vals[np.abs(vals - mu) < radius]
+        if len(group) != ledger.m:
+            raise GroupEscapedContour(
+                f"{len(group)} eigenvalues of E at eps={eps:g} lie within {radius:.3g} "
+                f"of {mu:.4f}, whose group has multiplicity {ledger.m}"
+            )
         # nearest-neighbour matching on the first-order-corrected residual
         pairs = []
         for zi, z in enumerate(group):

@@ -1,19 +1,24 @@
 """Command-line interface: parsing, outputs, sidecars, exit codes."""
 
+import collections
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_tailed_graph import connected_graphs
 
 import tailwalk
-from tailwalk import cli
+from tailwalk import acceptance, cli
 from tailwalk.internal_spectral import ClusterAmbiguity
 
 
@@ -212,6 +217,50 @@ class TestPerturb:
         )
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "graph, eps",
+        [
+            ({"vertices": 4, "edges": [[0, 1], [1, 2], [1, 3], [2, 3]], "tails": [0, 1, 3]},
+             "0.9,0.45,0.225"),
+            # two E0 eigenvalues 7.2e-3 apart: at eps 0.02 one disk holds both
+            ({"vertices": 7, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], [1, 6],
+                                       [2, 5], [2, 6], [4, 5]], "tails": [4, 6, 4, 5]},
+             "0.02,0.01,0.005"),
+        ],
+        ids=["large-eps", "close-eigenvalues"],
+    )
+    def test_groups_exchanging_eigenvalues_are_refused(self, tmp_path, capsys, graph, eps):
+        # a group disk holding other than its multiplicity of eigenvalues
+        # leaves branches without a match: the run stops before any table
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps(graph))
+        code, out = run(tmp_path, "perturb", "--graph", str(gf), "--eps", eps)
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure (GroupEscapedContour)" in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.data())
+def test_perturb_on_random_graphs_is_whole_or_refused(g, data):
+    # every run either writes one asymptote row per eigenvalue of each E(eps)
+    # or refuses with exit 3; none raises
+    tails = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1,
+                               max_size=g.num_vertices))
+    e0 = data.draw(st.floats(min_value=0.01, max_value=0.9))
+    eps = [e0, e0 / 2, e0 / 4]
+    with tempfile.TemporaryDirectory() as tmp:
+        gf = Path(tmp) / "g.json"
+        gf.write_text(json.dumps({"vertices": g.num_vertices, "edges": g.edges}))
+        code = cli.main(["perturb", "--graph", str(gf), "--tails", ",".join(map(str, tails)),
+                         "--eps", ",".join(map(repr, eps)), "--out", tmp])
+        assert code in (0, cli.EXIT_NUMERICAL)
+        if code == 0:
+            _, rows = read_csv(Path(tmp) / "asymptote.csv")
+            per_eps = collections.Counter(float(r[0]) for r in rows)
+            assert per_eps == {e: 2 * g.num_edges for e in eps}
+
 
 @pytest.mark.parametrize(
     "command, eps",
@@ -292,40 +341,46 @@ def test_sidecar_config_is_pinned(tmp_path):
 
 
 class TestVerify:
-    def test_fixture_filtered_run(self, tmp_path, capsys):
-        code, out = run(tmp_path, "verify", "--fixture", "c4-3tails-b")
+    def test_summary_records_every_criterion(self, tmp_path, capsys):
+        code, out = run(tmp_path, "verify")
         assert code == 0
-        text = capsys.readouterr().out
-        assert "[criterion  2] PASS" in text
+        assert "[criterion  2] PASS" in capsys.readouterr().out
         summary = json.loads((out / "verify_summary.json").read_text())
+        assert set(summary) == {"version", "results"}
         st = {row["criterion"]: row["status"] for row in summary["results"]}
-        assert st[2] == "pass" and st[10] == "pass"
-        assert st[1] == "skip"  # bare-cycle check needs the full suite
-        assert st[12] == "skip"  # runs on c4-3tails-a only
+        assert st == {cid: "pass" for cid in range(1, 13)}
 
     def test_summaries_repeat_across_runs(self, tmp_path):
         # no wall time enters the summary, so two runs write the same bytes
         summaries = []
         for name in ("a", "b"):
-            code, out = run(tmp_path / name, "verify", "--fixture", "c4-3tails-a")
+            code, out = run(tmp_path / name, "verify")
             assert code == 0
             summaries.append((out / "verify_summary.json").read_bytes())
         assert summaries[0] == summaries[1]
 
-    def test_residual_tol_forces_failures(self, tmp_path):
-        code, _ = run(
-            tmp_path, "verify", "--fixture", "c4-3tails-a",
-            "--residual-tol", "1e-30",
-        )
+    def test_failing_criterion_exits_1(self, tmp_path, monkeypatch):
+        # a criterion that raises is reported as failed and the suite goes on
+        def broken(ctx):
+            raise RuntimeError("synthetic")
+
+        criteria = [(cid, name, broken if cid == 4 else fn)
+                    for cid, name, fn in acceptance._CRITERIA]
+        monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+        code, out = run(tmp_path, "verify")
         assert code == cli.EXIT_VERIFY
+        rows = json.loads((out / "verify_summary.json").read_text())["results"]
+        st = {row["criterion"]: row["status"] for row in rows}
+        assert st == {cid: "fail" if cid == 4 else "pass" for cid in range(1, 13)}
+        assert rows[3]["detail"] == "exception RuntimeError: synthetic"
 
     @pytest.mark.parametrize(
         "flag",
         [("--eps", "0.1"), ("--tol-cluster", "1e-3"), ("--preset", "cycle:4"),
-         ("--format", "json")],
+         ("--format", "json"), ("--fixture", "k4-3tails"), ("--residual-tol", "1e-3")],
     )
     def test_refuses_run_flags(self, tmp_path, monkeypatch, flag):
-        # verify reads --out, --fixture and --residual-tol and nothing else
+        # verify reads --out and nothing else
         def criteria(*args):
             raise AssertionError("a criterion ran")
 
@@ -468,8 +523,9 @@ class TestGraphFiles:
         # a log-log ladder needs distinct nonzero points
         ("perturb", "--preset", "cycle:4", "--tails", "0", "--eps", "0.04,0.02,0"),
         ("perturb", "--preset", "cycle:4", "--tails", "0", "--eps", "0.04,0.04,0.02"),
-        ("verify", "--residual-tol", "nan"),
-        ("verify", "--residual-tol", "0"),
+        # an eps range of no points, an eps list of no values
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--eps", "0.1:0.3:0"),
+        ("resonances", "--preset", "cycle:4", "--tails", "0", "--eps", ","),
         ("transmission", "--preset", "cycle:12", "--tails", "0,1,2", "--tol-cluster", "inf"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "inf"),
         # a circle tolerance of 1 or more puts every eigenvalue on the circle
@@ -553,11 +609,11 @@ def test_transmission_report_script(tmp_path):
     assert proc.returncode == cli.EXIT_CONFIG
     assert "configuration error" in proc.stderr and not proc.stdout
     assert not list((tmp_path / "clash").iterdir())
-    # flags the CLI refuses, and a negative --spot-checks, are refused the same
-    # way, before any file is written
+    # flags the CLI refuses, and a negative --spot-checks or --seed, are
+    # refused the same way, before any file is written
     for label, flags in (("inflow0", ("--inflow", "0")), ("inflow9", ("--inflow", "9")),
                          ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2")),
-                         ("spot-1", ("--spot-checks", "-1"))):
+                         ("spot-1", ("--spot-checks", "-1")), ("seed-1", ("--seed", "-1"))):
         proc = report(tmp_path / label, "--spot-checks", "1", *flags)
         assert proc.returncode == cli.EXIT_CONFIG, (label, proc.stderr)
         assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr, label
@@ -630,7 +686,7 @@ with tempfile.TemporaryDirectory() as out:
     codes = [
         cli.main(["perturb", "--preset", "cycle:4", "--tails", "0,1,2",
                   "--eps", "0.04,0.02,0.01", "--out", out]),
-        cli.main(["verify", "--fixture", "c4-3tails-a", "--out", out]),
+        cli.main(["verify", "--out", out]),
     ]
 print(json.dumps({"codes": codes, "planned": planned,
                   "traced": sorted({s[3] for s in tracer.spans})}))
@@ -641,7 +697,7 @@ def test_traced_run_reaches_every_perturbation_span(tmp_path):
     """The benchmark's tracer wraps layer functions by name; a rename or a
     rebinding that bypasses a wrapper must fail here, not in a benchmark run.
     ``perturb`` reaches the reduction, asymptote and limit functions, and the
-    verify criterion on c4-3tails-a the projection ones."""
+    verify suite's criterion 9 the projection ones."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
     proc = subprocess.run(
