@@ -18,9 +18,12 @@ all at eps 0.6.  For each graph, one process measures once, in
 - 16 calls (4 lambdas x 4 ports) on another fresh one
 - ``reduce_eigenvalue`` at every cluster of ``E0`` (after E0's own
   decomposition, which is not timed), as ``perturb`` runs it
+- ``tailwalk perturb --eps 0.04,0.02,0.01`` end to end, through
+  ``tailwalk.cli.main`` into a temporary directory
 
-and how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
-budget runs out on ``cycle:128``; such a call is timed all the same).  Each
+how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
+budget runs out on ``cycle:128``; such a call is timed all the same), and
+the exit code of the ``perturb`` run (3, a refusal, is timed as well).  Each
 round also times one ``acceptance.run_all()``, the ``verify`` suite, in
 :func:`measure_verify`.
 
@@ -32,12 +35,15 @@ rounds and the runs themselves.  It imports the ``tailwalk`` on
 versions; ``BENCH_<pr>.json`` holds such a pair side by side.
 """
 
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,6 +58,7 @@ GRAPHS = [
     ("complete:24", "0,0,1,2"),
 ]
 EPS = 0.6
+PERTURB_EPS = "0.04,0.02,0.01"
 LAMBDAS = (-2.5, -0.9, 0.8, 2.4)
 ROUNDS = 5
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -66,6 +73,7 @@ def _timed(fn):
 def measure(preset: str, tails: str) -> dict:
     """One measurement of every layer on one graph, in this process."""
     from tailwalk import attach_tails, build_E, preset_graph
+    from tailwalk.cli import main as cli_main
     from tailwalk.internal_spectral import spectral_decompose
     from tailwalk.perturbation import Coupling, reduce_eigenvalue
     from tailwalk.scattering import (
@@ -105,6 +113,9 @@ def measure(preset: str, tails: str) -> dict:
     im0 = im.at(0.0)
     base = Coupling(im0, spectral_decompose(im0.E0))
     _, reduce_s = _timed(lambda: [reduce_eigenvalue(base, c.value) for c in base.sd.clusters])
+    argv = ["perturb", "--preset", preset, "--tails", tails, "--eps", PERTURB_EPS]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        perturb_exit, perturb_s = _timed(lambda: cli_main([*argv, "--out", out]))
     return {
         "arcs": tg.num_arcs,
         "basis_dim": dim,
@@ -117,6 +128,8 @@ def measure(preset: str, tails: str) -> dict:
         "iterate_16_s": calls_s,
         "iterate_no_convergence": failed,
         "reduce_all_s": reduce_s,
+        "perturb_s": perturb_s,
+        "perturb_exit": perturb_exit,
     }
 
 
@@ -148,7 +161,8 @@ def main(argv: list[str]) -> int:
         verify.append(_fresh("measure_verify()"))
     graphs = {}
     for label, rows in runs.items():
-        graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence")}
+        graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence",
+                                                  "perturb_exit")}
         for key in rows[0]:
             if key.endswith("_s"):
                 vals = [r[key] for r in rows]
@@ -156,7 +170,7 @@ def main(argv: list[str]) -> int:
                 graphs[label][key] = {"median": med, "runs": vals}
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
-           "eps": EPS, "rounds": ROUNDS}
+           "eps": EPS, "perturb_eps": PERTURB_EPS, "rounds": ROUNDS}
     verify_s = [v["verify_s"] for v in verify]
     verify_rec = {"failed": [v["failed"] for v in verify],
                   "verify_s": {"median": statistics.median(verify_s), "runs": verify_s}}

@@ -37,7 +37,6 @@ from .perturbation import (
     Coupling,
     GroupEscapedContour,
     Stage1NotSemisimple,
-    fit_loglog_slope,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,
@@ -107,7 +106,7 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
     defaults live in the parser)."""
     args.tails = _parse_tails(args.tails) if args.tails else None
     args.eps = _parse_eps(args.eps)
-    if args.grid < 8:
+    if "grid" in args and args.grid < 8:  # --grid and --inflow are transmission's
         raise ConfigError(f"--grid must be >= 8, got {args.grid}")
     for e in args.eps:
         if not 0.0 <= e <= 1.0:
@@ -170,7 +169,7 @@ def _load_tailed_graph(cfg: argparse.Namespace) -> TailedGraph:
         raise ConfigError(str(exc)) from exc
     if tg.num_ports == 0:
         raise ConfigError("this command needs at least one tail")
-    if not 1 <= cfg.inflow <= tg.num_ports:
+    if "inflow" in cfg and not 1 <= cfg.inflow <= tg.num_ports:
         raise ConfigError(
             f"--inflow must be in 1..{tg.num_ports} (1-based port index), got {cfg.inflow}"
         )
@@ -255,10 +254,7 @@ def _write_sidecar(
             "graph_file": cfg.graph,
             "tails": cfg.tails or [[t.vertex, t.count] for t in tg.tails],
             "eps": cfg.eps,
-            "grid": cfg.grid,
-            "inflow": cfg.inflow,
-            "format": cfg.format,
-        },
+        } | {k: getattr(cfg, k) for k in ("grid", "inflow", "format") if k in cfg},
     }
     _write_json(Path(str(out_file) + ".meta.json"), meta | extra)
 
@@ -347,13 +343,9 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         led = reduce_eigenvalue(base, cl.value)
         asym = resonance_asymptote(led, couplings, base)
         entry = led.to_json_dict()
-        for branch, rec in zip(entry["branches"], asym["per_branch"].values()):
-            slopes = {}
-            if max(rec["first_resid"]) > 1e-13:
-                slopes["first_order"] = fit_loglog_slope(rec["eps"], rec["first_resid"])
-            if max(rec["second_resid"]) > 1e-13:
-                slopes["second_order"] = fit_loglog_slope(rec["eps"], rec["second_resid"])
-            branch["slopes"] = slopes
+        for branch, slopes in zip(entry["branches"], asym["slopes"]):
+            branch["slopes"] = {k: s for k, s in slopes.items()
+                                if k in ("first_order", "second_order")}
         ledger_entries.append(entry)
         asym_rows.extend([r[h] for h in header] for r in asym["rows"])
         ledgers.append(led)
@@ -429,8 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of tailed vertices, 'v0,v1,v2' or '0,1,2'; repeats allowed",
     )
     run.add_argument("--eps", help="eps values: comma list or a:b:n range", default="0.25")
-    run.add_argument("--grid", type=int, default=256, help="lambda grid size (>= 8)")
-    run.add_argument("--inflow", type=int, default=1, help="inflow port, 1-based")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--tol-cluster", type=float, default=CLUSTER_TOL)
     run.add_argument("--tol-circle", type=float, default=CIRCLE_TOL)
@@ -442,7 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("resonances", parents=[run], help="per-eps eigenvalue tables")
-    sub.add_parser("transmission", parents=[run], help="lambda-grid scattering curves")
+    trans = sub.add_parser("transmission", parents=[run], help="lambda-grid scattering curves")
+    trans.add_argument("--grid", type=int, default=256, help="lambda grid size (>= 8)")
+    trans.add_argument("--inflow", type=int, default=1, help="inflow port, 1-based")
     sub.add_parser("perturb", parents=[run], help="reduction ledger and asymptotics")
     sub.add_parser("verify", parents=[out], help="run the acceptance suite")
     return p

@@ -99,6 +99,7 @@ class Coupling:
 
 _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
 _MU1_ZERO = 1e-9  # |mu1| at or below this is mu1 = 0: the eigenspace does not move
+_SLOPE_CUT = 1e-13  # a residual ladder never above this is zero: no log-log slope
 
 
 def _reduced_resolvent(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
@@ -378,6 +379,9 @@ def fit_loglog_slope(eps_values, residuals) -> float:
     return float(slope)
 
 
+_SLOPE_KINDS = ("first_order", "second_order", "puiseux")  # resonance_asymptote's slopes
+
+
 def resonance_asymptote(
     ledger: ReductionLedger,
     ladder: Mapping[float, Coupling],
@@ -393,17 +397,22 @@ def resonance_asymptote(
     capacity = multiplicity), which disambiguates branches that only
     separate at second order.  A disk that holds other than ``ledger.m``
     eigenvalues at some eps (groups exchanging eigenvalues, eps too large
-    for the gap) raises :class:`GroupEscapedContour`.  Returns CSV-ready
-    rows plus per-branch residual ladders for slope fitting.
+    for the gap) raises :class:`GroupEscapedContour`.
+
+    Returns ``{"rows", "slopes"}``: CSV-ready rows, and per branch, in
+    ledger order, the log-log slopes in eps of its residual against each
+    prediction, keyed ``first_order`` (mu + kappa mu1), ``second_order``
+    (plus kappa^2 mu2) and ``puiseux`` (:func:`puiseux_prediction`, the
+    second-order one for a branch without a boundary scalar).  At each eps
+    a branch's residual is the largest over its eigenvalues.  A kind whose
+    residual never exceeds ``_SLOPE_CUT`` is zero, and gets no slope.
     """
     mu = ledger.mu
     radius = 0.5 * _gap(base.sd, base.sd.cluster_near(mu))
     rows = []
-    per_branch = {
-        i: {"eps": [], "first_resid": [], "second_resid": [], "puiseux_resid": []}
-        for i in range(len(ledger.branches))
-    }
-    for eps, cpl in ladder.items():
+    # resid[branch, eps, kind], kinds in _SLOPE_KINDS order
+    resid = np.zeros((len(ledger.branches), len(ladder), len(_SLOPE_KINDS)))
+    for j, (eps, cpl) in enumerate(ladder.items()):
         k = kappa(eps)
         vals = cpl.sd.eigenvalues
         group = vals[np.abs(vals - mu) < radius]
@@ -441,20 +450,15 @@ def resonance_asymptote(
             )
             pp = (pred if b.eta1 is None
                   else puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps))
-            resid = {
-                "first_resid": abs(z - (mu + k * b.mu1)),
-                "second_resid": abs(z - pred),
-                "puiseux_resid": abs(z - pp),
-            }
-            rec = per_branch[bi]
-            if rec["eps"] and rec["eps"][-1] == float(eps):
-                # keep the worst representative per eps for multiplicity > 1
-                resid = {key: max(rec[key].pop(), r) for key, r in resid.items()}
-            else:
-                rec["eps"].append(float(eps))
-            for key, r in resid.items():
-                rec[key].append(r)
-    return {"rows": rows, "per_branch": per_branch}
+            resid[bi, j] = np.maximum(
+                resid[bi, j], [abs(z - (mu + k * b.mu1)), abs(z - pred), abs(z - pp)]
+            )
+    slopes = [
+        {kind: fit_loglog_slope(list(ladder), r)
+         for kind, r in zip(_SLOPE_KINDS, rb.T) if r.max() > _SLOPE_CUT}
+        for rb in resid
+    ]
+    return {"rows": rows, "slopes": slopes}
 
 
 @dataclass

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_tailed_graph import connected_graphs
 
 import tailwalk
-from tailwalk import acceptance, cli
+from tailwalk import acceptance, cli, perturbation
 from tailwalk.internal_spectral import ClusterAmbiguity
 
 
@@ -57,10 +57,11 @@ def test_runs_start_no_thread(tmp_path, monkeypatch):
         raise AssertionError(f"thread {thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    for command, eps in (("resonances", "0.25"), ("transmission", "0.25"),
-                         ("perturb", "0.04,0.02,0.01")):
+    for command, *flags in (("resonances", "--eps", "0.25"),
+                            ("transmission", "--eps", "0.25", "--grid", "16"),
+                            ("perturb", "--eps", "0.04,0.02,0.01")):
         code, _ = run(tmp_path / command, command, "--preset", "cycle:4", "--tails", "0,1,2",
-                      "--eps", eps, "--grid", "16")
+                      *flags)
         assert code == 0, command
 
 
@@ -217,6 +218,29 @@ class TestPerturb:
         )
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("fixture", acceptance.PERTURB_FIXTURES)
+    def test_ledger_slopes_are_the_asymptote_slopes(self, tmp_path, fixture):
+        # ledger.json copies resonance_asymptote's first- and second-order
+        # slopes, bit for bit, on criterion 8's ladder
+        eps = (0.02, 0.01, 0.005)
+        preset, tails = acceptance.FIXTURES[fixture]
+        code, out = run(tmp_path, "perturb", "--preset", preset,
+                        "--tails", ",".join(map(str, tails)), "--eps", ",".join(map(str, eps)))
+        assert code == 0
+        entries = json.loads((out / "ledger.json").read_text())["eigenvalues"]
+        ctx = acceptance._Context()
+        base = ctx.base(fixture)
+        ladder = {e: ctx.coupling(fixture, e) for e in eps}
+        assert len(entries) == len(base.sd.clusters)
+        n_slopes = 0
+        for entry, cl in zip(entries, base.sd.clusters):
+            asym = perturbation.resonance_asymptote(ctx.ledger(fixture, cl.value), ladder, base)
+            assert len(entry["branches"]) == len(asym["slopes"])
+            for branch, slopes in zip(entry["branches"], asym["slopes"]):
+                assert branch["slopes"] == {k: s for k, s in slopes.items() if k != "puiseux"}
+                n_slopes += "first_order" in slopes
+        assert n_slopes > 0
+
     @pytest.mark.parametrize(
         "graph, eps",
         [
@@ -269,8 +293,9 @@ def test_perturb_on_random_graphs_is_whole_or_refused(g, data):
 )
 def test_sidecars_record_health_and_tables_repeat(tmp_path, command, eps):
     # perturb's sidecars also cover its unperturbed decomposition at eps = 0
-    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16",
-            "--eps", ",".join(e for e in eps if e != "0"))
+    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", ",".join(e for e in eps if e != "0"),
+            *(("--grid", "16") if command == "transmission" else ()))
     (code_a, out_a), (code_b, out_b) = run(tmp_path / "a", *argv), run(tmp_path / "b", *argv)
     assert code_a == code_b == 0
     metas = sorted(out_a.glob("*.meta.json"))
@@ -299,7 +324,8 @@ def test_sidecars_record_health_and_tables_repeat(tmp_path, command, eps):
      ("perturb", "0.04,0.02,0.01", ["asymptote"])],
 )
 def test_json_tables_hold_the_csv_numbers(tmp_path, command, eps, tables):
-    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16", "--eps", eps)
+    argv = (command, "--preset", "cycle:4", "--tails", "0,1,2", "--eps", eps,
+            *(("--grid", "16") if command == "transmission" else ()))
     code_csv, out_csv = run(tmp_path / "csv", *argv)
     code_json, out_json = run(tmp_path / "json", *argv, "--format", "json")
     assert code_csv == code_json == 0
@@ -321,10 +347,9 @@ def test_sidecar_config_is_pinned(tmp_path):
     meta = json.loads((out / "resonances.csv.meta.json").read_text())
     assert meta["config"] == {
         "preset": "cycle:4", "graph_file": None, "tails": [0, 1, 2], "eps": [0.1, 0.25],
-        "grid": 256, "inflow": 1, "format": "csv",
+        "format": "csv",
     }
-    assert list(meta["config"]) == [
-        "preset", "graph_file", "tails", "eps", "grid", "inflow", "format"]
+    assert list(meta["config"]) == ["preset", "graph_file", "tails", "eps", "format"]
     gf = tmp_path / "g.json"
     gf.write_text(json.dumps(
         {"vertices": 4, "edges": C4_EDGES, "tails": [{"vertex": 0, "count": 2}, 1]}
@@ -338,6 +363,24 @@ def test_sidecar_config_is_pinned(tmp_path):
             "preset": None, "graph_file": str(gf), "tails": [[0, 2], [1, 1]],
             "eps": [0.0, 0.25, 0.5], "grid": 16, "inflow": 2, "format": "json",
         }, name
+        assert list(meta["config"]) == [
+            "preset", "graph_file", "tails", "eps", "grid", "inflow", "format"]
+
+
+@pytest.mark.parametrize("command", ["resonances", "perturb"])
+@pytest.mark.parametrize("flag", [("--grid", "16"), ("--inflow", "1")])
+def test_transmission_flags_are_refused_elsewhere(tmp_path, monkeypatch, command, flag):
+    # --grid and --inflow are transmission's: elsewhere they are usage errors,
+    # raised before the graph is loaded or any matrix factored
+    def work(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "_prologue", work)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", "0.04,0.02,0.01", *flag)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 class TestVerify:
@@ -511,7 +554,7 @@ class TestGraphFiles:
         ("resonances", "--preset", "star:4", "--tails", "0"),
         ("resonances", "--preset", "cycle:4", "--tails", "9"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--eps", "1.5"),
-        ("resonances", "--preset", "cycle:4", "--tails", "0", "--grid", "4"),
+        ("transmission", "--preset", "cycle:4", "--tails", "0", "--grid", "4"),
         ("resonances", "--preset", "cycle:4"),  # no tails anywhere
         ("transmission",),  # neither preset nor graph
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "nan"),
@@ -633,8 +676,9 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
 
     row = bench_ladder.measure("cycle:8", "0,1,2,3")
     assert (row["arcs"], row["basis_dim"], row["iterate_no_convergence"]) == (16, None, 0)
+    assert row["perturb_exit"] == 0
     times = {k: v for k, v in row.items() if k.endswith("_s")}
-    assert len(times) == 8 and all(v > 0 for v in times.values())
+    assert len(times) == 9 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
 

@@ -356,11 +356,10 @@ class TestResonanceAsymptote:
         led = reduce_eigenvalue(base_c4, 1j)
         out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), base_c4)
         assert len(out["rows"]) == 6  # 2 eigenvalues x 3 eps
-        for rec in out["per_branch"].values():
-            s1 = fit_loglog_slope(rec["eps"], rec["first_resid"])
-            s3 = fit_loglog_slope(rec["eps"], rec["puiseux_resid"])
-            assert 1.8 < s1 < 2.2
-            assert s3 > 2.7
+        assert len(out["slopes"]) == len(led.branches)
+        for slopes in out["slopes"]:
+            assert 1.8 < slopes["first_order"] < 2.2
+            assert slopes["puiseux"] > 2.7
         for row in out["rows"]:
             assert row["abs_err"] < 5e-4
 
@@ -370,11 +369,21 @@ class TestResonanceAsymptote:
         led = reduce_eigenvalue(base_k4, MU_K4)
         out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)), base_k4)
         assert len(out["rows"]) == 6  # 3 eigenvalues x 2 eps
-        for bi, b in enumerate(led.branches):
-            rec = out["per_branch"][bi]
-            assert len(rec["eps"]) == 2
-            s2 = fit_loglog_slope(rec["eps"], rec["second_resid"])
-            assert s2 > 2.5
+        assert len(out["slopes"]) == len(led.branches)
+        for slopes in out["slopes"]:
+            assert slopes["second_order"] > 2.5
+
+    @pytest.mark.parametrize("mu0", [1 + 0j, -1 + 0j])
+    def test_persistent_branch_carries_no_slope(self, im_c4a, base_c4, mu0):
+        # a persistent branch's eigenvalues stay at mu to rounding: every
+        # residual is zero, and a slope fitted to rounding would be noise
+        led = reduce_eigenvalue(base_c4, mu0)
+        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), base_c4)
+        persistent = [s for b, s in zip(led.branches, out["slopes"]) if b.persistent]
+        moving = [s for b, s in zip(led.branches, out["slopes"]) if not b.persistent]
+        assert persistent == [{}]
+        assert moving and all(set(s) == {"first_order", "second_order", "puiseux"}
+                              for s in moving)
 
 
 class TestResonantLimit:
