@@ -429,7 +429,7 @@ def _c11(ctx):
         for rec in resonant_sigma_limit(base, ledgers, ladder):
             if not any(b.hosts_resonance for b in rec.family.branches):
                 continue
-            if rec.caveat:
+            if not rec.verdicts.gate:
                 skipped.append(
                     f"{name} mu={rec.mu:.2f} mu1={rec.family.mu1:.3f}: "
                     f"a1={rec.verdicts.a1} a2={rec.verdicts.a2} "

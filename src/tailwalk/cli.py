@@ -32,7 +32,9 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .internal_spectral import CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
+from .internal_spectral import (
+    CIRCLE_TOL, CLUSTER_TOL, MIN_CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
+)
 from .perturbation import (
     Coupling,
     GroupEscapedContour,
@@ -117,6 +119,9 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("eps values must be distinct")
     if not all(0 < t < math.inf for t in (args.tol_cluster, args.tol_circle)):  # and NaN
         raise ConfigError("tolerances must be positive and finite")
+    if args.tol_cluster < MIN_CLUSTER_TOL:  # rounding would split exact multiplicities
+        raise ConfigError(f"--tol-cluster must be at least {MIN_CLUSTER_TOL:.0e}, "
+                          f"got {args.tol_cluster}")
     if args.tol_circle >= 1:  # |mu| >= 1 - tol would put every eigenvalue on the circle
         raise ConfigError(f"--tol-circle must be below 1, got {args.tol_circle}")
     return args
@@ -360,7 +365,6 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
             "norms": rec.norms,
             "sigma01": [[[z.real, z.imag] for z in row] for row in rec.sigma01],
             "assumptions": asdict(rec.verdicts) | {"gate": rec.verdicts.gate},
-            "caveat": rec.caveat,
         }
         for rec in resonant_sigma_limit(base, ledgers, couplings)
     ]

@@ -43,6 +43,9 @@ from .tailed_graph import TailedGraph
 # of the unit circle is on it
 CLUSTER_TOL = 1e-7
 CIRCLE_TOL = 1e-8
+# the smallest cluster tolerance accepted: rounding spreads an exact multiplicity
+# of E0 over up to 1.7e-14 (cycle:128, tails 0-3), and 1e-14 already splits it
+MIN_CLUSTER_TOL = 1e-12
 _BLOCK = 64  # time-iteration steps advanced per product with H^_BLOCK
 # the port Krylov basis keeps singular values above this: measured, every kept
 # one is >= 0.59 and every dropped one <= 1e-14
@@ -70,7 +73,7 @@ __all__ = [
 
 
 class ClusterAmbiguity(RuntimeError):
-    """Eigenvalue clusters too close to separate at the requested tolerance."""
+    """Eigenvalue clusters whose spectral projectors cannot be trusted."""
 
 
 class NotAResonance(ValueError):
@@ -397,28 +400,22 @@ def spectral_decompose(
 ) -> SpectralData:
     """Eigenvalue clusters of E with factored spectral projectors.
 
-    Raises :class:`ClusterAmbiguity` when two distinct clusters sit closer
-    than 10x the clustering tolerance — separating them would be numerically
-    meaningless, so the caller must choose a coarser tolerance — when
-    the block-diagonalising basis is so ill-conditioned
-    (``block_condition`` above ``_MAX_BLOCK_CONDITION``) that the
-    projectors would have lost half the working digits, and when a
-    cluster of m > 1 eigenvalues is not one eigenvalue (``||N^m||_F`` above
-    ``_MAX_NILPOTENT_POWER``), as a coarse tolerance can make it.
+    Eigenvalues closer than ``cluster_tol`` form one cluster; clusters
+    however close are kept apart as long as their projectors can be
+    trusted.  Raises :class:`ValueError` for a ``cluster_tol`` below
+    ``MIN_CLUSTER_TOL`` (or NaN), and :class:`ClusterAmbiguity` when the
+    block-diagonalising basis is so ill-conditioned (``block_condition``
+    above ``_MAX_BLOCK_CONDITION``) that the projectors would have lost
+    half the working digits, when a cluster of m > 1 eigenvalues is not one
+    eigenvalue (``||N^m||_F`` above ``_MAX_NILPOTENT_POWER``), as a coarse
+    tolerance can make it, and when ``ztrsen`` or ``ztrsyl`` fails.
     """
+    if not cluster_tol >= MIN_CLUSTER_TOL:
+        raise ValueError(f"cluster_tol must be at least {MIN_CLUSTER_TOL:.0e}, got {cluster_tol}")
     E = np.asarray(E, dtype=complex)
     T, Z = scipy.linalg.schur(E, output="complex")
     vals = T.diagonal().copy()
     groups, reps = _greedy_clusters(vals, cluster_tol)
-    i, j = (np.abs(reps[:, None] - reps) < 10 * cluster_tol).nonzero()
-    (near,) = (i < j).nonzero()
-    if len(near):
-        i, j = i[near[0]], j[near[0]]
-        raise ClusterAmbiguity(
-            f"clusters at {reps[i]:.3e} and {reps[j]:.3e} are closer than "
-            f"10*cluster_tol = {10 * cluster_tol:.1e}"
-        )
-
     T, Z, start = _contiguous_schur(T, Z, groups)
     mults = [len(ix) for ix in groups]
     Y = _block_diagonaliser(T, sorted(s + m for s, m in zip(start.tolist(), mults)))

@@ -242,6 +242,12 @@ def _gamma_scalar(mu: complex) -> float:
     return 1.0 if unit_sign(mu) else 0.5
 
 
+def _second_order(mu: complex, ge: float, mu2: complex) -> complex:
+    """mu ge (ge + 1) - 2 mu2, ge = gamma eta1: twice the kappa^2 term of a
+    branch's motion off the first-order path mu e^{-i pi ge eps}."""
+    return mu * ge * (ge + 1.0) - 2.0 * mu2
+
+
 def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     """Two-stage reduction at the unperturbed eigenvalue mu0.
 
@@ -303,7 +309,7 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
                 np.linalg.norm(P2_full - per @ (per.conj().T @ P2_full))
             ) / max(float(np.linalg.norm(P2_full)), 1e-30)
             is_per = leak < 1e-6
-            radial = (ge**2 + ge - 2.0 * (c2.value / mu)).real
+            radial = (_second_order(mu, ge, c2.value) / mu).real
             fam.branches.append(
                 Branch(
                     mu1=mu1,
@@ -365,9 +371,8 @@ def puiseux_prediction(
              + (pi^2 eps^2 / 2)(mu (gamma eta1)^2 + gamma mu eta1 - 2 mu2) + o(eps^2).
     """
     ge = gamma * eta1
-    return mu * np.exp(-1j * np.pi * ge * eps) + (np.pi**2 * eps**2 / 2.0) * (
-        mu * ge**2 + gamma * mu * eta1 - 2.0 * mu2
-    )
+    second = _second_order(mu, ge, mu2)
+    return mu * np.exp(-1j * np.pi * ge * eps) + (np.pi**2 * eps**2 / 2.0) * second
 
 
 def fit_loglog_slope(eps_values, residuals) -> float:
@@ -470,18 +475,17 @@ class AssumptionReport:
     a2: stage-2 projections resolve the unperturbed eigenspace.
     a3: the global smallness inequality (reported, not gated on: it fails
         on all small desk fixtures while the limit formula still holds).
-    x_nonzero / mu1_nonzero: non-degeneracy of the branch data.
+    x_nonzero: non-degeneracy of the branch data.
     """
 
     a1: bool
     a2: bool
     a3: bool
     x_nonzero: bool
-    mu1_nonzero: bool
 
     @property
     def gate(self) -> bool:
-        return self.a1 and self.a2 and self.x_nonzero and self.mu1_nonzero
+        return self.a1 and self.a2 and self.x_nonzero
 
 
 @dataclass
@@ -494,11 +498,6 @@ class ResonantLimitRecord:
     sigma01: np.ndarray
     verdicts: AssumptionReport
 
-    @property
-    def caveat(self) -> bool:
-        """A hypothesis of the limit failed: the verdicts say which."""
-        return not self.verdicts.gate
-
 
 def _pole_weights(
     ledger: ReductionLedger, fam: Family
@@ -507,11 +506,11 @@ def _pole_weights(
     2 / (Xs - 2 mu2) of each of its hosting branches in Sigma01: None where
     the pole is degenerate, |Xs - 2 mu2| < 1e-10 max(|Xs|, |mu2|)."""
     ge = ledger.gamma * fam.eta1
-    Xs = ledger.mu * ge * (ge + 1.0)
+    Xs = _second_order(ledger.mu, ge, 0.0)
     weights: dict[Branch, complex | None] = {}
     for b in fam.branches:
         if b.hosts_resonance:
-            denom = Xs - 2.0 * b.mu2
+            denom = _second_order(ledger.mu, ge, b.mu2)
             degenerate = abs(denom) < 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30)
             weights[b] = None if degenerate else 2.0 / denom
     return Xs, weights
@@ -569,9 +568,7 @@ def assumption_report(
         if np.isfinite(c_surrogate) else 0.0
     a3 = bool(nu_minus >= 3 and lhs < rhs)
 
-    return AssumptionReport(
-        a1=a1, a2=a2, a3=a3, x_nonzero=x_ok, mu1_nonzero=abs(fam.mu1) > _MU1_ZERO,
-    )
+    return AssumptionReport(a1=a1, a2=a2, a3=a3, x_nonzero=x_ok)
 
 
 def resonant_sigma_limit(
@@ -596,8 +593,7 @@ def resonant_sigma_limit(
     not, and fail numerically for rank-2 branches).
 
     Computation always completes; hypothesis failures only show in the
-    record's ``verdicts`` (and so ``caveat``), so callers can decide what to
-    gate.
+    record's ``verdicts``, so callers can decide what to gate.
 
     Returns one record per family of each ledger, in order; each eps
     evaluates Sigma once, at every family's lambda together.  ``ladder``

@@ -19,6 +19,7 @@ from tailwalk.coin_evolution import linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
     CLUSTER_TOL,
+    MIN_CLUSTER_TOL,
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
@@ -27,7 +28,7 @@ from tailwalk.internal_spectral import (
     verify_outgoing,
 )
 from tailwalk.perturbation import Coupling, total_projection
-from tailwalk.scattering import _MAX_LEVEL
+from tailwalk.scattering import _MAX_LEVEL, SigmaEvaluator
 from tailwalk.smt_laplacian import build_E_split
 
 
@@ -391,11 +392,86 @@ def test_contour_oracle_rejects_coarse_quadrature(im_c4a):
         projection_contour_oracle(im_c4a.E0, 1.0, 0.5, nodes=32)
 
 
-def test_cluster_ambiguity_is_raised_not_papered_over(im_c4a):
-    # gaps in sigma(E0) are sqrt(2); a tolerance of 0.2 leaves the clusters
-    # distinct but within the 10x safety margin
-    with pytest.raises(ClusterAmbiguity):
-        spectral_decompose(im_c4a.E0, cluster_tol=0.2)
+def test_coarse_tolerance_merges_only_what_is_within_it(im_c4a):
+    # gaps in sigma(E0) are sqrt(2): a tolerance of 0.2 leaves the four
+    # double eigenvalues as they are at the default, although they sit
+    # within 10x the tolerance of each other
+    ref = spectral_decompose(im_c4a.E0)
+    sd = spectral_decompose(im_c4a.E0, cluster_tol=0.2)
+    assert [c.mult for c in sd.clusters] == [c.mult for c in ref.clusters] == [2, 2, 2, 2]
+    for c, r in zip(sd.clusters, ref.clusters):
+        assert c.value == r.value
+        assert np.linalg.norm(c.projection - r.projection) <= 1e-12
+
+
+def _close_pair(coupling):
+    # eigenvalues 0.5 and 0.5 + 3e-7, coupled in the Schur form: their
+    # projectors have norm about coupling / 3e-7
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    T = np.diag([0.5, 0.5 + 3e-7, 0.1j, -0.2 + 0j])
+    T[0, 1] = coupling
+    return Q @ T @ Q.conj().T
+
+
+def test_close_pair_is_split_when_its_projectors_are_trusted():
+    E = _close_pair(1e-4)
+    sd = spectral_decompose(E)
+    assert [c.mult for c in sd.clusters] == [1, 1, 1, 1]
+    assert 1e4 < sd.block_condition < 1e6
+    assert sd.reconstruction_residual <= 1e-12
+    pair = [c for c in sd.clusters if abs(c.value - 0.5) < 1e-6]
+    assert len(pair) == 2
+    schur = scipy.linalg.schur(E, output="complex")
+    vals = sd.eigenvalues
+    for c in pair:
+        ix = np.abs(vals - c.value) < 1e-12
+        P_ref = _schur_projection(E, vals[ix], vals[~ix], schur)
+        assert np.linalg.norm(c.projection - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
+
+
+def test_close_pair_is_refused_by_condition_alone():
+    with pytest.raises(ClusterAmbiguity, match="condition"):
+        spectral_decompose(_close_pair(1.0))
+
+
+@pytest.mark.parametrize("tol", [1e-13, 0.0, float("nan")])
+def test_cluster_tolerance_below_the_floor_is_refused(im_c4a, tol):
+    with pytest.raises(ValueError, match="cluster_tol"):
+        spectral_decompose(im_c4a.E0, cluster_tol=tol)
+    assert [c.mult for c in spectral_decompose(im_c4a.E0, MIN_CLUSTER_TOL).clusters] == [2] * 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.data())
+def test_small_coupling_is_decomposed_or_refused_by_conditioning(g, data):
+    # small eps splits branches of one E0 eigenvalue at O(kappa^2): a
+    # decomposition either holds to rounding or is refused for its
+    # conditioning, never for the clusters' distance; where the closed
+    # form is built, it matches a direct solve
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
+    )
+    eps = 10.0 ** data.draw(st.floats(min_value=-4.0, max_value=-1.0))
+    lams = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4))
+    im = build_E(attach_tails(g, tails), eps)
+    try:
+        sd = spectral_decompose(im.E)
+    except ClusterAmbiguity as exc:
+        assert "closer than" not in str(exc)
+        return
+    assert sd.reconstruction_residual <= 1e-12
+    try:
+        ev = SigmaEvaluator(im, sd)
+    except ClusterAmbiguity:
+        return
+    n = im.E.shape[0]
+    for lam in lams:
+        z = np.exp(-1j * lam)
+        if np.min(np.abs(sd.eigenvalues - z)) < 1e-6:  # no direct solve at an eigenvalue
+            continue
+        direct = im.B_bb + im.B_out @ np.linalg.solve(z * np.eye(n) - im.E, im.B_in)
+        assert np.linalg.norm(ev.sigma(lam) - direct) <= 1e-10
 
 
 def test_cluster_that_is_not_one_eigenvalue_is_refused():

@@ -392,7 +392,7 @@ class TestResonantLimit:
         [fam] = led.families
         assert_allclose(fam.mu1, -0.25, atol=1e-10)
         rep = assumption_report(base_c4, led, fam, coupling(im_c4a, 0.005))
-        assert rep.a1 and rep.a2 and rep.x_nonzero and rep.mu1_nonzero
+        assert rep.a1 and rep.a2 and rep.x_nonzero
         assert rep.gate
         # the global smallness inequality is strictly stronger than needed
         # and fails on every small fixture; it is reported, not gated on
@@ -422,19 +422,19 @@ class TestResonantLimit:
 
     def test_gate_fails_for_the_persistent_eigenspace(self, im_c4a, base_c4):
         # the persistent stage-one eigenspace (mu1 = 0) is no ledger family;
-        # its record, built by hand, fails the gate on mu1 alone
+        # its record, built by hand, has eta1 = 0, so Xs = 0 fails x_nonzero
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         [b] = [b for b in led.branches if b.persistent]
         assert not b.hosts_resonance
         rep = assumption_report(base_c4, led, Family(b.mu1, 0.0, [b]), coupling(im_c4a, 0.005))
-        assert not rep.mu1_nonzero and not rep.gate
+        assert not rep.x_nonzero and not rep.gate
 
     def test_limit_c4_plus_one(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         ladder = couplings(im_c4a, (0.02, 0.01, 0.005))
         [rec] = resonant_sigma_limit(base_c4, [led], ladder)
         assert rec.family is led.families[0]
-        assert not rec.caveat
+        assert rec.verdicts.gate
         assert_allclose(rec.family.eta1, -0.25, atol=1e-10)
         # lambda path: -arg(mu) + pi gamma eta1 eps
         assert_allclose(rec.lam_eps[0], np.pi * 1.0 * (-0.25) * 0.02, atol=1e-12)
@@ -500,5 +500,5 @@ class TestResonantLimit:
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
             assert np.array_equal(rec.sigma01, ref.sigma01)
-            assert rec.caveat == ref.caveat
+            assert rec.verdicts == ref.verdicts
         assert resonant_sigma_limit(base, [], ladder) == []
