@@ -22,10 +22,11 @@ all at eps 0.6.  For each graph, one process measures once, in
   ``tailwalk.cli.main`` into a temporary directory
 
 how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
-budget runs out on ``cycle:128``; such a call is timed all the same), and
-the exit code of the ``perturb`` run (3, a refusal, is timed as well).  Each
-round also times one ``acceptance.run_all()``, the ``verify`` suite, in
-:func:`measure_verify`.
+budget runs out on ``cycle:128``; such a call is timed all the same), the
+exit code of the ``perturb`` run (3, a refusal, is timed as well), and the
+process's peak resident set size, ``peak_rss_mb`` in MiB.  Each round also
+times one ``acceptance.run_all()``, the ``verify`` suite, in
+:func:`measure_verify`, with its process's peak RSS.
 
 Every measurement runs in a fresh process with one BLAS thread. A round
 measures each graph once, so the graphs alternate, then runs ``verify``,
@@ -40,6 +41,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -62,6 +64,11 @@ PERTURB_EPS = "0.04,0.02,0.01"
 LAMBDAS = (-2.5, -0.9, 0.8, 2.4)
 ROUNDS = 5
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _timed(fn):
@@ -130,6 +137,7 @@ def measure(preset: str, tails: str) -> dict:
         "reduce_all_s": reduce_s,
         "perturb_s": perturb_s,
         "perturb_exit": perturb_exit,
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
@@ -138,7 +146,8 @@ def measure_verify() -> dict:
     from tailwalk.acceptance import run_all
 
     results, verify_s = _timed(run_all)
-    return {"verify_s": verify_s, "failed": sum(r.status == "fail" for r in results)}
+    return {"verify_s": verify_s, "failed": sum(r.status == "fail" for r in results),
+            "peak_rss_mb": _peak_rss_mb()}
 
 
 def _fresh(call: str) -> dict:
@@ -164,16 +173,17 @@ def main(argv: list[str]) -> int:
         graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence",
                                                   "perturb_exit")}
         for key in rows[0]:
-            if key.endswith("_s"):
+            if key.endswith(("_s", "_mb")):
                 vals = [r[key] for r in rows]
                 med = None if None in vals else statistics.median(vals)
                 graphs[label][key] = {"median": med, "runs": vals}
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
            "eps": EPS, "perturb_eps": PERTURB_EPS, "rounds": ROUNDS}
-    verify_s = [v["verify_s"] for v in verify]
-    verify_rec = {"failed": [v["failed"] for v in verify],
-                  "verify_s": {"median": statistics.median(verify_s), "runs": verify_s}}
+    verify_rec = {"failed": [v["failed"] for v in verify]}
+    for key in ("verify_s", "peak_rss_mb"):
+        vals = [v[key] for v in verify]
+        verify_rec[key] = {"median": statistics.median(vals), "runs": vals}
     Path(argv[0]).write_text(
         json.dumps({"env": env, "graphs": graphs, "verify": verify_rec}, indent=1) + "\n"
     )

@@ -265,7 +265,10 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     :class:`Family`, and only a family has a boundary scalar.  A branch of
     it hosts resonances when it is not persistent and its
     predicted second-order radial motion, Re(ge^2 + ge - 2 mu2 / mu) with
-    ge = gamma eta1, points inward.
+    ge = gamma eta1, points inward.  Stage-one clusters are taken in
+    ascending eta1 = Re(mu1 / (gamma mu)), so the families, and the mu1 = 0
+    cluster after them; at mu = +-i the (Re, Im) order of mu1 itself is
+    rounding noise, which a change of the basis of Ran(P) flips.
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
@@ -289,7 +292,7 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
 
     branches: list[Branch] = []
     families: list[Family] = []
-    for c1 in sd1.clusters:
+    for c1 in sorted(sd1.clusters, key=lambda c: (c.value / (gamma * mu)).real):
         mu1 = c1.value
         moving = abs(mu1) > _MU1_ZERO
         eta1 = None

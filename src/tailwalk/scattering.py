@@ -284,10 +284,11 @@ class SigmaEvaluator:
 
 
 def unitarity_defect(sigma: np.ndarray) -> float:
-    """||Sigma* Sigma - I||_2, the largest over a stack of matrices."""
+    """||Sigma* Sigma - I||_2, the largest over a stack of matrices: the
+    largest |eigenvalue| of the Hermitian Sigma* Sigma - I."""
     n = sigma.shape[-1]
     gram = np.swapaxes(sigma.conj(), -1, -2) @ sigma - np.eye(n)
-    return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def transmission_curve(

@@ -694,6 +694,8 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     assert len(times) == 9 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
+    # the process's peak RSS so far, in MiB: at least what numpy alone takes
+    assert 10 < row["peak_rss_mb"] <= verify["peak_rss_mb"] < 4096
 
 
 def test_table_set_script(tmp_path):

@@ -190,9 +190,11 @@ def test_defective_cluster_recovers_the_jordan_block():
 
 
 @pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
-def test_lapack_failure_is_a_cluster_ambiguity(monkeypatch, im_c4a, routine):
-    # E0 has double eigenvalues, so its clusters need a reorder as well as
-    # the Sylvester solves; a simple spectrum would never reach ztrsen
+def test_lapack_failure_is_a_cluster_ambiguity(monkeypatch, c4_full, routine):
+    # two double eigenvalues inside the disk, scattered on the Schur diagonal:
+    # they need a reorder as well as the Sylvester solves, while the
+    # on-circle clusters (all of E0's) split off without either
+    E = build_E(c4_full, 0.25).E
     real = getattr(internal_spectral, routine)
     calls = []
 
@@ -203,22 +205,27 @@ def test_lapack_failure_is_a_cluster_ambiguity(monkeypatch, im_c4a, routine):
 
     monkeypatch.setattr(internal_spectral, routine, failing)
     with pytest.raises(ClusterAmbiguity, match=routine):
-        spectral_decompose(im_c4a.E0)
+        spectral_decompose(E)
     assert calls
 
 
 def test_simple_spectrum_needs_no_reorder(monkeypatch, im_c4a):
     calls = []
-    real = internal_spectral.ztrsen
-    monkeypatch.setattr(
-        internal_spectral, "ztrsen", lambda *a, **k: calls.append(1) or real(*a, **k)
-    )
+    for routine in ("ztrsen", "ztrsyl"):
+        real = getattr(internal_spectral, routine)
+        monkeypatch.setattr(
+            internal_spectral,
+            routine,
+            lambda *a, _real=real, _name=routine, **k: calls.append(_name) or _real(*a, **k),
+        )
     sd = spectral_decompose(im_c4a.at(0.25).E)
-    assert all(c.mult == 1 for c in sd.clusters) and not calls
+    assert all(c.mult == 1 for c in sd.clusters) and "ztrsen" not in calls
     assert all(c.N.shape == (1, 1) and not c.N.any() for c in sd.clusters)
     assert all(c.nilpotent_norm == 0.0 for c in sd.clusters)
-    spectral_decompose(im_c4a.E0)
-    assert calls
+    # E0 is unitary: every cluster splits off by a permutation, double or not
+    calls.clear()
+    sd = spectral_decompose(im_c4a.E0)
+    assert [c.mult for c in sd.clusters] == [2, 2, 2, 2] and calls == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -259,6 +266,43 @@ def test_factored_projectors_on_random_graphs(g, data):
         for Q in Ps[i + 1 :]:
             scale = np.linalg.norm(P) * np.linalg.norm(Q)
             assert max(np.linalg.norm(P @ Q), np.linalg.norm(Q @ P)) <= 1e-12 * scale
+
+
+def _check_split_off(E):
+    """The clusters split off by a permutation are on the circle, and their
+    projectors Z_J Z_J* are the spectral projectors of E."""
+    split = []
+    real = internal_spectral._unitary_part
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(internal_spectral, "_unitary_part", lambda *a: split.extend(real(*a)) or split)
+        try:
+            sd = spectral_decompose(E)
+        except ClusterAmbiguity:  # the refusals have their own property above
+            return []
+    vals = sd.values()
+    for c in (sd.clusters[i] for i in split):
+        assert c.on_circle
+        r = 0.4 * min((abs(v - c.value) for v in vals if v != c.value), default=1.0)
+        P_ref = projection_contour_oracle(E, c.value, r, nodes=96)
+        assert np.linalg.norm(c.projection - P_ref) <= 1e-10
+    return split
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.data())
+def test_split_off_clusters_are_unitary_on_random_graphs(g, data):
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=g.num_vertices)
+    )
+    eps = data.draw(st.floats(min_value=0.01, max_value=1.0))
+    _check_split_off(build_E(attach_tails(g, tails), eps).E)
+
+
+def test_a_decoupled_resonance_stays_with_the_rest():
+    # the triangle with a tail at every vertex has a resonance that the Schur
+    # form decouples as well as the persistent eigenvalue 1: only 1 splits off
+    E = build_E(attach_tails(preset_graph("complete:3"), (0, 1, 2)), 0.5).E
+    assert len(_check_split_off(E)) == 1
 
 
 def test_nearly_parallel_eigenvectors_are_a_cluster_ambiguity():

@@ -262,6 +262,32 @@ class TestReduceEigenvalue:
                 for f in led.families:
                     assert all(b.mu1 == f.mu1 for b in f.branches), name
 
+    @pytest.mark.parametrize("preset,tails", [("cycle:12", (0, 1, 2)), ("cycle:48", (0, 1, 2))])
+    def test_order_survives_a_change_of_basis(self, preset, tails):
+        # at mu = +-i, Re mu1 = gamma eta1 Re mu is rounding noise: families
+        # come in ascending eta1, and their branches in an order that a
+        # unitary change of the basis of Ran P does not flip
+        im = build_E(attach_tails(preset_graph(preset), tails))
+        base = Coupling(im, spectral_decompose(im.E0))
+        rng = np.random.default_rng(7)
+        for mu0 in (1j, -1j):
+            cl = base.sd.cluster_near(mu0)
+            ref = reduce_eigenvalue(base, mu0)
+            etas = [f.eta1 for f in ref.families]
+            assert len(etas) >= 2 and etas == sorted(etas)
+            for _ in range(4):
+                G = rng.standard_normal((cl.mult, cl.mult * 2)).view(complex)
+                U = np.linalg.qr(G)[0]
+                turned = replace(cl, R=cl.R @ U, L=U.conj().T @ cl.L)
+                clusters = [turned if c is cl else c for c in base.sd.clusters]
+                sd = replace(base.sd, clusters=clusters)
+                led = reduce_eigenvalue(replace(base, sd=sd), mu0)
+                assert_allclose([f.eta1 for f in led.families], etas, atol=1e-12)
+                assert_allclose([b.mu1 for b in led.branches], [b.mu1 for b in ref.branches],
+                                atol=1e-12)
+                assert_allclose([b.mu2 for b in led.branches], [b.mu2 for b in ref.branches],
+                                atol=1e-12)
+
     def test_json_round_trip(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
         d = json.loads(json.dumps(led.to_json_dict()))
