@@ -58,7 +58,6 @@ from .perturbation import (
     GroupEscapedContour,
     ReductionLedger,
     ResonantLimitRecord,
-    Stage1NotSemisimple,
     assumption_report,
     build_M1,
     fit_loglog_slope,

@@ -38,7 +38,6 @@ from .internal_spectral import (
 from .perturbation import (
     Coupling,
     GroupEscapedContour,
-    Stage1NotSemisimple,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,
@@ -61,7 +60,6 @@ _NUMERICAL_ERRORS = (
     ClusterAmbiguity,
     GroupEscapedContour,
     NoConvergence,
-    Stage1NotSemisimple,
     np.linalg.LinAlgError,
 )
 
@@ -375,7 +373,8 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     _write_json(ledger_file, {"eigenvalues": ledger_entries})
     _write_sidecar(
         ledger_file, cfg, tg, "perturb",
-        {"cluster_decisions": _cluster_record(base.sd), "health": health},
+        {"cluster_decisions": _cluster_record(base.sd), "health": health,
+         "stage1_hermitian_defect": max(led.stage1_defect for led in ledgers)},
     )
 
     asym_file = _write_table(outdir / "asymptote", header, asym_rows, cfg.format)

@@ -310,13 +310,13 @@ class SpectralData:
 def _greedy_clusters(vals: np.ndarray, tol: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Group eigenvalues by transitive tol-closeness (connected components).
 
-    Returns the groups, each an ascending index array into ``vals``, and
-    their representatives, the means of their members, sorted by the
-    (real, imag) of the representative.
+    ``tol`` is positive, so each eigenvalue is close to itself.  Returns
+    the groups, each an ascending index array into ``vals``, and their
+    representatives, the means of their members, sorted by the (real,
+    imag) of the representative.
     """
     n = len(vals)
     close = np.abs(vals[:, None] - vals) < tol
-    close.flat[:: n + 1] = True  # each eigenvalue joins its own group, even at tol = NaN
     index = np.arange(n)
     label = index
     while True:  # spread each component's smallest index through it

@@ -8,6 +8,9 @@ reduced resolvent sum_{zeta != mu} (zeta - mu)^{-1} P_zeta, and X = E1,
   stage 2:  A2 = -P1 X S_mu X P1  on Ran(P1)      -> eigenvalues mu2,
 
 giving the branch expansion mu(kappa) = mu + kappa mu1 + kappa^2 mu2 + o(kappa^2).
+Stage one is A1 = gamma mu M1 with M1 Hermitian (:class:`BoundaryGram`),
+one ``eigh`` with real eigenvalues eta1 and mu1 = gamma mu eta1; stage two
+reads S_mu = R diag(w) L through E0's factors and never forms it.
 The total projection of the perturbed group expands as
 P(kappa) = P + kappa P^(1) + kappa^2 P^(2) + kappa^3 P^(3) + o(kappa^3); the
 coefficients are produced by full slot enumeration (the compact textbook
@@ -34,7 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from .coin_evolution import kappa
-from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
+from .internal_spectral import (
+    InternalMatrix, SpectralCluster, SpectralData, _greedy_clusters, spectral_decompose
+)
 from .scattering import SigmaEvaluator
 from .smt_laplacian import (
     LaplacianT,
@@ -46,7 +51,6 @@ from .smt_laplacian import (
 
 __all__ = [
     "GroupEscapedContour",
-    "Stage1NotSemisimple",
     "Coupling",
     "Branch",
     "Family",
@@ -68,10 +72,6 @@ __all__ = [
 
 class GroupEscapedContour(RuntimeError):
     """The perturbed eigenvalue group cannot be isolated by any admissible contour."""
-
-
-class Stage1NotSemisimple(RuntimeError):
-    """First-stage reduced operator has a nontrivial nilpotent part."""
 
 
 @dataclass
@@ -100,15 +100,17 @@ class Coupling:
 _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
 _MU1_ZERO = 1e-9  # |mu1| at or below this is mu1 = 0: the eigenspace does not move
 _SLOPE_CUT = 1e-13  # a residual ladder never above this is zero: no log-log slope
+_STAGE1_HERMITIAN = 1e-10  # largest ||H - H*||_F of a stage-one block H = A1 / (gamma mu)
 
 
-def _reduced_resolvent(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
-    """sum over the clusters zeta other than cl of P_zeta / (zeta - cl.value), as R diag(w) L."""
+def _resolvent_weights(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
+    """w in the reduced resolvent at cl, sum over the clusters zeta other than
+    cl of P_zeta / (zeta - cl.value) = R diag(w) L."""
     w = np.zeros(sd.R.shape[1], dtype=complex)
     for c in sd.clusters:
         if c is not cl:
             w[c.span] = 1.0 / (c.value - cl.value)
-    return sd.R @ (w[:, None] * sd.L)
+    return w
 
 
 def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
@@ -162,7 +164,7 @@ def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[n
     """
     cl = base.sd.cluster_near(mu0)
     P = cl.projection
-    S = _reduced_resolvent(base.sd, cl)
+    S = base.sd.R @ (_resolvent_weights(base.sd, cl)[:, None] * base.sd.L)
     X = base.im.E1
     n = P.shape[0]
     Spow = {0: np.eye(n, dtype=complex)}
@@ -189,23 +191,31 @@ def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[n
 
 @dataclass(eq=False)  # compared by identity, so families can be sets of branches
 class Branch:
+    """One second-stage branch: its projection is P2 = ``basis`` @ ``left``,
+    ``basis`` (n x m) orthonormal, formed by :attr:`P2` on demand only;
+    ``eta1`` = mu1 / (gamma mu), None where mu1 = 0."""
+
     mu1: complex
     mu2: complex
     multiplicity: int
     persistent: bool
-    P2: np.ndarray
     basis: np.ndarray
+    left: np.ndarray
     eta1: float | None = None
     hosts_resonance: bool = False
+
+    @property
+    def P2(self) -> np.ndarray:
+        return self.basis @ self.left
 
 
 @dataclass
 class Family:
     """One moving stage-one eigenspace of a ledger: the (mu, mu1) family.
 
-    ``eta1`` is the boundary scalar mu1 / (gamma mu), 0.0 when that is not
-    real; ``branches`` are the second-stage branches the eigenspace splits
-    into, in ledger order.
+    ``eta1`` is the boundary scalar mu1 / (gamma mu), an eigenvalue of the
+    Hermitian stage-one block and so always real; ``branches`` are the
+    second-stage branches the eigenspace splits into, in ledger order.
     """
 
     mu1: complex
@@ -215,11 +225,14 @@ class Family:
 
 @dataclass
 class ReductionLedger:
+    """The branches at mu, and ||H - H*||_F of its stage-one block H."""
+
     mu: complex
     m: int
     gamma: float
     branches: list[Branch]
     families: list[Family]
+    stage1_defect: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,84 +264,73 @@ def _second_order(mu: complex, ge: float, mu2: complex) -> complex:
 def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     """Two-stage reduction at the unperturbed eigenvalue mu0.
 
-    Branches are labelled by (mu1, mu2); each carries the full-space
-    projection P2 onto its second-stage eigenspace, an orthonormal basis
-    of that eigenspace and its multiplicity.  The bases are QR factors of
-    the clusters' ``R``, nested stage by stage: Q spans Ran(P), Q1 = Q Q'
-    a stage-one eigenspace, Q1 Q'' a stage-two one.  Persistence is
-    decided by range containment in the persistent subspace of mu0
-    (lifted boundary-vanishing states plus birth states).  Both stages
-    cluster at ``_STAGE_TOL``, and a stage-one nilpotent part above 1e-7
-    times ||A1|| raises :class:`Stage1NotSemisimple`.
+    Branches are labelled by (mu1, mu2) and carry their multiplicity and
+    P2's factors.  The bases are nested: Q (QR of the cluster's ``R``)
+    spans Ran(P), Q1 = Q V1 a stage-one eigenspace, Q1 Q'' a stage-two
+    one.  Stage one is ``eigh`` of the Hermitian part of
+    H = Q* X Q / (gamma mu); ||H - H*||_F above ``_STAGE1_HERMITIAN``
+    (absolute: a purely persistent group has H = 0 to rounding) raises
+    ``np.linalg.LinAlgError``.  Stage two is E2 = -(Q1* X R) diag(w)
+    (L X Q1), with Q* X R and L X Q formed once.  Both stages group at
+    ``_STAGE_TOL`` (stage one on mu1 = gamma mu eta1).  Persistence is
+    range containment in the persistent subspace of mu0 (lifted
+    boundary-vanishing states plus birth states).
 
-    Each stage-one cluster with |mu1| > ``_MU1_ZERO`` is one
-    :class:`Family`, and only a family has a boundary scalar.  A branch of
-    it hosts resonances when it is not persistent and its
+    Each stage-one group with |mu1| > ``_MU1_ZERO`` is one :class:`Family`.
+    A branch of it hosts resonances when it is not persistent and its
     predicted second-order radial motion, Re(ge^2 + ge - 2 mu2 / mu) with
-    ge = gamma eta1, points inward.  Stage-one clusters are taken in
-    ascending eta1 = Re(mu1 / (gamma mu)), so the families, and the mu1 = 0
-    cluster after them; at mu = +-i the (Re, Im) order of mu1 itself is
-    rounding noise, which a change of the basis of Ran(P) flips.
+    ge = gamma eta1, points inward.  Groups come in ascending eta1: the
+    families, then the mu1 = 0 group.
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
+    gamma = _gamma_scalar(mu)
     Q = np.linalg.qr(cl.R)[0]
     X = base.im.E1
-    A1 = Q.conj().T @ X @ Q
-    # floor the scale: a purely persistent group has A1 = 0 to rounding, and
-    # its ~1e-32 nilpotent noise must not read as a genuine Jordan block
-    scale1 = max(float(np.linalg.norm(A1)), 1e-12)
-    sd1 = spectral_decompose(A1, cluster_tol=_STAGE_TOL)
-    for c1 in sd1.clusters:
-        if c1.nilpotent_norm > 1e-7 * scale1:
-            raise Stage1NotSemisimple(
-                f"stage-1 nilpotent norm {c1.nilpotent_norm:.2e} at mu={mu:.4f}, "
-                f"mu1={c1.value:.4e}"
-            )
+    XQ = X @ Q
+    H = (Q.conj().T @ XQ) / (gamma * mu)
+    defect = float(np.linalg.norm(H - H.conj().T))
+    if defect > _STAGE1_HERMITIAN:
+        raise np.linalg.LinAlgError(
+            f"stage-one block A1 / (gamma mu) at mu={mu:.4f} is not Hermitian: "
+            f"||H - H*||_F = {defect:.2e} > {_STAGE1_HERMITIAN:g}"
+        )
+    eta, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    groups = _greedy_clusters(gamma * mu * eta, _STAGE_TOL)[0]
 
-    Sred = _reduced_resolvent(base.sd, cl)
+    # E2's factors: Q* X S_mu X Q = (Q* X R diag(w)) (L X Q)
+    QXRw = (Q.conj().T @ X @ base.sd.R) * _resolvent_weights(base.sd, cl)
+    LXQ = base.sd.L @ XQ
     per = persistent_basis(base.lt, mu)
-    gamma = _gamma_scalar(mu)
 
     branches: list[Branch] = []
     families: list[Family] = []
-    for c1 in sorted(sd1.clusters, key=lambda c: (c.value / (gamma * mu)).real):
-        mu1 = c1.value
+    for g in sorted(groups, key=lambda g: g[0]):  # eigh's eta ascend, and so do the groups
+        eta1 = float(eta[g].mean())
+        mu1 = gamma * mu * eta1
         moving = abs(mu1) > _MU1_ZERO
-        eta1 = None
-        if moving:
-            e = mu1 / (gamma * mu)
-            if abs(e.imag) < 1e-7 * max(1.0, abs(e.real)):
-                eta1 = float(e.real)
-        fam = Family(mu1, 0.0 if eta1 is None else eta1, [])
-        ge = gamma * fam.eta1
-        Q1 = Q @ np.linalg.qr(c1.R)[0]
-        E2 = -(Q1.conj().T @ X @ Sred @ X @ Q1)
-        sd2 = spectral_decompose(E2, cluster_tol=_STAGE_TOL)
-        for c2 in sd2.clusters:
-            P2_full = Q1 @ c2.projection @ Q1.conj().T
-            # an empty persistent basis leaks everything: not persistent
-            leak = float(
-                np.linalg.norm(P2_full - per @ (per.conj().T @ P2_full))
-            ) / max(float(np.linalg.norm(P2_full)), 1e-30)
+        fam = Family(mu1, eta1, [])
+        V1 = V[:, g]
+        Q1 = Q @ V1
+        E2 = -((V1.conj().T @ QXRw) @ (LXQ @ V1))
+        for c2 in spectral_decompose(E2, cluster_tol=_STAGE_TOL).clusters:
+            Qr, Rr = np.linalg.qr(c2.R)
+            basis = Q1 @ Qr
+            C = Rr @ c2.L  # P2 = basis C Q1*, and Q1* keeps Frobenius norms
+            # ||P2 - per per* P2|| / ||P2||: an empty persistent basis leaks all
+            off = basis - per @ (per.conj().T @ basis)
+            leak = float(np.linalg.norm(off @ C)) / max(float(np.linalg.norm(C)), 1e-30)
             is_per = leak < 1e-6
-            radial = (_second_order(mu, ge, c2.value) / mu).real
-            fam.branches.append(
-                Branch(
-                    mu1=mu1,
-                    mu2=c2.value,
-                    multiplicity=c2.mult,
-                    persistent=is_per,
-                    P2=P2_full,
-                    basis=Q1 @ np.linalg.qr(c2.R)[0],
-                    eta1=eta1,
-                    hosts_resonance=bool(moving and radial < -1e-12 and not is_per),
-                )
-            )
+            radial = (_second_order(mu, gamma * eta1, c2.value) / mu).real
+            fam.branches.append(Branch(
+                mu1, c2.value, c2.mult, is_per, basis, C @ Q1.conj().T,
+                eta1=eta1 if moving else None,
+                hosts_resonance=bool(moving and radial < -1e-12 and not is_per),
+            ))
         branches += fam.branches
         if moving:
             families.append(fam)
-    return ReductionLedger(mu=mu, m=cl.mult, gamma=gamma, branches=branches, families=families)
+    return ReductionLedger(mu, cl.mult, gamma, branches, families, stage1_defect=defect)
 
 
 @dataclass
@@ -401,9 +403,10 @@ def resonance_asymptote(
     the true eigenvalues are that decomposition's ``eigenvalues``, the
     diagonal of its Schur form.  Those inside the group disk (radius half
     the gap to the nearest other cluster of E0) are matched to branches by
-    nearest distance *after subtracting the first-order term* (branch
-    capacity = multiplicity), which disambiguates branches that only
-    separate at second order.  A disk that holds other than ``ledger.m``
+    nearest distance to the second-order prediction
+    mu + kappa mu1 + kappa^2 mu2 (branch capacity = multiplicity), which
+    tells apart branches that share mu1 and only separate at second
+    order.  A disk that holds other than ``ledger.m``
     eigenvalues at some eps (groups exchanging eigenvalues, eps too large
     for the gap) raises :class:`GroupEscapedContour`.
 
@@ -429,11 +432,12 @@ def resonance_asymptote(
                 f"{len(group)} eigenvalues of E at eps={eps:g} lie within {radius:.3g} "
                 f"of {mu:.4f}, whose group has multiplicity {ledger.m}"
             )
-        # nearest-neighbour matching on the first-order-corrected residual
+        # nearest-neighbour matching on the second-order prediction
+        preds = [mu + k * b.mu1 + k**2 * b.mu2 for b in ledger.branches]
         pairs = []
         for zi, z in enumerate(group):
-            for bi, b in enumerate(ledger.branches):
-                pairs.append((abs(z - (mu + k * b.mu1)), zi, bi))
+            for bi, pred in enumerate(preds):
+                pairs.append((abs(z - pred), zi, bi))
         pairs.sort(key=lambda p: p[0])
         cap = {bi: b.multiplicity for bi, b in enumerate(ledger.branches)}
         assigned: dict[int, int] = {}
@@ -444,8 +448,7 @@ def resonance_asymptote(
             cap[bi] -= 1
         for zi, z in enumerate(group):
             bi = assigned[zi]
-            b = ledger.branches[bi]
-            pred = mu + k * b.mu1 + k**2 * b.mu2
+            b, pred = ledger.branches[bi], preds[bi]
             rows.append(
                 {
                     "epsilon": float(eps),
@@ -541,10 +544,9 @@ def assumption_report(
     hosts = list(weights)
     x_ok = abs(Xs) > 1e-12 and None not in weights.values()
 
-    P = cl.projection
-    Psum = sum((b.P2 for b in ledger.branches), np.zeros_like(P))
-    a2_resid = float(np.linalg.norm(Psum - P)) / max(1.0, float(np.linalg.norm(P)))
-    a2 = a2_resid < 1e-8
+    # in Ran(P)'s coordinates, P = R L: L (sum P2) R against L R = I_m
+    K = sum((cl.L @ b.basis) @ (b.left @ cl.R) for b in ledger.branches)
+    a2 = float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
 
     k = kappa(probe.im.eps)
     w = np.empty(probe.sd.R.shape[1], dtype=complex)  # each R column's cluster value
@@ -613,7 +615,7 @@ def resonant_sigma_limit(
             sigma01 = np.zeros((N, N), dtype=complex)
             for b, w in _pole_weights(ledger, fam)[1].items():
                 if w is not None:
-                    sigma01 = sigma01 + w * (im.B_out1 @ b.P2 @ im.B_in1)
+                    sigma01 = sigma01 + w * ((im.B_out1 @ b.basis) @ (b.left @ im.B_in1))
             records.append(ResonantLimitRecord(
                 mu=ledger.mu, gamma=ledger.gamma, family=fam,
                 lam_eps=[], norms=[], sigma01=sigma01,

@@ -6,6 +6,7 @@ with no tails at all).  Session-scoped because TailedGraph is immutable.
 """
 
 import contextlib
+import functools
 import hashlib
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from tailwalk import acceptance, cli, internal_spectral, perturbation
 from tailwalk import attach_tails, build_E, preset_graph
+from tailwalk.smt_laplacian import LaplacianT
 from tailwalk.tailed_graph import TailSpec
 
 
@@ -108,21 +110,23 @@ def count_factorisations():
 
 @pytest.fixture(scope="session")
 def count_t_diagonalisations():
-    """Context manager recording every ``np.linalg.eigh`` call made inside it
-    as (hash of the input, its size): the package diagonalises nothing but
-    a graph's T with it, so each entry is one T diagonalisation."""
+    """Context manager recording every diagonalisation of a graph's T made
+    inside it (``LaplacianT.spectrum``, T's one ``eigh``) as (hash of T,
+    its size)."""
 
     @contextlib.contextmanager
     def counting():
         seen = []
-        real_eigh = np.linalg.eigh
+        real_spectrum = LaplacianT.spectrum.func
 
-        def eigh(a, *args, **kwargs):
-            seen.append(_matrix_key(a))
-            return real_eigh(a, *args, **kwargs)
+        def spectrum(lt):
+            seen.append(_matrix_key(lt.T))
+            return real_spectrum(lt)
 
+        counted = functools.cached_property(spectrum)
+        counted.__set_name__(LaplacianT, "spectrum")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "eigh", eigh)
+            mp.setattr(LaplacianT, "spectrum", counted)
             yield seen
 
     return counting

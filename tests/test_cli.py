@@ -179,6 +179,28 @@ class TestPerturb:
             }
             assert fam["assumptions"]["gate"] is True
             assert len(fam["norms"]) == 3
+        meta = json.loads((out / "ledger.json.meta.json").read_text())
+        assert 0.0 <= meta["stage1_hermitian_defect"] < 1e-14
+
+    def test_stage_one_block_that_is_not_hermitian_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # dividing A1 by gamma conj(mu) in place of gamma mu turns H by
+        # mu / conj(mu): a rotation at complete:4's complex group, none at
+        # +-1 (and none at +-i, which this graph lacks)
+        real = perturbation._gamma_scalar
+        monkeypatch.setattr(perturbation, "_gamma_scalar",
+                            lambda mu: real(mu) * mu.conjugate() / mu)
+        code, _ = run(
+            tmp_path, "perturb", "--preset", "complete:4", "--tails", "0,1,2",
+            "--eps", "0.04,0.02,0.01",
+        )
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        m = re.search(r"\(LinAlgError\): stage-one block .* at mu=(\S+) is not Hermitian", err)
+        assert m, err
+        z = complex(m.group(1))  # e^{+-i theta}, cos theta = -1/3
+        assert abs(z.real + 1 / 3) < 1e-3 and abs(abs(z.imag) - 2 * np.sqrt(2) / 3) < 1e-3
 
     def test_tolerances_reach_the_ladder(self, tmp_path):
         # the ladder's closed-form evaluators use the run's --tol-circle: at

@@ -214,8 +214,8 @@ class TestReduceEigenvalue:
         assert_allclose(moving[0].mu2, -3 / 512, atol=1e-10)
 
     def test_k4_purely_persistent_group(self, base_k4):
-        # A1 = 0 to rounding here; the stage-1 semisimplicity check must not
-        # mistake its floating-point noise for a Jordan block
+        # A1 = 0 to rounding here: the stage-one Hermitian bound is absolute,
+        # so its floating-point noise passes it
         led = reduce_eigenvalue(base_k4, -1 + 0j)
         assert len(led.branches) == 1
         b = led.branches[0]
@@ -245,6 +245,8 @@ class TestReduceEigenvalue:
         total = sum(b.P2 for b in led.branches)
         assert np.linalg.norm(total - base_k4.sd.cluster_near(led.mu).projection) < 1e-9
         for b in led.branches:
+            # P2 is kept as factors and formed on demand
+            assert b.basis.shape == b.left.shape[::-1] == (n, b.multiplicity)
             assert np.linalg.norm(b.P2 @ b.P2 - b.P2) < 1e-9
             assert np.linalg.norm((im_k4a.E0 - led.mu * np.eye(n)) @ b.P2) < 1e-9
             # stage-1 operator acts as mu1 on the branch range
@@ -388,6 +390,27 @@ class TestResonanceAsymptote:
             assert slopes["puiseux"] > 2.7
         for row in out["rows"]:
             assert row["abs_err"] < 5e-4
+
+    @pytest.mark.parametrize("ladder", [(0.04, 0.02, 0.01), (0.004, 0.002, 0.001)])
+    @pytest.mark.parametrize("preset", ["cycle:12", "cycle:48"])
+    def test_branches_sharing_mu1_are_matched_at_second_order(self, preset, ladder):
+        # at mu = e^{+-2 pi i/3} two branches share mu1 and differ in mu2;
+        # matched on mu + kappa mu1 alone they swap, and their second-order
+        # residuals fall with slope 2 instead of 3
+        im = build_E(attach_tails(preset_graph(preset), (0, 1, 2)))
+        base = Coupling(im, spectral_decompose(im.E0))
+        lad = couplings(im, ladder)
+        shared = 0
+        for cl in base.sd.clusters:
+            led = reduce_eigenvalue(base, cl.value)
+            slopes = resonance_asymptote(led, lad, base)["slopes"]
+            for b, s in zip(led.branches, slopes):
+                siblings = [o.mu2 for o in led.branches if o is not b and o.mu1 == b.mu1]
+                if b.persistent or any(abs(b.mu2 - m2) < 1e-9 for m2 in siblings):
+                    continue
+                assert s["second_order"] > 2.5, (led.mu, b.mu1, b.mu2, s)
+                shared += bool(siblings)
+        assert shared > 0
 
     def test_degenerate_branch_matching_k4(self, im_k4a, base_k4):
         # the rank-2 branch only separates at second order; matching must
