@@ -23,17 +23,25 @@ all at eps 0.6.  For each graph, one process measures once, in
 
 how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
 budget runs out on ``cycle:128``; such a call is timed all the same), the
-exit code of the ``perturb`` run (3, a refusal, is timed as well), and the
-process's peak resident set size, ``peak_rss_mb`` in MiB.  Each round also
-times one ``acceptance.run_all()``, the ``verify`` suite, in
-:func:`measure_verify`, with its process's peak RSS.
+exit code of the ``perturb`` run (3, a refusal, is timed as well), the
+process's peak resident set size, ``peak_rss_mb`` in MiB, and
+``decompose_peak_n2``: the tracemalloc peak of one more, untimed
+``spectral_decompose`` of ``E(eps)``, in units of one n x n complex array
+(16 n^2 bytes; E itself is not counted).  Unlike a time, that count
+repeats from run to run, to about four digits.  Each round also times one
+``acceptance.run_all()``, the ``verify`` suite, in :func:`measure_verify`,
+with its process's peak RSS.
 
 Every measurement runs in a fresh process with one BLAS thread. A round
 measures each graph once, so the graphs alternate, then runs ``verify``,
-and ``ROUNDS`` rounds run.  ``OUT.json`` holds each layer's median over the
-rounds and the runs themselves.  It imports the ``tailwalk`` on
-``PYTHONPATH``, so running it once per checkout, alternating, compares two
-versions; ``BENCH_<pr>.json`` holds such a pair side by side.
+and ``ROUNDS`` rounds run.  After the rounds, :func:`tier1` runs the tier-1
+suite (ROADMAP.md) once, in a subprocess with one BLAS thread, in the
+checkout the imported ``tailwalk`` comes from: ``tier1_s`` is its wall
+time and ``tier1_passed`` its count of passed tests.  ``OUT.json`` holds
+each layer's median over the rounds and the runs themselves.  It imports
+the ``tailwalk`` on ``PYTHONPATH``, so running it once per checkout,
+alternating, compares two versions; ``BENCH_<pr>.json`` holds such a pair
+side by side.
 """
 
 import contextlib
@@ -41,12 +49,14 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +87,17 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _traced_peak_n2(fn, n: int) -> float:
+    """tracemalloc's peak while ``fn()`` runs, in n x n complex arrays."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * n * n)
+
+
 def measure(preset: str, tails: str) -> dict:
     """One measurement of every layer on one graph, in this process."""
     from tailwalk import attach_tails, build_E, preset_graph
@@ -94,6 +115,7 @@ def measure(preset: str, tails: str) -> dict:
     build_E(attach_tails(preset_graph("cycle:4"), (0,)), EPS)  # numpy's first-call set-up
     im, build_s = _timed(lambda: build_E(tg, EPS))
     sd, decompose_s = _timed(lambda: spectral_decompose(im.E))
+    peak_n2 = _traced_peak_n2(lambda: spectral_decompose(im.E), tg.num_arcs)
     _, evaluator_s = _timed(lambda: SigmaEvaluator(im, sd))
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     _, curve_s = _timed(lambda: transmission_curve(im, grid, 0, sd))
@@ -128,6 +150,7 @@ def measure(preset: str, tails: str) -> dict:
         "basis_dim": dim,
         "build_E_s": build_s,
         "spectral_decompose_s": decompose_s,
+        "decompose_peak_n2": peak_n2,
         "sigma_evaluator_s": evaluator_s,
         "transmission_256_s": curve_s,
         "iteration_basis_s": basis_s,
@@ -148,6 +171,22 @@ def measure_verify() -> dict:
     results, verify_s = _timed(run_all)
     return {"verify_s": verify_s, "failed": sum(r.status == "fail" for r in results),
             "peak_rss_mb": _peak_rss_mb()}
+
+
+def tier1() -> dict:
+    """One run of the tier-1 suite of the checkout the imported ``tailwalk``
+    comes from, in a subprocess with one BLAS thread.  ``measure`` and
+    ``measure_verify`` never call it: the suite runs both."""
+    import tailwalk
+
+    root = Path(tailwalk.__file__).resolve().parents[2]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = os.environ | ONE_THREAD | {"PYTHONPATH": path}
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    proc, tier1_s = _timed(lambda: subprocess.run(command, cwd=root, env=env,
+                                                  capture_output=True, text=True))
+    passed = re.search(r"(\d+) passed", proc.stdout)
+    return {"tier1_s": tier1_s, "tier1_passed": int(passed.group(1)) if passed else 0}
 
 
 def _fresh(call: str) -> dict:
@@ -173,7 +212,7 @@ def main(argv: list[str]) -> int:
         graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence",
                                                   "perturb_exit")}
         for key in rows[0]:
-            if key.endswith(("_s", "_mb")):
+            if key.endswith(("_s", "_mb", "_n2")):
                 vals = [r[key] for r in rows]
                 med = None if None in vals else statistics.median(vals)
                 graphs[label][key] = {"median": med, "runs": vals}
@@ -184,9 +223,8 @@ def main(argv: list[str]) -> int:
     for key in ("verify_s", "peak_rss_mb"):
         vals = [v[key] for v in verify]
         verify_rec[key] = {"median": statistics.median(vals), "runs": vals}
-    Path(argv[0]).write_text(
-        json.dumps({"env": env, "graphs": graphs, "verify": verify_rec}, indent=1) + "\n"
-    )
+    record = {"env": env, "graphs": graphs, "verify": verify_rec, **tier1()}
+    Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

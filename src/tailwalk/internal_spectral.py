@@ -18,15 +18,19 @@ eigenvalue on the unit circle has a zero off-diagonal row and column in T
 (its unitary part is a reducing subspace, Sz.-Nagy & Foias 1970).  The
 on-circle clusters whose rows and columns are zero to rounding split off
 by a permutation: R = Z[:, J], L = Z[:, J]* and N = T_JJ - mu, with no
-reorder and no solve.  The rest keeps its relative order, so its block of
-T is upper triangular, and it is block-diagonalised (Bavely & Stewart
-1979): one ``ztrsen`` reorder per cluster not already contiguous on its
-diagonal (none for a simple spectrum), then ``ztrsyl`` Sylvester solves
-that give a unit block-upper-triangular Y with T Y = Y blockdiag(T_jj).
-Each of its clusters is kept as R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and N.
-So P = R L and (E - mu) P = R N L cost O(n m) memory per cluster instead of
-O(n^2).  This is well-conditioned even for defective clusters, and a basis
-too ill-conditioned to trust is refused.  A contour-integral projector is
+reorder and no solve, and ||R N L||_F = ||N||_F needs no Gram matrix.  The
+rest keeps its relative order, so its block of T is upper triangular, and
+it is block-diagonalised (Bavely & Stewart 1979): one ``ztrsen`` reorder
+per cluster not already contiguous on its diagonal (none for a simple
+spectrum), then ``ztrsyl`` Sylvester solves that give a unit
+block-upper-triangular Y with T Y = Y blockdiag(T_jj).  Each of its
+clusters is kept as R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and N.  So P = R L
+and (E - mu) P = R N L cost O(n m) memory per cluster instead of O(n^2).
+The whole decomposition holds about four n x n arrays at its peak, R and L
+among them: Z is permuted once, T and Z are freed after their last use,
+and the reconstruction check runs over slices of columns.  This is
+well-conditioned even for defective clusters, and a basis too
+ill-conditioned to trust is refused.  A contour-integral projector is
 provided as an independent test oracle and is not used in any production
 path.
 """
@@ -71,6 +75,9 @@ _MAX_NILPOTENT_POWER = 1e-10
 # cluster kept by mistake only costs time, one split by mistake loses its
 # coupling, so the bound sits close above the measured noise
 _DECOUPLED = 1e-14
+# columns per slice of the reconstruction check: an n x _SLICE product per
+# slice in place of two n x n arrays
+_SLICE = 64
 
 __all__ = [
     "ClusterAmbiguity",
@@ -257,8 +264,9 @@ class SpectralCluster:
     (m x n) are views into the ``R`` and ``L`` of :class:`SpectralData`
     (columns and rows ``span``), and ``N`` is the cluster's m x m diagonal
     block of the Schur form minus ``value``.  For a cluster split off by a
-    permutation, ``R`` is m orthonormal Schur vectors and ``L = R*``.  The
-    n x n ``projection`` is formed on first use only.
+    permutation, ``R`` is m orthonormal Schur vectors and ``L = R*``.
+    ``nilpotent_norm`` is ``||R N L||_F``, which is ``||N||_F`` for a
+    split-off cluster.  The n x n ``projection`` is formed on first use only.
     """
 
     value: complex
@@ -285,8 +293,11 @@ class SpectralData:
     their columns and rows.  The clusters split off by a permutation come
     first, in cluster order, as Schur vectors (``R = Z[:, J]``, ``L = R*``);
     the rest follow as ``R = Z Y`` and ``L = Y^-1 Z*`` of their own block.
+    ``R`` is C-ordered and ``L`` Fortran-ordered: a cluster's columns of
+    ``R`` and rows of ``L`` are strided views.
     ``block_condition = ||R||_1 ||L||_1`` bounds how much of the working
-    precision the projectors lost.
+    precision the projectors lost.  ``reconstruction_residual`` is
+    ``||R blockdiag(T_jj) L - E||_F / ||E||_F``.
     """
 
     eigenvalues: np.ndarray
@@ -411,6 +422,7 @@ def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
         Y[lo:h, h:hi] = (X / -scale) @ Y[h:hi, h:hi]
 
     split(0, T.shape[0], 0, max(len(cuts) - 1, 0))
+    del split  # it refers to itself: a cycle that would keep T alive until a gc pass
     return Y
 
 
@@ -454,6 +466,15 @@ def spectral_decompose(
     half the working digits, when a cluster of m > 1 eigenvalues is not one
     eigenvalue (``||N^m||_F`` above ``_MAX_NILPOTENT_POWER``), as a coarse
     tolerance can make it, and when ``ztrsen`` or ``ztrsyl`` fails.
+
+    Besides E, at most about four n x n arrays are live at once, in turn:
+    T and Z; Z, the rest's block of T and its Y; Z, Y, R and the rest's
+    rows of L; R and L.  Z's columns are permuted once, T and Z are freed
+    after their last use, and the reconstruction residual
+    ``||R blockdiag(T_jj) L - E||_F / ||E||_F`` is summed over slices of
+    ``_SLICE`` columns.  A split-off cluster's ``nilpotent_norm`` is
+    ``||N||_F``, exactly, since its R is orthonormal and L = R*; the
+    others' come from m x m Gram matrices.
     """
     if not cluster_tol >= MIN_CLUSTER_TOL:
         raise ValueError(f"cluster_tol must be at least {MIN_CLUSTER_TOL:.0e}, got {cluster_tol}")
@@ -468,32 +489,45 @@ def spectral_decompose(
     split = _unitary_part(T, groups, on_circle, norm_E)
 
     # the split-off clusters lead, in cluster order; the rest keeps its
-    # relative order, so its block of T stays upper triangular
+    # relative order, so its block of T stays upper triangular.  Each n x n
+    # array's name is rebound or deleted after its last use, which frees it:
+    # T and Z go before L is allocated
     chosen = set(split)
     others = [g for g in range(len(groups)) if g not in chosen]
-    Tr, Zr, rest_groups = T, Z, groups
+    blocks = {g: T[groups[g][:, None], groups[g]] for g in split if mults[g] > 1}  # the T_jj
+    start = np.empty(len(groups), dtype=int)
+    head = np.zeros(0, dtype=int)
+    rest_groups = groups
     if split:
         head = np.concatenate([groups[g] for g in split])
+        start[split] = np.cumsum([0] + [mults[g] for g in split[:-1]])
         rest = np.ones(n, dtype=bool)
         rest[head] = False
         pos = rest.cumsum() - 1  # an index's position among the rest
-        Tr, Zr = T[rest][:, rest], Z[:, rest]
+        Z = Z[:, np.concatenate([head, rest.nonzero()[0]])]  # Z's one permutation
+        T = T[rest][:, rest]
         rest_groups = [pos[groups[g]] for g in others]
-    k = n - len(Tr)
-    Tr, Zr, rest_start = _contiguous_schur(Tr, Zr, rest_groups)
-    Y = _block_diagonaliser(Tr, sorted(s + mults[g] for g, s in zip(others, rest_start.tolist())))
-    R = Zr @ Y
-    L = Zr.conj().T
-    if k < n:  # LAPACK refuses an empty triangle
-        L, _ = ztrtrs(Y, L, unitdiag=1)  # unit diagonal: never singular
-    diag = Tr.diagonal()
-    start = np.empty(len(groups), dtype=int)
+    k = len(head)
+    T, Zr, rest_start = _contiguous_schur(T, Z[:, k:], rest_groups)
+    Y = _block_diagonaliser(T, sorted(s + mults[g] for g, s in zip(others, rest_start.tolist())))
     start[others] = k + rest_start
-    if split:
-        Zh = Z[:, head]
-        R, L = np.concatenate([Zh, R], axis=1), np.concatenate([Zh.conj().T, L])
-        diag = np.concatenate([vals[head], diag])
-        start[split] = np.cumsum([0] + [mults[g] for g in split[:-1]])
+    for g, s in zip(others, rest_start.tolist()):
+        if mults[g] > 1:
+            blocks[g] = T[s : s + mults[g], s : s + mults[g]].copy()
+    diag = np.concatenate([vals[head], T.diagonal()])
+    del T
+    Lr = np.conjugate(Zr.T, order="F")  # the rest's rows of L, solved in place below
+    R = np.empty((n, n), dtype=complex)
+    R[:, :k] = Z[:, :k]
+    np.matmul(Zr, Y, out=R[:, k:])
+    del Z, Zr
+    if k < n:  # LAPACK refuses an empty triangle
+        Lr, _ = ztrtrs(Y, Lr, unitdiag=1, overwrite_b=1)  # unit diagonal: never singular
+    del Y
+    L = np.empty((n, n), dtype=complex, order="F")
+    np.conjugate(R[:, :k].T, out=L[:k])
+    L[k:] = Lr
+    del Lr
     cond = float(np.abs(R).sum(axis=0).max() * np.abs(L).sum(axis=0).max())  # ||R||_1 ||L||_1
     if not cond <= _MAX_BLOCK_CONDITION:
         raise ClusterAmbiguity(
@@ -501,9 +535,7 @@ def spectral_decompose(
             f"eigenvectors of distinct clusters are nearly parallel"
         )
 
-    # R blockdiag(T_jj) is a column scaling but for the blocks with m > 1,
-    # and N = T_jj - value I is exactly 0 when m = 1
-    RD = R * diag
+    # N = T_jj - value I is exactly 0 when m = 1
     N1 = (diag[start] - reps)[:, None, None]
     clusters = []
     for g, (rep, s, m, N, circ) in enumerate(zip(reps.tolist(), start.tolist(), mults, N1,
@@ -512,10 +544,7 @@ def spectral_decompose(
         Rj, Lj = R[:, sp], L[sp]
         nn = 0.0
         if m > 1:
-            ix = groups[g]
-            Tjj = T[ix[:, None], ix] if g in chosen else Tr[s - k : s - k + m, s - k : s - k + m]
-            RD[:, sp] = Rj @ Tjj
-            N = Tjj - rep * np.eye(m)
+            N = blocks[g] - rep * np.eye(m)
             if np.linalg.norm(N) > _MAX_NILPOTENT_POWER ** (1.0 / m):  # ||N^m|| <= ||N||^m
                 npow = float(np.linalg.norm(np.linalg.matrix_power(N, m)))
                 if not npow <= _MAX_NILPOTENT_POWER:
@@ -524,9 +553,11 @@ def spectral_decompose(
                         f"||N^{m}||_F = {npow:.2e} > {_MAX_NILPOTENT_POWER:.0e}, so "
                         f"cluster_tol = {cluster_tol:.1e} merged distinct eigenvalues"
                     )
-            # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
-            nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
-            nn = float(np.sqrt(max(nn2, 0.0)))
+            if g in chosen:  # R is orthonormal and L = R*: ||R N L||_F = ||N||_F
+                nn = float(np.linalg.norm(N))
+            else:  # ||R N L||_F^2 = tr(N* (R* R) N (L L*)), from m x m Gram matrices
+                nn2 = np.vdot(N, (Rj.conj().T @ Rj) @ N @ (Lj @ Lj.conj().T)).real
+                nn = float(np.sqrt(max(nn2, 0.0)))
         clusters.append(
             SpectralCluster(
                 value=rep,
@@ -539,8 +570,8 @@ def spectral_decompose(
                 on_circle=circ,
             )
         )
-    D = RD @ L - E  # relative Frobenius norm of the reconstruction error
-    resid = float(np.sqrt(np.vdot(D, D).real) / max(norm_E, 1e-300))
+    multi = [(slice(start[g], start[g] + mults[g]), Tjj) for g, Tjj in blocks.items()]
+    resid = _reconstruction_error(E, R, L, diag, multi) / max(norm_E, 1e-300)
     return SpectralData(
         eigenvalues=vals,
         clusters=clusters,
@@ -549,6 +580,24 @@ def spectral_decompose(
         reconstruction_residual=resid,
         block_condition=cond,
     )
+
+
+def _reconstruction_error(
+    E: np.ndarray, R: np.ndarray, L: np.ndarray, diag: np.ndarray, multi: list
+) -> float:
+    """||R blockdiag(T_jj) L - E||_F, summed over slices of ``_SLICE`` columns
+    so that no n x n product is formed.  blockdiag(T_jj) is the row scaling
+    ``diag`` but for the blocks of m > 1, given as (span, T_jj) in ``multi``."""
+    total = 0.0
+    for c in range(0, E.shape[0], _SLICE):
+        cols = slice(c, c + _SLICE)
+        DL = diag[:, None] * L[:, cols]
+        for sp, Tjj in multi:
+            DL[sp] = Tjj @ L[sp, cols]
+        D = R @ DL
+        D -= E[:, cols]
+        total += np.vdot(D, D).real
+    return float(np.sqrt(total))
 
 
 def projection_contour_oracle(

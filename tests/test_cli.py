@@ -709,9 +709,13 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
     import bench_ladder
 
+    # the tier-1 suite runs this test: neither measurement may run the suite
+    monkeypatch.setattr(bench_ladder, "tier1", lambda: pytest.fail("tier1 called"))
     row = bench_ladder.measure("cycle:8", "0,1,2,3")
     assert (row["arcs"], row["basis_dim"], row["iterate_no_convergence"]) == (16, None, 0)
     assert row["perturb_exit"] == 0
+    # the traced peak of one decomposition, in n x n arrays: at least R and L
+    assert 2 <= row["decompose_peak_n2"] < 64
     times = {k: v for k, v in row.items() if k.endswith("_s")}
     assert len(times) == 9 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()

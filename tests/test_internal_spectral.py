@@ -254,6 +254,18 @@ def test_factored_projectors_on_random_graphs(g, data):
     gap = min((abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]), default=1.0)
     slack = n * np.finfo(float).eps * (sd.block_condition + 1.0 / gap)
     assert sd.reconstruction_residual <= 1e-13 + slack
+    # the sliced residual and the Gram-free norms agree with the dense formulas.
+    # The residual is R (blockdiag L) in both; the dense product rounds
+    # blockdiag L differently, by about eps per entry, which R amplifies (to
+    # 1.8e-15 at eps = 0.99999, where the basis' condition is 1e6)
+    by_span = sorted(sd.clusters, key=lambda c: c.span.start)
+    BL = scipy.linalg.block_diag(*(c.value * np.eye(c.mult) + c.N for c in by_span)) @ sd.L
+    dense = np.linalg.norm(sd.R @ BL - E) / np.linalg.norm(E)
+    rounding = np.finfo(float).eps * np.linalg.norm(sd.R, 2) * np.linalg.norm(BL)
+    assert abs(sd.reconstruction_residual - dense) <= 1e-15 + rounding / np.linalg.norm(E)
+    for c in sd.clusters:
+        nn = np.linalg.norm(c.R @ c.N @ c.L)
+        assert abs(c.nilpotent_norm - nn) <= max(1e-12 * nn, 1e-28)
     schur = scipy.linalg.schur(E, output="complex")
     Ps = [c.projection for c in sd.clusters]
     groups, _ = _greedy_clusters(sd.eigenvalues, CLUSTER_TOL)
@@ -317,17 +329,30 @@ def test_nearly_parallel_eigenvectors_are_a_cluster_ambiguity():
         spectral_decompose(Q @ T @ Q.conj().T)
 
 
-def test_decomposition_memory_is_linear_in_clusters():
-    # 128 arcs, 128 clusters: two dense n x n matrices per cluster trace 65 MiB
-    E = build_E(attach_tails(preset_graph("cycle:64"), (0, 1, 2, 3)), 0.25).E
+@pytest.mark.parametrize(
+    "preset, tails, eps, clusters, peak_n2",
+    [
+        # 128 arcs, 128 clusters: two dense n x n matrices per cluster trace 65 MiB
+        ("cycle:64", (0, 1, 2, 3), 0.25, 128, 5.0),
+        # 240 arcs, 11 clusters: four on the circle, of 233 members, split off
+        ("complete:16", (0, 0, 1, 2), 0.6, 11, 4.5),
+    ],
+    ids=["cycle:64", "complete:16"],
+)
+def test_decomposition_memory_is_linear_in_clusters(preset, tails, eps, clusters, peak_n2):
+    # the traced peak, in n x n complex arrays: R and L, the two outputs, and
+    # about two working arrays besides (measured 4.5 and 4.2)
+    E = build_E(attach_tails(preset_graph(preset), tails), eps).E
+    n = E.shape[0]
     tracemalloc.start()
     try:
         sd = spectral_decompose(E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sd.clusters) == 128
+    assert len(sd.clusters) == clusters
     assert peak <= 8 * 2**20
+    assert peak <= peak_n2 * 16 * n * n
 
 
 @pytest.fixture
