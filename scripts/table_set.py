@@ -2,11 +2,13 @@
 """Write the reference set of CLI tables into one directory.
 
 Runs ``tailwalk.cli.main`` in-process, in ``OUT``: ``resonances``,
-``transmission`` and ``perturb`` on every graph of ``GRAPHS`` and on the
+``transmission`` and ``perturb`` on every graph of ``GRAPHS``, on the
 graph file ``OUT/graph.json`` (``GRAPH_FILE``, read through ``--graph``,
-once as CSV and once as ``--format json``), then ``verify``.  Each run
-writes into ``OUT/<command>/<graph>/`` (``OUT/<command>/graph_file-json/``
-for the JSON tables, ``OUT/verify/`` for ``verify``), and every exit code
+once as CSV and once as ``--format json``) and on the graph file
+``OUT/graph_vanishing.json`` (``VANISHING_FILE``, as CSV), then ``verify``.
+Each run writes into ``OUT/<command>/<graph>/``
+(``OUT/<command>/graph_file-json/`` for the JSON tables, ``OUT/verify/``
+for ``verify``), and every exit code
 goes to ``OUT/exit_codes.txt``, one ``<command> <graph> <code>`` line per run,
 followed by the first line the run wrote to stderr (a refusal's message)
 when it wrote one.
@@ -51,6 +53,14 @@ GRAPH_FILE = {
     "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
     "tails": [{"vertex": 0, "count": 2}, 1],
 }
+# two tails on vertex 6 of a 7-vertex graph whose whole T-eigenspace at
+# t = -1/4 vanishes on the boundary (to 6.3e-17): E0's eigenvalues
+# -1/4 +- i sqrt(15)/4 are persistent
+VANISHING_FILE = {
+    "vertices": 7,
+    "edges": [[0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [1, 6], [2, 3], [3, 4], [3, 6]],
+    "tails": [6, 6],
+}
 COMMANDS = [
     ("resonances", "0,0.001,0.04,0.25,0.6"),
     ("transmission", "0.25,0.6"),
@@ -65,6 +75,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # every path below, and so every sidecar, is relative to OUT
     Path("graph.json").write_text(json.dumps(GRAPH_FILE) + "\n")
+    Path("graph_vanishing.json").write_text(json.dumps(VANISHING_FILE) + "\n")
     codes = []
 
     def record(command: str, label: str, argv: list[str]) -> None:
@@ -78,8 +89,10 @@ def main() -> int:
             label = f"{preset.replace(':', '_')}-t{tails.replace(',', '_')}"
             record(command, label, [command, "--preset", preset, "--tails", tails,
                                     "--eps", eps, "--out", f"{command}/{label}"])
-        for label, fmt in (("graph_file", "csv"), ("graph_file-json", "json")):
-            record(command, label, [command, "--graph", "graph.json", "--eps", eps,
+        for label, path, fmt in (("graph_file", "graph.json", "csv"),
+                                 ("graph_file-json", "graph.json", "json"),
+                                 ("graph_vanishing", "graph_vanishing.json", "csv")):
+            record(command, label, [command, "--graph", path, "--eps", eps,
                                     "--format", fmt, "--out", f"{command}/{label}"])
     record("verify", "all", ["verify", "--out", "verify"])
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")

@@ -333,7 +333,7 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         raise ConfigError("perturb needs an eps ladder with at least 3 points")
     if 0.0 in cfg.eps:
         raise ConfigError("perturb needs nonzero eps values (log-log slope fits)")
-    # base, the unperturbed problem: E0's decomposition and the graph's T-eigenspaces
+    # base, the unperturbed problem: E0's decomposition, all the reduction reads
     tg, outdir, (base, *ladder) = _prologue(cfg, base=True)
     # the ladder, largest eps first, shared by every family
     couplings = dict(sorted(zip(cfg.eps, ladder), key=lambda p: -p[0]))

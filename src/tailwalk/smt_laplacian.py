@@ -73,6 +73,13 @@ def joukowsky_preimages(t: float) -> tuple[complex, ...]:
     return (complex(t, s), complex(t, -s))
 
 
+# A singular value of F[bd], F a T-eigenbasis, at or below this is zero: that
+# direction vanishes on the boundary.  Absolute, as F is W-orthonormal (a cut
+# relative to the largest one counts a block of pure rounding as full rank).
+# On 3 x 300 random graphs plus 11 presets: zero <= 9.4e-16, nonzero >= 4.4e-3.
+_BOUNDARY_RANK_CUT = 1e-9
+
+
 @dataclass
 class LaplacianT:
     """The graph's vertex operators.  T's spectrum and its grouped,
@@ -105,7 +112,9 @@ class LaplacianT:
 
         F is a W-orthonormal basis of Ker(T - t); per spans its
         boundary-vanishing (persistent) directions and rest their complement
-        in Ker(T - t).  Both are F times orthonormal coefficients, so both
+        in Ker(T - t).  One full SVD F[bd] = U s Vh gives both: with r the
+        count of s above ``_BOUNDARY_RANK_CUT``, per = F Vh[r:]* and
+        rest = F Vh[:r]*.  Both are F times orthonormal coefficients, so both
         are W-orthonormal and W-orthogonal to each other.
         """
         vals, vecs = self.spectrum
@@ -120,18 +129,10 @@ class LaplacianT:
         bd = list(self.tg.boundary_vertices)
         out = []
         for t, F in groups:
-            ker = scipy.linalg.null_space(F[bd, :], rcond=1e-9) if bd else np.eye(F.shape[1])
-            per = F @ ker
-            if ker.shape[1] < F.shape[1]:
-                # complement of ker inside the group, in coefficient space
-                proj = np.eye(F.shape[1]) - ker @ ker.conj().T
-                # a projector's singular values are 0 or 1: cut between them
-                comp = (scipy.linalg.orth(proj, rcond=0.5) if ker.shape[1]
-                        else np.eye(F.shape[1]))
-                rest = F @ comp
-            else:
-                rest = np.zeros((F.shape[0], 0))
-            out.append((t, F, per, rest))
+            # with no boundary, F[bd] is 0 x k and numpy returns Vh = I
+            s, Vh = np.linalg.svd(F[bd, :])[1:]
+            r = int(np.sum(s > _BOUNDARY_RANK_CUT))
+            out.append((t, F, F @ Vh[r:].conj().T, F @ Vh[:r].conj().T))
         return out
 
     def eigenspace(self, t: float) -> tuple[np.ndarray, np.ndarray]:

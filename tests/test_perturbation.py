@@ -10,7 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from test_tailed_graph import connected_graphs
 
 from tailwalk.coin_evolution import kappa
 from tailwalk.internal_spectral import build_E, projection_contour_oracle, spectral_decompose
@@ -30,8 +33,8 @@ from tailwalk.perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
-from tailwalk.smt_laplacian import build_operators, joukowsky, lift, unit_sign
-from tailwalk.tailed_graph import attach_tails, preset_graph
+from tailwalk.smt_laplacian import build_operators, classify, joukowsky, lift, unit_sign
+from tailwalk.tailed_graph import attach_tails, build_internal, preset_graph
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
 
@@ -342,6 +345,58 @@ class TestGraphSideMatrices:
         out = mu2_bound_check(base_k4, reduce_eigenvalue(base_k4, MU_K4))
         assert out["bound_ok"]
         assert out["max_cross_residual"] < 1e-11
+
+
+# --------------------------------------------------------------------------
+# persistence: the reduction's mu1 = 0 against the graph side's classify
+# --------------------------------------------------------------------------
+
+# two tails on vertex 6, where T's eigenfunction at t = -1/4 is 6.3e-17: the
+# whole eigenspace vanishes on the boundary, to rounding
+VANISHING = attach_tails(
+    build_internal(7, [(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (3, 4), (3, 6)]),
+    [6, 6],
+)
+
+
+def test_eigenspace_vanishing_to_rounding_is_persistent():
+    im = build_E(VANISHING)
+    base = Coupling(im, spectral_decompose(im.E0))
+    per, rest = base.lt.eigenspace(-0.25)
+    assert (per.shape[1], rest.shape[1]) == (1, 0)
+    entries = classify(base.lt)
+    for mu in (complex(-0.25, np.sqrt(15) / 4), complex(-0.25, -np.sqrt(15) / 4)):
+        [entry] = [e for e in entries if abs(e.value - mu) < 1e-9]
+        assert entry.persistent_mult == 1
+        [b] = reduce_eigenvalue(base, mu).branches
+        assert b.persistent
+
+
+@st.composite
+def tailed_graphs(draw):
+    g = draw(connected_graphs())
+    tails = draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
+    )
+    return attach_tails(g, tails)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs())
+@example(VANISHING)
+def test_persistence_routes_agree_on_random_graphs(tg):
+    """At every E0 cluster, the graph side's persistent multiplicity
+    (boundary-vanishing T-eigenvectors plus birth states) is the ledger's
+    mu1 = 0 multiplicity, and each persistent branch lies in Ker E1."""
+    im = build_E(tg)
+    base = Coupling(im, spectral_decompose(im.E0))
+    entries = classify(base.lt)
+    for cl in base.sd.clusters:
+        [entry] = [e for e in entries if abs(e.value - cl.value) < 1e-8]
+        persistent = [b for b in reduce_eigenvalue(base, cl.value).branches if b.persistent]
+        assert sum(b.multiplicity for b in persistent) == entry.persistent_mult
+        for b in persistent:
+            assert np.linalg.norm(im.E1 @ b.basis) <= 1e-12
 
 
 class TestProjectionExpansion:

@@ -189,7 +189,8 @@ def test_persistent_basis_survives_the_coupling(c4a, k4a):
 def test_t_eigenspaces_split_on_random_graphs(g, data):
     """Each T-eigenspace splits into a boundary-vanishing part and its
     complement, both W-orthonormal as computed (no second orthonormalisation),
-    and the persistent eigenvectors lifted from them ignore the coupling."""
+    the complement with full rank on the boundary, and the persistent
+    eigenvectors lifted from them ignore the coupling."""
     tails = data.draw(
         st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
     )
@@ -203,6 +204,8 @@ def test_t_eigenspaces_split_on_random_graphs(g, data):
         gram = both.conj().T @ (lt.weights[:, None] * both)
         assert_allclose(gram, np.eye(F.shape[1]), atol=1e-12)
         assert_allclose(per[bd], 0, atol=1e-9)
+        if rest.shape[1]:
+            assert np.linalg.svd(rest[bd], compute_uv=False)[-1] >= 1e-9
     im0 = build_E(tg)
     for entry in classify(lt):
         U = persistent_basis(lt, entry.value)
