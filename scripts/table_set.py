@@ -18,6 +18,7 @@ BLAS thread count):
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/table_set.py /tmp/a
     ... same in the other checkout into /tmp/b ...
     diff -r /tmp/a /tmp/b
+    python3 scripts/table_diff.py /tmp/a /tmp/b    # deviations per key
 
 Only the diagnostics in the ``.meta.json`` sidecars that a build computes
 in its own order (``reconstruction_residual``, ``block_condition``,

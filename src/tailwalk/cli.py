@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .internal_spectral import (
-    CIRCLE_TOL, CLUSTER_TOL, MIN_CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
+    CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
 )
 from .perturbation import (
     Coupling,
@@ -117,8 +117,8 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("eps values must be distinct")
     if not all(0 < t < math.inf for t in (args.tol_cluster, args.tol_circle)):  # and NaN
         raise ConfigError("tolerances must be positive and finite")
-    if args.tol_cluster < MIN_CLUSTER_TOL:  # rounding would split exact multiplicities
-        raise ConfigError(f"--tol-cluster must be at least {MIN_CLUSTER_TOL:.0e}, "
+    if args.tol_cluster < CLUSTER_TOL:  # rounding would split exact multiplicities
+        raise ConfigError(f"--tol-cluster must be at least {CLUSTER_TOL:.0e}, "
                           f"got {args.tol_cluster}")
     if args.tol_circle >= 1:  # |mu| >= 1 - tol would put every eigenvalue on the circle
         raise ConfigError(f"--tol-circle must be below 1, got {args.tol_circle}")

@@ -50,12 +50,13 @@ from .tailed_graph import TailedGraph
 
 # spectral_decompose's default tolerances, which the CLI's flags also default to:
 # eigenvalues closer than CLUSTER_TOL form one cluster, and one within CIRCLE_TOL
-# of the unit circle is on it
-CLUSTER_TOL = 1e-7
+# of the unit circle is on it.  CLUSTER_TOL is also the smallest accepted:
+# rounding spreads an exact multiplicity of E0 over up to 1.7e-14 (cycle:128,
+# tails 0-3).  A coarser one merges distinct resonances unseen: a pair d apart
+# has ||N^2||_F = 0.35 d^2, below _MAX_NILPOTENT_POWER for d up to 1.7e-5
+# (cycle:12 tails 0,1,2 has four pairs 6.7e-8 apart at eps 0.00075)
+CLUSTER_TOL = 1e-12
 CIRCLE_TOL = 1e-8
-# the smallest cluster tolerance accepted: rounding spreads an exact multiplicity
-# of E0 over up to 1.7e-14 (cycle:128, tails 0-3), and 1e-14 already splits it
-MIN_CLUSTER_TOL = 1e-12
 _BLOCK = 64  # time-iteration steps advanced per product with H^_BLOCK
 # the port Krylov basis keeps singular values above this: measured, every kept
 # one is >= 0.59 and every dropped one <= 1e-14
@@ -64,8 +65,7 @@ _OUTGOING_DEPTH = 20  # verify_outgoing's truncated walk keeps this many tail ar
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
 # ||N^m||_F above this: a cluster of m > 1 is not one eigenvalue, and the closed
-# form's Laurent series would drop that term.  Measured <= 4.9e-16 at the default
-# tolerances; a merged pair of simple eigenvalues d apart gives about 0.35 d^2
+# form's Laurent series would drop that term (measured <= 4.9e-16)
 _MAX_NILPOTENT_POWER = 1e-10
 # an on-circle cluster splits off by a permutation when its members' rows and
 # columns of T are below this times ||E||_F off the diagonal.  Measured at most
@@ -160,10 +160,10 @@ class IterationBasis:
     ``B_out`` are then the InternalMatrix's own E, B_in and B_out, in arc
     coordinates.
 
-    What the iteration derives from these blocks is formed on first use and
-    kept, since it does not depend on lambda: ``krylov`` and the powers of
-    ``H`` that ``power`` returns.  ``InternalMatrix.at`` returns a new
-    object, so nothing of one coupling serves another.
+    ``walk`` builds every block of ``_BLOCK`` steps.  What the iteration
+    derives from these blocks does not depend on lambda, so it is formed on
+    first use and kept: ``krylov`` and the powers ``power`` returns.
+    ``InternalMatrix.at`` returns a new object, so no coupling serves another.
     """
 
     V: np.ndarray | None
@@ -172,16 +172,19 @@ class IterationBasis:
     B_out: np.ndarray
     _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
 
+    def walk(self, x: np.ndarray) -> np.ndarray:
+        """x, H x, ..., H^(_BLOCK-1) x along a new second axis of x (d or d x N)."""
+        W = np.empty((x.shape[0], _BLOCK) + x.shape[1:], dtype=complex)
+        W[:, 0] = x
+        for j in range(1, _BLOCK):
+            W[:, j] = self.H @ W[:, j - 1]
+        return W
+
     @cached_property
     def krylov(self) -> np.ndarray:
-        """The d x _BLOCK x N block K[:, j] = H^j B_in: a time iteration's
-        first block is (K alpha) times the phases e^{i lam (j+1)}, one
-        product instead of _BLOCK - 1 matvecs."""
-        K = np.empty((self.H.shape[0], _BLOCK, self.B_in.shape[1]), dtype=complex)
-        K[:, 0] = self.B_in
-        for j in range(1, _BLOCK):
-            K[:, j] = self.H @ K[:, j - 1]
-        return K
+        """The d x _BLOCK x N block K[:, j] = H^j B_in: a time iteration's first
+        block is (K alpha) times the phases e^{i lam (j+1)}, in one product."""
+        return self.walk(self.B_in)
 
     def power(self, level: int) -> np.ndarray:
         """H^(_BLOCK 2^level): level 0 advances the time iteration _BLOCK
@@ -459,8 +462,8 @@ def spectral_decompose(
     trusted.  The on-circle clusters that the Schur form already decouples
     (:func:`_unitary_part`) are split off by a permutation, with R = Z[:, J]
     and L = Z[:, J]*; only the rest is reordered and block-diagonalised.
-    Raises :class:`ValueError` for a ``cluster_tol`` below
-    ``MIN_CLUSTER_TOL`` (or NaN), and :class:`ClusterAmbiguity` when the
+    Raises :class:`ValueError` for a ``cluster_tol`` below the default
+    ``CLUSTER_TOL`` (or NaN), and :class:`ClusterAmbiguity` when the
     block-diagonalising basis is so ill-conditioned (``block_condition``
     above ``_MAX_BLOCK_CONDITION``) that the projectors would have lost
     half the working digits, when a cluster of m > 1 eigenvalues is not one
@@ -476,8 +479,8 @@ def spectral_decompose(
     ``||N||_F``, exactly, since its R is orthonormal and L = R*; the
     others' come from m x m Gram matrices.
     """
-    if not cluster_tol >= MIN_CLUSTER_TOL:
-        raise ValueError(f"cluster_tol must be at least {MIN_CLUSTER_TOL:.0e}, got {cluster_tol}")
+    if not cluster_tol >= CLUSTER_TOL:
+        raise ValueError(f"cluster_tol must be at least {CLUSTER_TOL:.0e}, got {cluster_tol}")
     E = np.asarray(E, dtype=complex)
     n = E.shape[0]
     norm_E = float(np.sqrt(np.vdot(E, E).real))

@@ -556,13 +556,10 @@ def assumption_report(
     tg = base.im.tg
     bd = list(tg.boundary_vertices)
     nu_minus = min(int(tg.total_deg[v]) for v in bd)
-    nu_plus = max(int(tg.total_deg[v]) for v in bd)
-    # the families' eta1 are M1's eigenvalues (criterion 12 checks it)
-    lam_min = min((-f.eta1 for f in ledger.families), default=0.0)
-    c_surrogate = 1.0 / (nu_plus * lam_min) if lam_min > 0 else np.inf
+    # the families' eta1 are M1's eigenvalues (criterion 12 checks it), all < 0
+    lam_min = min(-f.eta1 for f in ledger.families)
     lhs = 2.0 * _mu2_bound(base.sd, cl, nu_minus)
-    rhs = (1.0 / (2.0 * c_surrogate)) * (1.0 / nu_plus) * (1.0 - 1.0 / nu_minus) \
-        if np.isfinite(c_surrogate) else 0.0
+    rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
     a3 = bool(nu_minus >= 3 and lhs < rhs)
 
     return AssumptionReport(a1=a1, a2=a2, a3=a3, x_nonzero=x_ok)

@@ -13,7 +13,9 @@ Route 2 (closed form): the same object as a finite spectral sum over the
 eigenvalue clusters of E *strictly inside* the unit disk,
 
     Sigma(lam) = B_bb + sum_mu sum_{s < m(mu)} (z - mu)^{-s-1}
-                          B_out P_mu (E - mu)^s P_mu B_in .
+                          B_out P_mu (E - mu)^s P_mu B_in ,
+
+held as one table of Laurent terms that every evaluation reads.
 
 On-circle clusters drop out because embedded eigenstates do not couple to
 the ports (P_mu B_in = 0, B_out P_mu = 0); that is what keeps the formula
@@ -75,15 +77,6 @@ def _norm(x: np.ndarray) -> float:
     """||x||_2 of a vector, without np.linalg.norm's per-call overhead,
     which exceeds a small matrix's whole skipped block."""
     return math.sqrt(np.vdot(x, x).real)
-
-
-def _walk(E: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The _BLOCK vectors d, E d, ..., E^(_BLOCK-1) d as columns."""
-    D = np.empty((E.shape[0], _BLOCK), dtype=complex)
-    D[:, 0] = d
-    for j in range(1, _BLOCK):
-        D[:, j] = E @ D[:, j - 1]
-    return D
 
 
 def _skip(
@@ -182,9 +175,9 @@ def stationary_iterate(
     jump: one the budget ends inside is certified like any other, and
     ``NoConvergence`` follows, so every budget at or past the stop gives the
     same result.  On leaving the phase, the next block is rebuilt step by
-    step from the last carried increment, the window's norms are taken from
-    the carried increments, and the screened per-step check resumes on full
-    blocks.
+    step from the last carried increment (``ib.walk``, as ``krylov`` is),
+    the window's norms are taken from the carried increments, and the
+    screened per-step check resumes on full blocks.
     """
     if not max_steps >= 1:
         raise ValueError(f"need max_steps >= 1, got {max_steps}")
@@ -206,7 +199,7 @@ def stationary_iterate(
             if done >= max_steps:
                 break
             recent = np.linalg.norm(X[:, 1:], axis=0)
-            D, X = _walk(ib.H, ib.H @ X[:, -1]) * phases, None
+            D, X = ib.walk(ib.H @ X[:, -1]) * phases, None
         elif done:
             D = q * (ib.power(0) @ D)
         m = min(_BLOCK, max_steps - done)
@@ -239,15 +232,17 @@ class SigmaEvaluator:
 
     Reduces every off-circle cluster to the small port-space kernels
     K_{mu,s} = B_out P (E-mu)^s P B_in = (B_out R) N^s (L B_in) once, from
-    the cluster's factors; each evaluation is then a sum of N x N terms
-    with scalar resolvent weights.  ``sd`` is the spectral data of
-    ``im.E``; its ``on_circle`` flags decide which clusters drop out, and
-    one that couples to the ports is refused (:class:`ClusterAmbiguity`).
+    the cluster's factors, into one Laurent-term table: ``mus``, ``orders``
+    (s + 1) and ``terms``, the kernels stacked T x N x N.  Each evaluation
+    sums the terms with the scalar weights of :meth:`weights`.  ``sd`` is
+    the spectral data of ``im.E``; its ``on_circle`` flags decide which
+    clusters drop out, and one that couples to the ports is refused
+    (:class:`ClusterAmbiguity`).
     """
 
     def __init__(self, im: InternalMatrix, sd: SpectralData):
         self.im = im
-        self.terms: list[tuple[complex, int, np.ndarray]] = []
+        mus, orders, terms = [], [], []
         scale = max(float(np.linalg.norm(im.B_in)), 1e-300)
         # a kernel of norm below this, past s = 0, is dropped
         tiny = 1e-14 * max(np.linalg.norm(im.B_out), 1e-300) * scale
@@ -267,20 +262,29 @@ class SigmaEvaluator:
             for s in range(c.mult):
                 if s:
                     acc = c.N @ acc
-                    if np.linalg.norm(c.R @ acc) < 1e-16 * scale:
-                        break
                 K = BR @ acc
                 if s == 0 or np.linalg.norm(K) > tiny:
-                    self.terms.append((c.value, s, K))
+                    mus.append(c.value)
+                    orders.append(s + 1)
+                    terms.append(K)
+        self.mus = np.array(mus, dtype=complex)
+        self.orders = np.array(orders, dtype=int)
+        self.terms = np.array(terms, dtype=complex).reshape(len(mus), *im.B_bb.shape)
+
+    def weights(self, z, out: np.ndarray | None = None) -> np.ndarray:
+        """(z - mu)^-(s+1) along a new last axis of ``z``: a reciprocal, then
+        a power for s >= 1.  ``out`` is a buffer of that shape to fill."""
+        W = np.subtract(np.asarray(z)[..., None], self.mus, out=out)
+        np.reciprocal(W, out=W)
+        high = self.orders > 1
+        W[..., high] **= self.orders[high]
+        return W
 
     def sigma(self, lam) -> np.ndarray:
         """Sigma(lam) as an N x N matrix, or an (L, N, N) stack when ``lam``
         is an array of L lambdas (same operations per lambda either way)."""
-        z = np.exp(-1j * np.asarray(lam, dtype=float))[..., None, None]
-        out = np.broadcast_to(self.im.B_bb, z.shape[:-2] + self.im.B_bb.shape).copy()
-        for mu, s, K in self.terms:
-            out = out + K / (z - mu) ** (s + 1)
-        return out
+        W = self.weights(np.exp(-1j * np.asarray(lam, dtype=float)))
+        return self.im.B_bb + np.einsum("...t,tij->...ij", W, self.terms)
 
 
 def unitarity_defect(sigma: np.ndarray) -> float:
@@ -302,7 +306,10 @@ def transmission_curve(
     For unit inflow on the 0-based port ``inflow``, ``tau_sq`` is the
     summed outgoing power on the other ports and ``reflection_sq`` the
     power returned into the inflow port; they add to 1 by unitarity.
-    ``sd`` is the spectral data of ``im.E``.
+    ``sd`` is the spectral data of ``im.E``.  A row per lambda is ``Sigma
+    alpha = B_bb alpha + W (K alpha)``, from the evaluator's term table,
+    with its weights W taken in slices of about ``_SLICE_BYTES`` in one
+    reused buffer.
     """
     if not 0 <= inflow < im.tg.num_ports:
         raise ValueError(f"inflow port {inflow} out of range for {im.tg.num_ports} ports")
@@ -311,20 +318,12 @@ def transmission_curve(
     alpha[inflow] = 1.0
     ev = SigmaEvaluator(im, sd)
     z = np.exp(-1j * lam_grid)
-    mus = np.array([mu for mu, _, _ in ev.terms], dtype=complex)
-    orders = np.array([s + 1 for _, s, _ in ev.terms], dtype=int)
-    Ka = np.array([K @ alpha for _, _, K in ev.terms], dtype=complex).reshape(len(mus), len(alpha))
-    # a row per lambda: Sigma alpha = B_bb alpha + W (K alpha) with the
-    # weights W = (z - mu)^-(s+1), taken in slices of about _SLICE_BYTES in
-    # one reused buffer
+    Ka = ev.terms @ alpha
     out = np.empty((len(z), len(alpha)), dtype=complex)
-    rows = max(_SLICE_BYTES // (16 * max(len(mus), 1)), 1)
-    buf = np.empty((min(rows, len(z)), len(mus)), dtype=complex)
-    high = orders > 1
+    rows = max(_SLICE_BYTES // (16 * max(len(Ka), 1)), 1)
+    buf = np.empty((min(rows, len(z)), len(Ka)), dtype=complex)
     for lo in range(0, len(z), rows):
-        W = buf[: min(rows, len(z) - lo)]
-        np.reciprocal(np.subtract(z[lo:lo + len(W), None], mus, out=W), out=W)
-        W[:, high] **= orders[high]
+        W = ev.weights(z[lo:lo + rows], out=buf[: min(rows, len(z) - lo)])
         out[lo:lo + len(W)] = im.B_bb @ alpha + W @ Ka
     refl = np.abs(out @ alpha.conj()) ** 2
     tau = np.linalg.norm(out, axis=1) ** 2 - refl

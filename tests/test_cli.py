@@ -80,12 +80,12 @@ class TestResonances:
         on_circle = [r for r in rows if r[5] == "1"]
         assert len(on_circle) == 2  # the two persistent states
         meta = json.loads((out / "resonances.csv.meta.json").read_text())
-        assert meta["tolerances"]["cluster"] == 1e-7
+        assert meta["tolerances"]["cluster"] == 1e-12
         assert "cluster_decisions" in meta
 
     def test_branches_split_at_second_order_are_listed(self, tmp_path):
-        # at eps 0.001 four pairs of cycle:12's resonances lie 1.2e-7 apart,
-        # just above --tol-cluster: all 24 are listed, each simple
+        # at eps 0.001 four pairs of cycle:12's resonances lie 1.2e-7 apart:
+        # all 24 are listed, each simple
         code, out = run(
             tmp_path, "resonances", "--preset", "cycle:12", "--tails", "0,1,2",
             "--eps", "0.001",
@@ -181,6 +181,23 @@ class TestPerturb:
             assert len(fam["norms"]) == 3
         meta = json.loads((out / "ledger.json.meta.json").read_text())
         assert 0.0 <= meta["stage1_hermitian_defect"] < 1e-14
+
+    def test_close_resonances_are_not_merged(self, tmp_path):
+        # at eps 0.00075 four pairs of cycle:12's resonances lie 6.7e-8
+        # apart; merged into one cluster each, the closed form is 0.35 off
+        # at their families' lambda and hypothesis a1 fails for them
+        code, out = run(
+            tmp_path, "perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+            "--eps", "0.003,0.0015,0.00075",
+        )
+        assert code == 0
+        fams = json.loads((out / "sigma_limit.json").read_text())["families"]
+        assert len(fams) == 18
+        for fam in fams:
+            norms = fam["norms"]
+            assert all(a > b for a, b in zip(norms, norms[1:])), norms
+            assert norms[-1] < 0.5 * norms[0], norms
+            assert fam["assumptions"]["gate"] is True
 
     def test_stage_one_block_that_is_not_hermitian_is_refused(
         self, tmp_path, capsys, monkeypatch
@@ -752,6 +769,45 @@ def test_table_set_script(tmp_path):
             if label.endswith("-json"):  # the graph file's --format json tables
                 name = name.replace(".csv", ".json")
             assert (where / name).is_file(), line
+
+
+def test_table_diff_script(tmp_path):
+    # two small synthetic table sets: per-key numeric deviations, then what
+    # is not numeric (flags, keys on one side, rows added, changed lines)
+    a, b = tmp_path / "a", tmp_path / "b"
+    files = {
+        "x.json": ({"norms": [1.0, 2.0, 3.0], "gate": True, "gone": 1, "rows": [1, 2]},
+                   {"norms": [1.0, 2.0, 3.5], "gate": False, "rows": [1, 2, 3], "new": 0}),
+        "t.csv": ("eps,mu\n0.1,1.0\n0.2,2.0\n0.3,3.0\n",
+                  "eps,mu\n0.1,1.0000001\n0.2,2.0\n0.25,2.5\n0.26,2.6\n0.3,3.0\n"),
+        "codes.txt": ("run x 0\n", "run x 3\n"),
+        "same.txt": ("1\n", "1\n"),
+    }
+    for name, pair in files.items():
+        for root, content in zip((a, b), pair):
+            root.mkdir(exist_ok=True)
+            text = content if isinstance(content, str) else json.dumps(content)
+            (root / name).write_text(text)
+    (a / "only.txt").write_text("")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "table_diff.py"
+    proc = subprocess.run([sys.executable, str(script), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "codes.txt",
+        '  [0]: "run x 0" -> "run x 3"',
+        "only in A: only.txt",
+        "t.csv",
+        "  [].mu: 1 differ, max abs 1e-07, max rel 1e-07",
+        "  [2:2] (0 items) -> [2:4] (2 items)",
+        "x.json",
+        "  norms[]: 1 differ, max abs 0.5, max rel 0.143",
+        "  gate: true -> false",
+        "  gone: only in A",
+        "  rows[2:2] (0 items) -> [2:3] (1 items)",
+        "  new: only in B",
+        "1 files byte-identical, 3 differ, 1 on one side only",
+    ]
 
 
 _TRACED_RUN = """

@@ -19,7 +19,6 @@ from tailwalk.coin_evolution import linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
     CLUSTER_TOL,
-    MIN_CLUSTER_TOL,
     ClusterAmbiguity,
     NotAResonance,
     _greedy_clusters,
@@ -507,7 +506,16 @@ def test_close_pair_is_refused_by_condition_alone():
 def test_cluster_tolerance_below_the_floor_is_refused(im_c4a, tol):
     with pytest.raises(ValueError, match="cluster_tol"):
         spectral_decompose(im_c4a.E0, cluster_tol=tol)
-    assert [c.mult for c in spectral_decompose(im_c4a.E0, MIN_CLUSTER_TOL).clusters] == [2] * 4
+    assert [c.mult for c in spectral_decompose(im_c4a.E0, CLUSTER_TOL).clusters] == [2] * 4
+
+
+def test_default_tolerance_keeps_close_resonances_apart():
+    # at eps 1e-3 cycle:48's resonances come in pairs as close as 3.7e-8: a
+    # merged pair has ||N^2||_F = 0.35 d^2, which no nilpotency test sees
+    im = build_E(attach_tails(preset_graph("cycle:48"), [0, 1, 2]), 1e-3)
+    sd = spectral_decompose(im.E)
+    assert len(sd.clusters) == 96
+    assert all(c.mult == 1 for c in sd.clusters)
 
 
 @settings(max_examples=40, deadline=None)

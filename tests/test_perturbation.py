@@ -10,13 +10,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_tailed_graph import connected_graphs
 
 from tailwalk.coin_evolution import kappa
-from tailwalk.internal_spectral import build_E, projection_contour_oracle, spectral_decompose
+from tailwalk.internal_spectral import (
+    ClusterAmbiguity,
+    build_E,
+    projection_contour_oracle,
+    spectral_decompose,
+)
 from tailwalk.perturbation import (
     Coupling,
     Family,
@@ -33,6 +38,7 @@ from tailwalk.perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
+from tailwalk.scattering import unitarity_defect
 from tailwalk.smt_laplacian import build_operators, classify, joukowsky, lift, unit_sign
 from tailwalk.tailed_graph import attach_tails, build_internal, preset_graph
 
@@ -397,6 +403,33 @@ def test_persistence_routes_agree_on_random_graphs(tg):
         assert sum(b.multiplicity for b in persistent) == entry.persistent_mult
         for b in persistent:
             assert np.linalg.norm(im.E1 @ b.basis) <= 1e-12
+
+
+# a 7-vertex graph whose family at mu = e^{-2 pi i/5} passes the gate with
+# norms that do not decrease along the ladder 0.04/0.02/0.01
+NONMONOTONE = attach_tails(
+    build_internal(7, [(0, 3), (0, 6), (1, 6), (2, 6), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)]),
+    [2],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tailed_graphs())
+@example(NONMONOTONE)
+def test_resonant_limit_is_unitary_on_random_graphs(tg):
+    """Sigma(lam_eps) is unitary at every eps and converges to I + Sigma01,
+    so every family's limit is unitary; a refused decomposition or
+    reduction is not a failure."""
+    im = build_E(tg)
+    try:
+        base = Coupling(im, spectral_decompose(im.E0))
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+        recs = resonant_sigma_limit(base, ledgers, couplings(im, (0.04, 0.02, 0.01)))
+    except (ClusterAmbiguity, np.linalg.LinAlgError):
+        assume(False)
+    eye = np.eye(tg.num_ports)
+    for rec in recs:
+        assert unitarity_defect(eye + rec.sigma01) <= 1e-10
 
 
 class TestProjectionExpansion:
