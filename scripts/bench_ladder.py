@@ -27,8 +27,10 @@ exit code of the ``perturb`` run (3, a refusal, is timed as well), the
 process's peak resident set size, ``peak_rss_mb`` in MiB, and
 ``decompose_peak_n2``: the tracemalloc peak of one more, untimed
 ``spectral_decompose`` of ``E(eps)``, in units of one n x n complex array
-(16 n^2 bytes; E itself is not counted).  Unlike a time, that count
-repeats from run to run, to about four digits.  Each round also times one
+(16 n^2 bytes; E itself is not counted), and ``build_E_retained_n2``: the
+traced bytes that one more, untimed ``build_E(tg, 0)`` keeps in its
+result, in the same unit.  Unlike a time, those counts repeat from run to
+run, to about four digits.  Each round also times one
 ``acceptance.run_all()``, the ``verify`` suite, in :func:`measure_verify`,
 with its process's peak RSS.
 
@@ -87,15 +89,17 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def _traced_peak_n2(fn, n: int) -> float:
-    """tracemalloc's peak while ``fn()`` runs, in n x n complex arrays."""
+def _traced_n2(fn, n: int) -> tuple[float, float]:
+    """tracemalloc's peak while ``fn()`` runs, and the bytes still held once
+    it has returned, its result among them, in n x n complex arrays."""
     tracemalloc.start()
     try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (16 * n * n)
+    del out
+    return peak / (16 * n * n), kept / (16 * n * n)
 
 
 def measure(preset: str, tails: str) -> dict:
@@ -115,7 +119,8 @@ def measure(preset: str, tails: str) -> dict:
     build_E(attach_tails(preset_graph("cycle:4"), (0,)), EPS)  # numpy's first-call set-up
     im, build_s = _timed(lambda: build_E(tg, EPS))
     sd, decompose_s = _timed(lambda: spectral_decompose(im.E))
-    peak_n2 = _traced_peak_n2(lambda: spectral_decompose(im.E), tg.num_arcs)
+    peak_n2 = _traced_n2(lambda: spectral_decompose(im.E), tg.num_arcs)[0]
+    kept_n2 = _traced_n2(lambda: build_E(tg, 0.0), tg.num_arcs)[1]
     _, evaluator_s = _timed(lambda: SigmaEvaluator(im, sd))
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     _, curve_s = _timed(lambda: transmission_curve(im, grid, 0, sd))
@@ -151,6 +156,7 @@ def measure(preset: str, tails: str) -> dict:
         "build_E_s": build_s,
         "spectral_decompose_s": decompose_s,
         "decompose_peak_n2": peak_n2,
+        "build_E_retained_n2": kept_n2,
         "sigma_evaluator_s": evaluator_s,
         "transmission_256_s": curve_s,
         "iteration_basis_s": basis_s,

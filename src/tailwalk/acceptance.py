@@ -66,7 +66,8 @@ def make_fixture(name: str):
 
 class _Context:
     """What the criteria of one run share, each built on first use: E(0) per
-    fixture and its blocks from the vertex-operator assembly (``im0_split``),
+    fixture and the kappa-linear parts (E0, E1, B_in1, B_out1, B_bb1) of its
+    blocks from the vertex-operator assembly (``split``),
     its unperturbed problem ``base`` (E0's decomposition and the graph's
     T-eigenspaces), a Coupling per (fixture, eps), a ledger per
     (fixture, cluster value), and one decomposition per distinct matrix
@@ -75,10 +76,7 @@ class _Context:
     def __init__(self):
         self._sd: dict = {}
         self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
-        self.im0_split = functools.cache(lambda name: replace(
-            im := self.im0(name),
-            **dict(zip(("E0", "E1", "B_in1", "B_out1", "B_bb1"), build_E_split(im.tg))),
-        ))
+        self.split = functools.cache(lambda name: build_E_split(self.im0(name).tg))
         self.base = functools.cache(
             lambda name: Coupling(im := self.im0(name), self.decompose(im.E0))
         )
@@ -210,13 +208,17 @@ def _c5(ctx):
     worst = 0.0
     count = 0
     for name in FIXTURES:
+        E0, E1, B_in1, B_out1, B_bb1 = ctx.split(name)
         for eps in (0.1, 0.25, 0.5):
             cpl = ctx.coupling(name, eps)
             w, V = np.linalg.eig(cpl.im.E)  # eigenvectors independent of the Schur factors
             inside = [i for i in range(len(w)) if abs(w[i]) < 1.0 - 1e-6]
-            # the walk comes from the vertex-operator assembly, the states from
-            # the per-vertex one: the residual compares the two assemblies
-            for r in verify_outgoing(ctx.im0_split(name).at(eps), w[inside], V[:, inside]):
+            # the walk's blocks come from the vertex-operator assembly, the
+            # states from the per-vertex one: the residual compares the two
+            k = kappa(eps)
+            walk = replace(cpl.im, E=E0 + k * E1, B_in=k * B_in1, B_out=k * B_out1,
+                           B_bb=np.eye(len(B_bb1)) + k * B_bb1)
+            for r in verify_outgoing(walk, w[inside], V[:, inside]):
                 worst = max(worst, r)
             count += len(inside)
     ok = worst < 1e-8 and count > 0

@@ -9,10 +9,14 @@ verify        run the acceptance suite on built-in fixtures
 
 Every emitted file gets a ``<name>.meta.json`` sidecar recording tolerances,
 cluster decisions, the numerical health of each decomposition behind it
-(``health``: reconstruction residual and block condition per eps) and the
-package version, so a table can always be traced back to the run that
-produced it.  Floats are written with %.17g so repeated runs are
-byte-identical.
+(``health``: reconstruction residual and block condition per eps, and for
+``transmission`` the largest ``|tau_sq + reflection_sq - 1|`` on the
+emitted grid) and the package version, so a table can always be traced
+back to the run that produced it.  ``perturb``'s ``sigma_limit.json``
+sidecar also records each family's ``limit_unitarity_defect``,
+``||(I + Sigma01)* (I + Sigma01) - I||_2``, and a run where one exceeds
+``LIMIT_UNITARITY_TOL`` is refused.  Floats are written with %.17g so
+repeated runs are byte-identical.
 
 Exit codes: 0 ok, 1 verify failures, 2 configuration problems, 3 numerical
 failures (with a report on stderr).
@@ -36,8 +40,10 @@ from .internal_spectral import (
     CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
 )
 from .perturbation import (
+    LIMIT_UNITARITY_TOL,
     Coupling,
     GroupEscapedContour,
+    NonUnitaryLimit,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,
@@ -60,6 +66,7 @@ _NUMERICAL_ERRORS = (
     ClusterAmbiguity,
     GroupEscapedContour,
     NoConvergence,
+    NonUnitaryLimit,
     np.linalg.LinAlgError,
 )
 
@@ -319,9 +326,12 @@ def cmd_transmission(cfg: argparse.Namespace) -> int:
     for eps, stem, cpl in zip(cfg.eps, stems, ladder):
         curve = transmission_curve(cpl.im, lam_grid, cfg.inflow - 1, cpl.sd)
         out = _write_table(outdir / stem, header, zip(*(curve[h] for h in header)), cfg.format)
+        # the emitted grid's largest |tau_sq + reflection_sq - 1|: Sigma is unitary
+        defect = float(np.max(np.abs(curve["tau_sq"] + curve["reflection_sq"] - 1.0)))
+        health = _health([(eps, cpl)])
+        health[_g17(eps)]["grid_unitarity_defect"] = defect
         _write_sidecar(out, cfg, tg, "transmission", {
-            "eps": eps, "cluster_decisions": _cluster_record(cpl.sd),
-            "health": _health([(eps, cpl)]),
+            "eps": eps, "cluster_decisions": _cluster_record(cpl.sd), "health": health,
         })
         written.append(out)
     print("wrote " + ", ".join(str(w) for w in written))
@@ -354,6 +364,14 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         ledgers.append(led)
 
     # every ledger's families at once: one Sigma evaluation per eps
+    limits = resonant_sigma_limit(base, ledgers, couplings)
+    defects = [rec.unitarity_defect for rec in limits]
+    worst = max(defects, default=0.0)
+    if not worst <= LIMIT_UNITARITY_TOL:
+        raise NonUnitaryLimit(
+            f"resonant limit I + Sigma01 is not unitary: ||(I + Sigma01)* (I + Sigma01) - I||_2 "
+            f"= {worst:.2e} > {LIMIT_UNITARITY_TOL:g}"
+        )
     limit_records = [
         {
             "mu": [rec.mu.real, rec.mu.imag],
@@ -364,7 +382,7 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
             "sigma01": [[[z.real, z.imag] for z in row] for row in rec.sigma01],
             "assumptions": asdict(rec.verdicts) | {"gate": rec.verdicts.gate},
         }
-        for rec in resonant_sigma_limit(base, ledgers, couplings)
+        for rec in limits
     ]
 
     health = _health([(0.0, base), *couplings.items()])
@@ -382,7 +400,8 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
 
     limit_file = outdir / "sigma_limit.json"
     _write_json(limit_file, {"families": limit_records})
-    _write_sidecar(limit_file, cfg, tg, "perturb", ladder_meta)
+    _write_sidecar(limit_file, cfg, tg, "perturb",
+                   ladder_meta | {"limit_unitarity_defect": defects})
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
     return 0

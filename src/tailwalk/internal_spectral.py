@@ -27,8 +27,10 @@ block-upper-triangular Y with T Y = Y blockdiag(T_jj).  Each of its
 clusters is kept as R = (Z Y)[:, J], L = (Y^-1 Z*)[J, :] and N.  So P = R L
 and (E - mu) P = R N L cost O(n m) memory per cluster instead of O(n^2).
 The whole decomposition holds about four n x n arrays at its peak, R and L
-among them: Z is permuted once, T and Z are freed after their last use,
-and the reconstruction check runs over slices of columns.  This is
+among them: the Schur workspace query is freed before the Schur form is
+made, Z is permuted once, T and Z are freed after their last use, no
+n x n distance matrix groups the eigenvalues, and the reconstruction
+check runs over slices of columns.  This is
 well-conditioned even for defective clusters, and a basis too
 ill-conditioned to trust is refused.  A contour-integral projector is
 provided as an independent test oracle and is not used in any production
@@ -106,6 +108,11 @@ class InternalMatrix:
     """Boundary matrix and port blocks at one coupling value, plus the exact
     kappa-linear splitting  X(eps) = X0 + kappa(eps) * X1  of every block.
 
+    E's coupling part E1 = U1 V1^T has rank r, one column per tailed vertex
+    v: ``U1`` (n x r) is -N_v / (n_v n_i) on the arcs leaving v and ``V1``
+    (n x r) is 1 on the arcs entering v, where N_v, n_v and n_i count v's
+    tails, all its arcs and its internal ones.  No dense E1 is kept.
+
     B_in and B_out vanish at eps = 0 (their zeroth-order parts are zero) and
     B_bb0 = I: at zero coupling each port reflects into itself and the
     interior decouples.
@@ -118,22 +125,44 @@ class InternalMatrix:
     B_out: np.ndarray
     B_bb: np.ndarray
     E0: np.ndarray
-    E1: np.ndarray
+    U1: np.ndarray
+    V1: np.ndarray
     B_in1: np.ndarray
     B_out1: np.ndarray
     B_bb1: np.ndarray
 
     def at(self, eps: float) -> "InternalMatrix":
-        """Same graph, different coupling (cheap: blocks are kappa-linear)."""
+        """Same graph, different coupling (cheap: blocks are kappa-linear).
+
+        E = E0 + kappa U1 V1^T is one copy of E0 with kappa times each
+        tailed vertex's block added in place (the blocks are disjoint); at
+        kappa = 0 exactly, E is the read-only E0 itself."""
         k = kappa(eps)
+        E = self.E0
+        if k != 0:
+            index, values = self._coupling_entries
+            E = self.E0.copy()
+            E.reshape(-1)[index] += k * values
         return replace(
             self,
             eps=float(eps),
-            E=self.E0 + k * self.E1,
+            E=E,
             B_in=k * self.B_in1,
             B_out=k * self.B_out1,
             B_bb=np.eye(self.tg.num_ports, dtype=complex) + k * self.B_bb1,
         )
+
+    @cached_property
+    def _coupling_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of U1 V1^T inside the tailed vertices' blocks, as flat
+        indices into E and their values, formed on the first ``at``."""
+        index = [np.zeros(0, dtype=np.intp)]
+        values = [np.zeros(0, dtype=complex)]
+        for u, v in zip(self.U1.T, self.V1.T):
+            (rows,), (cols,) = u.nonzero(), v.nonzero()
+            index.append((rows[:, None] * len(v) + cols).ravel())
+            values.append(np.outer(u[rows], v[cols]).ravel())
+        return np.concatenate(index), np.concatenate(values)
 
     @cached_property
     def iteration_basis(self) -> "IterationBasis":
@@ -232,30 +261,36 @@ def _port_krylov_basis(E: np.ndarray, B_in: np.ndarray) -> np.ndarray | None:
 
 def build_E(tg: TailedGraph, eps: float = 0.0) -> InternalMatrix:
     """Assemble E and the port blocks from the per-vertex coins: the one
-    per-vertex assembly of the walk step, which every other consumer reads."""
+    per-vertex assembly of the walk step, which every other consumer reads.
+    E0 is returned read-only, as ``at`` shares it at zero coupling."""
     M = tg.num_arcs
     N = tg.num_ports
 
     E0 = np.zeros((M, M), dtype=complex)
-    E1 = np.zeros((M, M), dtype=complex)
+    U1 = np.zeros((M, len(tg.boundary_vertices)), dtype=complex)
+    V1 = np.zeros_like(U1)
     B_in1 = np.zeros((M, N), dtype=complex)
     B_out1 = np.zeros((N, M), dtype=complex)
     B_bb1 = np.zeros((N, N), dtype=complex)
 
+    column = {v: j for j, v in enumerate(tg.boundary_vertices)}  # U1's and V1's
     for v in range(tg.graph.num_vertices):
         ins, pids = tg.arcs_into(v), tg.ports_at(v)
         n_i = len(ins)
         c0, c1 = linearize(int(tg.total_deg[v]), n_i)
         rows = tg.reversal[ins]  # the arcs leaving v, in the order of those entering
         E0[np.ix_(rows, ins)] = c0[:n_i, :n_i]
-        E1[np.ix_(rows, ins)] = c1[:n_i, :n_i]
-        B_in1[np.ix_(rows, pids)] = c1[:n_i, n_i:]
-        B_out1[np.ix_(pids, ins)] = c1[n_i:, :n_i]
-        B_bb1[np.ix_(pids, pids)] = c1[n_i:, n_i:]
+        if v in column:  # c1's internal block is c1[0, 0] J, of rank one
+            U1[rows, column[v]] = c1[0, 0]
+            V1[ins, column[v]] = 1.0
+            B_in1[np.ix_(rows, pids)] = c1[:n_i, n_i:]
+            B_out1[np.ix_(pids, ins)] = c1[n_i:, :n_i]
+            B_bb1[np.ix_(pids, pids)] = c1[n_i:, n_i:]
+    E0.flags.writeable = False
 
     # the exact eps = 0 blocks (B_in0 = B_out0 = 0, B_bb0 = I); ``at`` forms E(eps)
     zeroth = InternalMatrix(tg, 0.0, E0, np.zeros_like(B_in1), np.zeros_like(B_out1),
-                            np.eye(N, dtype=complex), E0, E1, B_in1, B_out1, B_bb1)
+                            np.eye(N, dtype=complex), E0, U1, V1, B_in1, B_out1, B_bb1)
     return zeroth.at(eps)
 
 
@@ -330,26 +365,54 @@ def _greedy_clusters(vals: np.ndarray, tol: float) -> tuple[list[np.ndarray], np
     imag) of the representative.
     """
     n = len(vals)
-    close = np.abs(vals[:, None] - vals) < tol
     index = np.arange(n)
-    label = index
-    while True:  # spread each component's smallest index through it
-        nxt = np.where(close, label, n).min(axis=1)
-        if (nxt == label).all():
-            break
-        label = nxt
+    label = index.copy()
+    # two values closer than tol have real parts closer than tol, so values
+    # whose real parts lie at least tol from their neighbours' are alone, and
+    # each run of linked neighbours in real order holds whole components: the
+    # closure runs within each run, with no n x n matrix
+    by_re = vals.real.argsort(kind="stable")
+    real = vals.real[by_re]
+    linked = np.zeros(n + 1, dtype=bool)  # linked[i]: by_re[i - 1] and by_re[i] may be close
+    linked[1:n] = real[1:] - real[:-1] < tol
+    bounds = np.flatnonzero(linked[1:] != linked[:-1]).tolist()  # each run's first and last
+    for a, b in zip(bounds[::2], bounds[1::2]):
+        run = by_re[a : b + 1]
+        r = vals[run]
+        close = np.abs(r[:, None] - r) < tol
+        lab = run
+        while True:  # spread each component's smallest index through it
+            nxt = np.where(close, lab, n).min(axis=1)
+            if (nxt == lab).all():
+                break
+            lab = nxt
+        label[run] = lab
     (heads,) = (label == index).nonzero()  # each group's smallest index, ascending
     sizes = np.bincount(label)[heads]
+    order = label.argsort(kind="stable")  # the groups' members, ascending, group by group
+    ends = sizes.cumsum()
+    starts = ends - sizes
     # the mean of a one-member group, bit for bit: np.mean sums from +0, so a
-    # -0.0 part becomes +0.0, and its division by 1 changes nothing else
+    # -0.0 part becomes +0.0, and its division by 1 changes nothing else.  A
+    # larger group's is np.mean's own sum and division
     reps = vals[heads] + 0.0
     for g in (sizes > 1).nonzero()[0].tolist():
-        reps[g] = vals[label == heads[g]].mean()
+        reps[g] = vals[order[starts[g] : ends[g]]].sum() / sizes[g]
     key = reps.argsort(kind="stable")  # numpy orders complex numbers by (real, imag)
-    order = label.argsort(kind="stable")
-    ends = sizes.cumsum()
-    groups = [order[a:b] for a, b in zip((ends - sizes)[key].tolist(), ends[key].tolist())]
+    groups = [order[a:b] for a, b in zip(starts[key].tolist(), ends[key].tolist())]
     return groups, reps[key]
+
+
+def _schur_form(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E's complex Schur form (T, Z), from the one ``scipy.linalg.schur`` call.
+
+    ``zgees``'s workspace size is queried first, and the query's copies of
+    E and of Z freed: asked for the size itself, ``schur`` keeps them alive
+    through the real call, two n x n arrays more at its peak.
+    """
+    (gees,) = scipy.linalg.get_lapack_funcs(("gees",), (E,))
+    lwork = gees(lambda x: None, E, lwork=-1)[-2][0].real.astype(np.int_)
+    return scipy.linalg.schur(E, output="complex", lwork=lwork)
 
 
 def _contiguous_schur(
@@ -471,9 +534,12 @@ def spectral_decompose(
     tolerance can make it, and when ``ztrsen`` or ``ztrsyl`` fails.
 
     Besides E, at most about four n x n arrays are live at once, in turn:
-    T and Z; Z, the rest's block of T and its Y; Z, Y, R and the rest's
-    rows of L; R and L.  Z's columns are permuted once, T and Z are freed
-    after their last use, and the reconstruction residual
+    T and Z (``zgees``'s workspace query is freed before they are made,
+    :func:`_schur_form`); Z, the rest's block of T and its Y; Z, Y, R and
+    the rest's rows of L; R and L.  The rest's block of T is sliced before
+    Z's columns are permuted, once, T and Z are freed after their last use,
+    eigenvalues are grouped with no n x n distance matrix
+    (:func:`_greedy_clusters`), and the reconstruction residual
     ``||R blockdiag(T_jj) L - E||_F / ||E||_F`` is summed over slices of
     ``_SLICE`` columns.  A split-off cluster's ``nilpotent_norm`` is
     ``||N||_F``, exactly, since its R is orthonormal and L = R*; the
@@ -484,7 +550,7 @@ def spectral_decompose(
     E = np.asarray(E, dtype=complex)
     n = E.shape[0]
     norm_E = float(np.sqrt(np.vdot(E, E).real))
-    T, Z = scipy.linalg.schur(E, output="complex")
+    T, Z = _schur_form(E)
     vals = T.diagonal().copy()
     groups, reps = _greedy_clusters(vals, cluster_tol)
     mults = [len(ix) for ix in groups]
@@ -504,11 +570,14 @@ def spectral_decompose(
     if split:
         head = np.concatenate([groups[g] for g in split])
         start[split] = np.cumsum([0] + [mults[g] for g in split[:-1]])
-        rest = np.ones(n, dtype=bool)
-        rest[head] = False
-        pos = rest.cumsum() - 1  # an index's position among the rest
-        Z = Z[:, np.concatenate([head, rest.nonzero()[0]])]  # Z's one permutation
-        T = T[rest][:, rest]
+        in_rest = np.ones(n, dtype=bool)
+        in_rest[head] = False
+        pos = in_rest.cumsum() - 1  # an index's position among the rest
+        (rest,) = in_rest.nonzero()
+        # the rest's block of T in one gather, before Z is permuted: the full T
+        # is freed first, and no intermediate block of rows is made
+        T = T[np.ix_(rest, rest)]
+        Z = Z[:, np.concatenate([head, rest])]  # Z's one permutation
         rest_groups = [pos[groups[g]] for g in others]
     k = len(head)
     T, Zr, rest_start = _contiguous_schur(T, Z[:, k:], rest_groups)

@@ -10,7 +10,8 @@ reduced resolvent sum_{zeta != mu} (zeta - mu)^{-1} P_zeta, and X = E1,
 giving the branch expansion mu(kappa) = mu + kappa mu1 + kappa^2 mu2 + o(kappa^2).
 Stage one is A1 = gamma mu M1 with M1 Hermitian (:class:`BoundaryGram`),
 one ``eigh`` with real eigenvalues eta1 and mu1 = gamma mu eta1; stage two
-reads S_mu = R diag(w) L through E0's factors and never forms it.
+reads S_mu = R diag(w) L through E0's factors and never forms it, and X
+through its rank-r factors U1 V1^T (:class:`InternalMatrix`).
 The total projection of the perturbed group expands as
 P(kappa) = P + kappa P^(1) + kappa^2 P^(2) + kappa^3 P^(3) + o(kappa^3); the
 coefficients are produced by full slot enumeration (the compact textbook
@@ -40,11 +41,13 @@ from .coin_evolution import kappa
 from .internal_spectral import (
     InternalMatrix, SpectralCluster, SpectralData, _greedy_clusters, spectral_decompose
 )
-from .scattering import SigmaEvaluator
+from .scattering import SigmaEvaluator, unitarity_defect
 from .smt_laplacian import LaplacianT, build_operators, joukowsky, unit_sign
 
 __all__ = [
     "GroupEscapedContour",
+    "NonUnitaryLimit",
+    "LIMIT_UNITARITY_TOL",
     "Coupling",
     "Branch",
     "Family",
@@ -68,6 +71,16 @@ class GroupEscapedContour(RuntimeError):
     """The perturbed eigenvalue group cannot be isolated by any admissible contour."""
 
 
+class NonUnitaryLimit(RuntimeError):
+    """A family's resonant limit I + Sigma01 is not unitary."""
+
+
+# largest ||(I + Sigma01)* (I + Sigma01) - I||_2 of a resonant limit that is
+# accepted as unitary: measured at most 1.2e-13 on six presets and 1.5e-14
+# over random graphs, and at least 4.2e-2 with every pole weight halved
+LIMIT_UNITARITY_TOL = 1e-10
+
+
 @dataclass
 class Coupling:
     """One E(eps), factored once at the run's tolerances and shared by every
@@ -89,6 +102,13 @@ class Coupling:
     @cached_property
     def sigma(self) -> SigmaEvaluator:
         return SigmaEvaluator(self.im, self.sd)
+
+    @cached_property
+    def coupling_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V1^T R, L U1): E1 = U1 V1^T read through the decomposition's R
+        and L, r x n and n x r, formed once and shared by every cluster's
+        reduction."""
+        return self.im.V1.T @ self.sd.R, self.sd.L @ self.im.U1
 
 
 _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
@@ -161,7 +181,7 @@ def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[n
     cl = base.sd.cluster_near(mu0)
     P = cl.projection
     S = base.sd.R @ (_resolvent_weights(base.sd, cl)[:, None] * base.sd.L)
-    X = base.im.E1
+    X = base.im.U1 @ base.im.V1.T
     n = P.shape[0]
     Spow = {0: np.eye(n, dtype=complex)}
     for p in range(1, order + 1):
@@ -266,12 +286,15 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
 
     Branches are labelled by (mu1, mu2) and carry their multiplicity and
     P2's factors.  The bases are nested: Q (QR of the cluster's ``R``)
-    spans Ran(P), Q1 = Q V1 a stage-one eigenspace, Q1 Q'' a stage-two
-    one.  Stage one is ``eigh`` of the Hermitian part of
-    H = Q* X Q / (gamma mu); ||H - H*||_F above ``_STAGE1_HERMITIAN``
+    spans Ran(P), Q1 = Q G1 a stage-one eigenspace, Q1 Q'' a stage-two
+    one.  X = E1 is read through its factors U1 V1^T.  Stage one is
+    ``eigh`` of the Hermitian part of H = Q* X Q / (gamma mu) =
+    (Q* U1)(V1^T Q) / (gamma mu); ||H - H*||_F above ``_STAGE1_HERMITIAN``
     (absolute: a purely persistent group has H = 0 to rounding) raises
     ``np.linalg.LinAlgError``.  Stage two is E2 = -(Q1* X R) diag(w)
-    (L X Q1), with Q* X R and L X Q formed once.  Both stages group at
+    (L X Q1), with Q* X R = (Q* U1)(V1^T R) and L X Q = (L U1)(V1^T Q),
+    whose V1^T R and L U1 are formed once per run
+    (:attr:`Coupling.coupling_factors`).  Both stages group at
     ``_STAGE_TOL`` (stage one on mu1 = gamma mu eta1).  The group with
     |mu1| <= ``_MU1_ZERO`` spans stage one's kernel, Ker E1 within Ran(P):
     the persistent subspace of mu0, whose branches no coupling moves.
@@ -285,21 +308,22 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     mu = cl.value
     gamma = _gamma_scalar(mu)
     Q = np.linalg.qr(cl.R)[0]
-    X = base.im.E1
-    XQ = X @ Q
-    H = (Q.conj().T @ XQ) / (gamma * mu)
+    QU = Q.conj().T @ base.im.U1  # Q* X = QU V1^T and X Q = U1 VQ
+    VQ = base.im.V1.T @ Q
+    H = (QU @ VQ) / (gamma * mu)
     defect = float(np.linalg.norm(H - H.conj().T))
     if defect > _STAGE1_HERMITIAN:
         raise np.linalg.LinAlgError(
             f"stage-one block A1 / (gamma mu) at mu={mu:.4f} is not Hermitian: "
             f"||H - H*||_F = {defect:.2e} > {_STAGE1_HERMITIAN:g}"
         )
-    eta, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    eta, G = np.linalg.eigh((H + H.conj().T) / 2.0)
     groups = _greedy_clusters(gamma * mu * eta, _STAGE_TOL)[0]
 
     # E2's factors: Q* X S_mu X Q = (Q* X R diag(w)) (L X Q)
-    QXRw = (Q.conj().T @ X @ base.sd.R) * _resolvent_weights(base.sd, cl)
-    LXQ = base.sd.L @ XQ
+    VR, LU = base.coupling_factors
+    QXRw = (QU @ VR) * _resolvent_weights(base.sd, cl)
+    LXQ = LU @ VQ
 
     branches: list[Branch] = []
     families: list[Family] = []
@@ -308,9 +332,9 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         mu1 = gamma * mu * eta1
         moving = abs(mu1) > _MU1_ZERO
         fam = Family(mu1, eta1, [])
-        V1 = V[:, g]
-        Q1 = Q @ V1
-        E2 = -((V1.conj().T @ QXRw) @ (LXQ @ V1))
+        G1 = G[:, g]
+        Q1 = Q @ G1
+        E2 = -((G1.conj().T @ QXRw) @ (LXQ @ G1))
         for c2 in spectral_decompose(E2, cluster_tol=_STAGE_TOL).clusters:
             Qr, Rr = np.linalg.qr(c2.R)
             radial = (_second_order(mu, gamma * eta1, c2.value) / mu).real
@@ -495,6 +519,7 @@ class ResonantLimitRecord:
     norms: list[float]
     sigma01: np.ndarray
     verdicts: AssumptionReport
+    unitarity_defect: float  # ||(I + Sigma01)* (I + Sigma01) - I||_2
 
 
 def _pole_weights(
@@ -586,8 +611,10 @@ def resonant_sigma_limit(
     as 2(1 - rho)/Xs is the same thing; geometric rho-series factors are
     not, and fail numerically for rank-2 branches).
 
-    Computation always completes; hypothesis failures only show in the
-    record's ``verdicts``, so callers can decide what to gate.
+    The limit is unitary, as each Sigma(lam_eps) is: every record carries
+    its ``unitarity_defect``.  Computation always completes; hypothesis
+    failures only show in the record's ``verdicts``, and a non-unitary limit
+    in its defect, so callers can decide what to gate.
 
     Returns one record per family of each ledger, in order; each eps
     evaluates Sigma once, at every family's lambda together.  ``ladder``
@@ -609,6 +636,7 @@ def resonant_sigma_limit(
                 mu=ledger.mu, gamma=ledger.gamma, family=fam,
                 lam_eps=[], norms=[], sigma01=sigma01,
                 verdicts=assumption_report(base, ledger, fam, probe),
+                unitarity_defect=unitarity_defect(np.eye(N) + sigma01),
             ))
 
     if not records:  # no moving family: nothing to evaluate

@@ -309,7 +309,9 @@ def transmission_curve(
     ``sd`` is the spectral data of ``im.E``.  A row per lambda is ``Sigma
     alpha = B_bb alpha + W (K alpha)``, from the evaluator's term table,
     with its weights W taken in slices of about ``_SLICE_BYTES`` in one
-    reused buffer.
+    reused buffer; each slice's rows of Sigma alpha are reduced to its
+    ``tau_sq`` and ``reflection_sq`` at once, so no grid-long Sigma alpha is
+    kept.
     """
     if not 0 <= inflow < im.tg.num_ports:
         raise ValueError(f"inflow port {inflow} out of range for {im.tg.num_ports} ports")
@@ -319,14 +321,16 @@ def transmission_curve(
     ev = SigmaEvaluator(im, sd)
     z = np.exp(-1j * lam_grid)
     Ka = ev.terms @ alpha
-    out = np.empty((len(z), len(alpha)), dtype=complex)
+    refl = np.empty(len(z))
+    tau = np.empty(len(z))
     rows = max(_SLICE_BYTES // (16 * max(len(Ka), 1)), 1)
     buf = np.empty((min(rows, len(z)), len(Ka)), dtype=complex)
     for lo in range(0, len(z), rows):
         W = ev.weights(z[lo:lo + rows], out=buf[: min(rows, len(z) - lo)])
-        out[lo:lo + len(W)] = im.B_bb @ alpha + W @ Ka
-    refl = np.abs(out @ alpha.conj()) ** 2
-    tau = np.linalg.norm(out, axis=1) ** 2 - refl
+        out = im.B_bb @ alpha + W @ Ka  # the slice's rows of Sigma alpha
+        hi = lo + len(W)
+        refl[lo:hi] = np.abs(out @ alpha.conj()) ** 2
+        tau[lo:hi] = np.linalg.norm(out, axis=1) ** 2 - refl[lo:hi]
     return {
         "lambda": lam_grid,
         "re_exp_minus_i_lambda": z.real,

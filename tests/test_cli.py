@@ -182,6 +182,39 @@ class TestPerturb:
         meta = json.loads((out / "ledger.json.meta.json").read_text())
         assert 0.0 <= meta["stage1_hermitian_defect"] < 1e-14
 
+    def test_limit_unitarity_is_recorded(self, tmp_path):
+        code, out = run(
+            tmp_path, "perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+            "--eps", "0.04,0.02,0.01",
+        )
+        assert code == 0
+        fams = json.loads((out / "sigma_limit.json").read_text())["families"]
+        meta = json.loads((out / "sigma_limit.json.meta.json").read_text())
+        defects = meta["limit_unitarity_defect"]  # one per family, in their order
+        assert len(defects) == len(fams) == 18
+        assert all(0.0 <= d < 1e-12 for d in defects)
+
+    def test_non_unitary_resonant_limit_is_refused(self, tmp_path, capsys, monkeypatch):
+        # halving every pole weight of Sigma01 leaves I + Sigma01 non-unitary
+        # on every family, by at least 4.2e-2
+        real = perturbation._pole_weights
+
+        def halved(ledger, fam):
+            Xs, weights = real(ledger, fam)
+            return Xs, {b: None if w is None else w / 2 for b, w in weights.items()}
+
+        monkeypatch.setattr(perturbation, "_pole_weights", halved)
+        code, out = run(
+            tmp_path, "perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+            "--eps", "0.04,0.02,0.01",
+        )
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        m = re.search(r"\(NonUnitaryLimit\): .* = (\S+) > 1e-10", err)
+        assert m, err
+        assert float(m.group(1)) >= 4e-2
+        assert not (out / "sigma_limit.json").exists()
+
     def test_close_resonances_are_not_merged(self, tmp_path):
         # at eps 0.00075 four pairs of cycle:12's resonances lie 6.7e-8
         # apart; merged into one cluster each, the closed form is 0.35 off
@@ -358,9 +391,12 @@ def test_sidecars_record_health_and_tables_repeat(tmp_path, command, eps):
         else:
             assert sorted(float(e) for e in health) == sorted(float(e) for e in eps)
         for h in health.values():
-            assert set(h) == {"reconstruction_residual", "block_condition"}
+            grid = {"grid_unitarity_defect"} if command == "transmission" else set()
+            assert set(h) == {"reconstruction_residual", "block_condition"} | grid
             assert all(np.isfinite(v) for v in h.values())
             assert h["reconstruction_residual"] < 1e-12 and h["block_condition"] >= 1
+            # the emitted grid's largest |tau_sq + reflection_sq - 1|
+            assert 0.0 <= h.get("grid_unitarity_defect", 0.0) < 1e-12
     tables = sorted(p.name for p in out_a.iterdir() if not p.name.endswith(".meta.json"))
     assert tables
     for name in tables:
@@ -731,8 +767,10 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     row = bench_ladder.measure("cycle:8", "0,1,2,3")
     assert (row["arcs"], row["basis_dim"], row["iterate_no_convergence"]) == (16, None, 0)
     assert row["perturb_exit"] == 0
-    # the traced peak of one decomposition, in n x n arrays: at least R and L
+    # the traced peak of one decomposition, in n x n arrays: at least R and L;
+    # and what build_E(tg, 0) keeps, E0 and the small blocks beside it
     assert 2 <= row["decompose_peak_n2"] < 64
+    assert 1 <= row["build_E_retained_n2"] < 64
     times = {k: v for k, v in row.items() if k.endswith("_s")}
     assert len(times) == 9 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()

@@ -61,7 +61,8 @@ def direct_residual(base, mu):
     A1 against the graph-side one."""
     fo = build_M1(base, mu)
     U = lifted_basis(base, mu)
-    return float(np.linalg.norm(U.conj().T @ base.im.E1 @ U - fo.gamma * mu * fo.M1))
+    X = base.im.U1 @ base.im.V1.T
+    return float(np.linalg.norm(U.conj().T @ X @ U - fo.gamma * mu * fo.M1))
 
 
 def build_M2(lt, mu, zeta):
@@ -97,7 +98,7 @@ def mu2_bound_check(base, ledger):
     bound = _mu2_bound(base.sd, cl, minn)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
     U = lifted_basis(base, mu)
-    X = base.im.E1
+    X = base.im.U1 @ base.im.V1.T
     cross = {}
     for c in base.sd.clusters:
         if c is cl:
@@ -260,7 +261,7 @@ class TestReduceEigenvalue:
             assert np.linalg.norm((im_k4a.E0 - led.mu * np.eye(n)) @ b.P2) < 1e-9
             # stage-1 operator acts as mu1 on the branch range
             assert (
-                np.linalg.norm(b.P2 @ im_k4a.E1 @ b.P2 - b.mu1 * b.P2) < 1e-8
+                np.linalg.norm(b.P2 @ (im_k4a.U1 @ im_k4a.V1.T) @ b.P2 - b.mu1 * b.P2) < 1e-8
             )
 
     def test_families_partition_the_moving_branches(self, suite_graphs):
@@ -402,7 +403,7 @@ def test_persistence_routes_agree_on_random_graphs(tg):
         persistent = [b for b in reduce_eigenvalue(base, cl.value).branches if b.persistent]
         assert sum(b.multiplicity for b in persistent) == entry.persistent_mult
         for b in persistent:
-            assert np.linalg.norm(im.E1 @ b.basis) <= 1e-12
+            assert np.linalg.norm(im.U1 @ (im.V1.T @ b.basis)) <= 1e-12
 
 
 # a 7-vertex graph whose family at mu = e^{-2 pi i/5} passes the gate with
