@@ -2,6 +2,7 @@
 """Time each layer of tailwalk on a fixed graph ladder; write the medians.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench_ladder.py OUT.json
+    python3 scripts/bench_ladder.py parent=SRC change=SRC OUT.json
 
 The graphs are ``cycle:64`` and ``cycle:128`` with tails 0-3, and
 ``complete:8``, ``complete:16`` and ``complete:24`` with tails 0,0,1,2,
@@ -29,8 +30,11 @@ process's peak resident set size, ``peak_rss_mb`` in MiB, and
 ``spectral_decompose`` of ``E(eps)``, in units of one n x n complex array
 (16 n^2 bytes; E itself is not counted), and ``build_E_retained_n2``: the
 traced bytes that one more, untimed ``build_E(tg, 0)`` keeps in its
-result, in the same unit.  Unlike a time, those counts repeat from run to
-run, to about four digits.  Each round also times one
+result, in the same unit, and ``stage_two_calls``: the ``spectral_decompose``
+calls that one more, untimed all-cluster reduction makes, counted through
+``tailwalk.perturbation.spectral_decompose`` (:func:`_stage_two_calls`).
+Unlike a time, those counts repeat from run to run, the first two to about
+four digits and the last exactly.  Each round also times one
 ``acceptance.run_all()``, the ``verify`` suite, in :func:`measure_verify`,
 with its process's peak RSS.
 
@@ -41,9 +45,21 @@ suite (ROADMAP.md) once, in a subprocess with one BLAS thread, in the
 checkout the imported ``tailwalk`` comes from: ``tier1_s`` is its wall
 time and ``tier1_passed`` its count of passed tests.  ``OUT.json`` holds
 each layer's median over the rounds and the runs themselves.  It imports
-the ``tailwalk`` on ``PYTHONPATH``, so running it once per checkout,
-alternating, compares two versions; ``BENCH_<pr>.json`` holds such a pair
-side by side.
+the ``tailwalk`` on ``PYTHONPATH``.
+
+Given ``parent=SRC change=SRC``, the ``src`` directories of two
+checkouts, it compares the two versions itself: a third side,
+``parent_copy``, is a byte-identical copy of the parent's checkout (less
+``.git`` and caches) in a temporary directory, a control for run-to-run
+spread.  The three sides run :func:`ladder_record` three times each, in
+the order ``ROTATION``, each run in a child process with
+``PYTHONDONTWRITEBYTECODE=1`` after every ``__pycache__`` directory of the
+side's checkout is removed.  ``OUT.json`` then holds, per graph, each
+side's median over its 15 measurements, ``X_over_parent`` (the ratio of
+the medians) and ``per_run_X_over_parent`` (the ratios of the i-th runs'
+medians) for every time and peak RSS, each side's median and range of
+every count, and each side's tier-1 runs (:func:`paired_record`);
+``BENCH_<pr>.json`` is such a record.
 """
 
 import contextlib
@@ -53,6 +69,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,6 +93,24 @@ PERTURB_EPS = "0.04,0.02,0.01"
 LAMBDAS = (-2.5, -0.9, 0.8, 2.4)
 ROUNDS = 5
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+_PER_ROUND = ("_s", "_mb", "_n2", "_calls")  # the per-graph keys kept per round
+SIDES = ("parent", "change", "parent_copy")
+# the paired mode's order of runs: each side runs three times, and no side
+# holds the same place in every triple
+ROTATION = ("parent", "change", "parent_copy", "change", "parent", "parent_copy",
+            "parent_copy", "change", "parent")
+PAIRED_DESCRIPTION = (
+    "scripts/bench_ladder.py run three times on each of three trees, in env.order: the "
+    "parent's checkout (parent), the change's (change), and a byte-identical copy of the "
+    "parent's (parent_copy), a control for run-to-run spread; every run with "
+    "PYTHONDONTWRITEBYTECODE=1 and no __pycache__. Each timing and peak_rss_mb is the "
+    f"median of the {3 * ROUNDS} fresh-process measurements per side ({ROUNDS} rounds per "
+    "run), one BLAS thread; X_over_parent is the ratio of those medians and "
+    "per_run_X_over_parent the ratio of the i-th runs' medians. decompose_peak_n2, "
+    "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s and "
+    "tier1_passed are one tier-1 run per bench_ladder run, in the checkout of the side "
+    "measured."
+)
 
 
 def _peak_rss_mb() -> float:
@@ -100,6 +135,28 @@ def _traced_n2(fn, n: int) -> tuple[float, float]:
         tracemalloc.stop()
     del out
     return peak / (16 * n * n), kept / (16 * n * n)
+
+
+def _stage_two_calls(base) -> int:
+    """The ``spectral_decompose`` calls one all-cluster reduction of
+    ``base`` makes, counted through ``tailwalk.perturbation``'s name for it."""
+    from tailwalk import perturbation
+
+    calls = 0
+    decompose = perturbation.spectral_decompose
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return decompose(*args, **kwargs)
+
+    perturbation.spectral_decompose = counted
+    try:
+        for c in base.sd.clusters:
+            perturbation.reduce_eigenvalue(base, c.value)
+    finally:
+        perturbation.spectral_decompose = decompose
+    return calls
 
 
 def measure(preset: str, tails: str) -> dict:
@@ -150,6 +207,7 @@ def measure(preset: str, tails: str) -> dict:
     argv = ["perturb", "--preset", preset, "--tails", tails, "--eps", PERTURB_EPS]
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         perturb_exit, perturb_s = _timed(lambda: cli_main([*argv, "--out", out]))
+    stage_two = _stage_two_calls(base)
     return {
         "arcs": tg.num_arcs,
         "basis_dim": dim,
@@ -164,6 +222,7 @@ def measure(preset: str, tails: str) -> dict:
         "iterate_16_s": calls_s,
         "iterate_no_convergence": failed,
         "reduce_all_s": reduce_s,
+        "stage_two_calls": stage_two,
         "perturb_s": perturb_s,
         "perturb_exit": perturb_exit,
         "peak_rss_mb": _peak_rss_mb(),
@@ -203,10 +262,8 @@ def _fresh(call: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
+def ladder_record() -> dict:
+    """``ROUNDS`` rounds of every graph and ``verify``, then one tier-1 run."""
     runs = {f"{p} tails {t}": [] for p, t in GRAPHS}
     verify = []
     for _ in range(ROUNDS):
@@ -218,7 +275,7 @@ def main(argv: list[str]) -> int:
         graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence",
                                                   "perturb_exit")}
         for key in rows[0]:
-            if key.endswith(("_s", "_mb", "_n2")):
+            if key.endswith(_PER_ROUND):
                 vals = [r[key] for r in rows]
                 med = None if None in vals else statistics.median(vals)
                 graphs[label][key] = {"median": med, "runs": vals}
@@ -229,8 +286,102 @@ def main(argv: list[str]) -> int:
     for key in ("verify_s", "peak_rss_mb"):
         vals = [v[key] for v in verify]
         verify_rec[key] = {"median": statistics.median(vals), "runs": vals}
-    record = {"env": env, "graphs": graphs, "verify": verify_rec, **tier1()}
-    Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
+    return {"env": env, "graphs": graphs, "verify": verify_rec, **tier1()}
+
+
+def _copy_checkout(src: Path, dest: Path) -> Path:
+    """The checkout around ``src``, its parent directory, copied byte for
+    byte into ``dest`` without ``.git`` and caches; returns the copy's
+    ``src``."""
+    skip = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+    shutil.copytree(src.parent, dest, ignore=skip)
+    return dest / src.name
+
+
+def _side_run(src: Path, out: Path) -> dict:
+    """One :func:`ladder_record` of the tailwalk in ``src``, in a child
+    process that writes no bytecode, after every ``__pycache__`` directory
+    of the checkout around ``src`` is removed: each run compiles the
+    checkout's modules afresh."""
+    for cache in list(src.parent.rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = os.environ | ONE_THREAD | {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, __file__, str(out)], env=env, check=True)
+    return json.loads(out.read_text())
+
+
+def _ratios(runs: dict[str, list[list[float]]]) -> dict:
+    """Each side's median over all its runs' values, each other side's
+    ratio to the parent's, and the ratios of the i-th runs' medians."""
+    rec = {side: round(statistics.median(sum(rs, [])), 6) for side, rs in runs.items()}
+    for side in SIDES[1:]:
+        rec[f"{side}_over_parent"] = round(rec[side] / rec["parent"], 3)
+        rec[f"per_run_{side}_over_parent"] = [
+            round(statistics.median(a) / statistics.median(b), 3)
+            for a, b in zip(runs[side], runs["parent"])
+        ]
+    return rec
+
+
+def _spread(runs: dict[str, list[list[float]]]) -> dict:
+    """Each side's median and range over all its runs' values."""
+    return {side: {"median": round(statistics.median(v := sum(rs, [])), 4),
+                   "min": round(min(v), 4), "max": round(max(v), 4)}
+            for side, rs in runs.items()}
+
+
+def paired_record(runs: dict[str, list[dict]]) -> dict:
+    """One record of the sides' :func:`ladder_record` runs: timings and peak
+    RSS as :func:`_ratios`, the ``_n2`` and ``_calls`` counts as
+    :func:`_spread`, and every other per-graph value as each side's
+    distinct values."""
+    first = runs["parent"][0]
+    graphs = {}
+    for label, g0 in first["graphs"].items():
+        rec = graphs[label] = {"arcs": g0["arcs"]}
+        for key, val in g0.items():
+            if key == "arcs":
+                continue
+            if not isinstance(val, dict):
+                rec[key] = {side: list(dict.fromkeys(r["graphs"][label][key] for r in rs))
+                            for side, rs in runs.items()}
+                continue
+            vals = {side: [r["graphs"][label][key]["runs"] for r in rs]
+                    for side, rs in runs.items()}
+            if any(None in v for vs in vals.values() for v in vs):
+                rec[key] = None
+            elif key.endswith(("_n2", "_calls")):
+                rec[key] = _spread(vals)
+            else:
+                rec[key] = _ratios(vals)
+    verify = {key: _ratios({side: [r["verify"][key]["runs"] for r in rs]
+                            for side, rs in runs.items()})
+              for key in ("verify_s", "peak_rss_mb")}
+    verify["criteria_failed_over_all_runs"] = {
+        side: sum(sum(r["verify"]["failed"]) for r in rs) for side, rs in runs.items()
+    }
+    env = first["env"] | {"runs_per_side": len(runs["parent"]), "order": list(ROTATION)}
+    return {"description": PAIRED_DESCRIPTION, "env": env, "graphs": graphs, "verify": verify,
+            "tier1": {key: {side: [r[key] for r in rs] for side, rs in runs.items()}
+                      for key in ("tier1_s", "tier1_passed")}}
+
+
+def main(argv: list[str]) -> int:
+    sides = dict(a.split("=", 1) for a in argv[:-1] if "=" in a)
+    if len(argv) == 1:
+        record = ladder_record()
+    elif len(argv) == 3 and list(sides) == ["parent", "change"]:
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        with tempfile.TemporaryDirectory() as scratch:
+            srcs = {side: Path(src).resolve() for side, src in sides.items()}
+            srcs["parent_copy"] = _copy_checkout(srcs["parent"], Path(scratch) / "parent_copy")
+            for side in ROTATION:
+                runs[side].append(_side_run(srcs[side], Path(scratch) / "run.json"))
+        record = paired_record(runs)
+    else:
+        print(__doc__, file=sys.stderr)
+        return 2
+    Path(argv[-1]).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

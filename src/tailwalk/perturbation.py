@@ -11,7 +11,11 @@ giving the branch expansion mu(kappa) = mu + kappa mu1 + kappa^2 mu2 + o(kappa^2
 Stage one is A1 = gamma mu M1 with M1 Hermitian (:class:`BoundaryGram`),
 one ``eigh`` with real eigenvalues eta1 and mu1 = gamma mu eta1; stage two
 reads S_mu = R diag(w) L through E0's factors and never forms it, and X
-through its rank-r factors U1 V1^T (:class:`InternalMatrix`).
+through its rank-r factors U1 V1^T (:class:`InternalMatrix`).  Stage two
+splits only what can split: a moving stage-one eigenspace of dimension two
+or more.  One of dimension one is its own branch, with mu2 the 1 x 1 A2,
+and the persistent one (mu1 = 0) lies in Ker X, where A2 = 0: it is one
+branch with mu2 = 0 exactly.
 The total projection of the perturbed group expands as
 P(kappa) = P + kappa P^(1) + kappa^2 P^(2) + kappa^3 P^(3) + o(kappa^3); the
 coefficients are produced by full slot enumeration (the compact textbook
@@ -209,7 +213,9 @@ def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[n
 class Branch:
     """One second-stage branch: its projection is P2 = ``basis`` @ ``left``,
     ``basis`` (n x m) orthonormal, formed by :attr:`P2` on demand only;
-    ``eta1`` = mu1 / (gamma mu), None where mu1 = 0."""
+    ``eta1`` = mu1 / (gamma mu), None where mu1 = 0.  A persistent branch
+    (mu1 = 0) is the whole stage-one kernel: mu2 = 0 exactly, and P2 is
+    orthogonal, ``left`` = ``basis``*."""
 
     mu1: complex
     mu2: complex
@@ -297,9 +303,13 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     (:attr:`Coupling.coupling_factors`).  Both stages group at
     ``_STAGE_TOL`` (stage one on mu1 = gamma mu eta1).  The group with
     |mu1| <= ``_MU1_ZERO`` spans stage one's kernel, Ker E1 within Ran(P):
-    the persistent subspace of mu0, whose branches no coupling moves.
+    the persistent subspace of mu0, which no coupling moves.  There E2 = 0,
+    so it is one branch, (mu1, 0) with P2 = Q1 Q1*, and no E2 is formed.
 
-    Each other stage-one group is one :class:`Family`.  A branch of it
+    Each other stage-one group is one :class:`Family`.  Stage two splits
+    it by ``spectral_decompose`` of E2 when it has two or more members; a
+    group of one is one branch, mu2 = E2[0, 0] with P2 = Q1 Q1*, the
+    values a 1 x 1 decomposition gives.  A branch of a family
     hosts resonances when its predicted second-order radial motion,
     Re(ge^2 + ge - 2 mu2 / mu) with ge = gamma eta1, points inward.  Groups
     come in ascending eta1: the families, then the mu1 = 0 group.
@@ -330,22 +340,26 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     for g in sorted(groups, key=lambda g: g[0]):  # eigh's eta ascend, and so do the groups
         eta1 = float(eta[g].mean())
         mu1 = gamma * mu * eta1
-        moving = abs(mu1) > _MU1_ZERO
-        fam = Family(mu1, eta1, [])
         G1 = G[:, g]
         Q1 = Q @ G1
+        if abs(mu1) <= _MU1_ZERO:  # Ran Q1 lies in Ker E1, where E2 = 0
+            branches.append(Branch(mu1, 0j, len(g), Q1, Q1.conj().T))
+            continue
         E2 = -((G1.conj().T @ QXRw) @ (LXQ @ G1))
-        for c2 in spectral_decompose(E2, cluster_tol=_STAGE_TOL).clusters:
-            Qr, Rr = np.linalg.qr(c2.R)
-            radial = (_second_order(mu, gamma * eta1, c2.value) / mu).real
-            fam.branches.append(Branch(
-                mu1, c2.value, c2.mult, Q1 @ Qr, (Rr @ c2.L) @ Q1.conj().T,
-                eta1=eta1 if moving else None,
-                hosts_resonance=bool(moving and radial < -1e-12),
-            ))
+        if len(g) == 1:  # +0.0 as spectral_decompose's representative: no -0.0 part
+            split = [(complex(E2[0, 0] + 0.0), 1, Q1, Q1.conj().T)]
+        else:
+            split = []
+            for c2 in spectral_decompose(E2, cluster_tol=_STAGE_TOL).clusters:
+                Qr, Rr = np.linalg.qr(c2.R)
+                split.append((c2.value, c2.mult, Q1 @ Qr, (Rr @ c2.L) @ Q1.conj().T))
+        fam = Family(mu1, eta1, [
+            Branch(mu1, mu2, m, basis, left, eta1=eta1, hosts_resonance=bool(
+                (_second_order(mu, gamma * eta1, mu2) / mu).real < -1e-12))
+            for mu2, m, basis, left in split
+        ])
         branches += fam.branches
-        if moving:
-            families.append(fam)
+        families.append(fam)
     return ReductionLedger(mu, cl.mult, gamma, branches, families, stage1_defect=defect)
 
 

@@ -771,12 +771,51 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     # and what build_E(tg, 0) keeps, E0 and the small blocks beside it
     assert 2 <= row["decompose_peak_n2"] < 64
     assert 1 <= row["build_E_retained_n2"] < 64
+    # stage two decomposes only the six moving 2 x 2 groups
+    assert row["stage_two_calls"] == 6
     times = {k: v for k, v in row.items() if k.endswith("_s")}
     assert len(times) == 9 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
     # the process's peak RSS so far, in MiB: at least what numpy alone takes
     assert 10 < row["peak_rss_mb"] <= verify["peak_rss_mb"] < 4096
+
+
+def test_bench_ladder_pairs_three_sides(monkeypatch):
+    # the paired mode's record, from made-up runs: each side's median over
+    # all its measurements, the ratios to the parent's, overall and run by
+    # run, each count's range, and each side's distinct fixed values
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import bench_ladder
+
+    def run(scale):
+        return {
+            "env": {"rounds": 3},
+            "graphs": {"g": {"arcs": 8, "perturb_exit": 0,
+                             "reduce_all_s": {"runs": [scale, 2 * scale, 3 * scale]},
+                             "stage_two_calls": {"runs": [4, 4, 4]}}},
+            "verify": {"failed": [0, 1, 0], "verify_s": {"runs": [scale] * 3},
+                       "peak_rss_mb": {"runs": [64.0] * 3}},
+            "tier1_s": 1.5, "tier1_passed": 7,
+        }
+
+    runs = {"parent": [run(1.0)] * 3, "change": [run(0.5), run(0.5), run(1.0)],
+            "parent_copy": [run(1.0)] * 3}
+    rec = bench_ladder.paired_record(runs)
+    g = rec["graphs"]["g"]
+    assert g["arcs"] == 8
+    assert g["perturb_exit"] == {"parent": [0], "change": [0], "parent_copy": [0]}
+    assert g["reduce_all_s"] == {
+        "parent": 2.0, "change": 1.0, "parent_copy": 2.0,
+        "change_over_parent": 0.5, "per_run_change_over_parent": [0.5, 0.5, 1.0],
+        "parent_copy_over_parent": 1.0, "per_run_parent_copy_over_parent": [1.0, 1.0, 1.0],
+    }
+    assert g["stage_two_calls"]["change"] == {"median": 4, "min": 4, "max": 4}
+    assert rec["verify"]["verify_s"]["change_over_parent"] == 0.5
+    assert rec["verify"]["criteria_failed_over_all_runs"] == {
+        "parent": 3, "change": 3, "parent_copy": 3}
+    assert rec["tier1"]["tier1_passed"]["change"] == [7, 7, 7]
+    assert rec["env"]["runs_per_side"] == 3 and len(rec["env"]["order"]) == 9
 
 
 def test_table_set_script(tmp_path):

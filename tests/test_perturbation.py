@@ -300,6 +300,21 @@ class TestReduceEigenvalue:
                 assert_allclose([b.mu2 for b in led.branches], [b.mu2 for b in ref.branches],
                                 atol=1e-12)
 
+    @pytest.mark.parametrize("preset,tails,sizes", [
+        ("cycle:4", (0, 1, 2), []),  # every stage-one group has one member or is persistent
+        ("complete:16", (0, 0, 1, 2), []),  # persistent groups of up to 105
+        ("cycle:12", (0, 1, 2), [2, 2, 2, 2]),  # two branches share mu1 at e^{+-2 pi i/3}
+    ])
+    def test_stage_two_decomposes_only_moving_groups_of_two(
+        self, preset, tails, sizes, count_factorisations
+    ):
+        im = build_E(attach_tails(preset_graph(preset), tails))
+        base = Coupling(im, spectral_decompose(im.E0))
+        with count_factorisations() as seen:
+            for cl in base.sd.clusters:
+                reduce_eigenvalue(base, cl.value)
+        assert sorted(n for _, n in seen["decompose"]) == sizes
+
     def test_json_round_trip(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
         d = json.loads(json.dumps(led.to_json_dict()))
@@ -394,7 +409,8 @@ def tailed_graphs(draw):
 def test_persistence_routes_agree_on_random_graphs(tg):
     """At every E0 cluster, the graph side's persistent multiplicity
     (boundary-vanishing T-eigenvectors plus birth states) is the ledger's
-    mu1 = 0 multiplicity, and each persistent branch lies in Ker E1."""
+    mu1 = 0 multiplicity, and each persistent branch lies in Ker E1, where
+    E2 = 0: its mu2 is exactly 0 and its projection orthogonal."""
     im = build_E(tg)
     base = Coupling(im, spectral_decompose(im.E0))
     entries = classify(base.lt)
@@ -404,6 +420,27 @@ def test_persistence_routes_agree_on_random_graphs(tg):
         assert sum(b.multiplicity for b in persistent) == entry.persistent_mult
         for b in persistent:
             assert np.linalg.norm(im.U1 @ (im.V1.T @ b.basis)) <= 1e-12
+            assert b.mu2 == 0
+            assert np.array_equal(b.left, b.basis.conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs())
+@example(VANISHING)
+def test_simple_branch_mu2_matches_dense_reference(tg):
+    """Every branch of multiplicity one has mu2 = -(q* X S_mu X q), with
+    q its basis vector, X = E1 and S_mu the reduced resolvent, both formed
+    densely here: whether stage two decomposed its group or not."""
+    im = build_E(tg)
+    base = Coupling(im, spectral_decompose(im.E0))
+    X = im.U1 @ im.V1.T
+    for cl in base.sd.clusters:
+        S = sum(((c.R / (c.value - cl.value)) @ c.L for c in base.sd.clusters if c is not cl),
+                np.zeros_like(X))
+        for b in reduce_eigenvalue(base, cl.value).branches:
+            if b.multiplicity == 1:
+                q = b.basis[:, 0]
+                assert abs(b.mu2 + q.conj() @ X @ S @ X @ q) <= 1e-12
 
 
 # a 7-vertex graph whose family at mu = e^{-2 pi i/5} passes the gate with
