@@ -348,6 +348,12 @@ class SpectralData:
     def values(self) -> np.ndarray:
         return np.array([c.value for c in self.clusters])
 
+    @cached_property
+    def column_values(self) -> np.ndarray:
+        """Each column of ``R`` (row of ``L``) mapped to its cluster's value."""
+        by_span = sorted(self.clusters, key=lambda c: c.span.start)
+        return np.repeat([c.value for c in by_span], [c.mult for c in by_span])
+
     def cluster_near(self, z: complex, tol: float | None = None) -> SpectralCluster:
         dists = [abs(c.value - z) for c in self.clusters]
         i = int(np.argmin(dists))

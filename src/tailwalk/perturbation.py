@@ -42,9 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .coin_evolution import kappa
-from .internal_spectral import (
-    InternalMatrix, SpectralCluster, SpectralData, _greedy_clusters, spectral_decompose
-)
+from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
 from .scattering import SigmaEvaluator, unitarity_defect
 from .smt_laplacian import LaplacianT, build_operators, joukowsky, unit_sign
 
@@ -111,7 +109,7 @@ class Coupling:
     def coupling_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(V1^T R, L U1): E1 = U1 V1^T read through the decomposition's R
         and L, r x n and n x r, formed once and shared by every cluster's
-        reduction."""
+        stage-two matrix V1^T S_mu U1."""
         return self.im.V1.T @ self.sd.R, self.sd.L @ self.im.U1
 
 
@@ -125,12 +123,10 @@ _STAGE1_HERMITIAN = 1e-10  # largest ||H - H*||_F of a stage-one block H = A1 / 
 
 def _resolvent_weights(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
     """w in the reduced resolvent at cl, sum over the clusters zeta other than
-    cl of P_zeta / (zeta - cl.value) = R diag(w) L."""
-    w = np.zeros(sd.R.shape[1], dtype=complex)
-    for c in sd.clusters:
-        if c is not cl:
-            w[c.span] = 1.0 / (c.value - cl.value)
-    return w
+    cl of P_zeta / (zeta - cl.value) = R diag(w) L: 0 on cl's own columns."""
+    d = sd.column_values - cl.value
+    d[cl.span] = np.inf
+    return 1.0 / d
 
 
 def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
@@ -165,10 +161,7 @@ def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
         inside = dist < 0.8 * r
         guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
         if not np.any(guard) and int(np.sum(inside)) == cl.mult:
-            cols = np.concatenate([
-                np.arange(c.span.start, c.span.stop)
-                for c in cpl.sd.clusters if abs(c.value - cl.value) < 0.8 * r
-            ])
+            cols = np.flatnonzero(np.abs(cpl.sd.column_values - cl.value) < 0.8 * r)
             return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
     raise GroupEscapedContour(
         f"no contour around {mu0:.4f} isolates a group of multiplicity "
@@ -291,34 +284,35 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     """Two-stage reduction at the unperturbed eigenvalue mu0.
 
     Branches are labelled by (mu1, mu2) and carry their multiplicity and
-    P2's factors.  The bases are nested: Q (QR of the cluster's ``R``)
-    spans Ran(P), Q1 = Q G1 a stage-one eigenspace, Q1 Q'' a stage-two
-    one.  X = E1 is read through its factors U1 V1^T.  Stage one is
-    ``eigh`` of the Hermitian part of H = Q* X Q / (gamma mu) =
-    (Q* U1)(V1^T Q) / (gamma mu); ||H - H*||_F above ``_STAGE1_HERMITIAN``
-    (absolute: a purely persistent group has H = 0 to rounding) raises
-    ``np.linalg.LinAlgError``.  Stage two is E2 = -(Q1* X R) diag(w)
-    (L X Q1), with Q* X R = (Q* U1)(V1^T R) and L X Q = (L U1)(V1^T Q),
-    whose V1^T R and L U1 are formed once per run
-    (:attr:`Coupling.coupling_factors`).  Both stages group at
-    ``_STAGE_TOL`` (stage one on mu1 = gamma mu eta1).  The group with
+    P2's factors.  The reduction works in E0's eigenbasis: E0 is unitary,
+    so the cluster's ``R`` is an orthonormal basis Q of Ran(P) and its
+    ``L`` is Q*.  The bases are nested: Q spans Ran(P), Q1 = Q G1 a
+    stage-one eigenspace, Q1 Q'' a stage-two one.  X = E1 is read through
+    its factors U1 V1^T.  Stage one is ``eigh`` of the Hermitian part of
+    H = Q* X Q / (gamma mu) = (L U1)(V1^T R) / (gamma mu); ||H - H*||_F
+    above ``_STAGE1_HERMITIAN`` (absolute: a purely persistent group has
+    H = 0 to rounding) raises ``np.linalg.LinAlgError``.  Its groups are
+    the runs of the ascending eta1 whose steps in mu1 = gamma mu eta1 stay
+    below ``_STAGE_TOL``.  Stage two is E2 = -(G1* L U1) M (V1^T R G1),
+    with the r x r M = V1^T S_mu U1 = (V1^T R diag(w))(L U1) from factors
+    formed once per run (:attr:`Coupling.coupling_factors`).  The group with
     |mu1| <= ``_MU1_ZERO`` spans stage one's kernel, Ker E1 within Ran(P):
     the persistent subspace of mu0, which no coupling moves.  There E2 = 0,
     so it is one branch, (mu1, 0) with P2 = Q1 Q1*, and no E2 is formed.
 
     Each other stage-one group is one :class:`Family`.  Stage two splits
-    it by ``spectral_decompose`` of E2 when it has two or more members; a
-    group of one is one branch, mu2 = E2[0, 0] with P2 = Q1 Q1*, the
-    values a 1 x 1 decomposition gives.  A branch of a family
-    hosts resonances when its predicted second-order radial motion,
+    it by ``spectral_decompose`` of E2, at ``_STAGE_TOL``, when it has two
+    or more members; a group of one is one branch, mu2 = E2[0, 0] with
+    P2 = Q1 Q1*, the values a 1 x 1 decomposition gives.  A branch of a
+    family hosts resonances when its predicted second-order radial motion,
     Re(ge^2 + ge - 2 mu2 / mu) with ge = gamma eta1, points inward.  Groups
     come in ascending eta1: the families, then the mu1 = 0 group.
     """
     cl = base.sd.cluster_near(mu0)
     mu = cl.value
     gamma = _gamma_scalar(mu)
-    Q = np.linalg.qr(cl.R)[0]
-    QU = Q.conj().T @ base.im.U1  # Q* X = QU V1^T and X Q = U1 VQ
+    Q = cl.R
+    QU = cl.L @ base.im.U1  # Q* X = QU V1^T and X Q = U1 VQ
     VQ = base.im.V1.T @ Q
     H = (QU @ VQ) / (gamma * mu)
     defect = float(np.linalg.norm(H - H.conj().T))
@@ -328,16 +322,15 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
             f"||H - H*||_F = {defect:.2e} > {_STAGE1_HERMITIAN:g}"
         )
     eta, G = np.linalg.eigh((H + H.conj().T) / 2.0)
-    groups = _greedy_clusters(gamma * mu * eta, _STAGE_TOL)[0]
+    groups = np.split(np.arange(len(eta)), np.flatnonzero(gamma * np.diff(eta) >= _STAGE_TOL) + 1)
 
-    # E2's factors: Q* X S_mu X Q = (Q* X R diag(w)) (L X Q)
+    # E2 = -(G1* QU) M (VQ G1), M = V1^T S_mu U1 = (V1^T R diag(w)) (L U1)
     VR, LU = base.coupling_factors
-    QXRw = (QU @ VR) * _resolvent_weights(base.sd, cl)
-    LXQ = LU @ VQ
+    M = (VR * _resolvent_weights(base.sd, cl)) @ LU
 
     branches: list[Branch] = []
     families: list[Family] = []
-    for g in sorted(groups, key=lambda g: g[0]):  # eigh's eta ascend, and so do the groups
+    for g in groups:
         eta1 = float(eta[g].mean())
         mu1 = gamma * mu * eta1
         G1 = G[:, g]
@@ -345,7 +338,7 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         if abs(mu1) <= _MU1_ZERO:  # Ran Q1 lies in Ker E1, where E2 = 0
             branches.append(Branch(mu1, 0j, len(g), Q1, Q1.conj().T))
             continue
-        E2 = -((G1.conj().T @ QXRw) @ (LXQ @ G1))
+        E2 = -((G1.conj().T @ QU) @ M @ (VQ @ G1))
         if len(g) == 1:  # +0.0 as spectral_decompose's representative: no -0.0 part
             split = [(complex(E2[0, 0] + 0.0), 1, Q1, Q1.conj().T)]
         else:
@@ -580,9 +573,7 @@ def assumption_report(
     a2 = float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
 
     k = kappa(probe.im.eps)
-    w = np.empty(probe.sd.R.shape[1], dtype=complex)  # each R column's cluster value
-    for c in probe.sd.clusters:
-        w[c.span] = c.value
+    w = probe.sd.column_values
     a1 = True
     for b in hosts:
         pred = mu + k * b.mu1 + k**2 * b.mu2

@@ -299,6 +299,10 @@ class TestReduceEigenvalue:
                                 atol=1e-12)
                 assert_allclose([b.mu2 for b in led.branches], [b.mu2 for b in ref.branches],
                                 atol=1e-12)
+                # the branches are read through the turned basis: a reduction
+                # that mixed it with an unturned one would misplace each P2
+                for b, b_ref in zip(led.branches, ref.branches, strict=True):
+                    assert np.linalg.norm(b.P2 - b_ref.P2) <= 1e-12
 
     @pytest.mark.parametrize("preset,tails,sizes", [
         ("cycle:4", (0, 1, 2), []),  # every stage-one group has one member or is persistent
@@ -314,6 +318,23 @@ class TestReduceEigenvalue:
             for cl in base.sd.clusters:
                 reduce_eigenvalue(base, cl.value)
         assert sorted(n for _, n in seen["decompose"]) == sizes
+
+    def test_takes_no_qr_of_an_arc_sized_matrix(self, monkeypatch):
+        # E0's clusters come orthonormal (L = R*), so Ran P needs no QR of its
+        # own: stage two's QR of an m x m matrix is the only one
+        im = build_E(attach_tails(preset_graph("complete:16"), (0, 0, 1, 2)))
+        base = Coupling(im, spectral_decompose(im.E0))
+        rows = []
+        real_qr = np.linalg.qr
+
+        def qr(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        for cl in base.sd.clusters:
+            reduce_eigenvalue(base, cl.value)
+        assert max(rows, default=0) < im.E0.shape[0]
 
     def test_json_round_trip(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
@@ -401,6 +422,18 @@ def tailed_graphs(draw):
         st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
     )
     return attach_tails(g, tails)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs())
+@example(VANISHING)
+def test_unperturbed_clusters_are_orthonormal_on_random_graphs(tg):
+    """E0 is unitary, so every cluster splits off by a permutation: R holds
+    orthonormal Schur vectors and L = R* exactly, the premise on which the
+    reduction reads Ran P's basis straight from R."""
+    sd = spectral_decompose(build_E(tg).E0)
+    assert np.array_equal(sd.L, sd.R.conj().T)
+    assert np.linalg.norm(sd.L @ sd.R - np.eye(sd.R.shape[1])) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
