@@ -299,9 +299,9 @@ def _c8(ctx):
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         for cl in base.sd.clusters:
             led = ctx.ledger(name, cl.value)
-            asym = resonance_asymptote(led, ladder, base)
+            asym = resonance_asymptote(led, ladder)
             for fam in led.families:
-                gated = assumption_report(base, led, fam, ladder[eps_ladder[-1]]).gate
+                gated = assumption_report(led, fam, ladder[eps_ladder[-1]]).gate
                 for b in fam.branches:
                     # no slope: the residual is zero, the branch does not move
                     slopes = asym["slopes"][led.branches.index(b)]

@@ -354,7 +354,7 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     ledgers = []
     for cl in base.sd.clusters:
         led = reduce_eigenvalue(base, cl.value)
-        asym = resonance_asymptote(led, couplings, base)
+        asym = resonance_asymptote(led, couplings)
         entry = led.to_json_dict()
         for branch, slopes in zip(entry["branches"], asym["slopes"]):
             branch["slopes"] = {k: s for k, s in slopes.items()

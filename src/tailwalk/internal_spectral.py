@@ -354,8 +354,13 @@ class SpectralData:
         by_span = sorted(self.clusters, key=lambda c: c.span.start)
         return np.repeat([c.value for c in by_span], [c.mult for c in by_span])
 
+    def distances(self, z: complex) -> np.ndarray:
+        """|value - z| of each cluster, bit for bit as ``abs`` of a complex."""
+        d = self.values() - z
+        return np.hypot(d.real, d.imag)
+
     def cluster_near(self, z: complex, tol: float | None = None) -> SpectralCluster:
-        dists = [abs(c.value - z) for c in self.clusters]
+        dists = self.distances(z)
         i = int(np.argmin(dists))
         if tol is not None and dists[i] > tol:
             raise KeyError(f"no cluster within {tol} of {z}")

@@ -130,13 +130,10 @@ def _resolvent_weights(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
 
 
 def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
-    """Distance from cl to the nearest other cluster of sd, 1.0 for a lone one."""
-    return min((abs(c.value - cl.value) for c in sd.clusters if c is not cl), default=1.0)
-
-
-def _mu2_bound(sd: SpectralData, cl: SpectralCluster, minn: int) -> float:
-    """gap^-1 (#sigma_p - 1) minn^-2, minn the smallest boundary degree."""
-    return (1.0 / _gap(sd, cl)) * (len(sd.clusters) - 1) * minn ** (-2)
+    """Distance from cl to the nearest other cluster of sd, 1.0 for a lone one:
+    cl's own distance is exactly 0, and every other is positive."""
+    d = sd.distances(cl.value)
+    return float(d[d > 0].min()) if len(d) > 1 else 1.0
 
 
 def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
@@ -244,19 +241,33 @@ class Family:
 
 @dataclass
 class ReductionLedger:
-    """The branches at mu, and ||H - H*||_F of its stage-one block H."""
+    """The branches at mu and the record of their group: ``cluster``, the
+    E0 cluster they split, ``gap``, its distance to the nearest other
+    cluster of E0 (1.0 for a lone one), ``stage1_defect``, ||H - H*||_F of
+    its stage-one block H, and the verdicts of :class:`AssumptionReport`
+    that hold for every family: ``a3`` and, formed on first use, ``a2``."""
 
     mu: complex
-    m: int
+    cluster: SpectralCluster
+    gap: float
     gamma: float
     branches: list[Branch]
     families: list[Family]
     stage1_defect: float
+    a3: bool
+
+    @cached_property
+    def a2(self) -> bool:
+        """The stage-2 projections resolve Ran(P): in its coordinates,
+        P = R L, L (sum P2) R against L R = I_m."""
+        cl = self.cluster
+        K = sum((cl.L @ b.basis) @ (b.left @ cl.R) for b in self.branches)
+        return float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
 
     def to_json_dict(self) -> dict:
         return {
             "mu": [self.mu.real, self.mu.imag],
-            "m": self.m,
+            "m": self.cluster.mult,
             "branches": [
                 {
                     "mu1": [b.mu1.real, b.mu1.imag],
@@ -353,7 +364,17 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         ])
         branches += fam.branches
         families.append(fam)
-    return ReductionLedger(mu, cl.mult, gamma, branches, families, stage1_defect=defect)
+    # a3: twice the bound gap^-1 (#sigma_p - 1) nu_minus^-2 on |mu2| against the
+    # best constant stage one provides, from the smallest -eta1 of the families
+    # (M1's eigenvalues, all < 0: criterion 12 checks it); false with no family
+    gap = _gap(base.sd, cl)
+    tg = base.im.tg
+    nu_minus = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
+    lam_min = min((-f.eta1 for f in families), default=0.0)
+    lhs = 2.0 * ((1.0 / gap) * (len(base.sd.clusters) - 1) * nu_minus ** (-2))
+    rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
+    a3 = bool(nu_minus >= 3 and lhs < rhs)
+    return ReductionLedger(mu, cl, gap, gamma, branches, families, defect, a3)
 
 
 @dataclass
@@ -415,23 +436,18 @@ def fit_loglog_slope(eps_values, residuals) -> float:
 _SLOPE_KINDS = ("first_order", "second_order", "puiseux")  # resonance_asymptote's slopes
 
 
-def resonance_asymptote(
-    ledger: ReductionLedger,
-    ladder: Mapping[float, Coupling],
-    base: Coupling,
-) -> dict:
+def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling]) -> dict:
     """Predicted vs. true eigenvalue motion for every branch of one group.
 
     ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
     the true eigenvalues are that decomposition's ``eigenvalues``, the
-    diagonal of its Schur form.  Those inside the group disk (radius half
-    the gap to the nearest other cluster of E0) are matched to branches by
-    nearest distance to the second-order prediction
-    mu + kappa mu1 + kappa^2 mu2 (branch capacity = multiplicity), which
-    tells apart branches that share mu1 and only separate at second
-    order.  A disk that holds other than ``ledger.m``
-    eigenvalues at some eps (groups exchanging eigenvalues, eps too large
-    for the gap) raises :class:`GroupEscapedContour`.
+    diagonal of its Schur form.  Those inside the group disk, of radius
+    ``ledger.gap / 2``, are matched to branches by nearest distance to the
+    second-order prediction mu + kappa mu1 + kappa^2 mu2 (branch capacity =
+    multiplicity), which tells apart branches that share mu1 and only
+    separate at second order.  A disk that holds other than the cluster's
+    multiplicity of eigenvalues at some eps (groups exchanging eigenvalues,
+    eps too large for the gap) raises :class:`GroupEscapedContour`.
 
     Returns ``{"rows", "slopes"}``: CSV-ready rows, and per branch, in
     ledger order, the log-log slopes in eps of its residual against each
@@ -441,8 +457,8 @@ def resonance_asymptote(
     a branch's residual is the largest over its eigenvalues.  A kind whose
     residual never exceeds ``_SLOPE_CUT`` is zero, and gets no slope.
     """
-    mu = ledger.mu
-    radius = 0.5 * _gap(base.sd, base.sd.cluster_near(mu))
+    mu, m = ledger.mu, ledger.cluster.mult
+    radius = 0.5 * ledger.gap
     rows = []
     # resid[branch, eps, kind], kinds in _SLOPE_KINDS order
     resid = np.zeros((len(ledger.branches), len(ladder), len(_SLOPE_KINDS)))
@@ -450,10 +466,10 @@ def resonance_asymptote(
         k = kappa(eps)
         vals = cpl.sd.eigenvalues
         group = vals[np.abs(vals - mu) < radius]
-        if len(group) != ledger.m:
+        if len(group) != m:
             raise GroupEscapedContour(
                 f"{len(group)} eigenvalues of E at eps={eps:g} lie within {radius:.3g} "
-                f"of {mu:.4f}, whose group has multiplicity {ledger.m}"
+                f"of {mu:.4f}, whose group has multiplicity {m}"
             )
         # nearest-neighbour matching on the second-order prediction
         preds = [mu + k * b.mu1 + k**2 * b.mu2 for b in ledger.branches]
@@ -546,36 +562,23 @@ def _pole_weights(
     return Xs, weights
 
 
-def assumption_report(
-    base: Coupling,
-    ledger: ReductionLedger,
-    fam: Family,
-    probe: Coupling,
-) -> AssumptionReport:
+def assumption_report(ledger: ReductionLedger, fam: Family, probe: Coupling) -> AssumptionReport:
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
 
     a1 compares, at the probe coupling, the perturbed eigenvectors of each
     hosting branch (the ``R`` columns of the probe's clusters nearest its
     prediction, orthonormalised) against the range of its stage-2
-    projection; a2 checks the stage-2 projections resolve the whole
-    unperturbed eigenspace; a3 evaluates the global smallness inequality
-    with the best constant stage one provides, from the smallest -eta1 of
-    the ledger's families (reported, not gated on).
+    projection; a2 and a3 hold for the whole ledger and are read from it
+    (:class:`ReductionLedger`).
     """
     mu = ledger.mu
-    cl = base.sd.cluster_near(mu)
     Xs, weights = _pole_weights(ledger, fam)
-    hosts = list(weights)
     x_ok = abs(Xs) > 1e-12 and None not in weights.values()
-
-    # in Ran(P)'s coordinates, P = R L: L (sum P2) R against L R = I_m
-    K = sum((cl.L @ b.basis) @ (b.left @ cl.R) for b in ledger.branches)
-    a2 = float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
 
     k = kappa(probe.im.eps)
     w = probe.sd.column_values
     a1 = True
-    for b in hosts:
+    for b in weights:
         pred = mu + k * b.mu1 + k**2 * b.mu2
         idx = np.argsort(np.abs(w - pred), kind="stable")[: b.multiplicity]
         Vb = np.linalg.qr(probe.sd.R[:, idx])[0]
@@ -583,16 +586,7 @@ def assumption_report(
         if sines.size and float(np.max(sines)) > 0.2:
             a1 = False
 
-    tg = base.im.tg
-    bd = list(tg.boundary_vertices)
-    nu_minus = min(int(tg.total_deg[v]) for v in bd)
-    # the families' eta1 are M1's eigenvalues (criterion 12 checks it), all < 0
-    lam_min = min(-f.eta1 for f in ledger.families)
-    lhs = 2.0 * _mu2_bound(base.sd, cl, nu_minus)
-    rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
-    a3 = bool(nu_minus >= 3 and lhs < rhs)
-
-    return AssumptionReport(a1=a1, a2=a2, a3=a3, x_nonzero=x_ok)
+    return AssumptionReport(a1=a1, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_ok)
 
 
 def resonant_sigma_limit(
@@ -640,7 +634,7 @@ def resonant_sigma_limit(
             records.append(ResonantLimitRecord(
                 mu=ledger.mu, gamma=ledger.gamma, family=fam,
                 lam_eps=[], norms=[], sigma01=sigma01,
-                verdicts=assumption_report(base, ledger, fam, probe),
+                verdicts=assumption_report(ledger, fam, probe),
                 unitarity_defect=unitarity_defect(np.eye(N) + sigma01),
             ))
 

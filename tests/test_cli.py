@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import functools
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from test_tailed_graph import connected_graphs
 
 import tailwalk
 from tailwalk import acceptance, cli, perturbation
-from tailwalk.internal_spectral import ClusterAmbiguity
+from tailwalk.internal_spectral import ClusterAmbiguity, SpectralData
 
 
 C4_EDGES = [[0, 1], [1, 2], [2, 3], [0, 3]]
@@ -284,6 +285,39 @@ class TestPerturb:
         assert len(arc_space) == len(set(arc_space)) == 4  # E0 and the three E(eps)
         assert seen["eig"] == []  # hypothesis a1 reads E(0.01)'s Schur factors
 
+    def test_finds_each_group_once(self, tmp_path, monkeypatch):
+        # a ledger carries its cluster, gap and ledger-wide verdicts, so its
+        # consumers look up no E0 cluster: one lookup and one gap per
+        # cluster, and at most one a2 sum per ledger
+        calls = collections.Counter()
+        a2_sums = []
+        real_gap, real_near = perturbation._gap, SpectralData.cluster_near
+        real_a2 = perturbation.ReductionLedger.a2.func
+
+        def gap(*args):
+            calls["_gap"] += 1
+            return real_gap(*args)
+
+        def cluster_near(self, *args, **kwargs):
+            calls["cluster_near"] += 1
+            return real_near(self, *args, **kwargs)
+
+        def a2(led):
+            a2_sums.append(id(led))
+            return real_a2(led)
+
+        counted_a2 = functools.cached_property(a2)
+        counted_a2.__set_name__(perturbation.ReductionLedger, "a2")
+        monkeypatch.setattr(perturbation, "_gap", gap)
+        monkeypatch.setattr(SpectralData, "cluster_near", cluster_near)
+        monkeypatch.setattr(perturbation.ReductionLedger, "a2", counted_a2)
+        code, out = run(tmp_path, "perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+                        "--eps", "0.04,0.02,0.01")
+        assert code == 0
+        n = len(json.loads((out / "ledger.json").read_text())["eigenvalues"])  # one per cluster
+        assert n > 1 and calls == {"_gap": n, "cluster_near": n}
+        assert a2_sums and len(a2_sums) == len(set(a2_sums))
+
     def test_never_diagonalises_T(self, tmp_path, count_t_diagonalisations):
         # the reduction reads E0's decomposition alone: no graph-side T
         with count_t_diagonalisations() as seen:
@@ -317,7 +351,7 @@ class TestPerturb:
         assert len(entries) == len(base.sd.clusters)
         n_slopes = 0
         for entry, cl in zip(entries, base.sd.clusters):
-            asym = perturbation.resonance_asymptote(ctx.ledger(fixture, cl.value), ladder, base)
+            asym = perturbation.resonance_asymptote(ctx.ledger(fixture, cl.value), ladder)
             assert len(entry["branches"]) == len(asym["slopes"])
             for branch, slopes in zip(entry["branches"], asym["slopes"]):
                 assert branch["slopes"] == {k: s for k, s in slopes.items() if k != "puiseux"}

@@ -23,11 +23,11 @@ from tailwalk.internal_spectral import (
     spectral_decompose,
 )
 from tailwalk.perturbation import (
+    AssumptionReport,
     Coupling,
     Family,
     GroupEscapedContour,
     _boundary_gram,
-    _mu2_bound,
     assumption_report,
     build_M1,
     fit_loglog_slope,
@@ -95,7 +95,8 @@ def mu2_bound_check(base, ledger):
     mu = ledger.mu
     cl = base.sd.cluster_near(mu)
     minn = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
-    bound = _mu2_bound(base.sd, cl, minn)
+    gap = min((abs(c.value - mu) for c in base.sd.clusters if c is not cl), default=1.0)
+    bound = (1.0 / gap) * (len(base.sd.clusters) - 1) * minn ** (-2)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
     U = lifted_basis(base, mu)
     X = base.im.U1 @ base.im.V1.T
@@ -175,7 +176,7 @@ class TestReduceEigenvalue:
 
     def test_c4_plus_one(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
-        assert (led.m, led.gamma) == (2, 1.0)
+        assert (led.cluster.mult, led.gamma) == (2, 1.0)
         moving = [b for b in led.branches if not b.persistent]
         frozen = [b for b in led.branches if b.persistent]
         assert len(moving) == 1 and len(frozen) == 1
@@ -215,7 +216,7 @@ class TestReduceEigenvalue:
 
     def test_k4_plus_one(self, base_k4):
         led = reduce_eigenvalue(base_k4, 1 + 0j)
-        assert led.m == 4
+        assert led.cluster.mult == 4
         moving = [b for b in led.branches if not b.persistent]
         frozen = [b for b in led.branches if b.persistent]
         assert [b.multiplicity for b in moving] == [1]
@@ -234,7 +235,7 @@ class TestReduceEigenvalue:
 
     def test_k4_complex_group_splits_one_plus_two(self, base_k4):
         led = reduce_eigenvalue(base_k4, MU_K4)
-        assert led.m == 3 and led.gamma == 0.5
+        assert led.cluster.mult == 3 and led.gamma == 0.5
         by_mult = {b.multiplicity: b for b in led.branches}
         assert set(by_mult) == {1, 2}
         assert_allclose(by_mult[1].mu1, -MU_K4 / 32, atol=1e-10)
@@ -476,6 +477,52 @@ def test_simple_branch_mu2_matches_dense_reference(tg):
                 assert abs(b.mu2 + q.conj() @ X @ S @ X @ q) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(tailed_graphs(), st.sampled_from([0.01, 0.6]))
+@example(VANISHING, 0.01)
+@example(attach_tails(preset_graph("complete:6"), [*range(6)] * 2), 0.6)  # a3 holds
+def test_ledger_holds_what_each_family_recomputed(tg, eps):
+    """A ledger finds its group's gap, a2 and a3 once; each is what the
+    per-call formulas, written out here, find again from ``base``: the gap
+    from a loop over E0's clusters, a2 from the arc-side sum of the
+    branches' P2 and a3 from the smallness inequality, with a1 and
+    x_nonzero per family at the probe E(eps)."""
+    im = build_E(tg)
+    try:
+        base, probe = coupling(im, 0.0), coupling(im, eps)
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+    except (ClusterAmbiguity, np.linalg.LinAlgError):
+        assume(False)
+    nu = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
+    k = kappa(probe.im.eps)
+    for led in ledgers:
+        cl = base.sd.cluster_near(led.mu)
+        assert led.cluster is cl
+        gap = min((abs(c.value - cl.value) for c in base.sd.clusters if c is not cl), default=1.0)
+        assert led.gap == gap
+        assert np.linalg.norm(sum(b.P2 for b in led.branches) - cl.projection) <= 1e-9
+        K = sum((cl.L @ b.basis) @ (b.left @ cl.R) for b in led.branches)
+        a2 = float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
+        for fam in led.families:
+            lam_min = min(-f.eta1 for f in led.families)
+            lhs = 2.0 * ((1.0 / gap) * (len(base.sd.clusters) - 1) * nu ** (-2))
+            a3 = bool(nu >= 3 and lhs < lam_min * (1.0 - 1.0 / nu) / 2.0)
+            ge = led.gamma * fam.eta1
+            Xs = led.mu * ge * (ge + 1.0)
+            hosts = [b for b in fam.branches if b.hosts_resonance]
+            x_nonzero = abs(Xs) > 1e-12 and all(
+                abs(Xs - 2.0 * b.mu2) >= 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30) for b in hosts)
+            a1 = True
+            for b in hosts:
+                pred = led.mu + k * b.mu1 + k**2 * b.mu2
+                idx = np.argsort(np.abs(probe.sd.column_values - pred), kind="stable")
+                Vb = np.linalg.qr(probe.sd.R[:, idx[: b.multiplicity]])[0]
+                sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
+                a1 = a1 and not (sines.size and sines.max() > 0.2)
+            assert assumption_report(led, fam, probe) == AssumptionReport(
+                a1=a1, a2=a2, a3=a3, x_nonzero=x_nonzero)
+
+
 # a 7-vertex graph whose family at mu = e^{-2 pi i/5} passes the gate with
 # norms that do not decrease along the ladder 0.04/0.02/0.01
 NONMONOTONE = attach_tails(
@@ -541,7 +588,7 @@ def test_fit_loglog_slope_recovers_power_law():
 class TestResonanceAsymptote:
     def test_slopes_c4_imaginary_group(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
-        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), base_c4)
+        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)))
         assert len(out["rows"]) == 6  # 2 eigenvalues x 3 eps
         assert len(out["slopes"]) == len(led.branches)
         for slopes in out["slopes"]:
@@ -562,7 +609,7 @@ class TestResonanceAsymptote:
         shared = 0
         for cl in base.sd.clusters:
             led = reduce_eigenvalue(base, cl.value)
-            slopes = resonance_asymptote(led, lad, base)["slopes"]
+            slopes = resonance_asymptote(led, lad)["slopes"]
             for b, s in zip(led.branches, slopes):
                 siblings = [o.mu2 for o in led.branches if o is not b and o.mu1 == b.mu1]
                 if b.persistent or any(abs(b.mu2 - m2) < 1e-9 for m2 in siblings):
@@ -575,7 +622,7 @@ class TestResonanceAsymptote:
         # the rank-2 branch only separates at second order; matching must
         # still assign two eigenvalues to it at every eps
         led = reduce_eigenvalue(base_k4, MU_K4)
-        out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)), base_k4)
+        out = resonance_asymptote(led, couplings(im_k4a, (0.02, 0.01)))
         assert len(out["rows"]) == 6  # 3 eigenvalues x 2 eps
         assert len(out["slopes"]) == len(led.branches)
         for slopes in out["slopes"]:
@@ -586,7 +633,7 @@ class TestResonanceAsymptote:
         # a persistent branch's eigenvalues stay at mu to rounding: every
         # residual is zero, and a slope fitted to rounding would be noise
         led = reduce_eigenvalue(base_c4, mu0)
-        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)), base_c4)
+        out = resonance_asymptote(led, couplings(im_c4a, (0.02, 0.01, 0.005)))
         persistent = [s for b, s in zip(led.branches, out["slopes"]) if b.persistent]
         moving = [s for b, s in zip(led.branches, out["slopes"]) if not b.persistent]
         assert persistent == [{}]
@@ -599,7 +646,7 @@ class TestResonantLimit:
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         [fam] = led.families
         assert_allclose(fam.mu1, -0.25, atol=1e-10)
-        rep = assumption_report(base_c4, led, fam, coupling(im_c4a, 0.005))
+        rep = assumption_report(led, fam, coupling(im_c4a, 0.005))
         assert rep.a1 and rep.a2 and rep.x_nonzero
         assert rep.gate
         # the global smallness inequality is strictly stronger than needed
@@ -625,7 +672,7 @@ class TestResonantLimit:
             led = reduce_eigenvalue(base, cl.value)
             for fam in led.families:
                 if any(b.hosts_resonance for b in fam.branches):
-                    got += "T" if assumption_report(base, led, fam, probe).a1 else "F"
+                    got += "T" if assumption_report(led, fam, probe).a1 else "F"
         assert got == want
 
     def test_gate_fails_for_the_persistent_eigenspace(self, im_c4a, base_c4):
@@ -634,7 +681,7 @@ class TestResonantLimit:
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         [b] = [b for b in led.branches if b.persistent]
         assert not b.hosts_resonance
-        rep = assumption_report(base_c4, led, Family(b.mu1, 0.0, [b]), coupling(im_c4a, 0.005))
+        rep = assumption_report(led, Family(b.mu1, 0.0, [b]), coupling(im_c4a, 0.005))
         assert not rep.x_nonzero and not rep.gate
 
     def test_limit_c4_plus_one(self, im_c4a, base_c4):
