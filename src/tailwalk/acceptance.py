@@ -338,10 +338,11 @@ def _c9(ctx):
     worst_order = np.inf
     parts = []
     for cl in base.sd.clusters:
-        coeffs = projection_expansion(base, cl.value, order=3)
+        led = ctx.ledger("c4-3tails-a", cl.value)
+        coeffs = projection_expansion(led)
         errs = []
         for e in (0.02, 0.01):
-            P_eps = total_projection(ctx.coupling("c4-3tails-a", e), cl.value, base)
+            P_eps = total_projection(ctx.coupling("c4-3tails-a", e), led)
             k = kappa(e)
             approx = sum(k**j * coeffs[j] for j in range(4))
             errs.append(float(np.linalg.norm(P_eps - approx, 2)))
@@ -370,10 +371,7 @@ def _c10(ctx):
     """
     rng = np.random.default_rng(11)
     eps_ladder = (0.04, 0.02, 0.01)
-    raw_slopes = []
-    slopes = []
-    ratios = []
-    flux_slopes = []
+    fits, ratios = [], []
     for name in FIXTURES:
         im0 = ctx.im0(name)
         muvals = ctx.base(name).sd.values()
@@ -385,19 +383,17 @@ def _c10(ctx):
         evs = {e: ctx.coupling(name, e).sigma for e in eps_ladder}
         eye = np.eye(im0.tg.num_ports)
         bb1_norm = float(np.linalg.norm(im0.B_bb1, 2))
-        for lam in lams:
-            raw = []
-            interior = []
-            flux = []
-            for e in eps_ladder:
+        # series[eps, (raw, interior, flux), lam], one fit for all of them
+        series = np.zeros((len(eps_ladder), 3, len(lams)))
+        for i, lam in enumerate(lams):
+            for j, e in enumerate(eps_ladder):
                 s = evs[e].sigma(lam)
-                raw.append(float(np.linalg.norm(s - eye, 2)))
-                interior.append(float(np.linalg.norm(s - eye - kappa(e) * im0.B_bb1, 2)))
-                flux.append(float(np.max(np.abs(np.abs(s) ** 2 - eye))))
-            raw_slopes.append(fit_loglog_slope(eps_ladder, raw))
-            slopes.append(fit_loglog_slope(eps_ladder, interior))
-            flux_slopes.append(fit_loglog_slope(eps_ladder, flux))
-            ratios.append(raw[-1] / (abs(kappa(eps_ladder[-1])) * bb1_norm))
+                series[j, :, i] = (np.linalg.norm(s - eye, 2),
+                                   np.linalg.norm(s - eye - kappa(e) * im0.B_bb1, 2),
+                                   np.max(np.abs(np.abs(s) ** 2 - eye)))
+        fits.append(fit_loglog_slope(eps_ladder, series.reshape(len(series), -1)).reshape(3, -1))
+        ratios += (series[-1, 0] / (abs(kappa(eps_ladder[-1])) * bb1_norm)).tolist()
+    raw_slopes, slopes, flux_slopes = np.hstack(fits).tolist()
     ok = (
         all(1.8 <= s <= 2.2 for s in slopes)
         and all(0.8 <= s <= 1.2 for s in raw_slopes)
@@ -428,7 +424,7 @@ def _c11(ctx):
         base = ctx.base(name)
         ladder = {e: ctx.coupling(name, e) for e in eps_ladder}
         ledgers = [ctx.ledger(name, cl.value) for cl in base.sd.clusters]
-        for rec in resonant_sigma_limit(base, ledgers, ladder):
+        for rec in resonant_sigma_limit(ledgers, ladder):
             if not any(b.hosts_resonance for b in rec.family.branches):
                 continue
             if not rec.verdicts.gate:

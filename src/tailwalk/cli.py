@@ -364,7 +364,7 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         ledgers.append(led)
 
     # every ledger's families at once: one Sigma evaluation per eps
-    limits = resonant_sigma_limit(base, ledgers, couplings)
+    limits = resonant_sigma_limit(ledgers, couplings)
     defects = [rec.unitarity_defect for rec in limits]
     worst = max(defects, default=0.0)
     if not worst <= LIMIT_UNITARITY_TOL:

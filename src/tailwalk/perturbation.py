@@ -136,24 +136,22 @@ def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
     return float(d[d > 0].min()) if len(d) > 1 else 1.0
 
 
-def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
-    """Total projection of the eps-group of eigenvalues continuing mu0.
+def total_projection(cpl: Coupling, ledger: ReductionLedger) -> np.ndarray:
+    """Total projection of the eps-group continuing the ledger's cluster.
 
-    ``cpl`` is E(eps) with its decomposition, ``base`` the unperturbed
-    problem.  The group is delimited by an adaptive circle around mu0:
-    starting from half the distance to the nearest other cluster of
-    ``base``, the radius is shrunk until no eigenvalue of E(eps) falls in
-    the guard annulus [0.8 r, 1.25 r].  The projection is then the sum of
-    the factored R_J L_J over the clusters of ``cpl`` inside the circle.
-    If no radius isolates a group of the unperturbed multiplicity, the
-    group has escaped (eps too large for perturbative tracking) and
+    ``cpl`` is E(eps) with its decomposition.  The group is delimited by an
+    adaptive circle around the cluster: starting from half its ``gap``, the
+    radius is shrunk until no eigenvalue of E(eps) falls in the guard
+    annulus [0.8 r, 1.25 r].  The projection is then the sum of the
+    factored R_J L_J over the clusters of ``cpl`` inside the circle.  If no
+    radius isolates a group of the unperturbed multiplicity, the group has
+    escaped (eps too large for perturbative tracking) and
     :class:`GroupEscapedContour` is raised.
     """
-    cl = base.sd.cluster_near(mu0)
-    r0 = 0.5 * _gap(base.sd, cl)
+    cl = ledger.cluster
     vals = cpl.sd.eigenvalues
     for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
-        r = r0 * shrink
+        r = 0.5 * ledger.gap * shrink
         dist = np.abs(vals - cl.value)
         inside = dist < 0.8 * r
         guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
@@ -161,18 +159,20 @@ def total_projection(cpl: Coupling, mu0: complex, base: Coupling) -> np.ndarray:
             cols = np.flatnonzero(np.abs(cpl.sd.column_values - cl.value) < 0.8 * r)
             return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
     raise GroupEscapedContour(
-        f"no contour around {mu0:.4f} isolates a group of multiplicity "
+        f"no contour around {cl.value:.4f} isolates a group of multiplicity "
         f"{cl.mult} at eps={cpl.im.eps}"
     )
 
 
-def projection_expansion(base: Coupling, mu0: complex, order: int = 3) -> list[np.ndarray]:
-    """Taylor coefficients [P, P^(1), .., P^(order)] of the total projection.
+def projection_expansion(ledger: ReductionLedger) -> list[np.ndarray]:
+    """Taylor coefficients [P, P^(1), P^(2), P^(3)] of the total projection
+    of the ledger's group.
 
     Full slot enumeration over resolvent exponents; exact for semi-simple
     unperturbed eigenvalues (our E0 is unitary).
     """
-    cl = base.sd.cluster_near(mu0)
+    base, cl = ledger.base, ledger.cluster
+    order = 3
     P = cl.projection
     S = base.sd.R @ (_resolvent_weights(base.sd, cl)[:, None] * base.sd.L)
     X = base.im.U1 @ base.im.V1.T
@@ -241,20 +241,30 @@ class Family:
 
 @dataclass
 class ReductionLedger:
-    """The branches at mu and the record of their group: ``cluster``, the
-    E0 cluster they split, ``gap``, its distance to the nearest other
-    cluster of E0 (1.0 for a lone one), ``stage1_defect``, ||H - H*||_F of
-    its stage-one block H, and the verdicts of :class:`AssumptionReport`
-    that hold for every family: ``a3`` and, formed on first use, ``a2``."""
+    """The branches at one cluster of E0 and the one record of their group:
+    ``base``, the unperturbed problem, ``cluster`` and ``stage1_defect``,
+    ||H - H*||_F of its stage-one block H.  ``mu`` and ``gamma`` derive from
+    these, as, formed on first use, do ``gap`` and the verdicts of
+    :class:`AssumptionReport` that hold for every family, ``a2`` and ``a3``."""
 
-    mu: complex
+    base: Coupling
     cluster: SpectralCluster
-    gap: float
-    gamma: float
     branches: list[Branch]
     families: list[Family]
     stage1_defect: float
-    a3: bool
+
+    @property
+    def mu(self) -> complex:
+        return self.cluster.value
+
+    @property
+    def gamma(self) -> float:
+        return _gamma_scalar(self.mu)
+
+    @cached_property
+    def gap(self) -> float:
+        """Distance to the nearest other cluster of E0, 1.0 for a lone one."""
+        return _gap(self.base.sd, self.cluster)
 
     @cached_property
     def a2(self) -> bool:
@@ -263,6 +273,18 @@ class ReductionLedger:
         cl = self.cluster
         K = sum((cl.L @ b.basis) @ (b.left @ cl.R) for b in self.branches)
         return float(np.linalg.norm(K - np.eye(cl.mult))) < 1e-8 * cl.mult**0.5
+
+    @cached_property
+    def a3(self) -> bool:
+        """Twice the bound gap^-1 (#sigma_p - 1) nu_minus^-2 on |mu2| against the
+        best constant stage one provides, from the families' smallest -eta1
+        (M1's eigenvalues, all < 0: criterion 12 checks it); false with none."""
+        tg = self.base.im.tg
+        nu_minus = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
+        lam_min = min((-f.eta1 for f in self.families), default=0.0)
+        lhs = 2.0 * ((1.0 / self.gap) * (len(self.base.sd.clusters) - 1) * nu_minus ** (-2))
+        rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
+        return bool(nu_minus >= 3 and lhs < rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,17 +386,7 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         ])
         branches += fam.branches
         families.append(fam)
-    # a3: twice the bound gap^-1 (#sigma_p - 1) nu_minus^-2 on |mu2| against the
-    # best constant stage one provides, from the smallest -eta1 of the families
-    # (M1's eigenvalues, all < 0: criterion 12 checks it); false with no family
-    gap = _gap(base.sd, cl)
-    tg = base.im.tg
-    nu_minus = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
-    lam_min = min((-f.eta1 for f in families), default=0.0)
-    lhs = 2.0 * ((1.0 / gap) * (len(base.sd.clusters) - 1) * nu_minus ** (-2))
-    rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
-    a3 = bool(nu_minus >= 3 and lhs < rhs)
-    return ReductionLedger(mu, cl, gap, gamma, branches, families, defect, a3)
+    return ReductionLedger(base, cl, branches, families, defect)
 
 
 @dataclass
@@ -424,13 +436,14 @@ def puiseux_prediction(
     return mu * np.exp(-1j * np.pi * ge * eps) + (np.pi**2 * eps**2 / 2.0) * second
 
 
-def fit_loglog_slope(eps_values, residuals) -> float:
-    """Least-squares slope of log residual against log eps."""
+def fit_loglog_slope(eps_values, residuals) -> float | np.ndarray:
+    """Least-squares slope of log residual against log eps; of a matrix of
+    residuals, one slope per column (series), all from one ``lstsq``."""
     x = np.log(np.asarray(eps_values, dtype=float))
     y = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
     A = np.vstack([x, np.ones_like(x)]).T
-    slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
-    return float(slope)
+    slope = np.linalg.lstsq(A, y, rcond=None)[0][0]
+    return float(slope) if y.ndim == 1 else slope
 
 
 _SLOPE_KINDS = ("first_order", "second_order", "puiseux")  # resonance_asymptote's slopes
@@ -460,8 +473,8 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
     mu, m = ledger.mu, ledger.cluster.mult
     radius = 0.5 * ledger.gap
     rows = []
-    # resid[branch, eps, kind], kinds in _SLOPE_KINDS order
-    resid = np.zeros((len(ledger.branches), len(ladder), len(_SLOPE_KINDS)))
+    # resid[eps, branch, kind], kinds in _SLOPE_KINDS order
+    resid = np.zeros((len(ladder), len(ledger.branches), len(_SLOPE_KINDS)))
     for j, (eps, cpl) in enumerate(ladder.items()):
         k = kappa(eps)
         vals = cpl.sd.eigenvalues
@@ -488,25 +501,18 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
         for zi, z in enumerate(group):
             bi = assigned[zi]
             b, pred = ledger.branches[bi], preds[bi]
-            rows.append(
-                {
-                    "epsilon": float(eps),
-                    "re_true": z.real,
-                    "im_true": z.imag,
-                    "re_pred": pred.real,
-                    "im_pred": pred.imag,
-                    "abs_err": abs(z - pred),
-                }
-            )
+            rows.append({"epsilon": float(eps), "re_true": z.real, "im_true": z.imag,
+                         "re_pred": pred.real, "im_pred": pred.imag, "abs_err": abs(z - pred)})
             pp = (pred if b.eta1 is None
                   else puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps))
-            resid[bi, j] = np.maximum(
-                resid[bi, j], [abs(z - (mu + k * b.mu1)), abs(z - pred), abs(z - pp)]
+            resid[j, bi] = np.maximum(
+                resid[j, bi], [abs(z - (mu + k * b.mu1)), abs(z - pred), abs(z - pp)]
             )
+    # every (branch, kind) series in one fit
+    fits = fit_loglog_slope(list(ladder), resid.reshape(len(ladder), -1)).reshape(resid.shape[1:])
     slopes = [
-        {kind: fit_loglog_slope(list(ladder), r)
-         for kind, r in zip(_SLOPE_KINDS, rb.T) if r.max() > _SLOPE_CUT}
-        for rb in resid
+        {kind: s for kind, s, moves in zip(_SLOPE_KINDS, sb, mb) if moves}
+        for sb, mb in zip(fits.tolist(), (resid.max(axis=0) > _SLOPE_CUT).tolist())
     ]
     return {"rows": rows, "slopes": slopes}
 
@@ -590,9 +596,7 @@ def assumption_report(ledger: ReductionLedger, fam: Family, probe: Coupling) -> 
 
 
 def resonant_sigma_limit(
-    base: Coupling,
-    ledgers: Sequence[ReductionLedger],
-    ladder: Mapping[float, Coupling],
+    ledgers: Sequence[ReductionLedger], ladder: Mapping[float, Coupling]
 ) -> list[ResonantLimitRecord]:
     """Limit form of the scattering matrix along each family's resonant path.
 
@@ -621,11 +625,11 @@ def resonant_sigma_limit(
     hypotheses are probed at the smallest eps.  Callers running several
     ledgers on one ladder share it, so each E(eps) is factored once.
     """
-    im = base.im
-    N = im.tg.num_ports
     probe = ladder[min(ladder)]
     records = []
     for ledger in ledgers:
+        im = ledger.base.im
+        N = im.tg.num_ports
         for fam in ledger.families:
             sigma01 = np.zeros((N, N), dtype=complex)
             for b, w in _pole_weights(ledger, fam)[1].items():
@@ -646,5 +650,5 @@ def resonant_sigma_limit(
         ]
         for r, lam, s in zip(records, lams, cpl.sigma.sigma(np.array(lams))):
             r.lam_eps.append(lam)
-            r.norms.append(float(np.linalg.norm(s - np.eye(N) - r.sigma01, 2)))
+            r.norms.append(float(np.linalg.norm(s - np.eye(len(s)) - r.sigma01, 2)))
     return records

@@ -274,6 +274,21 @@ class TestPerturb:
         assert m, err
         assert abs(abs(complex(m.group(1))) - 1) < 1e-6
 
+    def test_tighter_circle_tolerance_answers_the_refused_ladder(self, tmp_path):
+        # the first refused ladder's resonances lie 8.2e-9 inside the circle:
+        # at --tol-circle 1e-10 they are resonances, and every family's limit
+        # norm halves with eps
+        code, out = run(
+            tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", "4e-4,2e-4,1e-4", "--tol-circle", "1e-10",
+        )
+        assert code == 0
+        fams = json.loads((out / "sigma_limit.json").read_text())["families"]
+        assert len(fams) == 6
+        for fam in fams:
+            norms = fam["norms"]
+            assert all(abs(a / b - 2.0) <= 0.2 for a, b in zip(norms, norms[1:])), norms
+
     def test_factors_each_matrix_once(self, tmp_path, count_factorisations):
         with count_factorisations() as seen:
             code, _ = run(
@@ -853,9 +868,11 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
 
 
 def test_table_set_script(tmp_path):
-    # the reference table set behind byte-identity checks: every run exits 0
-    # and writes its tables, in CSV or, for the first graph file's second run
-    # of each command, in JSON
+    # the reference table set behind byte-identity checks: every run but one
+    # exits 0 and writes its tables, in CSV or, for the first graph file's
+    # second run of each command, in JSON; cycle:4 at eps 1e-4 is refused at
+    # the default --tol-circle (exit 3, its message on the line) and answered
+    # at 1e-10
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
     out = tmp_path / "tables"
@@ -865,7 +882,10 @@ def test_table_set_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = (out / "exit_codes.txt").read_text().splitlines()
-    assert len(lines) == 37
+    assert len(lines) == 39
+    [refused] = [line for line in lines if line.split()[2] != "0"]
+    assert refused.startswith(
+        "perturb cycle_4-t0_1_2-eps1e-4 3 numerical failure (ClusterAmbiguity): on-circle")
     wants = {
         "resonances": ["resonances.csv"],
         "transmission": ["transmission_eps0.25.csv", "transmission_eps0.6.csv"],
@@ -873,8 +893,9 @@ def test_table_set_script(tmp_path):
         "verify": ["verify_summary.json"],
     }
     for line in lines:
-        command, label, code = line.split()[:3]
-        assert code == "0", line
+        if line == refused:
+            continue
+        command, label = line.split()[:2]
         where = out / "verify" if command == "verify" else out / command / label
         for name in wants[command]:
             if label.endswith("-json"):  # the graph file's --format json tables

@@ -27,7 +27,7 @@ from tailwalk.internal_spectral import (
     spectral_decompose,
     verify_outgoing,
 )
-from tailwalk.perturbation import Coupling, total_projection
+from tailwalk.perturbation import Coupling, reduce_eigenvalue, total_projection
 from tailwalk.scattering import _MAX_LEVEL, SigmaEvaluator
 from tailwalk.smt_laplacian import build_E_split
 
@@ -441,8 +441,9 @@ def test_one_schur_form_per_total_projection(schur_calls, im_c4a):
     base = Coupling(im_c4a, spectral_decompose(im_c4a.E0))
     im = im_c4a.at(0.1)
     cpl = Coupling(im, spectral_decompose(im.E))
+    led = reduce_eigenvalue(base, 1 + 0j)
     schur_calls.clear()
-    total_projection(cpl, 1 + 0j, base)
+    total_projection(cpl, led)
     assert schur_calls == []
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_tailed_graph import connected_graphs
 
+from tailwalk import perturbation
 from tailwalk.coin_evolution import kappa
 from tailwalk.internal_spectral import (
     ClusterAmbiguity,
@@ -153,22 +154,23 @@ def base_k4(im_k4a, sd_k4):
 
 class TestTotalProjection:
     def test_matches_contour_oracle(self, im_c4a, base_c4):
-        P = total_projection(coupling(im_c4a, 0.1), 1 + 0j, base_c4)
+        P = total_projection(coupling(im_c4a, 0.1), reduce_eigenvalue(base_c4, 1 + 0j))
         P_ref = projection_contour_oracle(im_c4a.at(0.1).E, 1.0, 0.4, nodes=96)
         assert np.linalg.norm(P - P_ref) < 1e-10
         assert_allclose(P @ P, P, atol=1e-12)
         assert_allclose(np.trace(P), 2.0, atol=1e-12)  # moving branch + persistent state
 
     def test_continuity_towards_zero_coupling(self, im_c4a, base_c4):
-        P0 = base_c4.sd.cluster_near(1j).projection
+        led = reduce_eigenvalue(base_c4, 1j)
+        P0 = led.cluster.projection
         for eps in (0.02, 0.005):
-            P = total_projection(coupling(im_c4a, eps), 1j, base_c4)
+            P = total_projection(coupling(im_c4a, eps), led)
             assert np.linalg.norm(P - P0) < 3.0 * abs(kappa(eps))
 
     def test_escape_is_reported_not_guessed(self, im_c4a, base_c4):
         # at full coupling the group is gone; tracking it would be fiction
         with pytest.raises(GroupEscapedContour):
-            total_projection(coupling(im_c4a, 1.0), 1 + 0j, base_c4)
+            total_projection(coupling(im_c4a, 1.0), reduce_eigenvalue(base_c4, 1 + 0j))
 
 
 class TestReduceEigenvalue:
@@ -336,6 +338,21 @@ class TestReduceEigenvalue:
         for cl in base.sd.clusters:
             reduce_eigenvalue(base, cl.value)
         assert max(rows, default=0) < im.E0.shape[0]
+
+    def test_bare_reduction_finds_no_gap_and_no_a3(self, monkeypatch):
+        # a ledger forms gap and a3 on first use: an all-cluster reduction
+        # that never reads them pays for neither
+        im = build_E(attach_tails(preset_graph("cycle:12"), (0, 1, 2)))
+        base = Coupling(im, spectral_decompose(im.E0))
+        gaps = []
+        real_gap = perturbation._gap
+        monkeypatch.setattr(perturbation, "_gap", lambda *a: gaps.append(a) or real_gap(*a))
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+        assert len(ledgers) == 12 and gaps == []
+        assert not any({"gap", "a3"} & vars(led).keys() for led in ledgers)
+        led = ledgers[0]
+        first = (led.a3, led.gap)  # a3 reads gap: one _gap call for both
+        assert (led.a3, led.gap) == first and len(gaps) == 1
 
     def test_json_round_trip(self, base_c4):
         led = reduce_eigenvalue(base_c4, 1j)
@@ -542,7 +559,7 @@ def test_resonant_limit_is_unitary_on_random_graphs(tg):
     try:
         base = Coupling(im, spectral_decompose(im.E0))
         ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
-        recs = resonant_sigma_limit(base, ledgers, couplings(im, (0.04, 0.02, 0.01)))
+        recs = resonant_sigma_limit(ledgers, couplings(im, (0.04, 0.02, 0.01)))
     except (ClusterAmbiguity, np.linalg.LinAlgError):
         assume(False)
     eye = np.eye(tg.num_ports)
@@ -552,21 +569,20 @@ def test_resonant_limit_is_unitary_on_random_graphs(tg):
 
 class TestProjectionExpansion:
     def test_leading_coefficients(self, base_c4):
-        coef = projection_expansion(base_c4, 1 + 0j, order=2)
+        coef = projection_expansion(reduce_eigenvalue(base_c4, 1 + 0j))[:3]
         P = base_c4.sd.cluster_near(1 + 0j).projection
         assert_allclose(coef[0], P, atol=1e-12)
         # P^(1) = -(P X S + S X P) is off-diagonal w.r.t. P: P P1 P = 0
         assert np.linalg.norm(P @ coef[1] @ P) < 1e-12
 
     def test_remainder_order(self, im_c4a, base_c4):
-        coef = projection_expansion(base_c4, 1 + 0j, order=3)
+        led = reduce_eigenvalue(base_c4, 1 + 0j)
+        coef = projection_expansion(led)
         errs = []
         for eps in (0.02, 0.01):
             k = kappa(eps)
             approx = sum(k**j * coef[j] for j in range(4))
-            errs.append(
-                np.linalg.norm(total_projection(coupling(im_c4a, eps), 1 + 0j, base_c4) - approx)
-            )
+            errs.append(np.linalg.norm(total_projection(coupling(im_c4a, eps), led) - approx))
         order = np.log(errs[0] / errs[1]) / np.log(abs(kappa(0.02)) / abs(kappa(0.01)))
         assert order > 3.7
 
@@ -583,6 +599,23 @@ def test_puiseux_prediction_formula():
 def test_fit_loglog_slope_recovers_power_law():
     eps = np.array([0.04, 0.02, 0.01])
     assert_allclose(fit_loglog_slope(eps, 3.7 * eps**2.5), 2.5, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1.1, 4.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-16, 1e3)), min_size=n, max_size=n),
+             min_size=1, max_size=8),
+)))
+def test_matrix_fit_is_the_per_column_fits(ladder):
+    """One lstsq over a matrix of series gives each column's own slope, zero
+    residuals included, on ladders of 3-10 points."""
+    steps, columns = ladder
+    eps = 0.1 / np.cumprod([1.0, *steps])
+    got = fit_loglog_slope(eps, np.array(columns).T)
+    want = [fit_loglog_slope(eps, c) for c in columns]
+    assert all(type(w) is float for w in want) and got.shape == (len(columns),)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestResonanceAsymptote:
@@ -687,7 +720,7 @@ class TestResonantLimit:
     def test_limit_c4_plus_one(self, im_c4a, base_c4):
         led = reduce_eigenvalue(base_c4, 1 + 0j)
         ladder = couplings(im_c4a, (0.02, 0.01, 0.005))
-        [rec] = resonant_sigma_limit(base_c4, [led], ladder)
+        [rec] = resonant_sigma_limit([led], ladder)
         assert rec.family is led.families[0]
         assert rec.verdicts.gate
         assert_allclose(rec.family.eta1, -0.25, atol=1e-10)
@@ -703,7 +736,7 @@ class TestResonantLimit:
         led = reduce_eigenvalue(base_k4, MU_K4)
         ladder = couplings(im_k4a, (0.04, 0.02, 0.01, 0.005))
         [rec] = [
-            r for r in resonant_sigma_limit(base_k4, [led], ladder)
+            r for r in resonant_sigma_limit([led], ladder)
             if [b.multiplicity for b in r.family.branches] == [2]
         ]
         assert rec.verdicts.gate
@@ -726,8 +759,8 @@ class TestResonantLimit:
         shared = couplings(im, ladder)
         for fam in led.families:
             sole = replace(led, families=[fam])
-            [ref] = resonant_sigma_limit(base, [sole], couplings(im, ladder))
-            [rec] = resonant_sigma_limit(base, [sole], shared)
+            [ref] = resonant_sigma_limit([sole], couplings(im, ladder))
+            [rec] = resonant_sigma_limit([sole], shared)
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
             ge = led.gamma * fam.eta1
@@ -745,15 +778,15 @@ class TestResonantLimit:
         base = Coupling(im, request.getfixturevalue(sd_name))
         ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
         ladder = couplings(im, (0.04, 0.02, 0.01))
-        recs = resonant_sigma_limit(base, ledgers, ladder)
+        recs = resonant_sigma_limit(ledgers, ladder)
         assert [r.family for r in recs] == [f for led in ledgers for f in led.families]
         led = reduce_eigenvalue(base, mu0)
         for fam in led.families:
             sole = replace(led, families=[fam])
-            [ref] = resonant_sigma_limit(base, [sole], ladder)
+            [ref] = resonant_sigma_limit([sole], ladder)
             [rec] = [r for r in recs if r.mu == led.mu and r.family.mu1 == fam.mu1]
             assert rec.norms == ref.norms
             assert rec.lam_eps == ref.lam_eps
             assert np.array_equal(rec.sigma01, ref.sigma01)
             assert rec.verdicts == ref.verdicts
-        assert resonant_sigma_limit(base, [], ladder) == []
+        assert resonant_sigma_limit([], ladder) == []
