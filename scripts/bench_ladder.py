@@ -43,7 +43,9 @@ measures each graph once, so the graphs alternate, then runs ``verify``,
 and ``ROUNDS`` rounds run.  After the rounds, :func:`tier1` runs the tier-1
 suite (ROADMAP.md) once, in a subprocess with one BLAS thread, in the
 checkout the imported ``tailwalk`` comes from: ``tier1_s`` is its wall
-time and ``tier1_passed`` its count of passed tests.  ``OUT.json`` holds
+time, ``tier1_passed`` and ``tier1_failed`` its counts of passed and of
+failed or erroring tests (:func:`summary_counts`), and ``tier1_exit``
+pytest's exit code.  ``OUT.json`` holds
 each layer's median over the rounds and the runs themselves.  It imports
 the ``tailwalk`` on ``PYTHONPATH``.
 
@@ -107,9 +109,9 @@ PAIRED_DESCRIPTION = (
     f"median of the {3 * ROUNDS} fresh-process measurements per side ({ROUNDS} rounds per "
     "run), one BLAS thread; X_over_parent is the ratio of those medians and "
     "per_run_X_over_parent the ratio of the i-th runs' medians. decompose_peak_n2, "
-    "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s and "
-    "tier1_passed are one tier-1 run per bench_ladder run, in the checkout of the side "
-    "measured."
+    "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s, "
+    "tier1_passed, tier1_failed (failures and errors) and tier1_exit (pytest's exit code) "
+    "are one tier-1 run per bench_ladder run, in the checkout of the side measured."
 )
 
 
@@ -238,6 +240,16 @@ def measure_verify() -> dict:
             "peak_rss_mb": _peak_rss_mb()}
 
 
+def summary_counts(stdout: str) -> dict:
+    """``tier1_passed`` and ``tier1_failed``, failures and errors together,
+    from the last line of pytest's output, its summary, such as
+    ``2 failed, 361 passed in 20.1s`` or ``1 error in 3.0s``."""
+    lines = stdout.strip().splitlines()
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", lines[-1] if lines else "")}
+    failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+    return {"tier1_passed": counts.get("passed", 0), "tier1_failed": failed}
+
+
 def tier1() -> dict:
     """One run of the tier-1 suite of the checkout the imported ``tailwalk``
     comes from, in a subprocess with one BLAS thread.  ``measure`` and
@@ -250,8 +262,7 @@ def tier1() -> dict:
     command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     proc, tier1_s = _timed(lambda: subprocess.run(command, cwd=root, env=env,
                                                   capture_output=True, text=True))
-    passed = re.search(r"(\d+) passed", proc.stdout)
-    return {"tier1_s": tier1_s, "tier1_passed": int(passed.group(1)) if passed else 0}
+    return {"tier1_s": tier1_s, **summary_counts(proc.stdout), "tier1_exit": proc.returncode}
 
 
 def _fresh(call: str) -> dict:
@@ -363,7 +374,7 @@ def paired_record(runs: dict[str, list[dict]]) -> dict:
     env = first["env"] | {"runs_per_side": len(runs["parent"]), "order": list(ROTATION)}
     return {"description": PAIRED_DESCRIPTION, "env": env, "graphs": graphs, "verify": verify,
             "tier1": {key: {side: [r[key] for r in rs] for side, rs in runs.items()}
-                      for key in ("tier1_s", "tier1_passed")}}
+                      for key in ("tier1_s", "tier1_passed", "tier1_failed", "tier1_exit")}}
 
 
 def main(argv: list[str]) -> int:

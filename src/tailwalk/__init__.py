@@ -51,7 +51,6 @@ from .smt_laplacian import (
 )
 from .perturbation import (
     AssumptionReport,
-    BoundaryGram,
     Branch,
     Coupling,
     Family,
@@ -59,7 +58,6 @@ from .perturbation import (
     ReductionLedger,
     ResonantLimitRecord,
     assumption_report,
-    build_M1,
     fit_loglog_slope,
     projection_expansion,
     puiseux_prediction,

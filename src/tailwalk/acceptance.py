@@ -26,7 +26,6 @@ from .internal_spectral import build_E, spectral_decompose, verify_outgoing
 from .perturbation import (
     Coupling,
     assumption_report,
-    build_M1,
     fit_loglog_slope,
     projection_expansion,
     reduce_eigenvalue,
@@ -35,8 +34,8 @@ from .perturbation import (
     total_projection,
 )
 from .scattering import stationary_iterate, unitarity_defect
-from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, classify,
-                            joukowsky_preimages)
+from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, build_operators,
+                            classify, joukowsky_preimages)
 from .tailed_graph import attach_tails, preset_graph
 
 __all__ = ["FIXTURES", "make_fixture", "CriterionResult", "run_all"]
@@ -67,16 +66,18 @@ def make_fixture(name: str):
 class _Context:
     """What the criteria of one run share, each built on first use: E(0) per
     fixture and the kappa-linear parts (E0, E1, B_in1, B_out1, B_bb1) of its
-    blocks from the vertex-operator assembly (``split``),
-    its unperturbed problem ``base`` (E0's decomposition and the graph's
-    T-eigenspaces), a Coupling per (fixture, eps), a ledger per
-    (fixture, cluster value), and one decomposition per distinct matrix
-    (fixtures on one internal graph share E0)."""
+    blocks from the vertex-operator assembly (``split``), its graph's
+    vertex operators ``lt`` (T and its eigenspaces, the graph side), its
+    unperturbed problem ``base`` (E0's decomposition), a Coupling per
+    (fixture, eps), a ledger per (fixture, cluster value), and one
+    decomposition per distinct matrix (fixtures on one internal graph share
+    E0)."""
 
     def __init__(self):
         self._sd: dict = {}
         self.im0 = functools.cache(lambda name: build_E(make_fixture(name), 0.0))
         self.split = functools.cache(lambda name: build_E_split(self.im0(name).tg))
+        self.lt = functools.cache(lambda name: build_operators(self.im0(name).tg))
         self.base = functools.cache(
             lambda name: Coupling(im := self.im0(name), self.decompose(im.E0))
         )
@@ -236,8 +237,7 @@ def _c6(ctx):
     worst_map = 0.0
     problems = []
     for name in FIXTURES:
-        base = ctx.base(name)
-        tg, lt, sd = base.im.tg, base.lt, base.sd
+        tg, lt, sd = ctx.im0(name).tg, ctx.lt(name), ctx.base(name).sd
         tvals = lt.spectrum[0]
         cvals = sd.values()
         preimages = [z for t in tvals for z in joukowsky_preimages(float(t))]
@@ -270,7 +270,7 @@ def _c7(ctx):
     worst = 0.0
     count = 0
     for name in FIXTURES:
-        im0, lt = ctx.im0(name), ctx.base(name).lt
+        im0, lt = ctx.im0(name), ctx.lt(name)
         for lam in (1.0, -1.0):
             U = birth_basis(lt, lam)
             if U.shape[1] == 0:
@@ -466,21 +466,23 @@ def _c12(ctx):
 
     Two routes give eta1: the arc-space reduction (Branch.eta1, an
     eigenvalue of A1 / (gamma mu) with A1 read from E0's Schur factors and
-    E1) and the graph-side Gram matrix (build_M1).  The
-    stage-one eigenvalue itself is mu1 = gamma mu eta1, so it carries the
-    sign of mu; that rule is checked against the graph-side eta1.
+    E1) and the graph-side Gram matrix (LaplacianT.boundary_gram), which
+    reads only the graph.  The stage-one eigenvalue itself is
+    mu1 = gamma mu eta1, so it carries the sign of mu; that rule is checked
+    against the graph-side eta1.
     """
-    base = ctx.base("c4-3tails-a")
+    name = "c4-3tails-a"
+    base = ctx.base(name)
     ok = True
     parts = []
     for sgn in (1.0, -1.0):
         mu = complex(sgn)
-        led = ctx.ledger("c4-3tails-a", base.sd.cluster_near(mu).value)
+        led = ctx.ledger(name, base.sd.cluster_near(mu).value)
         moving = [b for fam in led.families for b in fam.branches]
         if len(moving) != 1:
             return "fail", f"mu={sgn:+.0f}: expected one moving branch, got {len(moving)}"
         b = moving[0]
-        graph_eta = build_M1(base, mu).eta1
+        graph_eta = np.linalg.eigvalsh(ctx.lt(name).boundary_gram(mu))
         if graph_eta.size != 1:
             return "fail", f"mu={sgn:+.0f}: M1 has {graph_eta.size} eigenvalues, expected 1"
         eta_m1 = float(graph_eta[0])

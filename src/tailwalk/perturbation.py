@@ -8,10 +8,11 @@ reduced resolvent sum_{zeta != mu} (zeta - mu)^{-1} P_zeta, and X = E1,
   stage 2:  A2 = -P1 X S_mu X P1  on Ran(P1)      -> eigenvalues mu2,
 
 giving the branch expansion mu(kappa) = mu + kappa mu1 + kappa^2 mu2 + o(kappa^2).
-Stage one is A1 = gamma mu M1 with M1 Hermitian (:class:`BoundaryGram`),
-one ``eigh`` with real eigenvalues eta1 and mu1 = gamma mu eta1; stage two
-reads S_mu = R diag(w) L through E0's factors and never forms it, and X
-through its rank-r factors U1 V1^T (:class:`InternalMatrix`).  Stage two
+Stage one is A1 = gamma mu M1 with M1 Hermitian (the graph's boundary Gram
+matrix, :meth:`LaplacianT.boundary_gram`), one ``eigh`` with real
+eigenvalues eta1 and mu1 = gamma mu eta1; stage two reads S_mu = R diag(w) L
+through E0's factors and never forms it, and X through E1's factors in E0's
+eigenbasis (:attr:`Coupling.coupling_factors`).  Stage two
 splits only what can split: a moving stage-one eigenspace of dimension two
 or more.  One of dimension one is its own branch, with mu2 the 1 x 1 A2,
 and the persistent one (mu1 = 0) lies in Ker X, where A2 = 0: it is one
@@ -25,11 +26,12 @@ displays drop symmetric terms that matter beyond second order):
           F(e_0) X F(e_1) X ... X F(e_k),   F(-1) = -P, F(n>=0) = S_mu^(n+1).
 
 Everything here works on one unperturbed problem, ``base``: the
-:class:`Coupling` at eps = 0, holding E0's decomposition (P, S_mu) factored
-once per run; the reduction reads nothing else.  The graph side, through
-``base.lt`` (the T-eigenspaces the Joukowsky map lifts to E0's, and M1 of
-:func:`build_M1`), is a second route that checks the reduction: only
-``verify`` and the tests build it.
+:class:`Coupling` at eps = 0, holding E0's eigenbasis R, L = R* (where P and
+S_mu are diagonal) and E1's rank-r factors in it, each formed once per run;
+the reduction reads nothing else.  The graph side, M1 of
+:meth:`LaplacianT.boundary_gram` on the T-eigenspaces the Joukowsky map lifts
+to E0's, is a second route that checks the reduction from the graph alone:
+only ``verify`` and the tests build it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from .coin_evolution import kappa
 from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
 from .scattering import SigmaEvaluator, unitarity_defect
-from .smt_laplacian import LaplacianT, build_operators, joukowsky, unit_sign
+from .smt_laplacian import unit_sign
 
 __all__ = [
     "GroupEscapedContour",
@@ -54,14 +56,12 @@ __all__ = [
     "Branch",
     "Family",
     "ReductionLedger",
-    "BoundaryGram",
     "AssumptionReport",
     "ResonantLimitRecord",
     "assumption_report",
     "total_projection",
     "projection_expansion",
     "reduce_eigenvalue",
-    "build_M1",
     "puiseux_prediction",
     "resonance_asymptote",
     "resonant_sigma_limit",
@@ -89,17 +89,12 @@ class Coupling:
     consumer: ``sd`` is its spectral data, and the closed-form evaluator is
     built on first use.
 
-    At eps = 0 it is the unperturbed problem, ``base``: E0 with its
-    decomposition, which the reduction reads, and through ``lt`` the graph's
-    T-eigenspaces, which only the graph-side checks read.
+    At eps = 0 it is the unperturbed problem, ``base``: E0's eigenbasis and
+    E1's factors in it (:attr:`coupling_factors`), all the reduction reads.
     """
 
     im: InternalMatrix
     sd: SpectralData
-
-    @cached_property
-    def lt(self) -> LaplacianT:
-        return build_operators(self.im.tg)
 
     @cached_property
     def sigma(self) -> SigmaEvaluator:
@@ -108,8 +103,9 @@ class Coupling:
     @cached_property
     def coupling_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(V1^T R, L U1): E1 = U1 V1^T read through the decomposition's R
-        and L, r x n and n x r, formed once and shared by every cluster's
-        stage-two matrix V1^T S_mu U1."""
+        and L, r x n and n x r, formed once and the only reading of E1: a
+        cluster's stage-one factors are their columns and rows ``span``, and
+        E1 in the eigenbasis, L E1 R, is their product."""
         return self.im.V1.T @ self.sd.R, self.sd.L @ self.im.U1
 
 
@@ -169,33 +165,33 @@ def projection_expansion(ledger: ReductionLedger) -> list[np.ndarray]:
     of the ledger's group.
 
     Full slot enumeration over resolvent exponents; exact for semi-simple
-    unperturbed eigenvalues (our E0 is unitary).
+    unperturbed eigenvalues (our E0 is unitary).  The slots are summed in
+    E0's eigenbasis, where X = L E1 R and every F(e) is diagonal:
+    F(-1) = -1 on the cluster's columns, F(e >= 0) = w^(e+1) with w the
+    reduced resolvent's weights; each coefficient is R acc L.
     """
     base, cl = ledger.base, ledger.cluster
     order = 3
-    P = cl.projection
-    S = base.sd.R @ (_resolvent_weights(base.sd, cl)[:, None] * base.sd.L)
-    X = base.im.U1 @ base.im.V1.T
-    n = P.shape[0]
-    Spow = {0: np.eye(n, dtype=complex)}
-    for p in range(1, order + 1):
-        Spow[p] = Spow[p - 1] @ S
+    VR, LU = base.coupling_factors
+    X = LU @ VR
+    w = _resolvent_weights(base.sd, cl)
+    minus_p = np.zeros(len(w))
+    minus_p[cl.span] = -1.0
 
     def F(e: int) -> np.ndarray:
-        # slots run over e <= order - 1, so Spow[e + 1] always exists
-        return -P if e == -1 else Spow[e + 1]
+        return minus_p if e == -1 else w ** (e + 1)
 
-    coeffs = [P]
+    coeffs = [cl.projection]
     for k in range(1, order + 1):
-        acc = np.zeros((n, n), dtype=complex)
+        acc = np.zeros_like(X)
         for slots in itertools.product(range(-1, k), repeat=k + 1):
             if sum(slots) != -1:
                 continue
-            term = F(slots[0])
-            for e in slots[1:]:
-                term = term @ X @ F(e)
+            term = F(slots[0])[:, None] * X * F(slots[1])
+            for e in slots[2:]:
+                term = (term @ X) * F(e)
             acc = acc + term
-        coeffs.append((-1.0) ** (k + 1) * acc)
+        coeffs.append((-1.0) ** (k + 1) * (base.sd.R @ acc @ base.sd.L))
     return coeffs
 
 
@@ -320,15 +316,16 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     P2's factors.  The reduction works in E0's eigenbasis: E0 is unitary,
     so the cluster's ``R`` is an orthonormal basis Q of Ran(P) and its
     ``L`` is Q*.  The bases are nested: Q spans Ran(P), Q1 = Q G1 a
-    stage-one eigenspace, Q1 Q'' a stage-two one.  X = E1 is read through
-    its factors U1 V1^T.  Stage one is ``eigh`` of the Hermitian part of
-    H = Q* X Q / (gamma mu) = (L U1)(V1^T R) / (gamma mu); ||H - H*||_F
+    stage-one eigenspace, Q1 Q'' a stage-two one.  X = E1 is read only
+    through V1^T R and L U1, formed once per run
+    (:attr:`Coupling.coupling_factors`), of which the cluster's are the
+    columns and rows ``span``.  Stage one is ``eigh`` of the Hermitian part
+    of H = Q* X Q / (gamma mu) = (L U1)(V1^T R) / (gamma mu); ||H - H*||_F
     above ``_STAGE1_HERMITIAN`` (absolute: a purely persistent group has
     H = 0 to rounding) raises ``np.linalg.LinAlgError``.  Its groups are
     the runs of the ascending eta1 whose steps in mu1 = gamma mu eta1 stay
     below ``_STAGE_TOL``.  Stage two is E2 = -(G1* L U1) M (V1^T R G1),
-    with the r x r M = V1^T S_mu U1 = (V1^T R diag(w))(L U1) from factors
-    formed once per run (:attr:`Coupling.coupling_factors`).  The group with
+    with the r x r M = V1^T S_mu U1 = (V1^T R diag(w))(L U1).  The group with
     |mu1| <= ``_MU1_ZERO`` spans stage one's kernel, Ker E1 within Ran(P):
     the persistent subspace of mu0, which no coupling moves.  There E2 = 0,
     so it is one branch, (mu1, 0) with P2 = Q1 Q1*, and no E2 is formed.
@@ -345,8 +342,8 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     mu = cl.value
     gamma = _gamma_scalar(mu)
     Q = cl.R
-    QU = cl.L @ base.im.U1  # Q* X = QU V1^T and X Q = U1 VQ
-    VQ = base.im.V1.T @ Q
+    VR, LU = base.coupling_factors
+    QU, VQ = LU[cl.span], VR[:, cl.span]  # Q* X = QU V1^T and X Q = U1 VQ
     H = (QU @ VQ) / (gamma * mu)
     defect = float(np.linalg.norm(H - H.conj().T))
     if defect > _STAGE1_HERMITIAN:
@@ -358,7 +355,6 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     groups = np.split(np.arange(len(eta)), np.flatnonzero(gamma * np.diff(eta) >= _STAGE_TOL) + 1)
 
     # E2 = -(G1* QU) M (VQ G1), M = V1^T S_mu U1 = (V1^T R diag(w)) (L U1)
-    VR, LU = base.coupling_factors
     M = (VR * _resolvent_weights(base.sd, cl)) @ LU
 
     branches: list[Branch] = []
@@ -387,40 +383,6 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
         branches += fam.branches
         families.append(fam)
     return ReductionLedger(base, cl, branches, families, defect)
-
-
-@dataclass
-class BoundaryGram:
-    """Graph-side first-order boundary Gram matrix M1 at one unperturbed
-    eigenvalue, with its eigenvalues eta1 and the scalar gamma.
-
-    M1[j,k] = -<D g_j, g_k>_W on the W-orthonormal basis {g_j} of
-    Ker(T - phi(mu)) complementary to the boundary-vanishing part; its
-    eigenvalues eta are real, negative, and >= -1/min n(v).  Lifted to arc
-    space, the basis spans Ran(P_mu | lifted, non-persistent), and the
-    matrix of P X P there equals A1 = gamma mu M1 with gamma from
-    :func:`_gamma_scalar`, so each stage-one eigenvalue is mu1 = gamma mu eta.
-    """
-
-    gamma: float
-    M1: np.ndarray
-    eta1: np.ndarray
-
-
-def _boundary_gram(lt: LaplacianT, G_row: np.ndarray, G_col: np.ndarray) -> np.ndarray:
-    """-<D g_col_j, g_row_k>_W as a matrix (rows k, cols j)."""
-    wD = lt.weights * lt.Dw
-    return -(G_row.conj().T * wD[None, :]) @ G_col
-
-
-def build_M1(base: Coupling, mu0: complex) -> BoundaryGram:
-    """M1 on the non-persistent T-eigenbasis at phi(mu0); 0 x 0 where mu0 has
-    no lifted part (birth-only, e.g. -1 on a non-bipartite graph)."""
-    mu = complex(mu0)
-    G = base.lt.eigenspace(joukowsky(mu).real)[1]
-    M1 = _boundary_gram(base.lt, G, G)
-    M1 = (M1 + M1.conj().T) / 2.0
-    return BoundaryGram(gamma=_gamma_scalar(mu), M1=M1, eta1=np.linalg.eigvalsh(M1))
 
 
 def puiseux_prediction(

@@ -144,6 +144,29 @@ class LaplacianT:
         empty = np.zeros((self.T.shape[0], 0))
         return empty, empty
 
+    def boundary_gram(self, mu: complex) -> np.ndarray:
+        """First-order boundary Gram matrix M1 at the unperturbed eigenvalue
+        mu, symmetrised: M1[j,k] = -<D g_j, g_k>_W on the W-orthonormal
+        basis {g_j} of Ker(T - phi(mu)) complementary to the
+        boundary-vanishing part; 0 x 0 where mu has no lifted part
+        (birth-only, e.g. -1 on a non-bipartite graph).
+
+        Its eigenvalues eta1 are real, negative, and >= -1/min n(v).  Lifted
+        to arc space, the basis spans Ran(P_mu | lifted, non-persistent),
+        and the matrix of P E1 P there is A1 = gamma mu M1, gamma = 1 at
+        mu = +-1 and 1/2 elsewhere: the graph-side route to the reduction's
+        stage one.
+        """
+        G = self.eigenspace(joukowsky(complex(mu)).real)[1]
+        M1 = _boundary_gram(self, G, G)
+        return (M1 + M1.conj().T) / 2.0
+
+
+def _boundary_gram(lt: LaplacianT, G_row: np.ndarray, G_col: np.ndarray) -> np.ndarray:
+    """-<D g_col_j, g_row_k>_W as a matrix (rows k, cols j)."""
+    wD = lt.weights * lt.Dw
+    return -(G_row.conj().T * wD[None, :]) @ G_col
+
 
 def build_operators(tg: TailedGraph) -> LaplacianT:
     M = tg.num_arcs

@@ -9,9 +9,10 @@ misread:
   block B_bb(eps) = I + kappa B_bb^(1) moves every reflection at first
   order; its slope 1 and its size |kappa| ||B_bb^(1)|| are checked too.
 * criterion 12 -- the boundary scalar eta1 (eigenvalue of M1) is -1/4 at
-  both mu = +1 and mu = -1, from the reduction and from build_M1.  The
-  stage-one eigenvalue mu1 = gamma mu eta1 (gamma = 1 at +-1) carries the
-  sign of mu, so it is +1/4 at mu = -1; that rule is checked as well.
+  both mu = +1 and mu = -1, from the reduction and from the graph side's
+  LaplacianT.boundary_gram.  The stage-one eigenvalue mu1 = gamma mu eta1
+  (gamma = 1 at +-1) carries the sign of mu, so it is +1/4 at mu = -1;
+  that rule is checked as well.
 """
 
 import numpy as np

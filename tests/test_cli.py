@@ -845,11 +845,12 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
                              "stage_two_calls": {"runs": [4, 4, 4]}}},
             "verify": {"failed": [0, 1, 0], "verify_s": {"runs": [scale] * 3},
                        "peak_rss_mb": {"runs": [64.0] * 3}},
-            "tier1_s": 1.5, "tier1_passed": 7,
+            "tier1_s": 1.5, "tier1_passed": 7, "tier1_failed": 0, "tier1_exit": 0,
         }
 
+    broken = run(1.0) | {"tier1_passed": 5, "tier1_failed": 2, "tier1_exit": 1}
     runs = {"parent": [run(1.0)] * 3, "change": [run(0.5), run(0.5), run(1.0)],
-            "parent_copy": [run(1.0)] * 3}
+            "parent_copy": [run(1.0), broken, run(1.0)]}
     rec = bench_ladder.paired_record(runs)
     g = rec["graphs"]["g"]
     assert g["arcs"] == 8
@@ -864,7 +865,29 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
     assert rec["verify"]["criteria_failed_over_all_runs"] == {
         "parent": 3, "change": 3, "parent_copy": 3}
     assert rec["tier1"]["tier1_passed"]["change"] == [7, 7, 7]
+    # a side's failing tier-1 run shows in its counts and its exit code
+    assert rec["tier1"]["tier1_passed"]["parent_copy"] == [7, 5, 7]
+    assert rec["tier1"]["tier1_failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0],
+                                            "parent_copy": [0, 2, 0]}
+    assert rec["tier1"]["tier1_exit"]["parent_copy"] == [0, 1, 0]
     assert rec["env"]["runs_per_side"] == 3 and len(rec["env"]["order"]) == 9
+
+
+@pytest.mark.parametrize("summary,passed,failed", [
+    ("2 failed, 361 passed in 20.1s", 361, 2),
+    ("363 passed in 17.5s", 363, 0),
+    ("1 error in 3.0s", 0, 1),
+    ("1 failed, 360 passed, 1 warning, 2 errors in 19.0s", 360, 3),
+])
+def test_bench_ladder_reads_the_tier1_summary(monkeypatch, summary, passed, failed):
+    # the counts come from pytest's last line, the summary, failures and
+    # errors counted together; a failing test's output above it counts nothing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import bench_ladder
+
+    stdout = "F.\nFAILED tests/x.py::test_y - assert 12 passed\n" + summary + "\n"
+    assert bench_ladder.summary_counts(stdout) == {"tier1_passed": passed,
+                                                   "tier1_failed": failed}
 
 
 def test_table_set_script(tmp_path):

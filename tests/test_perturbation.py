@@ -28,9 +28,7 @@ from tailwalk.perturbation import (
     Coupling,
     Family,
     GroupEscapedContour,
-    _boundary_gram,
     assumption_report,
-    build_M1,
     fit_loglog_slope,
     projection_expansion,
     puiseux_prediction,
@@ -40,7 +38,14 @@ from tailwalk.perturbation import (
     total_projection,
 )
 from tailwalk.scattering import unitarity_defect
-from tailwalk.smt_laplacian import build_operators, classify, joukowsky, lift, unit_sign
+from tailwalk.smt_laplacian import (
+    _boundary_gram,
+    build_operators,
+    classify,
+    joukowsky,
+    lift,
+    unit_sign,
+)
 from tailwalk.tailed_graph import attach_tails, build_internal, preset_graph
 
 MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
@@ -50,20 +55,20 @@ MU_K4 = complex(-1 / 3, 2 * np.sqrt(2) / 3)  # e^{i theta}, cos theta = -1/3
 # the graph-side cross-check of the reduction: M1 and M2 against arc space
 # --------------------------------------------------------------------------
 
-def lifted_basis(base, mu):
-    """build_M1's basis lifted to arc space: it spans Ran(P_mu | lifted,
+def lifted_basis(lt, mu):
+    """boundary_gram's basis lifted to arc space: it spans Ran(P_mu | lifted,
     non-persistent), where the matrix of P X P is gamma mu M1."""
-    lt = base.lt
     return lift(lt, mu, lt.eigenspace(joukowsky(mu).real)[1])
 
 
-def direct_residual(base, mu):
+def direct_residual(im, mu):
     """||U* X U - gamma mu M1|| on the lifted basis U: the arc-space route to
-    A1 against the graph-side one."""
-    fo = build_M1(base, mu)
-    U = lifted_basis(base, mu)
-    X = base.im.U1 @ base.im.V1.T
-    return float(np.linalg.norm(U.conj().T @ X @ U - fo.gamma * mu * fo.M1))
+    A1 against the graph-side one, with gamma the arc side's."""
+    lt = build_operators(im.tg)
+    U = lifted_basis(lt, mu)
+    X = im.U1 @ im.V1.T
+    gamma = perturbation._gamma_scalar(mu)
+    return float(np.linalg.norm(U.conj().T @ X @ U - gamma * mu * lt.boundary_gram(mu)))
 
 
 def build_M2(lt, mu, zeta):
@@ -93,13 +98,14 @@ def mu2_bound_check(base, ledger):
     which ties the arc-space operators to the boundary Gram matrices.
     """
     tg = base.im.tg
+    lt = build_operators(tg)
     mu = ledger.mu
     cl = base.sd.cluster_near(mu)
     minn = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
     gap = min((abs(c.value - mu) for c in base.sd.clusters if c is not cl), default=1.0)
     bound = (1.0 / gap) * (len(base.sd.clusters) - 1) * minn ** (-2)
     max_mu2 = max(abs(b.mu2) for b in ledger.branches)
-    U = lifted_basis(base, mu)
+    U = lifted_basis(lt, mu)
     X = base.im.U1 @ base.im.V1.T
     cross = {}
     for c in base.sd.clusters:
@@ -107,7 +113,7 @@ def mu2_bound_check(base, ledger):
             continue
         zeta = c.value
         arc_side = (U.conj().T @ X @ c.R) @ (c.L @ X @ U)
-        M2 = build_M2(base.lt, mu, zeta)
+        M2 = build_M2(lt, mu, zeta)
         graph_side = mu * zeta * _omega(mu) ** 2 * _omega(zeta) ** 2 * (M2.conj().T @ M2)
         resid = float(np.linalg.norm(arc_side - graph_side))
         norm_ok = float(np.linalg.norm(M2.conj().T @ M2, 2)) <= minn ** (-2) + 1e-12
@@ -293,9 +299,12 @@ class TestReduceEigenvalue:
             for _ in range(4):
                 G = rng.standard_normal((cl.mult, cl.mult * 2)).view(complex)
                 U = np.linalg.qr(G)[0]
-                turned = replace(cl, R=cl.R @ U, L=U.conj().T @ cl.L)
-                clusters = [turned if c is cl else c for c in base.sd.clusters]
-                sd = replace(base.sd, clusters=clusters)
+                # turn the decomposition's R and L, whose views the clusters are
+                R, L = base.sd.R.copy(), base.sd.L.copy()
+                R[:, cl.span] = R[:, cl.span] @ U
+                L[cl.span] = U.conj().T @ L[cl.span]
+                clusters = [replace(c, R=R[:, c.span], L=L[c.span]) for c in base.sd.clusters]
+                sd = replace(base.sd, clusters=clusters, R=R, L=L)
                 led = reduce_eigenvalue(replace(base, sd=sd), mu0)
                 assert_allclose([f.eta1 for f in led.families], etas, atol=1e-12)
                 assert_allclose([b.mu1 for b in led.branches], [b.mu1 for b in ref.branches],
@@ -362,30 +371,29 @@ class TestReduceEigenvalue:
 
 
 class TestGraphSideMatrices:
-    def test_m1_eigenvalues_c4_imaginary(self, base_c4):
-        fo = build_M1(base_c4, 1j)
-        assert fo.gamma == 0.5
-        assert_allclose(np.sort(fo.eta1), [-1 / 3, -1 / 6], atol=1e-12)
+    def test_m1_eigenvalues_c4_imaginary(self, c4a, im_c4a):
+        M1 = build_operators(c4a).boundary_gram(1j)
+        assert_allclose(np.linalg.eigvalsh(M1), [-1 / 3, -1 / 6], atol=1e-12)
         # arc-space route P X P and graph-side route gamma mu M1 agree
-        assert direct_residual(base_c4, 1j) < 1e-12
-        assert_allclose(fo.M1, fo.M1.conj().T, atol=1e-14)
+        assert direct_residual(im_c4a, 1j) < 1e-12
+        assert_allclose(M1, M1.conj().T, atol=1e-14)
 
     @pytest.mark.parametrize("mu", [1 + 0j, -1 + 0j], ids=["plus1", "minus1"])
-    def test_m1_eigenvalue_c4_at_plus_minus_one(self, base_c4, mu):
-        fo = build_M1(base_c4, mu)
-        assert fo.gamma == 1.0
-        assert_allclose(fo.eta1, [-0.25], atol=1e-12)
-        assert direct_residual(base_c4, mu) < 1e-12
+    def test_m1_eigenvalue_c4_at_plus_minus_one(self, c4a, im_c4a, mu):
+        eta1 = np.linalg.eigvalsh(build_operators(c4a).boundary_gram(mu))
+        assert_allclose(eta1, [-0.25], atol=1e-12)
+        assert direct_residual(im_c4a, mu) < 1e-12
 
     def test_m1_spectral_range(self, suite_graphs):
         for name, tg in suite_graphs.items():
             lt_min = min(int(tg.total_deg[v]) for v in tg.boundary_vertices)
+            lt = build_operators(tg)
             for mu in (1 + 0j, 1j):
-                fo = build_M1(Coupling(im := build_E(tg), spectral_decompose(im.E0)), mu)
-                if fo.eta1.size == 0:
+                eta1 = np.linalg.eigvalsh(lt.boundary_gram(mu))
+                if eta1.size == 0:
                     continue
-                assert np.all(fo.eta1 <= 1e-12), name
-                assert np.all(fo.eta1 >= -1.0 / lt_min - 1e-12), name
+                assert np.all(eta1 <= 1e-12), name
+                assert np.all(eta1 >= -1.0 / lt_min - 1e-12), name
 
     def test_m2_adjoint_symmetry(self, k4a):
         lt = build_operators(k4a)
@@ -423,9 +431,10 @@ VANISHING = attach_tails(
 def test_eigenspace_vanishing_to_rounding_is_persistent():
     im = build_E(VANISHING)
     base = Coupling(im, spectral_decompose(im.E0))
-    per, rest = base.lt.eigenspace(-0.25)
+    lt = build_operators(VANISHING)
+    per, rest = lt.eigenspace(-0.25)
     assert (per.shape[1], rest.shape[1]) == (1, 0)
-    entries = classify(base.lt)
+    entries = classify(lt)
     for mu in (complex(-0.25, np.sqrt(15) / 4), complex(-0.25, -np.sqrt(15) / 4)):
         [entry] = [e for e in entries if abs(e.value - mu) < 1e-9]
         assert entry.persistent_mult == 1
@@ -464,7 +473,7 @@ def test_persistence_routes_agree_on_random_graphs(tg):
     E2 = 0: its mu2 is exactly 0 and its projection orthogonal."""
     im = build_E(tg)
     base = Coupling(im, spectral_decompose(im.E0))
-    entries = classify(base.lt)
+    entries = classify(build_operators(tg))
     for cl in base.sd.clusters:
         [entry] = [e for e in entries if abs(e.value - cl.value) < 1e-8]
         persistent = [b for b in reduce_eigenvalue(base, cl.value).branches if b.persistent]
@@ -473,6 +482,25 @@ def test_persistence_routes_agree_on_random_graphs(tg):
             assert np.linalg.norm(im.U1 @ (im.V1.T @ b.basis)) <= 1e-12
             assert b.mu2 == 0
             assert np.array_equal(b.left, b.basis.conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs())
+@example(VANISHING)
+def test_stage_one_routes_agree_on_random_graphs(tg):
+    """At every E0 cluster, the graph side's M1 has the ledger's moving
+    eta1 for eigenvalues, each as often as its branches' multiplicities
+    add up to: criterion 12's two routes, away from its one fixture."""
+    im = build_E(tg)
+    base = Coupling(im, spectral_decompose(im.E0))
+    lt = build_operators(tg)
+    for cl in base.sd.clusters:
+        led = reduce_eigenvalue(base, cl.value)
+        moving = sorted(f.eta1 for f in led.families for b in f.branches
+                        for _ in range(b.multiplicity))
+        graph = np.linalg.eigvalsh(lt.boundary_gram(cl.value))
+        assert len(graph) == len(moving)
+        assert_allclose(graph, moving, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
