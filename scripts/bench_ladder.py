@@ -17,8 +17,10 @@ all at eps 0.6.  For each graph, one process measures once, in
   for a tailwalk that has none)
 - one ``stationary_iterate`` call on a fresh ``InternalMatrix``
 - 16 calls (4 lambdas x 4 ports) on another fresh one
-- ``reduce_eigenvalue`` at every cluster of ``E0`` (after E0's own
-  decomposition, which is not timed), as ``perturb`` runs it
+- ``spectral_decompose`` of ``E0``, the unperturbed problem
+  (``decompose_E0_s``)
+- ``reduce_eigenvalue`` at every cluster of ``E0``, on that
+  decomposition, as ``perturb`` runs it
 - ``tailwalk perturb --eps 0.04,0.02,0.01`` end to end, through
   ``tailwalk.cli.main`` into a temporary directory
 
@@ -204,7 +206,7 @@ def measure(preset: str, tails: str) -> dict:
     fresh = im.at(EPS)
     _, calls_s = _timed(lambda: [iterate(fresh, lam, a) for lam in LAMBDAS for a in ports[:4]])
     im0 = im.at(0.0)
-    base = Coupling(im0, spectral_decompose(im0.E0))
+    base, decompose_E0_s = _timed(lambda: Coupling(im0, spectral_decompose(im0.E0)))
     _, reduce_s = _timed(lambda: [reduce_eigenvalue(base, c.value) for c in base.sd.clusters])
     argv = ["perturb", "--preset", preset, "--tails", tails, "--eps", PERTURB_EPS]
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
@@ -223,6 +225,7 @@ def measure(preset: str, tails: str) -> dict:
         "iterate_single_s": single_s,
         "iterate_16_s": calls_s,
         "iterate_no_convergence": failed,
+        "decompose_E0_s": decompose_E0_s,
         "reduce_all_s": reduce_s,
         "stage_two_calls": stage_two,
         "perturb_s": perturb_s,

@@ -60,7 +60,6 @@ from .perturbation import (
     assumption_report,
     fit_loglog_slope,
     projection_expansion,
-    puiseux_prediction,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,

@@ -313,7 +313,7 @@ def _c8(ctx):
                         )
                     if gated:
                         n_second += 1
-                        s2 = slopes.get("puiseux", np.inf)
+                        s2 = slopes.get("second_order", np.inf)
                         if not s2 >= 1.8:
                             problems.append(
                                 f"{name} mu={led.mu:.3f} mu1={b.mu1:.4f}: "

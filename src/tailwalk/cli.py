@@ -15,8 +15,10 @@ emitted grid) and the package version, so a table can always be traced
 back to the run that produced it.  ``perturb``'s ``sigma_limit.json``
 sidecar also records each family's ``limit_unitarity_defect``,
 ``||(I + Sigma01)* (I + Sigma01) - I||_2``, and a run where one exceeds
-``LIMIT_UNITARITY_TOL`` is refused.  Floats are written with %.17g so
-repeated runs are byte-identical.
+``LIMIT_UNITARITY_TOL`` is refused; it records each family's
+``limit_slope`` too, the log-log slope of its ``norms`` over the ladder,
+which reads 1 where the limit converges at first order.  Floats are
+written with %.17g so repeated runs are byte-identical.
 
 Exit codes: 0 ok, 1 verify failures, 2 configuration problems, 3 numerical
 failures (with a report on stderr).
@@ -44,6 +46,7 @@ from .perturbation import (
     Coupling,
     GroupEscapedContour,
     NonUnitaryLimit,
+    fit_loglog_slope,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,
@@ -355,11 +358,20 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     for cl in base.sd.clusters:
         led = reduce_eigenvalue(base, cl.value)
         asym = resonance_asymptote(led, couplings)
-        entry = led.to_json_dict()
-        for branch, slopes in zip(entry["branches"], asym["slopes"]):
-            branch["slopes"] = {k: s for k, s in slopes.items()
-                                if k in ("first_order", "second_order")}
-        ledger_entries.append(entry)
+        ledger_entries.append({
+            "mu": [led.mu.real, led.mu.imag],
+            "m": cl.mult,
+            "branches": [
+                {
+                    "mu1": [b.mu1.real, b.mu1.imag],
+                    "mu2": [b.mu2.real, b.mu2.imag],
+                    "multiplicity": b.multiplicity,
+                    "persistent": b.persistent,
+                    "slopes": slopes,
+                }
+                for b, slopes in zip(led.branches, asym["slopes"])
+            ],
+        })
         asym_rows.extend([r[h] for h in header] for r in asym["rows"])
         ledgers.append(led)
 
@@ -385,6 +397,10 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
         for rec in limits
     ]
 
+    # each family's log-log slope of its norms over the ladder, all in one fit
+    norms = np.array([rec.norms for rec in limits]).T
+    limit_slopes = fit_loglog_slope(list(couplings), norms).tolist() if limits else []
+
     health = _health([(0.0, base), *couplings.items()])
     ladder_meta = {"eps_ladder": list(couplings), "health": health}
     ledger_file = outdir / "ledger.json"
@@ -401,7 +417,7 @@ def cmd_perturb(cfg: argparse.Namespace) -> int:
     limit_file = outdir / "sigma_limit.json"
     _write_json(limit_file, {"families": limit_records})
     _write_sidecar(limit_file, cfg, tg, "perturb",
-                   ladder_meta | {"limit_unitarity_defect": defects})
+                   ladder_meta | {"limit_unitarity_defect": defects, "limit_slope": limit_slopes})
 
     print(f"wrote {ledger_file}, {asym_file}, {limit_file}")
     return 0

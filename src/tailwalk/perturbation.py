@@ -62,7 +62,6 @@ __all__ = [
     "total_projection",
     "projection_expansion",
     "reduce_eigenvalue",
-    "puiseux_prediction",
     "resonance_asymptote",
     "resonant_sigma_limit",
     "fit_loglog_slope",
@@ -135,29 +134,25 @@ def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
 def total_projection(cpl: Coupling, ledger: ReductionLedger) -> np.ndarray:
     """Total projection of the eps-group continuing the ledger's cluster.
 
-    ``cpl`` is E(eps) with its decomposition.  The group is delimited by an
-    adaptive circle around the cluster: starting from half its ``gap``, the
-    radius is shrunk until no eigenvalue of E(eps) falls in the guard
-    annulus [0.8 r, 1.25 r].  The projection is then the sum of the
-    factored R_J L_J over the clusters of ``cpl`` inside the circle.  If no
-    radius isolates a group of the unperturbed multiplicity, the group has
-    escaped (eps too large for perturbative tracking) and
-    :class:`GroupEscapedContour` is raised.
+    ``cpl`` is E(eps) with its decomposition.  The group is delimited by one
+    circle around the cluster, of radius r = ``ledger.gap`` / 2, whose guard
+    annulus [0.8 r, 1.25 r] must hold no eigenvalue of E(eps).  The
+    projection is then the sum of the factored R_J L_J over the clusters of
+    ``cpl`` inside the circle.  If the annulus is not empty or the disk of
+    radius 0.8 r holds other than the unperturbed multiplicity, the group has
+    escaped (eps too large for the gap) and :class:`GroupEscapedContour` is
+    raised.
     """
     cl = ledger.cluster
-    vals = cpl.sd.eigenvalues
-    for shrink in (1.0, 0.75, 0.5, 0.35, 0.25):
-        r = 0.5 * ledger.gap * shrink
-        dist = np.abs(vals - cl.value)
-        inside = dist < 0.8 * r
-        guard = (dist >= 0.8 * r) & (dist <= 1.25 * r)
-        if not np.any(guard) and int(np.sum(inside)) == cl.mult:
-            cols = np.flatnonzero(np.abs(cpl.sd.column_values - cl.value) < 0.8 * r)
-            return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
-    raise GroupEscapedContour(
-        f"no contour around {cl.value:.4f} isolates a group of multiplicity "
-        f"{cl.mult} at eps={cpl.im.eps}"
-    )
+    r = 0.5 * ledger.gap
+    dist = np.abs(cpl.sd.eigenvalues - cl.value)
+    if np.any((dist >= 0.8 * r) & (dist <= 1.25 * r)) or np.sum(dist < 0.8 * r) != cl.mult:
+        raise GroupEscapedContour(
+            f"the circle of radius {r:.3g} around {cl.value:.4f} isolates no group of "
+            f"multiplicity {cl.mult} at eps={cpl.im.eps}"
+        )
+    cols = np.flatnonzero(np.abs(cpl.sd.column_values - cl.value) < 0.8 * r)
+    return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
 
 
 def projection_expansion(ledger: ReductionLedger) -> list[np.ndarray]:
@@ -282,21 +277,6 @@ class ReductionLedger:
         rhs = lam_min * (1.0 - 1.0 / nu_minus) / 2.0  # c = 1 / (nu_plus lam_min) cancels nu_plus
         return bool(nu_minus >= 3 and lhs < rhs)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": [self.mu.real, self.mu.imag],
-            "m": self.cluster.mult,
-            "branches": [
-                {
-                    "mu1": [b.mu1.real, b.mu1.imag],
-                    "mu2": [b.mu2.real, b.mu2.imag],
-                    "multiplicity": b.multiplicity,
-                    "persistent": b.persistent,
-                }
-                for b in self.branches
-            ],
-        }
-
 
 def _gamma_scalar(mu: complex) -> float:
     """gamma in A1 = gamma mu M1: 1 at mu = +-1, 1/2 at every other mu."""
@@ -385,19 +365,6 @@ def reduce_eigenvalue(base: Coupling, mu0: complex) -> ReductionLedger:
     return ReductionLedger(base, cl, branches, families, defect)
 
 
-def puiseux_prediction(
-    mu: complex, gamma: float, eta1: float, mu2: complex, eps: float
-) -> complex:
-    """Second-order eigenvalue asymptotics in the physical parameter eps.
-
-    mu_eps = mu e^{-i pi gamma eta1 eps}
-             + (pi^2 eps^2 / 2)(mu (gamma eta1)^2 + gamma mu eta1 - 2 mu2) + o(eps^2).
-    """
-    ge = gamma * eta1
-    second = _second_order(mu, ge, mu2)
-    return mu * np.exp(-1j * np.pi * ge * eps) + (np.pi**2 * eps**2 / 2.0) * second
-
-
 def fit_loglog_slope(eps_values, residuals) -> float | np.ndarray:
     """Least-squares slope of log residual against log eps; of a matrix of
     residuals, one slope per column (series), all from one ``lstsq``."""
@@ -408,7 +375,7 @@ def fit_loglog_slope(eps_values, residuals) -> float | np.ndarray:
     return float(slope) if y.ndim == 1 else slope
 
 
-_SLOPE_KINDS = ("first_order", "second_order", "puiseux")  # resonance_asymptote's slopes
+_SLOPE_KINDS = ("first_order", "second_order")  # resonance_asymptote's slopes
 
 
 def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling]) -> dict:
@@ -426,11 +393,10 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
 
     Returns ``{"rows", "slopes"}``: CSV-ready rows, and per branch, in
     ledger order, the log-log slopes in eps of its residual against each
-    prediction, keyed ``first_order`` (mu + kappa mu1), ``second_order``
-    (plus kappa^2 mu2) and ``puiseux`` (:func:`puiseux_prediction`, the
-    second-order one for a branch without a boundary scalar).  At each eps
-    a branch's residual is the largest over its eigenvalues.  A kind whose
-    residual never exceeds ``_SLOPE_CUT`` is zero, and gets no slope.
+    prediction, keyed ``first_order`` (mu + kappa mu1) and ``second_order``
+    (plus kappa^2 mu2).  At each eps a branch's residual is the largest over
+    its eigenvalues.  A kind whose residual never exceeds ``_SLOPE_CUT`` is
+    zero, and gets no slope.
     """
     mu, m = ledger.mu, ledger.cluster.mult
     radius = 0.5 * ledger.gap
@@ -465,11 +431,7 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
             b, pred = ledger.branches[bi], preds[bi]
             rows.append({"epsilon": float(eps), "re_true": z.real, "im_true": z.imag,
                          "re_pred": pred.real, "im_pred": pred.imag, "abs_err": abs(z - pred)})
-            pp = (pred if b.eta1 is None
-                  else puiseux_prediction(mu, ledger.gamma, b.eta1, b.mu2, eps))
-            resid[j, bi] = np.maximum(
-                resid[j, bi], [abs(z - (mu + k * b.mu1)), abs(z - pred), abs(z - pp)]
-            )
+            resid[j, bi] = np.maximum(resid[j, bi], [abs(z - (mu + k * b.mu1)), abs(z - pred)])
     # every (branch, kind) series in one fit
     fits = fit_loglog_slope(list(ladder), resid.reshape(len(ladder), -1)).reshape(resid.shape[1:])
     slopes = [

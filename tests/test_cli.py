@@ -289,6 +289,25 @@ class TestPerturb:
             norms = fam["norms"]
             assert all(abs(a / b - 2.0) <= 0.2 for a, b in zip(norms, norms[1:])), norms
 
+    def test_limit_slope_marks_limits_that_do_not_converge(self, tmp_path):
+        # a decade lower, at --tol-circle 1e-12, the run is answered, but the
+        # +-i families' limit norms do not halve with eps: their limit_slope,
+        # the log-log slope of norms over the ladder, reads below 0.9
+        code, out = run(
+            tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", "4e-5,2e-5,1e-5", "--tol-circle", "1e-12",
+        )
+        assert code == 0
+        fams = json.loads((out / "sigma_limit.json").read_text())["families"]
+        meta = json.loads((out / "sigma_limit.json.meta.json").read_text())
+        slopes = meta["limit_slope"]  # one per family, in their order
+        assert len(slopes) == len(fams) == 6
+        stalled = sorted(complex(*f["mu"]).imag for f, s in zip(fams, slopes) if s < 0.9)
+        np.testing.assert_allclose(stalled, [-1.0, 1.0], atol=1e-9)
+        assert sum(abs(s - 1.0) <= 0.05 for s in slopes) == 4
+        want = [perturbation.fit_loglog_slope(meta["eps_ladder"], f["norms"]) for f in fams]
+        np.testing.assert_allclose(slopes, want, rtol=1e-12)
+
     def test_factors_each_matrix_once(self, tmp_path, count_factorisations):
         with count_factorisations() as seen:
             code, _ = run(
@@ -352,8 +371,8 @@ class TestPerturb:
 
     @pytest.mark.parametrize("fixture", acceptance.PERTURB_FIXTURES)
     def test_ledger_slopes_are_the_asymptote_slopes(self, tmp_path, fixture):
-        # ledger.json copies resonance_asymptote's first- and second-order
-        # slopes, bit for bit, on criterion 8's ladder
+        # ledger.json copies resonance_asymptote's slopes, bit for bit, on
+        # criterion 8's ladder
         eps = (0.02, 0.01, 0.005)
         preset, tails = acceptance.FIXTURES[fixture]
         code, out = run(tmp_path, "perturb", "--preset", preset,
@@ -369,7 +388,7 @@ class TestPerturb:
             asym = perturbation.resonance_asymptote(ctx.ledger(fixture, cl.value), ladder)
             assert len(entry["branches"]) == len(asym["slopes"])
             for branch, slopes in zip(entry["branches"], asym["slopes"]):
-                assert branch["slopes"] == {k: s for k, s in slopes.items() if k != "puiseux"}
+                assert branch["slopes"] == slopes
                 n_slopes += "first_order" in slopes
         assert n_slopes > 0
 
@@ -823,7 +842,7 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     # stage two decomposes only the six moving 2 x 2 groups
     assert row["stage_two_calls"] == 6
     times = {k: v for k, v in row.items() if k.endswith("_s")}
-    assert len(times) == 9 and all(v > 0 for v in times.values())
+    assert len(times) == 10 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
     # the process's peak RSS so far, in MiB: at least what numpy alone takes
@@ -895,7 +914,7 @@ def test_table_set_script(tmp_path):
     # exits 0 and writes its tables, in CSV or, for the first graph file's
     # second run of each command, in JSON; cycle:4 at eps 1e-4 is refused at
     # the default --tol-circle (exit 3, its message on the line) and answered
-    # at 1e-10
+    # at 1e-10, and at eps 1e-5 answered at 1e-12
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
     out = tmp_path / "tables"
@@ -905,7 +924,7 @@ def test_table_set_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = (out / "exit_codes.txt").read_text().splitlines()
-    assert len(lines) == 39
+    assert len(lines) == 40
     [refused] = [line for line in lines if line.split()[2] != "0"]
     assert refused.startswith(
         "perturb cycle_4-t0_1_2-eps1e-4 3 numerical failure (ClusterAmbiguity): on-circle")

@@ -5,7 +5,6 @@ brute-force eigenvalue computations before the reduction code existed;
 they are inputs to the tests, not snapshots of their output.
 """
 
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +30,6 @@ from tailwalk.perturbation import (
     assumption_report,
     fit_loglog_slope,
     projection_expansion,
-    puiseux_prediction,
     reduce_eigenvalue,
     resonance_asymptote,
     resonant_sigma_limit,
@@ -177,6 +175,21 @@ class TestTotalProjection:
         # at full coupling the group is gone; tracking it would be fiction
         with pytest.raises(GroupEscapedContour):
             total_projection(coupling(im_c4a, 1.0), reduce_eigenvalue(base_c4, 1 + 0j))
+
+    def test_one_circle_of_half_the_gap(self):
+        # at eps 0.2 the group of this simple eigenvalue (gap 0.188) keeps
+        # its eigenvalue inside 0.8 r, but a neighbour lies in the guard
+        # annulus [0.8 r, 1.25 r] of r = gap / 2; the one circle is never
+        # shrunk to clear it, so the group has escaped
+        g = build_internal(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (3, 4)])
+        im = build_E(attach_tails(g, (0, 3, 0)))
+        led = reduce_eigenvalue(Coupling(im, spectral_decompose(im.E0)), -0.6531 + 0.7573j)
+        assert led.cluster.mult == 1 and 0.18 < led.gap < 0.19
+        cpl = coupling(im, 0.2)
+        d = np.abs(cpl.sd.eigenvalues - led.mu) / (led.gap / 2)
+        assert np.sum(d < 0.8) == 1 and np.sum((d >= 0.8) & (d <= 1.25)) == 1
+        with pytest.raises(GroupEscapedContour):
+            total_projection(cpl, led)
 
 
 class TestReduceEigenvalue:
@@ -362,12 +375,6 @@ class TestReduceEigenvalue:
         led = ledgers[0]
         first = (led.a3, led.gap)  # a3 reads gap: one _gap call for both
         assert (led.a3, led.gap) == first and len(gaps) == 1
-
-    def test_json_round_trip(self, base_c4):
-        led = reduce_eigenvalue(base_c4, 1j)
-        d = json.loads(json.dumps(led.to_json_dict()))
-        assert d["m"] == 2
-        assert len(d["branches"]) == 2
 
 
 class TestGraphSideMatrices:
@@ -615,15 +622,6 @@ class TestProjectionExpansion:
         assert order > 3.7
 
 
-def test_puiseux_prediction_formula():
-    # at eps = 0 the prediction must return mu itself
-    assert puiseux_prediction(1j, 0.5, -1 / 3, -1j / 72, 0.0) == 1j
-    # first-order part moves along the circle: |mu e^{-i pi ge eps}| = 1
-    p = puiseux_prediction(1 + 0j, 1.0, -0.25, 0.0, 0.3)
-    q = 1.0 * np.exp(-1j * np.pi * 1.0 * (-0.25) * 0.3)
-    assert abs(p - q) < np.pi**2 * 0.3**2  # second-order term only
-
-
 def test_fit_loglog_slope_recovers_power_law():
     eps = np.array([0.04, 0.02, 0.01])
     assert_allclose(fit_loglog_slope(eps, 3.7 * eps**2.5), 2.5, atol=1e-12)
@@ -654,7 +652,7 @@ class TestResonanceAsymptote:
         assert len(out["slopes"]) == len(led.branches)
         for slopes in out["slopes"]:
             assert 1.8 < slopes["first_order"] < 2.2
-            assert slopes["puiseux"] > 2.7
+            assert slopes["second_order"] > 2.7
         for row in out["rows"]:
             assert row["abs_err"] < 5e-4
 
@@ -698,8 +696,7 @@ class TestResonanceAsymptote:
         persistent = [s for b, s in zip(led.branches, out["slopes"]) if b.persistent]
         moving = [s for b, s in zip(led.branches, out["slopes"]) if not b.persistent]
         assert persistent == [{}]
-        assert moving and all(set(s) == {"first_order", "second_order", "puiseux"}
-                              for s in moving)
+        assert moving and all(set(s) == {"first_order", "second_order"} for s in moving)
 
 
 class TestResonantLimit:
