@@ -13,8 +13,7 @@ all at eps 0.6.  For each graph, one process measures once, in
 - ``spectral_decompose`` of ``E(eps)``
 - ``SigmaEvaluator`` construction
 - a 256-point ``transmission_curve``
-- the time iteration's basis (``InternalMatrix.iteration_basis``; null
-  for a tailwalk that has none)
+- the time iteration's basis (``InternalMatrix.iteration_basis``)
 - one ``stationary_iterate`` call on a fresh ``InternalMatrix``
 - 16 calls (4 lambdas x 4 ports) on another fresh one
 - ``spectral_decompose`` of ``E0``, the unperturbed problem
@@ -47,7 +46,10 @@ suite (ROADMAP.md) once, in a subprocess with one BLAS thread, in the
 checkout the imported ``tailwalk`` comes from: ``tier1_s`` is its wall
 time, ``tier1_passed`` and ``tier1_failed`` its counts of passed and of
 failed or erroring tests (:func:`summary_counts`), and ``tier1_exit``
-pytest's exit code.  ``OUT.json`` holds
+pytest's exit code.  It then runs the suite once more under the default
+BLAS threads, with ``ONE_THREAD``'s variables removed from the
+environment, as a user runs it: ``tier1_default_blas_s`` and
+``tier1_default_blas_exit``.  ``OUT.json`` holds
 each layer's median over the rounds and the runs themselves.  It imports
 the ``tailwalk`` on ``PYTHONPATH``.
 
@@ -113,7 +115,9 @@ PAIRED_DESCRIPTION = (
     "per_run_X_over_parent the ratio of the i-th runs' medians. decompose_peak_n2, "
     "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s, "
     "tier1_passed, tier1_failed (failures and errors) and tier1_exit (pytest's exit code) "
-    "are one tier-1 run per bench_ladder run, in the checkout of the side measured."
+    "are one tier-1 run per bench_ladder run, in the checkout of the side measured, with "
+    "one BLAS thread; tier1_default_blas_s and tier1_default_blas_exit are one more under "
+    "the default BLAS threads."
 )
 
 
@@ -186,10 +190,8 @@ def measure(preset: str, tails: str) -> dict:
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     _, curve_s = _timed(lambda: transmission_curve(im, grid, 0, sd))
     fresh = im.at(EPS)
-    basis_s = dim = None
-    if hasattr(type(fresh), "iteration_basis"):
-        ib, basis_s = _timed(lambda: fresh.iteration_basis)
-        dim = None if ib.V is None else ib.V.shape[1]
+    ib, basis_s = _timed(lambda: fresh.iteration_basis)
+    dim = None if ib.V is None else ib.V.shape[1]
     ports = np.eye(tg.num_ports, dtype=complex)
     failed = 0
 
@@ -254,18 +256,25 @@ def summary_counts(stdout: str) -> dict:
 
 
 def tier1() -> dict:
-    """One run of the tier-1 suite of the checkout the imported ``tailwalk``
-    comes from, in a subprocess with one BLAS thread.  ``measure`` and
-    ``measure_verify`` never call it: the suite runs both."""
+    """Two runs of the tier-1 suite of the checkout the imported ``tailwalk``
+    comes from, each in a subprocess: one with one BLAS thread, and one under
+    the default BLAS threads.  ``measure`` and ``measure_verify`` never call
+    it: the suite runs both."""
     import tailwalk
 
     root = Path(tailwalk.__file__).resolve().parents[2]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    env = os.environ | ONE_THREAD | {"PYTHONPATH": path}
+    env = {k: v for k, v in os.environ.items() if k not in ONE_THREAD} | {"PYTHONPATH": path}
     command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    proc, tier1_s = _timed(lambda: subprocess.run(command, cwd=root, env=env,
-                                                  capture_output=True, text=True))
-    return {"tier1_s": tier1_s, **summary_counts(proc.stdout), "tier1_exit": proc.returncode}
+
+    def run(env):
+        return _timed(lambda: subprocess.run(command, cwd=root, env=env,
+                                             capture_output=True, text=True))
+
+    proc, tier1_s = run(env | ONE_THREAD)
+    default, default_s = run(env)
+    return {"tier1_s": tier1_s, **summary_counts(proc.stdout), "tier1_exit": proc.returncode,
+            "tier1_default_blas_s": default_s, "tier1_default_blas_exit": default.returncode}
 
 
 def _fresh(call: str) -> dict:
@@ -291,8 +300,7 @@ def ladder_record() -> dict:
         for key in rows[0]:
             if key.endswith(_PER_ROUND):
                 vals = [r[key] for r in rows]
-                med = None if None in vals else statistics.median(vals)
-                graphs[label][key] = {"median": med, "runs": vals}
+                graphs[label][key] = {"median": statistics.median(vals), "runs": vals}
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
            "eps": EPS, "perturb_eps": PERTURB_EPS, "rounds": ROUNDS}
@@ -362,9 +370,7 @@ def paired_record(runs: dict[str, list[dict]]) -> dict:
                 continue
             vals = {side: [r["graphs"][label][key]["runs"] for r in rs]
                     for side, rs in runs.items()}
-            if any(None in v for vs in vals.values() for v in vs):
-                rec[key] = None
-            elif key.endswith(("_n2", "_calls")):
+            if key.endswith(("_n2", "_calls")):
                 rec[key] = _spread(vals)
             else:
                 rec[key] = _ratios(vals)
@@ -377,7 +383,8 @@ def paired_record(runs: dict[str, list[dict]]) -> dict:
     env = first["env"] | {"runs_per_side": len(runs["parent"]), "order": list(ROTATION)}
     return {"description": PAIRED_DESCRIPTION, "env": env, "graphs": graphs, "verify": verify,
             "tier1": {key: {side: [r[key] for r in rs] for side, rs in runs.items()}
-                      for key in ("tier1_s", "tier1_passed", "tier1_failed", "tier1_exit")}}
+                      for key in ("tier1_s", "tier1_passed", "tier1_failed", "tier1_exit",
+                                  "tier1_default_blas_s", "tier1_default_blas_exit")}}
 
 
 def main(argv: list[str]) -> int:

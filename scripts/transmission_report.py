@@ -2,10 +2,11 @@
 """Transmission/reflection curves, with the closed form spot-checked
 against the raw time iteration.
 
-For each requested coupling value this writes a lambda-grid CSV into the
-working directory and reports the largest deviation between the spectral
-closed form and the dynamical iteration at a few random frequencies - the
-two routes share no code, so agreement to ~1e-8 means both are right.
+For each requested coupling value this writes ``tailwalk transmission``'s
+table and sidecar into the working directory, on the CLI's lambda grid,
+and reports the largest deviation between the spectral closed form and
+the dynamical iteration at a few random frequencies - the two routes share
+no code, so agreement to ~1e-8 means both are right.
 
 Example:
     python3 scripts/transmission_report.py --preset cycle:4 --tails 0,1,2 \
@@ -22,7 +23,6 @@ spot check's iteration not converging), each reported on stderr.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -34,16 +34,15 @@ from tailwalk.cli import (
     EXIT_NUMERICAL,
     ConfigError,
     _build_parser,
-    _prologue,
     _run_config,
-    _transmission_stems,
+    _write_transmission,
 )
-from tailwalk.scattering import stationary_iterate, transmission_curve
+from tailwalk.scattering import stationary_iterate
 
 RUN_FLAGS = ("preset", "tails", "eps", "grid", "inflow")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--preset", default="cycle:4")
     ap.add_argument("--tails", default="0,1,2")
@@ -52,7 +51,7 @@ def main() -> int:
     ap.add_argument("--inflow", type=int, help="1-based port index (default: the CLI's)")
     ap.add_argument("--spot-checks", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     run_argv = [f"--{k}={getattr(args, k)}" for k in RUN_FLAGS if getattr(args, k) is not None]
     try:
         cfg = _run_config(_build_parser().parse_args(["transmission", *run_argv, "--out=."]))
@@ -70,30 +69,18 @@ def main() -> int:
 
 
 def report(cfg: argparse.Namespace, spot_checks: int, seed: int) -> int:
-    names = [stem + ".csv" for stem in _transmission_stems(cfg.eps)]
-    tg, _, ladder = _prologue(cfg)
-    grid = np.linspace(0.0, 2 * np.pi, cfg.grid, endpoint=False)
     rng = np.random.default_rng(seed)
-
-    for eps, name, cpl in zip(cfg.eps, names, ladder):
-        curve = transmission_curve(cpl.im, grid, inflow=cfg.inflow - 1, sd=cpl.sd)
-        with open(name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "tau_sq", "reflection_sq"])
-            for lam, t, r in zip(curve["lambda"], curve["tau_sq"], curve["reflection_sq"]):
-                w.writerow([f"{lam:.12f}", f"{t:.12f}", f"{r:.12f}"])
-
+    for eps, (out, cpl, curve) in zip(cfg.eps, _write_transmission(cfg)):
+        alpha = np.zeros(cpl.im.tg.num_ports, dtype=complex)
+        alpha[cfg.inflow - 1] = 1.0
         worst = 0.0
         for lam in rng.uniform(0, 2 * np.pi, spot_checks):
-            alpha = np.zeros(tg.num_ports, dtype=complex)
-            alpha[cfg.inflow - 1] = 1.0
             rec = stationary_iterate(cpl.im, lam, alpha)
             direct = cpl.sigma.sigma(lam) @ alpha
             worst = max(worst, float(np.max(np.abs(rec.outgoing - direct))))
-        peak = float(np.max(curve["tau_sq"]))
-        lam_peak = float(grid[int(np.argmax(curve["tau_sq"]))])
-        print(f"eps={eps:g}: wrote {name}; peak transmission {peak:.4f} at "
-              f"lambda={lam_peak:.4f}; closed form vs iteration: {worst:.2e}")
+        peak = int(np.argmax(curve["tau_sq"]))
+        print(f"eps={eps:g}: wrote {out}; peak transmission {curve['tau_sq'][peak]:.4f} at "
+              f"lambda={curve['lambda'][peak]:.4f}; closed form vs iteration: {worst:.2e}")
     return 0
 
 

@@ -7,17 +7,18 @@ transmission  lambda-grid transmission/reflection curves per eps
 perturb       reduction ledger, asymptote-vs-truth table, resonant-limit report
 verify        run the acceptance suite on built-in fixtures
 
-Every emitted file gets a ``<name>.meta.json`` sidecar recording tolerances,
-cluster decisions, the numerical health of each decomposition behind it
-(``health``: reconstruction residual and block condition per eps, and for
-``transmission`` the largest ``|tau_sq + reflection_sq - 1|`` on the
-emitted grid) and the package version, so a table can always be traced
-back to the run that produced it.  ``perturb``'s ``sigma_limit.json``
-sidecar also records each family's ``limit_unitarity_defect``,
-``||(I + Sigma01)* (I + Sigma01) - I||_2``, and a run where one exceeds
-``LIMIT_UNITARITY_TOL`` is refused; it records each family's
-``limit_slope`` too, the log-log slope of its ``norms`` over the ladder,
-which reads 1 where the limit converges at first order.  Floats are
+Every file that ``resonances``, ``transmission`` and ``perturb`` write gets
+a ``<name>.meta.json`` sidecar (``verify``'s ``verify_summary.json`` gets
+none) recording tolerances, cluster decisions, the numerical health of each
+decomposition behind it (``health``: reconstruction residual and block
+condition per eps, and for ``transmission`` the largest ``|tau_sq +
+reflection_sq - 1|`` on the emitted grid) and the package version, so a
+table can always be traced back to the run that produced it.
+``perturb``'s ``sigma_limit.json`` sidecar also records each family's
+``limit_unitarity_defect``, ``||(I + Sigma01)* (I + Sigma01) - I||_2``, and
+a run where one exceeds ``LIMIT_UNITARITY_TOL`` is refused; it records each
+family's ``limit_slope`` too, the log-log slope of its ``norms`` over the
+ladder, which reads 1 where the limit converges at first order.  Floats are
 written with %.17g so repeated runs are byte-identical.
 
 Exit codes: 0 ok, 1 verify failures, 2 configuration problems, 3 numerical
@@ -318,7 +319,9 @@ def cmd_resonances(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_transmission(cfg: argparse.Namespace) -> int:
+def _write_transmission(cfg: argparse.Namespace) -> list[tuple[Path, Coupling, dict]]:
+    """Each eps's table and sidecar on the run's uniform grid over
+    [-pi, pi), written in eps order: (file, Coupling, curve) per eps."""
     stems = _transmission_stems(cfg.eps)
     tg, outdir, ladder = _prologue(cfg)
     lam_grid = np.linspace(-np.pi, np.pi, cfg.grid, endpoint=False)
@@ -336,8 +339,12 @@ def cmd_transmission(cfg: argparse.Namespace) -> int:
         _write_sidecar(out, cfg, tg, "transmission", {
             "eps": eps, "cluster_decisions": _cluster_record(cpl.sd), "health": health,
         })
-        written.append(out)
-    print("wrote " + ", ".join(str(w) for w in written))
+        written.append((out, cpl, curve))
+    return written
+
+
+def cmd_transmission(cfg: argparse.Namespace) -> int:
+    print("wrote " + ", ".join(str(out) for out, _, _ in _write_transmission(cfg)))
     return 0
 
 

@@ -108,7 +108,8 @@ class LaplacianT:
 
     @cached_property
     def eigenspaces(self) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-        """(t, F, per, rest) per eigenvalue t of T, grouped to 1e-9.
+        """(t, F, per, rest) per eigenvalue t of T: the ascending values
+        split into runs where a step is at least 1e-9, t a run's mean.
 
         F is a W-orthonormal basis of Ker(T - t); per spans its
         boundary-vanishing (persistent) directions and rest their complement
@@ -118,17 +119,11 @@ class LaplacianT:
         are W-orthonormal and W-orthogonal to each other.
         """
         vals, vecs = self.spectrum
-        groups: list[tuple[float, np.ndarray]] = []
-        i = 0
-        while i < len(vals):
-            j = i
-            while j + 1 < len(vals) and vals[j + 1] - vals[i] < 1e-9:
-                j += 1
-            groups.append((float(np.mean(vals[i : j + 1])), vecs[:, i : j + 1]))
-            i = j + 1
+        cuts = np.flatnonzero(np.diff(vals) >= 1e-9) + 1
         bd = list(self.tg.boundary_vertices)
         out = []
-        for t, F in groups:
+        for ts, F in zip(np.split(vals, cuts), np.split(vecs, cuts, axis=1)):
+            t = float(np.mean(ts))
             # with no boundary, F[bd] is 0 x k and numpy returns Vh = I
             s, Vh = np.linalg.svd(F[bd, :])[1:]
             r = int(np.sum(s > _BOUNDARY_RANK_CUT))

@@ -781,47 +781,76 @@ def test_cluster_that_is_not_one_eigenvalue_is_refused(tmp_path, capsys, command
     assert not list(out.glob("*.csv"))
 
 
-def test_transmission_report_script(tmp_path):
-    # the script writes its CSV into the working directory and checks its
-    # flags through the private CLI parser, so run it as a user would
+def test_transmission_report_script(tmp_path, monkeypatch, capsys):
+    # the script writes its tables into the working directory and checks its
+    # flags through the private CLI parser: run it once as a user would,
+    # and its other cases in this process
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
-
-    def report(cwd, *argv):
-        cwd.mkdir()
-        return subprocess.run(
-            [
-                sys.executable, str(root / "scripts" / "transmission_report.py"),
-                "--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16", *argv,
-            ],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
-        )
-
-    proc = report(tmp_path / "ok", "--eps", "0.25", "--spot-checks", "1")
+    flags = ("--preset", "cycle:4", "--tails", "0,1,2", "--grid", "16")
+    (tmp_path / "ok").mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "transmission_report.py"), *flags,
+         "--eps", "0.25", "--spot-checks", "1"],
+        cwd=tmp_path / "ok", env=env, capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ok" / "transmission_eps0.25.csv").exists()
     gap = re.search(r"closed form vs iteration: (\S+)", proc.stdout)
     assert gap is not None, proc.stdout
     assert float(gap.group(1)) < 1e-7
+
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    import transmission_report
+
+    def report(cwd, *argv):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = transmission_report.main([*flags, *argv])
+        return code, capsys.readouterr()
+
     # two eps values that would share one CSV name are refused up front
-    proc = report(tmp_path / "clash", "--eps", "0.1234561,0.1234562")
-    assert proc.returncode == cli.EXIT_CONFIG
-    assert "configuration error" in proc.stderr and not proc.stdout
+    code, out = report(tmp_path / "clash", "--eps", "0.1234561,0.1234562")
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error" in out.err and not out.out
     assert not list((tmp_path / "clash").iterdir())
     # flags the CLI refuses, and a negative --spot-checks or --seed, are
     # refused the same way, before any file is written
-    for label, flags in (("inflow0", ("--inflow", "0")), ("inflow9", ("--inflow", "9")),
-                         ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2")),
-                         ("spot-1", ("--spot-checks", "-1")), ("seed-1", ("--seed", "-1"))):
-        proc = report(tmp_path / label, "--spot-checks", "1", *flags)
-        assert proc.returncode == cli.EXIT_CONFIG, (label, proc.stderr)
-        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr, label
+    for label, argv in (("inflow0", ("--inflow", "0")), ("inflow9", ("--inflow", "9")),
+                        ("grid0", ("--grid", "0")), ("eps2", ("--eps", "2")),
+                        ("spot-1", ("--spot-checks", "-1")), ("seed-1", ("--seed", "-1"))):
+        code, out = report(tmp_path / label, "--spot-checks", "1", *argv)
+        assert code == cli.EXIT_CONFIG, (label, out.err)
+        assert "configuration error" in out.err and "Traceback" not in out.err, label
         assert not list((tmp_path / label).iterdir()), label
     # a spot check whose iteration does not settle is a reported numerical failure
-    proc = report(tmp_path / "slow", "--eps", "0.02", "--spot-checks", "2")
-    assert proc.returncode == cli.EXIT_NUMERICAL
-    assert "numerical failure (NoConvergence)" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    code, out = report(tmp_path / "slow", "--eps", "0.02", "--spot-checks", "2")
+    assert code == cli.EXIT_NUMERICAL
+    assert "numerical failure (NoConvergence)" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_transmission_report_writes_the_cli_files(tmp_path, monkeypatch, capsys):
+    # for the same run flags the report's tables and sidecars are those of
+    # `tailwalk transmission`, byte for byte
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import transmission_report
+
+    flags = ["--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25,0.5", "--grid", "16",
+             "--inflow", "2"]
+    code, out = run(tmp_path, "transmission", *flags)
+    assert code == 0
+    (tmp_path / "report").mkdir()
+    monkeypatch.chdir(tmp_path / "report")
+    assert transmission_report.main(flags) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["transmission_eps0.25.csv", "transmission_eps0.25.csv.meta.json",
+                     "transmission_eps0.5.csv", "transmission_eps0.5.csv.meta.json"]
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "report" / name).read_bytes() == (out / name).read_bytes(), name
+    # the report names the files it wrote, as the CLI does
+    assert "eps=0.25: wrote transmission_eps0.25.csv;" in capsys.readouterr().out
 
 
 def test_bench_ladder_measures_each_layer(monkeypatch):
@@ -865,6 +894,7 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
             "verify": {"failed": [0, 1, 0], "verify_s": {"runs": [scale] * 3},
                        "peak_rss_mb": {"runs": [64.0] * 3}},
             "tier1_s": 1.5, "tier1_passed": 7, "tier1_failed": 0, "tier1_exit": 0,
+            "tier1_default_blas_s": 2.5, "tier1_default_blas_exit": 0,
         }
 
     broken = run(1.0) | {"tier1_passed": 5, "tier1_failed": 2, "tier1_exit": 1}
@@ -889,6 +919,8 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
     assert rec["tier1"]["tier1_failed"] == {"parent": [0, 0, 0], "change": [0, 0, 0],
                                             "parent_copy": [0, 2, 0]}
     assert rec["tier1"]["tier1_exit"]["parent_copy"] == [0, 1, 0]
+    assert rec["tier1"]["tier1_default_blas_s"]["change"] == [2.5, 2.5, 2.5]
+    assert rec["tier1"]["tier1_default_blas_exit"]["parent"] == [0, 0, 0]
     assert rec["env"]["runs_per_side"] == 3 and len(rec["env"]["order"]) == 9
 
 
