@@ -37,7 +37,7 @@ calls that one more, untimed all-cluster reduction makes, counted through
 Unlike a time, those counts repeat from run to run, the first two to about
 four digits and the last exactly.  Each round also times one
 ``acceptance.run_all()``, the ``verify`` suite, in :func:`measure_verify`,
-with its process's peak RSS.
+with each criterion's own time and its process's peak RSS.
 
 Every measurement runs in a fresh process with one BLAS thread. A round
 measures each graph once, so the graphs alternate, then runs ``verify``,
@@ -112,7 +112,8 @@ PAIRED_DESCRIPTION = (
     "PYTHONDONTWRITEBYTECODE=1 and no __pycache__. Each timing and peak_rss_mb is the "
     f"median of the {3 * ROUNDS} fresh-process measurements per side ({ROUNDS} rounds per "
     "run), one BLAS thread; X_over_parent is the ratio of those medians and "
-    "per_run_X_over_parent the ratio of the i-th runs' medians. decompose_peak_n2, "
+    "per_run_X_over_parent the ratio of the i-th runs' medians; verify.criterion_<id>_s "
+    "is one acceptance criterion's own time within verify_s. decompose_peak_n2, "
     "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s, "
     "tier1_passed, tier1_failed (failures and errors) and tier1_exit (pytest's exit code) "
     "are one tier-1 run per bench_ladder run, in the checkout of the side measured, with "
@@ -237,12 +238,14 @@ def measure(preset: str, tails: str) -> dict:
 
 
 def measure_verify() -> dict:
-    """One run of the acceptance suite, in this process."""
+    """One run of the acceptance suite, in this process: its time, each
+    criterion's own ``elapsed`` as ``criterion_<id>_s``, its failures and
+    the process's peak RSS."""
     from tailwalk.acceptance import run_all
 
     results, verify_s = _timed(run_all)
-    return {"verify_s": verify_s, "failed": sum(r.status == "fail" for r in results),
-            "peak_rss_mb": _peak_rss_mb()}
+    return {"verify_s": verify_s, **{f"criterion_{r.cid:02d}_s": r.elapsed for r in results},
+            "failed": sum(r.status == "fail" for r in results), "peak_rss_mb": _peak_rss_mb()}
 
 
 def summary_counts(stdout: str) -> dict:
@@ -305,7 +308,7 @@ def ladder_record() -> dict:
            "scipy": scipy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
            "eps": EPS, "perturb_eps": PERTURB_EPS, "rounds": ROUNDS}
     verify_rec = {"failed": [v["failed"] for v in verify]}
-    for key in ("verify_s", "peak_rss_mb"):
+    for key in (k for k in verify[0] if k != "failed"):
         vals = [v[key] for v in verify]
         verify_rec[key] = {"median": statistics.median(vals), "runs": vals}
     return {"env": env, "graphs": graphs, "verify": verify_rec, **tier1()}
@@ -376,7 +379,7 @@ def paired_record(runs: dict[str, list[dict]]) -> dict:
                 rec[key] = _ratios(vals)
     verify = {key: _ratios({side: [r["verify"][key]["runs"] for r in rs]
                             for side, rs in runs.items()})
-              for key in ("verify_s", "peak_rss_mb")}
+              for key in first["verify"] if key != "failed"}
     verify["criteria_failed_over_all_runs"] = {
         side: sum(sum(r["verify"]["failed"]) for r in rs) for side, rs in runs.items()
     }

@@ -321,7 +321,8 @@ def cmd_resonances(cfg: argparse.Namespace) -> int:
 
 def _write_transmission(cfg: argparse.Namespace) -> list[tuple[Path, Coupling, dict]]:
     """Each eps's table and sidecar on the run's uniform grid over
-    [-pi, pi), written in eps order: (file, Coupling, curve) per eps."""
+    [-pi, pi), written in eps order: (file, Coupling, curve) per eps.  The
+    curve reads the Coupling's evaluator, which a caller's spot checks share."""
     stems = _transmission_stems(cfg.eps)
     tg, outdir, ladder = _prologue(cfg)
     lam_grid = np.linspace(-np.pi, np.pi, cfg.grid, endpoint=False)
@@ -330,7 +331,7 @@ def _write_transmission(cfg: argparse.Namespace) -> list[tuple[Path, Coupling, d
               "reflection_sq"]
     written = []
     for eps, stem, cpl in zip(cfg.eps, stems, ladder):
-        curve = transmission_curve(cpl.im, lam_grid, cfg.inflow - 1, cpl.sd)
+        curve = transmission_curve(cpl.im, lam_grid, cfg.inflow - 1, cpl.sd, cpl.sigma)
         out = _write_table(outdir / stem, header, zip(*(curve[h] for h in header)), cfg.format)
         # the emitted grid's largest |tau_sq + reflection_sq - 1|: Sigma is unitary
         defect = float(np.max(np.abs(curve["tau_sq"] + curve["reflection_sq"] - 1.0)))

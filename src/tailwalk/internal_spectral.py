@@ -39,6 +39,7 @@ path.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -59,7 +60,8 @@ from .tailed_graph import TailedGraph
 # (cycle:12 tails 0,1,2 has four pairs 6.7e-8 apart at eps 0.00075)
 CLUSTER_TOL = 1e-12
 CIRCLE_TOL = 1e-8
-_BLOCK = 64  # time-iteration steps advanced per product with H^_BLOCK
+_LOG_BLOCK = 6
+_BLOCK = 1 << _LOG_BLOCK  # time-iteration steps advanced per product with H^_BLOCK
 # the port Krylov basis keeps singular values above this: measured, every kept
 # one is >= 0.59 and every dropped one <= 1e-14
 _KRYLOV_TOL = 1e-12
@@ -191,7 +193,9 @@ class IterationBasis:
 
     ``walk`` builds every block of ``_BLOCK`` steps.  What the iteration
     derives from these blocks does not depend on lambda, so it is formed on
-    first use and kept: ``krylov`` and the powers ``power`` returns.
+    first use and kept: ``krylov`` and one ladder of squares ``H^(2^k)``,
+    which ``walk`` reads below ``H^_BLOCK`` (``_LOG_BLOCK`` d x d rungs)
+    and ``power`` from it on.
     ``InternalMatrix.at`` returns a new object, so no coupling serves another.
     """
 
@@ -199,14 +203,28 @@ class IterationBasis:
     H: np.ndarray
     B_in: np.ndarray
     B_out: np.ndarray
-    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _squares: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+
+    def _square(self, k: int) -> np.ndarray:
+        """H^(2^k), each rung the square of the one before, built in order."""
+        squares = self._squares
+        if not squares:
+            squares.append(self.H)
+        while len(squares) <= k:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[k]
 
     def walk(self, x: np.ndarray) -> np.ndarray:
-        """x, H x, ..., H^(_BLOCK-1) x along a new second axis of x (d or d x N)."""
+        """x, H x, ..., H^(_BLOCK-1) x along a new second axis of x (d or d x N),
+        by doubling: steps m..2m-1 are H^m times steps 0..m-1, for m = 1, 2,
+        ..., _BLOCK/2, in _LOG_BLOCK products with the ladder's squares."""
         W = np.empty((x.shape[0], _BLOCK) + x.shape[1:], dtype=complex)
         W[:, 0] = x
-        for j in range(1, _BLOCK):
-            W[:, j] = self.H @ W[:, j - 1]
+        width = math.prod(x.shape[1:])  # step j is columns j*width..(j+1)*width-1
+        flat = W.reshape(len(W), _BLOCK * width)
+        for k in range(_LOG_BLOCK):
+            cols = width << k
+            flat[:, cols:2 * cols] = self._square(k) @ flat[:, :cols]
         return W
 
     @cached_property
@@ -216,15 +234,11 @@ class IterationBasis:
         return self.walk(self.B_in)
 
     def power(self, level: int) -> np.ndarray:
-        """H^(_BLOCK 2^level): level 0 advances the time iteration _BLOCK
-        steps per product, and each later level, the square of the one
-        before, jumps 2^level blocks.  Levels are built in order."""
-        powers = self._powers
-        if not powers:
-            powers.append(np.linalg.matrix_power(self.H, _BLOCK))
-        while len(powers) <= level:
-            powers.append(powers[-1] @ powers[-1])
-        return powers[level]
+        """H^(_BLOCK 2^level), the ladder's rung _LOG_BLOCK + level: level 0
+        advances the time iteration _BLOCK steps per product, and each later
+        level, the square of the one before, jumps 2^level blocks.  Level 0
+        is (H^(_BLOCK/2))^2, bit for bit np.linalg.matrix_power(H, _BLOCK)."""
+        return self._square(_LOG_BLOCK + level)
 
 
 def _port_krylov_basis(E: np.ndarray, B_in: np.ndarray) -> np.ndarray | None:

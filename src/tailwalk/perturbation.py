@@ -45,7 +45,7 @@ import numpy as np
 
 from .coin_evolution import kappa
 from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
-from .scattering import SigmaEvaluator, unitarity_defect
+from .scattering import SigmaEvaluator, _unitarity_defects
 from .smt_laplacian import unit_sign
 
 __all__ = [
@@ -543,36 +543,40 @@ def resonant_sigma_limit(
     failures only show in the record's ``verdicts``, and a non-unitary limit
     in its defect, so callers can decide what to gate.
 
-    Returns one record per family of each ledger, in order; each eps
-    evaluates Sigma once, at every family's lambda together.  ``ladder``
-    maps each eps, in ladder order, to its :class:`Coupling`; the
-    hypotheses are probed at the smallest eps.  Callers running several
-    ledgers on one ladder share it, so each E(eps) is factored once.
+    Returns one record per family of each ledger, in order.  Each eps
+    evaluates Sigma once, at every family's lambda together, and takes the
+    families' norms from one stacked SVD; the limits' defects come from one
+    stacked eigvalsh.  ``ladder`` maps each eps, in ladder order, to its
+    :class:`Coupling`; the hypotheses are probed at the smallest eps.
+    Callers running several ledgers on one ladder share it, so each E(eps)
+    is factored once.
     """
     probe = ladder[min(ladder)]
-    records = []
-    for ledger in ledgers:
+    families = [(ledger, fam) for ledger in ledgers for fam in ledger.families]
+    if not families:  # no moving family: nothing to evaluate
+        return []
+    eye = np.eye(probe.im.tg.num_ports)
+    sigma01 = np.zeros((len(families),) + eye.shape, dtype=complex)
+    for s01, (ledger, fam) in zip(sigma01, families):
         im = ledger.base.im
-        N = im.tg.num_ports
-        for fam in ledger.families:
-            sigma01 = np.zeros((N, N), dtype=complex)
-            for b, w in _pole_weights(ledger, fam)[1].items():
-                if w is not None:
-                    sigma01 = sigma01 + w * ((im.B_out1 @ b.basis) @ (b.left @ im.B_in1))
-            records.append(ResonantLimitRecord(
-                mu=ledger.mu, gamma=ledger.gamma, family=fam,
-                lam_eps=[], norms=[], sigma01=sigma01,
-                verdicts=assumption_report(ledger, fam, probe),
-                unitarity_defect=unitarity_defect(np.eye(N) + sigma01),
-            ))
-
-    if not records:  # no moving family: nothing to evaluate
-        return records
+        for b, w in _pole_weights(ledger, fam)[1].items():
+            if w is not None:
+                s01 += w * ((im.B_out1 @ b.basis) @ (b.left @ im.B_in1))
+    records = [
+        ResonantLimitRecord(
+            mu=ledger.mu, gamma=ledger.gamma, family=fam, lam_eps=[], norms=[],
+            sigma01=s01, verdicts=assumption_report(ledger, fam, probe),
+            unitarity_defect=float(defect),
+        )
+        for (ledger, fam), s01, defect in zip(families, sigma01, _unitarity_defects(eye + sigma01))
+    ]
     for eps, cpl in ladder.items():
         lams = [
             float(-np.angle(r.mu) + np.pi * (r.gamma * r.family.eta1) * eps) for r in records
         ]
-        for r, lam, s in zip(records, lams, cpl.sigma.sigma(np.array(lams))):
+        gaps = cpl.sigma.sigma(np.array(lams)) - eye - sigma01
+        norms = np.linalg.svd(gaps, compute_uv=False).max(axis=-1)  # each gap's 2-norm
+        for r, lam, norm in zip(records, lams, norms):
             r.lam_eps.append(lam)
-            r.norms.append(float(np.linalg.norm(s - np.eye(len(s)) - r.sigma01, 2)))
+            r.norms.append(float(norm))
     return records

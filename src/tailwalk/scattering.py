@@ -111,7 +111,7 @@ def _skip(
         w, p, steps = w + Z[:, 0], last, steps + _BLOCK * m
         if level < _MAX_LEVEL and cols >= (level + 1) * n:
             # the last 2m blocks' sum, then the state at the end of the jump
-            Z = np.column_stack([Y[:, 0] + Z[:, 0], Z[:, 1:] if level else Z])
+            Z = np.concatenate([(Y[:, 0] + Z[:, 0])[:, None], Z[:, 1:] if level else Z], axis=1)
             level += 1
             if len(qs) == level:
                 qs.append(qs[-1] * qs[-1])
@@ -152,8 +152,9 @@ def stationary_iterate(
     carries only the last block's sum and its last ``_WINDOW - 1``
     increments, ``X``, plus ``U``, the sum of the last ``m`` blocks.  It
     jumps ``m = 2^i`` blocks per product with ``e^{_BLOCK m i lam}`` times
-    ``ib.power(i) = H^(_BLOCK m)``, a ladder of squares kept on ``ib``;
-    the product maps ``[U | X]`` to the jump's sum and its end state.
+    ``ib.power(i) = H^(_BLOCK m)``, from the ladder of squares kept on
+    ``ib`` whose lower rungs ``walk`` reads; the product maps ``[U | X]``
+    to the jump's sum and its end state.
     ``H`` is a compression of a unitary, so ``||A||_2 <= 1`` and the
     increments never grow: none inside the jump is smaller than its last,
     and none is larger than ``p``, the last one before it.  A jump is
@@ -174,8 +175,8 @@ def stationary_iterate(
     ``_BLOCK p`` for the block's increments).  The budget never truncates a
     jump: one the budget ends inside is certified like any other, and
     ``NoConvergence`` follows, so every budget at or past the stop gives the
-    same result.  On leaving the phase, the next block is rebuilt step by
-    step from the last carried increment (``ib.walk``, as ``krylov`` is),
+    same result.  On leaving the phase, the next block is rebuilt from the
+    last carried increment by doubling (``ib.walk``, as ``krylov`` is),
     the window's norms are taken from the carried increments, and the
     screened per-step check resumes on full blocks.
     """
@@ -211,7 +212,8 @@ def stationary_iterate(
             s = D[:, :m].sum(axis=1)
             w, recent, done = w + s, norms[m:], done + _BLOCK
             if may_skip:
-                X, p, may_skip = np.column_stack([s, D[:, 1 - _WINDOW:]]), inc[-1], False
+                X = np.concatenate([s[:, None], D[:, 1 - _WINDOW:]], axis=1)
+                p, may_skip = inc[-1], False
             continue
         W = w[:, None] + np.cumsum(D[:, :m], axis=1)
         worst = sliding_window_view(norms, _WINDOW).max(axis=1)
@@ -287,12 +289,17 @@ class SigmaEvaluator:
         return self.im.B_bb + np.einsum("...t,tij->...ij", W, self.terms)
 
 
-def unitarity_defect(sigma: np.ndarray) -> float:
-    """||Sigma* Sigma - I||_2, the largest over a stack of matrices: the
+def _unitarity_defects(sigma: np.ndarray) -> np.ndarray:
+    """||Sigma* Sigma - I||_2 of each matrix of a stack, in one eigvalsh: the
     largest |eigenvalue| of the Hermitian Sigma* Sigma - I."""
     n = sigma.shape[-1]
     gram = np.swapaxes(sigma.conj(), -1, -2) @ sigma - np.eye(n)
-    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+    return np.abs(np.linalg.eigvalsh(gram)).max(axis=-1)
+
+
+def unitarity_defect(sigma: np.ndarray) -> float:
+    """||Sigma* Sigma - I||_2, the largest over a stack of matrices."""
+    return float(np.max(_unitarity_defects(sigma)))
 
 
 def transmission_curve(
@@ -300,13 +307,15 @@ def transmission_curve(
     lam_grid: np.ndarray,
     inflow: int,
     sd: SpectralData,
+    ev: SigmaEvaluator | None = None,
 ) -> dict[str, np.ndarray]:
     """Total transmission and reflection along a lambda grid.
 
     For unit inflow on the 0-based port ``inflow``, ``tau_sq`` is the
     summed outgoing power on the other ports and ``reflection_sq`` the
     power returned into the inflow port; they add to 1 by unitarity.
-    ``sd`` is the spectral data of ``im.E``.  A row per lambda is ``Sigma
+    ``sd`` is the spectral data of ``im.E`` and ``ev`` its closed-form
+    evaluator, built here when not given.  A row per lambda is ``Sigma
     alpha = B_bb alpha + W (K alpha)``, from the evaluator's term table,
     with its weights W taken in slices of about ``_SLICE_BYTES`` in one
     reused buffer; each slice's rows of Sigma alpha are reduced to its
@@ -318,7 +327,7 @@ def transmission_curve(
     lam_grid = np.asarray(lam_grid, dtype=float)
     alpha = np.zeros(im.tg.num_ports, dtype=complex)
     alpha[inflow] = 1.0
-    ev = SigmaEvaluator(im, sd)
+    ev = SigmaEvaluator(im, sd) if ev is None else ev
     z = np.exp(-1j * lam_grid)
     Ka = ev.terms @ alpha
     refl = np.empty(len(z))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_tailed_graph import connected_graphs
 
 import tailwalk
-from tailwalk import acceptance, cli, perturbation
+from tailwalk import acceptance, cli, perturbation, scattering
 from tailwalk.internal_spectral import ClusterAmbiguity, SpectralData
 
 
@@ -853,6 +853,25 @@ def test_transmission_report_writes_the_cli_files(tmp_path, monkeypatch, capsys)
     assert "eps=0.25: wrote transmission_eps0.25.csv;" in capsys.readouterr().out
 
 
+def test_transmission_report_builds_one_evaluator_per_eps(tmp_path, monkeypatch, capsys):
+    # each eps's curve and spot checks read its Coupling's one closed form
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import transmission_report
+
+    builds, real = [], scattering.SigmaEvaluator.__init__
+
+    def counted(self, *args):
+        builds.append(args[0].eps)
+        real(self, *args)
+
+    monkeypatch.setattr(scattering.SigmaEvaluator, "__init__", counted)
+    monkeypatch.chdir(tmp_path)
+    flags = ["--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25,0.5", "--grid", "16"]
+    assert transmission_report.main(flags) == 0
+    assert "closed form vs iteration" in capsys.readouterr().out
+    assert builds == [0.25, 0.5]
+
+
 def test_bench_ladder_measures_each_layer(monkeypatch):
     # the ladder script's per-graph measurement, in this process, on a small
     # cycle (a cycle's iteration runs on its arcs)
@@ -874,6 +893,9 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     assert len(times) == 10 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
+    # each criterion's own time, a part of the suite's
+    parts = [verify[f"criterion_{cid:02d}_s"] for cid in range(1, 13)]
+    assert all(v > 0 for v in parts) and sum(parts) <= verify["verify_s"]
     # the process's peak RSS so far, in MiB: at least what numpy alone takes
     assert 10 < row["peak_rss_mb"] <= verify["peak_rss_mb"] < 4096
 
@@ -892,6 +914,7 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
                              "reduce_all_s": {"runs": [scale, 2 * scale, 3 * scale]},
                              "stage_two_calls": {"runs": [4, 4, 4]}}},
             "verify": {"failed": [0, 1, 0], "verify_s": {"runs": [scale] * 3},
+                       "criterion_03_s": {"runs": [scale / 4] * 3},
                        "peak_rss_mb": {"runs": [64.0] * 3}},
             "tier1_s": 1.5, "tier1_passed": 7, "tier1_failed": 0, "tier1_exit": 0,
             "tier1_default_blas_s": 2.5, "tier1_default_blas_exit": 0,
@@ -911,6 +934,8 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
     }
     assert g["stage_two_calls"]["change"] == {"median": 4, "min": 4, "max": 4}
     assert rec["verify"]["verify_s"]["change_over_parent"] == 0.5
+    assert rec["verify"]["criterion_03_s"]["change"] == 0.125
+    assert rec["verify"]["criterion_03_s"]["per_run_change_over_parent"] == [0.5, 0.5, 1.0]
     assert rec["verify"]["criteria_failed_over_all_runs"] == {
         "parent": 3, "change": 3, "parent_copy": 3}
     assert rec["tier1"]["tier1_passed"]["change"] == [7, 7, 7]

@@ -19,6 +19,7 @@ from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
 from tailwalk.coin_evolution import kappa, linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
+    _LOG_BLOCK,
     CLUSTER_TOL,
     ClusterAmbiguity,
     NotAResonance,
@@ -753,6 +754,28 @@ def test_iteration_basis_spans_the_port_krylov_subspace(g, eps, data):
     assert_allclose(V @ ib.B_in, im.B_in, rtol=0, atol=1e-13)
     assert_allclose(ib.B_out, im.B_out @ V, rtol=0, atol=0)
     assert np.linalg.norm(ib.H, 2) <= 1 + _CERTIFIED_EXCESS
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.floats(min_value=0.05, max_value=1.0), st.data())
+def test_doubled_walk_is_the_step_by_step_walk(g, eps, data):
+    # walk builds a block in _LOG_BLOCK products with the ladder's squares
+    # H^(2^k); each step is H times the one before to rounding, and power(0),
+    # the next rung, is numpy's own H^_BLOCK bit for bit
+    vertex = st.integers(min_value=0, max_value=g.num_vertices - 1)
+    tails = data.draw(st.lists(vertex, min_size=1, max_size=g.num_vertices))
+    ib = build_E(attach_tails(g, tails), eps).iteration_basis
+    alpha = np.exp(1j * np.arange(ib.B_in.shape[1]))
+    for x in (ib.B_in, ib.B_in @ alpha):  # d x N, and d
+        W = ib.walk(x)
+        step = np.empty_like(W)
+        step[:, 0] = x
+        for j in range(1, _BLOCK):
+            step[:, j] = ib.H @ step[:, j - 1]
+        err = np.linalg.norm(W - step, axis=0)  # per step (and port)
+        assert np.all(err <= 1e-13 * np.linalg.norm(x, axis=0))
+    assert len(ib._squares) == _LOG_BLOCK
+    assert np.array_equal(ib.power(0), np.linalg.matrix_power(ib.H, _BLOCK))
 
 
 def test_iteration_basis_keeps_the_skip_certificate():

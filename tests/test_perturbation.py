@@ -602,6 +602,34 @@ def test_resonant_limit_is_unitary_on_random_graphs(tg):
         assert unitarity_defect(eye + rec.sigma01) <= 1e-10
 
 
+def assert_per_record_limits(recs, ladder):
+    """Each record's norms and limit defect, from one stacked SVD per eps and
+    one stacked eigvalsh, are bit for bit those of its own matrices: the
+    2-norm of Sigma(lam_eps) - I - Sigma01 per eps, at the call's Sigma
+    evaluation, and unitarity_defect(I + Sigma01)."""
+    for i, cpl in enumerate(ladder.values()):
+        stack = cpl.sigma.sigma(np.array([rec.lam_eps[i] for rec in recs]))
+        for rec, s in zip(recs, stack):
+            assert rec.norms[i] == float(np.linalg.norm(s - np.eye(len(s)) - rec.sigma01, 2))
+    for rec in recs:
+        assert rec.unitarity_defect == unitarity_defect(np.eye(len(rec.sigma01)) + rec.sigma01)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs())
+@example(NONMONOTONE)
+def test_limit_norms_are_the_per_record_norms_on_random_graphs(tg):
+    im = build_E(tg)
+    try:
+        ladder = couplings(im, (0.04, 0.02, 0.01))
+        base = Coupling(im, spectral_decompose(im.E0))
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+        recs = resonant_sigma_limit(ledgers, ladder)
+    except (ClusterAmbiguity, np.linalg.LinAlgError):
+        assume(False)
+    assert_per_record_limits(recs, ladder)
+
+
 class TestProjectionExpansion:
     def test_leading_coefficients(self, base_c4):
         coef = projection_expansion(reduce_eigenvalue(base_c4, 1 + 0j))[:3]
@@ -815,3 +843,13 @@ class TestResonantLimit:
             assert np.array_equal(rec.sigma01, ref.sigma01)
             assert rec.verdicts == ref.verdicts
         assert resonant_sigma_limit([], ladder) == []
+
+    @pytest.mark.parametrize("im_name, sd_name", [("im_c4a", "sd_c4"), ("im_k4a", "sd_k4")])
+    def test_stacked_norms_are_the_per_record_norms(self, request, im_name, sd_name):
+        im = request.getfixturevalue(im_name)
+        base = Coupling(im, request.getfixturevalue(sd_name))
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+        ladder = couplings(im, (0.04, 0.02, 0.01))
+        recs = resonant_sigma_limit(ledgers, ladder)
+        assert len(recs) > 1
+        assert_per_record_limits(recs, ladder)

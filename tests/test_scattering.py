@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from test_tailed_graph import connected_graphs
 
 from tailwalk import attach_tails, build_E, preset_graph, scattering
-from tailwalk.internal_spectral import ClusterAmbiguity, spectral_decompose
+from tailwalk.internal_spectral import _LOG_BLOCK, ClusterAmbiguity, spectral_decompose
 from tailwalk.scattering import (
     _MAX_LEVEL,
     NoConvergence,
@@ -178,28 +178,46 @@ def test_iteration_refuses_bad_arguments(im_c4a, bad):
         stationary_iterate(im_c4a.at(0.25), 0.9, np.array([1.0, 0, 0]), **bad)
 
 
+def _record_rungs(ib) -> list:
+    """The shapes of the rungs that ``ib``'s ladder of squares gains from
+    now on: H, then one squaring per rung."""
+    rungs = []
+
+    class Recorded(list):
+        def append(self, M):
+            rungs.append(M.shape)
+            super().append(M)
+
+    ib._squares = Recorded(ib._squares)
+    return rungs
+
+
+def _no_matrix_power(*args):
+    pytest.fail("a power of H formed outside the ladder of squares")
+
+
 def test_block_power_formed_once_per_matrix(c4_full, monkeypatch):
-    calls = []
-    real = np.linalg.matrix_power
-
-    def counting(M, n):
-        calls.append(n)
-        return real(M, n)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    # H^64, the ladder's rung _LOG_BLOCK, is squared once per basis however
+    # many calls read it, and a new coupling squares its own
+    monkeypatch.setattr(np.linalg, "matrix_power", _no_matrix_power)
     im0 = build_E(c4_full)
     im = im0.at(0.25)
+    ib = im.iteration_basis
+    rungs = _record_rungs(ib)
     for lam in (0.3, 1.1, -2.0, np.pi):
         for port in range(4):
             alpha = np.zeros(4, dtype=complex)
             alpha[port] = 1.0
             rec = stationary_iterate(im, lam, alpha)
             assert rec.steps > 64  # every call advances past its first block
-    assert calls == [64]
+            assert len(rungs) == len(ib._squares) > _LOG_BLOCK
+    squarings = len(rungs) - 1
+    assert ib.power(0) is ib._squares[_LOG_BLOCK]
     again = im0.at(0.25)
+    again_rungs = _record_rungs(again.iteration_basis)
     stationary_iterate(again, 0.3, np.array([1.0, 0, 0, 0], dtype=complex))
-    assert calls == [64, 64]
-    assert again.iteration_basis.power(0) is not im.iteration_basis.power(0)
+    assert len(rungs) - 1 == squarings and len(again_rungs) > _LOG_BLOCK
+    assert again.iteration_basis.power(0) is not ib.power(0)
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +297,8 @@ def test_result_does_not_depend_on_the_ladder_built_before(im_c16, monkeypatch):
         m.setattr(scattering, "_RTOL", 1e-300)
         with pytest.raises(NoConvergence):
             stationary_iterate(grown, 0.4, alpha, max_steps=10**7)
-    levels = len(grown.iteration_basis._powers)
-    assert levels == _MAX_LEVEL + 1 > len(fresh.iteration_basis._powers)
+    rungs = len(grown.iteration_basis._squares)
+    assert rungs == _LOG_BLOCK + _MAX_LEVEL + 1 > len(fresh.iteration_basis._squares)
     again = stationary_iterate(grown, 0.4, alpha)
     assert again.steps == rec.steps
     assert np.array_equal(again.outgoing, rec.outgoing)
@@ -318,26 +336,30 @@ def test_small_coupling_still_exhausts_the_budget():
         stationary_iterate(im, 0.7, np.array([1.0, 0.0, 0.0], dtype=complex))
 
 
+def test_iteration_at_zero_coupling_returns_the_inflow(im_c4a):
+    # at eps 0 no port reaches the interior: the walk runs on a basis of no
+    # columns, and every inflow is reflected as it came
+    im = im_c4a.at(0.0)
+    assert im.iteration_basis.V.shape == (8, 0)
+    assert im.iteration_basis.krylov.shape == (0, 64, 3)
+    alpha = np.array([1.0, 2.0j, -0.5], dtype=complex)
+    assert np.array_equal(stationary_iterate(im, 0.3, alpha).outgoing, alpha)
+
+
 def test_short_runs_form_no_arc_sized_power(monkeypatch):
     # the inflow's orbit on these 240 arcs spans 7 dimensions, so 16 runs of
-    # about 20 blocks form E^64 once, as a 7 x 7 power, and every ladder
-    # level they keep is 7 x 7: no 240 x 240 power is ever formed
-    shapes, real = [], np.linalg.matrix_power
-
-    def counting(M, n):
-        shapes.append(M.shape)
-        return real(M, n)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    # about 20 blocks square H up to H^64 once, as 7 x 7 matrices, and every
+    # rung they keep is 7 x 7: no 240 x 240 power is ever formed
+    monkeypatch.setattr(np.linalg, "matrix_power", _no_matrix_power)
     im = build_E(attach_tails(preset_graph("complete:16"), (0, 0, 1, 2)), 0.6)
+    ib = im.iteration_basis
+    rungs = _record_rungs(ib)
     for lam in (-2.5, -0.9, 0.8, 2.4):
         for port in range(4):
             rec = stationary_iterate(im, lam, np.eye(4, dtype=complex)[port])
             assert rec.steps > 10 * 64
-    assert shapes == [(7, 7)]
-    ib = im.iteration_basis
-    assert len(ib._powers) > 1  # the skip phase ran and doubled its jumps
-    assert all(level.shape == (7, 7) for level in ib._powers)
+    assert len(rungs) == len(ib._squares) > _LOG_BLOCK + 1  # the skip phase doubled its jumps
+    assert set(rungs) == {(7, 7)}
     assert ib.krylov.shape == (7, 64, 4)
 
 
