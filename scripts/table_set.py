@@ -6,10 +6,9 @@ Runs ``tailwalk.cli.main`` in-process, in ``OUT``: ``resonances``,
 graph file ``OUT/graph.json`` (``GRAPH_FILE``, read through ``--graph``,
 once as CSV and once as ``--format json``) and on the graph file
 ``OUT/graph_vanishing.json`` (``VANISHING_FILE``, as CSV), then
-``perturb`` on ``cycle:4`` at eps 4e-4, 2e-4, 1e-4, once at the default
-``--tol-circle`` (a refusal) and once at ``--tol-circle 1e-10``, and at
-eps 4e-5, 2e-5, 1e-5 at ``--tol-circle 1e-12`` (answered, with two
-families whose ``limit_slope`` marks a limit that does not converge), then
+``perturb`` on ``cycle:4`` at eps 4e-4, 2e-4, 1e-4 and at eps 4e-5, 2e-5,
+1e-5 (both answered; on the second, two families' ``limit_slope`` marks a
+limit that does not converge, as rounding limits their norms), then
 ``verify``.
 Each run writes into ``OUT/<command>/<graph>/``
 (``OUT/<command>/graph_file-json/`` for the JSON tables, ``OUT/verify/``
@@ -100,16 +99,12 @@ def main() -> int:
                                  ("graph_vanishing", "graph_vanishing.json", "csv")):
             record(command, label, [command, "--graph", path, "--eps", eps,
                                     "--format", fmt, "--out", f"{command}/{label}"])
-    # cycle:4's resonances at eps 1e-4 lie 8.2e-9 inside the unit circle:
-    # refused (exit 3) at the default --tol-circle, answered at 1e-10; at
-    # 1e-5 one lies 8.2e-11 inside, and the +-i families' limits stall
-    for label, eps, extra in (
-        ("cycle_4-t0_1_2-eps1e-4", "4e-4,2e-4,1e-4", []),
-        ("cycle_4-t0_1_2-eps1e-4-tol_circle1e-10", "4e-4,2e-4,1e-4", ["--tol-circle", "1e-10"]),
-        ("cycle_4-t0_1_2-eps1e-5-tol_circle1e-12", "4e-5,2e-5,1e-5", ["--tol-circle", "1e-12"]),
-    ):
+    # cycle:4's resonances at eps 1e-4 lie 8.2e-9 inside the unit circle, and
+    # at 1e-5 8.2e-11 inside, where the +-i families' limits stall
+    for label, eps in (("cycle_4-t0_1_2-eps1e-4", "4e-4,2e-4,1e-4"),
+                       ("cycle_4-t0_1_2-eps1e-5", "4e-5,2e-5,1e-5")):
         record("perturb", label, ["perturb", "--preset", "cycle:4", "--tails", "0,1,2",
-                                  "--eps", eps, *extra, "--out", f"perturb/{label}"])
+                                  "--eps", eps, "--out", f"perturb/{label}"])
     record("verify", "all", ["verify", "--out", "verify"])
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0

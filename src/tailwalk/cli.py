@@ -39,9 +39,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .internal_spectral import (
-    CIRCLE_TOL, CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
-)
+from .internal_spectral import CLUSTER_TOL, ClusterAmbiguity, build_E, spectral_decompose
 from .perturbation import (
     LIMIT_UNITARITY_TOL,
     Coupling,
@@ -126,13 +124,10 @@ def _run_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("at least one eps value is required")
     if len(set(args.eps)) < len(args.eps):
         raise ConfigError("eps values must be distinct")
-    if not all(0 < t < math.inf for t in (args.tol_cluster, args.tol_circle)):  # and NaN
-        raise ConfigError("tolerances must be positive and finite")
-    if args.tol_cluster < CLUSTER_TOL:  # rounding would split exact multiplicities
-        raise ConfigError(f"--tol-cluster must be at least {CLUSTER_TOL:.0e}, "
+    # below CLUSTER_TOL rounding would split exact multiplicities; NaN fails too
+    if not CLUSTER_TOL <= args.tol_cluster < math.inf:
+        raise ConfigError(f"--tol-cluster must be finite and at least {CLUSTER_TOL:.0e}, "
                           f"got {args.tol_cluster}")
-    if args.tol_circle >= 1:  # |mu| >= 1 - tol would put every eigenvalue on the circle
-        raise ConfigError(f"--tol-circle must be below 1, got {args.tol_circle}")
     return args
 
 
@@ -213,17 +208,16 @@ def _prologue(
     cfg: argparse.Namespace, base: bool = False
 ) -> tuple[TailedGraph, Path, list[Coupling]]:
     """The run's graph, its output directory and each E(eps) factored once at
-    the run's tolerances, in that order (so are the errors).  With ``base``
-    the list starts with the unperturbed problem: E(0) with E0 factored."""
+    the run's cluster tolerance, in that order (so are the errors).  With
+    ``base`` the list starts with the unperturbed problem: E(0) with E0
+    factored."""
     tg = _load_tailed_graph(cfg)
     outdir = _out_dir(cfg.out)
     im0 = build_E(tg, 0.0)
     pairs = [(im0, im0.E0)] if base else []
     pairs += [(im, im.E) for im in map(im0.at, cfg.eps)]
     return tg, outdir, [
-        Coupling(im, spectral_decompose(E, cluster_tol=cfg.tol_cluster,
-                                        circle_tol=cfg.tol_circle))
-        for im, E in pairs
+        Coupling(im, spectral_decompose(E, cluster_tol=cfg.tol_cluster)) for im, E in pairs
     ]
 
 
@@ -262,7 +256,7 @@ def _write_sidecar(
     meta = {
         "version": __version__,
         "command": command,
-        "tolerances": {"cluster": cfg.tol_cluster, "circle": cfg.tol_circle},
+        "tolerances": {"cluster": cfg.tol_cluster},
         "config": {
             "preset": cfg.preset,
             "graph_file": cfg.graph,
@@ -469,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eps", help="eps values: comma list or a:b:n range", default="0.25")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--tol-cluster", type=float, default=CLUSTER_TOL)
-    run.add_argument("--tol-circle", type=float, default=CIRCLE_TOL)
 
     p = argparse.ArgumentParser(
         prog="tailwalk",

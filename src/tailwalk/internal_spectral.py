@@ -15,9 +15,10 @@ One complex Schur form E = Z T Z* per decomposition is the only dense
 eigensolver: its diagonal, copied before anything moves, gives the
 eigenvalues that are clustered and reported.  E is a contraction, so an
 eigenvalue on the unit circle has a zero off-diagonal row and column in T
-(its unitary part is a reducing subspace, Sz.-Nagy & Foias 1970).  The
-on-circle clusters whose rows and columns are zero to rounding split off
-by a permutation: R = Z[:, J], L = Z[:, J]* and N = T_JJ - mu, with no
+(its unitary part is a reducing subspace, Sz.-Nagy & Foias 1970).  So a
+near-circle cluster is embedded, on the circle, exactly when its rows and
+columns are zero to rounding, and the embedded clusters split off by a
+permutation: R = Z[:, J], L = Z[:, J]* and N = T_JJ - mu, with no
 reorder and no solve, and ||R N L||_F = ||N||_F needs no Gram matrix.  The
 rest keeps its relative order, so its block of T is upper triangular, and
 it is block-diagonalised (Bavely & Stewart 1979): one ``ztrsen`` reorder
@@ -51,15 +52,13 @@ from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 from .coin_evolution import WalkOperator, kappa, linearize
 from .tailed_graph import TailedGraph
 
-# spectral_decompose's default tolerances, which the CLI's flags also default to:
-# eigenvalues closer than CLUSTER_TOL form one cluster, and one within CIRCLE_TOL
-# of the unit circle is on it.  CLUSTER_TOL is also the smallest accepted:
+# eigenvalues closer than CLUSTER_TOL form one cluster by default, as under
+# the CLI's --tol-cluster.  CLUSTER_TOL is also the smallest accepted:
 # rounding spreads an exact multiplicity of E0 over up to 1.7e-14 (cycle:128,
 # tails 0-3).  A coarser one merges distinct resonances unseen: a pair d apart
 # has ||N^2||_F = 0.35 d^2, below _MAX_NILPOTENT_POWER for d up to 1.7e-5
 # (cycle:12 tails 0,1,2 has four pairs 6.7e-8 apart at eps 0.00075)
 CLUSTER_TOL = 1e-12
-CIRCLE_TOL = 1e-8
 _LOG_BLOCK = 6
 _BLOCK = 1 << _LOG_BLOCK  # time-iteration steps advanced per product with H^_BLOCK
 # the port Krylov basis keeps singular values above this: measured, every kept
@@ -71,13 +70,18 @@ _MAX_BLOCK_CONDITION = 1e8
 # ||N^m||_F above this: a cluster of m > 1 is not one eigenvalue, and the closed
 # form's Laurent series would drop that term (measured <= 4.9e-16)
 _MAX_NILPOTENT_POWER = 1e-10
-# an on-circle cluster splits off by a permutation when its members' rows and
-# columns of T are below this times ||E||_F off the diagonal.  Measured at most
+# a cluster is on the circle, and splits off by a permutation, when it lies
+# within CIRCLE_TOL of it and its members' rows and columns of T are below
+# _DECOUPLED times ||E||_F off the diagonal.  Embedded states measure at most
 # 1.2e-15 over 400 random 3-8 vertex graphs (eps in [0.01, 1]), 3.6e-16 on
 # cycle:64 and 1.3e-16 on complete:16/24.  The coupled near-circle resonances
 # of cycle:4 tails 0,1,2 measure 1.9e-9 at eps 1e-4 and 1.9e-11 at 1e-5.  A
-# cluster kept by mistake only costs time, one split by mistake loses its
-# coupling, so the bound sits close above the measured noise
+# resonance split off by mistake is refused by SigmaEvaluator's coupling
+# guard; an embedded state kept by mistake enters Sigma as a term whose pole
+# lies on the circle.  The bound sits a decade above the noise.  CIRCLE_TOL
+# keeps decoupled resonances inside the disk with the rest (complete:3 with
+# a tail at every vertex has one at eps 0.5)
+CIRCLE_TOL = 1e-8
 _DECOUPLED = 1e-14
 # columns per slice of the reconstruction check: an n x _SLICE product per
 # slice in place of two n x n arrays
@@ -315,10 +319,11 @@ class SpectralCluster:
     ``P = R L`` and ``(E - value) P = R N L``: ``R`` (n x m) and ``L``
     (m x n) are views into the ``R`` and ``L`` of :class:`SpectralData`
     (columns and rows ``span``), and ``N`` is the cluster's m x m diagonal
-    block of the Schur form minus ``value``.  For a cluster split off by a
-    permutation, ``R`` is m orthonormal Schur vectors and ``L = R*``.
-    ``nilpotent_norm`` is ``||R N L||_F``, which is ``||N||_F`` for a
-    split-off cluster.  The n x n ``projection`` is formed on first use only.
+    block of the Schur form minus ``value``.  ``on_circle`` marks an
+    embedded cluster, one the Schur form decouples from the rest; it is
+    split off by a permutation, so ``R`` is m orthonormal Schur vectors,
+    ``L = R*`` and ``nilpotent_norm``, ``||R N L||_F``, is ``||N||_F``.  The
+    n x n ``projection`` is formed on first use only.
     """
 
     value: complex
@@ -518,18 +523,19 @@ def _block_diagonaliser(T: np.ndarray, cuts: list[int]) -> np.ndarray:
 
 
 def _unitary_part(
-    T: np.ndarray, groups: list[np.ndarray], on_circle: list[bool], scale: float
+    T: np.ndarray, groups: list[np.ndarray], reps: np.ndarray, scale: float
 ) -> list[int]:
-    """The clusters, as indices into ``groups``, that split off the Schur
-    form T by a permutation: those on the circle whose members' rows and
-    columns of T are zero off the diagonal, to ``_DECOUPLED * scale``.
+    """The clusters on the circle, as indices into ``groups``: those whose
+    representative in ``reps`` lies within ``CIRCLE_TOL`` of it and whose
+    members' rows and columns of the Schur form T are zero off the
+    diagonal, to ``_DECOUPLED * scale``.  They split off T by a permutation.
 
     In a contraction an eigenvalue t_jj with |t_jj| = 1 has such a row and
     column, as ||e_j* T|| and ||T e_j|| are at most 1: the unitary part is
-    a reducing subspace.  A resonance within ``circle_tol`` of the circle
-    that couples to the rest is kept with the rest.
+    a reducing subspace.  A resonance near the circle couples to the rest,
+    and is kept with it.
     """
-    cand = [g for g, circ in enumerate(on_circle) if circ]
+    cand = np.flatnonzero(np.abs(reps) >= 1.0 - CIRCLE_TOL).tolist()
     if not cand:
         return []
     off = np.abs(T)
@@ -538,18 +544,15 @@ def _unitary_part(
     return [g for g in cand if coupling[groups[g]].max() <= _DECOUPLED * scale]
 
 
-def spectral_decompose(
-    E: np.ndarray,
-    cluster_tol: float = CLUSTER_TOL,
-    circle_tol: float = CIRCLE_TOL,
-) -> SpectralData:
+def spectral_decompose(E: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> SpectralData:
     """Eigenvalue clusters of E with factored spectral projectors.
 
     Eigenvalues closer than ``cluster_tol`` form one cluster; clusters
     however close are kept apart as long as their projectors can be
-    trusted.  The on-circle clusters that the Schur form already decouples
-    (:func:`_unitary_part`) are split off by a permutation, with R = Z[:, J]
-    and L = Z[:, J]*; only the rest is reordered and block-diagonalised.
+    trusted.  A cluster is on the circle exactly when the Schur form
+    already decouples it there (:func:`_unitary_part`); those split off by a
+    permutation, with R = Z[:, J] and L = Z[:, J]*, and only the rest is
+    reordered and block-diagonalised.
     Raises :class:`ValueError` for a ``cluster_tol`` below the default
     ``CLUSTER_TOL`` (or NaN), and :class:`ClusterAmbiguity` when the
     block-diagonalising basis is so ill-conditioned (``block_condition``
@@ -579,8 +582,7 @@ def spectral_decompose(
     vals = T.diagonal().copy()
     groups, reps = _greedy_clusters(vals, cluster_tol)
     mults = [len(ix) for ix in groups]
-    on_circle = [abs(rep) >= 1.0 - circle_tol for rep in reps.tolist()]
-    split = _unitary_part(T, groups, on_circle, norm_E)
+    split = _unitary_part(T, groups, reps, norm_E)
 
     # the split-off clusters lead, in cluster order; the rest keeps its
     # relative order, so its block of T stays upper triangular.  Each n x n
@@ -635,8 +637,7 @@ def spectral_decompose(
     # N = T_jj - value I is exactly 0 when m = 1
     N1 = (diag[start] - reps)[:, None, None]
     clusters = []
-    for g, (rep, s, m, N, circ) in enumerate(zip(reps.tolist(), start.tolist(), mults, N1,
-                                                 on_circle)):
+    for g, (rep, s, m, N) in enumerate(zip(reps.tolist(), start.tolist(), mults, N1)):
         sp = slice(s, s + m)
         Rj, Lj = R[:, sp], L[sp]
         nn = 0.0
@@ -664,7 +665,7 @@ def spectral_decompose(
                 N=N,
                 span=sp,
                 nilpotent_norm=nn,
-                on_circle=circ,
+                on_circle=g in chosen,
             )
         )
     multi = [(slice(start[g], start[g] + mults[g]), Tjj) for g, Tjj in blocks.items()]

@@ -84,9 +84,9 @@ LIMIT_UNITARITY_TOL = 1e-10
 
 @dataclass
 class Coupling:
-    """One E(eps), factored once at the run's tolerances and shared by every
-    consumer: ``sd`` is its spectral data, and the closed-form evaluator is
-    built on first use.
+    """One E(eps), factored once at the run's cluster tolerance and shared by
+    every consumer: ``sd`` is its spectral data, and the closed-form
+    evaluator is built on first use.
 
     At eps = 0 it is the unperturbed problem, ``base``: E0's eigenbasis and
     E1's factors in it (:attr:`coupling_factors`), all the reduction reads.

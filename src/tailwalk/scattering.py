@@ -19,9 +19,11 @@ held as one table of Laurent terms that every evaluation reads.
 
 On-circle clusters drop out because embedded eigenstates do not couple to
 the ports (P_mu B_in = 0, B_out P_mu = 0); that is what keeps the formula
-finite when z itself hits an embedded eigenvalue.  An on-circle cluster
-that does couple is a resonance within ``circle_tol`` of the circle, and
-is refused (:class:`ClusterAmbiguity`) rather than dropped.
+finite when z itself hits an embedded eigenvalue.  A cluster is on the
+circle when the Schur form decouples it (``spectral_decompose``).  One
+that still couples to the ports is a resonance so close to the circle
+that rounding hid its coupling, and is refused (:class:`ClusterAmbiguity`)
+rather than dropped.
 
 The two routes share no linear algebra and are cross-checked to 1e-7 in the
 test suite, including at z = -1 on fixtures where -1 is embedded.
@@ -51,6 +53,7 @@ _SLICE_BYTES = 1 << 20  # transmission_curve's weights per slice of lambdas
 _MAX_LEVEL = 11  # jumps of at most 2^11 blocks: (1 + 7.6e-15)^(_BLOCK 2^11) < 1 + 1e-9
 # ||R L B_in|| / ||B_in|| above this refuses an on-circle cluster: embedded states
 # measure <= 5.2e-12 (3.9e-11 on cycle:4 to eps 1e-5), misfiled resonances >= 0.015
+# (0.50 on cycle:4 tails 0,1,2 at eps 1e-7, 3.3e-14 inside the circle)
 _MAX_EMBEDDED_COUPLING = 1e-8
 
 __all__ = [

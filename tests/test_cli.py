@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_tailed_graph import connected_graphs
 
 import tailwalk
-from tailwalk import acceptance, cli, perturbation, scattering
+from tailwalk import acceptance, cli, internal_spectral, perturbation, scattering
 from tailwalk.internal_spectral import ClusterAmbiguity, SpectralData
 
 
@@ -81,7 +81,7 @@ class TestResonances:
         on_circle = [r for r in rows if r[5] == "1"]
         assert len(on_circle) == 2  # the two persistent states
         meta = json.loads((out / "resonances.csv.meta.json").read_text())
-        assert meta["tolerances"]["cluster"] == 1e-12
+        assert meta["tolerances"] == {"cluster": 1e-12}
         assert "cluster_decisions" in meta
 
     def test_branches_split_at_second_order_are_listed(self, tmp_path):
@@ -152,6 +152,18 @@ class TestTransmission:
             "--inflow", "0", "--grid", "8",
         )
         assert code == cli.EXIT_CONFIG
+
+    def test_resonances_near_the_circle_are_kept(self, tmp_path):
+        # at eps 0.001 cycle:32's resonances lie down to 6.4e-9 inside the
+        # circle; they couple to the rest of the Schur form, so they stay in
+        # the closed form, and the curve conserves flux
+        code, out = run(
+            tmp_path, "transmission", "--preset", "cycle:32", "--tails", "0,1,2,3",
+            "--eps", "0.001",
+        )
+        assert code == 0
+        meta = json.loads((out / "transmission_eps0.001.csv.meta.json").read_text())
+        assert meta["health"]["0.001"]["grid_unitarity_defect"] < 1e-12
 
 
 class TestPerturb:
@@ -254,19 +266,40 @@ class TestPerturb:
         assert abs(z.real + 1 / 3) < 1e-3 and abs(abs(z.imag) - 2 * np.sqrt(2) / 3) < 1e-3
 
     def test_tolerances_reach_the_ladder(self, tmp_path):
-        # the ladder's closed-form evaluators use the run's --tol-circle: at
-        # 0.05 resonances are flagged on-circle, and their coupling is refused
-        argv = ("perturb", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.04,0.02,0.01")
-        code_a, _ = run(tmp_path / "a", *argv)
-        code_b, _ = run(tmp_path / "b", *argv, "--tol-circle", "0.05")
-        assert (code_a, code_b) == (0, cli.EXIT_NUMERICAL)
+        # the ladder's decompositions use the run's --tol-cluster: at 1e-6
+        # cycle:12's four pairs of resonances 6.7e-8 apart at eps 0.00075
+        # merge, and the families at those pairs fail hypotheses a1 and a3
+        argv = ("perturb", "--preset", "cycle:12", "--tails", "0,1,2",
+                "--eps", "0.003,0.0015,0.00075")
+        gates = []
+        for tol in ("1e-12", "1e-6"):
+            code, out = run(tmp_path / tol, *argv, "--tol-cluster", tol)
+            assert code == 0
+            meta = json.loads((out / "sigma_limit.json.meta.json").read_text())
+            assert meta["tolerances"] == {"cluster": float(tol)}
+            fams = json.loads((out / "sigma_limit.json").read_text())["families"]
+            gates.append(sum(f["assumptions"]["gate"] for f in fams))
+        assert gates == [18, 14]
 
-    @pytest.mark.parametrize("eps", ["4e-4,2e-4,1e-4", "4e-5,2e-5,1e-5"])
-    def test_coupled_on_circle_cluster_is_refused(self, tmp_path, capsys, eps):
-        # below eps ~ 1e-4 cycle:4's resonances lie within circle_tol of the
-        # circle; dropped from the closed form, they would give norm 2.0
+    @pytest.mark.parametrize("eps, decoupled", [
+        # cycle:4's resonances couple to the Schur form at 1.9e-9 at eps 1e-4
+        # and below at 1e-5: a split bound of 1e-8 splits them off by mistake
+        pytest.param("4e-4,2e-4,1e-4", 1e-8, id="4e-4,2e-4,1e-4"),
+        pytest.param("4e-5,2e-5,1e-5", 1e-8, id="4e-5,2e-5,1e-5"),
+        # at eps 1e-7 they lie 3.3e-14 inside the circle, and rounding
+        # decouples them at the default bound
+        pytest.param("4e-7,2e-7,1e-7", None, id="4e-7,2e-7,1e-7"),
+    ])
+    def test_coupled_on_circle_cluster_is_refused(
+        self, tmp_path, capsys, monkeypatch, eps, decoupled,
+    ):
+        # a resonance split off as embedded still couples to the ports;
+        # dropped from the closed form, it would give norm 2.0
+        if decoupled is not None:
+            monkeypatch.setattr(internal_spectral, "_DECOUPLED", decoupled)
         code, _ = run(
-            tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", eps,
+            tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
+            "--eps", eps,
         )
         assert code == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -274,13 +307,13 @@ class TestPerturb:
         assert m, err
         assert abs(abs(complex(m.group(1))) - 1) < 1e-6
 
-    def test_tighter_circle_tolerance_answers_the_refused_ladder(self, tmp_path):
-        # the first refused ladder's resonances lie 8.2e-9 inside the circle:
-        # at --tol-circle 1e-10 they are resonances, and every family's limit
-        # norm halves with eps
+    def test_near_circle_resonances_are_answered(self, tmp_path):
+        # cycle:4's resonances lie 8.2e-9 inside the circle at eps 1e-4: they
+        # couple to the rest of the Schur form, so they are resonances, and
+        # every family's limit norm halves with eps
         code, out = run(
             tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
-            "--eps", "4e-4,2e-4,1e-4", "--tol-circle", "1e-10",
+            "--eps", "4e-4,2e-4,1e-4",
         )
         assert code == 0
         fams = json.loads((out / "sigma_limit.json").read_text())["families"]
@@ -290,12 +323,12 @@ class TestPerturb:
             assert all(abs(a / b - 2.0) <= 0.2 for a, b in zip(norms, norms[1:])), norms
 
     def test_limit_slope_marks_limits_that_do_not_converge(self, tmp_path):
-        # a decade lower, at --tol-circle 1e-12, the run is answered, but the
-        # +-i families' limit norms do not halve with eps: their limit_slope,
-        # the log-log slope of norms over the ladder, reads below 0.9
+        # a decade lower the run is answered, but rounding limits the +-i
+        # families' norms, which do not halve with eps: their limit_slope, the
+        # log-log slope of norms over the ladder, reads below 0.9
         code, out = run(
             tmp_path, "perturb", "--preset", "cycle:4", "--tails", "0,1,2",
-            "--eps", "4e-5,2e-5,1e-5", "--tol-circle", "1e-12",
+            "--eps", "4e-5,2e-5,1e-5",
         )
         assert code == 0
         fams = json.loads((out / "sigma_limit.json").read_text())["families"]
@@ -712,7 +745,6 @@ class TestGraphFiles:
         ("resonances", "--preset", "cycle:4"),  # no tails anywhere
         ("transmission",),  # neither preset nor graph
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "nan"),
-        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "nan"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-cluster", "0"),
         # eps values whose output files would share one name
         ("transmission", "--preset", "cycle:4", "--tails", "0", "--eps", "0.1234561,0.1234562"),
@@ -724,9 +756,6 @@ class TestGraphFiles:
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--eps", "0.1:0.3:0"),
         ("resonances", "--preset", "cycle:4", "--tails", "0", "--eps", ","),
         ("transmission", "--preset", "cycle:12", "--tails", "0,1,2", "--tol-cluster", "inf"),
-        ("resonances", "--preset", "cycle:4", "--tails", "0", "--tol-circle", "inf"),
-        # a circle tolerance of 1 or more puts every eigenvalue on the circle
-        ("resonances", "--preset", "cycle:4", "--tails", "0,1,2", "--tol-circle", "5"),
         # a repeated eps would list every cluster twice
         ("resonances", "--preset", "cycle:4", "--tails", "0,1,2", "--eps", "0.25,0.25"),
         # below 1e-12 rounding would split exact multiplicities into duplicate rows
@@ -967,11 +996,10 @@ def test_bench_ladder_reads_the_tier1_summary(monkeypatch, summary, passed, fail
 
 
 def test_table_set_script(tmp_path):
-    # the reference table set behind byte-identity checks: every run but one
-    # exits 0 and writes its tables, in CSV or, for the first graph file's
-    # second run of each command, in JSON; cycle:4 at eps 1e-4 is refused at
-    # the default --tol-circle (exit 3, its message on the line) and answered
-    # at 1e-10, and at eps 1e-5 answered at 1e-12
+    # the reference table set behind byte-identity checks: every run exits 0
+    # and writes its tables, in CSV or, for the first graph file's second
+    # run of each command, in JSON; cycle:4's near-circle ladders at eps 1e-4
+    # and 1e-5 among them
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
     out = tmp_path / "tables"
@@ -981,10 +1009,9 @@ def test_table_set_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = (out / "exit_codes.txt").read_text().splitlines()
-    assert len(lines) == 40
-    [refused] = [line for line in lines if line.split()[2] != "0"]
-    assert refused.startswith(
-        "perturb cycle_4-t0_1_2-eps1e-4 3 numerical failure (ClusterAmbiguity): on-circle")
+    assert len(lines) == 39
+    assert all(line.split()[2:] == ["0"] for line in lines), lines
+    assert {"perturb cycle_4-t0_1_2-eps1e-4 0", "perturb cycle_4-t0_1_2-eps1e-5 0"} <= set(lines)
     wants = {
         "resonances": ["resonances.csv"],
         "transmission": ["transmission_eps0.25.csv", "transmission_eps0.6.csv"],
@@ -992,8 +1019,6 @@ def test_table_set_script(tmp_path):
         "verify": ["verify_summary.json"],
     }
     for line in lines:
-        if line == refused:
-            continue
         command, label = line.split()[:2]
         where = out / "verify" if command == "verify" else out / command / label
         for name in wants[command]:

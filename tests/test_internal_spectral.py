@@ -30,7 +30,7 @@ from tailwalk.internal_spectral import (
 )
 from tailwalk.perturbation import Coupling, reduce_eigenvalue, total_projection
 from tailwalk.scattering import _MAX_LEVEL, SigmaEvaluator
-from tailwalk.smt_laplacian import build_E_split
+from tailwalk.smt_laplacian import build_E_split, build_operators, classify
 
 
 def _schur_projection(E, members, others, schur):
@@ -365,6 +365,23 @@ def test_split_off_clusters_are_unitary_on_random_graphs(g, data):
     )
     eps = data.draw(st.floats(min_value=0.01, max_value=1.0))
     _check_split_off(build_E(attach_tails(g, tails), eps).E)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.data())
+def test_on_circle_count_is_the_persistent_count_on_random_graphs(g, data):
+    # the graph side counts the embedded eigenvalues with no eigensolver of
+    # E(eps): p, the persistent multiplicity over E0's eigenvalues.  The
+    # clusters the Schur form decouples hold exactly p, and the closed form
+    # drops them without refusing any
+    tails = data.draw(st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=3))
+    eps = data.draw(st.floats(min_value=1e-4, max_value=0.9))
+    tg = attach_tails(g, tails)
+    im = build_E(tg, eps)
+    sd = spectral_decompose(im.E)
+    p = sum(c.persistent_mult for c in classify(build_operators(tg)))
+    assert sum(c.mult for c in sd.clusters if c.on_circle) == p
+    SigmaEvaluator(im, sd)
 
 
 def test_a_decoupled_resonance_stays_with_the_rest():
