@@ -33,7 +33,7 @@ from .perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
-from .scattering import stationary_iterate, unitarity_defect
+from .scattering import _two_norms, stationary_iterate, unitarity_defect
 from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, build_operators,
                             classify, joukowsky_preimages)
 from .tailed_graph import attach_tails, preset_graph
@@ -110,11 +110,6 @@ class CriterionResult:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
-
-
-def _two_norms(stack: np.ndarray) -> np.ndarray:
-    """||A||_2 of each matrix of a stack, in one SVD call."""
-    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
 # --------------------------------------------------------------------------

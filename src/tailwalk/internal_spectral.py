@@ -197,9 +197,9 @@ class IterationBasis:
 
     ``walk`` builds every block of ``_BLOCK`` steps.  What the iteration
     derives from these blocks does not depend on lambda, so it is formed on
-    first use and kept: ``krylov`` and one ladder of squares ``H^(2^k)``,
-    which ``walk`` reads below ``H^_BLOCK`` (``_LOG_BLOCK`` d x d rungs)
-    and ``power`` from it on.
+    first use and kept: one ladder of squares ``H^(2^k)``, which ``walk``
+    reads below ``H^_BLOCK`` (``_LOG_BLOCK`` d x d rungs) and ``power``
+    from it on.
     ``InternalMatrix.at`` returns a new object, so no coupling serves another.
     """
 
@@ -230,12 +230,6 @@ class IterationBasis:
             cols = width << k
             flat[:, cols:2 * cols] = self._square(k) @ flat[:, :cols]
         return W
-
-    @cached_property
-    def krylov(self) -> np.ndarray:
-        """The d x _BLOCK x N block K[:, j] = H^j B_in: a time iteration's first
-        block is (K alpha) times the phases e^{i lam (j+1)}, in one product."""
-        return self.walk(self.B_in)
 
     def power(self, level: int) -> np.ndarray:
         """H^(_BLOCK 2^level), the ladder's rung _LOG_BLOCK + level: level 0

@@ -45,7 +45,7 @@ import numpy as np
 
 from .coin_evolution import kappa
 from .internal_spectral import InternalMatrix, SpectralCluster, SpectralData, spectral_decompose
-from .scattering import SigmaEvaluator, _unitarity_defects
+from .scattering import SigmaEvaluator, _two_norms, _unitarity_defects
 from .smt_laplacian import unit_sign
 
 __all__ = [
@@ -69,7 +69,7 @@ __all__ = [
 
 
 class GroupEscapedContour(RuntimeError):
-    """The perturbed eigenvalue group cannot be isolated by any admissible contour."""
+    """No group of E(eps) continues an E0 cluster (:meth:`ReductionLedger.group`)."""
 
 
 class NonUnitaryLimit(RuntimeError):
@@ -132,27 +132,19 @@ def _gap(sd: SpectralData, cl: SpectralCluster) -> float:
 
 
 def total_projection(cpl: Coupling, ledger: ReductionLedger) -> np.ndarray:
-    """Total projection of the eps-group continuing the ledger's cluster.
-
-    ``cpl`` is E(eps) with its decomposition.  The group is delimited by one
-    circle around the cluster, of radius r = ``ledger.gap`` / 2, whose guard
-    annulus [0.8 r, 1.25 r] must hold no eigenvalue of E(eps).  The
-    projection is then the sum of the factored R_J L_J over the clusters of
-    ``cpl`` inside the circle.  If the annulus is not empty or the disk of
-    radius 0.8 r holds other than the unperturbed multiplicity, the group has
-    escaped (eps too large for the gap) and :class:`GroupEscapedContour` is
-    raised.
-    """
-    cl = ledger.cluster
-    r = 0.5 * ledger.gap
-    dist = np.abs(cpl.sd.eigenvalues - cl.value)
-    if np.any((dist >= 0.8 * r) & (dist <= 1.25 * r)) or np.sum(dist < 0.8 * r) != cl.mult:
-        raise GroupEscapedContour(
-            f"the circle of radius {r:.3g} around {cl.value:.4f} isolates no group of "
-            f"multiplicity {cl.mult} at eps={cpl.im.eps}"
-        )
-    cols = np.flatnonzero(np.abs(cpl.sd.column_values - cl.value) < 0.8 * r)
+    """Total projection of the group of E(eps) continuing the ledger's cluster
+    (:meth:`ReductionLedger.group`): the sum of ``cpl``'s factored R_J L_J
+    over the clusters J that hold it."""
+    cols = _group_columns(ledger, cpl)
     return cpl.sd.R[:, cols] @ cpl.sd.L[cols]
+
+
+def _group_columns(ledger: ReductionLedger, cpl: Coupling) -> np.ndarray:
+    """The columns of ``cpl``'s R (rows of its L), ascending, of the clusters
+    that hold the ledger's group: each eigenvalue's is the nearest value."""
+    cv = cpl.sd.column_values
+    nearest = cv[np.abs(cv[:, None] - ledger.group(cpl)).argmin(axis=0)]
+    return np.flatnonzero((cv[:, None] == nearest).any(axis=1))
 
 
 def projection_expansion(ledger: ReductionLedger) -> list[np.ndarray]:
@@ -256,6 +248,22 @@ class ReductionLedger:
     def gap(self) -> float:
         """Distance to the nearest other cluster of E0, 1.0 for a lone one."""
         return _gap(self.base.sd, self.cluster)
+
+    def group(self, cpl: Coupling) -> np.ndarray:
+        """The eigenvalues of ``cpl``'s E(eps) that continue the cluster: those
+        within ``gap`` / 2 of ``mu``, in Schur-diagonal order.  A disk that
+        holds other than the cluster's multiplicity of them (groups
+        exchanging eigenvalues, eps too large for the gap) raises
+        :class:`GroupEscapedContour`."""
+        radius, m = 0.5 * self.gap, self.cluster.mult
+        vals = cpl.sd.eigenvalues
+        group = vals[np.abs(vals - self.mu) < radius]
+        if len(group) != m:
+            raise GroupEscapedContour(
+                f"{len(group)} eigenvalues of E at eps={cpl.im.eps:g} lie within {radius:.3g} "
+                f"of {self.mu:.4f}, whose group has multiplicity {m}"
+            )
+        return group
 
     @cached_property
     def a2(self) -> bool:
@@ -382,14 +390,12 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
     """Predicted vs. true eigenvalue motion for every branch of one group.
 
     ``ladder`` maps each eps, in ladder order, to its :class:`Coupling`;
-    the true eigenvalues are that decomposition's ``eigenvalues``, the
-    diagonal of its Schur form.  Those inside the group disk, of radius
-    ``ledger.gap / 2``, are matched to branches by nearest distance to the
-    second-order prediction mu + kappa mu1 + kappa^2 mu2 (branch capacity =
-    multiplicity), which tells apart branches that share mu1 and only
-    separate at second order.  A disk that holds other than the cluster's
-    multiplicity of eigenvalues at some eps (groups exchanging eigenvalues,
-    eps too large for the gap) raises :class:`GroupEscapedContour`.
+    the true eigenvalues are the group's at each eps,
+    :meth:`ReductionLedger.group` (which raises :class:`GroupEscapedContour`
+    where there is none), in Schur-diagonal order.  They are matched to
+    branches by nearest distance to the second-order prediction
+    mu + kappa mu1 + kappa^2 mu2 (branch capacity = multiplicity), which
+    tells apart branches that share mu1 and only separate at second order.
 
     Returns ``{"rows", "slopes"}``: CSV-ready rows, and per branch, in
     ledger order, the log-log slopes in eps of its residual against each
@@ -398,20 +404,13 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
     its eigenvalues.  A kind whose residual never exceeds ``_SLOPE_CUT`` is
     zero, and gets no slope.
     """
-    mu, m = ledger.mu, ledger.cluster.mult
-    radius = 0.5 * ledger.gap
+    mu = ledger.mu
     rows = []
     # resid[eps, branch, kind], kinds in _SLOPE_KINDS order
     resid = np.zeros((len(ladder), len(ledger.branches), len(_SLOPE_KINDS)))
     for j, (eps, cpl) in enumerate(ladder.items()):
         k = kappa(eps)
-        vals = cpl.sd.eigenvalues
-        group = vals[np.abs(vals - mu) < radius]
-        if len(group) != m:
-            raise GroupEscapedContour(
-                f"{len(group)} eigenvalues of E at eps={eps:g} lie within {radius:.3g} "
-                f"of {mu:.4f}, whose group has multiplicity {m}"
-            )
+        group = ledger.group(cpl)
         # nearest-neighbour matching on the second-order prediction
         preds = [mu + k * b.mu1 + k**2 * b.mu2 for b in ledger.branches]
         pairs = []
@@ -445,8 +444,9 @@ def resonance_asymptote(ledger: ReductionLedger, ladder: Mapping[float, Coupling
 class AssumptionReport:
     """Numerical verdicts for the hypotheses behind the resonant limit.
 
-    a1: perturbed group eigenspaces line up with the stage-2 projections
-        (subspace angle at the smallest eps below 0.2 rad).
+    a1: the eigenvectors of the perturbed group (:meth:`ReductionLedger.group`)
+        line up with the stage-2 projections (subspace angle at the smallest
+        eps below 0.2 rad); false where no group continues the cluster.
     a2: stage-2 projections resolve the unperturbed eigenspace.
     a3: the global smallness inequality (reported, not gated on: it fails
         on all small desk fixtures while the limit formula still holds).
@@ -496,22 +496,28 @@ def assumption_report(ledger: ReductionLedger, fam: Family, probe: Coupling) -> 
     """Numerically evaluate the resonant-limit hypotheses for one (mu, mu1) family.
 
     a1 compares, at the probe coupling, the perturbed eigenvectors of each
-    hosting branch (the ``R`` columns of the probe's clusters nearest its
-    prediction, orthonormalised) against the range of its stage-2
-    projection; a2 and a3 hold for the whole ledger and are read from it
-    (:class:`ReductionLedger`).
+    hosting branch (the ``R`` columns of the probe's group,
+    :meth:`ReductionLedger.group`, nearest its prediction, orthonormalised)
+    against the range of its stage-2 projection; where no group continues
+    the cluster at the probe there are no eigenvectors to judge, and a1 is
+    false.  a2 and a3 hold for the whole ledger and are read from it
+    (:class:`ReductionLedger`).  Nothing here raises.
     """
     mu = ledger.mu
     Xs, weights = _pole_weights(ledger, fam)
     x_ok = abs(Xs) > 1e-12 and None not in weights.values()
 
+    try:
+        cols = _group_columns(ledger, probe)
+    except GroupEscapedContour:  # no group, so no eigenvectors to judge
+        return AssumptionReport(a1=False, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_ok)
     k = kappa(probe.im.eps)
-    w = probe.sd.column_values
+    w = probe.sd.column_values[cols]
     a1 = True
     for b in weights:
         pred = mu + k * b.mu1 + k**2 * b.mu2
-        idx = np.argsort(np.abs(w - pred), kind="stable")[: b.multiplicity]
-        Vb = np.linalg.qr(probe.sd.R[:, idx])[0]
+        idx = cols[np.argsort(np.abs(w - pred), kind="stable")]
+        Vb = np.linalg.qr(probe.sd.R[:, idx[: b.multiplicity]])[0]
         sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
         if sines.size and float(np.max(sines)) > 0.2:
             a1 = False
@@ -574,8 +580,7 @@ def resonant_sigma_limit(
         lams = [
             float(-np.angle(r.mu) + np.pi * (r.gamma * r.family.eta1) * eps) for r in records
         ]
-        gaps = cpl.sigma.sigma(np.array(lams)) - eye - sigma01
-        norms = np.linalg.svd(gaps, compute_uv=False).max(axis=-1)  # each gap's 2-norm
+        norms = _two_norms(cpl.sigma.sigma(np.array(lams)) - eye - sigma01)
         for r, lam, norm in zip(records, lams, norms):
             r.lam_eps.append(lam)
             r.norms.append(float(norm))

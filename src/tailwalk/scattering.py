@@ -138,11 +138,11 @@ def stationary_iterate(
     the arcs (``V = I``, ``H = E``) when that subspace has more than n/2
     dimensions or ``E`` is not finite; the code is the same either way.
     The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} H``, ``g = e^{i
-    lam} V* f0``) come ``_BLOCK`` at a time.  The first block is ``(K alpha)``
-    times the phases ``e^{i lam j}``, from the port Krylov block
-    ``ib.krylov``; each later one is ``e^{_BLOCK i lam} ib.power(0)``
-    times the block before.  Both are formed once per basis and lambda
-    enters only as scalars.  The rule is applied at every step, with
+    lam} V* f0``) come ``_BLOCK`` at a time.  The first block is
+    ``ib.walk(B_in alpha)`` times the phases ``e^{i lam j}``; each later
+    one is ``e^{_BLOCK i lam} ib.power(0)`` times the block before.  The
+    ladder of squares both read is formed once per basis, and lambda enters
+    only as scalars.  The rule is applied at every step, with
     windows reaching back across block edges, and the first passing step
     within ``max_steps`` ends the run.  A block is screened first: every
     step's window holds its own increment and ``||w_t|| <= ||w|| + sum
@@ -179,7 +179,7 @@ def stationary_iterate(
     jump: one the budget ends inside is certified like any other, and
     ``NoConvergence`` follows, so every budget at or past the stop gives the
     same result.  On leaving the phase, the next block is rebuilt from the
-    last carried increment by doubling (``ib.walk``, as ``krylov`` is),
+    last carried increment by doubling (``ib.walk``, as the first one is),
     the window's norms are taken from the carried increments, and the
     screened per-step check resumes on full blocks.
     """
@@ -189,8 +189,7 @@ def stationary_iterate(
     phases = np.cumprod(np.full(_BLOCK, np.exp(1j * lam)))  # e^{i lam j}, j = 1.._BLOCK
     q = phases[-1]
     ib = im.iteration_basis
-    K = ib.krylov
-    D = (K.reshape(-1, K.shape[2]) @ alpha).reshape(K.shape[:2]) * phases
+    D = ib.walk(ib.B_in @ alpha) * phases
     w = np.zeros(len(D), dtype=complex)
     recent = np.full(_WINDOW - 1, np.inf)  # increment norms before the block
     X = None  # skip phase: the last block's sum, then its last _WINDOW - 1 increments
@@ -290,6 +289,11 @@ class SigmaEvaluator:
         is an array of L lambdas (same operations per lambda either way)."""
         W = self.weights(np.exp(-1j * np.asarray(lam, dtype=float)))
         return self.im.B_bb + np.einsum("...t,tij->...ij", W, self.terms)
+
+
+def _two_norms(stack: np.ndarray) -> np.ndarray:
+    """||A||_2 of each matrix of a stack, in one SVD call."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
 def _unitarity_defects(sigma: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 from test_tailed_graph import connected_graphs
 
 from tailwalk import perturbation
@@ -171,25 +172,50 @@ class TestTotalProjection:
             P = total_projection(coupling(im_c4a, eps), led)
             assert np.linalg.norm(P - P0) < 3.0 * abs(kappa(eps))
 
-    def test_escape_is_reported_not_guessed(self, im_c4a, base_c4):
-        # at full coupling the group is gone; tracking it would be fiction
-        with pytest.raises(GroupEscapedContour):
-            total_projection(coupling(im_c4a, 1.0), reduce_eigenvalue(base_c4, 1 + 0j))
+    def test_full_coupling_group_is_answered(self, im_c4a, base_c4):
+        # at eps 1.0 the moving eigenvalue has gone 1 -> 0.4224, 0.817 of the
+        # way to the disk's edge, and the persistent one stays at 1: the disk
+        # holds the group, and a circle between it and the rest agrees
+        cpl = coupling(im_c4a, 1.0)
+        P = total_projection(cpl, reduce_eigenvalue(base_c4, 1 + 0j))
+        assert_allclose(np.trace(P), 2.0, atol=1e-12)
+        P_ref = projection_contour_oracle(cpl.im.E, 1.0, 0.85, nodes=128)
+        assert np.linalg.norm(P - P_ref) < 1e-12
+
+    def test_escape_is_reported_not_guessed(self):
+        # two E0 eigenvalues 7.2e-3 apart: at eps 0.02 the disk of one of
+        # them holds two eigenvalues for multiplicity one, and the other's
+        # none, so neither group is guessed
+        g = build_internal(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 6), (2, 5), (2, 6),
+                               (4, 5)])
+        im = build_E(attach_tails(g, (4, 6, 4, 5)))
+        base = Coupling(im, spectral_decompose(im.E0))
+        cpl = coupling(im, 0.02)
+        counts = []
+        for mu0 in (-0.7452 - 0.6668j, -0.75 - 0.6614j):
+            led = reduce_eigenvalue(base, mu0)
+            assert led.cluster.mult == 1 and 7e-3 < led.gap < 7.3e-3
+            counts.append(int(np.sum(np.abs(cpl.sd.eigenvalues - led.mu) < led.gap / 2)))
+            with pytest.raises(GroupEscapedContour):
+                total_projection(cpl, led)
+        assert counts == [2, 0]
 
     def test_one_circle_of_half_the_gap(self):
-        # at eps 0.2 the group of this simple eigenvalue (gap 0.188) keeps
-        # its eigenvalue inside 0.8 r, but a neighbour lies in the guard
-        # annulus [0.8 r, 1.25 r] of r = gap / 2; the one circle is never
-        # shrunk to clear it, so the group has escaped
+        # at eps 0.2 the group of this simple eigenvalue (gap 0.188) is its
+        # one eigenvalue at 0.183 r of r = gap / 2, and a neighbour lies at
+        # 1.179 r, outside the disk: the group is answered, and a circle
+        # between the two agrees
         g = build_internal(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (3, 4)])
         im = build_E(attach_tails(g, (0, 3, 0)))
         led = reduce_eigenvalue(Coupling(im, spectral_decompose(im.E0)), -0.6531 + 0.7573j)
         assert led.cluster.mult == 1 and 0.18 < led.gap < 0.19
         cpl = coupling(im, 0.2)
-        d = np.abs(cpl.sd.eigenvalues - led.mu) / (led.gap / 2)
-        assert np.sum(d < 0.8) == 1 and np.sum((d >= 0.8) & (d <= 1.25)) == 1
-        with pytest.raises(GroupEscapedContour):
-            total_projection(cpl, led)
+        d = np.sort(np.abs(cpl.sd.eigenvalues - led.mu) / (led.gap / 2))
+        assert d[0] < 0.2 and 1.1 < d[1] < 1.25
+        P = total_projection(cpl, led)
+        assert_allclose(np.trace(P), 1.0, atol=1e-12)
+        P_ref = projection_contour_oracle(cpl.im.E, led.mu, 0.06, nodes=128)
+        assert np.linalg.norm(P - P_ref) < 1e-12
 
 
 class TestReduceEigenvalue:
@@ -538,7 +564,9 @@ def test_ledger_holds_what_each_family_recomputed(tg, eps):
     per-call formulas, written out here, find again from ``base``: the gap
     from a loop over E0's clusters, a2 from the arc-side sum of the
     branches' P2 and a3 from the smallness inequality, with a1 and
-    x_nonzero per family at the probe E(eps)."""
+    x_nonzero per family at the probe E(eps): a1 from the probe's columns
+    within gap / 2 of mu only, where the eps = 0.6 probes are the ones at
+    which that restriction changes a verdict."""
     im = build_E(tg)
     try:
         base, probe = coupling(im, 0.0), coupling(im, eps)
@@ -564,15 +592,58 @@ def test_ledger_holds_what_each_family_recomputed(tg, eps):
             hosts = [b for b in fam.branches if b.hosts_resonance]
             x_nonzero = abs(Xs) > 1e-12 and all(
                 abs(Xs - 2.0 * b.mu2) >= 1e-10 * max(abs(Xs), abs(b.mu2), 1e-30) for b in hosts)
-            a1 = True
-            for b in hosts:
+            # a1 looks only among the columns within gap / 2 of mu, and is
+            # false where that disk holds other than the group's multiplicity
+            radius = gap / 2
+            cols = np.flatnonzero(np.abs(probe.sd.column_values - cl.value) < radius)
+            a1 = bool(np.sum(np.abs(probe.sd.eigenvalues - cl.value) < radius) == cl.mult)
+            for b in hosts if a1 else ():
                 pred = led.mu + k * b.mu1 + k**2 * b.mu2
-                idx = np.argsort(np.abs(probe.sd.column_values - pred), kind="stable")
+                idx = cols[np.argsort(np.abs(probe.sd.column_values[cols] - pred), kind="stable")]
                 Vb = np.linalg.qr(probe.sd.R[:, idx[: b.multiplicity]])[0]
                 sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
                 a1 = a1 and not (sines.size and sines.max() > 0.2)
             assert assumption_report(led, fam, probe) == AssumptionReport(
                 a1=a1, a2=a2, a3=a3, x_nonzero=x_nonzero)
+
+
+def continued_groups(im, mus, eps, steps=300):
+    """The eigenvalues of E(eps) that continue each of ``mus`` from eps = 0:
+    ``np.linalg.eigvals`` on a uniform eps path, matched step to step by
+    ``linear_sum_assignment``; at eps = 0 each eigenvalue starts the group
+    of its nearest mu.  No code is shared with ``spectral_decompose``."""
+    vals = np.linalg.eigvals(im.E0)
+    label = np.abs(vals[:, None] - mus).argmin(axis=1)
+    for t in np.linspace(0.0, eps, steps + 1)[1:]:
+        nxt = np.linalg.eigvals(im.at(t).E)
+        vals = nxt[linear_sum_assignment(np.abs(vals[:, None] - nxt))[1]]
+    return [vals[label == i] for i in range(len(mus))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tailed_graphs(), st.floats(min_value=1e-3, max_value=0.01))
+@example(VANISHING, 0.01)
+def test_group_is_the_continuation_of_its_cluster(tg, eps):
+    """At small eps, ledger.group(E(eps)) holds exactly the eigenvalues that
+    continuation from the ledger's mu reaches; a disk that holds no group
+    is refused, never guessed."""
+    im = build_E(tg)
+    try:
+        base, cpl = coupling(im, 0.0), coupling(im, eps)
+        ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+    except (ClusterAmbiguity, np.linalg.LinAlgError):
+        assume(False)
+    answered = 0
+    for led, want in zip(ledgers, continued_groups(im, base.sd.values(), eps)):
+        try:
+            got = led.group(cpl)
+        except GroupEscapedContour:
+            continue
+        assert len(got) == len(want) == led.cluster.mult
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - want))
+        assert np.abs(got[rows] - want[cols]).max() <= 1e-9
+        answered += 1
+    assert answered > 0
 
 
 # a 7-vertex graph whose family at mu = e^{-2 pi i/5} passes the gate with

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from test_tailed_graph import connected_graphs
@@ -341,8 +341,8 @@ def test_iteration_at_zero_coupling_returns_the_inflow(im_c4a):
     # columns, and every inflow is reflected as it came
     im = im_c4a.at(0.0)
     assert im.iteration_basis.V.shape == (8, 0)
-    assert im.iteration_basis.krylov.shape == (0, 64, 3)
     alpha = np.array([1.0, 2.0j, -0.5], dtype=complex)
+    assert im.iteration_basis.walk(im.iteration_basis.B_in @ alpha).shape == (0, 64)
     assert np.array_equal(stationary_iterate(im, 0.3, alpha).outgoing, alpha)
 
 
@@ -360,7 +360,7 @@ def test_short_runs_form_no_arc_sized_power(monkeypatch):
             assert rec.steps > 10 * 64
     assert len(rungs) == len(ib._squares) > _LOG_BLOCK + 1  # the skip phase doubled its jumps
     assert set(rungs) == {(7, 7)}
-    assert ib.krylov.shape == (7, 64, 4)
+    assert ib.walk(ib.B_in[:, 0]).shape == (7, 64)
 
 
 def test_budget_inside_the_skip_phase(im_c16):
@@ -559,6 +559,38 @@ def test_unitarity_property(g, data):
     except ClusterAmbiguity:
         assume(False)
     assert unitarity_defect(ev.sigma(np.array(lams))) < 1e-9
+
+
+graphs_with_tails = connected_graphs().flatmap(lambda g: st.tuples(
+    st.just(g),
+    st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_with_tails, st.floats(min_value=0.05, max_value=0.95))
+@example((preset_graph("cycle:12"), [0, 1, 2]), 0.04)
+def test_det_sigma_is_the_blaschke_product_of_the_resonances(graph_tails, eps):
+    """det Sigma(lam) = c prod_j (1 - conj(mu_j) z) / (z - mu_j), z = e^{-i lam},
+    over the off-circle cluster values mu_j repeated by multiplicity, with
+    c = (-1)^d det U / prod(on-circle values), U = [[E, B_in], [B_out, B_bb]]
+    and d the number of mu_j: the phase of Sigma is the resonances' alone."""
+    g, tails = graph_tails
+    im = build_E(attach_tails(g, tails), eps)
+    try:
+        sd = spectral_decompose(im.E)
+    except ClusterAmbiguity:
+        assume(False)
+    off = [c for c in sd.clusters if not c.on_circle]
+    mus = np.repeat([c.value for c in off], [c.mult for c in off])
+    on = np.prod([c.value ** c.mult for c in sd.clusters if c.on_circle])
+    U = np.block([[im.E, im.B_in], [im.B_out, im.B_bb]])
+    c = (-1) ** len(mus) * np.linalg.det(U) / on
+    lam = np.linspace(-np.pi, np.pi, 24, endpoint=False)
+    z = np.exp(-1j * lam)[:, None]
+    blaschke = np.prod((1 - mus.conj() * z) / (z - mus), axis=1)
+    det = np.linalg.det(SigmaEvaluator(im, sd).sigma(lam))
+    assert np.abs(det / (c * blaschke) - 1).max() <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)
