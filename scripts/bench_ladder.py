@@ -16,6 +16,9 @@ all at eps 0.6.  For each graph, one process measures once, in
 - the time iteration's basis (``InternalMatrix.iteration_basis``)
 - one ``stationary_iterate`` call on a fresh ``InternalMatrix``
 - 16 calls (4 lambdas x 4 ports) on another fresh one
+- the same 16 pairs in one ``stationary_iterate_stack`` call on a third
+  fresh one (``iterate_stack_16_s``; a tailwalk without it runs them one
+  call each, as ``iterate_16_s`` does)
 - ``spectral_decompose`` of ``E0``, the unperturbed problem
   (``decompose_E0_s``)
 - ``reduce_eigenvalue`` at every cluster of ``E0``, on that
@@ -174,6 +177,7 @@ def measure(preset: str, tails: str) -> dict:
     from tailwalk.cli import main as cli_main
     from tailwalk.internal_spectral import spectral_decompose
     from tailwalk.perturbation import Coupling, reduce_eigenvalue
+    from tailwalk import scattering
     from tailwalk.scattering import (
         NoConvergence,
         SigmaEvaluator,
@@ -208,6 +212,20 @@ def measure(preset: str, tails: str) -> dict:
     _, single_s = _timed(lambda: iterate(fresh, LAMBDAS[2], ports[0]))
     fresh = im.at(EPS)
     _, calls_s = _timed(lambda: [iterate(fresh, lam, a) for lam in LAMBDAS for a in ports[:4]])
+    stack = getattr(scattering, "stationary_iterate_stack", None)
+
+    def iterate_stack(im):
+        pairs = [(lam, a) for lam in LAMBDAS for a in ports[:4]]
+        for group in [pairs] if stack else [[pair] for pair in pairs]:
+            lams, alphas = zip(*group)
+            with contextlib.suppress(NoConvergence):
+                if stack:
+                    stack(im, lams, alphas)
+                else:
+                    stationary_iterate(im, lams[0], alphas[0])
+
+    fresh = im.at(EPS)
+    _, stack_s = _timed(lambda: iterate_stack(fresh))
     im0 = im.at(0.0)
     base, decompose_E0_s = _timed(lambda: Coupling(im0, spectral_decompose(im0.E0)))
     _, reduce_s = _timed(lambda: [reduce_eigenvalue(base, c.value) for c in base.sd.clusters])
@@ -227,6 +245,7 @@ def measure(preset: str, tails: str) -> dict:
         "iteration_basis_s": basis_s,
         "iterate_single_s": single_s,
         "iterate_16_s": calls_s,
+        "iterate_stack_16_s": stack_s,
         "iterate_no_convergence": failed,
         "decompose_E0_s": decompose_E0_s,
         "reduce_all_s": reduce_s,

@@ -37,7 +37,7 @@ from tailwalk.cli import (
     _run_config,
     _write_transmission,
 )
-from tailwalk.scattering import stationary_iterate
+from tailwalk.scattering import stationary_iterate_stack
 
 RUN_FLAGS = ("preset", "tails", "eps", "grid", "inflow")
 
@@ -74,8 +74,9 @@ def report(cfg: argparse.Namespace, spot_checks: int, seed: int) -> int:
         alpha = np.zeros(cpl.im.tg.num_ports, dtype=complex)
         alpha[cfg.inflow - 1] = 1.0
         worst = 0.0
-        for lam in rng.uniform(0, 2 * np.pi, spot_checks):
-            rec = stationary_iterate(cpl.im, lam, alpha)
+        lams = rng.uniform(0, 2 * np.pi, spot_checks)
+        recs = stationary_iterate_stack(cpl.im, lams, [alpha] * spot_checks)
+        for lam, rec in zip(lams, recs):
             direct = cpl.sigma.sigma(lam) @ alpha
             worst = max(worst, float(np.max(np.abs(rec.outgoing - direct))))
         peak = int(np.argmax(curve["tau_sq"]))

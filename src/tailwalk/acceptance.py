@@ -33,7 +33,7 @@ from .perturbation import (
     resonant_sigma_limit,
     total_projection,
 )
-from .scattering import _two_norms, stationary_iterate, unitarity_defect
+from .scattering import _two_norms, stationary_iterate_stack, unitarity_defect
 from .smt_laplacian import (birth_basis, birth_multiplicities, build_E_split, build_operators,
                             classify, joukowsky_preimages)
 from .tailed_graph import attach_tails, preset_graph
@@ -170,10 +170,12 @@ def _c3(ctx):
         cpl = ctx.coupling(name, eps)
         im, tg = cpl.im, cpl.im.tg
         lams = [np.pi] + list(rng.uniform(-np.pi, np.pi, size=15))
-        for lam, closed in zip(lams, cpl.sigma.sigma(np.array(lams))):
+        alphas = []
+        for _ in lams:
             alpha = rng.normal(size=tg.num_ports) + 1j * rng.normal(size=tg.num_ports)
-            alpha = alpha / np.linalg.norm(alpha)
-            rec = stationary_iterate(im, float(lam), alpha)
+            alphas.append(alpha / np.linalg.norm(alpha))
+        recs = stationary_iterate_stack(im, lams, alphas)
+        for rec, closed, alpha in zip(recs, cpl.sigma.sigma(np.array(lams)), alphas):
             diff = np.max(np.abs(rec.outgoing - closed @ alpha))
             worst = max(worst, float(diff))
             total += 1

@@ -228,7 +228,7 @@ class IterationBasis:
         flat = W.reshape(len(W), _BLOCK * width)
         for k in range(_LOG_BLOCK):
             cols = width << k
-            flat[:, cols:2 * cols] = self._square(k) @ flat[:, :cols]
+            np.matmul(self._square(k), flat[:, :cols], out=flat[:, cols:2 * cols])
         return W
 
     def power(self, level: int) -> np.ndarray:

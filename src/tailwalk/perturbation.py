@@ -503,13 +503,27 @@ def assumption_report(ledger: ReductionLedger, fam: Family, probe: Coupling) -> 
     false.  a2 and a3 hold for the whole ledger and are read from it
     (:class:`ReductionLedger`).  Nothing here raises.
     """
+    return _assumption_report(ledger, fam, probe, _probe_columns(ledger, probe))
+
+
+def _probe_columns(ledger: ReductionLedger, probe: Coupling) -> np.ndarray | None:
+    """The probe's group columns (:func:`_group_columns`), None where no group
+    continues the cluster there."""
+    try:
+        return _group_columns(ledger, probe)
+    except GroupEscapedContour:
+        return None
+
+
+def _assumption_report(
+    ledger: ReductionLedger, fam: Family, probe: Coupling, cols: np.ndarray | None
+) -> AssumptionReport:
+    """:func:`assumption_report` on the probe's group columns ``cols``
+    (:func:`_probe_columns`), which every family of the ledger shares."""
     mu = ledger.mu
     Xs, weights = _pole_weights(ledger, fam)
     x_ok = abs(Xs) > 1e-12 and None not in weights.values()
-
-    try:
-        cols = _group_columns(ledger, probe)
-    except GroupEscapedContour:  # no group, so no eigenvectors to judge
+    if cols is None:  # no group, so no eigenvectors to judge
         return AssumptionReport(a1=False, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_ok)
     k = kappa(probe.im.eps)
     w = probe.sd.column_values[cols]
@@ -568,13 +582,18 @@ def resonant_sigma_limit(
         for b, w in _pole_weights(ledger, fam)[1].items():
             if w is not None:
                 s01 += w * ((im.B_out1 @ b.basis) @ (b.left @ im.B_in1))
+    verdicts = []  # the probe's group is looked up once per ledger
+    for ledger in ledgers:
+        cols = _probe_columns(ledger, probe) if ledger.families else None
+        verdicts += [_assumption_report(ledger, fam, probe, cols) for fam in ledger.families]
     records = [
         ResonantLimitRecord(
             mu=ledger.mu, gamma=ledger.gamma, family=fam, lam_eps=[], norms=[],
-            sigma01=s01, verdicts=assumption_report(ledger, fam, probe),
-            unitarity_defect=float(defect),
+            sigma01=s01, verdicts=verdict, unitarity_defect=float(defect),
         )
-        for (ledger, fam), s01, defect in zip(families, sigma01, _unitarity_defects(eye + sigma01))
+        for (ledger, fam), s01, verdict, defect in zip(
+            families, sigma01, verdicts, _unitarity_defects(eye + sigma01)
+        )
     ]
     for eps, cpl in ladder.items():
         lams = [

@@ -32,6 +32,7 @@ test suite, including at z = -1 on fixtures where -1 is embedded.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "ScatteringRecord",
     "SigmaEvaluator",
     "stationary_iterate",
+    "stationary_iterate_stack",
     "transmission_curve",
     "unitarity_defect",
 ]
@@ -76,85 +78,127 @@ class ScatteringRecord:
     steps: int
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x||_2 of a vector, without np.linalg.norm's per-call overhead,
-    which exceeds a small matrix's whole skipped block."""
-    return math.sqrt(np.vdot(x, x).real)
-
-
 def _skip(
-    ib: IterationBasis, q: complex, w: np.ndarray, X: np.ndarray, p: float, budget: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The skip phase of :func:`stationary_iterate`: jump over blocks that
-    cannot stop, ``2^i`` blocks per product with ``ib.power(i)``.
+    ib: IterationBasis, q: np.ndarray, w: np.ndarray, X: np.ndarray, p: np.ndarray,
+    budget: list[int],
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The skip phase of :func:`stationary_iterate_stack`: jump each column
+    over blocks that cannot stop, ``2^i`` blocks per product with
+    ``ib.power(i)``.
 
-    ``X`` holds the last block's sum and its last increments, ``p`` the
-    norm of its last increment and ``q = e^{_BLOCK i lam}``.  ``U`` is the
-    sum of the last ``m = 2^i`` blocks, so ``q^m H^(_BLOCK m) [U | X]``
-    gives the next jump's sum and its end state; after a certified jump,
-    ``U`` plus that sum is the sum of the last 2m blocks, which lets the
-    next jump double.  At one block ``U`` is ``X``'s first column, so level
-    0 multiplies ``X`` alone.  Returns the new ``w`` and ``X`` and the steps
-    skipped: at least ``budget`` when every step before it is certified not
+    Column c of ``X`` (d x _WINDOW x C) holds the last block's sum and its
+    last increments, ``p[c]`` the norm of its last increment and ``q[c] =
+    e^{_BLOCK i lam_c}``.  ``U`` is the sum of the last ``m = 2^i`` blocks,
+    so ``q^m H^(_BLOCK m) [U | X]`` gives the next jump's sum and its end
+    state; after a certified jump, ``U`` plus that sum is the sum of the
+    last 2m blocks, which lets the next jump double.  At one block ``U`` is
+    ``X``'s first column, so level 0 multiplies ``X`` alone.  All columns
+    share the level: a column whose jump is not certified keeps its state,
+    and the next product is back at one block.  Column c's phase ends when
+    one block fails it or once it has skipped ``budget[c]`` steps (0 leaves
+    it out).  Returns the new ``w`` and ``X`` and the steps each column
+    skipped: at least its budget when every step before it is certified not
     to stop, else the first block that may stop starts after them.
     """
-    n = X.shape[0]
-    Y = X  # [U | X] above level 0
-    level, qs, cols, steps = 0, [q], 0, 0
-    while steps < budget:
-        m = 1 << level
-        Z = qs[level] * (ib.power(level) @ Y)
-        cols += Z.shape[1]
-        last = _norm(Z[:, -1])
-        if not last > _RTOL * max((_norm(w) + _BLOCK * m * p) * (1.0 + 1e-9), 1e-300):
-            if not level:
-                break
-            Y, level = Y[:, 1:], 0  # retry from one block
-            continue
-        w, p, steps = w + Z[:, 0], last, steps + _BLOCK * m
-        if level < _MAX_LEVEL and cols >= (level + 1) * n:
-            # the last 2m blocks' sum, then the state at the end of the jump
-            Z = np.concatenate([(Y[:, 0] + Z[:, 0])[:, None], Z[:, 1:] if level else Z], axis=1)
-            level += 1
-            if len(qs) == level:
-                qs.append(qs[-1] * qs[-1])
-        Y = Z
-    return w, (Y[:, 1:] if level else Y), steps
+    n, C = X.shape[0], X.shape[2]
+    # a row per carried vector, C x _WINDOW x d: each pair's state is
+    # contiguous, and products and norms run on rows
+    Y = np.ascontiguousarray(X.transpose(2, 1, 0))  # [U | X] above level 0
+    w, q = np.ascontiguousarray(w.T), q[:, None, None]
+    p, steps = p.tolist(), [0] * C
+    run = [c for c in range(C) if budget[c] > 0]
+    level, qs, cols = 0, [q], 0
+    while run:
+        span = _BLOCK << level  # steps per jump
+        Z = (Y.reshape(-1, n) @ ib.power(level).T).reshape(Y.shape)
+        Z *= qs[level]
+        cols += Z.shape[1] * C
+        # squared norms by one vecdot each, as cheap as np.vdot on one vector:
+        # np.linalg.norm's per-call overhead exceeds a small matrix's jump
+        last2, w2 = np.vecdot(Z[:, -1], Z[:, -1]).real.tolist(), np.vecdot(w, w).real.tolist()
+        ok, spent = [], False  # the columns whose jump is certified
+        for c in run:
+            last = math.sqrt(last2[c])
+            if last > _RTOL * max((math.sqrt(w2[c]) + span * p[c]) * (1.0 + 1e-9), 1e-300):
+                ok.append(c)
+                p[c], steps[c] = last, steps[c] + span
+                spent |= steps[c] >= budget[c]
+        if len(ok) == C:
+            w = w + Z[:, 0]
+        elif ok:  # the others keep their state
+            held = np.ones((C, 1), dtype=bool)
+            held[ok] = False
+            w, Z = np.where(held, w, w + Z[:, 0]), np.where(held[:, None], Y, Z)
+        else:
+            Z = Y
+        if level and len(ok) < len(run):
+            Y, level = Z[:, 1:], 0  # retry from one block
+        else:
+            run = ok  # one block failed: that column's phase ends
+            if ok and level < _MAX_LEVEL and cols >= (level + 1) * n:
+                # the last 2m blocks' sum, then the state at the end of the jump
+                Z = np.concatenate([Y[:, :1] + Z[:, :1], Z[:, 1:] if level else Z], axis=1)
+                level += 1
+                if len(qs) == level:
+                    qs.append(qs[-1] * qs[-1])
+            Y = Z
+        if spent:
+            run = [c for c in run if steps[c] < budget[c]]
+    return w.T, (Y[:, 1:] if level else Y).transpose(2, 1, 0), steps
 
 
 def stationary_iterate(
     im: InternalMatrix, lam: float, alpha: np.ndarray, max_steps: int = 200_000
 ) -> ScatteringRecord:
-    """Outgoing port amplitudes for inflow ``alpha`` by time iteration.
+    """Outgoing port amplitudes for inflow ``alpha`` by time iteration: the
+    one-pair case of :func:`stationary_iterate_stack`, which documents the
+    iteration.
 
     Convergence is declared when all of the last ``_WINDOW`` (5) increments
     of the rescaled interior state are below ``_RTOL`` (1e-12) times its
     norm — a fixed horizon would be wrong because the contraction rate
-    varies with eps.
+    varies with eps.  ``NoConvergence`` names ``lam`` when no step within
+    ``max_steps`` passes.
+    """
+    return stationary_iterate_stack(im, [lam], [alpha], max_steps)[0]
+
+
+def stationary_iterate_stack(
+    im: InternalMatrix,
+    lams: Sequence[float],
+    alphas: Sequence[np.ndarray],
+    max_steps: int = 200_000,
+) -> list[ScatteringRecord]:
+    """Outgoing port amplitudes by time iteration, one record per pair
+    ``(lams[c], alphas[c])``, each column of the stack stepped under
+    :func:`stationary_iterate`'s rule as if alone.
 
     The iteration runs in the coordinates of ``ib = im.iteration_basis``:
     on an orthonormal basis ``V`` (n x d) of the port Krylov subspace, where
     it steps ``H = V* E V`` and returns ``B_bb alpha + (B_out V) w``, or on
     the arcs (``V = I``, ``H = E``) when that subspace has more than n/2
     dimensions or ``E`` is not finite; the code is the same either way.
-    The increments ``d_t = A^{t-1} g`` (``A = e^{i lam} H``, ``g = e^{i
-    lam} V* f0``) come ``_BLOCK`` at a time.  The first block is
-    ``ib.walk(B_in alpha)`` times the phases ``e^{i lam j}``; each later
-    one is ``e^{_BLOCK i lam} ib.power(0)`` times the block before.  The
-    ladder of squares both read is formed once per basis, and lambda enters
-    only as scalars.  The rule is applied at every step, with
-    windows reaching back across block edges, and the first passing step
-    within ``max_steps`` ends the run.  A block is screened first: every
-    step's window holds its own increment and ``||w_t|| <= ||w|| + sum
-    ||d_j||``, so when the block's smallest increment exceeds ``_RTOL``
-    times that bound no step in it can pass, and only the running sum and
-    the window's norms are carried on.  NaN or inf fails the screen, so
-    such blocks get the per-step check.
+    Column c's increments ``d_t = A_c^{t-1} g_c`` (``A_c = e^{i lam_c} H``,
+    ``g_c = e^{i lam_c} V* f0_c``) come ``_BLOCK`` at a time.  The first
+    block is ``ib.walk(B_in alpha_c)`` times the phases ``e^{i lam_c j}``;
+    each later one is ``e^{_BLOCK i lam_c} ib.power(0)`` times the block
+    before.  The ladder of squares both read is formed once per basis, and
+    lambda enters only as scalars, so every product serves all columns at
+    once.  The rule is applied at every step, with windows reaching back
+    across block edges, and the first passing step within ``max_steps``
+    ends the column's run; a column that has stopped is carried on, unread.
+    A block is screened first: every step's window holds its own increment
+    and ``||w_t|| <= ||w|| + sum ||d_j||``, so when the block's smallest
+    increment exceeds ``_RTOL`` times that bound no step in it can pass,
+    and only the running sum and the window's norms are carried on.  NaN or
+    inf fails the screen, so such blocks get the per-step check.
 
-    The first block to pass the screen starts the skip phase, which
+    A column's first block to pass the screen starts its skip phase, which
     carries only the last block's sum and its last ``_WINDOW - 1``
-    increments, ``X``, plus ``U``, the sum of the last ``m`` blocks.  It
-    jumps ``m = 2^i`` blocks per product with ``e^{_BLOCK m i lam}`` times
+    increments, ``X``, plus ``U``, the sum of the last ``m`` blocks; the
+    column waits there, unread, until no column is left before its own,
+    and then all waiting columns skip together (:func:`_skip`).  A jump of
+    ``m = 2^i`` blocks is one product with ``e^{_BLOCK m i lam}`` times
     ``ib.power(i) = H^(_BLOCK m)``, from the ladder of squares kept on
     ``ib`` whose lower rungs ``walk`` reads; the product maps ``[U | X]``
     to the jump's sum and its end state.
@@ -166,69 +210,122 @@ def stationary_iterate(
     exceeding 1 by rounding (by at most 6.2e-15 measured on ``complete:8``
     to ``complete:32``, eps in [0.01, 1], and by 3.1e-15 for ``E`` itself
     up to 992 arcs); jumps are capped at ``2^_MAX_LEVEL`` blocks so that
-    ``(1 + 7.6e-15)^(_BLOCK m)`` stays inside it.  After a certified jump
-    the next one doubles, with the jump's sum and the carried state in one
-    product as in R. A. Smith's squaring method for geometric matrix sums
-    (SIAM J. Appl. Math. 16, 1968), if the call's own skip products so far
-    have at least ``(i + 1) d`` columns, so level ``i`` is formed (one d x d
-    squaring) only after work that costs about as much; whether it was
-    built already by an earlier call changes nothing in the result.  A jump
-    that fails the test is retried from one block, and the phase ends, for
-    good, when one block fails it (for ``m = 1`` it is the screen with
-    ``_BLOCK p`` for the block's increments).  The budget never truncates a
-    jump: one the budget ends inside is certified like any other, and
-    ``NoConvergence`` follows, so every budget at or past the stop gives the
-    same result.  On leaving the phase, the next block is rebuilt from the
-    last carried increment by doubling (``ib.walk``, as the first one is),
-    the window's norms are taken from the carried increments, and the
-    screened per-step check resumes on full blocks.
+    ``(1 + 7.6e-15)^(_BLOCK m)`` stays inside it.  Certification is
+    monotone in the jump: when a jump is certified, so is every block
+    inside it.  The block where a column's skip phase ends, and so its
+    stopping step, therefore does not depend on how its jumps are
+    scheduled, up to rounding, and all columns share one level.  After a
+    jump every column certifies, the next one doubles, with the jump's sum
+    and the carried state in one product as in R. A. Smith's squaring
+    method for geometric matrix sums (SIAM J. Appl. Math. 16, 1968), if the
+    call's own skip products so far have at least ``(i + 1) d`` columns, so
+    level ``i`` is formed (one d x d squaring) only after work that costs
+    about as much; whether it was built already by an earlier call changes
+    nothing in the result.  A column whose jump fails the test stays where
+    it was, and the next product is back at one block; a column's phase
+    ends, for good, when one block fails it (for ``m = 1`` it is the screen
+    with ``_BLOCK p`` for the block's increments).  The budget never
+    truncates a jump: one the budget ends inside is certified like any
+    other, and ``NoConvergence`` follows, so every budget at or past the
+    stop gives the same result.  On leaving the phase, each column's next
+    block is rebuilt from its last carried increment by doubling
+    (``ib.walk``, as the first one is), the window's norms are taken from
+    the carried increments, and the screened per-step check resumes on full
+    blocks.
+
+    ``NoConvergence`` is raised when any column fails, and names each
+    failing lambda.
     """
     if not max_steps >= 1:
         raise ValueError(f"need max_steps >= 1, got {max_steps}")
-    alpha = np.asarray(alpha, dtype=complex)
-    phases = np.cumprod(np.full(_BLOCK, np.exp(1j * lam)))  # e^{i lam j}, j = 1.._BLOCK
+    C = len(lams)
+    if len(alphas) != C:
+        raise ValueError(f"need one inflow per lambda, got {len(alphas)} for {C}")
+    if not C:
+        return []
+    alphas = np.asarray(alphas, dtype=complex).T  # N x C
+    z = np.exp(1j * np.asarray(lams, dtype=float))
+    phases = np.cumprod(z[None].repeat(_BLOCK, axis=0), axis=0)  # e^{i lam j}, j = 1.._BLOCK
     q = phases[-1]
     ib = im.iteration_basis
-    D = ib.walk(ib.B_in @ alpha) * phases
-    w = np.zeros(len(D), dtype=complex)
-    recent = np.full(_WINDOW - 1, np.inf)  # increment norms before the block
-    X = None  # skip phase: the last block's sum, then its last _WINDOW - 1 increments
-    may_skip = True
-    done = 0
-    while done < max_steps:
-        if X is not None:
-            w, X, steps = _skip(ib, q, w, X, p, max_steps - done)
-            done += steps
-            if done >= max_steps:
+    D = ib.walk(ib.B_in @ alphas) * phases  # d x _BLOCK x C
+    n = len(D)
+    w = np.zeros((n, C), dtype=complex)
+    recent = np.full((_WINDOW - 1, C), np.inf)  # increment norms before the block
+    done, stop = [0] * C, [0] * C  # steps taken; the stopping step, 0 before it
+    W_stop = np.empty((n, C), dtype=complex)
+    # where each column's skip phase starts: the carried state, the running
+    # sum and the norm of the last increment
+    X = np.empty((n, _WINDOW, C), dtype=complex)
+    w_skip, p = np.empty((n, C), dtype=complex), np.empty(C)
+    live, waiting = list(range(C)), []  # stepping blocks; waiting to skip, None after it
+    fresh = True  # D is a block just built by walk
+    while True:
+        live = [c for c in live if done[c] < max_steps]
+        if not live:
+            if not waiting:
+                break
+            budget = [max_steps - done[c] if c in waiting else 0 for c in range(C)]
+            w, X, steps = _skip(ib, q, w_skip, X, p, budget)
+            done = [a + b for a, b in zip(done, steps)]
+            live = [c for c in waiting if done[c] < max_steps]
+            waiting = None  # the phase runs once
+            if not live:
                 break
             recent = np.linalg.norm(X[:, 1:], axis=0)
-            D, X = ib.walk(ib.H @ X[:, -1]) * phases, None
-        elif done:
-            D = q * (ib.power(0) @ D)
-        m = min(_BLOCK, max_steps - done)
-        inc = np.linalg.norm(D[:, :m], axis=0)
-        norms = np.concatenate([recent, inc])
-        # the 1e-9 margin covers rounding in the norms the exact rule compares
-        bound = (np.linalg.norm(w) + inc.sum()) * (1.0 + 1e-9)
-        if inc.min() > _RTOL * np.maximum(bound, 1e-300):
-            s = D[:, :m].sum(axis=1)
-            w, recent, done = w + s, norms[m:], done + _BLOCK
-            if may_skip:
-                X = np.concatenate([s[:, None], D[:, 1 - _WINDOW:]], axis=1)
-                p, may_skip = inc[-1], False
-            continue
-        W = w[:, None] + np.cumsum(D[:, :m], axis=1)
-        worst = sliding_window_view(norms, _WINDOW).max(axis=1)
-        ok = worst <= _RTOL * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
-        if ok.any():
-            j = int(np.argmax(ok))
-            out = im.B_bb @ alpha + ib.B_out @ W[:, j]
-            return ScatteringRecord(outgoing=out, steps=done + j + 1)
-        w, recent, done = W[:, -1], norms[m:], done + _BLOCK
-    raise NoConvergence(
-        f"no Cauchy window of {_WINDOW} steps below rtol={_RTOL} "
-        f"within {max_steps} iterations at lam={lam}"
-    )
+            D, fresh = ib.walk(ib.H @ X[:, -1]) * phases, True
+        if not fresh:
+            D = (ib.power(0) @ D.reshape(n, -1)).reshape(D.shape)
+            D *= q
+        fresh = False
+        inc = np.linalg.norm(D, axis=0)  # _BLOCK x C
+        w2 = np.vecdot(w, w, axis=0).real.tolist()
+        low, total = inc.min(axis=0).tolist(), inc.sum(axis=0).tolist()
+        # the 1e-9 margin covers rounding in the norms the exact rule compares;
+        # a block the budget ends inside fails its column either way, so the
+        # screen may read its steps past the budget
+        screened = [low[c] > _RTOL * max((math.sqrt(w2[c]) + total[c]) * (1.0 + 1e-9), 1e-300)
+                    for c in range(C)]
+        if all(screened[c] for c in live):
+            s = D.sum(axis=1)
+            w = w + s
+        else:
+            W = w[:, None] + np.cumsum(D, axis=1)
+            norms = np.concatenate([recent, inc])
+            worst = sliding_window_view(norms, _WINDOW, axis=0).max(axis=-1)
+            ok = worst <= _RTOL * np.maximum(np.linalg.norm(W, axis=0), 1e-300)
+            hit, first = ok.any(axis=0).tolist(), ok.argmax(axis=0).tolist()
+            for c in live:
+                if not screened[c] and hit[c] and done[c] + first[c] < max_steps:
+                    W_stop[:, c], stop[c] = W[:, first[c], c], done[c] + first[c] + 1
+            live = [c for c in live if not stop[c]]
+            if any(screened[c] for c in live):
+                s = D.sum(axis=1)
+                w = np.where(screened, w + s, W[:, -1])
+            else:
+                w = W[:, -1]
+        recent = inc[1 - _WINDOW:]
+        for c in live:
+            done[c] += _BLOCK
+        if waiting is not None:  # a column's first screened block starts its skip phase
+            enter = [c for c in live if screened[c]]
+            if enter:
+                new, last = np.concatenate([s[:, None], D[:, 1 - _WINDOW:]], axis=1), inc[-1]
+                if len(enter) == C:
+                    X, w_skip, p = new, w, last
+                else:  # the entering columns' own
+                    X[..., enter], w_skip[:, enter] = new[..., enter], w[:, enter]
+                    p[enter] = last[enter]
+                waiting += enter
+                live = [c for c in live if not screened[c]]
+    failed = [lam for lam, k in zip(lams, stop) if not k]
+    if failed:
+        raise NoConvergence(
+            f"no Cauchy window of {_WINDOW} steps below rtol={_RTOL} "
+            f"within {max_steps} iterations at " + ", ".join(f"lam={lam}" for lam in failed)
+        )
+    out = alphas.T @ im.B_bb.T + W_stop.T @ ib.B_out.T  # a row per pair
+    return [ScatteringRecord(outgoing=o, steps=k) for o, k in zip(out, stop)]
 
 
 class SigmaEvaluator:
@@ -296,17 +393,42 @@ def _two_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
+def _hermitian_norms(G: np.ndarray) -> np.ndarray:
+    """||G||_2 of each Hermitian matrix of a stack, in one eigvalsh: its
+    largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(G)).max(axis=-1)
+
+
+def _defect_grams(sigma: np.ndarray) -> np.ndarray:
+    """Sigma* Sigma - I of each matrix of a stack."""
+    return np.swapaxes(sigma.conj(), -1, -2) @ sigma - np.eye(sigma.shape[-1])
+
+
 def _unitarity_defects(sigma: np.ndarray) -> np.ndarray:
-    """||Sigma* Sigma - I||_2 of each matrix of a stack, in one eigvalsh: the
-    largest |eigenvalue| of the Hermitian Sigma* Sigma - I."""
-    n = sigma.shape[-1]
-    gram = np.swapaxes(sigma.conj(), -1, -2) @ sigma - np.eye(n)
-    return np.abs(np.linalg.eigvalsh(gram)).max(axis=-1)
+    """||Sigma* Sigma - I||_2 of each matrix of a stack, in one eigvalsh."""
+    return _hermitian_norms(_defect_grams(sigma))
 
 
 def unitarity_defect(sigma: np.ndarray) -> float:
-    """||Sigma* Sigma - I||_2, the largest over a stack of matrices."""
-    return float(np.max(_unitarity_defects(sigma)))
+    """||Sigma* Sigma - I||_2, the largest over a stack of matrices.
+
+    ``||G||_2 <= ||G||_F`` for each ``G = Sigma* Sigma - I``, so with ``s``
+    the 2-norm of the ``G`` of largest Frobenius norm, only those with
+    ``||G||_F >= s (1 - 1e-6)`` can hold a larger one (the margin covers
+    rounding in the norms), and eigvalsh runs on those alone: bit for bit the
+    maximum over the whole stack.  A non-finite norm sends the whole stack to
+    eigvalsh, which raises as it would.
+    """
+    G = _defect_grams(np.asarray(sigma))
+    G = G.reshape(-1, *G.shape[-2:])
+    F = np.linalg.norm(G, axis=(-2, -1))
+    if not np.isfinite(F).all():
+        return float(np.max(_hermitian_norms(G)))
+    k = int(F.argmax())
+    s = float(_hermitian_norms(G[k]))
+    near = F >= s * (1 - 1e-6)
+    near[k] = False
+    return max([s, *_hermitian_norms(G[near]).tolist()])
 
 
 def transmission_curve(

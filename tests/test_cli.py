@@ -919,7 +919,7 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     # stage two decomposes only the six moving 2 x 2 groups
     assert row["stage_two_calls"] == 6
     times = {k: v for k, v in row.items() if k.endswith("_s")}
-    assert len(times) == 10 and all(v > 0 for v in times.values())
+    assert len(times) == 11 and all(v > 0 for v in times.values())
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
     # each criterion's own time, a part of the suite's

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from tailwalk.scattering import (
     _MAX_LEVEL,
     NoConvergence,
     SigmaEvaluator,
+    _unitarity_defects,
     stationary_iterate,
+    stationary_iterate_stack,
     transmission_curve,
     unitarity_defect,
 )
@@ -38,6 +42,63 @@ def test_unitarity_on_a_grid(suite_graphs):
         for lam in np.linspace(0.0, 2 * np.pi, 37):
             d = unitarity_defect(ev.sigma(lam))
             assert d < 1e-9, f"{name}: defect {d:.2e} at lam={lam:.3f}"
+
+
+def _full_defect(stack) -> float:
+    """The largest ||S* S - I||_2 over a stack, eigvalsh on every matrix."""
+    return float(np.max(_unitarity_defects(np.asarray(stack))))
+
+
+def _rank_one(s, u):
+    """I + (s - 1) u u*: S* S - I = (|s|^2 - 1) u u*, whose 2-norm is its
+    Frobenius norm."""
+    u = u / np.linalg.norm(u)
+    return np.eye(len(u)) + (s - 1) * np.outer(u, u.conj())
+
+
+def test_unitarity_defect_prunes_to_the_full_maximum():
+    # bit for bit the maximum over every matrix: random near-unitary and
+    # random stacks, rank-one defects (F-norm = 2-norm, the pruning bound is
+    # tight), repeated maxima, identities and a single matrix
+    rng = np.random.default_rng(3)
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Q = np.linalg.qr(cplx(64, 4, 4))[0]
+    us = cplx(32, 4)
+    rank_one = np.array([_rank_one(s, u) for s, u in zip(rng.uniform(0.5, 1.5, 32), us)])
+    tied = np.array([_rank_one(s, u) for s, u in zip([1.3, 0.7, 1.3, 1.1, 1.3], us)])
+    stacks = [
+        Q + 1e-6 * cplx(64, 4, 4),
+        cplx(256, 3, 3),
+        rank_one,
+        tied,
+        np.repeat(Q[:1] + 1e-3 * cplx(1, 4, 4), 5, axis=0),
+        np.broadcast_to(np.eye(3, dtype=complex), (7, 3, 3)),
+        cplx(4, 4),
+        np.eye(2),
+    ]
+    for stack in stacks:
+        assert unitarity_defect(stack) == _full_defect(stack)
+    assert unitarity_defect(np.eye(3)) == 0.0
+    # the largest Frobenius norm is not the largest 2-norm: G = diag(a, a, 0)
+    # against the rank-one diag(b, 0, 0), a < b < a (1 + 1e-3) < a sqrt(2)
+    a, b = 0.01, 0.01 * (1 + 5e-4)
+    spread = np.diag(np.sqrt([1 + a, 1 + a, 1.0]))
+    single = np.diag(np.sqrt([1 + b, 1.0, 1.0]))
+    assert unitarity_defect(np.array([spread, single])) == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unitarity_defect_refuses_a_non_finite_entry(bad):
+    # the pruning reads Frobenius norms; a non-finite one sends the whole
+    # stack to eigvalsh, which raises as it does on the full call
+    stack = np.array([np.eye(3, dtype=complex)] * 4)
+    stack[2, 1, 1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError):
+            _full_defect(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            unitarity_defect(stack)
 
 
 def test_sigma_stacks_over_a_lambda_array(suite_graphs):
@@ -257,9 +318,16 @@ def test_long_run_carries_only_the_window_between_blocks(im_c16):
     products = []  # (level, width) of every product with a power of H
 
     class Counted(np.ndarray):
+        def __array_finalize__(self, obj):  # a transpose keeps its level
+            self.level = getattr(obj, "level", None)
+
         def __matmul__(self, other):
             products.append((self.level, other.shape[-1]))
             return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):  # the skip phase's rows times the power's transpose
+            products.append((self.level, other.shape[0]))
+            return other @ np.asarray(self)
 
     grown = dataclasses.replace(im_c16).iteration_basis
     ladder = []
@@ -565,6 +633,81 @@ graphs_with_tails = connected_graphs().flatmap(lambda g: st.tuples(
     st.just(g),
     st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices),
 ))
+
+
+def _per_pair(im, lams, alphas, max_steps=200_000):
+    """Each pair's own stationary_iterate record, or None where it raises
+    NoConvergence."""
+    recs = []
+    for lam, alpha in zip(lams, alphas):
+        try:
+            recs.append(stationary_iterate(im, lam, alpha, max_steps=max_steps))
+        except NoConvergence:
+            recs.append(None)
+    return recs
+
+
+def _named_lambdas(exc) -> Counter:
+    return Counter(re.findall(r"lam=([^,\s]+)", str(exc.value)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_with_tails, st.floats(min_value=0.1, max_value=0.9), st.data())
+def test_stack_steps_each_pair_as_its_own_call(graph_tails, eps, data):
+    """One stacked call, 1-8 pairs with lam = pi among them, stops every
+    pair at its own call's step, with its outgoing amplitudes to 1e-13;
+    a pair that does not settle makes the stack raise, naming it."""
+    g, tails = graph_tails
+    im = build_E(attach_tails(g, tails), eps)
+    n = data.draw(st.integers(1, 8))
+    lams = [np.pi] + data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n - 1, max_size=n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    N = im.tg.num_ports
+    alphas = list(rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N)))
+    alone = _per_pair(im, lams, alphas)
+    if None in alone:
+        with pytest.raises(NoConvergence) as exc:
+            stationary_iterate_stack(im, lams, alphas)
+        assert _named_lambdas(exc) == Counter(str(lam) for lam, r in zip(lams, alone) if r is None)
+        return
+    stacked = stationary_iterate_stack(im, lams, alphas)
+    assert [r.steps for r in stacked] == [r.steps for r in alone]
+    for r, want in zip(stacked, alone):
+        assert_allclose(r.outgoing, want.outgoing, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("graph", ["c4a", "k4a"])
+def test_stack_budget_at_each_stop(graph, request):
+    # a budget at a column's stopping step gives that column's record; one
+    # step less, the stack names exactly the lambdas whose own calls fail
+    im = build_E(request.getfixturevalue(graph), 0.25)
+    rng = np.random.default_rng(7)
+    lams = [np.pi, 0.3, -1.2, 2.0, -2.9, 1.1]
+    alphas = list(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    full = stationary_iterate_stack(im, lams, alphas)
+    assert [r.steps for r in full] == [r.steps for r in _per_pair(im, lams, alphas)]
+    for rec in full:
+        keep = [k for k, r in enumerate(full) if r.steps <= rec.steps]
+        again = stationary_iterate_stack(
+            im, [lams[k] for k in keep], [alphas[k] for k in keep], max_steps=rec.steps
+        )
+        for k, r in zip(keep, again):
+            assert r.steps == full[k].steps
+            assert_allclose(r.outgoing, full[k].outgoing, rtol=0, atol=1e-13)
+        with pytest.raises(NoConvergence) as exc:
+            stationary_iterate_stack(im, lams, alphas, max_steps=rec.steps - 1)
+        alone = _per_pair(im, lams, alphas, max_steps=rec.steps - 1)
+        assert _named_lambdas(exc) == Counter(str(lam) for lam, r in zip(lams, alone) if r is None)
+        assert str(rec.steps - 1) in str(exc.value)
+
+
+def test_stack_arguments(im_c4a):
+    im = im_c4a.at(0.25)
+    assert stationary_iterate_stack(im, [], []) == []
+    with pytest.raises(ValueError, match="one inflow per lambda"):
+        stationary_iterate_stack(im, [0.3, 0.4], [np.ones(3)])
+    with pytest.raises(ValueError, match="max_steps"):
+        stationary_iterate_stack(im, [0.3], [np.ones(3)], max_steps=0)
 
 
 @settings(max_examples=40, deadline=None)
