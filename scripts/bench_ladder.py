@@ -25,6 +25,8 @@ all at eps 0.6.  For each graph, one process measures once, in
   decomposition, as ``perturb`` runs it
 - ``tailwalk perturb --eps 0.04,0.02,0.01`` end to end, through
   ``tailwalk.cli.main`` into a temporary directory
+- one ``verify_outgoing`` call on every resonance of ``E(eps)``, their
+  eigenvectors from an untimed ``np.linalg.eig`` (``outgoing_residual_s``)
 
 how many of those 17 calls ended in ``NoConvergence`` (the 200,000-step
 budget runs out on ``cycle:128``; such a call is timed all the same), the
@@ -175,7 +177,7 @@ def measure(preset: str, tails: str) -> dict:
     """One measurement of every layer on one graph, in this process."""
     from tailwalk import attach_tails, build_E, preset_graph
     from tailwalk.cli import main as cli_main
-    from tailwalk.internal_spectral import spectral_decompose
+    from tailwalk.internal_spectral import spectral_decompose, verify_outgoing
     from tailwalk.perturbation import Coupling, reduce_eigenvalue
     from tailwalk import scattering
     from tailwalk.scattering import (
@@ -233,6 +235,9 @@ def measure(preset: str, tails: str) -> dict:
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         perturb_exit, perturb_s = _timed(lambda: cli_main([*argv, "--out", out]))
     stage_two = _stage_two_calls(base)
+    vals, vecs = np.linalg.eig(im.E)
+    inside = np.flatnonzero(np.abs(vals) < 1 - 1e-6)
+    _, outgoing_s = _timed(lambda: verify_outgoing(im, vals[inside], vecs[:, inside]))
     return {
         "arcs": tg.num_arcs,
         "basis_dim": dim,
@@ -252,6 +257,7 @@ def measure(preset: str, tails: str) -> dict:
         "stage_two_calls": stage_two,
         "perturb_s": perturb_s,
         "perturb_exit": perturb_exit,
+        "outgoing_residual_s": outgoing_s,
         "peak_rss_mb": _peak_rss_mb(),
     }
 

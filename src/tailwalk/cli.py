@@ -222,7 +222,93 @@ def _prologue(
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    path.write_text(_json_text(payload) + "\n")
+
+
+_JSON_ESCAPE = json.encoder.encode_basestring_ascii
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=1)``, byte for byte.
+
+    With an indent ``json`` runs its pure-Python encoder, a generator per
+    container; this one appends each piece to one list.  It tests types in
+    ``json``'s own order, so subclasses such as ``np.float64`` read as
+    ``json`` reads them, and a value or key ``json`` refuses raises its
+    ``TypeError``.  There is no check for circular containers: the payloads
+    are trees."""
+    out: list[str] = []
+    _json_item("", payload, "\n", out)
+    return "".join(out)
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_item(prefix: str, o, newline: str, out: list[str]) -> None:
+    """Append ``prefix`` and o's text to ``out``; ``newline`` breaks a line
+    and indents to o's depth.  Like ``json``, each scalar joins the
+    separator before it in one piece (one string per item, not two), and a
+    float item skips the dispatch."""
+    if isinstance(o, str):
+        out.append(prefix + _JSON_ESCAPE(o))
+    elif o is None:
+        out.append(prefix + "null")
+    elif o is True:
+        out.append(prefix + "true")
+    elif o is False:
+        out.append(prefix + "false")
+    elif isinstance(o, int):
+        out.append(prefix + int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(prefix + _json_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append(prefix + "[]")
+            return
+        inner = newline + " "
+        sep, comma = prefix + "[" + inner, "," + inner
+        for item in o:
+            if type(item) is float:
+                out.append(sep + _json_float(item))
+            else:
+                _json_item(sep, item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append(prefix + "{}")
+            return
+        inner = newline + " "
+        sep, comma = prefix + "{" + inner, "," + inner
+        for key, value in o.items():
+            head = sep + _JSON_ESCAPE(key if isinstance(key, str) else _json_key(key)) + ": "
+            if type(value) is float:
+                out.append(head + _json_float(value))
+            else:
+                _json_item(head, value, inner, out)
+            sep = comma
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A key that is not a string, as ``json`` writes it (then quoted)."""
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _g17(x: float) -> str:

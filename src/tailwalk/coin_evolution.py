@@ -122,7 +122,9 @@ class WalkOperator:
     away from the truncation edge: rows whose coin stencil pokes outside
     the truncation are recorded in ``invalid_rows`` (their entries read
     absent arcs as zero).  For a T-step evolution use depth >= T + 2 so
-    the light cone never touches garbage.
+    the light cone never touches garbage.  It is the dense reference that
+    :func:`~tailwalk.internal_spectral.verify_outgoing`, which reads the
+    same residual off this structure, is tested against.
     """
 
     def __init__(self, im, depth: int):

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 
-from .coin_evolution import WalkOperator, kappa, linearize
+from .coin_evolution import kappa, linearize
 from .tailed_graph import TailedGraph
 
 # eigenvalues closer than CLUSTER_TOL form one cluster by default, as under
@@ -64,7 +64,7 @@ _BLOCK = 1 << _LOG_BLOCK  # time-iteration steps advanced per product with H^_BL
 # the port Krylov basis keeps singular values above this: measured, every kept
 # one is >= 0.59 and every dropped one <= 1e-14
 _KRYLOV_TOL = 1e-12
-_OUTGOING_DEPTH = 20  # verify_outgoing's truncated walk keeps this many tail arcs plus two
+_OUTGOING_DEPTH = 20  # verify_outgoing's truncation keeps this many tail arcs plus two
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
 # ||N^m||_F above this: a cluster of m > 1 is not one eigenvalue, and the closed
@@ -726,31 +726,39 @@ def verify_outgoing(im: InternalMatrix, mu, vec: np.ndarray) -> float | np.ndarr
     tails only for genuine resonances, where it is the outgoing state).
 
     ``mu`` may be an array of k eigenvalues, with their eigenvectors as the
-    columns of ``vec``: the truncated walk is then built once, and the k
-    residuals come back as an array, each as the one-state call gives it.
+    columns of ``vec``: the k residuals come back as an array, each as the
+    one-state call gives it.
+
+    The residual is read off the walk's structure, with no truncated walk
+    (:class:`~tailwalk.coin_evolution.WalkOperator`) built.  Incoming tail
+    arcs vanish, so every row of (U - mu) psi that reads them reads zero,
+    and each outgoing row past the first is a shift, psi(out, l) -
+    mu psi(out, l + 1) = 0.  That leaves two kinds of row: the internal
+    ones, (E - mu) v, and each tail's first outgoing arc, (B_out v)_j -
+    mu psi(out, 1).  With |mu| < 1 the profile grows along the tail, so
+    max |psi| is the larger of max |v| and the last outgoing arc's
+    max |psi(out, 1)| |mu|^-(D - 1), D = ``_OUTGOING_DEPTH + 2``.
     """
-    mus = np.asarray(mu, dtype=complex).ravel().tolist()
-    for m in mus:
+    mus = np.asarray(mu, dtype=complex).ravel()
+    for m in mus.tolist():
         if abs(m) >= 1.0:
             raise NotAResonance(f"|mu| = {abs(m):.6f} is not strictly inside the disk")
+        if m == 0:
+            raise ZeroDivisionError("mu = 0 has no outgoing extension: mu^-(l-1) is undefined")
     V = np.asarray(vec, dtype=complex).reshape(im.tg.num_arcs, len(mus))
-    walk = WalkOperator(im, _OUTGOING_DEPTH + 2)
-    ok = ~walk.invalid_rows
-    # rows whose stencil reads the out-arc beyond the truncation don't exist;
-    # every existing row is exact because incoming arcs vanish identically.
-    out_arcs = [[t.out_arc(l) for l in range(1, _OUTGOING_DEPTH + 3)] for t in walk.tails]
-    res = []
-    for m, v in zip(mus, V.T):
-        psi = np.zeros(walk.dim, dtype=complex)
-        psi[: im.tg.num_arcs] = v
-        first_out = im.B_out @ v / m
-        profile = [m ** (-(l - 1)) for l in range(1, _OUTGOING_DEPTH + 3)]
-        for arcs, f in zip(out_arcs, first_out):
-            psi[arcs] = [p * f for p in profile]
-        scale = np.max(np.abs(psi))
-        if scale == 0.0:
-            raise ValueError("zero vector cannot be verified")
-        psi /= scale
-        r = walk.matrix @ psi - m * psi
-        res.append(float(np.max(np.abs(r[ok]))))
-    return res[0] if np.ndim(mu) == 0 else np.array(res)
+    # the products column by column, each as its one-state call forms it; the
+    # rest is elementwise and per-column maxima, the same bits for any k
+    EV = np.empty_like(V)
+    out = np.empty((im.tg.num_ports, len(mus)), dtype=complex)
+    for j, v in enumerate(V.T):
+        EV[:, j] = im.E @ v
+        out[:, j] = im.B_out @ v
+    first_out = out / mus
+    last_out = np.abs(first_out).max(axis=0, initial=0.0) * np.abs(mus) ** -(_OUTGOING_DEPTH + 1)
+    scale = np.maximum(np.abs(V).max(axis=0, initial=0.0), last_out)
+    if not scale.all():
+        raise ValueError("zero vector cannot be verified")
+    internal = np.abs(EV - mus * V).max(axis=0, initial=0.0)
+    ports = np.abs(out - mus * first_out).max(axis=0, initial=0.0)
+    res = np.maximum(internal, ports) / scale
+    return float(res[0]) if np.ndim(mu) == 0 else res

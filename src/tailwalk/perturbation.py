@@ -114,6 +114,9 @@ _STAGE_TOL = 1e-8  # cluster tolerance of both stages of reduce_eigenvalue
 _MU1_ZERO = 1e-9
 _SLOPE_CUT = 1e-13  # a residual ladder never above this is zero: no log-log slope
 _STAGE1_HERMITIAN = 1e-10  # largest ||H - H*||_F of a stage-one block H = A1 / (gamma mu)
+# hosting branches per stacked QR and SVD of hypothesis a1: a stack's arrays hold
+# n x m x this, where all of cycle:128's 248 families at once held 4.1 n x n
+_SINES_STACK = 64
 
 
 def _resolvent_weights(sd: SpectralData, cl: SpectralCluster) -> np.ndarray:
@@ -498,12 +501,15 @@ def assumption_report(ledger: ReductionLedger, fam: Family, probe: Coupling) -> 
     a1 compares, at the probe coupling, the perturbed eigenvectors of each
     hosting branch (the ``R`` columns of the probe's group,
     :meth:`ReductionLedger.group`, nearest its prediction, orthonormalised)
-    against the range of its stage-2 projection; where no group continues
-    the cluster at the probe there are no eigenvectors to judge, and a1 is
-    false.  a2 and a3 hold for the whole ledger and are read from it
-    (:class:`ReductionLedger`).  Nothing here raises.
+    against the range of its stage-2 projection (:func:`_hosting_sines`);
+    where no group continues the cluster at the probe there are no
+    eigenvectors to judge, and a1 is false.  a2 and a3 hold for the whole
+    ledger and are read from it (:class:`ReductionLedger`).  Nothing here
+    raises.
     """
-    return _assumption_report(ledger, fam, probe, _probe_columns(ledger, probe))
+    cols = _probe_columns(ledger, probe)
+    sines = None if cols is None else _hosting_sines(probe, [(ledger, fam, cols)])[0]
+    return _assumption_report(ledger, fam, sines)
 
 
 def _probe_columns(ledger: ReductionLedger, probe: Coupling) -> np.ndarray | None:
@@ -515,27 +521,54 @@ def _probe_columns(ledger: ReductionLedger, probe: Coupling) -> np.ndarray | Non
         return None
 
 
+def _hosting_sines(
+    probe: Coupling, families: Sequence[tuple[ReductionLedger, Family, np.ndarray]]
+) -> list[np.ndarray]:
+    """For each (ledger, family, probe group columns) of ``families``, the
+    largest sine of the principal angles between each hosting branch's
+    stage-2 range and the probe's eigenvectors nearest its prediction
+    mu + kappa mu1 + kappa^2 mu2, in branch order.
+
+    A branch of multiplicity m takes the m columns of the probe's ``R``
+    nearest its prediction, orthonormalised by QR; the sines are the
+    singular values of their part outside the branch's orthonormal
+    ``basis``.  The branches of one multiplicity, across all ``families``,
+    share one stacked ``np.linalg.qr`` and one stacked ``np.linalg.svd``
+    per ``_SINES_STACK`` of them.
+    """
+    k = kappa(probe.im.eps)
+    by_mult: dict[int, list] = {}  # multiplicity -> (slot, basis, the probe's columns)
+    ends = []  # each family's slots end here
+    slot = 0
+    for ledger, fam, cols in families:
+        w = probe.sd.column_values[cols]
+        for b in fam.branches:
+            if b.hosts_resonance:
+                pred = ledger.mu + k * b.mu1 + k**2 * b.mu2
+                near = cols[np.argsort(np.abs(w - pred), kind="stable")[: b.multiplicity]]
+                by_mult.setdefault(b.multiplicity, []).append((slot, b.basis, near))
+                slot += 1
+        ends.append(slot)
+    largest = np.empty(slot)
+    for picks in by_mult.values():
+        for c in range(0, len(picks), _SINES_STACK):
+            slots, bases, near = zip(*picks[c : c + _SINES_STACK])
+            Vb = np.linalg.qr(probe.sd.R[:, np.array(near)].transpose(1, 0, 2))[0]
+            B = np.stack(bases)
+            sines = np.linalg.svd(Vb - B @ (B.conj().transpose(0, 2, 1) @ Vb), compute_uv=False)
+            largest[list(slots)] = sines.max(axis=1)
+    return [largest[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def _assumption_report(
-    ledger: ReductionLedger, fam: Family, probe: Coupling, cols: np.ndarray | None
+    ledger: ReductionLedger, fam: Family, sines: np.ndarray | None
 ) -> AssumptionReport:
-    """:func:`assumption_report` on the probe's group columns ``cols``
-    (:func:`_probe_columns`), which every family of the ledger shares."""
-    mu = ledger.mu
+    """:func:`assumption_report` from the family's hosting-branch ``sines``
+    (:func:`_hosting_sines`), None where no group continues the cluster at
+    the probe."""
     Xs, weights = _pole_weights(ledger, fam)
     x_ok = abs(Xs) > 1e-12 and None not in weights.values()
-    if cols is None:  # no group, so no eigenvectors to judge
-        return AssumptionReport(a1=False, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_ok)
-    k = kappa(probe.im.eps)
-    w = probe.sd.column_values[cols]
-    a1 = True
-    for b in weights:
-        pred = mu + k * b.mu1 + k**2 * b.mu2
-        idx = cols[np.argsort(np.abs(w - pred), kind="stable")]
-        Vb = np.linalg.qr(probe.sd.R[:, idx[: b.multiplicity]])[0]
-        sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
-        if sines.size and float(np.max(sines)) > 0.2:
-            a1 = False
-
+    a1 = sines is not None and not (sines > 0.2).any()
     return AssumptionReport(a1=a1, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_ok)
 
 
@@ -566,8 +599,11 @@ def resonant_sigma_limit(
     Returns one record per family of each ledger, in order.  Each eps
     evaluates Sigma once, at every family's lambda together, and takes the
     families' norms from one stacked SVD; the limits' defects come from one
-    stacked eigvalsh.  ``ladder`` maps each eps, in ladder order, to its
-    :class:`Coupling`; the hypotheses are probed at the smallest eps.
+    stacked eigvalsh, and every family's hypothesis a1 from one stacked QR
+    and SVD per branch multiplicity and ``_SINES_STACK`` branches
+    (:func:`_hosting_sines`).  ``ladder``
+    maps each eps, in ladder order, to its :class:`Coupling`; the
+    hypotheses are probed at the smallest eps.
     Callers running several ledgers on one ladder share it, so each E(eps)
     is factored once.
     """
@@ -582,10 +618,14 @@ def resonant_sigma_limit(
         for b, w in _pole_weights(ledger, fam)[1].items():
             if w is not None:
                 s01 += w * ((im.B_out1 @ b.basis) @ (b.left @ im.B_in1))
-    verdicts = []  # the probe's group is looked up once per ledger
+    cols = []  # the probe's group is looked up once per ledger
     for ledger in ledgers:
-        cols = _probe_columns(ledger, probe) if ledger.families else None
-        verdicts += [_assumption_report(ledger, fam, probe, cols) for fam in ledger.families]
+        found = _probe_columns(ledger, probe) if ledger.families else None
+        cols += [found] * len(ledger.families)
+    judged = iter(_hosting_sines(probe, [(ledger, fam, c) for (ledger, fam), c in
+                                         zip(families, cols) if c is not None]))
+    verdicts = [_assumption_report(ledger, fam, None if c is None else next(judged))
+                for (ledger, fam), c in zip(families, cols)]
     records = [
         ResonantLimitRecord(
             mu=ledger.mu, gamma=ledger.gamma, family=fam, lam_eps=[], norms=[],

@@ -810,6 +810,44 @@ def test_cluster_that_is_not_one_eigenvalue_is_refused(tmp_path, capsys, command
     assert not list(out.glob("*.csv"))
 
 
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.text(), st.sampled_from(["\u00e9t\u00e9", "\u221e", "\U0001d11e", "tab\tquote\"\\"]),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_PAYLOADS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4),
+), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_writer_is_json_dumps(payload):
+    # the indenting writer's bytes are json's own: nested dicts and lists,
+    # floats (np.float64, nan and inf among them), ints, bools, None, and
+    # non-ASCII strings, as values and as keys
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "payload.json"
+        cli._write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_PAYLOADS, st.sampled_from([np.int64(3), np.float32(0.5), np.bool_(True), 1j,
+                                        object(), frozenset({1})]),
+       st.sampled_from(["value", "key", "item"]))
+def test_json_writer_refuses_what_json_refuses(payload, bad, where):
+    # a value or key json cannot write raises json's TypeError, message and all
+    payload = {"value": {"ok": payload, "bad": bad}, "key": {bad: payload},
+               "item": [payload, bad]}[where]
+    with pytest.raises(TypeError) as want:
+        json.dumps(payload, indent=1)
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        cli._json_text(payload)
+
+
 def test_transmission_report_script(tmp_path, monkeypatch, capsys):
     # the script writes its tables into the working directory and checks its
     # flags through the private CLI parser: run it once as a user would,
@@ -919,7 +957,8 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     # stage two decomposes only the six moving 2 x 2 groups
     assert row["stage_two_calls"] == 6
     times = {k: v for k, v in row.items() if k.endswith("_s")}
-    assert len(times) == 11 and all(v > 0 for v in times.values())
+    assert len(times) == 12 and all(v > 0 for v in times.values())
+    assert "outgoing_residual_s" in times  # one verify_outgoing call on every resonance
     verify = bench_ladder.measure_verify()
     assert verify["failed"] == 0 and verify["verify_s"] > 0
     # each criterion's own time, a part of the suite's

@@ -16,7 +16,7 @@ from test_tailed_graph import connected_graphs
 
 import tailwalk
 from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
-from tailwalk.coin_evolution import kappa, linearize
+from tailwalk.coin_evolution import WalkOperator, kappa, linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
     _LOG_BLOCK,
@@ -700,6 +700,48 @@ def test_outgoing_extension_of_several_states(c4a):
     assert got.tobytes() == np.array(one).tobytes()
     with pytest.raises(NotAResonance):  # one state on the circle refuses them all
         verify_outgoing(im, np.append(vals[inside], 1.0), vecs[:, [*inside, inside[0]]])
+
+
+def _walk_residual(im, mu, v):
+    """Criterion 5's residual on the dense truncated walk, the reference
+    ``verify_outgoing`` is checked against: psi is v on the internal arcs,
+    zero on the incoming tail arcs and (B_out v)_j mu^-l / mu on tail j's
+    outgoing arc l, and the residual is max |(U - mu) psi| / max |psi| over
+    the rows whose stencil stays inside the truncation."""
+    depth = internal_spectral._OUTGOING_DEPTH + 2
+    walk = WalkOperator(im, depth)
+    psi = np.zeros(walk.dim, dtype=complex)
+    psi[: im.tg.num_arcs] = v
+    first_out = im.B_out @ v / mu
+    profile = [mu ** (-(l - 1)) for l in range(1, depth + 1)]
+    for t, f in zip(walk.tails, first_out):
+        psi[[t.out_arc(l) for l in range(1, depth + 1)]] = [p * f for p in profile]
+    psi /= np.max(np.abs(psi))
+    r = walk.matrix @ psi - mu * psi
+    return float(np.max(np.abs(r[~walk.invalid_rows])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.floats(min_value=0.05, max_value=1.0), st.data())
+def test_outgoing_residual_is_the_truncated_walks(g, eps, data):
+    # verify_outgoing reads the residual off the walk's structure; on the
+    # dense truncated walk it is the same to rounding, for every resonance,
+    # and with E and B_out bent off the eigenvectors, where the internal and
+    # the first outgoing rows carry residuals well above rounding
+    vertex = st.integers(min_value=0, max_value=g.num_vertices - 1)
+    tails = data.draw(st.lists(vertex, min_size=1, max_size=g.num_vertices))
+    tails += [tails[0]] * data.draw(st.integers(min_value=0, max_value=2))
+    im = build_E(attach_tails(g, tails), eps)
+    vals, vecs = np.linalg.eig(im.E)
+    inside = np.flatnonzero(np.abs(vals) < 1 - 1e-6)
+    rng = np.random.default_rng(len(tails))
+    dE, dB = data.draw(st.tuples(st.floats(0.0, 1e-2), st.floats(0.0, 1e-2)))
+    bent = dataclasses.replace(im, E=im.E + dE * rng.standard_normal(im.E.shape),
+                               B_out=im.B_out + dB * rng.standard_normal(im.B_out.shape))
+    for walk in (im, bent):
+        got = verify_outgoing(walk, vals[inside], vecs[:, inside])
+        want = [_walk_residual(walk, complex(vals[k]), vecs[:, k]) for k in inside]
+        assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_outgoing_extension_rejects_circle_points(c4a):

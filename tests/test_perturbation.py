@@ -701,6 +701,113 @@ def test_limit_norms_are_the_per_record_norms_on_random_graphs(tg):
     assert_per_record_limits(recs, ladder)
 
 
+def a1_reference(ledger, fam, probe):
+    """Hypothesis a1 one hosting branch at a time, each with a QR and an SVD
+    of its own: the reference the stacked ``_hosting_sines`` is checked
+    against.  Returns the family's AssumptionReport and each hosting
+    branch's largest principal-angle sine, None where no group continues
+    the cluster at the probe."""
+    Xs, weights = perturbation._pole_weights(ledger, fam)
+    x_nonzero = abs(Xs) > 1e-12 and None not in weights.values()
+    cols = perturbation._probe_columns(ledger, probe)
+    largest = None
+    if cols is not None:
+        k = kappa(probe.im.eps)
+        w = probe.sd.column_values[cols]
+        largest = []
+        for b in weights:
+            pred = ledger.mu + k * b.mu1 + k**2 * b.mu2
+            idx = cols[np.argsort(np.abs(w - pred), kind="stable")]
+            Vb = np.linalg.qr(probe.sd.R[:, idx[: b.multiplicity]])[0]
+            sines = np.linalg.svd(Vb - b.basis @ (b.basis.conj().T @ Vb), compute_uv=False)
+            largest.append(float(sines.max()))
+    a1 = largest is not None and all(s <= 0.2 for s in largest)
+    report = AssumptionReport(a1=a1, a2=ledger.a2, a3=ledger.a3, x_nonzero=x_nonzero)
+    return report, largest
+
+
+def assert_a1_is_the_per_branch_reference(im, eps_values):
+    """resonant_sigma_limit's verdicts for every family of every E0 cluster,
+    and the public assumption_report's for each family, are the reference's
+    (a1, a2, a3, x_nonzero and gate), and the largest sines each call
+    computed agree with the reference's within 1e-12."""
+    base = coupling(im, 0.0)
+    ledgers = [reduce_eigenvalue(base, cl.value) for cl in base.sd.clusters]
+    ladder = couplings(im, eps_values)
+    probe = ladder[min(ladder)]
+    computed = []  # (family, sines) as each _hosting_sines call returned them
+    real = perturbation._hosting_sines
+
+    def recorded(probe, families):
+        out = real(probe, families)
+        computed.extend((fam, sines) for (_, fam, _), sines in zip(families, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturbation, "_hosting_sines", recorded)
+        recs = resonant_sigma_limit(ledgers, ladder)
+        reports = [assumption_report(led, fam, probe) for led in ledgers for fam in led.families]
+    want = {}
+    for led in ledgers:
+        for fam in led.families:
+            want[id(fam)] = a1_reference(led, fam, probe)
+    assert [r.family for r in recs] == [f for led in ledgers for f in led.families]
+    for rec, got in zip(recs, reports):
+        ref, _ = want[id(rec.family)]
+        for verdict in (rec.verdicts, got):
+            assert verdict == ref and verdict.gate == ref.gate
+    # one stacked call from resonant_sigma_limit, then one per family with a group
+    with_group = [fam for fam in (r.family for r in recs) if want[id(fam)][1] is not None]
+    assert [id(fam) for fam, _ in computed] == [id(fam) for fam in with_group * 2]
+    for fam, sines in computed:
+        assert_allclose(sines, want[id(fam)][1], rtol=0, atol=1e-12)
+    return recs
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_graphs(), st.sampled_from([(0.04, 0.02), (0.01,), (0.3,), (0.9,)]))
+def test_a1_is_the_per_branch_reference_on_random_graphs(tg, eps_values):
+    try:
+        assert_a1_is_the_per_branch_reference(build_E(tg), eps_values)
+    except (ClusterAmbiguity, np.linalg.LinAlgError):
+        assume(False)
+
+
+@pytest.mark.parametrize("im_name", ["im_c4a", "im_k4a"])
+@pytest.mark.parametrize("eps_values", [(0.04, 0.02, 0.01), (0.6,), (0.9,)])
+@pytest.mark.parametrize("stack", [1, 2, perturbation._SINES_STACK])
+def test_a1_is_the_per_branch_reference_on_the_ladders(
+    request, monkeypatch, im_name, eps_values, stack
+):
+    # near the unperturbed problem every hosting family passes a1; at eps 0.9
+    # on c4 the eigenvectors have left the stage-2 ranges, so both verdicts
+    # occur.  The ladders have a handful of hosting branches: stacks of 1
+    # and 2 split them as a larger graph's are split
+    monkeypatch.setattr(perturbation, "_SINES_STACK", stack)
+    recs = assert_a1_is_the_per_branch_reference(request.getfixturevalue(im_name), eps_values)
+    assert recs
+
+
+def test_a1_keeps_each_branchs_largest_sine(im_k4a, base_k4):
+    # the rank-two branch at MU_K4 with its basis tilted off the probe's
+    # eigenvectors by two different angles: its sines differ, the largest
+    # (about sin 0.4) fails a1 and the smallest (about sin 0.05) would not
+    led = reduce_eigenvalue(base_k4, MU_K4)
+    [fam] = [f for f in led.families if [b.multiplicity for b in f.branches] == [2]]
+    [b] = fam.branches
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((len(b.basis), 2)) + 1j * rng.standard_normal((len(b.basis), 2))
+    C = np.linalg.qr(C - b.basis @ (b.basis.conj().T @ C))[0]
+    tilt = np.array([0.4, 0.05])
+    tilted = Family(fam.mu1, fam.eta1, [replace(b, basis=b.basis * np.cos(tilt) + C * np.sin(tilt))])
+    probe = coupling(im_k4a, 0.01)
+    want, [largest] = a1_reference(led, tilted, probe)
+    [got] = perturbation._hosting_sines(probe, [(led, tilted, perturbation._probe_columns(led, probe))])
+    assert_allclose(got, [largest], rtol=0, atol=1e-12)
+    assert 0.3 < largest < 0.45 and not want.a1
+    assert assumption_report(led, tilted, probe) == want
+
+
 class TestProjectionExpansion:
     def test_leading_coefficients(self, base_c4):
         coef = projection_expansion(reduce_eigenvalue(base_c4, 1 + 0j))[:3]
