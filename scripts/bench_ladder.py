@@ -42,7 +42,10 @@ calls that one more, untimed all-cluster reduction makes, counted through
 Unlike a time, those counts repeat from run to run, the first two to about
 four digits and the last exactly.  Each round also times one
 ``acceptance.run_all()``, the ``verify`` suite, in :func:`measure_verify`,
-with each criterion's own time and its process's peak RSS.
+with each criterion's own time and its process's peak RSS, and one
+``import tailwalk`` in a process that has imported neither numpy nor scipy
+yet, in :func:`measure_import` (``import_s``, the start-up every CLI run
+pays).
 
 Every measurement runs in a fresh process with one BLAS thread. A round
 measures each graph once, so the graphs alternate, then runs ``verify``,
@@ -89,9 +92,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-import scipy
-
+# numpy and scipy are imported where they are used, so that a fresh process
+# that imports this module has loaded neither when measure_import runs
 GRAPHS = [
     ("cycle:64", "0,1,2,3"),
     ("cycle:128", "0,1,2,3"),
@@ -118,7 +120,8 @@ PAIRED_DESCRIPTION = (
     f"median of the {3 * ROUNDS} fresh-process measurements per side ({ROUNDS} rounds per "
     "run), one BLAS thread; X_over_parent is the ratio of those medians and "
     "per_run_X_over_parent the ratio of the i-th runs' medians; verify.criterion_<id>_s "
-    "is one acceptance criterion's own time within verify_s. decompose_peak_n2, "
+    "is one acceptance criterion's own time within verify_s, and import_s the time of "
+    "import tailwalk in a process that has not imported numpy. decompose_peak_n2, "
     "build_E_retained_n2 and stage_two_calls are median and range per side. tier1_s, "
     "tier1_passed, tier1_failed (failures and errors) and tier1_exit (pytest's exit code) "
     "are one tier-1 run per bench_ladder run, in the checkout of the side measured, with "
@@ -175,6 +178,8 @@ def _stage_two_calls(base) -> int:
 
 def measure(preset: str, tails: str) -> dict:
     """One measurement of every layer on one graph, in this process."""
+    import numpy as np
+
     from tailwalk import attach_tails, build_E, preset_graph
     from tailwalk.cli import main as cli_main
     from tailwalk.internal_spectral import spectral_decompose, verify_outgoing
@@ -262,6 +267,16 @@ def measure(preset: str, tails: str) -> dict:
     }
 
 
+def measure_import() -> dict:
+    """The time of ``import tailwalk`` in this process, which must not have
+    imported numpy yet: all of the package's start-up, numpy's import and
+    the load of scipy's LAPACK module among it."""
+    if "numpy" in sys.modules:
+        raise RuntimeError("measure_import needs a process that has not imported numpy")
+    _, import_s = _timed(lambda: __import__("tailwalk"))
+    return {"import_s": import_s}
+
+
 def measure_verify() -> dict:
     """One run of the acceptance suite, in this process: its time, each
     criterion's own ``elapsed`` as ``criterion_<id>_s``, its failures and
@@ -314,13 +329,18 @@ def _fresh(call: str) -> dict:
 
 
 def ladder_record() -> dict:
-    """``ROUNDS`` rounds of every graph and ``verify``, then one tier-1 run."""
+    """``ROUNDS`` rounds of every graph, ``verify`` and the import, then one
+    tier-1 run."""
+    import numpy as np
+    import scipy
+
     runs = {f"{p} tails {t}": [] for p, t in GRAPHS}
-    verify = []
+    verify, imports = [], []
     for _ in range(ROUNDS):
         for (preset, tails), label in zip(GRAPHS, runs):
             runs[label].append(_fresh(f"measure({preset!r}, {tails!r})"))
         verify.append(_fresh("measure_verify()"))
+        imports.append(_fresh("measure_import()")["import_s"])
     graphs = {}
     for label, rows in runs.items():
         graphs[label] = {k: rows[0][k] for k in ("arcs", "basis_dim", "iterate_no_convergence",
@@ -336,7 +356,8 @@ def ladder_record() -> dict:
     for key in (k for k in verify[0] if k != "failed"):
         vals = [v[key] for v in verify]
         verify_rec[key] = {"median": statistics.median(vals), "runs": vals}
-    return {"env": env, "graphs": graphs, "verify": verify_rec, **tier1()}
+    return {"env": env, "graphs": graphs, "verify": verify_rec,
+            "import_s": {"median": statistics.median(imports), "runs": imports}, **tier1()}
 
 
 def _copy_checkout(src: Path, dest: Path) -> Path:
@@ -409,7 +430,9 @@ def paired_record(runs: dict[str, list[dict]]) -> dict:
         side: sum(sum(r["verify"]["failed"]) for r in rs) for side, rs in runs.items()
     }
     env = first["env"] | {"runs_per_side": len(runs["parent"]), "order": list(ROTATION)}
+    import_s = _ratios({side: [r["import_s"]["runs"] for r in rs] for side, rs in runs.items()})
     return {"description": PAIRED_DESCRIPTION, "env": env, "graphs": graphs, "verify": verify,
+            "import_s": import_s,
             "tier1": {key: {side: [r[key] for r in rs] for side, rs in runs.items()}
                       for key in ("tier1_s", "tier1_passed", "tier1_failed", "tier1_exit",
                                   "tier1_default_blas_s", "tier1_default_blas_exit")}}

@@ -40,17 +40,37 @@ path.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztrsen, ztrsyl, ztrtrs
 
 from .coin_evolution import kappa, linearize
 from .tailed_graph import TailedGraph
+
+
+def _lapack(*routines: str) -> list:
+    """LAPACK routines from scipy's compiled module, loaded under its own name,
+    which ``scipy.linalg`` then shares, without importing ``scipy.linalg``."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy")
+        spec = root and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "linalg") for path in root.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"tailwalk needs scipy: {name} was not found", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return [getattr(sys.modules[name], routine) for routine in routines]
+
+
+zgees, ztrsen, ztrsyl, ztrtrs = _lapack("zgees", "ztrsen", "ztrsyl", "ztrtrs")
 
 # eigenvalues closer than CLUSTER_TOL form one cluster by default, as under
 # the CLI's --tol-cluster.  CLUSTER_TOL is also the smallest accepted:
@@ -65,6 +85,7 @@ _BLOCK = 1 << _LOG_BLOCK  # time-iteration steps advanced per product with H^_BL
 # one is >= 0.59 and every dropped one <= 1e-14
 _KRYLOV_TOL = 1e-12
 _OUTGOING_DEPTH = 20  # verify_outgoing's truncation keeps this many tail arcs plus two
+_OUTGOING_FLOOR = np.finfo(float).max ** (-1 / (_OUTGOING_DEPTH + 2))  # below it mu^-D overflows
 # ||R||_1 ||L||_1 above this: the projectors would have lost half the working digits
 _MAX_BLOCK_CONDITION = 1e8
 # ||N^m||_F above this: a cluster of m > 1 is not one eigenvalue, and the closed
@@ -106,7 +127,7 @@ class ClusterAmbiguity(RuntimeError):
 
 
 class NotAResonance(ValueError):
-    """Requested an outgoing extension for an eigenvalue on the unit circle."""
+    """Requested an outgoing extension for |mu| outside [_OUTGOING_FLOOR, 1)."""
 
 
 @dataclass
@@ -428,15 +449,17 @@ def _greedy_clusters(vals: np.ndarray, tol: float) -> tuple[list[np.ndarray], np
 
 
 def _schur_form(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E's complex Schur form (T, Z), from the one ``scipy.linalg.schur`` call.
-
-    ``zgees``'s workspace size is queried first, and the query's copies of
-    E and of Z freed: asked for the size itself, ``schur`` keeps them alive
-    through the real call, two n x n arrays more at its peak.
+    """E's complex Schur form (T, Z), from one ``zgees`` call made as
+    ``scipy.linalg.schur(E, output="complex")`` makes it, a non-finite E
+    refused with its ``ValueError``.  The workspace query's copies of E and
+    of Z are freed before that call: two n x n arrays fewer at its peak.
     """
-    (gees,) = scipy.linalg.get_lapack_funcs(("gees",), (E,))
-    lwork = gees(lambda x: None, E, lwork=-1)[-2][0].real.astype(np.int_)
-    return scipy.linalg.schur(E, output="complex", lwork=lwork)
+    E = np.asarray_chkfinite(E)
+    lwork = zgees(lambda x: None, E, lwork=-1)[-2][0].real.astype(np.int_)
+    T, _, _, Z, _, info = zgees(lambda x: None, E, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z
 
 
 def _contiguous_schur(
@@ -721,9 +744,10 @@ def verify_outgoing(im: InternalMatrix, mu, vec: np.ndarray) -> float | np.ndarr
     profile psi(out port j, distance l) = mu^{-(l-1)} psi(out, 1) with
     psi(out, 1) = (B_out v)_j / mu.  Returns max |(U - mu) psi| over the
     truncation at ``_OUTGOING_DEPTH + 2`` arcs per tail after normalising
-    psi to unit sup norm.  Raises
-    :class:`NotAResonance` for |mu| >= 1 (the extension grows along the
-    tails only for genuine resonances, where it is the outgoing state).
+    psi to unit sup norm.  Raises :class:`NotAResonance` for |mu| >= 1 (the
+    extension grows along the tails only for genuine resonances, where it is
+    the outgoing state) and below ``_OUTGOING_FLOOR`` (9.7e-15), where a unit
+    state's profile overflows (mu = 0, or a nilpotent block of E rounded).
 
     ``mu`` may be an array of k eigenvalues, with their eigenvectors as the
     columns of ``vec``: the k residuals come back as an array, each as the
@@ -741,10 +765,8 @@ def verify_outgoing(im: InternalMatrix, mu, vec: np.ndarray) -> float | np.ndarr
     """
     mus = np.asarray(mu, dtype=complex).ravel()
     for m in mus.tolist():
-        if abs(m) >= 1.0:
-            raise NotAResonance(f"|mu| = {abs(m):.6f} is not strictly inside the disk")
-        if m == 0:
-            raise ZeroDivisionError("mu = 0 has no outgoing extension: mu^-(l-1) is undefined")
+        if not _OUTGOING_FLOOR <= abs(m) < 1.0:
+            raise NotAResonance(f"|mu| = {abs(m):.3g} is not in [{_OUTGOING_FLOOR:.1e}, 1)")
     V = np.asarray(vec, dtype=complex).reshape(im.tg.num_arcs, len(mus))
     # the products column by column, each as its one-state call forms it; the
     # rest is elementwise and per-column maxima, the same bits for any k

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .tailed_graph import TailedGraph
 
@@ -241,12 +240,14 @@ def birth_basis(lt: LaplacianT, lam: float) -> np.ndarray:
     """Orthonormal basis of the birth eigenspace at lam = +-1.
 
     Birth states satisfy d u = 0 together with S u = -lam u, so they are
-    the null space of [d; S + lam I].
+    the null space of [d; S + lam I], by ``scipy.linalg.null_space``'s rule
+    at ``rcond=1e-9``.
     """
     if lam not in (1, -1, 1.0, -1.0):
         raise ValueError("birth eigenvalues exist only at +-1")
     stack = np.vstack([lt.d, lt.S + lam * np.eye(lt.S.shape[0])])
-    return scipy.linalg.null_space(stack, rcond=1e-9)
+    _, s, vh = np.linalg.svd(stack)
+    return vh[np.count_nonzero(s > s.max(initial=0.0) * 1e-9) :].T.conj()
 
 
 @dataclass
@@ -293,10 +294,12 @@ def classify(lt: LaplacianT) -> list[EigenClassification]:
 def persistent_basis(lt: LaplacianT, lam: complex) -> np.ndarray:
     """Orthonormal arc-space basis of the persistent eigenspace at lam:
     the lifted boundary-vanishing T-eigenvectors plus, at +-1, the birth
-    states."""
+    states, orthonormalised by ``scipy.linalg.orth``'s rule."""
     per, _ = lt.eigenspace(joukowsky(complex(lam)).real)
     cols = [lift(lt, lam, per)]
     sign = unit_sign(lam)
     if sign:
         cols.append(birth_basis(lt, sign))
-    return scipy.linalg.orth(np.hstack(cols).astype(complex))
+    u, s, vh = np.linalg.svd(np.hstack(cols).astype(complex), full_matrices=False)
+    cut = s.max(initial=0.0) * np.finfo(float).eps * max(len(u), vh.shape[1])
+    return u[:, : np.count_nonzero(s > cut)]

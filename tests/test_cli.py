@@ -966,6 +966,13 @@ def test_bench_ladder_measures_each_layer(monkeypatch):
     assert all(v > 0 for v in parts) and sum(parts) <= verify["verify_s"]
     # the process's peak RSS so far, in MiB: at least what numpy alone takes
     assert 10 < row["peak_rss_mb"] <= verify["peak_rss_mb"] < 4096
+    # the start-up, timed in a fresh process that has not imported numpy; in
+    # this one, which has, the measurement refuses to run
+    monkeypatch.setenv("PYTHONPATH", str(Path(tailwalk.__file__).resolve().parents[1]))
+    start = bench_ladder._fresh("measure_import()")
+    assert list(start) == ["import_s"] and 0 < start["import_s"] < 30
+    with pytest.raises(RuntimeError):
+        bench_ladder.measure_import()
 
 
 def test_bench_ladder_pairs_three_sides(monkeypatch):
@@ -984,6 +991,7 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
             "verify": {"failed": [0, 1, 0], "verify_s": {"runs": [scale] * 3},
                        "criterion_03_s": {"runs": [scale / 4] * 3},
                        "peak_rss_mb": {"runs": [64.0] * 3}},
+            "import_s": {"runs": [scale / 8] * 3},
             "tier1_s": 1.5, "tier1_passed": 7, "tier1_failed": 0, "tier1_exit": 0,
             "tier1_default_blas_s": 2.5, "tier1_default_blas_exit": 0,
         }
@@ -1004,6 +1012,8 @@ def test_bench_ladder_pairs_three_sides(monkeypatch):
     assert rec["verify"]["verify_s"]["change_over_parent"] == 0.5
     assert rec["verify"]["criterion_03_s"]["change"] == 0.125
     assert rec["verify"]["criterion_03_s"]["per_run_change_over_parent"] == [0.5, 0.5, 1.0]
+    assert rec["import_s"]["change"] == 0.0625
+    assert rec["import_s"]["per_run_change_over_parent"] == [0.5, 0.5, 1.0]
     assert rec["verify"]["criteria_failed_over_all_runs"] == {
         "parent": 3, "change": 3, "parent_copy": 3}
     assert rec["tier1"]["tier1_passed"]["change"] == [7, 7, 7]

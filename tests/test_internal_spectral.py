@@ -2,6 +2,9 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from scipy.linalg.lapack import ztrsen, ztrsyl
 from test_tailed_graph import connected_graphs
 
 import tailwalk
-from tailwalk import attach_tails, build_E, internal_spectral, preset_graph
+from tailwalk import attach_tails, build_E, build_internal, internal_spectral, preset_graph
 from tailwalk.coin_evolution import WalkOperator, kappa, linearize
 from tailwalk.internal_spectral import (
     _BLOCK,
@@ -155,13 +158,23 @@ def test_direct_port_block_is_the_coin_tail_block(suite_graphs, k4_multi):
 
 
 def test_split_assembly_agrees_with_coin_assembly(suite_graphs, k4_multi):
-    # two routes to the kappa-linear parts of the walk step that share no code
+    # two routes to the kappa-linear parts of the walk step that share no code,
+    # and the port blocks at eps against X0 + kappa X1 from the split parts
+    # (B_in0 = B_out0 = 0, B_bb0 = I), with no truncated walk
     for name, tg in {**suite_graphs, "k4-multi": k4_multi}.items():
         im = build_E(tg)
+        split = build_E_split(tg)
         coin = (im.E0, im.U1 @ im.V1.T, im.B_in1, im.B_out1, im.B_bb1)  # E1 from its factors
         names = ("E0", "E1", "B_in1", "B_out1", "B_bb1")
-        for block, ours, X in zip(names, coin, build_E_split(tg)):
+        for block, ours, X in zip(names, coin, split):
             assert_allclose(ours, X, atol=1e-13, err_msg=f"{name} {block}")
+        _, _, B_in1, B_out1, B_bb1 = split
+        for eps in (0.25, 1.0):
+            at, k = build_E(tg, eps), kappa(eps)
+            port = {"B_in": (at.B_in, k * B_in1), "B_out": (at.B_out, k * B_out1),
+                    "B_bb": (at.B_bb, np.eye(tg.num_ports) + k * B_bb1)}
+            for block, (ours, X) in port.items():
+                assert_allclose(ours, X, atol=1e-13, err_msg=f"{name} {block} at eps {eps}")
 
 
 def test_boundary_matrix_is_a_contraction(suite_graphs):
@@ -426,14 +439,17 @@ def test_decomposition_memory_is_linear_in_clusters(preset, tails, eps, clusters
 
 @pytest.fixture
 def schur_calls(monkeypatch):
+    # the package's Schur forms, as the zgees calls that make one: the
+    # workspace query (lwork=-1) makes none
     calls = []
-    real = scipy.linalg.schur
+    real = internal_spectral.zgees
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(select, a, *args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            calls.append(a.shape)
+        return real(select, a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(internal_spectral, "zgees", counting)
     return calls
 
 
@@ -475,11 +491,37 @@ def test_schur_query_is_freed_before_the_schur_form(k16):
 
 
 def test_schur_form_is_scipys(schur_calls, c4a):
+    # scipy.linalg.schur, which makes the same zgees call, as the reference
     E = build_E(c4a, 0.25).E
     T, Z = internal_spectral._schur_form(E)
     assert schur_calls == [E.shape]
     T0, Z0 = scipy.linalg.schur(E, output="complex")
     assert T.tobytes() == T0.tobytes() and Z.tobytes() == Z0.tobytes()
+
+
+def test_schur_form_refuses_non_finite_input(c4a):
+    E = build_E(c4a, 0.25).E.copy()
+    E[3, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral_decompose(E)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the LAPACK routines come from scipy's compiled module alone: importing
+    # the package and its CLI loads neither scipy.linalg nor the numpy
+    # modules its array-API layer pulls in, and a later import of
+    # scipy.linalg shares that module
+    code = (
+        "import sys, tailwalk, tailwalk.cli\n"
+        "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing',"
+        " 'numpy.random') if m in sys.modules))\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack.zgees is tailwalk.internal_spectral.zgees)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tailwalk.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 def test_no_dense_E1_outside_the_split_assembly():
@@ -509,7 +551,7 @@ def test_only_internal_spectral_takes_schur_forms():
         p.name
         for p in src.rglob("*.py")
         if p.name != "internal_spectral.py"
-        and any(s in p.read_text() for s in ("scipy.linalg.schur", "_schur_projection"))
+        and any(s in p.read_text() for s in ("zgees", "scipy.linalg.schur", "_schur_projection"))
     ]
 
 
@@ -734,11 +776,18 @@ def test_outgoing_residual_is_the_truncated_walks(g, eps, data):
     im = build_E(attach_tails(g, tails), eps)
     vals, vecs = np.linalg.eig(im.E)
     inside = np.flatnonzero(np.abs(vals) < 1 - 1e-6)
+    # at eps = 1 some graphs put a nilpotent block of E at 0, whose eigenvalues
+    # round to below the floor: each of those states is refused
+    low = inside[np.abs(vals[inside]) < internal_spectral._OUTGOING_FLOOR]
+    inside = np.setdiff1d(inside, low)
     rng = np.random.default_rng(len(tails))
     dE, dB = data.draw(st.tuples(st.floats(0.0, 1e-2), st.floats(0.0, 1e-2)))
     bent = dataclasses.replace(im, E=im.E + dE * rng.standard_normal(im.E.shape),
                                B_out=im.B_out + dB * rng.standard_normal(im.B_out.shape))
     for walk in (im, bent):
+        for k in low:
+            with pytest.raises(NotAResonance):
+                verify_outgoing(walk, complex(vals[k]), vecs[:, k])
         got = verify_outgoing(walk, vals[inside], vecs[:, inside])
         want = [_walk_residual(walk, complex(vals[k]), vecs[:, k]) for k in inside]
         assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -748,6 +797,27 @@ def test_outgoing_extension_rejects_circle_points(c4a):
     v = np.ones(c4a.num_arcs, dtype=complex)
     with pytest.raises(NotAResonance):
         verify_outgoing(build_E(c4a, 0.25), 1.0 + 0j, v)
+
+
+@pytest.mark.parametrize("edges, tails, zeros", [
+    ([(0, 1), (1, 2), (1, 3), (2, 3)], (2, 2), 2),  # rounded to 1.8e-16 and 1.1e-15
+    ([(0, 1), (0, 2), (1, 3), (2, 3)], (1, 1), 4),  # exact zeros
+])
+def test_outgoing_extension_refuses_the_profile_that_overflows(edges, tails, zeros):
+    # at eps = 1 these graphs' E has a nilpotent block at 0: there the profile
+    # mu^-(l-1) has no value, or overflows at rounding's |mu|, and every state
+    # below the floor is refused, alone or in a batch; the rest are verified
+    im = build_E(attach_tails(build_internal(4, edges), tails), 1.0)
+    vals, vecs = np.linalg.eig(im.E)
+    low = np.abs(vals) < internal_spectral._OUTGOING_FLOOR
+    assert np.count_nonzero(low) == zeros
+    for k in np.flatnonzero(low):
+        with pytest.raises(NotAResonance):
+            verify_outgoing(im, complex(vals[k]), vecs[:, k])
+    disk = np.abs(vals) < 1 - 1e-6
+    assert np.all(verify_outgoing(im, vals[disk & ~low], vecs[:, disk & ~low]) < 1e-14)
+    with pytest.raises(NotAResonance):
+        verify_outgoing(im, vals[disk], vecs[:, disk])
 
 
 @settings(max_examples=20, deadline=None)

@@ -509,6 +509,7 @@ def test_iteration_uses_no_spectral_routine(im_c4a, im_k4a, monkeypatch):
     assert not hasattr(tailwalk.scattering, "spectral_decompose")
     for mod, name in [
         (tailwalk.internal_spectral, "spectral_decompose"),
+        (tailwalk.internal_spectral, "zgees"),
         (scipy.linalg, "schur"),
         (scipy.linalg, "eig"),
         (scipy.linalg, "eigvals"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -235,3 +236,32 @@ def test_classify_matches_the_direct_spectrum_on_random_graphs(g, data):
     assert (inherited == [1]) == g.bipartite
     measured = (birth_basis(lt, 1).shape[1], birth_basis(lt, -1).shape[1])
     assert birth_multiplicities(tg) == measured
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_bases_keep_scipys_rank_rules_on_random_graphs(g, data):
+    """birth_basis and persistent_basis, on numpy's SVD, span what
+    scipy.linalg's null_space (rcond 1e-9) and orth give from the same
+    inputs: as many columns, and the same orthogonal projector."""
+    tails = data.draw(
+        st.lists(st.integers(0, g.num_vertices - 1), min_size=1, max_size=2 * g.num_vertices)
+    )
+    lt = build_operators(attach_tails(g, tails))
+
+    def assert_same_span(U, W):
+        assert U.shape == W.shape
+        assert_allclose(U @ U.conj().T, W @ W.conj().T, rtol=0, atol=1e-13)
+
+    births = {}
+    for lam in (1, -1):
+        stack = np.vstack([lt.d, lt.S + lam * np.eye(lt.S.shape[0])])
+        births[lam] = scipy.linalg.null_space(stack, rcond=1e-9)
+        assert_same_span(birth_basis(lt, lam), births[lam])
+    for entry in classify(lt):
+        per, _ = lt.eigenspace(joukowsky(complex(entry.value)).real)
+        cols = [lift(lt, entry.value, per)]
+        if unit_sign(entry.value):
+            cols.append(births[unit_sign(entry.value)])
+        want = scipy.linalg.orth(np.hstack(cols).astype(complex))
+        assert_same_span(persistent_basis(lt, entry.value), want)
